@@ -163,6 +163,13 @@ def _gf_roots(poly: Polynomial, field: PrimeField) -> list:
     return out
 
 
+def field_roots(poly: Polynomial, field) -> list:
+    """All roots of a nonzero polynomial in its own field, with multiplicity."""
+    if isinstance(field, Rationals):
+        return _rational_roots(poly)
+    return _gf_roots(poly, field)
+
+
 # ---- decomposition --------------------------------------------------------
 
 
@@ -240,10 +247,7 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
     if m.nrows == 0:
         raise DimensionMismatch("eigen-decomposition of an empty matrix")
     poly = min_poly(m)
-    if isinstance(m.field, Rationals):
-        roots = _rational_roots(poly)
-    else:
-        roots = _gf_roots(poly, m.field)
+    roots = field_roots(poly, m.field)
     if len(set(roots)) != len(roots):
         raise NotDiagonalizableOverField(
             "minimal polynomial has a repeated root"

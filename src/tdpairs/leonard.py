@@ -377,29 +377,38 @@ def switching_via_solve(pair: TriDiagonalPair) -> Matrix:
 # ---- generation ----------------------------------------------------------------
 
 
-def generate_split_form(params: LeonardParameterSet) -> tuple[Matrix, Matrix]:
-    """A lower bidiagonal with diagonal theta and unit subdiagonal,
-    Astar upper bidiagonal with diagonal thetastar and superdiagonal
-    varphi; the output must pass validation or generation fails."""
-    field = params.field
-    d = params.d
-    a_rows = [[field.zero] * (d + 1) for _ in range(d + 1)]
-    astar_rows = [[field.zero] * (d + 1) for _ in range(d + 1)]
-    for i in range(d + 1):
-        a_rows[i][i] = params.theta[i]
-        astar_rows[i][i] = params.thetastar[i]
-    for i in range(1, d + 1):
+def _split_matrices(field, theta, thetastar, varphi) -> tuple[Matrix, Matrix]:
+    """The split-form matrices described in generate_split_form."""
+    size = len(theta)
+    a_rows = [[field.zero] * size for _ in range(size)]
+    astar_rows = [[field.zero] * size for _ in range(size)]
+    for i in range(size):
+        a_rows[i][i] = theta[i]
+        astar_rows[i][i] = thetastar[i]
+    for i in range(1, size):
         a_rows[i][i - 1] = field.one
-        astar_rows[i - 1][i] = params.varphi[i - 1]
-    a = Matrix(field, a_rows)
-    astar = Matrix(field, astar_rows)
+        astar_rows[i - 1][i] = varphi[i - 1]
+    return Matrix(field, a_rows), Matrix(field, astar_rows)
+
+
+def _split_pair(params: LeonardParameterSet) -> TriDiagonalPair:
+    """The validated split-form pair of params; generation fails when
+    it does not pass validation."""
+    a, astar = _split_matrices(params.field, params.theta, params.thetastar, params.varphi)
     try:
-        validate_pair(a, astar)
+        return validate_pair(a, astar)
     except TdpError as e:
         raise GeneratedPairInvalid(
             f"generated split form failed validation: {e}", cause=e
         ) from e
-    return a, astar
+
+
+def generate_split_form(params: LeonardParameterSet) -> tuple[Matrix, Matrix]:
+    """A lower bidiagonal with diagonal theta and unit subdiagonal,
+    Astar upper bidiagonal with diagonal thetastar and superdiagonal
+    varphi; the output must pass validation or generation fails."""
+    pair = _split_pair(params)
+    return pair.a, pair.astar
 
 
 def _phi_from_split(field, theta, thetastar, varphi):
@@ -410,18 +419,8 @@ def _phi_from_split(field, theta, thetastar, varphi):
 
     Returns None when the structure breaks (degenerate parameters)."""
     d = len(theta) - 1
-    size = d + 1
-    a_rows = [[field.zero] * size for _ in range(size)]
-    astar_rows = [[field.zero] * size for _ in range(size)]
-    for i in range(size):
-        a_rows[i][i] = theta[i]
-        astar_rows[i][i] = thetastar[i]
-    for i in range(1, size):
-        a_rows[i][i - 1] = field.one
-        astar_rows[i - 1][i] = varphi[i - 1]
-    a = Matrix(field, a_rows)
-    astar = Matrix(field, astar_rows)
-    eye = Matrix.identity(field, size)
+    a, astar = _split_matrices(field, theta, thetastar, varphi)
+    eye = Matrix.identity(field, d + 1)
     u = tuple([field.one] + [field.zero] * d)
     images = [u]
     for i in range(1, d + 1):
@@ -495,11 +494,10 @@ def random_leonard(field: Field, d: int, seed) -> tuple[LeonardParameterSet, Tri
             params = LeonardParameterSet(
                 field=field, theta=theta, thetastar=thetastar, varphi=varphi, phi=phi
             )
-            a, astar = generate_split_form(params)
+            pair = _split_pair(params)
         except (InvalidLeonardParameters, GeneratedPairInvalid) as e:
             last_failure = e
             continue
-        pair = validate_pair(a, astar)
         if pair.diameter >= 1 and pair.theta(0) != params.theta[0]:
             pair = pair.with_reversed_a()
         if pair.diameter >= 1 and pair.thetastar(0) != params.thetastar[0]:

@@ -8,10 +8,15 @@ A candidate (A, Astar) is accepted when four axioms hold exactly:
   (iv)  no common invariant subspace other than 0 and V.
 
 Orderings are discovered through the support graph on eigenspace
-indices, irreducibility through a spin-up test (complete over finite
-fields via the kernel/dual-kernel criterion) or a structured search over
-Q, and the accepted pair carries its canonically ordered eigen data and
-shape.
+indices.  Irreducibility is decided by one engine for Q and GF(p):
+Norton's test on the smallest eigenspace of A or Astar runs first and is
+complete when that eigenspace is a line (any field) or, over GF(p), has
+at most _LINE_ENUM_CAP lines, which covers every Leonard pair and every
+pair with a 1-dimensional eigenspace.  Other inputs fall back to the
+structured eigenspace-block search over Q, the closure algebra, spin-ups
+of the standard basis and, over GF(p), Norton's test on a singular
+closure-algebra element and exhaustive line spin-up (see irreducible).
+The accepted pair carries its canonically ordered eigen data and shape.
 """
 
 from __future__ import annotations
@@ -29,8 +34,8 @@ from .errors import (
     NotDiagonalizableOverField,
     NotIrreducible,
 )
-from .fields import PrimeField, Rationals
-from .eigen import EigenDecomposition, eigen_decompose, eigencoordinate_change
+from .fields import PrimeField
+from .eigen import EigenDecomposition, eigen_decompose, eigencoordinate_change, field_roots
 from .linalg import Matrix, min_poly, vec_is_zero
 from .polynomials import Polynomial
 from .subspaces import (
@@ -188,7 +193,7 @@ def _spin(field, n: int, seeds, operators) -> Subspace:
     return Subspace.span(field, n, acc.vectors())
 
 
-def closure_algebra(a: Matrix, astar: Matrix, stop_at_full: bool = True) -> tuple[list[Matrix], int]:
+def closure_algebra(a: Matrix, astar: Matrix) -> tuple[list[Matrix], int]:
     """Basis of the unital algebra generated by {A, Astar} inside
     End(V), as a list of matrices, plus its dimension.
 
@@ -212,7 +217,7 @@ def closure_algebra(a: Matrix, astar: Matrix, stop_at_full: bool = True) -> tupl
             if acc.add(prod.flatten()):
                 basis.append(prod)
                 queue.append(prod)
-                if stop_at_full and acc.dim == full:
+                if acc.dim == full:
                     return basis, acc.dim
     return basis, acc.dim
 
@@ -266,7 +271,7 @@ def support_path_orderings(eig: EigenDecomposition, b: Matrix) -> list[tuple[int
     return [tuple(walk), tuple(reversed(walk))]
 
 
-# ---- irreducibility over GF(p) ---------------------------------------------
+# ---- Norton's test -----------------------------------------------------------
 
 _LINE_ENUM_CAP = 200_000
 
@@ -298,18 +303,48 @@ def _gf_line_count(p: int, k: int) -> int:
     return (p**k - 1) // (p - 1)
 
 
-def _singular_candidates(a: Matrix, astar: Matrix, algebra_basis: list[Matrix]):
-    """Elements of the closure algebra likely to be singular, cheapest
-    first: eigenvalue shifts of the generators, then algebra basis
-    elements, then a scan of pencil combinations."""
-    from .eigen import _gf_roots
+def _norton_decides(field, k: int) -> bool:
+    """Whether Norton's test on a k-dimensional kernel is complete: it
+    must spin every line of the kernel, so the kernel is a line or, over
+    GF(p), has at most _LINE_ENUM_CAP lines."""
+    return k == 1 or (
+        isinstance(field, PrimeField) and _gf_line_count(field.p, k) <= _LINE_ENUM_CAP
+    )
 
+
+def _norton(a: Matrix, astar: Matrix, t: Matrix, ker: Subspace) -> IrreducibilityReport:
+    """Norton's irreducibility test on a singular element t of the
+    algebra generated by {A, Astar}, with ker = ker t.
+
+    A common invariant W either meets ker t, and then the spin-up of a
+    line of ker t inside W is proper, or t maps W onto itself, and then
+    every w in ker t^T annihilates W, so the spin-up of any one such w
+    under the transposes is proper.  Spinning every line of ker t and one
+    vector of ker t^T therefore decides irreducibility.
+    """
     field = a.field
     n = a.nrows
-    eye = Matrix.identity(field, n)
-    for m in (a, astar):
-        for theta in set(_gf_roots(min_poly(m), field)):
-            yield m - eye.scale(theta)
+    lines = ker.basis if ker.dim == 1 else _gf_lines(field, list(ker.basis))
+    for v in lines:
+        spun = _spin(field, n, [v], (a, astar))
+        if spun.dim < n:
+            return _checked_reducible(
+                a, astar, spun, "spin-up of a kernel vector of a singular algebra element"
+            )
+    w = kernel(t.transpose()).basis[0]
+    spun = _spin(field, n, [w], (a.transpose(), astar.transpose()))
+    if spun.dim == n:
+        return IrreducibilityReport.irreducible(
+            "kernel spin-ups and the dual spin-up all fill the space"
+        )
+    witness = annihilator(field, n, spun.basis)
+    return _checked_reducible(a, astar, witness, "annihilator of a proper dual spin-up")
+
+
+def _singular_candidates(field, algebra_basis: list[Matrix]):
+    """Elements of the closure algebra likely to be singular, cheapest
+    first: the algebra basis elements, then a scan of pencil
+    combinations."""
     for b in algebra_basis:
         yield b
     limit = min(len(algebra_basis), 6)
@@ -317,64 +352,6 @@ def _singular_candidates(a: Matrix, astar: Matrix, algebra_basis: list[Matrix]):
         for j in range(i + 1, limit):
             for c in field.elements():
                 yield algebra_basis[i] + algebra_basis[j].scale(c)
-
-
-def _irreducible_gf(a: Matrix, astar: Matrix) -> IrreducibilityReport:
-    field = a.field
-    n = a.nrows
-    basis, dim = closure_algebra(a, astar)
-    if dim == n * n:
-        return IrreducibilityReport.irreducible("closure algebra is all of End(V)")
-    eye_rows = Matrix.identity(field, n).rows
-    for e in eye_rows:
-        spun = _spin(field, n, [e], (a, astar))
-        if 0 < spun.dim < n:
-            return _checked_reducible(a, astar, spun, "spin-up of a standard basis vector")
-    # kernel seeds from a singular algebra element with smallest nullity
-    best = None
-    tried = 0
-    for t in _singular_candidates(a, astar, basis):
-        tried += 1
-        ker = kernel(t)
-        if 0 < ker.dim < n:
-            if best is None or ker.dim < best[1].dim:
-                best = (t, ker)
-            if ker.dim == 1:
-                break
-        if tried >= 4000 and best is not None:
-            break
-    if best is not None:
-        t, ker = best
-        if _gf_line_count(field.p, ker.dim) <= _LINE_ENUM_CAP:
-            for v in _gf_lines(field, list(ker.basis)):
-                spun = _spin(field, n, [v], (a, astar))
-                if spun.dim < n:
-                    return _checked_reducible(
-                        a, astar, spun, "spin-up of a kernel vector of a singular algebra element"
-                    )
-            # dual step: one nonzero functional in the kernel of the transpose
-            at, astart = a.transpose(), astar.transpose()
-            dual_ker = kernel(t.transpose())
-            w = dual_ker.basis[0]
-            spun = _spin(field, n, [w], (at, astart))
-            if spun.dim == n:
-                return IrreducibilityReport.irreducible(
-                    "kernel spin-ups and the dual spin-up all fill the space"
-                )
-            witness = annihilator(field, n, spun.basis)
-            return _checked_reducible(a, astar, witness, "annihilator of a proper dual spin-up")
-    # no usable singular element: exhaust all lines when feasible
-    if _gf_line_count(field.p, n) <= _LINE_ENUM_CAP:
-        eye = Matrix.identity(field, n)
-        for v in _gf_lines(field, list(eye.rows)):
-            spun = _spin(field, n, [v], (a, astar))
-            if spun.dim < n:
-                return _checked_reducible(a, astar, spun, "exhaustive line spin-up")
-        return IrreducibilityReport.irreducible("every line spins up to the full space")
-    return IrreducibilityReport.inconclusive(
-        "no singular element located in the closure algebra and the space "
-        "is too large for exhaustive line enumeration"
-    )
 
 
 # ---- irreducibility over Q --------------------------------------------------
@@ -826,125 +803,74 @@ def _structured_search_q(eig: EigenDecomposition, partner: Matrix):
 
 def _proper_closed_set(count: int, edges: set) -> list | None:
     """A nonempty proper vertex set with no outgoing edges, if one
-    exists: any sink component of the condensation works."""
-    if count == 1:
-        return None
+    exists.  Every forward-reachable set is closed, and every closed set
+    contains the reachable set of each of its vertices, so the smallest
+    reachable set (a sink component) answers the question."""
     adjacency = {i: [] for i in range(count)}
     for i, j in edges:
         adjacency[i].append(j)
-    # Tarjan strongly connected components, iterative
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    components = []
-    counter = [0]
+    smallest = None
     for start in range(count):
-        if start in index:
-            continue
-        work = [(start, iter(adjacency[start]))]
-        index[start] = low[start] = counter[0]
-        counter[0] += 1
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = counter[0]
-                    counter[0] += 1
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(adjacency[nxt])))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    v = stack.pop()
-                    on_stack.discard(v)
-                    comp.append(v)
-                    if v == node:
-                        break
-                components.append(comp)
-    if len(components) <= 1:
-        return None
-    comp_of = {}
-    for ci, comp in enumerate(components):
-        for v in comp:
-            comp_of[v] = ci
-    outgoing = {ci: False for ci in range(len(components))}
-    for i, j in edges:
-        if comp_of[i] != comp_of[j]:
-            outgoing[comp_of[i]] = True
-    for ci, comp in enumerate(components):
-        if not outgoing[ci]:
-            return comp
-    return None
+        reach = {start}
+        stack = [start]
+        while stack:
+            for j in adjacency[stack.pop()]:
+                if j not in reach:
+                    reach.add(j)
+                    stack.append(j)
+        if smallest is None or len(reach) < len(smallest):
+            smallest = reach
+    return sorted(smallest) if len(smallest) < count else None
 
 
-def _irreducible_q(a: Matrix, astar: Matrix, eig_a: EigenDecomposition | None) -> IrreducibilityReport:
-    field = a.field
-    n = a.nrows
-    _, dim = closure_algebra(a, astar)
-    if dim == n * n:
-        return IrreducibilityReport.irreducible("closure algebra is all of End(V)")
-    for e in Matrix.identity(field, n).rows:
-        spun = _spin(field, n, [e], (a, astar))
-        if 0 < spun.dim < n:
-            return _checked_reducible(a, astar, spun, "spin-up of a standard basis vector")
-    attempts = []
-    if eig_a is not None:
-        attempts.append((eig_a, astar))
-    else:
-        try:
-            attempts.append((eigen_decompose(a), astar))
-        except NotDiagonalizableOverField:
-            pass
-    try:
-        attempts.append((eigen_decompose(astar), a))
-    except NotDiagonalizableOverField:
-        pass
-    if not attempts:
-        return IrreducibilityReport.inconclusive(
-            "closure algebra is a proper subalgebra and neither operator "
-            "is diagonalizable over Q"
-        )
-    all_complete = False
-    for eig, partner in attempts:
-        vecs, complete = _structured_search_q(eig, partner)
-        if vecs is not None:
-            witness = Subspace.span(field, n, vecs)
-            return _checked_reducible(a, astar, witness, "structured eigenspace-block search")
-        if complete:
-            all_complete = True
-            break
-    if all_complete:
-        return IrreducibilityReport.irreducible(
-            "structured eigenspace-block search is exhaustive for this shape"
-        )
-    return IrreducibilityReport.inconclusive(
-        "structured search could not cover all dimension vectors "
-        "(some eigenspace of dimension >= 3)"
-    )
+# ---- the engine ---------------------------------------------------------------
 
 
-def irreducible(a: Matrix, astar: Matrix, eig_a: EigenDecomposition | None = None) -> IrreducibilityReport:
+def _eigenspaces(m: Matrix, eig: EigenDecomposition | None) -> tuple[list, EigenDecomposition | None]:
+    """(theta, eigenspace) for every eigenvalue of m in its field, and
+    m's decomposition when m is diagonalizable.  Taken from eig when the
+    caller has it, else computed from the roots of min_poly."""
+    if eig is not None:
+        return list(zip(eig.eigenvalues, eig.eigenspaces)), eig
+    eye = Matrix.identity(m.field, m.nrows)
+    thetas = sorted(set(field_roots(min_poly(m), m.field)))
+    spaces = [kernel(m - eye.scale(theta)) for theta in thetas]
+    if sum(space.dim for space in spaces) == m.nrows:
+        eig = EigenDecomposition(m, tuple(thetas), tuple(spaces))
+    return list(zip(thetas, spaces)), eig
+
+
+def irreducible(
+    a: Matrix,
+    astar: Matrix,
+    eig_a: EigenDecomposition | None = None,
+    eig_astar: EigenDecomposition | None = None,
+) -> IrreducibilityReport:
     """Decide whether {A, Astar} admits a common invariant subspace
     other than 0 and V.
 
-    Complete over prime fields; over Q, complete whenever some side is
-    diagonalizable with all eigenspaces of dimension at most 2, else
-    possibly inconclusive.
+    Norton's test runs first, on the smallest eigenspace K = ker(M -
+    theta I) of A or Astar (the first of A's, in eigenvalue order, then
+    of Astar's, on a tie).  It is complete when K is a line, over any
+    field, and over GF(p) when K has at most _LINE_ENUM_CAP lines; that
+    covers every Leonard pair and every pair with an eigenspace of
+    dimension 1.  Its witness is the spin-up of the first line of K that
+    spins to a proper subspace, or else the annihilator of the proper
+    dual spin-up.  The eigen data comes from eig_a / eig_astar when
+    given, else from the roots of each minimal polynomial.
+
+    Inputs Norton cannot decide go through these fallbacks, each once:
+    over Q, the structured eigenspace-block search on A's and then on
+    Astar's eigenspaces (complete when a side has every eigenspace of
+    dimension at most 2; its witness is a sum of eigenspaces or of lines
+    in them); the check that the closure algebra is all of End(V); the
+    spin-ups of the standard basis vectors (the first proper one is the
+    witness); over GF(p), Norton's test on the kernel of a singular
+    closure-algebra element, or on t = 0 when none is found, which spins
+    every line of V.  What is left is "inconclusive": over Q a pair with
+    no eigenspace of dimension 1 and eigenspaces of dimension >= 3 on
+    both sides, over GF(p) a pair whose kernels are too large to
+    enumerate.
     """
     if not a.is_square() or not astar.is_square():
         raise DimensionMismatch("irreducibility needs square matrices")
@@ -956,9 +882,65 @@ def irreducible(a: Matrix, astar: Matrix, eig_a: EigenDecomposition | None = Non
         raise DimensionMismatch("empty matrices")
     if a.nrows == 1:
         return IrreducibilityReport.irreducible("no proper nonzero subspaces in dimension 1")
-    if isinstance(a.field, PrimeField):
-        return _irreducible_gf(a, astar)
-    return _irreducible_q(a, astar, eig_a)
+    field = a.field
+    n = a.nrows
+    eye = Matrix.identity(field, n)
+    spaces_a, eig_a = _eigenspaces(a, eig_a)
+    spaces_astar, eig_astar = _eigenspaces(astar, eig_astar)
+    shifts = [(a, theta, k) for theta, k in spaces_a]
+    shifts += [(astar, theta, k) for theta, k in spaces_astar]
+    if shifts:
+        m, theta, k = min(shifts, key=lambda s: s[2].dim)
+        if _norton_decides(field, k.dim):
+            return _norton(a, astar, m - eye.scale(theta), k)
+    gf = isinstance(field, PrimeField)
+    sides = [] if gf else [(eig_a, astar), (eig_astar, a)]
+    searches = [(eig, partner) for eig, partner in sides if eig is not None]
+    for eig, partner in searches:
+        vecs, complete = _structured_search_q(eig, partner)
+        if vecs is not None:
+            witness = Subspace.span(field, n, vecs)
+            return _checked_reducible(a, astar, witness, "structured eigenspace-block search")
+        if complete:
+            return IrreducibilityReport.irreducible(
+                "structured eigenspace-block search is exhaustive for this shape"
+            )
+    basis, dim = closure_algebra(a, astar)
+    if dim == n * n:
+        return IrreducibilityReport.irreducible("closure algebra is all of End(V)")
+    for e in eye.rows:
+        spun = _spin(field, n, [e], (a, astar))
+        if spun.dim < n:
+            return _checked_reducible(a, astar, spun, "spin-up of a standard basis vector")
+    if not gf:
+        if not searches:
+            return IrreducibilityReport.inconclusive(
+                "closure algebra is a proper subalgebra and neither operator "
+                "is diagonalizable over Q"
+            )
+        return IrreducibilityReport.inconclusive(
+            "structured search could not cover all dimension vectors "
+            "(some eigenspace of dimension >= 3)"
+        )
+    # kernel seeds from a singular algebra element with smallest nullity
+    best = None
+    for tried, t in enumerate(_singular_candidates(field, basis), 1):
+        ker = kernel(t)
+        if 0 < ker.dim < n and (best is None or ker.dim < best[1].dim):
+            best = (t, ker)
+            if ker.dim == 1:
+                break
+        if tried >= 4000 and best is not None:
+            break
+    if best is None:
+        # no singular element found: t = 0 spins every line of V
+        best = (Matrix.zeros(field, n, n), Subspace.full(field, n))
+    if _norton_decides(field, best[1].dim):
+        return _norton(a, astar, *best)
+    return IrreducibilityReport.inconclusive(
+        "no singular element located in the closure algebra and the space "
+        "is too large for exhaustive line enumeration"
+    )
 
 
 # ---- the validated pair ------------------------------------------------------
@@ -1050,7 +1032,7 @@ def validate_pair(a: Matrix, astar: Matrix) -> TriDiagonalPair:
             f"{eig_a.diameter + 1} eigenvalues for A vs "
             f"{eig_astar.diameter + 1} for Astar"
         )
-    report = irreducible(a, astar, eig_a=eig_a)
+    report = irreducible(a, astar, eig_a=eig_a, eig_astar=eig_astar)
     if report.is_reducible():
         raise NotIrreducible(
             f"common invariant subspace of dimension {report.witness.dim}",

@@ -219,6 +219,31 @@ def _split_d1(field, t0, t1, ts0, ts1, varphi1):
     return a, astar
 
 
+def kron_sum_fixture(field, thetas, varphis):
+    """The Kronecker sum A_1 (x) I (x) ... (x) I + ... + I (x) ... (x) A_k
+    (and the same for Astar) of diameter-1 split-form pairs, factor i
+    with A-eigenvalues thetas[i], dual eigenvalues (0, 1) and split
+    entry varphis[i].
+
+    With k factors sharing one eigenvalue gap the sums take k + 1 values
+    with binomial multiplicities, so a valid result has shape
+    (1, 2, 1) for k = 2 and (1, 3, 3, 1) for k = 3.
+    """
+    zero, one = field.zero, field.one
+    eye = Matrix.identity(field, 2)
+    a = astar = None
+    for theta, varphi in zip(thetas, varphis):
+        t0, t1 = (field.scalar(x) for x in theta)
+        fa, fastar = _split_d1(field, t0, t1, zero, one, field.scalar(varphi))
+        if a is None:
+            a, astar = fa, fastar
+            continue
+        big = Matrix.identity(field, a.nrows)
+        a = _kron(field, a, eye) + _kron(field, big, fa)
+        astar = _kron(field, astar, eye) + _kron(field, big, fastar)
+    return a, astar
+
+
 def tensor_fixture(field, theta, mu, varphis):
     """A 4-dimensional candidate built as A1 (x) I + I (x) A2 from two
     diameter-1 split-form pairs with A-eigenvalues theta and mu and
@@ -228,17 +253,7 @@ def tensor_fixture(field, theta, mu, varphis):
     exactly three values with multiplicities (1, 2, 1), so a valid
     result is a tridiagonal pair of that shape (and never Leonard).
     """
-    t = [field.scalar(x) for x in theta]
-    m = [field.scalar(x) for x in mu]
-    v1 = field.scalar(varphis[0])
-    v2 = field.scalar(varphis[1])
-    zero, one = field.zero, field.one
-    a1, astar1 = _split_d1(field, t[0], t[1], zero, one, v1)
-    a2, astar2 = _split_d1(field, m[0], m[1], zero, one, v2)
-    eye = Matrix.identity(field, 2)
-    a = _kron(field, a1, eye) + _kron(field, eye, a2)
-    astar = _kron(field, astar1, eye) + _kron(field, eye, astar2)
-    return a, astar
+    return kron_sum_fixture(field, (theta, mu), varphis)
 
 
 # canonical parameter choices known to produce valid shape-(1,2,1) pairs

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -23,19 +24,24 @@ from tdpairs import (
     closure_algebra,
     eigen_decompose,
     irreducible,
+    random_leonard,
     reducibility_witness_from_tau_kernel,
     shape,
     support_path_orderings,
     validate_pair,
 )
+import tdpairs.pairs
 from tdpairs.eigen import invert
-from tdpairs.pairs import _structured_search_q
+from tdpairs.pairs import _proper_closed_set, _structured_search_q
 
 from oracles import (
+    TENSOR_PARAMS,
     brute_common_invariant,
     brute_common_invariant_dim3,
+    kron_sum_fixture,
     matrix_to_int_rows,
     subspace_vector_set,
+    tensor_fixture,
 )
 
 
@@ -149,6 +155,17 @@ def test_gf_irreducible_valid_pair():
     )
 
 
+def test_gf_pair_without_eigenvalues_decided_by_line_spin_up():
+    # A and Astar generate a copy of GF(9) inside End(GF(3)^2): no
+    # eigenvalue in GF(3), no singular algebra element, so Norton's test
+    # runs with t = 0 and spins every line of V
+    a, astar = gm(3, [[0, 2], [1, 0]]), gm(3, [[1, 2], [1, 1]])
+    assert closure_algebra(a, astar)[1] == 2
+    rep = irreducible(a, astar)
+    assert rep.is_irreducible()
+    assert brute_common_invariant(3, matrix_to_int_rows(a), matrix_to_int_rows(astar)) is None
+
+
 def test_gf_hidden_invariant_line_found():
     # span{e0 + e1} is invariant under both
     f = GF(5)
@@ -177,6 +194,31 @@ def test_q_structured_search_finds_pure_eigenspace_witness():
     assert witness is not None
     rep = irreducible(a, astar)
     assert rep.is_reducible()
+    # Norton on the line V_1 = span{e2}: it spins to V, and the dual
+    # spin-up of e2 stays proper, so its annihilator V_0 is the witness
+    assert rep.diagnostic == "annihilator of a proper dual spin-up"
+
+
+def test_proper_closed_set_matches_brute_force_on_random_digraphs():
+    rng = random.Random(13)
+    for _ in range(300):
+        count = rng.randint(1, 6)
+        edges = {
+            (i, j)
+            for i in range(count)
+            for j in range(count)
+            if i != j and rng.random() < 0.3
+        }
+        closed = [
+            s
+            for size in range(1, count)
+            for s in itertools.combinations(range(count), size)
+            if not any(i in s and j not in s for i, j in edges)
+        ]
+        found = _proper_closed_set(count, edges)
+        assert (found is None) == (not closed)
+        if found is not None:
+            assert tuple(sorted(found)) in closed
 
 
 def test_q_structured_search_finds_line_slice_witness_rank2_coupling():
@@ -257,6 +299,42 @@ def test_q_inconclusive_verdict_on_hidden_deep_slice():
         validate_pair(a, astar)
 
 
+# A_INCONCLUSIVE / ASTAR_INCONCLUSIVE in a basis whose first vector is
+# their shared eigenvector: eigenspace dimensions (3, 3) on both sides,
+# so neither Norton's test nor the structured search decides, and the
+# spin-up of e0 is the witness.
+A_SHARED_E0 = [
+    ["0", "-35/9", "-13/9", "-7/3", "-28/9", "-2"],
+    ["0", "7/6", "1/3", "1/2", "1/3", "1/2"],
+    ["0", "5", "2", "3", "4", "3"],
+    ["0", "-13/6", "-4/3", "-3/2", "-7/3", "-5/2"],
+    ["0", "1/6", "1/3", "1/2", "4/3", "1/2"],
+    ["0", "-5/3", "-1/3", "-1", "-4/3", "0"],
+]
+ASTAR_SHARED_E0 = [
+    ["0", "19/45", "-4/45", "1/3", "8/45", "1/5"],
+    ["0", "38/45", "-8/45", "-1/3", "16/45", "-3/5"],
+    ["0", "263/810", "266/405", "-1/54", "278/405", "3/10"],
+    ["0", "19/30", "-2/15", "3/2", "4/15", "13/10"],
+    ["0", "23/405", "142/405", "11/27", "121/405", "3/5"],
+    ["0", "-19/30", "2/15", "-1/2", "-4/15", "-3/10"],
+]
+
+
+def test_q_shared_standard_eigenvector_found_by_standard_basis_spin():
+    a, astar = qm(A_SHARED_E0), qm(ASTAR_SHARED_E0)
+    for m, partner in ((a, astar), (astar, a)):
+        eig = eigen_decompose(m)
+        assert eig.dims() == (3, 3)
+        assert _structured_search_q(eig, partner) == (None, False)
+    rep = irreducible(a, astar)
+    assert rep.diagnostic == "spin-up of a standard basis vector"
+    with pytest.raises(NotIrreducible) as exc:
+        validate_pair(a, astar)
+    w = exc.value.witness
+    assert w.dim == 1 and w.contains((QQ.one,) + (QQ.zero,) * 5)
+
+
 # ---- validate_pair ----------------------------------------------------------
 
 
@@ -332,6 +410,32 @@ def test_validate_over_gf():
     pair = validate_pair(gm(7, A_D2), gm(7, ASTAR_D2))
     assert tuple(pair.shape) == (1, 1, 1)
     assert pair.field == GF(7)
+
+
+def test_validate_never_needs_the_closure_algebra_with_an_eigenline(monkeypatch):
+    # every pair below has a 1-dimensional eigenspace, so Norton's test
+    # decides it and the closure algebra is never enumerated
+    def refuse(*args, **kwargs):
+        raise AssertionError("closure_algebra called")
+
+    monkeypatch.setattr(tdpairs.pairs, "closure_algebra", refuse)
+    norton = "kernel spin-ups and the dual spin-up all fill the space"
+    pairs = [validate_pair(qm(A_D2), qm(ASTAR_D2)), validate_pair(gm(7, A_D2), gm(7, ASTAR_D2))]
+    for field in (QQ, GF(5), GF(13)):
+        top = 6 if field == QQ else min(6, field.p - 1)
+        for d in range(1, top + 1):
+            pairs.append(random_leonard(field, d, 100 + d)[1])
+    for key, (theta, mu, varphis) in TENSOR_PARAMS.items():
+        field = QQ if key == "Q" else GF(int(key[2:]))
+        pair = validate_pair(*tensor_fixture(field, theta, mu, varphis))
+        assert tuple(pair.shape) == (1, 2, 1)
+        pairs.append(pair)
+    for field in (QQ, GF(7)):
+        pair = validate_pair(*kron_sum_fixture(field, ((0, 1),) * 3, (1, 2, 3)))
+        assert tuple(pair.shape) == (1, 3, 3, 1)
+        pairs.append(pair)
+    for pair in pairs:
+        assert pair.irreducibility.diagnostic == norton
 
 
 # ---- reducibility witness from a vanishing tau image ------------------------
