@@ -264,22 +264,14 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
 
 
 def primitive_idempotents(eig: EigenDecomposition) -> tuple[Matrix, ...]:
-    """The projections onto each eigenspace along the others, via the
-    Lagrange products prod_{j != i} (M - theta_j I) / (theta_i - theta_j)."""
-    m = eig.operator
-    field = m.field
-    eye = Matrix.identity(field, m.nrows)
-    out = []
-    for i, theta_i in enumerate(eig.eigenvalues):
-        acc = eye
-        denom = field.one
-        for j, theta_j in enumerate(eig.eigenvalues):
-            if j == i:
-                continue
-            acc = acc @ (m - eye.scale(theta_j))
-            denom = denom * (theta_i - theta_j)
-        out.append(acc.scale(field.one / denom))
-    return tuple(out)
+    """The projections onto each eigenspace along the others:
+    E_i = C[:, block i] C^{-1}[block i, :] for the eigenbasis change C."""
+    c, c_inv, ranges = eigencoordinate_change(eig)
+    field = eig.field
+    return tuple(
+        Matrix(field, [row[lo:hi] for row in c.rows]) @ Matrix(field, c_inv.rows[lo:hi])
+        for lo, hi in ranges
+    )
 
 
 def eigencoordinate_change(eig: EigenDecomposition) -> tuple[Matrix, Matrix, tuple]:

@@ -147,6 +147,8 @@ class Rationals:
 
     def scalar(self, x) -> Fraction:
         """Coerce an int, Fraction, or "a/b" string to a Fraction."""
+        if isinstance(x, Fraction):
+            return x
         if isinstance(x, float):
             raise TypeError("floats are not exact; pass int, Fraction, or str")
         return Fraction(x)

@@ -297,6 +297,17 @@ def poly_eval_matrix(p: Polynomial, m: Matrix) -> Matrix:
     return acc
 
 
+def shifted_products(m: Matrix, roots: Sequence) -> list[Matrix]:
+    """The matrices prod_{h < i} (m - roots[h] I) for i = 0..len(roots),
+    as one running product: each one is (m - roots[i-1] I) times the
+    one before."""
+    eye = Matrix.identity(m.field, m.nrows)
+    out = [eye]
+    for r in roots:
+        out.append((m - eye.scale(r)) @ out[-1])
+    return out
+
+
 def min_poly(m: Matrix) -> Polynomial:
     """Monic minimal polynomial, found as the first linear dependency
     among the flattened powers I, m, m^2, ...

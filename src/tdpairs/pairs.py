@@ -9,13 +9,14 @@ A candidate (A, Astar) is accepted when four axioms hold exactly:
 
 Orderings are discovered through the support graph on eigenspace
 indices.  Irreducibility is decided by one engine for Q and GF(p):
-Norton's test on the smallest eigenspace of A or Astar runs first and is
-complete when that eigenspace is a line (any field) or, over GF(p), has
-at most _LINE_ENUM_CAP lines, which covers every Leonard pair and every
-pair with a 1-dimensional eigenspace.  Other inputs fall back to the
-structured eigenspace-block search over Q, the closure algebra, spin-ups
-of the standard basis and, over GF(p), Norton's test on a singular
-closure-algebra element and exhaustive line spin-up (see irreducible).
+Norton's test runs first, on the smallest eigenspace of A or Astar whose
+candidate lines it can list, and is conclusive whenever a diagonalizable
+side has an eigenspace of dimension at most 2 (over GF(p) also on any
+eigenspace with at most _LINE_ENUM_CAP lines), which covers every
+Leonard pair.  Other inputs fall back to an invariant sum of eigenspaces
+over Q, the closure algebra, spin-ups of the standard basis and, over
+GF(p), Norton's test on a singular closure-algebra element and
+exhaustive line spin-up (see irreducible).
 The accepted pair carries its canonically ordered eigen data and shape.
 """
 
@@ -36,7 +37,7 @@ from .errors import (
 )
 from .fields import PrimeField
 from .eigen import EigenDecomposition, eigen_decompose, eigencoordinate_change, field_roots
-from .linalg import Matrix, min_poly, vec_is_zero
+from .linalg import Matrix, min_poly, shifted_products, vec_is_zero
 from .polynomials import Polynomial
 from .subspaces import (
     Subspace,
@@ -225,6 +226,20 @@ def closure_algebra(a: Matrix, astar: Matrix) -> tuple[list[Matrix], int]:
 # ---- support-graph orderings ----------------------------------------------
 
 
+def _block_edges(eig: EigenDecomposition, b: Matrix) -> set:
+    """The pairs (j, i), j != i, for which b maps some vector of
+    eigenspace j to a vector with a nonzero eigenspace-i component."""
+    _, c_inv, ranges = eigencoordinate_change(eig)
+    edges = set()
+    for j, space in enumerate(eig.eigenspaces):
+        for v in space.basis:
+            coords = c_inv.apply(b.apply(v))
+            for i, (lo, hi) in enumerate(ranges):
+                if i != j and any(coords[lo:hi]):
+                    edges.add((j, i))
+    return edges
+
+
 def support_path_orderings(eig: EigenDecomposition, b: Matrix) -> list[tuple[int, ...]]:
     """Orderings of eig's eigenspaces under which b acts block-tridiagonally.
 
@@ -237,14 +252,7 @@ def support_path_orderings(eig: EigenDecomposition, b: Matrix) -> list[tuple[int
     d = eig.diameter
     if d == 0:
         return [(0,)]
-    _, c_inv, ranges = eigencoordinate_change(eig)
-    edges = set()
-    for j, space in enumerate(eig.eigenspaces):
-        for v in space.basis:
-            coords = c_inv.apply(b.apply(v))
-            for i, (lo, hi) in enumerate(ranges):
-                if i != j and any(coords[lo:hi]):
-                    edges.add(frozenset((i, j)))
+    edges = {frozenset(e) for e in _block_edges(eig, b)}
     if len(edges) != d:
         return []
     degree = {i: 0 for i in range(d + 1)}
@@ -276,12 +284,11 @@ def support_path_orderings(eig: EigenDecomposition, b: Matrix) -> list[tuple[int
 _LINE_ENUM_CAP = 200_000
 
 
-def _gf_lines(field: PrimeField, basis: list) -> list:
+def _gf_lines(field: PrimeField, basis):
     """One representative per 1-dimensional subspace of the span of the
     given independent vectors (first nonzero coefficient normalized)."""
     p = field.p
     k = len(basis)
-    out = []
     # coefficient tuples with first nonzero entry equal to 1
     for lead in range(k):
         tail = k - lead - 1
@@ -295,36 +302,88 @@ def _gf_lines(field: PrimeField, basis: list) -> list:
             for c, bvec in zip(coeffs, basis):
                 if c:
                     v = [x + c * y for x, y in zip(v, bvec)]
-            out.append(tuple(v))
-    return out
+            yield tuple(v)
 
 
 def _gf_line_count(p: int, k: int) -> int:
     return (p**k - 1) // (p - 1)
 
 
-def _norton_decides(field, k: int) -> bool:
-    """Whether Norton's test on a k-dimensional kernel is complete: it
-    must spin every line of the kernel, so the kernel is a line or, over
-    GF(p), has at most _LINE_ENUM_CAP lines."""
-    return k == 1 or (
-        isinstance(field, PrimeField) and _gf_line_count(field.p, k) <= _LINE_ENUM_CAP
-    )
+def _every_line(field, basis):
+    """Every line of the span of the given independent vectors, when
+    they can be listed: the span is a line, or, over GF(p), has at most
+    _LINE_ENUM_CAP lines.  None otherwise."""
+    if len(basis) == 1:
+        return basis
+    if isinstance(field, PrimeField) and _gf_line_count(field.p, len(basis)) <= _LINE_ENUM_CAP:
+        return _gf_lines(field, basis)
+    return None
 
 
-def _norton(a: Matrix, astar: Matrix, t: Matrix, ker: Subspace) -> IrreducibilityReport:
+def _doubled(m: Matrix) -> Matrix:
+    """diag(m, m), acting on V + V."""
+    zero = [m.field.zero] * m.ncols
+    return Matrix(m.field, [list(r) + zero for r in m.rows] + [zero + list(r) for r in m.rows])
+
+
+def _plane_lines(a: Matrix, astar: Matrix, eig: EigenDecomposition, i: int):
+    """The lines of a 2-dimensional eigenspace K = V_i of a diagonalizable
+    side that Norton's test must spin, over any field.
+
+    Let E_i be the projection onto K along the other eigenspaces.  It is
+    a polynomial in that side, so it lies in the algebra generated by
+    {A, Astar}.  A common invariant W that meets K in a line L satisfies
+    E_i x L in E_i W in W meet K = L for every x of the algebra, so L is
+    invariant under the condensed algebra B = E_i <A, Astar> E_i acting
+    on K (D. F. Holt and S. Rees, "Testing modules for irreducibility",
+    1994).
+
+    The first line is k1, the first basis vector of K.  It covers every
+    W that contains K, and it covers a scalar B: the spin-up S of k1 then
+    meets K in E_i S = B k1 = span{k1}, so S is proper.  B is computed
+    only when the caller asks for more lines, so it is not scalar.
+    Spinning (k1, k2) in V + V under diag(A, A) and diag(Astar, Astar)
+    gives the pairs (x k1, x k2) for x in the algebra; their K
+    coordinates are the columns of E_i x on K, so they span B.  The
+    lines invariant under B are the eigenlines of any one non-scalar
+    element, yielded next in ascending eigenvalue order.
+    """
+    field = a.field
+    n = a.nrows
+    k1, k2 = eig.eigenspaces[i].basis
+    yield k1
+    _, c_inv, ranges = eigencoordinate_change(eig)
+    lo, hi = ranges[i]
+    coords = Matrix(field, c_inv.rows[lo:hi])
+    spun = _spin(field, 2 * n, [k1 + k2], (_doubled(a), _doubled(astar)))
+    for y in spun.basis:
+        b = Matrix.from_columns(field, [coords.apply(y[:n]), coords.apply(y[n:])])
+        if b[0, 1] or b[1, 0] or b[0, 0] != b[1, 1]:
+            break
+    else:
+        raise InvariantViolation("condensed algebra is scalar but k1 spins up to V")
+    det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
+    char = Polynomial(field, [det, -(b[0, 0] + b[1, 1]), field.one])
+    eye = Matrix.identity(field, 2)
+    for lam in sorted(set(field_roots(char, field))):
+        c1, c2 = kernel(b - eye.scale(lam)).basis[0]
+        yield tuple(c1 * x + c2 * y for x, y in zip(k1, k2))
+
+
+def _norton(a: Matrix, astar: Matrix, t: Matrix, lines) -> IrreducibilityReport:
     """Norton's irreducibility test on a singular element t of the
-    algebra generated by {A, Astar}, with ker = ker t.
+    algebra generated by {A, Astar}.
 
     A common invariant W either meets ker t, and then the spin-up of a
     line of ker t inside W is proper, or t maps W onto itself, and then
     every w in ker t^T annihilates W, so the spin-up of any one such w
-    under the transposes is proper.  Spinning every line of ker t and one
-    vector of ker t^T therefore decides irreducibility.
+    under the transposes is proper.  The given lines of ker t are such
+    that every W meeting ker t contains one of them: all lines of ker t,
+    or fewer (see _plane_lines).  Spinning them and one vector of ker t^T
+    therefore decides irreducibility.
     """
     field = a.field
     n = a.nrows
-    lines = ker.basis if ker.dim == 1 else _gf_lines(field, list(ker.basis))
     for v in lines:
         spun = _spin(field, n, [v], (a, astar))
         if spun.dim < n:
@@ -354,451 +413,7 @@ def _singular_candidates(field, algebra_basis: list[Matrix]):
                 yield algebra_basis[i] + algebra_basis[j].scale(c)
 
 
-# ---- irreducibility over Q --------------------------------------------------
-
-_MIXED_ENUM_CAP = 100_000
-
-
-def _quadratic_roots_q(a, b, c) -> list:
-    """Rational roots of a*t^2 + b*t + c (not all coefficients zero)."""
-    from fractions import Fraction
-    import math
-
-    if not a:
-        if not b:
-            return []
-        return [-c / b]
-    disc = b * b - 4 * a * c
-    if disc < 0:
-        return []
-    num, den = disc.numerator, disc.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn != num or rd * rd != den:
-        return []
-    root = Fraction(rn, rd)
-    if not root:
-        return [-b / (2 * a)]
-    return [(-b + root) / (2 * a), (-b - root) / (2 * a)]
-
-
-def _block_matrix(full: Matrix, rows_range, cols_range) -> Matrix:
-    lo_r, hi_r = rows_range
-    lo_c, hi_c = cols_range
-    return Matrix(full.field, [row[lo_c:hi_c] for row in full.rows[lo_r:hi_r]])
-
-
-def _line_of(field, v):
-    """Normalize a nonzero vector to leading coefficient 1."""
-    lead = next(x for x in v if x)
-    inv = field.one / lead
-    return tuple(inv * x for x in v)
-
-
-class _CspFail(Exception):
-    pass
-
-
-class _LineCsp:
-    """Find lines L_i in selected 2-dimensional blocks such that every
-    block map sends the chosen pieces into each other; used to decide
-    mixed dimension vectors in the structured invariant-subspace search."""
-
-    def __init__(self, field, blocks, variables, fixed_full, fixed_zero, rho):
-        self.field = field
-        self.blocks = blocks
-        self.variables = variables
-        self.fixed_full = fixed_full
-        self.fixed_zero = fixed_zero
-        self.rho = rho
-
-    def solve(self):
-        try:
-            domains = self._initial_domains()
-        except _CspFail:
-            return None
-        return self._search(domains)
-
-    # domain values: ("free",), ("lines", tuple-of-lines), ("line", line)
-
-    def _initial_domains(self):
-        field = self.field
-        domains = {}
-        for i in self.variables:
-            dom = ("free",)
-            for j in self.fixed_zero:
-                blk = self.blocks[j][i]
-                if blk.is_zero():
-                    continue
-                ker = kernel(blk)
-                if ker.dim == 0:
-                    raise _CspFail
-                if ker.dim == 1:
-                    dom = self._meet(dom, ("line", _line_of(field, ker.basis[0])))
-            domains[i] = dom
-        for j in self.variables:
-            for i in self.fixed_full:
-                blk = self.blocks[j][i]
-                img = Subspace.span(field, 2, [blk.column(k) for k in range(blk.ncols)])
-                if img.dim >= 2:
-                    raise _CspFail
-                if img.dim == 1:
-                    domains[j] = self._meet(domains[j], ("line", _line_of(field, img.basis[0])))
-        for i in self.variables:
-            domains[i] = self._apply_self(i, domains[i])
-        return domains
-
-    def _apply_self(self, i, dom):
-        m = self.blocks[i][i]
-        if dom[0] == "line":
-            if not self._stable(m, dom[1]):
-                raise _CspFail
-            return dom
-        if dom[0] == "lines":
-            kept = tuple(v for v in dom[1] if self._stable(m, v))
-            if not kept:
-                raise _CspFail
-            return ("lines", kept)
-        # free: restrict to eigenlines unless the block is scalar
-        if self._is_scalar(m):
-            return dom
-        tr = m[0, 0] + m[1, 1]
-        det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
-        lines = []
-        for lam in set(_quadratic_roots_q(self.field.one, -tr, det)):
-            eye = Matrix.identity(self.field, 2)
-            ker = kernel(m - eye.scale(lam))
-            for v in ker.basis:
-                lines.append(_line_of(self.field, v))
-        lines = tuple(dict.fromkeys(lines))
-        if not lines:
-            raise _CspFail
-        return ("lines", lines)
-
-    @staticmethod
-    def _is_scalar(m) -> bool:
-        return m[0, 1] == m.field.zero and m[1, 0] == m.field.zero and m[0, 0] == m[1, 1]
-
-    @staticmethod
-    def _stable(m, v) -> bool:
-        w = m.apply(v)
-        return not (w[0] * v[1] - w[1] * v[0])
-
-    def _meet(self, dom, forced):
-        v = forced[1]
-        if dom[0] == "free":
-            return forced
-        if dom[0] == "line":
-            if dom[1] == v:
-                return dom
-            raise _CspFail
-        kept = tuple(x for x in dom[1] if x == v)
-        if not kept:
-            raise _CspFail
-        return ("line", v)
-
-    def _assign(self, domains, i, line):
-        """Set variable i to a line and propagate consequences."""
-        domains = dict(domains)
-        pending = [(i, ("line", line))]
-        while pending:
-            i, forced = pending.pop()
-            old = domains[i]
-            new = self._meet(old, forced)
-            if new == old and old[0] == "line":
-                continue
-            new = self._apply_self(i, new)
-            domains[i] = new
-            if new[0] != "line":
-                continue
-            v = new[1]
-            for j in self.variables:
-                if j == i:
-                    continue
-                out_blk = self.blocks[j][i]
-                if not out_blk.is_zero():
-                    u = out_blk.apply(v)
-                    if not vec_is_zero(u):
-                        pending.append((j, ("line", _line_of(self.field, u))))
-                in_blk = self.blocks[i][j]
-                if not in_blk.is_zero():
-                    # need in_blk L_j parallel to v: one linear condition on L_j
-                    c0 = in_blk.column(0)
-                    c1 = in_blk.column(1)
-                    row = (
-                        c0[0] * v[1] - c0[1] * v[0],
-                        c1[0] * v[1] - c1[1] * v[0],
-                    )
-                    if any(row):
-                        ker = kernel(Matrix(self.field, [row]))
-                        pending.append((j, ("line", _line_of(self.field, ker.basis[0]))))
-        return domains
-
-    def _search(self, domains):
-        try:
-            # settle forced lines once (assignments propagate in _assign)
-            for i in self.variables:
-                if domains[i][0] == "line":
-                    domains = self._assign(domains, i, domains[i][1])
-        except _CspFail:
-            return None
-        finite = [i for i in self.variables if domains[i][0] == "lines"]
-        if finite:
-            i = min(finite, key=lambda j: len(domains[j][1]))
-            for v in domains[i][1]:
-                try:
-                    narrowed = self._assign(domains, i, v)
-                except _CspFail:
-                    continue
-                found = self._search(narrowed)
-                if found is not None:
-                    return found
-            return None
-        free = [i for i in self.variables if domains[i][0] == "free"]
-        if not free:
-            return {i: domains[i][1] for i in self.variables}
-        return self._solve_free(domains, free)
-
-    def _solve_free(self, domains, free):
-        """All remaining variables range over every line of their block;
-        couplings are rank-1 (split into two forced cases) or rank-2
-        (functional), leaving at most a quadratic condition on one
-        projective parameter per connected component."""
-        field = self.field
-        for i in free:
-            for j in free:
-                if i == j:
-                    continue
-                blk = self.blocks[j][i]
-                if blk.is_zero():
-                    continue
-                det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-                if not det:
-                    # rank one: either L_i is the kernel line or L_j the image line
-                    ker = kernel(blk)
-                    img = next(
-                        blk.column(k) for k in range(2) if any(blk.column(k))
-                    )
-                    for var, line in (
-                        (i, _line_of(field, ker.basis[0])),
-                        (j, _line_of(field, img)),
-                    ):
-                        try:
-                            narrowed = self._assign(domains, var, line)
-                        except _CspFail:
-                            continue
-                        found = self._search(narrowed)
-                        if found is not None:
-                            return found
-                    return None
-        # only invertible couplings remain among the free variables
-        comp_assign = {}
-        seen = set()
-        for root in free:
-            if root in seen:
-                continue
-            component = self._component(root, free)
-            seen.update(component)
-            transported = self._transport(root, component)
-            solution = self._parameter_solve(root, component, transported)
-            if solution is None:
-                return None
-            comp_assign.update(solution)
-        try:
-            result = dict(domains)
-            for i, line in comp_assign.items():
-                result = self._assign(result, i, line)
-        except _CspFail:
-            return None
-        return self._search(result)
-
-    def _component(self, root, free):
-        out = [root]
-        idx = 0
-        while idx < len(out):
-            cur = out[idx]
-            idx += 1
-            for j in free:
-                if j in out:
-                    continue
-                if not self.blocks[j][cur].is_zero() or not self.blocks[cur][j].is_zero():
-                    out.append(j)
-        return out
-
-    def _transport(self, root, component):
-        """Invertible 2x2 maps Phi_i with L_i = Phi_i L_root along a
-        spanning tree of rank-2 couplings."""
-        from .eigen import invert
-
-        field = self.field
-        phi = {root: Matrix.identity(field, 2)}
-        queue = [root]
-        while queue:
-            cur = queue.pop()
-            for j in component:
-                if j in phi:
-                    continue
-                fwd = self.blocks[j][cur]
-                bwd = self.blocks[cur][j]
-                if not fwd.is_zero():
-                    phi[j] = fwd @ phi[cur]
-                    queue.append(j)
-                elif not bwd.is_zero():
-                    phi[j] = invert(bwd) @ phi[cur]
-                    queue.append(j)
-        return phi
-
-    def _parameter_solve(self, root, component, phi):
-        """Choose the root line x so that every coupling inside the
-        component holds; x ranges over (1, t) and (0, 1)."""
-        field = self.field
-        one, zero = field.one, field.zero
-
-        def line_at(i, x):
-            return phi[i].apply(x)
-
-        constraints = []
-        for i in component:
-            for j in component:
-                if i == j:
-                    continue
-                blk = self.blocks[j][i]
-                if blk.is_zero():
-                    continue
-                constraints.append((i, j, blk))
-
-        def violated(x):
-            for i, j, blk in constraints:
-                u = blk.apply(line_at(i, x))
-                w = line_at(j, x)
-                if u[0] * w[1] - u[1] * w[0]:
-                    return True
-            return False
-
-        # each constraint is det(blk Phi_i x, Phi_j x) = 0, quadratic in t
-        candidates = []
-        poly_found = False
-        for i, j, blk in constraints:
-            m1 = blk @ phi[i]
-            m2 = phi[j]
-            # x = (1, t): columns give linear vector functions of t
-            a0, a1 = m1.column(0), m1.column(1)
-            b0, b1 = m2.column(0), m2.column(1)
-            c2 = a1[0] * b1[1] - a1[1] * b1[0]
-            c1 = a0[0] * b1[1] - a0[1] * b1[0] + a1[0] * b0[1] - a1[1] * b0[0]
-            c0 = a0[0] * b0[1] - a0[1] * b0[0]
-            if not (c0 or c1 or c2):
-                continue
-            poly_found = True
-            candidates.extend(_quadratic_roots_q(c2, c1, c0))
-            break
-        if not poly_found:
-            x = (one, zero)
-            if violated(x):
-                x = (zero, one)
-                if violated(x):
-                    return None
-            return {i: _line_of(field, line_at(i, x)) for i in component}
-        options = [(one, field.scalar(t)) for t in candidates] + [(zero, one)]
-        for x in options:
-            if not violated(x):
-                return {i: _line_of(field, line_at(i, x)) for i in component}
-        return None
-
-
-def _structured_search_q(eig: EigenDecomposition, partner: Matrix):
-    """Look for a common invariant subspace using the block structure of
-    the partner operator over the eigenspaces of a diagonalizable one.
-
-    Returns (witness-vectors-or-None, complete-flag).  Complete means
-    the absence of a witness proves irreducibility.
-    """
-    field = eig.field
-    n = eig.ambient_dim
-    c, c_inv, ranges = eigencoordinate_change(eig)
-    coords_partner = c_inv @ partner @ c
-    count = len(ranges)
-    rho = [hi - lo for lo, hi in ranges]
-    blocks = [
-        [_block_matrix(coords_partner, ranges[j], ranges[i]) for i in range(count)]
-        for j in range(count)
-    ]
-
-    def ambient(i, coords2):
-        lo, hi = ranges[i]
-        basis = eig.eigenspaces[i].basis
-        v = [field.zero] * n
-        for cval, bvec in zip(coords2, basis):
-            if cval:
-                v = [x + cval * y for x, y in zip(v, bvec)]
-        return tuple(v)
-
-    # pure dimension vectors: closed vertex sets of the block digraph
-    edges = {
-        (i, j)
-        for i in range(count)
-        for j in range(count)
-        if i != j and not blocks[j][i].is_zero()
-    }
-    closed = _proper_closed_set(count, edges)
-    if closed is not None:
-        vecs = []
-        for i in closed:
-            vecs.extend(eig.eigenspaces[i].basis)
-        return vecs, True
-
-    # mixed dimension vectors
-    sizes = []
-    for r in rho:
-        sizes.append(2 if r == 1 else (3 if r == 2 else 3))
-    total = 1
-    for s in sizes:
-        total *= s
-    complete = True
-    if total > _MIXED_ENUM_CAP:
-        return None, False
-    for code in range(total):
-        w = []
-        rest = code
-        for i in range(count):
-            w.append(rest % sizes[i])
-            rest //= sizes[i]
-        # decode: 0 -> zero, last -> full, middle -> strict
-        kinds = []
-        for i, wi in enumerate(w):
-            if wi == 0:
-                kinds.append("zero")
-            elif wi == sizes[i] - 1:
-                kinds.append("full")
-            else:
-                kinds.append("mid")
-        if "mid" not in kinds:
-            continue  # pure cases already decided
-        if any(kinds[i] == "mid" and rho[i] != 2 for i in range(count)):
-            complete = False  # middle dimensions in blocks of size >= 3
-            continue
-        variables = [i for i in range(count) if kinds[i] == "mid"]
-        fixed_full = [i for i in range(count) if kinds[i] == "full"]
-        fixed_zero = [i for i in range(count) if kinds[i] == "zero"]
-        ok = True
-        for i in fixed_full:
-            for j in fixed_zero:
-                if not blocks[j][i].is_zero():
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        csp = _LineCsp(field, blocks, variables, fixed_full, fixed_zero, rho)
-        solution = csp.solve()
-        if solution is not None:
-            vecs = []
-            for i in fixed_full:
-                vecs.extend(eig.eigenspaces[i].basis)
-            for i in variables:
-                vecs.append(ambient(i, solution[i]))
-            return vecs, True
-    return None, complete
+# ---- sums of eigenspaces ------------------------------------------------------
 
 
 def _proper_closed_set(count: int, edges: set) -> list | None:
@@ -821,6 +436,17 @@ def _proper_closed_set(count: int, edges: set) -> list | None:
         if smallest is None or len(reach) < len(smallest):
             smallest = reach
     return sorted(smallest) if len(smallest) < count else None
+
+
+def _closed_eigenspace_sum(eig: EigenDecomposition, partner: Matrix) -> list | None:
+    """Basis of a sum of eigenspaces of eig, other than 0 and V, that
+    partner maps into itself, or None when there is none.  Partner's
+    block digraph has an edge i -> j when it maps V_i into a vector with
+    a V_j component; such a sum is a closed vertex set."""
+    closed = _proper_closed_set(eig.diameter + 1, _block_edges(eig, partner))
+    if closed is None:
+        return None
+    return [v for i in closed for v in eig.eigenspaces[i].basis]
 
 
 # ---- the engine ---------------------------------------------------------------
@@ -849,28 +475,30 @@ def irreducible(
     """Decide whether {A, Astar} admits a common invariant subspace
     other than 0 and V.
 
-    Norton's test runs first, on the smallest eigenspace K = ker(M -
-    theta I) of A or Astar (the first of A's, in eigenvalue order, then
-    of Astar's, on a tie).  It is complete when K is a line, over any
-    field, and over GF(p) when K has at most _LINE_ENUM_CAP lines; that
-    covers every Leonard pair and every pair with an eigenspace of
-    dimension 1.  Its witness is the spin-up of the first line of K that
-    spins to a proper subspace, or else the annihilator of the proper
-    dual spin-up.  The eigen data comes from eig_a / eig_astar when
-    given, else from the roots of each minimal polynomial.
+    Norton's test runs first.  It walks the eigenspaces K = ker(M -
+    theta I) of A and Astar by dimension (A's first, in eigenvalue
+    order, then Astar's, on a tie) and runs on the first K whose
+    candidate lines it can list: K itself when K is a line, over any
+    field; the line k1 and the invariant lines of the condensed algebra
+    when K has dimension 2 and M is diagonalizable, over any field (see
+    _plane_lines); every line of K over GF(p) when K has at most
+    _LINE_ENUM_CAP lines.  So it decides every pair with an eigenspace
+    of dimension at most 2 on a diagonalizable side, including every
+    Leonard pair.  Its witness is the spin-up of the first candidate line
+    that spins to a proper subspace, or else the annihilator of the
+    proper dual spin-up.  The eigen data comes from eig_a / eig_astar
+    when given, else from the roots of each minimal polynomial.
 
     Inputs Norton cannot decide go through these fallbacks, each once:
-    over Q, the structured eigenspace-block search on A's and then on
-    Astar's eigenspaces (complete when a side has every eigenspace of
-    dimension at most 2; its witness is a sum of eigenspaces or of lines
-    in them); the check that the closure algebra is all of End(V); the
-    spin-ups of the standard basis vectors (the first proper one is the
-    witness); over GF(p), Norton's test on the kernel of a singular
-    closure-algebra element, or on t = 0 when none is found, which spins
-    every line of V.  What is left is "inconclusive": over Q a pair with
-    no eigenspace of dimension 1 and eigenspaces of dimension >= 3 on
-    both sides, over GF(p) a pair whose kernels are too large to
-    enumerate.
+    over Q, a sum of eigenspaces of A and then of Astar that the other
+    operator maps into itself (the witness); the check that the closure
+    algebra is all of End(V); the spin-ups of the standard basis vectors
+    (the first proper one is the witness); over GF(p), Norton's test on
+    the kernel of a singular closure-algebra element, or on t = 0 when
+    none is found, which spins every line of V.  What is left is
+    "inconclusive": over Q a pair with no eigenline and no 2-dimensional
+    eigenspace of a diagonalizable side, over GF(p) a pair whose kernels
+    are too large to enumerate.
     """
     if not a.is_square() or not astar.is_square():
         raise DimensionMismatch("irreducibility needs square matrices")
@@ -887,24 +515,23 @@ def irreducible(
     eye = Matrix.identity(field, n)
     spaces_a, eig_a = _eigenspaces(a, eig_a)
     spaces_astar, eig_astar = _eigenspaces(astar, eig_astar)
-    shifts = [(a, theta, k) for theta, k in spaces_a]
-    shifts += [(astar, theta, k) for theta, k in spaces_astar]
-    if shifts:
-        m, theta, k = min(shifts, key=lambda s: s[2].dim)
-        if _norton_decides(field, k.dim):
-            return _norton(a, astar, m - eye.scale(theta), k)
+    shifts = [(a, eig_a, i, theta, k) for i, (theta, k) in enumerate(spaces_a)]
+    shifts += [(astar, eig_astar, i, theta, k) for i, (theta, k) in enumerate(spaces_astar)]
+    for m, eig, i, theta, k in sorted(shifts, key=lambda s: s[4].dim):
+        if k.dim == 2 and eig is not None:
+            lines = _plane_lines(a, astar, eig, i)
+        else:
+            lines = _every_line(field, k.basis)
+        if lines is not None:
+            return _norton(a, astar, m - eye.scale(theta), lines)
     gf = isinstance(field, PrimeField)
     sides = [] if gf else [(eig_a, astar), (eig_astar, a)]
     searches = [(eig, partner) for eig, partner in sides if eig is not None]
     for eig, partner in searches:
-        vecs, complete = _structured_search_q(eig, partner)
+        vecs = _closed_eigenspace_sum(eig, partner)
         if vecs is not None:
             witness = Subspace.span(field, n, vecs)
             return _checked_reducible(a, astar, witness, "structured eigenspace-block search")
-        if complete:
-            return IrreducibilityReport.irreducible(
-                "structured eigenspace-block search is exhaustive for this shape"
-            )
     basis, dim = closure_algebra(a, astar)
     if dim == n * n:
         return IrreducibilityReport.irreducible("closure algebra is all of End(V)")
@@ -935,8 +562,10 @@ def irreducible(
     if best is None:
         # no singular element found: t = 0 spins every line of V
         best = (Matrix.zeros(field, n, n), Subspace.full(field, n))
-    if _norton_decides(field, best[1].dim):
-        return _norton(a, astar, *best)
+    t, ker = best
+    lines = _every_line(field, ker.basis)
+    if lines is not None:
+        return _norton(a, astar, t, lines)
     return IrreducibilityReport.inconclusive(
         "no singular element located in the closure algebra and the space "
         "is too large for exhaustive line enumeration"
@@ -1104,10 +733,8 @@ def reducibility_witness_from_tau_kernel(
         raise HypothesisNotMet("u must be nonzero")
     if not eig_astar.eigenspaces[0].contains(u):
         raise HypothesisNotMet("u must lie in the first Astar-eigenspace")
-    from .linalg import poly_eval_matrix
-
-    tau_i = Polynomial.from_roots(field, eig_a.eigenvalues[:i])
-    if not vec_is_zero(poly_eval_matrix(tau_i, eig_a.operator).apply(u)):
+    tau_i = shifted_products(eig_a.operator, eig_a.eigenvalues[:i])[-1]
+    if not vec_is_zero(tau_i.apply(u)):
         raise HypothesisNotMet(
             "the degree-i product does not annihilate u; construction does not apply"
         )

@@ -20,6 +20,7 @@ from .errors import (
     BudgetZero,
     DimensionMismatch,
     FieldTooSmall,
+    InvariantViolation,
     ParseError,
     TdpError,
 )
@@ -154,7 +155,9 @@ def search_shape(spec: SearchSpec) -> SearchResult:
     return every validated pair with the requested shape.
 
     Deterministic for a fixed spec; a shard (same seed, shifted start)
-    contributes exactly the candidates its counter range covers.
+    contributes exactly the candidates its counter range covers.  A
+    rejected candidate is skipped; an InvariantViolation is a bug and
+    propagates.
     """
     t0 = time.monotonic()
     field = spec.field
@@ -187,6 +190,8 @@ def search_shape(spec: SearchSpec) -> SearchResult:
         # cheap necessary conditions before the full validator
         try:
             eig_s = eigen_decompose(astar)
+        except InvariantViolation:
+            raise
         except TdpError:
             continue
         if eig_s.diameter != d:
@@ -199,6 +204,8 @@ def search_shape(spec: SearchSpec) -> SearchResult:
             continue
         try:
             pair = validate_pair(a, astar)
+        except InvariantViolation:
+            raise
         except TdpError:
             continue
         if tuple(pair.shape) != shape_t:

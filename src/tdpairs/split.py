@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import HypothesisNotMet, InvariantViolation, TauImageVanished
-from .linalg import Matrix, poly_eval_matrix, vec_is_zero
+from .linalg import Matrix, shifted_products, vec_is_zero
 from .pairs import TriDiagonalPair, _SpanAccumulator
 from .polynomials import Polynomial
 from .subspaces import (
@@ -163,12 +163,9 @@ def tau_basis(pair: TriDiagonalPair) -> TauBasis:
     minimal polynomial of a diagonalizable A has degree d+1.
     """
     field = pair.field
-    d = pair.diameter
-    taus = tuple(
-        Polynomial.from_roots(field, [pair.theta(h) for h in range(i)])
-        for i in range(d + 1)
-    )
-    mats = tuple(poly_eval_matrix(t, pair.a) for t in taus)
+    thetas = pair.eig_a.eigenvalues[: pair.diameter]
+    taus = tuple(Polynomial.from_roots(field, thetas[:i]) for i in range(len(thetas) + 1))
+    mats = tuple(shifted_products(pair.a, thetas))
     acc = _SpanAccumulator(field)
     for m in mats:
         if not acc.add(m.flatten()):
@@ -179,17 +176,13 @@ def tau_basis(pair: TriDiagonalPair) -> TauBasis:
 def verify_tau_images(sd: SplitDecomposition) -> SplitReport:
     """Check tau_i(A) U_0 lies in U_i for every i and fill the eq10 flags.
 
-    Built from the polynomials directly so the check stays meaningful on
-    corrupted decompositions where tau_basis assertions might not hold.
+    Built from A and its eigenvalues directly so the check stays
+    meaningful on corrupted decompositions where tau_basis assertions
+    might not hold.
     """
     pair = sd.pair
-    field = pair.field
-    d = pair.diameter
-    flags = []
-    for i in range(d + 1):
-        tau_i = Polynomial.from_roots(field, [pair.theta(h) for h in range(i)])
-        mat = poly_eval_matrix(tau_i, pair.a)
-        flags.append(subspace_leq(image_of(mat, sd.U[0]), sd.U[i]))
+    mats = shifted_products(pair.a, pair.eig_a.eigenvalues[: pair.diameter])
+    flags = [subspace_leq(image_of(m, sd.U[0]), sd.U[i]) for i, m in enumerate(mats)]
     return replace(sd.report, eq10=tuple(flags))
 
 

@@ -10,8 +10,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from tdpairs import GF, QQ, LeonardParameterSet, Matrix
-from tdpairs.cli import main
+from tdpairs import GF, QQ, LeonardParameterSet, Matrix, SearchSpec
+from tdpairs.cli import cmd_search, main
 from tdpairs.serio import candidate_to_json, canonical_dumps, params_to_json
 
 from oracles import TENSOR_PARAMS, tensor_fixture
@@ -405,6 +405,18 @@ def test_search_stream_and_summary(tmp_path, capsys):
     assert "candidatesTried=81" in err
     assert "instances=6" in err
     assert "elapsed=" in err  # timing goes to stderr, never stdout
+
+
+def test_search_summary_reports_wall_time_and_shard_time_sum(capsys):
+    spec = SearchSpec(field=GF(3), dim=2, shape=(1, 1), budget=81)
+    reports, summary = cmd_search(spec)
+    assert len(reports) == 6 and summary["instances"] == 6
+    # one shard: the wall time covers the shard and the re-validation
+    assert summary["elapsed"] >= summary["cpuSum"] > 0.0
+    rc, out, err = run(
+        capsys, ["search", "--field", "gf3", "--dim", "2", "--shape", "1,1", "--budget", "81"]
+    )
+    assert rc == 0 and "cpuSum=" in err and "cpuSum" not in out
 
 
 def test_search_workers_do_not_change_stdout(tmp_path, capsys):

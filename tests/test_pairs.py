@@ -32,7 +32,7 @@ from tdpairs import (
 )
 import tdpairs.pairs
 from tdpairs.eigen import invert
-from tdpairs.pairs import _proper_closed_set, _structured_search_q
+from tdpairs.pairs import _closed_eigenspace_sum, _proper_closed_set
 
 from oracles import (
     TENSOR_PARAMS,
@@ -189,9 +189,7 @@ def test_q_structured_search_finds_pure_eigenspace_witness():
     a = qm([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
     astar = qm([[1, 0, 5], [0, 2, 7], [0, 0, 3]])
     eig = eigen_decompose(a)
-    witness, complete = _structured_search_q(eig, astar)
-    assert complete is True
-    assert witness is not None
+    assert _closed_eigenspace_sum(eig, astar) == list(eig.eigenspaces[0].basis)
     rep = irreducible(a, astar)
     assert rep.is_reducible()
     # Norton on the line V_1 = span{e2}: it spins to V, and the dual
@@ -226,12 +224,9 @@ def test_q_structured_search_finds_line_slice_witness_rank2_coupling():
     # line, and the coupling blocks of Astar have full rank.
     a = qm([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     astar = qm([[1, 1, 2, 1], [0, 3, 0, 2], [1, 4, 5, 1], [0, 1, 0, 6]])
-    eig = eigen_decompose(a)
-    witness, complete = _structured_search_q(eig, astar)
-    assert complete is True
-    assert witness is not None
     rep = irreducible(a, astar)
     assert rep.is_reducible()
+    assert rep.diagnostic == "spin-up of a kernel vector of a singular algebra element"
     w = rep.witness
     for b in w.basis:
         assert w.contains(a.apply(b)) and w.contains(astar.apply(b))
@@ -326,7 +321,7 @@ def test_q_shared_standard_eigenvector_found_by_standard_basis_spin():
     for m, partner in ((a, astar), (astar, a)):
         eig = eigen_decompose(m)
         assert eig.dims() == (3, 3)
-        assert _structured_search_q(eig, partner) == (None, False)
+        assert _closed_eigenspace_sum(eig, partner) is None
     rep = irreducible(a, astar)
     assert rep.diagnostic == "spin-up of a standard basis vector"
     with pytest.raises(NotIrreducible) as exc:
@@ -334,6 +329,132 @@ def test_q_shared_standard_eigenvector_found_by_standard_basis_spin():
     w = exc.value.witness
     assert w.dim == 1 and w.contains((QQ.one,) + (QQ.zero,) * 5)
 
+
+# ---- Norton's test on a 2-dimensional eigenspace ----------------------------
+
+
+def _invertible(field, n, rng, keep=0):
+    """A random invertible matrix and its inverse; with keep = w, block
+    upper triangular, so it maps span{e_0..e_{w-1}} into itself."""
+    while True:
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        for r in range(keep, n):
+            rows[r][:keep] = [0] * keep
+        m = Matrix(field, rows)
+        try:
+            m_inv = invert(m)
+        except InvariantViolation:
+            continue
+        if m @ m_inv == Matrix.identity(field, n):
+            return m, m_inv
+
+
+def _hidden_pair(field, rng, thetas, thetastars, w=0):
+    """P diag(thetas) P^-1 and P Q diag(thetastars) Q^-1 P^-1 for random
+    invertible P and Q.  With w > 0, Q keeps span{e_0..e_{w-1}}, so both
+    operators keep W = P span{e_0..e_{w-1}}; W then meets each
+    eigenspace of A in as many dimensions as its eigenvalue has among
+    thetas[:w]."""
+    n = len(thetas)
+    q, q_inv = _invertible(field, n, rng, keep=w)
+    p, p_inv = _invertible(field, n, rng)
+    a = p @ Matrix.diagonal(field, thetas) @ p_inv
+    astar = p @ q @ Matrix.diagonal(field, thetastars) @ q_inv @ p_inv
+    return a, astar
+
+
+def _norton_on(a, astar, eig, i, lines):
+    eye = Matrix.identity(a.field, a.nrows)
+    return tdpairs.pairs._norton(a, astar, a - eye.scale(eig.eigenvalues[i]), lines)
+
+
+def test_plane_lines_match_brute_force_over_gf2():
+    # A of shape (2, 2) on GF(2)^4 and a random Astar: Norton's test on
+    # either eigenspace of A with the plane's candidate lines must agree
+    # with the enumeration of every subspace
+    rng = random.Random(29)
+    f = GF(2)
+    seen = set()
+    for _ in range(60):
+        p, p_inv = _invertible(f, 4, rng)
+        a = p @ Matrix.diagonal(f, (0, 0, 1, 1)) @ p_inv
+        astar = gm(2, [[rng.randrange(2) for _ in range(4)] for _ in range(4)])
+        brute = brute_common_invariant(2, matrix_to_int_rows(a), matrix_to_int_rows(astar))
+        eig = eigen_decompose(a)
+        assert eig.dims() == (2, 2)
+        for i in (0, 1):
+            rep = _norton_on(a, astar, eig, i, tdpairs.pairs._plane_lines(a, astar, eig, i))
+            assert rep.is_reducible() == (brute is not None)
+            assert rep.is_reducible() or rep.is_irreducible()
+            seen.add(rep.diagnostic)
+        assert irreducible(a, astar).is_reducible() == (brute is not None)
+    assert len(seen) == 3  # every Norton outcome occurs
+
+
+def test_plane_lines_agree_with_every_line_over_gf():
+    rng = random.Random(31)
+    for p in (5, 7, 13):
+        field = GF(p)
+        verdicts = set()
+        for trial in range(24):
+            thetas = (0, 0, 1, 2, 1)[: 3 + trial % 3]
+            w = rng.choice((0, 1, 2))
+            order = (0, 2, 1, 3, 4)[: len(thetas)]  # W slices V_0 in a line
+            a, astar = _hidden_pair(
+                field,
+                rng,
+                [thetas[j] for j in order],
+                [rng.randrange(p) for _ in thetas],
+                w=w,
+            )
+            eig = eigen_decompose(a)
+            plane = _norton_on(a, astar, eig, 0, tdpairs.pairs._plane_lines(a, astar, eig, 0))
+            every = _norton_on(
+                a, astar, eig, 0, tdpairs.pairs._gf_lines(field, eig.eigenspaces[0].basis)
+            )
+            assert plane.verdict == every.verdict
+            verdicts.add(plane.verdict)
+        assert verdicts == {"reducible", "irreducible"}
+
+
+def test_q_invariant_slicing_a_plane_in_a_line_is_found():
+    # no eigenline on either side, so Norton runs on a plane of A; W
+    # meets it in a line, which only the condensed algebra's eigenlines
+    # find when k1 lies outside W
+    rng = random.Random(37)
+    outside = 0
+    for thetas, w in (((0, 1, 0, 1), 2), ((0, 1, 2, 0, 1, 2), 3), ((0, 1, 0, 1, 1), 2)):
+        for _ in range(4):
+            a, astar = _hidden_pair(QQ, rng, thetas, thetas, w=w)
+            eig = eigen_decompose(a)
+            assert min(eig.dims()) == 2 and min(eigen_decompose(astar).dims()) == 2
+            rep = irreducible(a, astar)
+            assert rep.is_reducible()
+            assert tdpairs.pairs._witness_ok(a, astar, rep.witness)
+            k1 = eig.eigenspaces[0].basis[0]
+            outside += not rep.witness.contains(k1)
+    assert outside > 0
+
+
+def test_q_pairs_with_eigenspaces_of_dimensions_2_and_3_are_conclusive():
+    # eigenspace dimensions (2, 2, 3) for A and (3, 2, 2) for Astar; a
+    # hidden W that meets a 3-dimensional eigenspace of A in a line was
+    # "inconclusive" for the search that Norton's test on a plane replaces
+    rng = random.Random(41)
+    thetas = (0, 2, 0, 1, 1, 2, 2)  # W = span{e0, e1} meets V_0 and V_2 in lines
+    thetastars = (0, 0, 0, 1, 1, 2, 2)
+    verdicts = set()
+    for w in (0, 2, 0, 2):
+        a, astar = _hidden_pair(QQ, rng, thetas, thetastars, w=w)
+        assert eigen_decompose(a).dims() == (2, 2, 3)
+        assert eigen_decompose(astar).dims() == (3, 2, 2)
+        rep = irreducible(a, astar)
+        verdicts.add(rep.verdict)
+        if rep.is_irreducible():
+            assert closure_algebra(a, astar)[1] == 49
+        else:
+            assert rep.is_reducible() and tdpairs.pairs._witness_ok(a, astar, rep.witness)
+    assert verdicts == {"reducible", "irreducible"}
 
 # ---- validate_pair ----------------------------------------------------------
 

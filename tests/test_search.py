@@ -17,6 +17,7 @@ from tdpairs import (
     partition_seeds,
     search_shape,
 )
+import tdpairs.search
 from tdpairs.search import _randomized_entries
 
 
@@ -64,6 +65,17 @@ def test_exhaustive_budget_boundary_around_first_hit():
     assert len(at.instances) == 1
     assert int_entries(at.instances[0].astar) == ((0, 1), (1, 0))
     assert at.candidate_indices == (12,)
+
+
+def test_search_propagates_internal_bugs(monkeypatch):
+    # a rejected candidate is skipped, but a failed internal check is a
+    # bug and must not be silently dropped with the rejections
+    def broken(a, astar):
+        raise InvariantViolation("planted")
+
+    monkeypatch.setattr(tdpairs.search, "validate_pair", broken)
+    with pytest.raises(InvariantViolation, match="planted"):
+        search_shape(gf3_spec(budget=13))
 
 
 def test_exhaustive_budget_clamped_to_total_space():
