@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import (
     DimensionMismatch,
@@ -263,6 +264,30 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
     return EigenDecomposition(m, eigenvalues, spaces)
 
 
+def _residue_product(x: list, y: list, p: int) -> list:
+    """x @ y for square int matrices (lists of rows), entries reduced mod p."""
+    cols = tuple(zip(*y))
+    return [[sum(map(mul, row, col)) % p for col in cols] for row in x]
+
+
+def splits_mod_p(rows: list, p: int) -> bool:
+    """Whether the square int matrix `rows` (entries in [0, p)) is
+    diagonalizable over GF(p) with all its eigenvalues in GF(p).
+
+    That holds exactly when M^p == M: x^p - x is the product of (x - a)
+    over every a in GF(p), so the minimal polynomial divides it iff it is
+    a product of distinct linear factors.  M^p is computed by
+    square-and-multiply on plain ints, about 2 log2(p) products, so a
+    caller can reject most matrices before building a Matrix.
+    """
+    power = rows
+    for bit in bin(p)[3:]:
+        power = _residue_product(power, power, p)
+        if bit == "1":
+            power = _residue_product(power, rows, p)
+    return power == rows
+
+
 def primitive_idempotents(eig: EigenDecomposition) -> tuple[Matrix, ...]:
     """The projections onto each eigenspace along the others:
     E_i = C[:, block i] C^{-1}[block i, :] for the eigenbasis change C."""
@@ -300,7 +325,8 @@ def invert(m: Matrix) -> Matrix:
     n = m.nrows
     eye = Matrix.identity(m.field, n)
     aug = [list(row) + list(eye.rows[i]) for i, row in enumerate(m.rows)]
-    rows, rank, _ = rref_rows(m.field, aug)
-    if rank < n:
+    rows, _, pivots = rref_rows(m.field, aug)
+    # [M | I] always has rank n; M is invertible iff no pivot leaves M
+    if pivots != tuple(range(n)):
         raise InvariantViolation("matrix is singular")
     return Matrix(m.field, [row[n:] for row in rows])

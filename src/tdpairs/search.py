@@ -7,7 +7,11 @@ either exhaustively (candidate index = base-p digits of the entries) or
 pseudo-randomly (counter-based keyed hash, so any shard of the stream is
 reproducible on any machine).  Every candidate faces cheap necessary
 checks first and the full validator last; only fully validated pairs of
-the requested shape are returned.
+the requested shape are returned.  The first check, on plain int rows
+before any Matrix is built, is M^p == M for Astar: it is exact, because
+x^p - x is the product of (x - a) over all a in GF(p), so it holds iff
+Astar is diagonalizable with every eigenvalue in GF(p), which is what
+eigen_decompose requires.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import (
     ParseError,
     TdpError,
 )
-from .eigen import eigen_decompose
+from .eigen import eigen_decompose, splits_mod_p
 from .fields import PrimeField
 from .linalg import Matrix
 from .pairs import ShapeVector, support_path_orderings, validate_pair
@@ -143,13 +147,6 @@ def _randomized_entries(seed: int, k: int, count: int, p: int) -> list:
     return out
 
 
-def _astar_candidate(field, n, positions, values) -> Matrix:
-    rows = [[field.zero] * n for _ in range(n)]
-    for (r, c), v in zip(positions, values):
-        rows[r][c] = field.scalar(v)
-    return Matrix(field, rows)
-
-
 def search_shape(spec: SearchSpec) -> SearchResult:
     """Try up to spec.budget candidates from spec.start onward and
     return every validated pair with the requested shape.
@@ -186,14 +183,15 @@ def search_shape(spec: SearchSpec) -> SearchResult:
         else:
             values = _randomized_entries(spec.seed, k, m, p)
         tried += 1
-        astar = _astar_candidate(field, n, positions, values)
-        # cheap necessary conditions before the full validator
-        try:
-            eig_s = eigen_decompose(astar)
-        except InvariantViolation:
-            raise
-        except TdpError:
+        rows = [[0] * n for _ in range(n)]
+        for (r, c), v in zip(positions, values):
+            rows[r][c] = v
+        # cheap necessary conditions before the full validator; past the
+        # int-only prefilter, eigen_decompose cannot reject
+        if not splits_mod_p(rows, p):
             continue
+        astar = Matrix(field, rows)
+        eig_s = eigen_decompose(astar)
         if eig_s.diameter != d:
             continue
         if sorted(eig_s.dims()) != shape_multiset:

@@ -2,10 +2,21 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+
 import pytest
 
-from tdpairs import GF, QQ, Matrix, NotDiagonalizableOverField, eigen_decompose, primitive_idempotents
-from tdpairs.eigen import eigencoordinate_change, invert
+from tdpairs import (
+    GF,
+    QQ,
+    InvariantViolation,
+    Matrix,
+    NotDiagonalizableOverField,
+    eigen_decompose,
+    primitive_idempotents,
+)
+from tdpairs.eigen import eigencoordinate_change, invert, splits_mod_p
 
 
 def qm(rows):
@@ -116,3 +127,93 @@ def test_invert_round_trip():
     assert invert(m) @ m == Matrix.identity(QQ, 2)
     g = gm(7, [[2, 1], [1, 1]])
     assert g @ invert(g) == Matrix.identity(GF(7), 2)
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        # [M | I] has rank 4 although M has rank 2
+        gm(2, [[1, 0, 0, 0], [0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]]),
+        qm([[1, 2, 3], [0, 1, 1], [1, 3, 4]]),
+        qm([[0, 0], [0, 0]]),
+    ],
+)
+def test_invert_rejects_singular_matrices(m):
+    with pytest.raises(InvariantViolation, match="singular"):
+        invert(m)
+
+
+# ---- the M^p == M search prefilter against eigen_decompose ------------------
+
+
+def _agree_with_eigen_decompose(rows, p):
+    """splits_mod_p's verdict, checked against eigen_decompose."""
+    try:
+        eigen_decompose(gm(p, rows))
+        reference = True
+    except NotDiagonalizableOverField:
+        reference = False
+    verdict = splits_mod_p(rows, p)
+    assert verdict == reference, (p, rows)
+    return verdict
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (5, 2), (2, 3)])
+def test_splits_mod_p_matches_eigen_decompose_on_every_small_matrix(p, n):
+    verdicts = set()
+    for entries in itertools.product(range(p), repeat=n * n):
+        rows = [list(entries[i * n : (i + 1) * n]) for i in range(n)]
+        verdicts.add(_agree_with_eigen_decompose(rows, p))
+    assert verdicts == {True, False}
+
+
+def _conjugate(p, block, rng):
+    """P block P^-1 as int rows mod p, for a random invertible P."""
+    n = len(block)
+    while True:
+        c = gm(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        try:
+            c_inv = invert(c)
+        except InvariantViolation:
+            continue
+        return [[x.v for x in row] for row in (c @ gm(p, block) @ c_inv).rows]
+
+
+def _block_diagonal(blocks):
+    n = sum(len(b) for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            rows[at + i][at : at + len(b)] = row
+        at += len(b)
+    return rows
+
+
+def _irreducible_quadratic_companion(p, rng):
+    """Companion matrix of a random x^2 + b x + c with no root mod p."""
+    while True:
+        b, c = rng.randrange(p), rng.randrange(p)
+        if all((x * x + b * x + c) % p for x in range(p)):
+            return [[0, (-c) % p], [1, (-b) % p]]
+
+
+@pytest.mark.parametrize("p", [7, 13, 101])
+def test_splits_mod_p_matches_eigen_decompose_on_random_matrices(p):
+    # diagonalizable with eigenvalues drawn from {0, 1, 2}, so repeated; a
+    # Jordan block; a companion matrix of an irreducible quadratic; and
+    # unstructured matrices; each hidden by a random change of basis
+    rng = random.Random(p)
+    for n in (4, 5, 6):
+        for _ in range(8):
+            diag = [rng.randrange(3) for _ in range(n)]
+            split = _block_diagonal([[[t]] for t in diag])
+            jordan = _block_diagonal([[[diag[0], 1], [0, diag[0]]]] + [[[t]] for t in diag[2:]])
+            quadratic = _block_diagonal(
+                [_irreducible_quadratic_companion(p, rng)] + [[[t]] for t in diag[2:]]
+            )
+            assert _agree_with_eigen_decompose(_conjugate(p, split, rng), p)
+            assert not _agree_with_eigen_decompose(_conjugate(p, jordan, rng), p)
+            assert not _agree_with_eigen_decompose(_conjugate(p, quadratic, rng), p)
+            plain = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+            _agree_with_eigen_decompose(plain, p)

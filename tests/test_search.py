@@ -11,11 +11,14 @@ from tdpairs import (
     DimensionMismatch,
     FieldTooSmall,
     InvariantViolation,
+    Matrix,
     ParseError,
     SearchSpec,
+    TdpError,
     aggregate_results,
     partition_seeds,
     search_shape,
+    validate_pair,
 )
 import tdpairs.search
 from tdpairs.search import _randomized_entries
@@ -65,6 +68,34 @@ def test_exhaustive_budget_boundary_around_first_hit():
     assert len(at.instances) == 1
     assert int_entries(at.instances[0].astar) == ((0, 1), (1, 0))
     assert at.candidate_indices == (12,)
+
+
+def test_exhaustive_search_matches_validating_every_candidate():
+    # GF(3), shape (1, 1, 1): A = diag(0, 1, 2) and Astar ranges over the
+    # 7 tridiagonal positions, 3^7 candidates.  Every candidate goes to
+    # validate_pair with no cheap check in front, so a search prefilter
+    # that drops a real hit fails here.
+    f = GF(3)
+    a = Matrix(f, [[0, 0, 0], [0, 1, 0], [0, 0, 2]])
+    positions = [(r, c) for r in range(3) for c in range(3) if abs(r - c) <= 1]
+    expected = []
+    for k in range(3 ** len(positions)):
+        rows = [[0] * 3 for _ in range(3)]
+        rest = k
+        for r, c in positions:
+            rest, rows[r][c] = divmod(rest, 3)
+        try:
+            pair = validate_pair(a, Matrix(f, rows))
+        except InvariantViolation:
+            raise
+        except TdpError:
+            continue
+        if tuple(pair.shape) == (1, 1, 1):
+            expected.append(k)
+    res = search_shape(SearchSpec(field=f, dim=3, shape=(1, 1, 1), budget=3**7))
+    assert res.candidates_tried == 3**7
+    assert expected
+    assert res.candidate_indices == tuple(expected)
 
 
 def test_search_propagates_internal_bugs(monkeypatch):
