@@ -1,10 +1,9 @@
 """Exact eigen-decomposition of diagonalizable operators.
 
-Diagonalizability over the ground field is decided from the minimal
-polynomial: the operator splits iff the minimal polynomial is a product
-of distinct linear factors.  Roots are found exactly: by scanning the
-field for GF(p), and by the rational-root bound on the integer-cleared
-polynomial over Q.
+An operator is diagonalizable iff the field roots of its characteristic
+polynomial (linalg.char_poly) carry its whole degree and every eigenspace
+is as large as its root's multiplicity.  Roots are found exactly and
+without factoring integers: by scanning GF(p), and over Q p-adically.
 """
 
 from __future__ import annotations
@@ -19,156 +18,105 @@ from .errors import (
     InvariantViolation,
     NotDiagonalizableOverField,
 )
-from .fields import PrimeField, Rationals, Scalar
-from .linalg import Matrix, min_poly, vec_is_zero
+from .fields import Rationals, _is_prime
+from .linalg import Matrix, char_poly, min_poly, rref_rows
 from .polynomials import Polynomial
-from .subspaces import Subspace, kernel
-
-# ---- integer factoring (for rational root candidates) -------------------
-
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-
-def _is_prime_int(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    """A nontrivial factor of composite odd n."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 50):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise InvariantViolation(f"failed to factor {n}")
-
-
-def _factor(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 as {prime: exponent}."""
-    out: dict[int, int] = {}
-    for p in (2, 3, 5, 7, 11, 13):
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_prime_int(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-
-def _divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1."""
-    divs = [1]
-    for p, e in _factor(n).items():
-        divs = [d * p**k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
+from .subspaces import kernel
 
 # ---- root extraction -----------------------------------------------------
 
 
-def _rational_roots(poly: Polynomial) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial over Q, with
-    multiplicity (each root repeated as often as it divides)."""
-    roots: list[Fraction] = []
-    work = poly
-    # strip zero roots first so the constant term is nonzero
-    while not work.is_zero() and work.degree >= 1 and not work.coeffs[0]:
-        q, rem = work.deflate(Fraction(0))
-        if rem:
-            raise InvariantViolation("deflation by a known root left a remainder")
-        roots.append(Fraction(0))
-        work = q
-    if work.degree < 1:
-        return roots
-    denom_lcm = 1
-    for c in work.coeffs:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
-    ints = [int(c * denom_lcm) for c in work.coeffs]
-    lead = abs(ints[-1])
-    const = abs(ints[0])
-    candidates = set()
-    for p in _divisors(const):
-        for q in _divisors(lead):
-            if math.gcd(p, q) == 1:
-                candidates.add(Fraction(p, q))
-                candidates.add(Fraction(-p, q))
-    for cand in sorted(candidates):
+def _divmod(f: list, g: list) -> tuple[list, list]:
+    """Quotient and remainder of Q coefficient lists, lowest degree first."""
+    r = list(f)
+    q = [Fraction(0)] * (len(f) - len(g) + 1)
+    for k in reversed(range(len(q))):
+        c = q[k] = r[k + len(g) - 1] / g[-1]
+        for j, b in enumerate(g):
+            r[k + j] -= c * b
+    r = r[: len(g) - 1]
+    while r and not r[-1]:
+        r.pop()
+    return q, r
+
+
+def _squarefree_ints(f: list) -> list[int]:
+    """f / gcd(f, f') as a primitive integer coefficient list."""
+    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    while b:
+        a, b = b, _divmod(a, b)[1]
+        b = [c / b[-1] for c in b]
+    g = _divmod(f, a)[0]
+    scale = math.lcm(*(c.denominator for c in g))
+    ints = [int(c * scale) for c in g]
+    return [c // math.gcd(*ints) for c in ints]
+
+
+def _eval_mod(ints: list, x: int, q: int) -> int:
+    acc = 0
+    for c in reversed(ints):
+        acc = (acc * x + c) % q
+    return acc
+
+
+def _with_multiplicity(poly: Polynomial, candidates) -> list:
+    """Every candidate that is a root, repeated as often as it divides."""
+    roots = []
+    for cand in candidates:
         while True:
-            quotient, rem = work.deflate(cand)
+            quotient, rem = poly.deflate(cand)
             if rem:
                 break
             roots.append(cand)
-            work = quotient
-            if work.degree < 1:
-                return roots
+            poly = quotient
     return roots
 
 
-def _gf_roots(poly: Polynomial, field: PrimeField) -> list:
-    """All roots of a nonzero polynomial over GF(p), with multiplicity,
-    found by scanning the field with integer Horner evaluation."""
-    ints = [c.v for c in poly.coeffs]
-    p = field.p
-    roots = []
-    for v in range(p):
-        acc = 0
-        for c in reversed(ints):
-            acc = (acc * v + c) % p
-        if acc == 0:
-            roots.append(field.scalar(v))
-    # multiplicities by deflation
-    out = []
-    work = poly
-    for r in roots:
-        while True:
-            quotient, rem = work.deflate(r)
-            if rem:
-                break
-            out.append(r)
-            work = quotient
-    return out
+def _rational_roots(poly: Polynomial) -> list[Fraction]:
+    """All rational roots of a nonzero polynomial over Q, with
+    multiplicity, by p-adic lifting (R. Loos, SIAM J. Comput. 1983).
+
+    g is the integer squarefree part without zero roots, p the first odd
+    prime that keeps g's degree and every root of g mod p simple.  Each
+    root mod p is Hensel-lifted past 2 |g(0)| |lead g|, which bounds
+    every root a/b (a | g(0), b | lead g), and rebuilt by rational
+    reconstruction; a candidate counts only if it divides exactly.
+    """
+    zeros = next(i for i, c in enumerate(poly.coeffs) if c)
+    g = _squarefree_ints(list(poly.coeffs[zeros:]))
+    dg = [i * c for i, c in enumerate(g)][1:]
+    const, bound = abs(g[0]), 2 * abs(g[0] * g[-1])
+    p = 2
+    while True:
+        p += 1
+        if not _is_prime(p) or not g[-1] % p:
+            continue
+        residues = [r for r in range(p) if not _eval_mod(g, r, p)]
+        if all(_eval_mod(dg, r, p) for r in residues):
+            break
+    candidates = [Fraction(0)] if zeros else []
+    for r in residues:
+        q = p
+        while q <= bound:
+            q *= q
+            r = (r - _eval_mod(g, r, q) * pow(_eval_mod(dg, r, q), -1, q)) % q
+        # rational reconstruction: the first remainder <= |g(0)|
+        r0, r1, s0, s1 = q, r, 0, 1
+        while r1 > const:
+            k = r0 // r1
+            r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
+        candidates.append(Fraction(r1, s1))
+    return _with_multiplicity(poly, candidates)
 
 
 def field_roots(poly: Polynomial, field) -> list:
-    """All roots of a nonzero polynomial in its own field, with multiplicity."""
+    """All roots of a nonzero polynomial in its own field, with
+    multiplicity; over GF(p) found by scanning the field."""
     if isinstance(field, Rationals):
         return _rational_roots(poly)
-    return _gf_roots(poly, field)
+    ints = [c.v for c in poly.coeffs]
+    scan = (field.scalar(v) for v in range(field.p) if not _eval_mod(ints, v, field.p))
+    return _with_multiplicity(poly, scan)
 
 
 # ---- decomposition --------------------------------------------------------
@@ -239,7 +187,9 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
     """Decompose a square matrix into eigenspaces over its own field.
 
     Raises NotDiagonalizableOverField when the minimal polynomial has a
-    repeated root or an irreducible nonlinear factor.  Eigenvalues are
+    repeated root (an eigenspace is smaller than its root's multiplicity
+    in the characteristic polynomial) or an irreducible factor of degree
+    > 1 (the characteristic polynomial does not split).  Eigenvalues are
     returned in ascending order (canonical before any pair-specific
     reordering).
     """
@@ -247,20 +197,19 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
         raise DimensionMismatch("eigen-decomposition of a non-square matrix")
     if m.nrows == 0:
         raise DimensionMismatch("eigen-decomposition of an empty matrix")
-    poly = min_poly(m)
-    roots = field_roots(poly, m.field)
-    if len(set(roots)) != len(roots):
+    roots = field_roots(char_poly(m), m.field)
+    eye = Matrix.identity(m.field, m.nrows)
+    eigenvalues = tuple(sorted(set(roots)))
+    spaces = tuple(kernel(m - eye.scale(theta)) for theta in eigenvalues)
+    if any(sp.dim < roots.count(theta) for theta, sp in zip(eigenvalues, spaces)):
         raise NotDiagonalizableOverField(
             "minimal polynomial has a repeated root"
         )
-    if len(roots) != poly.degree:
+    if len(roots) != m.nrows:
         raise NotDiagonalizableOverField(
             "minimal polynomial has an irreducible factor of degree > 1 "
-            f"(found {len(roots)} roots for degree {poly.degree})"
+            f"(found {len(eigenvalues)} roots for degree {min_poly(m).degree})"
         )
-    eye = Matrix.identity(m.field, m.nrows)
-    eigenvalues = tuple(sorted(roots))
-    spaces = tuple(kernel(m - eye.scale(theta)) for theta in eigenvalues)
     return EigenDecomposition(m, eigenvalues, spaces)
 
 
@@ -318,8 +267,6 @@ def eigencoordinate_change(eig: EigenDecomposition) -> tuple[Matrix, Matrix, tup
 
 def invert(m: Matrix) -> Matrix:
     """Inverse of a square invertible matrix by augmented elimination."""
-    from .linalg import rref_rows
-
     if not m.is_square():
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.nrows

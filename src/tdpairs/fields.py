@@ -17,6 +17,8 @@ from typing import Iterator, Union
 from .errors import FieldMismatch, ParseError
 
 MAX_PRIME = 2**16
+# under Python's 4300-digit int/str limit, so any parsed rational prints back
+MAX_SCALAR_DIGITS = 4000
 
 Scalar = Union[Fraction, "GFElement"]
 
@@ -154,8 +156,15 @@ class Rationals:
         return Fraction(x)
 
     def parse(self, s: str) -> Fraction:
+        """An integer, fraction "a/b" or decimal of at most
+        MAX_SCALAR_DIGITS digits, not in exponent notation."""
+        text = s.strip()
+        if "e" in text.lower():
+            raise ParseError(f"bad rational scalar {s!r}: exponent notation")
+        if sum(ch.isdigit() for ch in text) > MAX_SCALAR_DIGITS:
+            raise ParseError(f"rational scalar has more than {MAX_SCALAR_DIGITS} digits")
         try:
-            return Fraction(s.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as e:
             raise ParseError(f"bad rational scalar {s!r}: {e}") from None
 

@@ -90,7 +90,7 @@ class Matrix:
         return Matrix(
             self.field,
             [
-                [a + b for a, b in zip(r1, r2)]
+                [a + b if b else a for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.rows, other.rows)
             ],
         )
@@ -102,7 +102,7 @@ class Matrix:
         return Matrix(
             self.field,
             [
-                [a - b for a, b in zip(r1, r2)]
+                [a - b if b else a for a, b in zip(r1, r2)]
                 for r1, r2 in zip(self.rows, other.rows)
             ],
         )
@@ -132,7 +132,7 @@ class Matrix:
 
     def scale(self, c) -> "Matrix":
         c = self.field.scalar(c)
-        return Matrix(self.field, [[c * e for e in row] for row in self.rows])
+        return Matrix(self.field, [[c * e if e else e for e in row] for row in self.rows])
 
     def __rmul__(self, c) -> "Matrix":
         return self.scale(c)
@@ -201,11 +201,11 @@ def rref_rows(field: Field, rows: list) -> tuple[list, int, tuple]:
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         inv = field.one / rows[r][c]
         if inv != field.one:
-            rows[r] = [inv * e for e in rows[r]]
+            rows[r] = [inv * e if e else e for e in rows[r]]
         for i in range(nrows):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -350,3 +350,42 @@ def min_poly(m: Matrix) -> Polynomial:
         k += 1
         if k > n:
             raise AssertionError("minimal polynomial exceeded ambient dimension")
+
+
+def char_poly(m: Matrix) -> Polynomial:
+    """det(xI - m) in O(n^3) field operations (H. Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 2.2.9): m is brought to
+    upper Hessenberg form H by similarities (r_i -= u r_k, c_k += u c_i),
+    then p_0 = 1, p_k = (x - h_kk) p_{k-1} - sum_{i<k} h_ik h_{i+1,i}
+    ... h_{k,k-1} p_{i-1}, and p_n is the answer.
+    """
+    if not m.is_square():
+        raise DimensionMismatch("characteristic polynomial of a non-square matrix")
+    n = m.nrows
+    h = [list(row) for row in m.rows]
+    for k in range(1, n - 1):
+        piv = next((i for i in range(k, n) if h[i][k - 1]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            h[piv], h[k] = h[k], h[piv]
+            for row in h:
+                row[piv], row[k] = row[k], row[piv]
+        for i in range(k + 1, n):
+            u = h[i][k - 1] / h[k][k - 1]
+            if u:
+                h[i] = [a - u * b if b else a for a, b in zip(h[i], h[k])]
+                for row in h:
+                    if row[i]:
+                        row[k] = row[k] + u * row[i]
+    polys = [Polynomial.one(m.field)]
+    for k in range(n):
+        p = polys[-1] * Polynomial.x_minus(m.field, h[k][k])
+        t = m.field.one
+        for i in range(k, 0, -1):
+            t = t * h[i][i - 1]
+            if not t:
+                break
+            p = p - polys[i - 1] * (t * h[i - 1][k])
+        polys.append(p)
+    return polys[-1]

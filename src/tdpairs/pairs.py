@@ -37,8 +37,7 @@ from .errors import (
 )
 from .fields import PrimeField
 from .eigen import EigenDecomposition, eigen_decompose, eigencoordinate_change, field_roots
-from .linalg import Matrix, min_poly, shifted_products, vec_is_zero
-from .polynomials import Polynomial
+from .linalg import Matrix, char_poly, shifted_products, vec_is_zero
 from .subspaces import (
     Subspace,
     annihilator,
@@ -362,10 +361,8 @@ def _plane_lines(a: Matrix, astar: Matrix, eig: EigenDecomposition, i: int):
             break
     else:
         raise InvariantViolation("condensed algebra is scalar but k1 spins up to V")
-    det = b[0, 0] * b[1, 1] - b[0, 1] * b[1, 0]
-    char = Polynomial(field, [det, -(b[0, 0] + b[1, 1]), field.one])
     eye = Matrix.identity(field, 2)
-    for lam in sorted(set(field_roots(char, field))):
+    for lam in sorted(set(field_roots(char_poly(b), field))):
         c1, c2 = kernel(b - eye.scale(lam)).basis[0]
         yield tuple(c1 * x + c2 * y for x, y in zip(k1, k2))
 
@@ -455,11 +452,11 @@ def _closed_eigenspace_sum(eig: EigenDecomposition, partner: Matrix) -> list | N
 def _eigenspaces(m: Matrix, eig: EigenDecomposition | None) -> tuple[list, EigenDecomposition | None]:
     """(theta, eigenspace) for every eigenvalue of m in its field, and
     m's decomposition when m is diagonalizable.  Taken from eig when the
-    caller has it, else computed from the roots of min_poly."""
+    caller has it, else from the roots of char_poly."""
     if eig is not None:
         return list(zip(eig.eigenvalues, eig.eigenspaces)), eig
     eye = Matrix.identity(m.field, m.nrows)
-    thetas = sorted(set(field_roots(min_poly(m), m.field)))
+    thetas = sorted(set(field_roots(char_poly(m), m.field)))
     spaces = [kernel(m - eye.scale(theta)) for theta in thetas]
     if sum(space.dim for space in spaces) == m.nrows:
         eig = EigenDecomposition(m, tuple(thetas), tuple(spaces))
@@ -487,7 +484,7 @@ def irreducible(
     Leonard pair.  Its witness is the spin-up of the first candidate line
     that spins to a proper subspace, or else the annihilator of the
     proper dual spin-up.  The eigen data comes from eig_a / eig_astar
-    when given, else from the roots of each minimal polynomial.
+    when given, else from the roots of each characteristic polynomial.
 
     Inputs Norton cannot decide go through these fallbacks, each once:
     over Q, a sum of eigenspaces of A and then of Astar that the other
@@ -633,9 +630,15 @@ class TriDiagonalPair:
         )
 
 
-def validate_pair(a: Matrix, astar: Matrix) -> TriDiagonalPair:
+def validate_pair(
+    a: Matrix,
+    astar: Matrix,
+    eig_a: EigenDecomposition | None = None,
+    eig_astar: EigenDecomposition | None = None,
+) -> TriDiagonalPair:
     """Certify the four axioms and assemble the ordered pair data.
 
+    eig_a / eig_astar, if given, are reused as the decompositions of a / astar.
     The irreducibility check runs before the ordering search so that a
     definitive witness is reported even when orderings also fail
     (a disconnected support graph always implies reducibility).  An
@@ -649,11 +652,11 @@ def validate_pair(a: Matrix, astar: Matrix) -> TriDiagonalPair:
     if a.nrows == 0:
         raise DimensionMismatch("dimension must be positive")
     try:
-        eig_a = eigen_decompose(a)
+        eig_a = eig_a or eigen_decompose(a)
     except NotDiagonalizableOverField as e:
         raise NotDiagonalizableOverField(str(e), side="A") from None
     try:
-        eig_astar = eigen_decompose(astar)
+        eig_astar = eig_astar or eigen_decompose(astar)
     except NotDiagonalizableOverField as e:
         raise NotDiagonalizableOverField(str(e), side="Astar") from None
     if eig_a.diameter != eig_astar.diameter:

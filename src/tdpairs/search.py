@@ -201,7 +201,7 @@ def search_shape(spec: SearchSpec) -> SearchResult:
         if not support_path_orderings(eig_s, a):
             continue
         try:
-            pair = validate_pair(a, astar)
+            pair = validate_pair(a, astar, eig_a, eig_s)
         except InvariantViolation:
             raise
         except TdpError:

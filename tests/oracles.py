@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+from fractions import Fraction
 
 from tdpairs import Matrix
 
@@ -142,6 +144,97 @@ def ref_rank_q(rows):
                 m[r] = [x - c * y for x, y in zip(m[r], m[rank])]
         rank += 1
     return rank
+
+
+# ---- characteristic polynomial and rational roots ---------------------------
+
+
+def ref_det_q(rows):
+    """Determinant of a rational matrix by Fraction elimination."""
+    m = [[Fraction(x) for x in r] for r in rows]
+    det = Fraction(1)
+    for c in range(len(m)):
+        pivot_row = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            m[c], m[pivot_row] = m[pivot_row], m[c]
+            det = -det
+        det *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return det
+
+
+def char_poly_by_interpolation(rows):
+    """Coefficients (lowest degree first) of det(xI - M) for a rational
+    matrix: the determinant at x = 0..n, then Lagrange interpolation."""
+    n = len(rows)
+    xs = range(n + 1)
+    coeffs = [Fraction(0)] * (n + 1)
+    for xk in xs:
+        yk = ref_det_q(
+            [[(xk if i == j else 0) - Fraction(rows[i][j]) for j in range(n)] for i in range(n)]
+        )
+        basis, denom = [Fraction(1)], Fraction(1)
+        for xj in xs:
+            if xj != xk:
+                # basis *= (x - xj)
+                basis = [Fraction(0)] + basis
+                for t in range(len(basis) - 1):
+                    basis[t] -= xj * basis[t + 1]
+                denom *= xk - xj
+        for t in range(n + 1):
+            coeffs[t] += yk * basis[t] / denom
+    return coeffs
+
+
+def _positive_divisors(n):
+    """All positive divisors of n >= 1 by trial division."""
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
+
+
+def _int_value_times_q_deg(ints, a, q):
+    """q^deg f(a/q) for integer coefficients f (lowest degree first)."""
+    deg = len(ints) - 1
+    return sum(c * a**i * q ** (deg - i) for i, c in enumerate(ints))
+
+
+def _int_deflate(ints, a, q):
+    """f / (q x - a) for an integer f with f(a/q) = 0, gcd(a, q) = 1
+    (integral by Gauss's lemma)."""
+    out = [0] * (len(ints) - 1)
+    carry = 0
+    for k in range(len(ints) - 1, 0, -1):
+        out[k - 1] = (ints[k] + carry) // q
+        carry = a * out[k - 1]
+    return out
+
+
+def rational_roots_by_divisors(coeffs):
+    """All rational roots, with multiplicity and in ascending order, of a
+    nonzero polynomial over Q given by coefficients (lowest degree
+    first): every candidate a/q with a | constant and q | leading
+    coefficient of the integer-cleared polynomial, divided out while it
+    is a root."""
+    work = [Fraction(c) for c in coeffs]
+    while not work[-1]:
+        work.pop()
+    zeros = next(i for i, c in enumerate(work) if c)
+    roots = [Fraction(0)] * zeros
+    scale = math.lcm(*(c.denominator for c in work))
+    ints = [int(c * scale) for c in work[zeros:]]
+    for p in _positive_divisors(abs(ints[0])):
+        for q in _positive_divisors(abs(ints[-1])):
+            if math.gcd(p, q) != 1:
+                continue
+            for a in (p, -p):
+                while len(ints) > 1 and not _int_value_times_q_deg(ints, a, q):
+                    ints = _int_deflate(ints, a, q)
+                    roots.append(Fraction(a, q))
+    return sorted(roots)
 
 
 # ---- split-sequence oracle --------------------------------------------------

@@ -5,7 +5,9 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import subprocess
 import sys
+import time
 from types import SimpleNamespace
 
 import pytest
@@ -144,6 +146,56 @@ def test_verify_output_is_byte_stable(tmp_path, capsys):
     assert out1.endswith("\n")
     line = out1.splitlines()[0]
     assert json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) == line
+
+
+def _timed_cli(argv, timeout):
+    """Run the CLI in a fresh interpreter: (exit code, stdout, wall seconds)."""
+    t0 = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "tdpairs.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+    )
+    return proc.returncode, proc.stdout, time.perf_counter() - t0
+
+
+def _one_by_one_candidate(tmp_path, entry):
+    def matrix(x):
+        return {"cols": 1, "entries": [[x]], "field": {"kind": "Q"}, "rows": 1}
+
+    path = tmp_path / "one.json"
+    path.write_text(canonical_dumps({"A": matrix(entry), "Astar": matrix("1")}))
+    return str(path)
+
+
+def test_verify_semiprime_entry_finishes_within_a_second(tmp_path):
+    # the root of x - (2^61-1)(2^89-1) was found by factoring the constant
+    path = _one_by_one_candidate(tmp_path, str((2**61 - 1) * (2**89 - 1)))
+    rc, out, elapsed = _timed_cli(["verify", path], timeout=10)
+    assert rc == 0, out
+    assert elapsed < 1.0
+
+
+def test_verify_exponent_notation_exits_3_within_a_second(tmp_path):
+    # Fraction("1e3000000") builds a 3,000,001-digit integer
+    rc, out, elapsed = _timed_cli(["verify", _one_by_one_candidate(tmp_path, "1e3000000")], 10)
+    assert rc == 3
+    (rep,) = reports_of(out)
+    assert rep["payload"]["failure"]["kind"] == "ParseError"
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("d", [16, 23])
+def test_generated_q_leonard_pair_verifies_within_the_timeout(tmp_path, d):
+    # dimensions 17 and 24 (the TDP_MAX_DIM default) of the ladder
+    rc, out, _ = _timed_cli(["generate", "--random", "Q", str(d), "1"], timeout=30)
+    assert rc == 0
+    path = tmp_path / "generated.json"
+    path.write_text(canonical_dumps(json.loads(out)["payload"]["candidate"]))
+    rc, out, _ = _timed_cli(["verify", str(path)], timeout=30)
+    assert rc == 0
+    assert json.loads(out)["payload"]["diameter"] == d
 
 
 def test_dimension_cap_from_environment(tmp_path, capsys, monkeypatch):

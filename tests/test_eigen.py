@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,10 +14,15 @@ from tdpairs import (
     InvariantViolation,
     Matrix,
     NotDiagonalizableOverField,
+    Polynomial,
     eigen_decompose,
+    min_poly,
     primitive_idempotents,
 )
-from tdpairs.eigen import eigencoordinate_change, invert, splits_mod_p
+from tdpairs.eigen import _rational_roots, eigencoordinate_change, invert, splits_mod_p
+from tdpairs.linalg import char_poly
+
+from oracles import char_poly_by_interpolation, rational_roots_by_divisors
 
 
 def qm(rows):
@@ -217,3 +223,139 @@ def test_splits_mod_p_matches_eigen_decompose_on_random_matrices(p):
             assert not _agree_with_eigen_decompose(_conjugate(p, quadratic, rng), p)
             plain = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
             _agree_with_eigen_decompose(plain, p)
+
+
+# ---- characteristic polynomial, p-adic roots and the diagonalizability rule ---
+
+
+def _small_rational(rng):
+    return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 1, 2, 3, 7]))
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 11, 13])
+def test_char_poly_matches_interpolation_oracle(p):
+    rng = random.Random(p or 0)
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        if p is None:
+            rows = [[_small_rational(rng) for _ in range(n)] for _ in range(n)]
+            got = list(char_poly(qm(rows)).coeffs)
+            want = char_poly_by_interpolation(rows)
+        else:
+            # sparse rows exercise the Hessenberg pivot search and swaps
+            rows = [[rng.choice([0, 0, rng.randrange(p)]) for _ in range(n)] for _ in range(n)]
+            got = [c.v for c in char_poly(gm(p, rows)).coeffs]
+            # det(xI - M) has integer coefficients in the entries, so it
+            # commutes with reduction mod p
+            want = [int(c) % p for c in char_poly_by_interpolation(rows)]
+        assert got == want, (p, rows)
+
+
+def _poly_product(factors):
+    """Coefficient list (lowest degree first) of a product of coefficient lists."""
+    out = [Fraction(1)]
+    for f in factors:
+        prod = [Fraction(0)] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def test_rational_roots_match_divisor_oracle():
+    # repeated linear factors b x - a, zero roots, irreducible quadratics
+    # (x^2 + c, x^2 - k with k not a square, x^2 + x + 1) and non-unit content
+    rng = random.Random(5)
+    quadratics = [[1, 0, 1], [3, 0, 1], [-2, 0, 1], [-6, 0, 5], [1, 1, 1]]
+    for _ in range(150):
+        factors = []
+        for _ in range(rng.randint(0, 5)):
+            lin = [Fraction(-rng.randint(-9, 9)), Fraction(rng.randint(1, 5))]
+            factors += [lin] * rng.choice([1, 1, 2, 3])
+        factors += [[0, 1]] * rng.choice([0, 0, 1, 2])
+        factors += [[Fraction(c) for c in rng.choice(quadratics)] for _ in range(rng.randint(0, 2))]
+        factors.append([Fraction(rng.choice([1, -1, 4, 6, -15]), rng.choice([1, 3, 14]))])
+        coeffs = _poly_product(factors)
+        assert sorted(_rational_roots(Polynomial(QQ, coeffs))) == rational_roots_by_divisors(
+            coeffs
+        ), factors
+
+
+def test_rational_roots_of_semiprime_coefficients_need_no_factoring():
+    # divisor enumeration factors both coefficients; p-adic lifting does not
+    n, m = 2**61 - 1, 2**89 - 1
+    poly = Polynomial(QQ, [-n * m, 1])
+    assert _rational_roots(poly) == [Fraction(n * m)]
+    poly = Polynomial(QQ, _poly_product([[-n, m], [-n, m], [m, n], [2, 0, 1]]))
+    assert sorted(_rational_roots(poly)) == [Fraction(-m, n), Fraction(n, m), Fraction(n, m)]
+
+
+def _min_poly_rule(m):
+    """What eigen_decompose answered when it decided from the roots of the
+    minimal polynomial: the ascending eigenvalues, or the failure message."""
+    mp = min_poly(m)
+    if m.field == QQ:
+        roots = rational_roots_by_divisors(mp.coeffs)
+    else:
+        p = m.field.p
+        roots = [m.field.scalar(x) for x in range(p) if mp(x) == 0]
+        # a root of multiplicity >= 2 is also a root of the derivative
+        deriv = Polynomial(m.field, [i * c for i, c in enumerate(mp.coeffs)][1:])
+        roots += [r for r in roots if deriv(r) == 0]
+    if len(set(roots)) != len(roots):
+        return "minimal polynomial has a repeated root"
+    if len(roots) != mp.degree:
+        return (
+            "minimal polynomial has an irreducible factor of degree > 1 "
+            f"(found {len(roots)} roots for degree {mp.degree})"
+        )
+    return tuple(sorted(roots))
+
+
+def _conjugate_q(block, rng):
+    """L U block (L U)^-1 over Q for random unit lower / upper triangular
+    integer L, U, so the change of basis is always invertible."""
+    n = len(block)
+    low = qm([[rng.randint(-2, 2) if j < i else int(i == j) for j in range(n)] for i in range(n)])
+    up = qm([[rng.randint(-2, 2) if j > i else int(i == j) for j in range(n)] for i in range(n)])
+    c = low @ up
+    return c @ qm(block) @ invert(c)
+
+
+@pytest.mark.parametrize("p", [None, 5, 7, 13])
+def test_eigen_decompose_matches_min_poly_rule(p):
+    rng = random.Random(p or 1)
+    quadratic = [[0, 2], [1, 0]] if p is None else None
+    seen = set()
+    for _ in range(30):
+        n = rng.randint(2, 6)
+        diag = [rng.randrange(3) for _ in range(n)]
+        if p is not None:
+            quadratic = _irreducible_quadratic_companion(p, rng)
+        blocks = [
+            _block_diagonal([[[t]] for t in diag]),
+            _block_diagonal([[[diag[0], 1], [0, diag[0]]]] + [[[t]] for t in diag[2:]]),
+            _block_diagonal([quadratic] + [[[t]] for t in diag[2:]]),
+            # a Jordan block next to an irreducible quadratic: both messages apply
+            _block_diagonal([[[1, 1], [0, 1]], quadratic] + [[[t]] for t in diag[4:]]),
+            [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)],
+        ]
+        for block in blocks:
+            if p is None:
+                m = _conjugate_q(block, rng)
+            else:
+                m = gm(p, _conjugate(p, [[x % p for x in row] for row in block], rng))
+            want = _min_poly_rule(m)
+            try:
+                eig = eigen_decompose(m)
+                got = tuple(eig.eigenvalues)
+            except NotDiagonalizableOverField as e:
+                got = str(e)
+            assert got == want, (p, m.rows)
+            seen.add(want.split(" (")[0] if isinstance(want, str) else "diagonalizable")
+    assert seen == {
+        "diagonalizable",
+        "minimal polynomial has a repeated root",
+        "minimal polynomial has an irreducible factor of degree > 1",
+    }

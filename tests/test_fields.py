@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from tdpairs import GF, QQ, FieldMismatch, GFElement, ParseError, field_from_spec, field_to_spec
+from tdpairs.fields import MAX_SCALAR_DIGITS
 
 
 def test_gf_arithmetic_matches_int_mod_p():
@@ -71,6 +72,23 @@ def test_parse_and_format_round_trip():
         QQ.parse("abc")
     with pytest.raises(ParseError):
         f.parse("x")
+
+
+@pytest.mark.parametrize("text", ["1e3000000", "2E5", "1.5e3", " -4e-2 "])
+def test_rational_parse_rejects_exponent_notation(text):
+    with pytest.raises(ParseError, match="exponent"):
+        QQ.parse(text)
+
+
+def test_rational_parse_caps_digits_so_values_print_back():
+    widest = "9" * MAX_SCALAR_DIGITS
+    for text in (widest, "1/" + widest[1:], "0." + "0" * (MAX_SCALAR_DIGITS - 2) + "1"):
+        assert QQ.parse(text) == Fraction(text)
+        assert QQ.format(QQ.parse(text))
+    for text in (widest + "9", "1/" + widest, "1." + widest):
+        with pytest.raises(ParseError, match="digits"):
+            QQ.parse(text)
+    assert QQ.parse(" 1.25 ") == Fraction(5, 4)
 
 
 def test_nonprime_and_oversized_orders_rejected():

@@ -101,7 +101,7 @@ def test_exhaustive_search_matches_validating_every_candidate():
 def test_search_propagates_internal_bugs(monkeypatch):
     # a rejected candidate is skipped, but a failed internal check is a
     # bug and must not be silently dropped with the rejections
-    def broken(a, astar):
+    def broken(a, astar, *eigs):
         raise InvariantViolation("planted")
 
     monkeypatch.setattr(tdpairs.search, "validate_pair", broken)
