@@ -9,7 +9,7 @@ without factoring integers: by scanning GF(p), and over Q p-adically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from operator import mul
 
@@ -59,19 +59,6 @@ def _eval_mod(ints: list, x: int, q: int) -> int:
     return acc
 
 
-def _with_multiplicity(poly: Polynomial, candidates) -> list:
-    """Every candidate that is a root, repeated as often as it divides."""
-    roots = []
-    for cand in candidates:
-        while True:
-            quotient, rem = poly.deflate(cand)
-            if rem:
-                break
-            roots.append(cand)
-            poly = quotient
-    return roots
-
-
 def _rational_roots(poly: Polynomial) -> list[Fraction]:
     """All rational roots of a nonzero polynomial over Q, with
     multiplicity, by p-adic lifting (R. Loos, SIAM J. Comput. 1983).
@@ -106,7 +93,14 @@ def _rational_roots(poly: Polynomial) -> list[Fraction]:
             k = r0 // r1
             r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
         candidates.append(Fraction(r1, s1))
-    return _with_multiplicity(poly, candidates)
+    roots = []
+    for cand in candidates:  # each candidate as often as it divides
+        quotient, rem = poly.deflate(cand)
+        while not rem:
+            roots.append(cand)
+            poly = quotient
+            quotient, rem = poly.deflate(cand)
+    return roots
 
 
 def field_roots(poly: Polynomial, field) -> list:
@@ -114,9 +108,20 @@ def field_roots(poly: Polynomial, field) -> list:
     multiplicity; over GF(p) found by scanning the field."""
     if isinstance(field, Rationals):
         return _rational_roots(poly)
-    ints = [c.v for c in poly.coeffs]
-    scan = (field.scalar(v) for v in range(field.p) if not _eval_mod(ints, v, field.p))
-    return _with_multiplicity(poly, scan)
+    return [field.scalar(v) for v in residue_roots([c.v for c in poly.coeffs], field.p)]
+
+
+def residue_roots(ints: list, p: int) -> list[int]:
+    """The roots in [0, p) of a polynomial mod p (int coefficients, lowest
+    degree first, leading one nonzero mod p), ascending, with multiplicity."""
+    roots, ints = [], list(ints)
+    for t in range(p):
+        while len(ints) > 1 and not _eval_mod(ints, t, p):
+            roots.append(t)
+            for j in range(len(ints) - 2, 0, -1):  # deflate by x - t in place
+                ints[j] = (ints[j] + t * ints[j + 1]) % p
+            ints = ints[1:]
+    return roots
 
 
 # ---- decomposition --------------------------------------------------------
@@ -134,8 +139,9 @@ class EigenDecomposition:
     operator: Matrix
     eigenvalues: tuple
     eigenspaces: tuple
+    check_vectors: InitVar[bool] = True  # False only for reordered copies
 
-    def __post_init__(self):
+    def __post_init__(self, check_vectors):
         n = self.operator.nrows
         if len(self.eigenvalues) != len(self.eigenspaces):
             raise InvariantViolation("eigenvalue/eigenspace count mismatch")
@@ -146,11 +152,10 @@ class EigenDecomposition:
             if space.is_zero():
                 raise InvariantViolation("zero eigenspace")
             total += space.dim
-            for v in space.basis:
-                image = self.operator.apply(v)
-                expected = tuple(theta * x for x in v)
-                if image != expected:
-                    raise InvariantViolation("claimed eigenvector is not one")
+            if check_vectors and any(
+                self.operator.apply(v) != tuple(theta * x for x in v) for v in space.basis
+            ):
+                raise InvariantViolation("claimed eigenvector is not one")
         if total != n:
             raise InvariantViolation("eigenspace dimensions do not fill the space")
 
@@ -177,6 +182,7 @@ class EigenDecomposition:
             self.operator,
             tuple(self.eigenvalues[i] for i in order),
             tuple(self.eigenspaces[i] for i in order),
+            check_vectors=False,
         )
 
     def reversed(self) -> "EigenDecomposition":
@@ -213,27 +219,37 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
     return EigenDecomposition(m, eigenvalues, spaces)
 
 
-def _residue_product(x: list, y: list, p: int) -> list:
+def residue_product(x: list, y: list, p: int) -> list:
     """x @ y for square int matrices (lists of rows), entries reduced mod p."""
     cols = tuple(zip(*y))
     return [[sum(map(mul, row, col)) % p for col in cols] for row in x]
 
 
 def splits_mod_p(rows: list, p: int) -> bool:
-    """Whether the square int matrix `rows` (entries in [0, p)) is
-    diagonalizable over GF(p) with all its eigenvalues in GF(p).
+    """Whether the square int matrix `rows` (a list of lists, entries in
+    [0, p)) is diagonalizable over GF(p) with all its eigenvalues in GF(p).
 
     That holds exactly when M^p == M: x^p - x is the product of (x - a)
     over every a in GF(p), so the minimal polynomial divides it iff it is
-    a product of distinct linear factors.  M^p is computed by
-    square-and-multiply on plain ints, about 2 log2(p) products, so a
-    caller can reject most matrices before building a Matrix.
+    a product of distinct linear factors.  Row i of M^p is row i pushed
+    through M p - 1 times; while that costs at most what square-and-multiply
+    costs for all of M^p (k = bit_length(p) + popcount(p) - 2 products), the
+    rows are checked one at a time, as most matrices fail on row 0.
     """
+    if p - 1 <= len(rows) * (p.bit_length() + p.bit_count() - 2):
+        cols = tuple(zip(*rows))
+        for row in rows:
+            v = row
+            for _ in range(p - 1):
+                v = [sum(map(mul, v, col)) % p for col in cols]
+            if v != row:
+                return False
+        return True
     power = rows
     for bit in bin(p)[3:]:
-        power = _residue_product(power, power, p)
+        power = residue_product(power, power, p)
         if bit == "1":
-            power = _residue_product(power, rows, p)
+            power = residue_product(power, rows, p)
     return power == rows
 
 

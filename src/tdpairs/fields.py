@@ -148,11 +148,13 @@ class Rationals:
         return Fraction(1)
 
     def scalar(self, x) -> Fraction:
-        """Coerce an int, Fraction, or "a/b" string to a Fraction."""
+        """Coerce an int, Fraction, or string (by parse) to a Fraction."""
         if isinstance(x, Fraction):
             return x
         if isinstance(x, float):
             raise TypeError("floats are not exact; pass int, Fraction, or str")
+        if isinstance(x, str):
+            return self.parse(x)
         return Fraction(x)
 
     def parse(self, s: str) -> Fraction:

@@ -8,6 +8,7 @@ entries grow as needed and stay exact.  Ambient sizes are desk scale
 
 from __future__ import annotations
 
+from operator import truediv
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
@@ -353,16 +354,24 @@ def min_poly(m: Matrix) -> Polynomial:
 
 
 def char_poly(m: Matrix) -> Polynomial:
-    """det(xI - m) in O(n^3) field operations (H. Cohen, A Course in
-    Computational Algebraic Number Theory, Alg. 2.2.9): m is brought to
-    upper Hessenberg form H by similarities (r_i -= u r_k, c_k += u c_i),
-    then p_0 = 1, p_k = (x - h_kk) p_{k-1} - sum_{i<k} h_ik h_{i+1,i}
-    ... h_{k,k-1} p_{i-1}, and p_n is the answer.
-    """
+    """det(xI - m), by char_poly_coeffs."""
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    n = m.nrows
-    h = [list(row) for row in m.rows]
+    return Polynomial(m.field, char_poly_coeffs(m.rows))
+
+
+def char_poly_coeffs(rows: Sequence, p: int | None = None) -> list:
+    """det(xI - M), lowest degree first, in O(n^3) operations on the
+    entries in their own field, or on ints mod p when p is given (H.
+    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9):
+    M is brought to upper Hessenberg form H by similarities (r_i -= u r_k,
+    c_k += u c_i), then p_0 = 1, p_k = (x - h_kk) p_{k-1} - sum_{i<k} h_ik
+    h_{i+1,i} ... h_{k,k-1} p_{i-1}, and p_n is the answer.
+    """
+    h = [list(row) for row in rows]
+    red = (lambda x: x) if p is None else (lambda x: x % p)
+    div = truediv if p is None else (lambda a, b: a * pow(b, -1, p) % p)
+    n = len(h)
     for k in range(1, n - 1):
         piv = next((i for i in range(k, n) if h[i][k - 1]), None)
         if piv is None:
@@ -372,20 +381,23 @@ def char_poly(m: Matrix) -> Polynomial:
             for row in h:
                 row[piv], row[k] = row[k], row[piv]
         for i in range(k + 1, n):
-            u = h[i][k - 1] / h[k][k - 1]
+            u = div(h[i][k - 1], h[k][k - 1])
             if u:
-                h[i] = [a - u * b if b else a for a, b in zip(h[i], h[k])]
+                h[i] = [red(a - u * b) if b else a for a, b in zip(h[i], h[k])]
                 for row in h:
                     if row[i]:
-                        row[k] = row[k] + u * row[i]
-    polys = [Polynomial.one(m.field)]
+                        row[k] = red(row[k] + u * row[i])
+    polys = [[1]]
     for k in range(n):
-        p = polys[-1] * Polynomial.x_minus(m.field, h[k][k])
-        t = m.field.one
+        poly = [0] + polys[-1]
+        for j, c in enumerate(polys[-1]):
+            poly[j] -= h[k][k] * c
+        t = 1
         for i in range(k, 0, -1):
-            t = t * h[i][i - 1]
+            t = red(t * h[i][i - 1])
             if not t:
                 break
-            p = p - polys[i - 1] * (t * h[i - 1][k])
-        polys.append(p)
+            for j, c in enumerate(polys[i - 1]):
+                poly[j] -= t * h[i - 1][k] * c
+        polys.append([red(c) for c in poly])
     return polys[-1]

@@ -240,42 +240,31 @@ def _block_edges(eig: EigenDecomposition, b: Matrix) -> set:
 
 
 def support_path_orderings(eig: EigenDecomposition, b: Matrix) -> list[tuple[int, ...]]:
-    """Orderings of eig's eigenspaces under which b acts block-tridiagonally.
+    """Orderings of eig's eigenspaces under which b acts block-tridiagonally
+    and links each eigenspace to the next: the path_orderings of the edges
+    _block_edges(eig, b)."""
+    return path_orderings(eig.diameter + 1, _block_edges(eig, b))
 
-    The support graph has an edge {i, j} when the block of b between
-    eigenspaces i and j is nonzero in either direction.  An ordering
-    works iff consecutive positions cover every edge, which forces the
-    graph to be a simple path; the two traversals are returned (one for
-    a single eigenspace), or an empty list when no ordering exists.
+
+def path_orderings(count: int, edges) -> list[tuple[int, ...]]:
+    """Orderings of the vertices 0..count-1 whose consecutive pairs are
+    exactly the edges: the two traversals of a simple path through every
+    vertex (one for a single vertex), or an empty list.  Edges are pairs
+    (j, i), read without direction; loops are ignored.
     """
-    d = eig.diameter
-    if d == 0:
-        return [(0,)]
-    edges = {frozenset(e) for e in _block_edges(eig, b)}
-    if len(edges) != d:
+    adjacency = {i: set() for i in range(count)}
+    for j, i in edges:
+        if i != j:
+            adjacency[i].add(j)
+            adjacency[j].add(i)
+    # a path starts at its first endpoint and never branches; a walk that
+    # never branches and visits every vertex has used every edge
+    walk = [min(adjacency, key=lambda i: len(adjacency[i]))]
+    while len(adjacency[walk[-1]].difference(walk)) == 1:
+        walk.extend(adjacency[walk[-1]].difference(walk))
+    if len(walk) < count:
         return []
-    degree = {i: 0 for i in range(d + 1)}
-    adjacency = {i: [] for i in range(d + 1)}
-    for e in edges:
-        i, j = tuple(e)
-        degree[i] += 1
-        degree[j] += 1
-        adjacency[i].append(j)
-        adjacency[j].append(i)
-    endpoints = [i for i, deg in degree.items() if deg == 1]
-    if len(endpoints) != 2 or any(deg > 2 for deg in degree.values()):
-        return []
-    walk = [min(endpoints)]
-    prev = None
-    while len(walk) < d + 1:
-        nxt = [x for x in adjacency[walk[-1]] if x != prev]
-        if len(nxt) != 1:
-            return []
-        prev = walk[-1]
-        walk.append(nxt[0])
-    if set(walk) != set(range(d + 1)):
-        return []  # covered a cycle component, not a path
-    return [tuple(walk), tuple(reversed(walk))]
+    return sorted({tuple(walk), tuple(reversed(walk))})
 
 
 # ---- Norton's test -----------------------------------------------------------

@@ -5,13 +5,15 @@ conjugation freedom makes that lossless for existence questions.  Astar
 ranges over the block-tridiagonal pattern that condition (ii) forces,
 either exhaustively (candidate index = base-p digits of the entries) or
 pseudo-randomly (counter-based keyed hash, so any shard of the stream is
-reproducible on any machine).  Every candidate faces cheap necessary
-checks first and the full validator last; only fully validated pairs of
-the requested shape are returned.  The first check, on plain int rows
-before any Matrix is built, is M^p == M for Astar: it is exact, because
-x^p - x is the product of (x - a) over all a in GF(p), so it holds iff
-Astar is diagonalizable with every eigenvalue in GF(p), which is what
-eigen_decompose requires.
+reproducible on any machine).  A candidate Astar stays plain int rows
+mod p through a residue screen of necessary checks (_residue_screen):
+M^p == M row by row, exact because x^p - x is the product of (x - a)
+over all a in GF(p), so it holds iff Astar is diagonalizable over GF(p);
+the diameter and the shape multiset, from the roots of the characteristic
+polynomial mod p; an ordering of A's eigenspaces; an ordering of Astar's.
+Only a candidate that passes them becomes a Matrix, and validate_pair
+certifies it; only fully validated pairs of the requested shape are
+returned.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import permutations
 
 from .errors import (
     BudgetZero,
@@ -28,10 +32,10 @@ from .errors import (
     ParseError,
     TdpError,
 )
-from .eigen import eigen_decompose, splits_mod_p
+from .eigen import eigen_decompose, residue_product, residue_roots, splits_mod_p
 from .fields import PrimeField
-from .linalg import Matrix
-from .pairs import ShapeVector, support_path_orderings, validate_pair
+from .linalg import Matrix, char_poly_coeffs
+from .pairs import ShapeVector, path_orderings, validate_pair
 
 _MODES = ("exhaustive", "randomized")
 
@@ -73,10 +77,6 @@ class SearchSpec:
         if self.start < 0:
             raise ParseError("start must be nonnegative")
 
-    @property
-    def diameter(self) -> int:
-        return self.shape.diameter
-
 
 @dataclass(frozen=True)
 class SearchResult:
@@ -113,12 +113,7 @@ def _allowed_positions(shape) -> list:
 
 
 def _fixed_a(field, shape) -> Matrix:
-    blocks = _block_of(shape)
-    n = len(blocks)
-    rows = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        rows[i][i] = field.scalar(blocks[i])
-    return Matrix(field, rows)
+    return Matrix.diagonal(field, _block_of(shape))
 
 
 def _exhaustive_entries(k: int, count: int, p: int) -> list:
@@ -147,6 +142,43 @@ def _randomized_entries(seed: int, k: int, count: int, p: int) -> list:
     return out
 
 
+def _residue_screen(rows: list, p: int, blocks: list, dims: list) -> str | None:
+    """The first check of the search funnel that the int rows of a
+    candidate Astar fail against A = diag(blocks), or None; dims is the
+    sorted shape.  Astar's edge (j, i) exists iff E_i A E_j != 0, and the
+    projection E_i is a nonzero multiple of the product of the (Astar -
+    theta_k I), k != i.
+    """
+    if not splits_mod_p(rows, p):
+        return "not_diagonalizable"
+    roots = residue_roots(char_poly_coeffs(rows, p), p)
+    thetas = sorted(set(roots))
+    if len(thetas) != len(dims):
+        return "wrong_diameter"
+    # Astar is diagonalizable, so each multiplicity is an eigenspace dimension
+    if sorted(map(roots.count, thetas)) != dims:
+        return "wrong_multiset"
+    n = len(rows)
+    a_edges = {(blocks[c], blocks[r]) for r in range(n) for c in range(n) if rows[r][c]}
+    if not path_orderings(len(dims), a_edges):
+        return "no_ordering_a"
+    eye = [[int(r == c) for c in range(n)] for r in range(n)]
+    shifted = [[[(x - t * u) % p for x, u in zip(*pair)] for pair in zip(rows, eye)] for t in thetas]
+    proj = [
+        reduce(lambda x, y: residue_product(x, y, p), shifted[:i] + shifted[i + 1 :], eye)
+        for i in range(len(thetas))
+    ]
+    a_proj = [[[b * x for x in row] for b, row in zip(blocks, e)] for e in proj]
+    edges = {
+        (j, i)
+        for i, j in permutations(range(len(thetas)), 2)
+        if any(map(any, residue_product(proj[i], a_proj[j], p)))
+    }
+    if not path_orderings(len(dims), edges):
+        return "no_ordering_astar"
+    return None
+
+
 def search_shape(spec: SearchSpec) -> SearchResult:
     """Try up to spec.budget candidates from spec.start onward and
     return every validated pair with the requested shape.
@@ -161,8 +193,8 @@ def search_shape(spec: SearchSpec) -> SearchResult:
     p = field.p
     shape_t = tuple(spec.shape)
     n = spec.dim
-    d = spec.diameter
-    a = _fixed_a(field, spec.shape)
+    blocks = _block_of(shape_t)
+    a = _fixed_a(field, shape_t)
     eig_a = eigen_decompose(a)
     positions = _allowed_positions(spec.shape)
     m = len(positions)
@@ -171,7 +203,7 @@ def search_shape(spec: SearchSpec) -> SearchResult:
         count = max(0, min(total - spec.start, spec.budget))
     else:
         count = spec.budget
-    shape_multiset = sorted(shape_t)
+    dims = sorted(shape_t)
     hits = []
     indices = []
     seen = set()
@@ -186,22 +218,11 @@ def search_shape(spec: SearchSpec) -> SearchResult:
         rows = [[0] * n for _ in range(n)]
         for (r, c), v in zip(positions, values):
             rows[r][c] = v
-        # cheap necessary conditions before the full validator; past the
-        # int-only prefilter, eigen_decompose cannot reject
-        if not splits_mod_p(rows, p):
+        if _residue_screen(rows, p, blocks, dims) is not None:
             continue
         astar = Matrix(field, rows)
-        eig_s = eigen_decompose(astar)
-        if eig_s.diameter != d:
-            continue
-        if sorted(eig_s.dims()) != shape_multiset:
-            continue
-        if not support_path_orderings(eig_a, astar):
-            continue
-        if not support_path_orderings(eig_s, a):
-            continue
         try:
-            pair = validate_pair(a, astar, eig_a, eig_s)
+            pair = validate_pair(a, astar, eig_a)
         except InvariantViolation:
             raise
         except TdpError:

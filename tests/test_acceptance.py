@@ -181,7 +181,7 @@ def test_searched_gf3_shape_1_2_1_instances_are_all_non_leonard():
         ],
         capture_output=True,
         text=True,
-        timeout=120,
+        timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
     found = []

@@ -11,6 +11,7 @@ import pytest
 from tdpairs import (
     GF,
     QQ,
+    DimensionMismatch,
     InvariantViolation,
     Matrix,
     NotDiagonalizableOverField,
@@ -19,7 +20,13 @@ from tdpairs import (
     min_poly,
     primitive_idempotents,
 )
-from tdpairs.eigen import _rational_roots, eigencoordinate_change, invert, splits_mod_p
+from tdpairs.eigen import (
+    EigenDecomposition,
+    _rational_roots,
+    eigencoordinate_change,
+    invert,
+    splits_mod_p,
+)
 from tdpairs.linalg import char_poly
 
 from oracles import char_poly_by_interpolation, rational_roots_by_divisors
@@ -94,6 +101,25 @@ def test_reordered_and_reversed():
     assert tuple(re.eigenspaces) == tuple(eig.eigenspaces[i] for i in perm)
     rev = eig.reversed()
     assert tuple(rev.eigenvalues) == tuple(reversed(eig.eigenvalues))
+
+
+def test_reordered_copies_skip_the_eigenvector_check(monkeypatch):
+    # reordering cannot break an eigenpair, so a copy applies no operator;
+    # a fresh construction still checks every eigenvector
+    eig = eigen_decompose(qm([[1, 0, 0], [1, 2, 0], [0, 1, 3]]))
+    calls = []
+    real_apply = Matrix.apply
+    monkeypatch.setattr(Matrix, "apply", lambda m, v: calls.append(v) or real_apply(m, v))
+    eig.reordered((2, 0, 1))
+    eig.reversed()
+    assert calls == []
+    EigenDecomposition(eig.operator, eig.eigenvalues, eig.eigenspaces)
+    assert len(calls) == 3
+    for bad in ((0, 1), (0, 0, 1), (0, 1, 3)):
+        with pytest.raises(DimensionMismatch):
+            eig.reordered(bad)
+    with pytest.raises(InvariantViolation, match="not one"):
+        EigenDecomposition(eig.operator, eig.eigenvalues[::-1], eig.eigenspaces)
 
 
 def test_primitive_idempotents_resolve_identity():

@@ -7,7 +7,16 @@ from fractions import Fraction
 
 import pytest
 
-from tdpairs import GF, QQ, FieldMismatch, GFElement, ParseError, field_from_spec, field_to_spec
+from tdpairs import (
+    GF,
+    QQ,
+    FieldMismatch,
+    GFElement,
+    Matrix,
+    ParseError,
+    field_from_spec,
+    field_to_spec,
+)
 from tdpairs.fields import MAX_SCALAR_DIGITS
 
 
@@ -60,6 +69,25 @@ def test_rational_scalars_are_exact_fractions():
     assert QQ.scalar(Fraction(1, 3)) * 3 == 1
     with pytest.raises(TypeError):
         QQ.scalar(0.5)
+
+
+def test_rational_scalar_strings_meet_the_parse_bounds():
+    # the library API takes strings through parse, like the CLI
+    with pytest.raises(ParseError):
+        Matrix(QQ, [["1e5000"]])
+    with pytest.raises(ParseError):
+        QQ.scalar("9" * (MAX_SCALAR_DIGITS + 1))
+    with pytest.raises(ParseError):
+        QQ.scalar("1/0")
+    third = Fraction(1, 3)
+    assert QQ.scalar(third) is third
+    assert QQ.scalar(-7) == Fraction(-7) and type(QQ.scalar(-7)) is Fraction
+    assert QQ.scalar("-22/7") == Fraction(-22, 7)
+    assert QQ.scalar(" 0.25 ") == Fraction(1, 4)
+    assert Matrix(QQ, [["1/2", 3], [third, "4"]]).rows == (
+        (Fraction(1, 2), Fraction(3)),
+        (third, Fraction(4)),
+    )
 
 
 def test_parse_and_format_round_trip():

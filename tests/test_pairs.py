@@ -32,7 +32,7 @@ from tdpairs import (
 )
 import tdpairs.pairs
 from tdpairs.eigen import invert
-from tdpairs.pairs import _closed_eigenspace_sum, _proper_closed_set
+from tdpairs.pairs import _closed_eigenspace_sum, _proper_closed_set, path_orderings
 
 from oracles import (
     TENSOR_PARAMS,
@@ -116,6 +116,23 @@ def test_disconnected_support_graph_has_no_ordering():
     # diag/diag: no edges at all, d = 1 needs one
     eig = eigen_decompose(qm([[0, 0], [0, 1]]))
     assert support_path_orderings(eig, qm([[2, 0], [0, 3]])) == []
+
+
+def test_path_orderings_match_brute_force_on_every_small_graph():
+    for count in range(1, 6):
+        pairs = list(itertools.combinations(range(count), 2))
+        for mask in range(2 ** len(pairs)):
+            edges = {e for i, e in enumerate(pairs) if mask >> i & 1}
+            want = {
+                order
+                for order in itertools.permutations(range(count))
+                if edges == {tuple(sorted(order[i : i + 2])) for i in range(count - 1)}
+            }
+            # direction and loops do not matter
+            given = {(j, i) for i, j in edges} | {(0, 0)}
+            got = path_orderings(count, given)
+            assert set(got) == want and len(got) == len(want), (count, edges)
+            assert not got or got[-1] == got[0][::-1]
 
 
 # ---- closure algebra --------------------------------------------------------

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+import random
+from collections import Counter
+
 import pytest
 
 from tdpairs import (
@@ -12,16 +16,28 @@ from tdpairs import (
     FieldTooSmall,
     InvariantViolation,
     Matrix,
+    NotDiagonalizableOverField,
     ParseError,
     SearchSpec,
     TdpError,
     aggregate_results,
+    eigen_decompose,
     partition_seeds,
     search_shape,
+    support_path_orderings,
     validate_pair,
 )
 import tdpairs.search
-from tdpairs.search import _randomized_entries
+from tdpairs.cli import cmd_search
+from tdpairs.eigen import invert, splits_mod_p
+from tdpairs.search import (
+    _allowed_positions,
+    _block_of,
+    _exhaustive_entries,
+    _fixed_a,
+    _randomized_entries,
+    _residue_screen,
+)
 
 
 def gf3_spec(**overrides):
@@ -107,6 +123,135 @@ def test_search_propagates_internal_bugs(monkeypatch):
     monkeypatch.setattr(tdpairs.search, "validate_pair", broken)
     with pytest.raises(InvariantViolation, match="planted"):
         search_shape(gf3_spec(budget=13))
+
+
+# ---- the residue screen against the Matrix checks --------------------------
+
+
+def _matrix_funnel(a, eig_a, astar, dims):
+    """The first search check that astar fails, decided on Matrix objects by
+    eigen_decompose and both support_path_orderings, or None."""
+    try:
+        eig_s = eigen_decompose(astar)
+    except NotDiagonalizableOverField:
+        return "not_diagonalizable"
+    if len(eig_s.dims()) != len(dims):
+        return "wrong_diameter"
+    if sorted(eig_s.dims()) != dims:
+        return "wrong_multiset"
+    if not support_path_orderings(eig_a, astar):
+        return "no_ordering_a"
+    if not support_path_orderings(eig_s, a):
+        return "no_ordering_astar"
+    return None
+
+
+def _screen_stages(field, shape, candidates):
+    """_residue_screen's verdict on each int candidate, checked against
+    _matrix_funnel; returns how many candidates stopped at each stage."""
+    a = _fixed_a(field, shape)
+    eig_a = eigen_decompose(a)
+    blocks, dims = _block_of(shape), sorted(shape)
+    stages = Counter()
+    for rows in candidates:
+        verdict = _residue_screen(rows, field.p, blocks, dims)
+        assert verdict == _matrix_funnel(a, eig_a, Matrix(field, rows), dims), rows
+        stages[verdict] += 1
+    return stages
+
+
+def _pattern_candidates(p, shape, keys, entries):
+    positions = _allowed_positions(shape)
+    n = sum(shape)
+    for k in keys:
+        rows = [[0] * n for _ in range(n)]
+        for (r, c), v in zip(positions, entries(k, len(positions), p)):
+            rows[r][c] = v
+        yield rows
+
+
+def _conjugated_diagonals(p, n, count, rng):
+    """P D P^-1 for random invertible P and diagonal D with eigenvalues from
+    a random small subset, as int rows: diagonalizable, mostly outside the
+    block-tridiagonal pattern, any eigenvalue multiset."""
+    f = GF(p)
+    out = []
+    while len(out) < count:
+        c = Matrix(f, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
+        try:
+            c_inv = invert(c)
+        except InvariantViolation:
+            continue
+        thetas = rng.sample(range(p), rng.randint(1, n))
+        d = Matrix.diagonal(f, [rng.choice(thetas) for _ in range(n)])
+        out.append([[x.v for x in row] for row in (c @ d @ c_inv).rows])
+    return out
+
+
+def test_residue_screen_matches_matrix_checks_on_every_gf3_111_candidate():
+    shape = (1, 1, 1)
+    stages = _screen_stages(GF(3), shape, _pattern_candidates(3, shape, range(3**7), _exhaustive_entries))
+    assert sum(stages.values()) == 3**7
+    # three eigenvalues in dimension 3 leave no wrong multiset
+    assert set(stages) == {
+        "not_diagonalizable",
+        "wrong_diameter",
+        "no_ordering_a",
+        "no_ordering_astar",
+        None,
+    }
+
+
+@pytest.mark.parametrize("p, shape", [(5, (1, 2, 1)), (7, (1, 2, 1)), (5, (2, 2)), (7, (2, 2))])
+def test_residue_screen_matches_matrix_checks_on_random_candidates(p, shape):
+    # random pattern candidates (mostly not diagonalizable), the
+    # diagonalizable ones among more of them (so the later stages are
+    # reached), and conjugated diagonal matrices outside the pattern
+    rng = random.Random(p * 10 + len(shape))
+    stream = lambda seed: lambda k, m, q: _randomized_entries(seed, k, m, q)
+    plain = _pattern_candidates(p, shape, range(600), stream(1))
+    split = (
+        rows
+        for rows in _pattern_candidates(p, shape, range(12000), stream(2))
+        if splits_mod_p(rows, p)
+    )
+    conjugated = _conjugated_diagonals(p, sum(shape), 60, rng)
+    stages = _screen_stages(GF(p), shape, itertools.chain(plain, split, conjugated))
+    assert {"not_diagonalizable", "wrong_diameter"} <= set(stages)
+    if shape == (1, 2, 1):
+        assert {"no_ordering_a", "no_ordering_astar", None} <= set(stages)
+    else:
+        assert "wrong_multiset" in stages  # dimensions (1, 3)
+
+
+def test_randomized_gf101_search_equals_validating_every_candidate():
+    # GF(101) shape-(1,2,1) hits are rare enough that this stretch of the
+    # stream has none: the search must not invent one, for any workers,
+    # and the screen must stop every candidate where the Matrix checks do
+    f = GF(101)
+    shape = (1, 2, 1)
+    spec = SearchSpec(field=f, dim=4, shape=shape, budget=1000, mode="randomized", seed=3)
+    a = _fixed_a(f, shape)
+    candidates = list(
+        _pattern_candidates(101, shape, range(spec.budget), lambda k, m, q: _randomized_entries(3, k, m, q))
+    )
+    expected = []
+    for k, rows in enumerate(candidates):
+        try:
+            pair = validate_pair(a, Matrix(f, rows))
+        except InvariantViolation:
+            raise
+        except TdpError:
+            continue
+        if tuple(pair.shape) == shape:
+            expected.append(k)
+    assert search_shape(spec).candidate_indices == tuple(expected)
+    for workers in (1, 2):
+        reports, summary = cmd_search(spec, workers=workers)
+        assert summary["candidatesTried"] == spec.budget
+        assert [r["payload"]["candidateIndex"] for r in reports] == expected
+    stages = _screen_stages(f, shape, candidates)
+    assert {"not_diagonalizable", "wrong_diameter"} <= set(stages)
 
 
 def test_exhaustive_budget_clamped_to_total_space():
