@@ -26,9 +26,11 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 
+from .eigen import eigen_decompose
 from .errors import (
     HypothesisNotMet,
     InconclusiveIrreducibility,
+    InvariantViolation,
     ParseError,
     TdpError,
 )
@@ -410,13 +412,14 @@ def cmd_search(spec: SearchSpec, workers: int = 1) -> tuple[list[dict], dict]:
         with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
             shard_data = list(pool.map(_run_shard, [_shard_payload(s) for s in shards]))
     a_fixed = _fixed_a(spec.field, spec.shape)
+    eig_fixed = eigen_decompose(a_fixed) if any(data["hits"] for data in shard_data) else None
     results = []
     for data in shard_data:
         instances = []
         indices = []
         for hit in data["hits"]:
             astar = matrix_from_json(hit["astar"])
-            instances.append(validate_pair(a_fixed, astar))
+            instances.append(validate_pair(a_fixed, astar, eig_fixed))
             indices.append(hit["index"])
         results.append(
             SearchResult(
@@ -451,7 +454,10 @@ def _parse_shape(text: str) -> ShapeVector:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ParseError(f"bad shape {text!r}; expected comma-separated integers") from None
-    return ShapeVector(parts)
+    try:
+        return ShapeVector(parts)
+    except InvariantViolation as e:
+        raise ParseError(f"bad shape {text!r}: {e}") from None
 
 
 def _spec_from_args(args) -> SearchSpec:

@@ -9,14 +9,10 @@ A candidate (A, Astar) is accepted when four axioms hold exactly:
 
 Orderings are discovered through the support graph on eigenspace
 indices.  Irreducibility is decided by one engine for Q and GF(p):
-Norton's test runs first, on the smallest eigenspace of A or Astar whose
-candidate lines it can list, and is conclusive whenever a diagonalizable
-side has an eigenspace of dimension at most 2 (over GF(p) also on any
-eigenspace with at most _LINE_ENUM_CAP lines), which covers every
-Leonard pair.  Other inputs fall back to an invariant sum of eigenspaces
-over Q, the closure algebra, spin-ups of the standard basis and, over
-GF(p), Norton's test on a singular closure-algebra element and
-exhaustive line spin-up (see irreducible).
+Norton's test on one eigenspace K, an eigenline when either side has
+one (every Leonard pair), else the smallest eigenspace of a
+diagonalizable side, decided as a module for the condensed algebra
+E <A, Astar> E on K (see irreducible).
 The accepted pair carries its canonically ordered eigen data and shape.
 """
 
@@ -162,7 +158,7 @@ class _SpanAccumulator:
                 self.rows[pivot] = [inv * x for x in v]
                 return True
             c = v[pivot]
-            v = [x - c * y for x, y in zip(v, row)]
+            v = [x - c * y if y else x for x, y in zip(v, row)]
 
     @property
     def dim(self) -> int:
@@ -191,35 +187,6 @@ def _spin(field, n: int, seeds, operators) -> Subspace:
         if acc.dim == n:
             break
     return Subspace.span(field, n, acc.vectors())
-
-
-def closure_algebra(a: Matrix, astar: Matrix) -> tuple[list[Matrix], int]:
-    """Basis of the unital algebra generated by {A, Astar} inside
-    End(V), as a list of matrices, plus its dimension.
-
-    Words in the generators are accumulated from the identity by a
-    worklist of left multiplications; their span is the algebra.
-    """
-    field = a.field
-    n = a.nrows
-    full = n * n
-    acc = _SpanAccumulator(field)
-    eye = Matrix.identity(field, n)
-    acc.add(eye.flatten())
-    basis = [eye]
-    queue = [eye]
-    qi = 0
-    while qi < len(queue):
-        m = queue[qi]
-        qi += 1
-        for g in (a, astar):
-            prod = g @ m
-            if acc.add(prod.flatten()):
-                basis.append(prod)
-                queue.append(prod)
-                if acc.dim == full:
-                    return basis, acc.dim
-    return basis, acc.dim
 
 
 # ---- support-graph orderings ----------------------------------------------
@@ -267,7 +234,7 @@ def path_orderings(count: int, edges) -> list[tuple[int, ...]]:
     return sorted({tuple(walk), tuple(reversed(walk))})
 
 
-# ---- Norton's test -----------------------------------------------------------
+# ---- Norton's test on a condensed eigenspace ----------------------------------
 
 _LINE_ENUM_CAP = 200_000
 
@@ -293,146 +260,138 @@ def _gf_lines(field: PrimeField, basis):
             yield tuple(v)
 
 
-def _gf_line_count(p: int, k: int) -> int:
-    return (p**k - 1) // (p - 1)
+def _blocks(m: Matrix, k: int) -> Matrix:
+    """diag(m, ..., m) with k blocks, acting on V^k."""
+    n = m.ncols
+    zero = (m.field.zero,)
+    return Matrix(
+        m.field,
+        [zero * (n * j) + row + zero * (n * (k - j - 1)) for j in range(k) for row in m.rows],
+    )
 
 
-def _every_line(field, basis):
-    """Every line of the span of the given independent vectors, when
-    they can be listed: the span is a line, or, over GF(p), has at most
-    _LINE_ENUM_CAP lines.  None otherwise."""
-    if len(basis) == 1:
-        return basis
-    if isinstance(field, PrimeField) and _gf_line_count(field.p, len(basis)) <= _LINE_ENUM_CAP:
-        return _gf_lines(field, basis)
-    return None
+def _condensed(a: Matrix, astar: Matrix, kbasis, coords: Matrix) -> list[Matrix]:
+    """A basis of the condensed algebra B = E <A, Astar> E acting on K.
 
-
-def _doubled(m: Matrix) -> Matrix:
-    """diag(m, m), acting on V + V."""
-    zero = [m.field.zero] * m.ncols
-    return Matrix(m.field, [list(r) + zero for r in m.rows] + [zero + list(r) for r in m.rows])
-
-
-def _plane_lines(a: Matrix, astar: Matrix, eig: EigenDecomposition, i: int):
-    """The lines of a 2-dimensional eigenspace K = V_i of a diagonalizable
-    side that Norton's test must spin, over any field.
-
-    Let E_i be the projection onto K along the other eigenspaces.  It is
-    a polynomial in that side, so it lies in the algebra generated by
-    {A, Astar}.  A common invariant W that meets K in a line L satisfies
-    E_i x L in E_i W in W meet K = L for every x of the algebra, so L is
-    invariant under the condensed algebra B = E_i <A, Astar> E_i acting
-    on K (D. F. Holt and S. Rees, "Testing modules for irreducibility",
-    1994).
-
-    The first line is k1, the first basis vector of K.  It covers every
-    W that contains K, and it covers a scalar B: the spin-up S of k1 then
-    meets K in E_i S = B k1 = span{k1}, so S is proper.  B is computed
-    only when the caller asks for more lines, so it is not scalar.
-    Spinning (k1, k2) in V + V under diag(A, A) and diag(Astar, Astar)
-    gives the pairs (x k1, x k2) for x in the algebra; their K
-    coordinates are the columns of E_i x on K, so they span B.  The
-    lines invariant under B are the eigenlines of any one non-scalar
-    element, yielded next in ascending eigenvalue order.
+    kbasis is a basis (k_1, ..., k_k) of K = E V, and coords reads the
+    K-coordinates of E v for a vector v.  Spinning (k_1, ..., k_k) in V^k
+    under diag(A, ..., A) and diag(Astar, ..., Astar) gives the tuples
+    (x k_1, ..., x k_k) for x in the algebra; their K-coordinates are the
+    columns of E x on K, so they span B.  The basis is the independent
+    ones among them, in the spin's order, so it has at most k^2 elements.
     """
     field = a.field
-    n = a.nrows
-    k1, k2 = eig.eigenspaces[i].basis
-    yield k1
-    _, c_inv, ranges = eigencoordinate_change(eig)
-    lo, hi = ranges[i]
-    coords = Matrix(field, c_inv.rows[lo:hi])
-    spun = _spin(field, 2 * n, [k1 + k2], (_doubled(a), _doubled(astar)))
+    n, k = a.nrows, len(kbasis)
+    seed = tuple(x for v in kbasis for x in v)
+    spun = _spin(field, n * k, [seed], (_blocks(a, k), _blocks(astar, k)))
+    acc = _SpanAccumulator(field)
+    basis = []
     for y in spun.basis:
-        b = Matrix.from_columns(field, [coords.apply(y[:n]), coords.apply(y[n:])])
-        if b[0, 1] or b[1, 0] or b[0, 0] != b[1, 1]:
-            break
-    else:
-        raise InvariantViolation("condensed algebra is scalar but k1 spins up to V")
-    eye = Matrix.identity(field, 2)
-    for lam in sorted(set(field_roots(char_poly(b), field))):
-        c1, c2 = kernel(b - eye.scale(lam)).basis[0]
-        yield tuple(c1 * x + c2 * y for x, y in zip(k1, k2))
+        b = Matrix.from_columns(field, [coords.apply(y[j : j + n]) for j in range(0, n * k, n)])
+        if acc.add(b.flatten()):
+            basis.append(b)
+    return basis
 
 
-def _norton(a: Matrix, astar: Matrix, t: Matrix, lines) -> IrreducibilityReport:
-    """Norton's irreducibility test on a singular element t of the
-    algebra generated by {A, Astar}.
+def closure_algebra(a: Matrix, astar: Matrix) -> tuple[list[Matrix], int]:
+    """Basis of the unital algebra generated by {A, Astar} inside End(V),
+    as a list of matrices, plus its dimension: the condensed algebra of
+    K = V, with E = I.  The engine does not call it; perfbench/tracer.py
+    wraps this name, so it stays until the benchmark drops it."""
+    eye = Matrix.identity(a.field, a.nrows)
+    basis = _condensed(a, astar, eye.rows, eye)
+    return basis, len(basis)
 
-    A common invariant W either meets ker t, and then the spin-up of a
-    line of ker t inside W is proper, or t maps W onto itself, and then
-    every w in ker t^T annihilates W, so the spin-up of any one such w
-    under the transposes is proper.  The given lines of ker t are such
-    that every W meeting ker t contains one of them: all lines of ker t,
-    or fewer (see _plane_lines).  Spinning them and one vector of ker t^T
-    therefore decides irreducibility.
+
+def _common_eigenline(field, mats: list[Matrix]):
+    """A vector whose line every matrix maps into itself, or None.  The
+    eigenspaces of the first matrix, in ascending eigenvalue order, are
+    cut by those of each next one; the first nonzero cut is the line."""
+    k = mats[0].nrows
+    eye = Matrix.identity(field, k)
+    cuts = [Subspace.full(field, k)]
+    for b in mats:
+        spaces = [
+            kernel(b - eye.scale(theta))
+            for theta in sorted(set(field_roots(char_poly(b), field)))
+        ]
+        cuts = [subspace_intersect(c, s) for c in cuts for s in spaces]
+        cuts = [c for c in cuts if not c.is_zero()]
+        if not cuts:
+            return None
+    return cuts[0].basis[0]
+
+
+def _submodule(field, b_basis: list[Matrix]):
+    """Decide K as a module for the algebra B spanned by b_basis (k x k
+    matrices, k >= 2): the K-coordinates of a vector of a proper nonzero
+    submodule, "simple", or "unknown".
+
+    A common eigenline of b_basis is a submodule.  A common eigenline of
+    the transposes is a vector y with y . B x = 0 whenever y . x = 0, so
+    its annihilator is a submodule of codimension 1.  Every proper
+    submodule of a space of dimension at most 3 is a line or has
+    codimension 1, and B = End(K) has none.  Over GF(p), while K has at
+    most _LINE_ENUM_CAP lines, the first line that spins to a proper
+    subspace of K under B is the answer, and none means simple.
+    """
+    k = b_basis[0].nrows
+    line = _common_eigenline(field, b_basis)
+    if line is not None:
+        return line
+    line = _common_eigenline(field, [b.transpose() for b in b_basis])
+    if line is not None:
+        return annihilator(field, k, [line]).basis[0]
+    if k <= 3 or len(b_basis) == k * k:
+        return "simple"
+    if not isinstance(field, PrimeField) or (field.p**k - 1) // (field.p - 1) > _LINE_ENUM_CAP:
+        return "unknown"
+    for v in _gf_lines(field, Matrix.identity(field, k).rows):
+        if _spin(field, k, [v], b_basis).dim < k:
+            return v
+    return "simple"
+
+
+_KERNEL_SPIN = "spin-up of a kernel vector of a singular algebra element"
+
+
+def _norton(a: Matrix, astar: Matrix, t: Matrix, kbasis, submodule) -> IrreducibilityReport:
+    """Norton's irreducibility test on K = ker t, for a singular element t
+    of the algebra generated by {A, Astar} with kernel basis kbasis.
+
+    A common invariant W either contains K, and then the spin-up of k_1
+    is proper; or meets K in a proper submodule of the condensed algebra
+    (see _submodule); or misses K, and then t maps W onto itself, so
+    every w in ker t^T annihilates W and the spin-up of any one such w
+    under the transposes is proper.  The spin-up of a vector of a proper
+    submodule U of K is proper too: it meets K in B U = U.  So the spin
+    of k_1, the spin of a submodule vector and the dual spin of one w
+    decide irreducibility whenever submodule() decides K.  submodule()
+    runs only when k_1 spins to V, and gives K-coordinates, "simple" or
+    "unknown".
     """
     field = a.field
     n = a.nrows
-    for v in lines:
-        spun = _spin(field, n, [v], (a, astar))
-        if spun.dim < n:
-            return _checked_reducible(
-                a, astar, spun, "spin-up of a kernel vector of a singular algebra element"
-            )
+    spun = _spin(field, n, [kbasis[0]], (a, astar))
+    if spun.dim < n:
+        return _checked_reducible(a, astar, spun, _KERNEL_SPIN)
+    found = submodule()
+    if found not in ("simple", "unknown"):
+        v = Matrix.from_columns(field, kbasis).apply(found)
+        return _checked_reducible(a, astar, _spin(field, n, [v], (a, astar)), _KERNEL_SPIN)
     w = kernel(t.transpose()).basis[0]
     spun = _spin(field, n, [w], (a.transpose(), astar.transpose()))
-    if spun.dim == n:
-        return IrreducibilityReport.irreducible(
-            "kernel spin-ups and the dual spin-up all fill the space"
+    if spun.dim < n:
+        witness = annihilator(field, n, spun.basis)
+        return _checked_reducible(a, astar, witness, "annihilator of a proper dual spin-up")
+    if found == "unknown":
+        return IrreducibilityReport.inconclusive(
+            "no eigenline, and the condensed algebra of the eigenspace is "
+            "too large to decide its submodules"
         )
-    witness = annihilator(field, n, spun.basis)
-    return _checked_reducible(a, astar, witness, "annihilator of a proper dual spin-up")
-
-
-def _singular_candidates(field, algebra_basis: list[Matrix]):
-    """Elements of the closure algebra likely to be singular, cheapest
-    first: the algebra basis elements, then a scan of pencil
-    combinations."""
-    for b in algebra_basis:
-        yield b
-    limit = min(len(algebra_basis), 6)
-    for i in range(limit):
-        for j in range(i + 1, limit):
-            for c in field.elements():
-                yield algebra_basis[i] + algebra_basis[j].scale(c)
-
-
-# ---- sums of eigenspaces ------------------------------------------------------
-
-
-def _proper_closed_set(count: int, edges: set) -> list | None:
-    """A nonempty proper vertex set with no outgoing edges, if one
-    exists.  Every forward-reachable set is closed, and every closed set
-    contains the reachable set of each of its vertices, so the smallest
-    reachable set (a sink component) answers the question."""
-    adjacency = {i: [] for i in range(count)}
-    for i, j in edges:
-        adjacency[i].append(j)
-    smallest = None
-    for start in range(count):
-        reach = {start}
-        stack = [start]
-        while stack:
-            for j in adjacency[stack.pop()]:
-                if j not in reach:
-                    reach.add(j)
-                    stack.append(j)
-        if smallest is None or len(reach) < len(smallest):
-            smallest = reach
-    return sorted(smallest) if len(smallest) < count else None
-
-
-def _closed_eigenspace_sum(eig: EigenDecomposition, partner: Matrix) -> list | None:
-    """Basis of a sum of eigenspaces of eig, other than 0 and V, that
-    partner maps into itself, or None when there is none.  Partner's
-    block digraph has an edge i -> j when it maps V_i into a vector with
-    a V_j component; such a sum is a closed vertex set."""
-    closed = _proper_closed_set(eig.diameter + 1, _block_edges(eig, partner))
-    if closed is None:
-        return None
-    return [v for i in closed for v in eig.eigenspaces[i].basis]
+    return IrreducibilityReport.irreducible(
+        "kernel spin-ups and the dual spin-up all fill the space"
+    )
 
 
 # ---- the engine ---------------------------------------------------------------
@@ -459,32 +418,24 @@ def irreducible(
     eig_astar: EigenDecomposition | None = None,
 ) -> IrreducibilityReport:
     """Decide whether {A, Astar} admits a common invariant subspace
-    other than 0 and V.
+    other than 0 and V, by Norton's test on one eigenspace K = ker t,
+    t = M - theta I (see _norton).
 
-    Norton's test runs first.  It walks the eigenspaces K = ker(M -
-    theta I) of A and Astar by dimension (A's first, in eigenvalue
-    order, then Astar's, on a tie) and runs on the first K whose
-    candidate lines it can list: K itself when K is a line, over any
-    field; the line k1 and the invariant lines of the condensed algebra
-    when K has dimension 2 and M is diagonalizable, over any field (see
-    _plane_lines); every line of K over GF(p) when K has at most
-    _LINE_ENUM_CAP lines.  So it decides every pair with an eigenspace
-    of dimension at most 2 on a diagonalizable side, including every
-    Leonard pair.  Its witness is the spin-up of the first candidate line
-    that spins to a proper subspace, or else the annihilator of the
-    proper dual spin-up.  The eigen data comes from eig_a / eig_astar
-    when given, else from the roots of each characteristic polynomial.
-
-    Inputs Norton cannot decide go through these fallbacks, each once:
-    over Q, a sum of eigenspaces of A and then of Astar that the other
-    operator maps into itself (the witness); the check that the closure
-    algebra is all of End(V); the spin-ups of the standard basis vectors
-    (the first proper one is the witness); over GF(p), Norton's test on
-    the kernel of a singular closure-algebra element, or on t = 0 when
-    none is found, which spins every line of V.  What is left is
-    "inconclusive": over Q a pair with no eigenline and no 2-dimensional
-    eigenspace of a diagonalizable side, over GF(p) a pair whose kernels
-    are too large to enumerate.
+    K is the first eigenline of A or Astar (A's first, in eigenvalue
+    order), on any side; a line is a simple module.  With no eigenline,
+    K is the smallest eigenspace of a diagonalizable side (A's first on
+    a tie), and K is decided as a module for the condensed algebra
+    B = E <A, Astar> E, E the projection onto K along the other
+    eigenspaces (A. J. E. Ryba, J. Symbolic Comput. 9, 1990; D. F. Holt
+    and S. Rees, "Testing modules for irreducibility", 1994): see
+    _condensed and _submodule.  With neither side diagonalizable, K = V,
+    t = 0 and B is the whole algebra.  The witness is the spin-up of k_1
+    or of a submodule vector, or the annihilator of the proper dual
+    spin-up.  The answer is "inconclusive" only when K has dimension at
+    least 4, has no submodule that a common eigenline shows, B is not
+    End(K), and K is over Q or has more than _LINE_ENUM_CAP lines.  The
+    eigen data comes from eig_a / eig_astar when given, else from the
+    roots of each characteristic polynomial.
     """
     if not a.is_square() or not astar.is_square():
         raise DimensionMismatch("irreducibility needs square matrices")
@@ -503,58 +454,19 @@ def irreducible(
     spaces_astar, eig_astar = _eigenspaces(astar, eig_astar)
     shifts = [(a, eig_a, i, theta, k) for i, (theta, k) in enumerate(spaces_a)]
     shifts += [(astar, eig_astar, i, theta, k) for i, (theta, k) in enumerate(spaces_astar)]
-    for m, eig, i, theta, k in sorted(shifts, key=lambda s: s[4].dim):
-        if k.dim == 2 and eig is not None:
-            lines = _plane_lines(a, astar, eig, i)
-        else:
-            lines = _every_line(field, k.basis)
-        if lines is not None:
-            return _norton(a, astar, m - eye.scale(theta), lines)
-    gf = isinstance(field, PrimeField)
-    sides = [] if gf else [(eig_a, astar), (eig_astar, a)]
-    searches = [(eig, partner) for eig, partner in sides if eig is not None]
-    for eig, partner in searches:
-        vecs = _closed_eigenspace_sum(eig, partner)
-        if vecs is not None:
-            witness = Subspace.span(field, n, vecs)
-            return _checked_reducible(a, astar, witness, "structured eigenspace-block search")
-    basis, dim = closure_algebra(a, astar)
-    if dim == n * n:
-        return IrreducibilityReport.irreducible("closure algebra is all of End(V)")
-    for e in eye.rows:
-        spun = _spin(field, n, [e], (a, astar))
-        if spun.dim < n:
-            return _checked_reducible(a, astar, spun, "spin-up of a standard basis vector")
-    if not gf:
-        if not searches:
-            return IrreducibilityReport.inconclusive(
-                "closure algebra is a proper subalgebra and neither operator "
-                "is diagonalizable over Q"
-            )
-        return IrreducibilityReport.inconclusive(
-            "structured search could not cover all dimension vectors "
-            "(some eigenspace of dimension >= 3)"
-        )
-    # kernel seeds from a singular algebra element with smallest nullity
-    best = None
-    for tried, t in enumerate(_singular_candidates(field, basis), 1):
-        ker = kernel(t)
-        if 0 < ker.dim < n and (best is None or ker.dim < best[1].dim):
-            best = (t, ker)
-            if ker.dim == 1:
-                break
-        if tried >= 4000 and best is not None:
-            break
-    if best is None:
-        # no singular element found: t = 0 spins every line of V
-        best = (Matrix.zeros(field, n, n), Subspace.full(field, n))
-    t, ker = best
-    lines = _every_line(field, ker.basis)
-    if lines is not None:
-        return _norton(a, astar, t, lines)
-    return IrreducibilityReport.inconclusive(
-        "no singular element located in the closure algebra and the space "
-        "is too large for exhaustive line enumeration"
+    for m, _, _, theta, k in shifts:
+        if k.dim == 1:
+            return _norton(a, astar, m - eye.scale(theta), k.basis, lambda: "simple")
+    diagonal = [s for s in shifts if s[1] is not None]
+    if diagonal:
+        m, eig, i, theta, k = min(diagonal, key=lambda s: s[4].dim)
+        t, kbasis = m - eye.scale(theta), k.basis
+        _, c_inv, ranges = eigencoordinate_change(eig)
+        coords = Matrix(field, c_inv.rows[slice(*ranges[i])])
+    else:
+        t, kbasis, coords = Matrix.zeros(field, n, n), eye.rows, eye
+    return _norton(
+        a, astar, t, kbasis, lambda: _submodule(field, _condensed(a, astar, kbasis, coords))
     )
 
 

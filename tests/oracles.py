@@ -107,6 +107,73 @@ def brute_common_invariant_dim3(p, a_rows, astar_rows):
     return None
 
 
+def _int_spin_dim(p, gens, v):
+    """Dimension of the smallest subspace that contains the int tuple v
+    and is invariant under the int matrices gens, by a breadth-first
+    closure of images with an echelon form kept as {pivot: row}."""
+    rows = {}
+
+    def enlarge(w):
+        w = list(w)
+        for i in range(len(w)):
+            if w[i] and i in rows:
+                c = w[i]
+                w = [(x - c * y) % p for x, y in zip(w, rows[i])]
+            elif w[i]:
+                inv = pow(w[i], p - 2, p)
+                rows[i] = [(inv * x) % p for x in w]
+                return True
+        return False
+
+    queue = [v] if enlarge(v) else []
+    for u in queue:
+        queue.extend(w for w in (int_mat_apply(p, g, u) for g in gens) if enlarge(w))
+    return len(rows)
+
+
+def spin_reducible(p, a_rows, astar_rows):
+    """Whether two int matrices mod p have a common invariant subspace
+    other than 0 and V: exactly when some nonzero vector spins up to a
+    proper subspace, as every such subspace contains the spin of each of
+    its vectors.  Checks one vector per line of GF(p)^n."""
+    n = len(a_rows)
+    lines = (
+        (0,) * lead + (1,) + tail
+        for lead in range(n)
+        for tail in itertools.product(range(p), repeat=n - lead - 1)
+    )
+    return any(_int_spin_dim(p, (a_rows, astar_rows), v) < n for v in lines)
+
+
+def closure_algebra(a, astar):
+    """Basis of the unital algebra generated by {A, Astar} inside End(V),
+    as library matrices, plus its dimension: the words in A and Astar,
+    grown from the identity by left multiplication while they enlarge
+    the span (checked by rank over the flattened words)."""
+    field, n = a.field, a.nrows
+    basis = [Matrix.identity(field, n)]
+    echelon = {}  # pivot -> flattened row, normalized at its pivot
+
+    def enlarge(m):
+        w = list(m.flatten())
+        for i in range(len(w)):
+            if w[i] and i in echelon:
+                c = w[i]
+                w = [x - c * y for x, y in zip(w, echelon[i])]
+            elif w[i]:
+                echelon[i] = [x / w[i] for x in w]
+                return True
+        return False
+
+    enlarge(basis[0])
+    for m in basis:  # grows while it is walked
+        for g in (a, astar):
+            word = g @ m
+            if enlarge(word):
+                basis.append(word)
+    return basis, len(basis)
+
+
 def matrix_to_int_rows(m):
     return [[x.v for x in row] for row in m.rows]
 
@@ -355,3 +422,42 @@ TENSOR_PARAMS = {
     "gf5": ((0, 1), (0, 1), (1, 2)),
     "gf7": ((0, 1), (0, 1), (1, 2)),
 }
+
+
+# ---- restriction of scalars: tridiagonal pairs of shape (k, ..., k) ---------
+
+
+def scalar_restriction_fixture(field, f, d):
+    """A split-form Leonard pair over L = F[x]/(f), restricted to F.
+
+    f is a monic polynomial of degree k (int coefficients, lowest degree
+    first).  Over L the pair has theta_i = thetastar_i = i and
+    varphi_i = i(d - i + 1) x; each L-entry becomes its k x k matrix of
+    multiplication on the basis 1, x, ..., x^(k-1), and x acts by the
+    companion matrix C_f.  So A = lower-bidiagonal(theta, 1) (x) I_k and
+    Astar = diag(thetastar) (x) I_k plus the superdiagonal blocks
+    varphi_i(C_f).  When f is irreducible over F the result is an
+    irreducible tridiagonal pair of shape (k, ..., k) and n = k(d + 1):
+    over a splitting field it is a sum of Galois-conjugate Leonard pairs
+    with pairwise different varphi_1, which the Galois group permutes
+    transitively.
+    """
+    k = len(f) - 1
+    n = k * (d + 1)
+    companion = [[0] * k for _ in range(k)]
+    for r in range(k):
+        if r:
+            companion[r][r - 1] = 1
+        companion[r][k - 1] = -f[r]
+    a = [[0] * n for _ in range(n)]
+    astar = [[0] * n for _ in range(n)]
+    for i in range(d + 1):
+        for r in range(k):
+            a[i * k + r][i * k + r] = i
+            astar[i * k + r][i * k + r] = i
+            if i < d:
+                a[(i + 1) * k + r][i * k + r] = 1
+            if i:
+                for c in range(k):
+                    astar[(i - 1) * k + r][i * k + c] = i * (d - i + 1) * companion[r][c]
+    return Matrix(field, a), Matrix(field, astar)

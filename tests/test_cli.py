@@ -16,8 +16,8 @@ from tdpairs import GF, QQ, LeonardParameterSet, Matrix, SearchSpec
 from tdpairs.cli import cmd_search, main
 from tdpairs.serio import candidate_to_json, canonical_dumps, params_to_json
 
-from oracles import TENSOR_PARAMS, tensor_fixture
-from test_pairs import A_D2, A_INCONCLUSIVE, ASTAR_D2, ASTAR_INCONCLUSIVE
+from oracles import TENSOR_PARAMS, scalar_restriction_fixture, tensor_fixture
+from test_pairs import A_D2, ASTAR_D2
 
 
 def qm(rows):
@@ -96,8 +96,9 @@ def test_verify_reducible_reports_witness(tmp_path, capsys):
 
 
 def test_verify_inconclusive_exit_2(tmp_path, capsys):
+    # the pinned limitation: Q[x]/(x^4 - 2) restricted to Q, shape (4, 4)
     path = write_candidate(
-        tmp_path, "inc.json", qm(A_INCONCLUSIVE), qm(ASTAR_INCONCLUSIVE)
+        tmp_path, "inc.json", *scalar_restriction_fixture(QQ, (-2, 0, 0, 0, 1), 1)
     )
     rc, out, _ = run(capsys, ["verify", path])
     assert rc == 2
@@ -175,6 +176,17 @@ def test_verify_semiprime_entry_finishes_within_a_second(tmp_path):
     rc, out, elapsed = _timed_cli(["verify", path], timeout=10)
     assert rc == 0, out
     assert elapsed < 1.0
+
+
+def test_verify_gf103_pair_of_shape_3_times_8_at_the_dimension_cap(tmp_path):
+    # GF(103)[x]/(x^3 - 2) restricted to GF(103): n = 24 and no eigenline
+    a, astar = scalar_restriction_fixture(GF(103), (-2, 0, 0, 1), 7)
+    path = write_candidate(tmp_path, "gf103.json", a, astar)
+    rc, out, _ = _timed_cli(["verify", path], timeout=30)
+    assert rc == 0, out
+    (rep,) = reports_of(out)
+    assert rep["payload"]["valid"] is True
+    assert rep["payload"]["shape"] == [3] * 8
 
 
 def test_verify_exponent_notation_exits_3_within_a_second(tmp_path):
@@ -530,6 +542,15 @@ def test_search_spec_errors_exit_3(tmp_path, capsys):
         (rep,) = reports_of(out)
         assert rep["exitCode"] == 3
         assert "failure" in rep["payload"]
+
+
+def test_search_bad_shape_is_a_parse_error(capsys):
+    for shape in ("1,2", "0,3"):
+        argv = ["search", "--field", "gf3", "--dim", "3", "--shape", shape, "--budget", "5"]
+        rc, out, _ = run(capsys, argv)
+        assert rc == 3
+        (rep,) = reports_of(out)
+        assert rep["payload"]["failure"]["kind"] == "ParseError", shape
 
 
 # ---- usage ---------------------------------------------------------------------

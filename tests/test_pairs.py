@@ -21,7 +21,6 @@ from tdpairs import (
     NotDiagonalizableOverField,
     NotIrreducible,
     ShapeVector,
-    closure_algebra,
     eigen_decompose,
     irreducible,
     random_leonard,
@@ -30,16 +29,22 @@ from tdpairs import (
     support_path_orderings,
     validate_pair,
 )
+import tdpairs.eigen
+import tdpairs.linalg
 import tdpairs.pairs
-from tdpairs.eigen import invert
-from tdpairs.pairs import _closed_eigenspace_sum, _proper_closed_set, path_orderings
+from tdpairs.eigen import eigencoordinate_change, invert
+from tdpairs.subspaces import Subspace, kernel
+from tdpairs.pairs import path_orderings
 
 from oracles import (
     TENSOR_PARAMS,
     brute_common_invariant,
     brute_common_invariant_dim3,
+    closure_algebra,
     kron_sum_fixture,
     matrix_to_int_rows,
+    scalar_restriction_fixture,
+    spin_reducible,
     subspace_vector_set,
     tensor_fixture,
 )
@@ -149,6 +154,23 @@ def test_closure_algebra_small_for_commuting_diagonals():
     assert dim == 2  # the diagonal algebra
 
 
+def test_condensed_algebra_of_the_whole_space_is_the_closure_algebra():
+    # K = V, E = I: the condensed algebra is the algebra itself
+    rng = random.Random(3)
+    pairs = [(qm(A_D2), qm(ASTAR_D2)), (qm([[0, 0], [0, 1]]), qm([[2, 0], [0, 3]]))]
+    for p in (2, 3):
+        for n in (2, 3, 4):
+            pairs.append(
+                tuple(
+                    gm(p, [[rng.randrange(p) * rng.randrange(2) for _ in range(n)] for _ in range(n)])
+                    for _ in range(2)
+                )
+            )
+    for a, astar in pairs:
+        basis, dim = tdpairs.pairs.closure_algebra(a, astar)
+        assert dim == len(basis) == closure_algebra(a, astar)[1]
+
+
 # ---- irreducibility: GF engine against brute force --------------------------
 
 
@@ -174,8 +196,8 @@ def test_gf_irreducible_valid_pair():
 
 def test_gf_pair_without_eigenvalues_decided_by_line_spin_up():
     # A and Astar generate a copy of GF(9) inside End(GF(3)^2): no
-    # eigenvalue in GF(3), no singular algebra element, so Norton's test
-    # runs with t = 0 and spins every line of V
+    # eigenvalue in GF(3), so Norton's test runs with K = V and t = 0, and
+    # the algebra has no common eigenline, so V is simple
     a, astar = gm(3, [[0, 2], [1, 0]]), gm(3, [[1, 2], [1, 1]])
     assert closure_algebra(a, astar)[1] == 2
     rep = irreducible(a, astar)
@@ -205,35 +227,11 @@ def test_q_structured_search_finds_pure_eigenspace_witness():
     # W = V_0 (both coordinates of the first eigenspace) is invariant
     a = qm([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
     astar = qm([[1, 0, 5], [0, 2, 7], [0, 0, 3]])
-    eig = eigen_decompose(a)
-    assert _closed_eigenspace_sum(eig, astar) == list(eig.eigenspaces[0].basis)
     rep = irreducible(a, astar)
     assert rep.is_reducible()
     # Norton on the line V_1 = span{e2}: it spins to V, and the dual
     # spin-up of e2 stays proper, so its annihilator V_0 is the witness
     assert rep.diagnostic == "annihilator of a proper dual spin-up"
-
-
-def test_proper_closed_set_matches_brute_force_on_random_digraphs():
-    rng = random.Random(13)
-    for _ in range(300):
-        count = rng.randint(1, 6)
-        edges = {
-            (i, j)
-            for i in range(count)
-            for j in range(count)
-            if i != j and rng.random() < 0.3
-        }
-        closed = [
-            s
-            for size in range(1, count)
-            for s in itertools.combinations(range(count), size)
-            if not any(i in s and j not in s for i, j in edges)
-        ]
-        found = _proper_closed_set(count, edges)
-        assert (found is None) == (not closed)
-        if found is not None:
-            assert tuple(sorted(found)) in closed
 
 
 def test_q_structured_search_finds_line_slice_witness_rank2_coupling():
@@ -282,8 +280,8 @@ def test_q_reducible_found_after_conjugation_defeats_spins():
 # frozen 6-dimensional candidate: both operators are diagonalizable with
 # eigenspace dimensions (3, 3) and share exactly one eigenvector, hidden
 # by a change of basis.  The line witness sits inside a 3-dimensional
-# eigenspace, which the structured search does not enumerate, so the
-# honest answer is "inconclusive".
+# eigenspace; the condensed algebra of that eigenspace has it as a
+# common eigenline.
 A_INCONCLUSIVE = [
     ["7/6", "-2/3", "1/3", "1/2", "1/3", "1/2"],
     ["-35/9", "29/9", "-13/9", "-7/3", "-28/9", "-2"],
@@ -302,19 +300,18 @@ ASTAR_INCONCLUSIVE = [
 ]
 
 
-def test_q_inconclusive_verdict_on_hidden_deep_slice():
+def test_q_hidden_deep_slice_is_reducible():
     a, astar = qm(A_INCONCLUSIVE), qm(ASTAR_INCONCLUSIVE)
     rep = irreducible(a, astar)
-    assert not rep.is_irreducible() and not rep.is_reducible()
-    assert rep.diagnostic
-    with pytest.raises(InconclusiveIrreducibility):
+    assert rep.is_reducible()
+    with pytest.raises(NotIrreducible) as exc:
         validate_pair(a, astar)
+    assert exc.value.witness == rep.witness
 
 
 # A_INCONCLUSIVE / ASTAR_INCONCLUSIVE in a basis whose first vector is
 # their shared eigenvector: eigenspace dimensions (3, 3) on both sides,
-# so neither Norton's test nor the structured search decides, and the
-# spin-up of e0 is the witness.
+# and the spin-up of e0 is the witness.
 A_SHARED_E0 = [
     ["0", "-35/9", "-13/9", "-7/3", "-28/9", "-2"],
     ["0", "7/6", "1/3", "1/2", "1/3", "1/2"],
@@ -335,12 +332,8 @@ ASTAR_SHARED_E0 = [
 
 def test_q_shared_standard_eigenvector_found_by_standard_basis_spin():
     a, astar = qm(A_SHARED_E0), qm(ASTAR_SHARED_E0)
-    for m, partner in ((a, astar), (astar, a)):
-        eig = eigen_decompose(m)
-        assert eig.dims() == (3, 3)
-        assert _closed_eigenspace_sum(eig, partner) is None
-    rep = irreducible(a, astar)
-    assert rep.diagnostic == "spin-up of a standard basis vector"
+    for m in (a, astar):
+        assert eigen_decompose(m).dims() == (3, 3)
     with pytest.raises(NotIrreducible) as exc:
         validate_pair(a, astar)
     w = exc.value.witness
@@ -380,15 +373,46 @@ def _hidden_pair(field, rng, thetas, thetastars, w=0):
     return a, astar
 
 
-def _norton_on(a, astar, eig, i, lines):
-    eye = Matrix.identity(a.field, a.nrows)
-    return tdpairs.pairs._norton(a, astar, a - eye.scale(eig.eigenvalues[i]), lines)
+def _condensed_norton(a, astar, eig, i):
+    """Norton's test on eigenspace i of A, decided by its condensed
+    algebra, as the engine runs it; returns the report and the algebra."""
+    field = a.field
+    kbasis = eig.eigenspaces[i].basis
+    _, c_inv, ranges = eigencoordinate_change(eig)
+    coords = Matrix(field, c_inv.rows[slice(*ranges[i])])
+    b = tdpairs.pairs._condensed(a, astar, kbasis, coords)
+    t = a - Matrix.identity(field, a.nrows).scale(eig.eigenvalues[i])
+    rep = tdpairs.pairs._norton(a, astar, t, kbasis, lambda: tdpairs.pairs._submodule(field, b))
+    return rep, b
+
+
+def _every_line_verdict(a, astar, eig, i):
+    """Norton's test on eigenspace i of A that spins every line of it in
+    V: the complete reference for small fields."""
+    field, n = a.field, a.nrows
+    spin = tdpairs.pairs._spin
+    lines = tdpairs.pairs._gf_lines(field, eig.eigenspaces[i].basis)
+    if any(spin(field, n, [v], (a, astar)).dim < n for v in lines):
+        return "reducible"
+    t = a - Matrix.identity(field, n).scale(eig.eigenvalues[i])
+    w = kernel(t.transpose()).basis[0]
+    dual = spin(field, n, [w], (a.transpose(), astar.transpose()))
+    return "irreducible" if dual.dim == n else "reducible"
+
+
+def _has_submodule(field, b):
+    """Whether some line of K spins to a proper subspace of K under the
+    condensed algebra b, by spinning every line."""
+    k = b[0].nrows
+    lines = tdpairs.pairs._gf_lines(field, Matrix.identity(field, k).rows)
+    return any(tdpairs.pairs._spin(field, k, [v], b).dim < k for v in lines)
 
 
 def test_plane_lines_match_brute_force_over_gf2():
     # A of shape (2, 2) on GF(2)^4 and a random Astar: Norton's test on
-    # either eigenspace of A with the plane's candidate lines must agree
-    # with the enumeration of every subspace
+    # either eigenspace of A, decided by its condensed algebra, must agree
+    # with the enumeration of every subspace, and the algebra's verdict
+    # on the plane with the spins of its lines
     rng = random.Random(29)
     f = GF(2)
     seen = set()
@@ -400,10 +424,13 @@ def test_plane_lines_match_brute_force_over_gf2():
         eig = eigen_decompose(a)
         assert eig.dims() == (2, 2)
         for i in (0, 1):
-            rep = _norton_on(a, astar, eig, i, tdpairs.pairs._plane_lines(a, astar, eig, i))
+            rep, b = _condensed_norton(a, astar, eig, i)
             assert rep.is_reducible() == (brute is not None)
             assert rep.is_reducible() or rep.is_irreducible()
             seen.add(rep.diagnostic)
+            found = tdpairs.pairs._submodule(f, b)
+            assert found != "unknown"
+            assert (found != "simple") == _has_submodule(f, b)
         assert irreducible(a, astar).is_reducible() == (brute is not None)
     assert len(seen) == 3  # every Norton outcome occurs
 
@@ -425,13 +452,91 @@ def test_plane_lines_agree_with_every_line_over_gf():
                 w=w,
             )
             eig = eigen_decompose(a)
-            plane = _norton_on(a, astar, eig, 0, tdpairs.pairs._plane_lines(a, astar, eig, 0))
-            every = _norton_on(
-                a, astar, eig, 0, tdpairs.pairs._gf_lines(field, eig.eigenspaces[0].basis)
-            )
-            assert plane.verdict == every.verdict
+            plane, _ = _condensed_norton(a, astar, eig, 0)
+            assert plane.verdict == _every_line_verdict(a, astar, eig, 0)
             verdicts.add(plane.verdict)
         assert verdicts == {"reducible", "irreducible"}
+
+
+def test_submodules_without_a_common_eigenline_are_found():
+    # A of shape (3, 3) or (4, 4), Astar a random matrix with no
+    # eigenline that keeps W = P span{e_0..e_{w-1}}, which meets A's first
+    # eigenspace K in a plane.  Over Q the condensed algebra has no common
+    # eigenline on K, and the annihilator of its transposes' common
+    # eigenline is the plane; over GF(2) and GF(3) neither exists on
+    # K = GF(p)^4 and a line of the plane is found by spinning the lines
+    # of K.  The seeds are chosen so that each case takes its branch.
+    for field, thetas, w, seed, dual_line in (
+        (QQ, (0, 0, 1, 0, 1, 1), 3, 3, True),
+        (GF(3), (0, 0, 1, 1, 0, 0, 1, 1), 4, 44, False),
+        (GF(2), (0, 0, 1, 1, 0, 0, 1, 1), 4, 53, False),
+    ):
+        rng = random.Random(seed)
+        n = len(thetas)
+        p, p_inv = _invertible(field, n, rng)
+        r = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        for i in range(w, n):
+            r[i][:w] = [0] * w
+        a = p @ Matrix.diagonal(field, thetas) @ p_inv
+        astar = p @ Matrix(field, r) @ p_inv
+        spaces, _ = tdpairs.pairs._eigenspaces(astar, None)
+        assert all(space.dim != 1 for _, space in spaces)
+        rep, b = _condensed_norton(a, astar, eigen_decompose(a), 0)
+        transposes = [m.transpose() for m in b]
+        assert tdpairs.pairs._common_eigenline(field, b) is None
+        assert (tdpairs.pairs._common_eigenline(field, transposes) is not None) == dual_line
+        assert rep.diagnostic == "spin-up of a kernel vector of a singular algebra element"
+        assert irreducible(a, astar).witness == rep.witness
+        if field == GF(2):
+            assert spin_reducible(2, matrix_to_int_rows(a), matrix_to_int_rows(astar))
+
+
+def test_witness_of_a_plane_is_the_first_invariant_line_of_the_condensed_algebra():
+    # V = W1 + W2 with A = diag(0, 1) on W1 and diag(0, 0, 1) on W2, and
+    # Astar without a rational eigenvalue on either; K = V_1 of A is a
+    # plane meeting each W in a line, so the condensed algebra has two
+    # invariant lines.  The witness is the spin of the first one in the
+    # ascending eigenvalue order of the algebra's first non-scalar
+    # element, as it was before eigenspaces of dimension 3 and more were
+    # condensed too; which W that is depends on the change of basis.
+    a = Matrix.diagonal(QQ, (0, 1, 0, 0, 1))
+    astar = qm(
+        [
+            [1, 2, 0, 0, 0],
+            [3, 5, 0, 0, 0],
+            [0, 0, 1, 1, 1],
+            [0, 0, 1, 2, 1],
+            [0, 0, 2, 1, 3],
+        ]
+    )
+    found = []
+    for seed in range(6):
+        rng = random.Random(seed)
+        while True:
+            p = qm([[rng.randint(-2, 2) for _ in range(5)] for _ in range(5)])
+            try:
+                p_inv = invert(p)
+                break
+            except InvariantViolation:
+                continue
+        rep = irreducible(p @ a @ p_inv, p @ astar @ p_inv)
+        cols = [p.column(j) for j in range(5)]
+        w1 = Subspace.span(QQ, 5, cols[:2])
+        found.append(1 if rep.witness == w1 else 2 if rep.witness == Subspace.span(QQ, 5, cols[2:]) else 0)
+    assert found == [2, 1, 1, 1, 2, 2]
+
+
+def test_q_eigenspace_of_dimension_4_with_the_full_condensed_algebra_is_simple():
+    # A of shape (4, 4) and a random Astar with no rational eigenvalue:
+    # K = V_0 has no eigenline for the condensed algebra, which is all of
+    # End(K), so K is simple and Norton's spins decide
+    rng = random.Random(53)
+    for _ in range(2):
+        p, p_inv = _invertible(QQ, 8, rng)
+        a = p @ Matrix.diagonal(QQ, (0, 1) * 4) @ p_inv
+        astar = qm([[rng.randint(-2, 2) for _ in range(8)] for _ in range(8)])
+        assert not tdpairs.eigen.field_roots(tdpairs.linalg.char_poly(astar), QQ)
+        assert irreducible(a, astar).is_irreducible()
 
 
 def test_q_invariant_slicing_a_plane_in_a_line_is_found():
@@ -472,6 +577,84 @@ def test_q_pairs_with_eigenspaces_of_dimensions_2_and_3_are_conclusive():
         else:
             assert rep.is_reducible() and tdpairs.pairs._witness_ok(a, astar, rep.witness)
     assert verdicts == {"reducible", "irreducible"}
+
+def _oracle_pair(p, rng, dims_a, dims_astar, w):
+    """A diagonalizable pair over GF(p) with eigenspace dimensions dims_a
+    and dims_astar (in shuffled order), hidden by a change of basis;
+    with w > 0 both keep a w-dimensional subspace."""
+    thetas = [i for i, k in enumerate(dims_a) for _ in range(k)]
+    thetastars = [i for i, k in enumerate(dims_astar) for _ in range(k)]
+    rng.shuffle(thetas)
+    rng.shuffle(thetastars)
+    return _hidden_pair(GF(p), rng, thetas, thetastars, w=w)
+
+
+def test_irreducible_matches_spin_oracle_with_eigenspaces_of_dimension_3_and_4():
+    # diagonalizable pairs over GF(2) and GF(3), n <= 6, whose smallest
+    # eigenspace without an eigenline has dimension 3 or 4, so the
+    # condensed algebra decides it; the pairs with an eigenline keep a
+    # 3- or 4-dimensional eigenspace (over GF(2) they are all reducible:
+    # an eigenspace of dimension at least n - 1 meets the other side's)
+    rng = random.Random(43)
+    shapes = {
+        2: [((3, 3), (3, 3)), ((4, 2), (3, 3)), ((3, 3), (2, 4)), ((3, 2), (4, 1)), ((4, 1), (2, 3))],
+        3: [
+            ((3, 3), (2, 2, 2)),
+            ((4, 2), (3, 3)),
+            ((3, 3), (3, 3)),
+            ((3, 2, 1), (2, 2, 2)),
+            ((3, 2, 1), (1, 2, 3)),
+            ((4, 1, 1), (2, 2, 2)),
+        ],
+    }
+    verdicts = set()
+    for p, cases in shapes.items():
+        for dims_a, dims_astar in cases:
+            n = sum(dims_a)
+            for w in (0, 0, 0, 1, 2, n // 2) * 2:
+                a, astar = _oracle_pair(p, rng, dims_a, dims_astar, w)
+                rep = irreducible(a, astar)
+                reducible = spin_reducible(p, matrix_to_int_rows(a), matrix_to_int_rows(astar))
+                assert rep.verdict == ("reducible" if reducible else "irreducible"), (p, dims_a)
+                verdicts.add((p, min(dims_a + dims_astar) == 1, rep.verdict))
+    assert len(verdicts) == 7  # both verdicts with and without an eigenline, but GF(2)'s
+
+
+def test_scalar_restriction_fixtures_pin_their_verdicts():
+    # tridiagonal pairs of shape (k, ..., k) with no eigenline
+    for field, f, d in ((QQ, (-2, 0, 0, 1), 2), (GF(7), (-2, 0, 0, 1), 3), (GF(13), (-2, 0, 0, 0, 1), 2)):
+        k = len(f) - 1
+        pair = validate_pair(*scalar_restriction_fixture(field, f, d))
+        assert tuple(pair.shape) == (k,) * (d + 1)
+        assert pair.irreducibility.is_irreducible()
+    # the pinned limitation (it may only be tightened): over Q a
+    # 4-dimensional eigenspace whose condensed algebra is the field
+    # Q[x]/(x^4 - 2) has no common eigenline and is not End(K)
+    a, astar = scalar_restriction_fixture(QQ, (-2, 0, 0, 0, 1), 1)
+    assert a.nrows == 8
+    with pytest.raises(InconclusiveIrreducibility):
+        validate_pair(a, astar)
+
+
+def test_scalar_restriction_fixtures_agree_with_the_spin_oracle():
+    # x^2 + 1 is irreducible over GF(3) and splits over GF(5); x^3 + x + 1
+    # is irreducible over GF(2); a direct sum of two copies is reducible
+    def direct_sum(m):
+        n = m.nrows
+        zero = [0] * n
+        return Matrix(m.field, [list(r) + zero for r in m.rows] + [zero + list(r) for r in m.rows])
+
+    for p, f, d, valid in ((3, (1, 0, 1), 2, True), (2, (1, 1, 0, 1), 1, True), (5, (1, 0, 1), 1, False)):
+        a, astar = scalar_restriction_fixture(GF(p), f, d)
+        rows = (matrix_to_int_rows(a), matrix_to_int_rows(astar))
+        assert spin_reducible(p, *rows) is not valid
+        assert irreducible(a, astar).is_irreducible() is valid
+        if a.nrows <= 3:
+            twin = direct_sum(a), direct_sum(astar)
+            assert spin_reducible(p, *map(matrix_to_int_rows, twin))
+            with pytest.raises(NotIrreducible):
+                validate_pair(*twin)
+
 
 # ---- validate_pair ----------------------------------------------------------
 
@@ -552,11 +735,11 @@ def test_validate_over_gf():
 
 def test_validate_never_needs_the_closure_algebra_with_an_eigenline(monkeypatch):
     # every pair below has a 1-dimensional eigenspace, so Norton's test
-    # decides it and the closure algebra is never enumerated
+    # decides it on that line and no algebra is condensed
     def refuse(*args, **kwargs):
-        raise AssertionError("closure_algebra called")
+        raise AssertionError("_condensed called")
 
-    monkeypatch.setattr(tdpairs.pairs, "closure_algebra", refuse)
+    monkeypatch.setattr(tdpairs.pairs, "_condensed", refuse)
     norton = "kernel spin-ups and the dual spin-up all fill the space"
     pairs = [validate_pair(qm(A_D2), qm(ASTAR_D2)), validate_pair(gm(7, A_D2), gm(7, ASTAR_D2))]
     for field in (QQ, GF(5), GF(13)):
