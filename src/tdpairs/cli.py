@@ -11,7 +11,8 @@ streams one report per validated instance, one JSON document per line,
 and prints a human summary to stderr.
 
 Exit codes: 0 success, 1 invalid instance or failed hypothesis,
-2 inconclusive irreducibility verdict, 3 usage or parse error.
+2 inconclusive irreducibility verdict, 3 usage or parse error,
+4 internal error (an InvariantViolation: a bug, not a verdict).
 
 Reports are canonical JSON (sorted keys, no whitespace), so identical
 inputs produce byte-identical output.  The environment variable
@@ -21,6 +22,7 @@ TDP_MAX_DIM (default 24) caps the ambient dimension of all inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -96,6 +98,8 @@ def _read_bytes(path: str) -> bytes:
 
 
 def _exit_code(e: TdpError) -> int:
+    if isinstance(e, InvariantViolation):
+        return 4
     if isinstance(e, ParseError):
         return 3
     if isinstance(e, InconclusiveIrreducibility):
@@ -528,10 +532,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built on first use; parsing leaves no state in it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 3
 

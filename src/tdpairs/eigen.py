@@ -19,7 +19,7 @@ from .errors import (
     NotDiagonalizableOverField,
 )
 from .fields import Rationals, _is_prime
-from .linalg import Matrix, char_poly, min_poly, rref_rows
+from .linalg import Matrix, char_poly, min_poly, residue_product, rref_rows
 from .polynomials import Polynomial
 from .subspaces import kernel
 
@@ -217,12 +217,6 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
             f"(found {len(eigenvalues)} roots for degree {min_poly(m).degree})"
         )
     return EigenDecomposition(m, eigenvalues, spaces)
-
-
-def residue_product(x: list, y: list, p: int) -> list:
-    """x @ y for square int matrices (lists of rows), entries reduced mod p."""
-    cols = tuple(zip(*y))
-    return [[sum(map(mul, row, col)) % p for col in cols] for row in x]
 
 
 def splits_mod_p(rows: list, p: int) -> bool:

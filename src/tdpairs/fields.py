@@ -2,8 +2,10 @@
 
 A field object is a small factory that builds, parses, and formats
 scalars.  Rational scalars are `fractions.Fraction`; prime-field scalars
-are `GFElement` instances that overload arithmetic so the generic
-elimination code never branches on the field kind.
+are `GFElement` instances that overload arithmetic.  The bulk kernels of
+`linalg` work on their int residues instead: `PrimeField._residues` reads
+them off with scalar()'s coercion and field check, and `_element` maps a
+residue back to its element (from the field's table when p <= 1024).
 
 Fields compare by value, so two `PrimeField(7)` instances are
 interchangeable.
@@ -12,6 +14,7 @@ interchangeable.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Iterator, Union
 
 from .errors import FieldMismatch, ParseError
@@ -203,8 +206,10 @@ class PrimeField:
         self.p = p
         if p <= 1024:
             self._cache = tuple(GFElement(self, v) for v in range(p))
+            self._element = self._cache.__getitem__
         else:
             self._cache = None
+            self._element = partial(GFElement, self)
 
     @property
     def zero(self) -> GFElement:
@@ -227,6 +232,11 @@ class PrimeField:
         if self._cache is not None:
             return self._cache[x % self.p]
         return GFElement(self, x)
+
+    def _residues(self, xs) -> list[int]:
+        """The residues of xs, each coerced and checked as by scalar()."""
+        p = self.p
+        return [x.v if type(x) is GFElement and x.field.p == p else self.scalar(x).v for x in xs]
 
     def parse(self, s: str) -> GFElement:
         try:

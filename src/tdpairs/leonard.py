@@ -158,7 +158,14 @@ def detect_leonard(pair: TriDiagonalPair):
 
     Existence of the certificate is equivalent to every eigenspace being
     1-dimensional, and both directions are cross-checked on the way out.
+    The outcome is kept on the (immutable) pair and reused.
     """
+    if "_leonard" not in pair.__dict__:
+        object.__setattr__(pair, "_leonard", _detect(pair))
+    return pair.__dict__["_leonard"]
+
+
+def _detect(pair: TriDiagonalPair):
     field = pair.field
     d = pair.diameter
     taus = tau_basis(pair).tau_matrices
@@ -397,6 +404,8 @@ def _split_pair(params: LeonardParameterSet) -> TriDiagonalPair:
     a, astar = _split_matrices(params.field, params.theta, params.thetastar, params.varphi)
     try:
         return validate_pair(a, astar)
+    except InvariantViolation:
+        raise  # a bug, not a rejected parameter set
     except TdpError as e:
         raise GeneratedPairInvalid(
             f"generated split form failed validation: {e}", cause=e

@@ -1,25 +1,28 @@
 """Exact dense matrices and Gaussian elimination.
 
-Matrices are immutable tuples of row tuples over a single field.  All
-algorithms here are fraction-free in spirit but not in implementation:
-entries grow as needed and stay exact.  Ambient sizes are desk scale
-(dimension a few dozen), so clarity wins over asymptotics throughout.
+Matrices are immutable tuples of row tuples over a single field.
+Matrix(field, rows) coerces and field-checks every entry; same-field
+arithmetic builds its results with Matrix._trusted, which does not.
+Over GF(p), rref_rows, @, apply and char_poly run on int residues and
+map back to elements once per output entry (Dumas, Giorgi and Pernet,
+ACM TOMS 35(3), 2008); over Q, on Fractions.  Ambient sizes are desk
+scale (dimension a few dozen), so clarity wins over asymptotics.
 """
 
 from __future__ import annotations
 
-from operator import truediv
+from operator import mul, truediv
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .fields import Field, Scalar, same_field
+from .fields import Field, PrimeField, Scalar, same_field
 from .polynomials import Polynomial
 
 Vector = tuple
 
 
 class Matrix:
-    __slots__ = ("field", "nrows", "ncols", "rows")
+    __slots__ = ("field", "nrows", "ncols", "rows", "_res")
 
     def __init__(self, field: Field, rows: Iterable[Iterable]):
         rs = tuple(tuple(field.scalar(e) for e in row) for row in rows)
@@ -31,25 +34,41 @@ class Matrix:
         self.nrows = len(rs)
         self.ncols = ncols
         self.rows = rs
+        self._res = None
+
+    @classmethod
+    def _trusted(cls, field: Field, rows, res=None) -> "Matrix":
+        """A matrix of same-field arithmetic results: unlike Matrix(field,
+        rows), no entry is coerced or checked again.  res: residue rows."""
+        m = cls.__new__(cls)
+        m.field, m.rows, m._res = field, tuple(map(tuple, rows)), res
+        m.nrows, m.ncols = len(m.rows), len(m.rows[0]) if m.rows else 0
+        return m
+
+    def _residues(self) -> tuple:
+        """The int residue rows over GF(p), read off once per matrix."""
+        if self._res is None:
+            self._res = tuple(tuple(e.v for e in row) for row in self.rows)
+        return self._res
 
     # ---- constructors -------------------------------------------------
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         z, o = field.zero, field.one
-        return cls(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._trusted(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
         z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)])
+        return cls._trusted(field, [[z] * ncols for _ in range(nrows)])
 
     @classmethod
     def diagonal(cls, field: Field, diag: Sequence) -> "Matrix":
         z = field.zero
         d = [field.scalar(x) for x in diag]
         n = len(d)
-        return cls(field, [[d[i] if i == j else z for j in range(n)] for i in range(n)])
+        return cls._trusted(field, [[d[i] if i == j else z for j in range(n)] for i in range(n)])
 
     @classmethod
     def from_columns(cls, field: Field, cols: Sequence[Sequence]) -> "Matrix":
@@ -88,7 +107,7 @@ class Matrix:
         self._check(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("matrix addition shape mismatch")
-        return Matrix(
+        return Matrix._trusted(
             self.field,
             [
                 [a + b if b else a for a, b in zip(r1, r2)]
@@ -100,7 +119,7 @@ class Matrix:
         self._check(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise DimensionMismatch("matrix subtraction shape mismatch")
-        return Matrix(
+        return Matrix._trusted(
             self.field,
             [
                 [a - b if b else a for a, b in zip(r1, r2)]
@@ -109,7 +128,7 @@ class Matrix:
         )
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, [[-e for e in row] for row in self.rows])
+        return Matrix._trusted(self.field, [[-e for e in row] for row in self.rows])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
@@ -117,23 +136,16 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
+        field = self.field
+        if isinstance(field, PrimeField):
+            res = residue_product(self._residues(), other._residues(), field.p)
+            return Matrix._trusted(field, [map(field._element, row) for row in res], res)
         bcols = [other.column(j) for j in range(other.ncols)]
-        z = self.field.zero
-        out = []
-        for row in self.rows:
-            out_row = []
-            for col in bcols:
-                acc = z
-                for a, b in zip(row, col):
-                    if a and b:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(out_row)
-        return Matrix(self.field, out)
+        return Matrix._trusted(field, [[_dot(field, row, col) for col in bcols] for row in self.rows])
 
     def scale(self, c) -> "Matrix":
         c = self.field.scalar(c)
-        return Matrix(self.field, [[c * e if e else e for e in row] for row in self.rows])
+        return Matrix._trusted(self.field, [[c * e if e else e for e in row] for row in self.rows])
 
     def __rmul__(self, c) -> "Matrix":
         return self.scale(c)
@@ -142,19 +154,15 @@ class Matrix:
         """Matrix-vector product."""
         if len(v) != self.ncols:
             raise DimensionMismatch("matrix-vector length mismatch")
-        v = tuple(self.field.scalar(x) for x in v)
-        z = self.field.zero
-        out = []
-        for row in self.rows:
-            acc = z
-            for a, b in zip(row, v):
-                if a and b:
-                    acc = acc + a * b
-            out.append(acc)
-        return tuple(out)
+        field = self.field
+        if isinstance(field, PrimeField):
+            v, p = field._residues(v), field.p
+            return tuple(map(field._element, [sum(map(mul, row, v)) % p for row in self._residues()]))
+        v = tuple(field.scalar(x) for x in v)
+        return tuple(_dot(field, row, v) for row in self.rows)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, [self.column(j) for j in range(self.ncols)])
+        return Matrix._trusted(self.field, [self.column(j) for j in range(self.ncols)])
 
     def __eq__(self, other):
         return (
@@ -171,6 +179,17 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
 
 
+def _dot(field: Field, u: Sequence, v: Sequence):
+    """The dot product of two vectors of scalars, skipping zero terms."""
+    return sum((a * b for a, b in zip(u, v) if a and b), field.zero)
+
+
+def residue_product(x: Sequence, y: Sequence, p: int) -> list:
+    """x @ y for int matrices (sequences of rows), entries reduced mod p."""
+    cols = tuple(zip(*y))
+    return [[sum(map(mul, row, col)) % p for col in cols] for row in x]
+
+
 # ---- elimination -------------------------------------------------------
 
 
@@ -185,8 +204,12 @@ def rref_rows(field: Field, rows: list) -> tuple[list, int, tuple]:
 
     Returns (rows, rank, pivot-columns).  The first `rank` rows carry the
     pivots; the rest are zero.  The result is the unique RREF, so equal
-    row spaces give equal outputs.
+    row spaces give equal outputs.  Over GF(p) the entries may be
+    anything scalar() takes; elimination runs on their residues.
     """
+    gf = isinstance(field, PrimeField)
+    if gf:
+        rows[:] = map(field._residues, rows)
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
     pivots = []
@@ -200,18 +223,35 @@ def rref_rows(field: Field, rows: list) -> tuple[list, int, tuple]:
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = field.one / rows[r][c]
-        if inv != field.one:
-            rows[r] = [inv * e if e else e for e in rows[r]]
+        if rows[r][c] != 1:
+            rows[r] = _normalized(field, rows[r], c)
         for i in range(nrows):
             if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
+                rows[i] = _row_minus(field, rows[i], rows[i][c], rows[r])
         pivots.append(c)
         r += 1
         if r == nrows:
             break
+    if gf:
+        rows[:] = [list(map(field._element, row)) for row in rows]
     return rows, r, tuple(pivots)
+
+
+def _normalized(field: Field, row: Sequence, c: int) -> list:
+    """row / row[c], for Fractions or for int residues mod p."""
+    if isinstance(field, PrimeField):
+        inv, p = pow(row[c], -1, field.p), field.p
+        return [inv * e % p for e in row]
+    inv = field.one / row[c]
+    return [inv * e if e else e for e in row]
+
+
+def _row_minus(field: Field, row: Sequence, f, pivot_row: Sequence) -> list:
+    """row - f * pivot_row, for Fractions or for int residues mod p."""
+    if isinstance(field, PrimeField):
+        p = field.p
+        return [(a - f * b) % p if b else a for a, b in zip(row, pivot_row)]
+    return [a - f * b if b else a for a, b in zip(row, pivot_row)]
 
 
 def rref(m: Matrix) -> RrefResult:
@@ -354,9 +394,11 @@ def min_poly(m: Matrix) -> Polynomial:
 
 
 def char_poly(m: Matrix) -> Polynomial:
-    """det(xI - m), by char_poly_coeffs."""
+    """det(xI - m), by char_poly_coeffs (on int residues over GF(p))."""
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
+    if isinstance(m.field, PrimeField):
+        return Polynomial(m.field, char_poly_coeffs(m._residues(), m.field.p))
     return Polynomial(m.field, char_poly_coeffs(m.rows))
 
 

@@ -19,6 +19,7 @@ The accepted pair carries its canonically ordered eigen data and shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import (
     DiameterMismatch,
@@ -33,7 +34,7 @@ from .errors import (
 )
 from .fields import PrimeField
 from .eigen import EigenDecomposition, eigen_decompose, eigencoordinate_change, field_roots
-from .linalg import Matrix, char_poly, shifted_products, vec_is_zero
+from .linalg import Matrix, _normalized, _row_minus, char_poly, shifted_products, vec_is_zero
 from .subspaces import (
     Subspace,
     annihilator,
@@ -138,7 +139,8 @@ def _checked_reducible(a: Matrix, astar: Matrix, w: Subspace, how: str) -> Irred
 
 
 class _SpanAccumulator:
-    """Incremental echelon basis of a growing set of vectors."""
+    """Incremental echelon basis of a growing set of vectors, kept as int
+    residues over GF(p)."""
 
     def __init__(self, field):
         self.field = field
@@ -147,24 +149,25 @@ class _SpanAccumulator:
     def add(self, vec) -> bool:
         """Reduce vec against the basis; insert the residual if nonzero.
         Returns True when the vector enlarged the span."""
-        v = list(vec)
+        field = self.field
+        v = field._residues(vec) if isinstance(field, PrimeField) else list(vec)
         while True:
             pivot = next((i for i, x in enumerate(v) if x), None)
             if pivot is None:
                 return False
             row = self.rows.get(pivot)
             if row is None:
-                inv = self.field.one / v[pivot]
-                self.rows[pivot] = [inv * x for x in v]
+                self.rows[pivot] = _normalized(field, v, pivot)
                 return True
-            c = v[pivot]
-            v = [x - c * y if y else x for x, y in zip(v, row)]
+            v = _row_minus(field, v, v[pivot], row)
 
     @property
     def dim(self) -> int:
         return len(self.rows)
 
     def vectors(self) -> list:
+        if isinstance(self.field, PrimeField):
+            return [tuple(map(self.field._element, r)) for r in self.rows.values()]
         return [tuple(r) for r in self.rows.values()]
 
 
@@ -242,22 +245,11 @@ _LINE_ENUM_CAP = 200_000
 def _gf_lines(field: PrimeField, basis):
     """One representative per 1-dimensional subspace of the span of the
     given independent vectors (first nonzero coefficient normalized)."""
-    p = field.p
-    k = len(basis)
-    # coefficient tuples with first nonzero entry equal to 1
+    combine, k = Matrix.from_columns(field, basis), len(basis)
+    # coefficients (0, ..., 0, 1, c_1, c_2, ...), c_1 running fastest
     for lead in range(k):
-        tail = k - lead - 1
-        for idx in range(p**tail):
-            coeffs = [field.zero] * lead + [field.one]
-            rest = idx
-            for _ in range(tail):
-                coeffs.append(field.scalar(rest % p))
-                rest //= p
-            v = [field.zero] * len(basis[0])
-            for c, bvec in zip(coeffs, basis):
-                if c:
-                    v = [x + c * y for x, y in zip(v, bvec)]
-            yield tuple(v)
+        for tail in product(range(field.p), repeat=k - lead - 1):
+            yield combine.apply((0,) * lead + (1,) + tail[::-1])
 
 
 def _blocks(m: Matrix, k: int) -> Matrix:

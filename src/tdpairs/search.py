@@ -32,9 +32,9 @@ from .errors import (
     ParseError,
     TdpError,
 )
-from .eigen import eigen_decompose, residue_product, residue_roots, splits_mod_p
+from .eigen import eigen_decompose, residue_roots, splits_mod_p
 from .fields import PrimeField
-from .linalg import Matrix, char_poly_coeffs
+from .linalg import Matrix, char_poly_coeffs, residue_product
 from .pairs import ShapeVector, path_orderings, validate_pair
 
 _MODES = ("exhaustive", "randomized")

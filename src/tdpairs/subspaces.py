@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .fields import Field
+from .fields import Field, PrimeField
 from .linalg import Matrix, Vector, kernel_vectors, rref_rows, vec_is_zero
 
 
@@ -27,8 +27,8 @@ class Subspace:
     @classmethod
     def span(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
         rows = []
-        for v in vectors:
-            v = [field.scalar(x) for x in v]
+        for v in vectors:  # rref_rows coerces GF(p) entries itself
+            v = list(v) if isinstance(field, PrimeField) else [field.scalar(x) for x in v]
             if len(v) != ambient_dim:
                 raise DimensionMismatch(
                     f"vector of length {len(v)} in ambient dimension {ambient_dim}"
@@ -137,14 +137,8 @@ def subspace_intersect(x: Subspace, y: Subspace) -> Subspace:
     # columns: coefficients on x's basis, then on y's basis
     cols = [list(v) for v in x.basis] + [[-c for c in v] for v in y.basis]
     stacked = Matrix(x.field, cols).transpose()
-    vectors = []
-    for k in kernel_vectors(stacked):
-        coeffs = k[: x.dim]
-        v = [x.field.zero] * x.ambient_dim
-        for c, bvec in zip(coeffs, x.basis):
-            if c:
-                v = [a + c * b for a, b in zip(v, bvec)]
-        vectors.append(v)
+    combine = Matrix.from_columns(x.field, x.basis)
+    vectors = [combine.apply(k[: x.dim]) for k in kernel_vectors(stacked)]
     return Subspace.span(x.field, x.ambient_dim, vectors)
 
 

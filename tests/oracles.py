@@ -27,6 +27,37 @@ def int_mat_apply(p, rows, v):
     return tuple(sum(rows[i][j] * v[j] for j in range(len(v))) % p for i in range(n))
 
 
+def int_matmul(p, x, y):
+    """x @ y for int matrices (lists of rows) mod p, by the triple loop."""
+    cols = len(y[0]) if y else 0
+    return [
+        [sum(x[i][k] * y[k][j] for k in range(len(y))) % p for j in range(cols)]
+        for i in range(len(x))
+    ]
+
+
+def int_rref(p, rows):
+    """Reduced row echelon form of int rows mod p by plain Gauss-Jordan
+    elimination, inverses by Fermat: (rows, rank, pivot columns)."""
+    rows = [[x % p for x in row] for row in rows]
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not found:
+            continue
+        rows[r], rows[found[0]] = rows[found[0]], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows, len(pivots), tuple(pivots)
+
+
 def int_span(p, vectors, n):
     """The set of all GF(p)-linear combinations, as int tuples."""
     span = {(0,) * n}

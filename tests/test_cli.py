@@ -12,7 +12,9 @@ from types import SimpleNamespace
 
 import pytest
 
-from tdpairs import GF, QQ, LeonardParameterSet, Matrix, SearchSpec
+import tdpairs.cli
+import tdpairs.pairs
+from tdpairs import GF, QQ, InvariantViolation, LeonardParameterSet, Matrix, SearchSpec
 from tdpairs.cli import cmd_search, main
 from tdpairs.serio import candidate_to_json, canonical_dumps, params_to_json
 
@@ -105,6 +107,20 @@ def test_verify_inconclusive_exit_2(tmp_path, capsys):
     (rep,) = reports_of(out)
     assert rep["payload"]["failure"]["kind"] == "InconclusiveIrreducibility"
     assert rep["payload"]["failure"]["diagnostic"]
+
+
+def test_verify_internal_error_exits_4(tmp_path, capsys, monkeypatch):
+    # a bug inside the engine is reported as one, never as an invalid pair
+    def broken(*args, **kwargs):
+        raise InvariantViolation("planted bug")
+
+    monkeypatch.setattr(tdpairs.pairs, "irreducible", broken)
+    rc, out, _ = run(capsys, ["verify", d2_candidate(tmp_path)])
+    assert rc == 4
+    (rep,) = reports_of(out)
+    assert rep["exitCode"] == 4
+    assert rep["payload"]["valid"] is False
+    assert rep["payload"]["failure"]["kind"] == "InvariantViolation"
 
 
 def test_verify_reads_stdin(tmp_path, capsys, monkeypatch):
@@ -563,3 +579,32 @@ def test_usage_errors_and_help(capsys):
     capsys.readouterr()
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; no call may leave state in it
+    cand = d2_candidate(tmp_path)
+    pfile = write_params(tmp_path, "params.json", d2_params())
+    calls = [
+        ["switch", cand, "--sequences", pfile],
+        ["switch", cand],
+        ["verify", cand],
+        ["search", "--field", "gf3", "--dim", "3", "--shape", "1,2", "--budget", "5"],
+        ["generate", "--random", "gf7", "2", "1"],
+        ["--help"],
+        ["verify", cand],
+        ["generate", "--random", "gf7", "2"],
+        ["switch", cand],
+    ]
+
+    def outcomes():
+        return [run(capsys, argv)[:2] for argv in calls]
+
+    reused = outcomes()
+    assert tdpairs.cli._parser() is tdpairs.cli._parser()
+    monkeypatch.setattr(tdpairs.cli, "_parser", tdpairs.cli.build_parser)
+    fresh = outcomes()
+    assert reused == fresh
+    assert [rc for rc, _ in reused] == [0, 0, 0, 3, 0, 0, 0, 3, 0]
+    assert "crossCheck" in reports_of(reused[0][1])[0]["payload"]
+    assert "crossCheck" not in reports_of(reused[1][1])[0]["payload"]

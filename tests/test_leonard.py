@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import tdpairs.leonard
 from tdpairs import (
     GF,
     QQ,
@@ -16,6 +17,7 @@ from tdpairs import (
     GeneratedPairInvalid,
     HypothesisNotMet,
     InvalidLeonardParameters,
+    InvariantViolation,
     LeonardCertificate,
     LeonardParameterSet,
     Matrix,
@@ -362,6 +364,33 @@ def test_random_leonard_diameter_zero():
     params, pair = random_leonard(QQ, 0, seed=4)
     assert pair.diameter == 0
     assert params.varphi == () and params.phi == ()
+
+
+def test_each_pair_object_is_detected_once(monkeypatch):
+    _, pair = random_leonard(GF(13), 4, seed=3)
+    cert = detect_leonard(pair)
+    monkeypatch.setattr(tdpairs.leonard, "tau_basis", None)  # any new detection fails
+    assert detect_leonard(pair) is cert
+    assert switching_via_solve(pair) is cert.x
+    monkeypatch.undo()
+    # a reoriented pair is another object with its own certificate
+    flipped = pair.with_reversed_a()
+    assert detect_leonard(flipped) is not cert
+    assert detect_leonard(flipped).alpha != cert.alpha
+
+
+def test_random_leonard_raises_an_internal_error_instead_of_retrying(monkeypatch):
+    # a bug during validation is not a rejected parameter set
+    calls = []
+
+    def broken(*args, **kwargs):
+        calls.append(args)
+        raise InvariantViolation("planted bug")
+
+    monkeypatch.setattr(tdpairs.leonard, "validate_pair", broken)
+    with pytest.raises(InvariantViolation, match="planted bug"):
+        random_leonard(GF(7), 2, seed=1)
+    assert len(calls) == 1
 
 
 def test_random_leonard_impossible_requests():

@@ -8,9 +8,12 @@ from fractions import Fraction
 import pytest
 
 from tdpairs import GF, QQ, DimensionMismatch, FieldMismatch, Matrix, Polynomial, min_poly, poly_eval_matrix
-from tdpairs.linalg import kernel_vectors, rank, rref, solve, vec_is_zero
+from tdpairs.fields import GFElement
+from tdpairs.linalg import kernel_vectors, rank, rref, rref_rows, solve, vec_is_zero
+from tdpairs.pairs import _SpanAccumulator
+from tdpairs.subspaces import Subspace
 
-from oracles import ref_rank_q
+from oracles import int_mat_apply, int_matmul, int_rref, ref_rank_q
 
 
 def qm(rows):
@@ -152,3 +155,113 @@ def test_poly_eval_matrix_on_known_polynomial():
     p = Polynomial(QQ, [QQ.scalar(2), QQ.scalar(-3), QQ.one])  # 2 - 3x + x^2
     expected = qm([[0, -1], [0, 0]])
     assert poly_eval_matrix(p, a) == expected
+
+
+# ---- GF(p) kernels on int residues against the plain int oracle ---------------
+
+
+def _ints(rows):
+    return [[x.v for x in row] for row in rows]
+
+
+def _random_int_rows(rng, p, nrows, ncols):
+    """Random residues, with some rows combinations of earlier ones so the
+    rank drops below min(nrows, ncols)."""
+    rows = []
+    for _ in range(nrows):
+        if len(rows) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(rows, 2)
+            c = rng.randrange(p)
+            rows.append([(x + c * y) % p for x, y in zip(a, b)])
+        else:
+            rows.append([rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(ncols)])
+    return rows
+
+
+def _check_residue_kernels(field, entry, rows, other, v):
+    """rref_rows, kernel_vectors, apply, @, transpose and _SpanAccumulator
+    of the int rows (entries built by entry()) against the int oracle."""
+    p = field.p
+    m = Matrix(field, [[entry(x) for x in row] for row in rows])
+    ref, rank_, pivots = int_rref(p, rows)
+    out, r, piv = rref_rows(field, [[entry(x) for x in row] for row in rows])
+    assert (_ints(out), r, piv) == (ref, rank_, pivots)
+    assert all(type(x) is GFElement for row in out for x in row)
+    kernel = kernel_vectors(m)
+    assert len(kernel) == m.ncols - rank_
+    for k in kernel:
+        assert int_mat_apply(p, rows, [x.v for x in k]) == (0,) * len(rows)
+    assert [x.v for x in m.apply([entry(x) for x in v])] == list(int_mat_apply(p, rows, v))
+    product = m @ Matrix(field, [[entry(x) for x in row] for row in other])
+    assert _ints(product.rows) == int_matmul(p, rows, other)
+    assert product == Matrix(field, int_matmul(p, rows, other))
+    assert _ints(m.transpose().rows) == [list(col) for col in zip(*rows)]
+    acc = _SpanAccumulator(field)
+    grew = [acc.add([entry(x) for x in row]) for row in rows]
+    assert grew == [int_rref(p, rows[: i + 1])[1] > int_rref(p, rows[:i])[1] for i in range(len(rows))]
+    assert acc.dim == rank_
+    spanned = [[x.v for x in vec] for vec in acc.vectors()]
+    assert int_rref(p, spanned or [[0] * len(rows[0])])[0][:rank_] == ref[:rank_]
+
+
+@pytest.mark.parametrize("p", (2, 3, 101, 65521))
+def test_residue_kernels_match_the_int_oracle(p):
+    field = GF(p)
+    # GF(65521) has no element table, so its results take the GFElement path
+    assert (field._cache is None) == (p > 1024)
+    rng = random.Random(p)
+    for _ in range(25):
+        nrows, ncols, k = rng.randint(1, 6), rng.randint(1, 6), rng.randint(1, 4)
+        rows = _random_int_rows(rng, p, nrows, ncols)
+        other = _random_int_rows(rng, p, ncols, k)
+        v = [rng.randrange(p) for _ in range(ncols)]
+        _check_residue_kernels(field, field.scalar, rows, other, v)
+
+
+def test_residue_kernels_take_entries_of_an_equal_field_instance():
+    f1, f2 = GF(7), GF(7)
+    assert f1 is not f2 and f1 == f2
+    rng = random.Random(71)
+    for _ in range(25):
+        n = rng.randint(1, 5)
+        rows = _random_int_rows(rng, 7, n, n)
+        other = _random_int_rows(rng, 7, n, n)
+        v = [rng.randrange(7) for _ in range(n)]
+        _check_residue_kernels(f1, f2.scalar, rows, other, v)
+    m1 = Matrix(f1, [[1, 2], [3, 4]])
+    m2 = Matrix(f2, [[0, 1], [1, 0]])
+    assert _ints((m1 @ m2).rows) == [[2, 1], [4, 3]]
+    assert _ints((m1 + m2 - m1.scale(3)).rows) == [[5, 4], [2, 6]]
+
+
+def test_residue_kernels_still_reject_another_prime():
+    f, g = GF(7), GF(5)
+    m = Matrix(f, [[1, 2], [3, 4]])
+    foreign = [g.scalar(1), g.scalar(2)]
+    with pytest.raises(FieldMismatch):
+        m.apply(foreign)
+    with pytest.raises(FieldMismatch):
+        m @ Matrix(g, [[1, 0], [0, 1]])
+    with pytest.raises(FieldMismatch):
+        rref_rows(f, [foreign])
+    with pytest.raises(FieldMismatch):
+        _SpanAccumulator(f).add(foreign)
+    with pytest.raises(FieldMismatch):
+        Subspace.span(f, 2, [foreign])
+    with pytest.raises(FieldMismatch):
+        Matrix(f, [foreign])
+
+
+def test_outside_construction_still_coerces_every_entry():
+    f = GF(7)
+    m = Matrix(f, [[8, "3"], [f.scalar(2), -1]])
+    assert all(type(x) is GFElement for row in m.rows for x in row)
+    assert _ints(m.rows) == [[1, 3], [2, 6]]
+    with pytest.raises(TypeError):
+        Matrix(f, [[Fraction(1, 2)]])
+    with pytest.raises(TypeError):
+        m.apply([Fraction(1, 2), 0])
+    # arithmetic results hold the same scalars a coercing construction gives
+    for result in (m + m, m - m.transpose(), -m, m.scale(3), m @ m, m.transpose()):
+        assert result == Matrix(f, result.rows)
+        assert all(type(x) is GFElement for row in result.rows for x in row)
