@@ -189,6 +189,18 @@ class EigenDecomposition:
         return self.reordered(range(self.diameter, -1, -1))
 
 
+def eigenspaces(m: Matrix) -> tuple[tuple, tuple, int]:
+    """(thetas, spaces, nroots): the distinct eigenvalues of a square m
+    in its field, ascending, the eigenspace ker(m - theta I) of each, and
+    the number of roots of char_poly(m) in the field with multiplicity.
+    m is diagonalizable exactly when the spaces' dimensions sum to its
+    size; each is at most its root's multiplicity."""
+    roots = field_roots(char_poly(m), m.field)
+    eye = Matrix.identity(m.field, m.nrows)
+    thetas = tuple(sorted(set(roots)))
+    return thetas, tuple(kernel(m - eye.scale(theta)) for theta in thetas), len(roots)
+
+
 def eigen_decompose(m: Matrix) -> EigenDecomposition:
     """Decompose a square matrix into eigenspaces over its own field.
 
@@ -203,15 +215,12 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
         raise DimensionMismatch("eigen-decomposition of a non-square matrix")
     if m.nrows == 0:
         raise DimensionMismatch("eigen-decomposition of an empty matrix")
-    roots = field_roots(char_poly(m), m.field)
-    eye = Matrix.identity(m.field, m.nrows)
-    eigenvalues = tuple(sorted(set(roots)))
-    spaces = tuple(kernel(m - eye.scale(theta)) for theta in eigenvalues)
-    if any(sp.dim < roots.count(theta) for theta, sp in zip(eigenvalues, spaces)):
+    eigenvalues, spaces, nroots = eigenspaces(m)
+    if sum(sp.dim for sp in spaces) < nroots:
         raise NotDiagonalizableOverField(
             "minimal polynomial has a repeated root"
         )
-    if len(roots) != m.nrows:
+    if nroots != m.nrows:
         raise NotDiagonalizableOverField(
             "minimal polynomial has an irreducible factor of degree > 1 "
             f"(found {len(eigenvalues)} roots for degree {min_poly(m).degree})"

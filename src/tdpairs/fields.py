@@ -8,7 +8,7 @@ them off with scalar()'s coercion and field check, and `_element` maps a
 residue back to its element (from the field's table when p <= 1024).
 
 Fields compare by value, so two `PrimeField(7)` instances are
-interchangeable.
+interchangeable; `field_from_spec` hands out one shared instance per p.
 """
 
 from __future__ import annotations
@@ -270,6 +270,19 @@ def GF(p: int) -> PrimeField:
     return PrimeField(p)
 
 
+_PRIME_FIELDS: dict = {}
+
+
+def _prime_field(p) -> PrimeField:
+    """The one PrimeField per p that field_from_spec hands out.  A miss
+    builds PrimeField(p), which checks p, so the cache holds at most one
+    field per prime up to MAX_PRIME."""
+    field = _PRIME_FIELDS.get(p) if type(p) is int else None
+    if field is None:
+        field = _PRIME_FIELDS[p] = PrimeField(p)
+    return field
+
+
 def field_from_spec(spec) -> Field:
     """Build a field from its JSON form {"kind": "Q"} / {"kind": "GFp", "p": n},
     or from a short name like "Q" / "gf7"."""
@@ -280,7 +293,7 @@ def field_from_spec(spec) -> Field:
         if name.startswith("gf"):
             body = name[2:].lstrip("(").rstrip(")")
             try:
-                return PrimeField(int(body))
+                return _prime_field(int(body))
             except ValueError:
                 raise ParseError(f"bad field name {spec!r}") from None
         raise ParseError(f"bad field name {spec!r}")
@@ -291,7 +304,7 @@ def field_from_spec(spec) -> Field:
         if kind == "GFp":
             if "p" not in spec:
                 raise ParseError('field {"kind": "GFp"} needs "p"')
-            return PrimeField(spec["p"])
+            return _prime_field(spec["p"])
         raise ParseError(f"unknown field kind {kind!r}")
     raise ParseError(f"bad field spec {spec!r}")
 

@@ -29,8 +29,8 @@ from .errors import (
     ZeroVarphi,
 )
 from .eigen import EigenDecomposition, primitive_idempotents
-from .fields import Field, PrimeField, Rationals
-from .linalg import Matrix, solve, vec_is_zero, vec_scale, vec_sub
+from .fields import Field, PrimeField
+from .linalg import Echelon, Matrix, kernel_vectors, solve, vec_is_zero, vec_scale, vec_sub
 from .pairs import TriDiagonalPair, validate_pair
 from .split import tau_basis
 from .subspaces import image_of, subspace_leq, subspace_sum
@@ -125,30 +125,16 @@ class LeonardParameterSet:
 # ---- detection ---------------------------------------------------------------
 
 
-def _membership_rows(field, images, target):
+def _membership_rows(images, target):
     """Linear conditions on alpha expressing sum_i alpha_i images[i][j]
-    in target, for every j.  target membership is encoded through the
-    complement equations of its echelon basis: a vector lies in the span
-    iff reducing by the basis leaves zero at every non-pivot column."""
-    basis = target.basis
-    pivots = []
-    for row in basis:
-        pivots.append(next(k for k, x in enumerate(row) if x))
-    pivot_set = set(pivots)
-    n = target.ambient_dim
+    in target, for every j.  Membership is linear: the combination lies
+    in target iff the same combination of the images' residuals against
+    target's RREF basis vanishes, so each column of those residuals
+    that is not all zero gives one condition."""
     rows = []
     for image_seq in images:
-        for c in range(n):
-            if c in pivot_set:
-                continue
-            row = []
-            for w in image_seq:
-                value = w[c]
-                for k, pcol in enumerate(pivots):
-                    value = value - w[pcol] * basis[k][c]
-                row.append(value)
-            if any(row):
-                rows.append(row)
+        residuals = [target.residual(w) for w in image_seq]
+        rows.extend(row for row in zip(*residuals) if any(row))
     return rows
 
 
@@ -172,10 +158,8 @@ def _detect(pair: TriDiagonalPair):
     vstar0 = pair.vstar(0)
     vstard = pair.vstar(d)
     images = [[m.apply(u) for m in taus] for u in vstar0.basis]
-    rows = _membership_rows(field, images, vstard)
+    rows = _membership_rows(images, vstard)
     if rows:
-        from .linalg import kernel_vectors
-
         solutions = kernel_vectors(Matrix(field, rows))
     else:
         eye = Matrix.identity(field, d + 1)
@@ -229,12 +213,8 @@ def leonard_basis(pair: TriDiagonalPair, cert: LeonardCertificate, u) -> tuple:
     for i in range(1, d + 1):
         shifted = pair.a - eye.scale(pair.theta(i - 1))
         vectors.append(shifted.apply(vectors[-1]))
-    from .pairs import _SpanAccumulator
-
-    acc = _SpanAccumulator(field)
-    for v in vectors:
-        if not acc.add(v):
-            raise InvariantViolation("tau images of u do not form a basis")
+    if Echelon(field, vectors).dim < len(vectors):
+        raise InvariantViolation("tau images of u do not form a basis")
     if len(vectors) != pair.dim:
         raise InvariantViolation("basis has wrong size; pair is not Leonard")
     return tuple(vectors)

@@ -3,19 +3,23 @@
 Matrices are immutable tuples of row tuples over a single field.
 Matrix(field, rows) coerces and field-checks every entry; same-field
 arithmetic builds its results with Matrix._trusted, which does not.
-Over GF(p), rref_rows, @, apply and char_poly run on int residues and
-map back to elements once per output entry (Dumas, Giorgi and Pernet,
-ACM TOMS 35(3), 2008); over Q, on Fractions.  Ambient sizes are desk
-scale (dimension a few dozen), so clarity wins over asymptotics.
+Every reduction to row echelon form runs in one engine, Echelon: an
+incremental canonical RREF, kept as int residues over GF(p) and as
+Fractions over Q.  rref_rows, kernel_vectors, solve, min_poly and the
+subspaces module are built on it.  Over GF(p), @, apply and char_poly also run on int
+residues and map back to elements once per output entry (Dumas, Giorgi
+and Pernet, ACM TOMS 35(3), 2008).  Ambient sizes are desk scale
+(dimension a few dozen), so clarity wins over asymptotics.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import mul, truediv
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .fields import Field, PrimeField, Scalar, same_field
+from .fields import Field, PrimeField, Scalar
 from .polynomials import Polynomial
 
 Vector = tuple
@@ -199,59 +203,112 @@ class RrefResult(NamedTuple):
     pivots: tuple
 
 
+class Echelon:
+    """The canonical RREF of a growing span, kept as int residues over
+    GF(p) and as Fractions over Q: every row has a 1 at its pivot and 0
+    at every other pivot, so a vector v reduces in one pass to
+    v - sum_c v[c] row_c, and its coordinates in the basis are its
+    entries at the pivots.
+    """
+
+    __slots__ = ("field", "p", "rows")
+
+    def __init__(self, field: Field, vectors: Iterable[Sequence] = ()):
+        self.field = field
+        self.p = field.p if isinstance(field, PrimeField) else None
+        self.rows = {}  # pivot column -> reduced row
+        for v in vectors:
+            self.add(v)
+
+    def scalars(self, v: Iterable) -> list:
+        """v in the engine's form, each entry coerced and checked as by
+        the field's scalar()."""
+        if self.p is None:
+            return [self.field.scalar(x) for x in v]
+        return self.field._residues(v)
+
+    def elements(self, u: Sequence) -> Vector:
+        """A vector in the engine's form as field elements."""
+        return tuple(u) if self.p is None else tuple(map(self.field._element, u))
+
+    def _minus(self, u: Sequence, f, row: Sequence) -> list:
+        """u - f * row, reduced mod p over GF(p)."""
+        if self.p is None:
+            return [a - f * b if b else a for a, b in zip(u, row)]
+        p = self.p
+        return [(a - f * b) % p if b else a for a, b in zip(u, row)]
+
+    def reduce(self, u: Sequence) -> list:
+        """u minus its part on the basis, for u in the engine's form; it
+        is zero at every pivot, and zero exactly when u is in the span."""
+        for c, row in self.rows.items():
+            if u[c]:  # subtracting other rows leaves column c alone
+                u = self._minus(u, u[c], row)
+        return u
+
+    def insert(self, u: Sequence) -> bool:
+        """Add u, in the engine's form, to the span; True when it grew."""
+        u = self.reduce(u)
+        c = next((i for i, x in enumerate(u) if x), None)
+        if c is None:
+            return False
+        if self.p is None:
+            inv = 1 / u[c]
+            u = [inv * e if e else e for e in u]
+        else:
+            inv = pow(u[c], -1, self.p)
+            u = [inv * e % self.p for e in u]
+        for pivot, row in self.rows.items():
+            if row[c]:
+                self.rows[pivot] = self._minus(row, row[c], u)
+        self.rows[c] = u
+        return True
+
+    def add(self, v: Iterable) -> bool:
+        return self.insert(self.scalars(v))
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    @property
+    def pivots(self) -> tuple:
+        return tuple(sorted(self.rows))
+
+    def basis(self) -> tuple:
+        """The canonical RREF rows as field elements, in pivot order."""
+        return tuple(self.elements(self.rows[c]) for c in self.pivots)
+
+    def nullspace(self, ncols: int) -> list:
+        """The standard back-substitution basis, in the engine's form, of
+        {x : row . x = 0 for every row}: one vector per free column, with
+        a 1 there and -row[free] at each row's pivot."""
+        p, rows = self.p, self.rows
+        zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+        out = []
+        for free in range(ncols):
+            if free not in rows:
+                u = [zero] * ncols
+                u[free] = one
+                for c, row in rows.items():
+                    u[c] = -row[free] % p if p else -row[free]
+                out.append(u)
+        return out
+
+
 def rref_rows(field: Field, rows: list) -> tuple[list, int, tuple]:
     """Reduced row echelon form of mutable row lists, in place.
 
     Returns (rows, rank, pivot-columns).  The first `rank` rows carry the
     pivots; the rest are zero.  The result is the unique RREF, so equal
-    row spaces give equal outputs.  Over GF(p) the entries may be
-    anything scalar() takes; elimination runs on their residues.
+    row spaces give equal outputs.  The entries may be anything the
+    field's scalar() takes.
     """
-    gf = isinstance(field, PrimeField)
-    if gf:
-        rows[:] = map(field._residues, rows)
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        if rows[r][c] != 1:
-            rows[r] = _normalized(field, rows[r], c)
-        for i in range(nrows):
-            if i != r and rows[i][c]:
-                rows[i] = _row_minus(field, rows[i], rows[i][c], rows[r])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    if gf:
-        rows[:] = [list(map(field._element, row)) for row in rows]
-    return rows, r, tuple(pivots)
-
-
-def _normalized(field: Field, row: Sequence, c: int) -> list:
-    """row / row[c], for Fractions or for int residues mod p."""
-    if isinstance(field, PrimeField):
-        inv, p = pow(row[c], -1, field.p), field.p
-        return [inv * e % p for e in row]
-    inv = field.one / row[c]
-    return [inv * e if e else e for e in row]
-
-
-def _row_minus(field: Field, row: Sequence, f, pivot_row: Sequence) -> list:
-    """row - f * pivot_row, for Fractions or for int residues mod p."""
-    if isinstance(field, PrimeField):
-        p = field.p
-        return [(a - f * b) % p if b else a for a, b in zip(row, pivot_row)]
-    return [a - f * b if b else a for a, b in zip(row, pivot_row)]
+    eng = Echelon(field, rows)
+    ncols = len(rows[0]) if rows else 0
+    zero = [field.zero] * ncols
+    rows[:] = [list(b) for b in eng.basis()] + [list(zero) for _ in range(len(rows) - eng.dim)]
+    return rows, eng.dim, eng.pivots
 
 
 def rref(m: Matrix) -> RrefResult:
@@ -269,19 +326,8 @@ def kernel_vectors(m: Matrix) -> tuple:
     One basis vector per free column, with a 1 in that coordinate; this
     is the standard RREF back-substitution basis (not itself reduced).
     """
-    field = m.field
-    rows, r, pivots = rref_rows(field, [list(row) for row in m.rows])
-    pivot_set = set(pivots)
-    free = [c for c in range(m.ncols) if c not in pivot_set]
-    z, o = field.zero, field.one
-    basis = []
-    for fcol in free:
-        v = [z] * m.ncols
-        v[fcol] = o
-        for i, pcol in enumerate(pivots):
-            v[pcol] = -rows[i][fcol]
-        basis.append(tuple(v))
-    return tuple(basis)
+    eng = Echelon(m.field, m.rows)
+    return tuple(map(eng.elements, eng.nullspace(m.ncols)))
 
 
 def solve(m: Matrix, b: Sequence) -> Vector | None:
@@ -353,44 +399,23 @@ def min_poly(m: Matrix) -> Polynomial:
     """Monic minimal polynomial, found as the first linear dependency
     among the flattened powers I, m, m^2, ...
 
-    Maintains an echelon basis of the flattened powers together with the
-    combination that produced each basis row, so the dependency
-    coefficients fall out of the final reduction.
+    Each power P_k is reduced with the coordinate vector e_k appended;
+    when the P-part of the residual vanishes, its e-part holds the
+    coefficients of sum_i c_i m^i = 0, with c_k = 1.
     """
     if not m.is_square():
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
     field = m.field
     n = m.nrows
-    if n == 0:
-        return Polynomial.one(field)
-    echelon: list[tuple[int, list, list]] = []  # (pivot index, row, combo)
+    eng = Echelon(field)
     power = Matrix.identity(field, n)
-    k = 0
-    while True:
-        vec = list(power.flatten())
-        combo = [field.zero] * (k + 1)
-        combo[k] = field.one
-        for pivot, row, rcombo in echelon:
-            c = vec[pivot]
-            if c:
-                vec = [a - c * b for a, b in zip(vec, row)]
-                combo = [
-                    a - c * (rcombo[i] if i < len(rcombo) else field.zero)
-                    for i, a in enumerate(combo)
-                ]
-        pivot = next((i for i, x in enumerate(vec) if x), None)
-        if pivot is None:
-            # zero residual means sum_i combo_i M^i = 0 with combo_k = 1
-            return Polynomial(field, combo[:k] + [field.one])
-        inv = field.one / vec[pivot]
-        vec = [inv * x for x in vec]
-        combo = [inv * x for x in combo]
-        echelon.append((pivot, vec, combo))
-        echelon.sort(key=lambda t: t[0])
+    for k in range(n + 1):
+        u = eng.reduce(eng.scalars(power.flatten() + (0,) * k + (1,) + (0,) * (n - k)))
+        if not any(u[: n * n]):
+            return Polynomial(field, eng.elements(u[n * n : n * n + k + 1]))
+        eng.insert(u)
         power = power @ m
-        k += 1
-        if k > n:
-            raise AssertionError("minimal polynomial exceeded ambient dimension")
+    raise AssertionError("minimal polynomial exceeded ambient dimension")
 
 
 def char_poly(m: Matrix) -> Polynomial:

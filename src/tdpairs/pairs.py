@@ -32,9 +32,8 @@ from .errors import (
     NotDiagonalizableOverField,
     NotIrreducible,
 )
-from .fields import PrimeField
-from .eigen import EigenDecomposition, eigen_decompose, eigencoordinate_change, field_roots
-from .linalg import Matrix, _normalized, _row_minus, char_poly, shifted_products, vec_is_zero
+from .eigen import EigenDecomposition, eigen_decompose, eigencoordinate_change, eigenspaces
+from .linalg import Echelon, Matrix, shifted_products, vec_is_zero
 from .subspaces import (
     Subspace,
     annihilator,
@@ -135,46 +134,13 @@ def _checked_reducible(a: Matrix, astar: Matrix, w: Subspace, how: str) -> Irred
     return IrreducibilityReport.reducible(w, how)
 
 
-# ---- span accumulation and spin-up ----------------------------------------
-
-
-class _SpanAccumulator:
-    """Incremental echelon basis of a growing set of vectors, kept as int
-    residues over GF(p)."""
-
-    def __init__(self, field):
-        self.field = field
-        self.rows = {}  # pivot index -> normalized row (list)
-
-    def add(self, vec) -> bool:
-        """Reduce vec against the basis; insert the residual if nonzero.
-        Returns True when the vector enlarged the span."""
-        field = self.field
-        v = field._residues(vec) if isinstance(field, PrimeField) else list(vec)
-        while True:
-            pivot = next((i for i, x in enumerate(v) if x), None)
-            if pivot is None:
-                return False
-            row = self.rows.get(pivot)
-            if row is None:
-                self.rows[pivot] = _normalized(field, v, pivot)
-                return True
-            v = _row_minus(field, v, v[pivot], row)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def vectors(self) -> list:
-        if isinstance(self.field, PrimeField):
-            return [tuple(map(self.field._element, r)) for r in self.rows.values()]
-        return [tuple(r) for r in self.rows.values()]
+# ---- spin-up ----------------------------------------------------------------
 
 
 def _spin(field, n: int, seeds, operators) -> Subspace:
     """Smallest subspace containing the seeds and invariant under the
     operators, grown by a worklist of images."""
-    acc = _SpanAccumulator(field)
+    acc = Echelon(field)
     queue = []
     for s in seeds:
         if acc.add(s):
@@ -189,7 +155,7 @@ def _spin(field, n: int, seeds, operators) -> Subspace:
                 queue.append(w)
         if acc.dim == n:
             break
-    return Subspace.span(field, n, acc.vectors())
+    return Subspace.of_echelon(acc, n)
 
 
 # ---- support-graph orderings ----------------------------------------------
@@ -242,7 +208,7 @@ def path_orderings(count: int, edges) -> list[tuple[int, ...]]:
 _LINE_ENUM_CAP = 200_000
 
 
-def _gf_lines(field: PrimeField, basis):
+def _gf_lines(field, basis):
     """One representative per 1-dimensional subspace of the span of the
     given independent vectors (first nonzero coefficient normalized)."""
     combine, k = Matrix.from_columns(field, basis), len(basis)
@@ -276,7 +242,7 @@ def _condensed(a: Matrix, astar: Matrix, kbasis, coords: Matrix) -> list[Matrix]
     n, k = a.nrows, len(kbasis)
     seed = tuple(x for v in kbasis for x in v)
     spun = _spin(field, n * k, [seed], (_blocks(a, k), _blocks(astar, k)))
-    acc = _SpanAccumulator(field)
+    acc = Echelon(field)
     basis = []
     for y in spun.basis:
         b = Matrix.from_columns(field, [coords.apply(y[j : j + n]) for j in range(0, n * k, n)])
@@ -299,14 +265,9 @@ def _common_eigenline(field, mats: list[Matrix]):
     """A vector whose line every matrix maps into itself, or None.  The
     eigenspaces of the first matrix, in ascending eigenvalue order, are
     cut by those of each next one; the first nonzero cut is the line."""
-    k = mats[0].nrows
-    eye = Matrix.identity(field, k)
-    cuts = [Subspace.full(field, k)]
+    cuts = [Subspace.full(field, mats[0].nrows)]
     for b in mats:
-        spaces = [
-            kernel(b - eye.scale(theta))
-            for theta in sorted(set(field_roots(char_poly(b), field)))
-        ]
+        spaces = eigenspaces(b)[1]
         cuts = [subspace_intersect(c, s) for c in cuts for s in spaces]
         cuts = [c for c in cuts if not c.is_zero()]
         if not cuts:
@@ -336,7 +297,7 @@ def _submodule(field, b_basis: list[Matrix]):
         return annihilator(field, k, [line]).basis[0]
     if k <= 3 or len(b_basis) == k * k:
         return "simple"
-    if not isinstance(field, PrimeField) or (field.p**k - 1) // (field.p - 1) > _LINE_ENUM_CAP:
+    if field.kind != "GFp" or (field.p**k - 1) // (field.p - 1) > _LINE_ENUM_CAP:
         return "unknown"
     for v in _gf_lines(field, Matrix.identity(field, k).rows):
         if _spin(field, k, [v], b_basis).dim < k:
@@ -392,14 +353,12 @@ def _norton(a: Matrix, astar: Matrix, t: Matrix, kbasis, submodule) -> Irreducib
 def _eigenspaces(m: Matrix, eig: EigenDecomposition | None) -> tuple[list, EigenDecomposition | None]:
     """(theta, eigenspace) for every eigenvalue of m in its field, and
     m's decomposition when m is diagonalizable.  Taken from eig when the
-    caller has it, else from the roots of char_poly."""
+    caller has it, else from eigen.eigenspaces."""
     if eig is not None:
         return list(zip(eig.eigenvalues, eig.eigenspaces)), eig
-    eye = Matrix.identity(m.field, m.nrows)
-    thetas = sorted(set(field_roots(char_poly(m), m.field)))
-    spaces = [kernel(m - eye.scale(theta)) for theta in thetas]
+    thetas, spaces, _ = eigenspaces(m)
     if sum(space.dim for space in spaces) == m.nrows:
-        eig = EigenDecomposition(m, tuple(thetas), tuple(spaces))
+        eig = EigenDecomposition(m, thetas, spaces)
     return list(zip(thetas, spaces)), eig
 
 

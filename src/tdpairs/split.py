@@ -17,8 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .errors import HypothesisNotMet, InvariantViolation, TauImageVanished
-from .linalg import Matrix, shifted_products, vec_is_zero
-from .pairs import TriDiagonalPair, _SpanAccumulator
+from .linalg import Echelon, Matrix, shifted_products, vec_is_zero
+from .pairs import TriDiagonalPair
 from .polynomials import Polynomial
 from .subspaces import (
     Subspace,
@@ -166,10 +166,8 @@ def tau_basis(pair: TriDiagonalPair) -> TauBasis:
     thetas = pair.eig_a.eigenvalues[: pair.diameter]
     taus = tuple(Polynomial.from_roots(field, thetas[:i]) for i in range(len(thetas) + 1))
     mats = tuple(shifted_products(pair.a, thetas))
-    acc = _SpanAccumulator(field)
-    for m in mats:
-        if not acc.add(m.flatten()):
-            raise InvariantViolation("tau matrices are linearly dependent")
+    if Echelon(field, [m.flatten() for m in mats]).dim < len(mats):
+        raise InvariantViolation("tau matrices are linearly dependent")
     return TauBasis(taus=taus, tau_matrices=mats)
 
 
@@ -223,8 +221,6 @@ def tau_images(pair: TriDiagonalPair, u, sd: SplitDecomposition | None = None) -
     for i, w in enumerate(images):
         if not sd.U[i].contains(w):
             raise InvariantViolation(f"tau_{i}(A)u escapes U_{i}")
-    acc = _SpanAccumulator(field)
-    for w in images:
-        if not acc.add(w):
-            raise InvariantViolation("tau images of u are linearly dependent")
+    if Echelon(field, images).dim < len(images):
+        raise InvariantViolation("tau images of u are linearly dependent")
     return tuple(images)

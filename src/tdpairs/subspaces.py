@@ -1,8 +1,10 @@
 """Subspaces of K^n with a canonical RREF basis.
 
 Equal subspaces compare equal because the reduced row echelon basis is
-unique.  Sums, intersections, containment, images, and preimages all
-reduce to eliminations at desk scale.
+unique.  Every operation runs on linalg.Echelon: a span, image or sum
+feeds its vectors to one; membership and coordinates are one residual
+against the subspace's own Echelon; an intersection is one Zassenhaus
+elimination and a kernel one elimination of the back-substitution basis.
 """
 
 from __future__ import annotations
@@ -10,12 +12,12 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .fields import Field, PrimeField
-from .linalg import Matrix, Vector, kernel_vectors, rref_rows, vec_is_zero
+from .fields import Field
+from .linalg import Echelon, Matrix, Vector, rref_rows
 
 
 class Subspace:
-    __slots__ = ("field", "ambient_dim", "basis")
+    __slots__ = ("field", "ambient_dim", "basis", "_echelon")
 
     def __init__(self, field: Field, ambient_dim: int, basis: tuple):
         """Internal constructor; `basis` must already be canonical RREF
@@ -23,21 +25,26 @@ class Subspace:
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis
+        self._echelon = None
+
+    @classmethod
+    def of_echelon(cls, eng: Echelon, ambient_dim: int) -> "Subspace":
+        """The span of an Echelon that its owner no longer changes."""
+        s = cls(eng.field, ambient_dim, eng.basis())
+        s._echelon = eng
+        return s
 
     @classmethod
     def span(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        rows = []
-        for v in vectors:  # rref_rows coerces GF(p) entries itself
-            v = list(v) if isinstance(field, PrimeField) else [field.scalar(x) for x in v]
-            if len(v) != ambient_dim:
+        eng = Echelon(field)
+        for v in vectors:
+            u = eng.scalars(v)
+            if len(u) != ambient_dim:
                 raise DimensionMismatch(
-                    f"vector of length {len(v)} in ambient dimension {ambient_dim}"
+                    f"vector of length {len(u)} in ambient dimension {ambient_dim}"
                 )
-            rows.append(v)
-        if not rows:
-            return cls(field, ambient_dim, ())
-        reduced, rank, _ = rref_rows(field, rows)
-        return cls(field, ambient_dim, tuple(tuple(r) for r in reduced[:rank]))
+            eng.insert(u)
+        return cls.of_echelon(eng, ambient_dim)
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -68,31 +75,35 @@ class Subspace:
                 f"ambient {self.ambient_dim} vs {other.ambient_dim}"
             )
 
-    def contains(self, v: Sequence) -> bool:
-        """Membership test by reduction against the RREF basis."""
-        v = [self.field.scalar(x) for x in v]
-        if len(v) != self.ambient_dim:
+    @property
+    def echelon(self) -> Echelon:
+        """The Echelon of the basis, built once and shared: add nothing
+        to it."""
+        if self._echelon is None:
+            self._echelon = Echelon(self.field, self.basis)
+        return self._echelon
+
+    def _vector(self, v: Sequence) -> list:
+        u = self.echelon.scalars(v)
+        if len(u) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
-        for row in self.basis:
-            pivot = next(i for i, x in enumerate(row) if x)
-            c = v[pivot]
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        return vec_is_zero(v)
+        return u
+
+    def residual(self, v: Sequence) -> list:
+        """v minus its part on the basis, in the Echelon's form (int
+        residues over GF(p)); zero exactly when v lies in the subspace."""
+        return self.echelon.reduce(self._vector(v))
+
+    def contains(self, v: Sequence) -> bool:
+        return not any(self.residual(v))
 
     def coordinates(self, v: Sequence) -> Vector | None:
-        """Coefficients of v in the basis, or None if v lies outside."""
-        v = [self.field.scalar(x) for x in v]
-        coords = []
-        for row in self.basis:
-            pivot = next(i for i, x in enumerate(row) if x)
-            c = v[pivot]
-            coords.append(c)
-            if c:
-                v = [a - c * b for a, b in zip(v, row)]
-        if not vec_is_zero(v):
+        """Coefficients of v in the basis, or None if v lies outside:
+        with an RREF basis, v's entries at the pivot columns."""
+        u = self._vector(v)
+        if any(self.echelon.reduce(u)):
             return None
-        return tuple(coords)
+        return self.echelon.elements([u[c] for c in self.echelon.pivots])
 
     def to_matrix(self) -> Matrix:
         return Matrix(self.field, self.basis or [[]] * 0)
@@ -125,26 +136,25 @@ def subspace_leq(x: Subspace, y: Subspace) -> bool:
 
 
 def subspace_intersect(x: Subspace, y: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked coefficient system.
-
-    Writing a common element as a combination of x's basis and of y's
-    basis gives a homogeneous system; its kernel's x-parts span the
-    intersection.
+    """Intersection by Zassenhaus's algorithm: one RREF of the rows
+    (v, v) for v in x's basis and (w, 0) for w in y's.  Its rows with a
+    pivot in the right half are (0, u), and those u are the canonical
+    RREF basis of the intersection.
     """
     x._check(y)
-    if x.is_zero() or y.is_zero():
-        return Subspace.zero(x.field, x.ambient_dim)
-    # columns: coefficients on x's basis, then on y's basis
-    cols = [list(v) for v in x.basis] + [[-c for c in v] for v in y.basis]
-    stacked = Matrix(x.field, cols).transpose()
-    combine = Matrix.from_columns(x.field, x.basis)
-    vectors = [combine.apply(k[: x.dim]) for k in kernel_vectors(stacked)]
-    return Subspace.span(x.field, x.ambient_dim, vectors)
+    n = x.ambient_dim
+    zero = (x.field.zero,) * n
+    rows, _, pivots = rref_rows(x.field, [v + v for v in x.basis] + [w + zero for w in y.basis])
+    return Subspace(x.field, n, tuple(tuple(row[n:]) for row, c in zip(rows, pivots) if c >= n))
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Right kernel of a matrix as a Subspace."""
-    return Subspace.span(m.field, m.ncols, kernel_vectors(m))
+    """Right kernel of a matrix as a Subspace: the canonical RREF of the
+    back-substitution basis, reduced in the engine's form."""
+    eng = Echelon(m.field)
+    for u in Echelon(m.field, m.rows).nullspace(m.ncols):
+        eng.insert(u)
+    return Subspace.of_echelon(eng, m.ncols)
 
 
 def image_of(m: Matrix, s: Subspace) -> Subspace:

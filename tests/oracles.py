@@ -19,27 +19,35 @@ from fractions import Fraction
 from tdpairs import Matrix
 
 
-# ---- GF(p) linear algebra on int tuples ------------------------------------
+# ---- linear algebra on ints mod p (p None: on Fractions over Q) -------------
+
+
+def _red(p, x):
+    """x mod p, or x itself when p is None (over Q, on Fractions)."""
+    return x if p is None else x % p
 
 
 def int_mat_apply(p, rows, v):
+    """rows @ v mod p (p None: over Q)."""
     n = len(rows)
-    return tuple(sum(rows[i][j] * v[j] for j in range(len(v))) % p for i in range(n))
+    return tuple(_red(p, sum(rows[i][j] * v[j] for j in range(len(v)))) for i in range(n))
 
 
 def int_matmul(p, x, y):
-    """x @ y for int matrices (lists of rows) mod p, by the triple loop."""
+    """x @ y for int matrices (lists of rows) mod p (p None: over Q), by
+    the triple loop."""
     cols = len(y[0]) if y else 0
     return [
-        [sum(x[i][k] * y[k][j] for k in range(len(y))) % p for j in range(cols)]
+        [_red(p, sum(x[i][k] * y[k][j] for k in range(len(y)))) for j in range(cols)]
         for i in range(len(x))
     ]
 
 
 def int_rref(p, rows):
     """Reduced row echelon form of int rows mod p by plain Gauss-Jordan
-    elimination, inverses by Fermat: (rows, rank, pivot columns)."""
-    rows = [[x % p for x in row] for row in rows]
+    elimination, one column at a time, inverses by Fermat; p None: of
+    rational rows over Q.  Returns (rows, rank, pivot columns)."""
+    rows = [[_red(p, x) for x in row] for row in rows]
     ncols = len(rows[0]) if rows else 0
     pivots = []
     for c in range(ncols):
@@ -48,12 +56,12 @@ def int_rref(p, rows):
         if not found:
             continue
         rows[r], rows[found[0]] = rows[found[0]], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
+        inv = Fraction(1) / rows[r][c] if p is None else pow(rows[r][c], p - 2, p)
+        rows[r] = [_red(p, x * inv) for x in rows[r]]
         for i in range(len(rows)):
             if i != r:
                 f = rows[i][c]
-                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+                rows[i] = [_red(p, a - f * b) for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows, len(pivots), tuple(pivots)
 
@@ -69,6 +77,12 @@ def int_span(p, vectors, n):
                 grown.add(tuple((a + b) % p for a, b in zip(w, shift)))
         span = grown
     return span
+
+
+def brute_intersection(p, xs, ys, n):
+    """X meet Y for the spans of two lists of int tuples in GF(p)^n, as
+    the set of vectors both spans contain."""
+    return int_span(p, xs, n) & int_span(p, ys, n)
 
 
 @functools.lru_cache(maxsize=None)

@@ -136,6 +136,19 @@ def test_field_spec_round_trip():
             field_from_spec(bad)
 
 
+def test_field_specs_for_one_prime_share_one_field():
+    f = field_from_spec({"kind": "GFp", "p": 101})
+    assert field_from_spec("gf101") is f
+    assert field_from_spec("GF(101)") is f
+    assert field_from_spec({"kind": "GFp", "p": 101}) is f
+    assert field_from_spec("gf103") is not f
+    # the cache keys on int orders only: 101.0 is still refused
+    with pytest.raises(ParseError):
+        field_from_spec({"kind": "GFp", "p": 101.0})
+    # GF() itself builds a fresh instance
+    assert GF(101) is not f and GF(101) == f
+
+
 def test_gf_elements_enumeration_and_hash():
     f = GF(5)
     elems = list(f.elements())

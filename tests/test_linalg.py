@@ -9,11 +9,17 @@ import pytest
 
 from tdpairs import GF, QQ, DimensionMismatch, FieldMismatch, Matrix, Polynomial, min_poly, poly_eval_matrix
 from tdpairs.fields import GFElement
-from tdpairs.linalg import kernel_vectors, rank, rref, rref_rows, solve, vec_is_zero
-from tdpairs.pairs import _SpanAccumulator
-from tdpairs.subspaces import Subspace
+from tdpairs.linalg import Echelon, kernel_vectors, rank, rref, rref_rows, solve, vec_is_zero
+from tdpairs.subspaces import Subspace, kernel, subspace_intersect
 
-from oracles import int_mat_apply, int_matmul, int_rref, ref_rank_q
+from oracles import (
+    brute_intersection,
+    int_mat_apply,
+    int_matmul,
+    int_rref,
+    ref_rank_q,
+    subspace_vector_set,
+)
 
 
 def qm(rows):
@@ -157,51 +163,95 @@ def test_poly_eval_matrix_on_known_polynomial():
     assert poly_eval_matrix(p, a) == expected
 
 
-# ---- GF(p) kernels on int residues against the plain int oracle ---------------
+# ---- the Echelon engine and its users against the plain oracle ----------------
 
 
 def _ints(rows):
-    return [[x.v for x in row] for row in rows]
+    return [_vals(row) for row in rows]
+
+
+def _vals(vec):
+    """Scalars as oracle values: int residues over GF(p), Fractions over Q."""
+    return [x.v if type(x) is GFElement else x for x in vec]
+
+
+def _draw(rng, p):
+    return Fraction(rng.randint(-4, 4), rng.randint(1, 3)) if p is None else rng.randrange(p)
 
 
 def _random_int_rows(rng, p, nrows, ncols):
-    """Random residues, with some rows combinations of earlier ones so the
-    rank drops below min(nrows, ncols)."""
+    """Random residues (p None: small rationals), with some rows
+    combinations of earlier ones so the rank drops below
+    min(nrows, ncols)."""
     rows = []
     for _ in range(nrows):
         if len(rows) >= 2 and rng.random() < 0.3:
             a, b = rng.sample(rows, 2)
-            c = rng.randrange(p)
-            rows.append([(x + c * y) % p for x, y in zip(a, b)])
+            c = _draw(rng, p)
+            rows.append([x + c * y if p is None else (x + c * y) % p for x, y in zip(a, b)])
         else:
-            rows.append([rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(ncols)])
+            rows.append([_draw(rng, p) if rng.random() < 0.7 else 0 for _ in range(ncols)])
     return rows
 
 
 def _check_residue_kernels(field, entry, rows, other, v):
-    """rref_rows, kernel_vectors, apply, @, transpose and _SpanAccumulator
-    of the int rows (entries built by entry()) against the int oracle."""
-    p = field.p
-    m = Matrix(field, [[entry(x) for x in row] for row in rows])
+    """The Echelon engine, rref_rows, kernel_vectors, kernel, contains,
+    coordinates, subspace_intersect, apply, @ and transpose of the rows
+    (entries built by entry()) against the plain oracle: ints mod p over
+    GF(p), Fractions over Q.  The columns of other span a second
+    subspace to intersect with the rows' span."""
+    p = getattr(field, "p", None)
+    ncols = len(rows[0])
+
+    def elements(vecs):
+        return [[entry(x) for x in vec] for vec in vecs]
+
+    m = Matrix(field, elements(rows))
     ref, rank_, pivots = int_rref(p, rows)
-    out, r, piv = rref_rows(field, [[entry(x) for x in row] for row in rows])
+    out, r, piv = rref_rows(field, elements(rows))
     assert (_ints(out), r, piv) == (ref, rank_, pivots)
-    assert all(type(x) is GFElement for row in out for x in row)
-    kernel = kernel_vectors(m)
-    assert len(kernel) == m.ncols - rank_
-    for k in kernel:
-        assert int_mat_apply(p, rows, [x.v for x in k]) == (0,) * len(rows)
-    assert [x.v for x in m.apply([entry(x) for x in v])] == list(int_mat_apply(p, rows, v))
-    product = m @ Matrix(field, [[entry(x) for x in row] for row in other])
+    assert all(type(x) is type(field.zero) for row in out for x in row)
+    kernel_basis = kernel_vectors(m)
+    assert len(kernel_basis) == m.ncols - rank_
+    for k in kernel_basis:
+        assert int_mat_apply(p, rows, _vals(k)) == (0,) * len(rows)
+    ker = kernel(m)
+    assert ker == Subspace.span(field, ncols, kernel_basis)
+    assert _ints(ker.basis) == int_rref(p, _ints(kernel_basis))[0][: ker.dim]
+    assert _vals(m.apply(elements([v])[0])) == list(int_mat_apply(p, rows, v))
+    product = m @ Matrix(field, elements(other))
     assert _ints(product.rows) == int_matmul(p, rows, other)
     assert product == Matrix(field, int_matmul(p, rows, other))
     assert _ints(m.transpose().rows) == [list(col) for col in zip(*rows)]
-    acc = _SpanAccumulator(field)
-    grew = [acc.add([entry(x) for x in row]) for row in rows]
+    # the engine: growth flags, pivots, and the canonical RREF
+    eng = Echelon(field)
+    grew = [eng.add(row) for row in elements(rows)]
     assert grew == [int_rref(p, rows[: i + 1])[1] > int_rref(p, rows[:i])[1] for i in range(len(rows))]
-    assert acc.dim == rank_
-    spanned = [[x.v for x in vec] for vec in acc.vectors()]
-    assert int_rref(p, spanned or [[0] * len(rows[0])])[0][:rank_] == ref[:rank_]
+    assert (eng.dim, eng.pivots, _ints(eng.basis())) == (rank_, pivots, ref[:rank_])
+    x = Subspace.span(field, ncols, elements(rows))
+    assert x.basis == eng.basis()
+    # membership and coordinates: one residual against the RREF basis
+    for w in rows + [v]:
+        inside = int_rref(p, rows + [w])[1] == rank_
+        assert x.contains(elements([w])[0]) == inside
+        coords = x.coordinates(elements([w])[0])
+        if not inside:
+            assert coords is None
+            continue
+        combined = [sum(c * b[j] for c, b in zip(_vals(coords), ref)) for j in range(ncols)]
+        assert all((a - b) % p == 0 if p else a == b for a, b in zip(combined, w))
+    # the intersection with the span of other's columns
+    ys = [list(col) for col in zip(*other)]
+    y = Subspace.span(field, ncols, elements(ys))
+    meet = subspace_intersect(x, y)
+    rank_y = int_rref(p, ys)[1]
+    assert meet.dim == rank_ + rank_y - int_rref(p, rows + ys)[1]
+    for b in meet.basis:
+        assert int_rref(p, rows + [_vals(b)])[1] == rank_
+        assert int_rref(p, ys + [_vals(b)])[1] == rank_y
+    assert _ints(meet.basis) == int_rref(p, _ints(meet.basis))[0][: meet.dim]
+    if p in (2, 3):
+        assert subspace_vector_set(meet) == brute_intersection(p, rows, ys, ncols)
 
 
 @pytest.mark.parametrize("p", (2, 3, 101, 65521))
@@ -216,6 +266,16 @@ def test_residue_kernels_match_the_int_oracle(p):
         other = _random_int_rows(rng, p, ncols, k)
         v = [rng.randrange(p) for _ in range(ncols)]
         _check_residue_kernels(field, field.scalar, rows, other, v)
+
+
+def test_echelon_users_match_the_rational_oracle():
+    rng = random.Random(5)
+    for _ in range(25):
+        nrows, ncols, k = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
+        rows = _random_int_rows(rng, None, nrows, ncols)
+        other = _random_int_rows(rng, None, ncols, k)
+        v = [_draw(rng, None) for _ in range(ncols)]
+        _check_residue_kernels(QQ, QQ.scalar, rows, other, v)
 
 
 def test_residue_kernels_take_entries_of_an_equal_field_instance():
@@ -245,9 +305,13 @@ def test_residue_kernels_still_reject_another_prime():
     with pytest.raises(FieldMismatch):
         rref_rows(f, [foreign])
     with pytest.raises(FieldMismatch):
-        _SpanAccumulator(f).add(foreign)
+        Echelon(f).add(foreign)
     with pytest.raises(FieldMismatch):
         Subspace.span(f, 2, [foreign])
+    with pytest.raises(FieldMismatch):
+        Subspace.full(f, 2).contains(foreign)
+    with pytest.raises(FieldMismatch):
+        Subspace.full(f, 2).coordinates(foreign)
     with pytest.raises(FieldMismatch):
         Matrix(f, [foreign])
 

@@ -408,6 +408,28 @@ def _has_submodule(field, b):
     return any(tdpairs.pairs._spin(field, k, [v], b).dim < k for v in lines)
 
 
+@pytest.mark.parametrize("field", (GF(3), QQ), ids=("GF3", "Q"))
+def test_spin_is_the_canonical_span_of_every_image(field):
+    # the spin hands its echelon over as the subspace's basis; equality
+    # with the canonical span of every image of the seeds under words of
+    # length <= n checks both the space and that the basis is canonical
+    rng = random.Random(41)
+
+    def entry():
+        return rng.randint(-1, 1) if rng.random() < 0.4 else 0
+
+    for _ in range(30):
+        n = rng.randint(1, 5)
+        ops = [Matrix(field, [[entry() for _ in range(n)] for _ in range(n)]) for _ in range(2)]
+        seeds = [tuple(field.scalar(entry()) for _ in range(n)) for _ in range(rng.randint(1, 2))]
+        spun = tdpairs.pairs._spin(field, n, seeds, ops)
+        images, frontier = list(seeds), list(seeds)
+        for _ in range(n):
+            frontier = [g.apply(v) for v in frontier for g in ops]
+            images += frontier
+        assert spun == Subspace.span(field, n, images)
+
+
 def test_plane_lines_match_brute_force_over_gf2():
     # A of shape (2, 2) on GF(2)^4 and a random Astar: Norton's test on
     # either eigenspace of A, decided by its condensed algebra, must agree
