@@ -458,10 +458,7 @@ def _parse_shape(text: str) -> ShapeVector:
         parts = tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ParseError(f"bad shape {text!r}; expected comma-separated integers") from None
-    try:
-        return ShapeVector(parts)
-    except InvariantViolation as e:
-        raise ParseError(f"bad shape {text!r}: {e}") from None
+    return ShapeVector(parts)
 
 
 def _spec_from_args(args) -> SearchSpec:

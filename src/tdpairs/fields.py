@@ -3,8 +3,9 @@
 A field object is a small factory that builds, parses, and formats
 scalars.  Rational scalars are `fractions.Fraction`; prime-field scalars
 are `GFElement` instances that overload arithmetic.  The bulk kernels of
-`linalg` work on their int residues instead: `PrimeField._residues` reads
-them off with scalar()'s coercion and field check, and `_element` maps a
+`linalg` work on ints instead: over Q on numerators over a common
+denominator, over GF(p) on residues, which `PrimeField._residues` reads
+off with scalar()'s coercion and field check, and `_element` maps a
 residue back to its element (from the field's table when p <= 1024).
 
 Fields compare by value, so two `PrimeField(7)` instances are
@@ -141,14 +142,9 @@ class Rationals:
     """The field of rational numbers.  Scalars are Fraction values."""
 
     kind = "Q"
-
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
+    # Fraction is immutable, so every caller may share these
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def scalar(self, x) -> Fraction:
         """Coerce an int, Fraction, or string (by parse) to a Fraction."""
@@ -313,12 +309,3 @@ def field_to_spec(field: Field) -> dict:
     if isinstance(field, Rationals):
         return {"kind": "Q"}
     return {"kind": "GFp", "p": field.p}
-
-
-def same_field(*fields: Field) -> Field:
-    """Assert all arguments are the same field and return it."""
-    first = fields[0]
-    for f in fields[1:]:
-        if f != first:
-            raise FieldMismatch(f"{first!r} vs {f!r}")
-    return first

@@ -90,14 +90,9 @@ class LeonardParameterSet:
 
     def __post_init__(self):
         field = self.field
-        theta = tuple(field.scalar(x) for x in self.theta)
-        thetastar = tuple(field.scalar(x) for x in self.thetastar)
-        varphi = tuple(field.scalar(x) for x in self.varphi)
-        phi = tuple(field.scalar(x) for x in self.phi)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "thetastar", thetastar)
-        object.__setattr__(self, "varphi", varphi)
-        object.__setattr__(self, "phi", phi)
+        for name in ("theta", "thetastar", "varphi", "phi"):
+            object.__setattr__(self, name, tuple(field.scalar(x) for x in getattr(self, name)))
+        theta, thetastar, varphi, phi = self.theta, self.thetastar, self.varphi, self.phi
         if not theta:
             raise InvalidLeonardParameters("theta must be nonempty")
         d = len(theta) - 1

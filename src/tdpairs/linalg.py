@@ -3,23 +3,27 @@
 Matrices are immutable tuples of row tuples over a single field.
 Matrix(field, rows) coerces and field-checks every entry; same-field
 arithmetic builds its results with Matrix._trusted, which does not.
-Every reduction to row echelon form runs in one engine, Echelon: an
-incremental canonical RREF, kept as int residues over GF(p) and as
-Fractions over Q.  rref_rows, kernel_vectors, solve, min_poly and the
-subspaces module are built on it.  Over GF(p), @, apply and char_poly also run on int
-residues and map back to elements once per output entry (Dumas, Giorgi
-and Pernet, ACM TOMS 35(3), 2008).  Ambient sizes are desk scale
-(dimension a few dozen), so clarity wins over asymptotics.
+The kernels run on int rows, read off once per matrix (Matrix._ints):
+residues over GF(p), numerators over one common denominator over Q.
+@ and apply are int dot products, mapped back once per output entry
+(Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), and so is char_poly
+over GF(p).  Every reduction to row echelon form runs in one engine,
+Echelon, an incremental canonical RREF, fraction-free over Q;
+rref_rows, kernel_vectors, solve, min_poly and the subspaces module are
+built on it.  Ambient sizes are desk scale (dimension a few dozen), so
+clarity wins over asymptotics.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from operator import mul, truediv
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .fields import Field, PrimeField, Scalar
+from .fields import QQ, Field, PrimeField, Scalar
 from .polynomials import Polynomial
 
 Vector = tuple
@@ -43,16 +47,22 @@ class Matrix:
     @classmethod
     def _trusted(cls, field: Field, rows, res=None) -> "Matrix":
         """A matrix of same-field arithmetic results: unlike Matrix(field,
-        rows), no entry is coerced or checked again.  res: residue rows."""
+        rows), no entry is coerced or checked again.  res: its _ints()."""
         m = cls.__new__(cls)
         m.field, m.rows, m._res = field, tuple(map(tuple, rows)), res
         m.nrows, m.ncols = len(m.rows), len(m.rows[0]) if m.rows else 0
         return m
 
-    def _residues(self) -> tuple:
-        """The int residue rows over GF(p), read off once per matrix."""
+    def _ints(self) -> tuple:
+        """(int rows, d) with self = rows / d, read off once per matrix:
+        the residues and d = 1 over GF(p); over Q, d is the least common
+        denominator of the entries."""
         if self._res is None:
-            self._res = tuple(tuple(e.v for e in row) for row in self.rows)
+            if isinstance(self.field, PrimeField):
+                self._res = (tuple(tuple(e.v for e in row) for row in self.rows), 1)
+            else:
+                d = lcm(*{e.denominator for row in self.rows for e in row})
+                self._res = tuple(_common(row, d)[0] for row in self.rows), d
         return self._res
 
     # ---- constructors -------------------------------------------------
@@ -141,11 +151,16 @@ class Matrix:
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
         field = self.field
+        (x, dx), (y, dy) = self._ints(), other._ints()
         if isinstance(field, PrimeField):
-            res = residue_product(self._residues(), other._residues(), field.p)
-            return Matrix._trusted(field, [map(field._element, row) for row in res], res)
-        bcols = [other.column(j) for j in range(other.ncols)]
-        return Matrix._trusted(field, [[_dot(field, row, col) for col in bcols] for row in self.rows])
+            res = residue_product(x, y, field.p)
+            return Matrix._trusted(field, [map(field._element, row) for row in res], (res, 1))
+        cols = tuple(zip(*y))
+        rows, d = [[sum(map(mul, row, col)) for col in cols] for row in x], dx * dy
+        g = gcd(d, *chain.from_iterable(rows))  # lowest terms, as _ints() reads them
+        if g > 1:
+            rows, d = [[a // g for a in row] for row in rows], d // g
+        return Matrix._trusted(field, [_fractions(row, d) for row in rows], (rows, d))
 
     def scale(self, c) -> "Matrix":
         c = self.field.scalar(c)
@@ -159,11 +174,12 @@ class Matrix:
         if len(v) != self.ncols:
             raise DimensionMismatch("matrix-vector length mismatch")
         field = self.field
+        rows, d = self._ints()
         if isinstance(field, PrimeField):
             v, p = field._residues(v), field.p
-            return tuple(map(field._element, [sum(map(mul, row, v)) % p for row in self._residues()]))
-        v = tuple(field.scalar(x) for x in v)
-        return tuple(_dot(field, row, v) for row in self.rows)
+            return tuple(map(field._element, [sum(map(mul, row, v)) % p for row in rows]))
+        v, dv = _common([field.scalar(x) for x in v])
+        return tuple(_fractions([sum(map(mul, row, v)) for row in rows], d * dv))
 
     def transpose(self) -> "Matrix":
         return Matrix._trusted(self.field, [self.column(j) for j in range(self.ncols)])
@@ -183,9 +199,18 @@ class Matrix:
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
 
 
-def _dot(field: Field, u: Sequence, v: Sequence):
-    """The dot product of two vectors of scalars, skipping zero terms."""
-    return sum((a * b for a, b in zip(u, v) if a and b), field.zero)
+def _common(xs: Sequence, d: int = 0) -> tuple[list, int]:
+    """(ints, d) with xs = ints / d for ints and Fractions xs; d defaults
+    to their least common denominator."""
+    d = d or lcm(*{x.denominator for x in xs})
+    if d == 1:
+        return [x.numerator for x in xs], 1
+    return [x.numerator * (d // x.denominator) for x in xs], d
+
+
+def _fractions(ints: Sequence, d: int) -> list:
+    """The Fractions ints / d, one per entry."""
+    return [Fraction(x, d) if x else QQ.zero for x in ints]
 
 
 def residue_product(x: Sequence, y: Sequence, p: int) -> list:
@@ -204,11 +229,16 @@ class RrefResult(NamedTuple):
 
 
 class Echelon:
-    """The canonical RREF of a growing span, kept as int residues over
-    GF(p) and as Fractions over Q: every row has a 1 at its pivot and 0
-    at every other pivot, so a vector v reduces in one pass to
-    v - sum_c v[c] row_c, and its coordinates in the basis are its
-    entries at the pivots.
+    """The canonical RREF of a growing span, on int rows.  Over GF(p) a
+    row holds residues and has a 1 at its pivot; over Q it is a primitive
+    int vector with a positive pivot entry, and row / row[pivot] is the
+    canonical row (fraction-free elimination: E. H. Bareiss, Math. Comp.
+    22, 1968).  Every row is 0 at every other pivot, so a vector v
+    reduces in one pass to v - sum_c v[c] row_c / row_c[c], and its
+    coordinates in the basis are its entries at the pivots.  A vector in
+    the engine's form is int residues over GF(p) and Fractions over Q;
+    over Q insert also takes ints, and line and image give primitive int
+    vectors, as a spin only needs each vector up to a scalar.
     """
 
     __slots__ = ("field", "p", "rows")
@@ -231,36 +261,62 @@ class Echelon:
         """A vector in the engine's form as field elements."""
         return tuple(u) if self.p is None else tuple(map(self.field._element, u))
 
-    def _minus(self, u: Sequence, f, row: Sequence) -> list:
-        """u - f * row, reduced mod p over GF(p)."""
-        if self.p is None:
-            return [a - f * b if b else a for a, b in zip(u, row)]
-        p = self.p
-        return [(a - f * b) % p if b else a for a, b in zip(u, row)]
+    def line(self, v: Iterable) -> list:
+        """scalars(v), over Q as a primitive int vector."""
+        u = self.scalars(v)
+        return u if self.p else _primitive(_common(u)[0])
+
+    def image(self, m: Matrix, u: Sequence) -> list:
+        """m u on m's int rows, for u as line gives it."""
+        w = [sum(map(mul, row, u)) for row in m._ints()[0]]
+        return [a % self.p for a in w] if self.p else _primitive(w)
+
+    def _residual(self, u: Sequence) -> tuple:
+        """(w, s): w / s is u minus its part on the basis, for an int
+        vector u over Q; s is the lcm of the pivot entries u meets, so
+        every row is subtracted an int number of times."""
+        hits = [(c, row) for c, row in self.rows.items() if u[c]]
+        s = lcm(*[row[c] for c, row in hits])
+        w = [s * a for a in u] if s > 1 else u
+        for c, row in hits:  # subtracting other rows leaves column c alone
+            f = u[c] * (s // row[c])
+            w = [a - f * b if b else a for a, b in zip(w, row)]
+        return w, s
 
     def reduce(self, u: Sequence) -> list:
         """u minus its part on the basis, for u in the engine's form; it
         is zero at every pivot, and zero exactly when u is in the span."""
+        p = self.p
+        if p is None:
+            ints, d = _common(u)
+            w, s = self._residual(ints)
+            return _fractions(w, d * s)
         for c, row in self.rows.items():
-            if u[c]:  # subtracting other rows leaves column c alone
-                u = self._minus(u, u[c], row)
+            f = u[c]
+            if f:
+                u = [(a - f * b) % p if b else a for a, b in zip(u, row)]
         return u
 
     def insert(self, u: Sequence) -> bool:
         """Add u, in the engine's form, to the span; True when it grew."""
-        u = self.reduce(u)
+        p = self.p
+        u = self.reduce(u) if p else self._residual(_common(u)[0])[0]
         c = next((i for i, x in enumerate(u) if x), None)
         if c is None:
             return False
-        if self.p is None:
-            inv = 1 / u[c]
-            u = [inv * e if e else e for e in u]
+        if p:
+            inv = pow(u[c], -1, p)
+            u = [inv * e % p for e in u]
         else:
-            inv = pow(u[c], -1, self.p)
-            u = [inv * e % self.p for e in u]
+            u = _primitive(u, u[c] < 0)
+        e = u[c]
         for pivot, row in self.rows.items():
-            if row[c]:
-                self.rows[pivot] = self._minus(row, row[c], u)
+            f = row[c]
+            if f and p:
+                self.rows[pivot] = [(a - f * b) % p if b else a for a, b in zip(row, u)]
+            elif f:  # e row - f u: 0 at c, and row[pivot] stays positive
+                row = [e * a - f * b if b else e * a for a, b in zip(row, u)]
+                self.rows[pivot] = _primitive(row)
         self.rows[c] = u
         return True
 
@@ -277,23 +333,32 @@ class Echelon:
 
     def basis(self) -> tuple:
         """The canonical RREF rows as field elements, in pivot order."""
+        if self.p is None:
+            return tuple(tuple(_fractions(self.rows[c], self.rows[c][c])) for c in self.pivots)
         return tuple(self.elements(self.rows[c]) for c in self.pivots)
 
     def nullspace(self, ncols: int) -> list:
         """The standard back-substitution basis, in the engine's form, of
         {x : row . x = 0 for every row}: one vector per free column, with
-        a 1 there and -row[free] at each row's pivot."""
+        a 1 there and minus the canonical row's entry at each pivot."""
         p, rows = self.p, self.rows
-        zero, one = (0, 1) if p else (Fraction(0), Fraction(1))
+        zero, one = (0, 1) if p else (QQ.zero, QQ.one)
         out = []
         for free in range(ncols):
             if free not in rows:
                 u = [zero] * ncols
                 u[free] = one
                 for c, row in rows.items():
-                    u[c] = -row[free] % p if p else -row[free]
+                    if row[free]:
+                        u[c] = p - row[free] if p else Fraction(-row[free], row[c])
                 out.append(u)
         return out
+
+
+def _primitive(u: list, negate: bool = False) -> list:
+    """The int vector u over the gcd of its entries, negated if asked."""
+    g = -gcd(*u) if negate else gcd(*u)
+    return u if g in (0, 1) else [a // g for a in u]
 
 
 def rref_rows(field: Field, rows: list) -> tuple[list, int, tuple]:
@@ -423,7 +488,7 @@ def char_poly(m: Matrix) -> Polynomial:
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
     if isinstance(m.field, PrimeField):
-        return Polynomial(m.field, char_poly_coeffs(m._residues(), m.field.p))
+        return Polynomial(m.field, char_poly_coeffs(m._ints()[0], m.field.p))
     return Polynomial(m.field, char_poly_coeffs(m.rows))
 
 

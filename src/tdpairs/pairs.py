@@ -19,7 +19,7 @@ The accepted pair carries its canonically ordered eigen data and shape.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import accumulate, product
 
 from .errors import (
     DiameterMismatch,
@@ -31,6 +31,7 @@ from .errors import (
     NoTridiagonalOrdering,
     NotDiagonalizableOverField,
     NotIrreducible,
+    ParseError,
 )
 from .eigen import EigenDecomposition, eigen_decompose, eigencoordinate_change, eigenspaces
 from .linalg import Echelon, Matrix, shifted_products, vec_is_zero
@@ -51,7 +52,8 @@ from .subspaces import (
 @dataclass(frozen=True)
 class ShapeVector:
     """Eigenspace dimensions (rho_0, ..., rho_d); positive, symmetric,
-    and unimodal, which every accepted pair satisfies."""
+    and unimodal, which every accepted pair satisfies.  Any other vector
+    is rejected input (ParseError)."""
 
     rho: tuple
 
@@ -59,16 +61,16 @@ class ShapeVector:
         rho = tuple(int(x) for x in self.rho)
         object.__setattr__(self, "rho", rho)
         if not rho:
-            raise InvariantViolation("empty shape")
+            raise ParseError("empty shape")
         if any(x < 1 for x in rho):
-            raise InvariantViolation(f"non-positive shape entry in {rho}")
+            raise ParseError(f"non-positive shape entry in {rho}")
         d = len(rho) - 1
         for i in range(d + 1):
             if rho[i] != rho[d - i]:
-                raise InvariantViolation(f"shape {rho} is not symmetric")
+                raise ParseError(f"shape {rho} is not symmetric")
         for i in range(1, (d + 1) // 2 + (d + 1) % 2):
             if rho[i - 1] > rho[i]:
-                raise InvariantViolation(f"shape {rho} is not unimodal")
+                raise ParseError(f"shape {rho} is not unimodal")
 
     @property
     def diameter(self) -> int:
@@ -139,19 +141,18 @@ def _checked_reducible(a: Matrix, astar: Matrix, w: Subspace, how: str) -> Irred
 
 def _spin(field, n: int, seeds, operators) -> Subspace:
     """Smallest subspace containing the seeds and invariant under the
-    operators, grown by a worklist of images."""
+    operators, grown by a worklist of images.  The worklist holds
+    vectors in the Echelon's form (over Q, primitive int vectors), and
+    each image is taken on the operators' int rows."""
     acc = Echelon(field)
-    queue = []
-    for s in seeds:
-        if acc.add(s):
-            queue.append(tuple(s))
+    queue = [u for u in map(acc.line, seeds) if acc.insert(u)]
     qi = 0
     while qi < len(queue):
         v = queue[qi]
         qi += 1
         for g in operators:
-            w = g.apply(v)
-            if acc.add(w):
+            w = acc.image(g, v)
+            if acc.insert(w):
                 queue.append(w)
         if acc.dim == n:
             break
@@ -543,23 +544,23 @@ def validate_pair(
 
     eig_a = lex_least(eig_a, orderings_a)
     eig_astar = lex_least(eig_astar, orderings_astar)
-    dims_a = eig_a.dims()
-    dims_astar = eig_astar.dims()
-    if dims_a != dims_astar:
-        raise InvariantViolation(
-            f"eigenspace dimension sequences differ: {dims_a} vs {dims_astar}"
-        )
-    shape_vec = ShapeVector(dims_a)
-    return TriDiagonalPair(a, astar, eig_a, eig_astar, shape_vec, report)
+    return TriDiagonalPair(a, astar, eig_a, eig_astar, _shape_of(eig_a, eig_astar), report)
 
 
 def shape(pair: TriDiagonalPair) -> ShapeVector:
     """The eigenspace-dimension vector, re-verified against both sides."""
-    dims_a = pair.eig_a.dims()
-    dims_astar = pair.eig_astar.dims()
+    return _shape_of(pair.eig_a, pair.eig_astar)
+
+
+def _shape_of(eig_a: EigenDecomposition, eig_astar: EigenDecomposition) -> ShapeVector:
+    """The shape of a certified pair; a failed check here is a bug."""
+    dims_a, dims_astar = eig_a.dims(), eig_astar.dims()
     if dims_a != dims_astar:
-        raise InvariantViolation("stored orderings disagree on dimensions")
-    return ShapeVector(dims_a)
+        raise InvariantViolation(f"eigenspace dimensions differ: {dims_a} vs {dims_astar}")
+    try:
+        return ShapeVector(dims_a)
+    except ParseError as e:
+        raise InvariantViolation(f"certified pair has a bad shape: {e}") from None
 
 
 # ---- the contradiction witness --------------------------------------------
@@ -593,24 +594,10 @@ def reducibility_witness_from_tau_kernel(
         raise HypothesisNotMet(
             "the degree-i product does not annihilate u; construction does not apply"
         )
-    prefix_star = []
-    acc = Subspace.zero(field, n)
-    for space in eig_astar.eigenspaces:
-        acc = subspace_sum(acc, space)
-        prefix_star.append(acc)
-    prefix = []
-    acc = Subspace.zero(field, n)
-    for space in eig_a.eigenspaces:
-        acc = subspace_sum(acc, space)
-        prefix.append(acc)
-    parts = []
-    for r in range(i):
-        parts.append(subspace_intersect(prefix_star[r], prefix[i - r - 1]))
+    prefix_star = list(accumulate(eig_astar.eigenspaces, subspace_sum))
+    prefix = list(accumulate(eig_a.eigenspaces, subspace_sum))
+    parts = [subspace_intersect(prefix_star[r], prefix[i - r - 1]) for r in range(i)]
     w = sum_of(parts, field=field, ambient_dim=n)
-    a = eig_a.operator
-    astar = eig_astar.operator
-    if w.is_zero() or w.is_full():
-        raise InvariantViolation("contradiction witness degenerate")
-    if not subspace_leq(image_of(a, w), w) or not subspace_leq(image_of(astar, w), w):
-        raise InvariantViolation("contradiction witness is not invariant")
+    if not _witness_ok(eig_a.operator, eig_astar.operator, w):
+        raise InvariantViolation("contradiction witness is degenerate or not invariant")
     return w

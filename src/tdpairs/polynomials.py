@@ -49,9 +49,6 @@ class Polynomial:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == self.field.one
-
     def __call__(self, x) -> Scalar:
         x = self.field.scalar(x)
         acc = self.field.zero

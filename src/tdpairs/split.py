@@ -15,6 +15,7 @@ a failing candidate pinpoints which identity broke.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 from .errors import HypothesisNotMet, InvariantViolation, TauImageVanished
 from .linalg import Echelon, Matrix, shifted_products, vec_is_zero
@@ -92,43 +93,19 @@ def split_subspaces(pair: TriDiagonalPair) -> SplitDecomposition:
     The subspaces come straight from the definition, not from the
     raising maps, so the raising/lowering checks stay independent.
     """
-    field = pair.field
     n = pair.dim
-    d = pair.diameter
-    prefix_star = []
-    acc = Subspace.zero(field, n)
-    for i in range(d + 1):
-        acc = subspace_sum(acc, pair.vstar(i))
-        prefix_star.append(acc)
-    suffix = [None] * (d + 1)
-    acc = Subspace.zero(field, n)
-    for i in range(d, -1, -1):
-        acc = subspace_sum(acc, pair.v(i))
-        suffix[i] = acc
-    u_spaces = tuple(
-        subspace_intersect(prefix_star[i], suffix[i]) for i in range(d + 1)
+    prefix_star = list(accumulate(pair.eig_astar.eigenspaces, subspace_sum))
+    suffix = list(accumulate(reversed(pair.eig_a.eigenspaces), subspace_sum))[::-1]
+    u_spaces = tuple(map(subspace_intersect, prefix_star, suffix))
+    u_prefix = list(accumulate(u_spaces, subspace_sum))
+    u_suffix = list(accumulate(reversed(u_spaces), subspace_sum))[::-1]
+    # direct sum: the summands' dimensions add up to the dimension of V
+    eq4 = u_prefix[-1].dim == n == sum(u.dim for u in u_spaces)
+    report = SplitReport(
+        eq4=eq4,
+        eq5=tuple(map(Subspace.__eq__, u_prefix, prefix_star)),
+        eq6=tuple(map(Subspace.__eq__, u_suffix, suffix)),
     )
-    # direct sum: each summand must enlarge the running sum by its dimension
-    eq4 = True
-    acc = Subspace.zero(field, n)
-    for u in u_spaces:
-        before = acc.dim
-        acc = subspace_sum(acc, u)
-        if acc.dim != before + u.dim:
-            eq4 = False
-    if acc.dim != n:
-        eq4 = False
-    eq5 = []
-    acc = Subspace.zero(field, n)
-    for i in range(d + 1):
-        acc = subspace_sum(acc, u_spaces[i])
-        eq5.append(acc == prefix_star[i])
-    eq6 = [None] * (d + 1)
-    acc = Subspace.zero(field, n)
-    for i in range(d, -1, -1):
-        acc = subspace_sum(acc, u_spaces[i])
-        eq6[i] = acc == suffix[i]
-    report = SplitReport(eq4=eq4, eq5=tuple(eq5), eq6=tuple(eq6))
     return SplitDecomposition(U=u_spaces, pair=pair, report=report)
 
 
@@ -186,9 +163,7 @@ def verify_tau_images(sd: SplitDecomposition) -> SplitReport:
 
 def complete_report(sd: SplitDecomposition) -> SplitReport:
     """All identity flags in one report."""
-    with_rl = verify_raising_lowering(sd)
-    with_tau = verify_tau_images(sd)
-    return replace(with_rl, eq10=with_tau.eq10)
+    return replace(verify_raising_lowering(sd), eq10=verify_tau_images(sd).eq10)
 
 
 def tau_images(pair: TriDiagonalPair, u, sd: SplitDecomposition | None = None) -> tuple:

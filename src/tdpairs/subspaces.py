@@ -105,9 +105,6 @@ class Subspace:
             return None
         return self.echelon.elements([u[c] for c in self.echelon.pivots])
 
-    def to_matrix(self) -> Matrix:
-        return Matrix(self.field, self.basis or [[]] * 0)
-
     def __eq__(self, other):
         return (
             isinstance(other, Subspace)

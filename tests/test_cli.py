@@ -608,3 +608,52 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
     assert [rc for rc, _ in reused] == [0, 0, 0, 3, 0, 0, 0, 3, 0]
     assert "crossCheck" in reports_of(reused[0][1])[0]["payload"]
     assert "crossCheck" not in reports_of(reused[1][1])[0]["payload"]
+
+
+# ---- golden stdout ---------------------------------------------------------------
+
+# sha256 of the stdout of _golden_requests, pinned so that a change to the
+# arithmetic kernels cannot change a single byte of any report
+GOLDEN_STDOUT_SHA256 = "f626d07f55b642d65c61d69554e95df2fa173991bef1970b60b8e6ab463c025f"
+
+
+def _golden_requests(tmp_path, capsys):
+    """Every stdout byte of a fixed list of requests: generate --random,
+    then verify, detect, decompose and switch --sequences on the result,
+    over Q and GF(101) at d = 0..6, plus a rejected Q pair and a Kronecker
+    sum."""
+    out = []
+
+    def call(argv):
+        main(argv)
+        out.append(capsys.readouterr().out)
+        return out[-1]
+
+    for field in ("Q", "gf101"):
+        for d in range(7):
+            (rep,) = reports_of(call(["generate", "--random", field, str(d), str(d + 1)]))
+            stem = tmp_path / f"{field}-{d}"
+            cand = stem.with_suffix(".pair.json")
+            cand.write_text(canonical_dumps(rep["payload"]["candidate"]))
+            params = stem.with_suffix(".params.json")
+            params.write_text(canonical_dumps(rep["payload"]["params"]))
+            for command in ("verify", "detect", "decompose"):
+                call([command, str(cand)])
+            call(["switch", str(cand), "--sequences", str(params)])
+    rejected = write_candidate(
+        tmp_path,
+        "rejected.json",
+        qm([[1, "1/2", 0], [0, 2, 0], [0, 0, 3]]),
+        qm([["1/3", 1, 0], [2, "5/7", 0], [0, 0, 1]]),
+    )
+    call(["verify", rejected])
+    theta, mu, varphis = TENSOR_PARAMS["Q"]
+    kron = write_candidate(tmp_path, "kron.json", *tensor_fixture(QQ, theta, mu, varphis))
+    call(["verify", kron])
+    return "".join(out)
+
+
+def test_golden_stdout_is_byte_identical(tmp_path, capsys):
+    stdout = _golden_requests(tmp_path, capsys)
+    assert len(stdout.splitlines()) == 72
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == GOLDEN_STDOUT_SHA256

@@ -11,6 +11,7 @@ from tdpairs import GF, QQ, DimensionMismatch, FieldMismatch, Matrix, Polynomial
 from tdpairs.fields import GFElement
 from tdpairs.linalg import Echelon, kernel_vectors, rank, rref, rref_rows, solve, vec_is_zero
 from tdpairs.subspaces import Subspace, kernel, subspace_intersect
+import tdpairs.pairs
 
 from oracles import (
     brute_intersection,
@@ -276,6 +277,111 @@ def test_echelon_users_match_the_rational_oracle():
         other = _random_int_rows(rng, None, ncols, k)
         v = [_draw(rng, None) for _ in range(ncols)]
         _check_residue_kernels(QQ, QQ.scalar, rows, other, v)
+
+
+def _wide(rng):
+    """0, or a rational whose numerator and denominator have 1 to 30
+    digits each."""
+    if rng.random() < 0.2:
+        return Fraction(0)
+    num = rng.randint(1, 10 ** rng.randint(1, 30)) * rng.choice((-1, 1))
+    return Fraction(num, rng.randint(1, 10 ** rng.randint(1, 30)))
+
+
+def _dependent(rng, rows):
+    """rows plus a combination of two of them, so the rank drops."""
+    a, b = rng.sample(rows, 2)
+    c = _wide(rng)
+    return rows + [[x + c * y for x, y in zip(a, b)]]
+
+
+def _oracle_spin(seeds, ops):
+    """The canonical RREF of the smallest span holding the seeds and
+    closed under ops, grown one round of images at a time by the plain
+    Fraction oracle."""
+    rows, rank_, _ = int_rref(None, seeds)
+    basis = rows[:rank_]
+    while True:
+        grown = basis + [list(int_mat_apply(None, g, b)) for g in ops for b in basis]
+        rows, rank_, _ = int_rref(None, grown)
+        if rank_ == len(basis):
+            return basis
+        basis = rows[:rank_]
+
+
+def _check_q_kernels(rows, other, v):
+    """_check_residue_kernels over Q, plus the exact residual of
+    Echelon.reduce and the product's kept int form, against the Fraction
+    oracle."""
+    _check_residue_kernels(QQ, QQ.scalar, rows, other, v)
+    m, o = qm(rows), qm(other)
+    ref, rank_, pivots = int_rref(None, rows)
+    eng = Echelon(QQ, m.rows)
+    for w in rows + [v]:
+        residual = [a - sum(w[c] * r[j] for c, r in zip(pivots, ref)) for j, a in enumerate(w)]
+        assert eng.reduce(eng.scalars(w)) == residual
+    (kept, d), (fresh, d_fresh) = (m @ o)._ints(), Matrix(QQ, (m @ o).rows)._ints()
+    assert (list(map(list, kept)), d) == (list(map(list, fresh)), d_fresh)
+
+
+def test_q_kernels_match_the_fraction_oracle_on_wide_denominators():
+    # fraction-free elimination and int products have to give the exact
+    # canonical values whatever the size of the numbers
+    rng = random.Random(97)
+    for _ in range(25):
+        n, k = rng.randint(1, 6), rng.randint(1, 4)
+        rows = [[_wide(rng) for _ in range(n)] for _ in range(rng.randint(1, 6))]
+        if len(rows) >= 2 and rng.random() < 0.5:
+            rows = _dependent(rng, rows)
+        other = [[_wide(rng) for _ in range(k)] for _ in range(n)]
+        _check_q_kernels(rows, other, [_wide(rng) for _ in range(n)])
+
+
+def test_q_spin_matches_the_fraction_oracle_on_proper_invariant_subspaces():
+    # two operators P T P^-1 with T block upper triangular, so that the
+    # span of P's first k columns is invariant, and a seed inside it: the
+    # spin, on primitive int vectors, is a proper subspace to get right
+    rng = random.Random(13)
+    proper = 0
+    for _ in range(15):
+        n = rng.randint(2, 6)
+        k = rng.randint(1, n - 1)
+        p = [[_wide(rng) for _ in range(n)] for _ in range(n)]
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        aug = int_rref(None, [row + e for row, e in zip(p, eye)])[0]
+        if [row[:n] for row in aug] != eye:  # P is singular
+            continue
+        p_inv = [row[n:] for row in aug]
+        ops = []
+        for _ in range(2):
+            t = [[0 if i >= k > j else _wide(rng) for j in range(n)] for i in range(n)]
+            ops.append(int_matmul(None, int_matmul(None, p, t), p_inv))
+        seeds = [int_mat_apply(None, p, [_wide(rng) for _ in range(k)] + [0] * (n - k))]
+        spun = tdpairs.pairs._spin(QQ, n, seeds, [qm(g) for g in ops])
+        assert spun.dim <= k
+        assert [list(b) for b in spun.basis] == _oracle_spin(seeds, ops)
+        proper += spun.dim < n
+    assert proper >= 10
+
+
+def test_q_kernels_match_the_fraction_oracle_on_the_hilbert_matrix():
+    # coefficient growth: the n = 10 Hilbert matrix has full rank and a
+    # determinant near 1e-53, and one more row, a combination of two,
+    # drops the rank of the stacked rows to 10 and leaves a kernel line
+    rng = random.Random(10)
+    hilbert = [[Fraction(1, i + j + 1) for j in range(10)] for i in range(10)]
+    v = [_wide(rng) for _ in range(10)]
+    _check_q_kernels(hilbert, hilbert, v)
+    stacked = _dependent(rng, hilbert)
+    assert int_rref(None, stacked)[1] == 10
+    _check_q_kernels(stacked, hilbert, v)
+    columns = [list(col) for col in zip(*stacked)]
+    (line,) = kernel_vectors(qm(columns))
+    assert int_mat_apply(None, columns, line) == (0,) * 10
+    _check_q_kernels(columns, stacked, v + [_wide(rng)])
+    # the spin of e_0 under H is all of Q^10
+    spun = tdpairs.pairs._spin(QQ, 10, [[1] + [0] * 9], [qm(hilbert)])
+    assert [list(b) for b in spun.basis] == _oracle_spin([[1] + [0] * 9], [hilbert])
 
 
 def test_residue_kernels_take_entries_of_an_equal_field_instance():

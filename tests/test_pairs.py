@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -20,6 +21,7 @@ from tdpairs import (
     NoTridiagonalOrdering,
     NotDiagonalizableOverField,
     NotIrreducible,
+    ParseError,
     ShapeVector,
     eigen_decompose,
     irreducible,
@@ -78,14 +80,26 @@ def test_shape_vector_accepts_symmetric_unimodal():
 
 def test_shape_vector_rejects_bad_vectors():
     for rho in ((), (0,), (-1,), (1, 2), (2, 1, 2), (1, 3, 2, 3, 1)):
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(ParseError):
             ShapeVector(rho)
 
 
 def test_shape_vector_rejects_nonunimodal_symmetric():
     # symmetric but dips in the middle
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ParseError):
         ShapeVector((2, 1, 2))
+
+
+def test_bad_shape_of_a_certified_pair_is_a_bug():
+    # a shape is user input to ShapeVector, but a certified pair whose
+    # eigenspace dimensions fail the check is an internal error
+    pair = validate_pair(qm(A_D2), qm(ASTAR_D2))
+    eig = eigen_decompose(qm([[1, 0, 0], [0, 2, 0], [0, 0, 2]]))
+    assert eig.dims() == (1, 2)
+    with pytest.raises(InvariantViolation, match="bad shape"):
+        shape(dataclasses.replace(pair, eig_a=eig, eig_astar=eig))
+    with pytest.raises(InvariantViolation, match="differ"):
+        shape(dataclasses.replace(pair, eig_a=eig))
 
 
 # ---- support graph ----------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from tdpairs import GF, InvariantViolation, Matrix
+from tdpairs import GF, Matrix, ParseError
 from tdpairs.linalg import rref
 from tdpairs.pairs import ShapeVector
 from tdpairs.subspaces import (
@@ -109,6 +109,6 @@ def test_shape_vector_matches_reference_predicate(rho):
     try:
         ShapeVector(rho)
         accepted = True
-    except InvariantViolation:
+    except ParseError:
         accepted = False
     assert accepted == _acceptable_shape(rho)

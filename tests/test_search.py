@@ -374,5 +374,5 @@ def test_spec_validation_errors():
         SearchSpec(field=GF(3), dim=2, shape=(1, 1), budget=5, mode="magic")
     with pytest.raises(ParseError):
         SearchSpec(field=GF(3), dim=2, shape=(1, 1), budget=5, start=-1)
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(ParseError):
         SearchSpec(field=GF(5), dim=3, shape=(1, 2), budget=5)  # asymmetric
