@@ -27,6 +27,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain
 
 from .eigen import eigen_decompose
 from .errors import (
@@ -200,20 +201,13 @@ def cmd_detect(path: str) -> dict:
         outcome = detect_leonard(pair)
     except TdpError as e:
         return _report("detect", digest, {"failure": _failure_json(e)}, _exit_code(e))
-    if isinstance(outcome, LeonardCertificate):
-        payload = {
-            "leonard": True,
-            "alpha": [scalar_to_str(x) for x in outcome.alpha],
-            "solutionDim": outcome.solution_dim,
-            "shape": list(pair.shape),
-        }
-    else:
-        payload = {
-            "leonard": False,
-            "alpha": None,
-            "solutionDim": outcome.solution_dim,
-            "shape": list(pair.shape),
-        }
+    leonard = isinstance(outcome, LeonardCertificate)
+    payload = {
+        "leonard": leonard,
+        "alpha": [scalar_to_str(x) for x in outcome.alpha] if leonard else None,
+        "solutionDim": outcome.solution_dim,
+        "shape": list(pair.shape),
+    }
     return _report("detect", digest, payload, 0)
 
 
@@ -241,20 +235,11 @@ def _align_pair_to_params(pair, params):
 
 
 def _proportionality_ratio(m_left, m_right):
-    """The scalar c with m_left == c * m_right, or None."""
-    ratio = None
-    for row_l, row_r in zip(m_left.rows, m_right.rows):
-        for x, y in zip(row_l, row_r):
-            if y != m_right.field.zero:
-                ratio = x / y
-                break
-        if ratio is not None:
-            break
-    if ratio is None:
-        return None
-    if m_left == m_right.scale(ratio):
-        return ratio
-    return None
+    """The scalar c with m_left == c * m_right, or None: c is read off
+    the first nonzero entry of m_right."""
+    pairs = zip(chain.from_iterable(m_left.rows), chain.from_iterable(m_right.rows))
+    ratio = next((x / y for x, y in pairs if y), None)
+    return ratio if ratio is not None and m_left == m_right.scale(ratio) else None
 
 
 def cmd_switch(path: str, sequences_path: str | None = None) -> dict:
@@ -278,17 +263,11 @@ def cmd_switch(path: str, sequences_path: str | None = None) -> dict:
             s_seq = switching_from_sequences(seq_params, pair.eig_a)
             ratio = _proportionality_ratio(s_seq, s_solve)
             if ratio is None:
-                payload["crossCheck"] = {
-                    "proportional": False,
-                    "ratio": None,
-                    "fromSequences": matrix_to_json(s_seq),
-                }
+                cross = {"proportional": False, "ratio": None, "fromSequences": matrix_to_json(s_seq)}
                 code = 1
             else:
-                payload["crossCheck"] = {
-                    "proportional": True,
-                    "ratio": scalar_to_str(ratio),
-                }
+                cross = {"proportional": True, "ratio": scalar_to_str(ratio)}
+            payload["crossCheck"] = cross
     except TdpError as e:
         return _report("switch", digest, {"failure": _failure_json(e)}, _exit_code(e))
     return _report("switch", digest, payload, code)

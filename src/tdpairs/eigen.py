@@ -3,14 +3,17 @@
 An operator is diagonalizable iff the field roots of its characteristic
 polynomial (linalg.char_poly) carry its whole degree and every eigenspace
 is as large as its root's multiplicity.  Roots are found exactly and
-without factoring integers: by scanning GF(p), and over Q p-adically.
+without factoring integers: by scanning GF(p), and over Q p-adically on
+primitive int coefficients.  The steps after them run on int rows: the
+kernels of m.shift(theta), the eigenvector check and the inverse of the
+eigenbasis change.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .errors import (
@@ -19,37 +22,38 @@ from .errors import (
     NotDiagonalizableOverField,
 )
 from .fields import Rationals, _is_prime
-from .linalg import Matrix, char_poly, min_poly, residue_product, rref_rows
+from .linalg import Echelon, Matrix, _common, _primitive, char_poly, min_poly, residue_product
 from .polynomials import Polynomial
 from .subspaces import kernel
 
 # ---- root extraction -----------------------------------------------------
 
 
-def _divmod(f: list, g: list) -> tuple[list, list]:
-    """Quotient and remainder of Q coefficient lists, lowest degree first."""
-    r = list(f)
-    q = [Fraction(0)] * (len(f) - len(g) + 1)
-    for k in reversed(range(len(q))):
-        c = q[k] = r[k + len(g) - 1] / g[-1]
+def _int_divmod(f: list, g: list) -> tuple[list, list] | None:
+    """Quotient and remainder of int coefficient lists (lowest degree
+    first) by long division, or None when a quotient coefficient is not
+    an int; a primitive g divides f iff the remainder is 0 (Gauss)."""
+    r, q = list(f), []
+    for k in reversed(range(len(f) - len(g) + 1)):
+        c, rem = divmod(r[k + len(g) - 1], g[-1])
+        if rem:
+            return None
+        q.append(c)
         for j, b in enumerate(g):
             r[k + j] -= c * b
-    r = r[: len(g) - 1]
-    while r and not r[-1]:
-        r.pop()
-    return q, r
+    return q[::-1], r[: len(g) - 1]
 
 
 def _squarefree_ints(f: list) -> list[int]:
-    """f / gcd(f, f') as a primitive integer coefficient list."""
-    a, b = f, [i * c for i, c in enumerate(f)][1:]
+    """f / gcd(f, f') for an int coefficient list, primitive: the gcd by
+    a primitive pseudo-remainder sequence (Knuth, TAOCP 2, 4.6.1)."""
+    a, b = f, _primitive([i * c for i, c in enumerate(f)][1:])
     while b:
-        a, b = b, _divmod(a, b)[1]
-        b = [c / b[-1] for c in b]
-    g = _divmod(f, a)[0]
-    scale = math.lcm(*(c.denominator for c in g))
-    ints = [int(c * scale) for c in g]
-    return [c // math.gcd(*ints) for c in ints]
+        r = _int_divmod([b[-1] ** (len(a) - len(b) + 1) * c for c in a], b)[1]
+        while r and not r[-1]:
+            r.pop()
+        a, b = b, _primitive(r)
+    return _primitive(_int_divmod(f, a)[0])
 
 
 def _eval_mod(ints: list, x: int, q: int) -> int:
@@ -70,7 +74,8 @@ def _rational_roots(poly: Polynomial) -> list[Fraction]:
     reconstruction; a candidate counts only if it divides exactly.
     """
     zeros = next(i for i, c in enumerate(poly.coeffs) if c)
-    g = _squarefree_ints(list(poly.coeffs[zeros:]))
+    f = _primitive(_common(poly.coeffs[zeros:])[0])
+    g = _squarefree_ints(f)
     dg = [i * c for i, c in enumerate(g)][1:]
     const, bound = abs(g[0]), 2 * abs(g[0] * g[-1])
     p = 2
@@ -81,7 +86,7 @@ def _rational_roots(poly: Polynomial) -> list[Fraction]:
         residues = [r for r in range(p) if not _eval_mod(g, r, p)]
         if all(_eval_mod(dg, r, p) for r in residues):
             break
-    candidates = [Fraction(0)] if zeros else []
+    roots, candidates = [Fraction(0)] * zeros, []
     for r in residues:
         q = p
         while q <= bound:
@@ -93,13 +98,12 @@ def _rational_roots(poly: Polynomial) -> list[Fraction]:
             k = r0 // r1
             r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
         candidates.append(Fraction(r1, s1))
-    roots = []
-    for cand in candidates:  # each candidate as often as it divides
-        quotient, rem = poly.deflate(cand)
-        while not rem:
+    for cand in candidates:  # a / b as often as b x - a divides f
+        line = [-cand.numerator, cand.denominator]
+        qr = _int_divmod(f, line)
+        while qr and not any(qr[1]):
             roots.append(cand)
-            poly = quotient
-            quotient, rem = poly.deflate(cand)
+            f, qr = qr[0], _int_divmod(qr[0], line)
     return roots
 
 
@@ -116,6 +120,8 @@ def residue_roots(ints: list, p: int) -> list[int]:
     degree first, leading one nonzero mod p), ascending, with multiplicity."""
     roots, ints = [], list(ints)
     for t in range(p):
+        if len(ints) == 1:  # every root found
+            break
         while len(ints) > 1 and not _eval_mod(ints, t, p):
             roots.append(t)
             for j in range(len(ints) - 2, 0, -1):  # deflate by x - t in place
@@ -149,13 +155,15 @@ class EigenDecomposition:
             raise InvariantViolation("repeated eigenvalue")
         total = 0
         for theta, space in zip(self.eigenvalues, self.eigenspaces):
+            if (space.field, space.ambient_dim) != (self.field, n):
+                raise InvariantViolation("eigenspace outside the operator's space")
             if space.is_zero():
                 raise InvariantViolation("zero eigenspace")
             total += space.dim
-            if check_vectors and any(
-                self.operator.apply(v) != tuple(theta * x for x in v) for v in space.basis
-            ):
-                raise InvariantViolation("claimed eigenvector is not one")
+            if check_vectors:  # (A - theta I) u = 0 for each engine row u
+                eng, shifted = space.echelon, self.operator.shift(theta)
+                if any(any(eng.image(shifted, u)) for u in eng.rows.values()):
+                    raise InvariantViolation("claimed eigenvector is not one")
         if total != n:
             raise InvariantViolation("eigenspace dimensions do not fill the space")
 
@@ -196,9 +204,8 @@ def eigenspaces(m: Matrix) -> tuple[tuple, tuple, int]:
     m is diagonalizable exactly when the spaces' dimensions sum to its
     size; each is at most its root's multiplicity."""
     roots = field_roots(char_poly(m), m.field)
-    eye = Matrix.identity(m.field, m.nrows)
     thetas = tuple(sorted(set(roots)))
-    return thetas, tuple(kernel(m - eye.scale(theta)) for theta in thetas), len(roots)
+    return thetas, tuple(kernel(m.shift(theta)) for theta in thetas), len(roots)
 
 
 def eigen_decompose(m: Matrix) -> EigenDecomposition:
@@ -271,28 +278,28 @@ def eigencoordinate_change(eig: EigenDecomposition) -> tuple[Matrix, Matrix, tup
     """(C, C_inv, block_ranges) where C's columns are the concatenated
     eigenbasis vectors and block_ranges[i] is the (start, stop) slice of
     coordinates belonging to eigenspace i."""
-    field = eig.field
-    cols = []
-    ranges = []
-    start = 0
+    cols, ranges = [], []
     for space in eig.eigenspaces:
+        ranges.append((len(cols), len(cols) + space.dim))
         cols.extend(space.basis)
-        ranges.append((start, start + space.dim))
-        start += space.dim
-    c = Matrix.from_columns(field, cols)
-    c_inv = invert(c)
-    return c, c_inv, tuple(ranges)
+    c = Matrix._trusted(eig.field, cols).transpose()
+    return c, invert(c), tuple(ranges)
 
 
 def invert(m: Matrix) -> Matrix:
-    """Inverse of a square invertible matrix by augmented elimination."""
+    """Inverse of a square invertible matrix, on its int rows: with
+    m = R / d, the canonical RREF of [R | d I] is [I | m^-1]."""
     if not m.is_square():
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.nrows
-    eye = Matrix.identity(m.field, n)
-    aug = [list(row) + list(eye.rows[i]) for i, row in enumerate(m.rows)]
-    rows, _, pivots = rref_rows(m.field, aug)
-    # [M | I] always has rank n; M is invertible iff no pivot leaves M
-    if pivots != tuple(range(n)):
+    rows, d = m._ints()
+    eng = Echelon(m.field)
+    for i, row in enumerate(rows):
+        eng.insert(list(row) + [d if j == i else 0 for j in range(n)])
+    # [R | dI] always has rank n; m is invertible iff no pivot leaves R
+    if eng.pivots != tuple(range(n)):
         raise InvariantViolation("matrix is singular")
-    return Matrix(m.field, [row[n:] for row in rows])
+    pivoted = [eng.rows[c] for c in range(n)]  # canonical row c: row / row[c]
+    s = lcm(*[row[c] for c, row in enumerate(pivoted)])
+    ints = [[x * (s // row[c]) for x in row[n:]] for c, row in enumerate(pivoted)]
+    return Matrix._of_ints(m.field, ints, s)

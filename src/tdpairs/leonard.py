@@ -154,11 +154,7 @@ def _detect(pair: TriDiagonalPair):
     vstard = pair.vstar(d)
     images = [[m.apply(u) for m in taus] for u in vstar0.basis]
     rows = _membership_rows(images, vstard)
-    if rows:
-        solutions = kernel_vectors(Matrix(field, rows))
-    else:
-        eye = Matrix.identity(field, d + 1)
-        solutions = [list(r) for r in eye.rows]
+    solutions = kernel_vectors(Matrix(field, rows)) if rows else Matrix.identity(field, d + 1).rows
     solution_dim = len(solutions)
     if solution_dim == 0:
         if pair.shape.is_all_ones():
@@ -203,11 +199,9 @@ def leonard_basis(pair: TriDiagonalPair, cert: LeonardCertificate, u) -> tuple:
         raise HypothesisNotMet("u must be nonzero")
     if not pair.vstar(0).contains(u):
         raise HypothesisNotMet("u must lie in the first Astar-eigenspace")
-    eye = Matrix.identity(field, pair.dim)
     vectors = [u]
     for i in range(1, d + 1):
-        shifted = pair.a - eye.scale(pair.theta(i - 1))
-        vectors.append(shifted.apply(vectors[-1]))
+        vectors.append(pair.a.shift(pair.theta(i - 1)).apply(vectors[-1]))
     if Echelon(field, vectors).dim < len(vectors):
         raise InvariantViolation("tau images of u do not form a basis")
     if len(vectors) != pair.dim:
@@ -290,7 +284,6 @@ def affine_relation(pair_p: TriDiagonalPair, pair_q: TriDiagonalPair):
             "different numbers of eigenspaces", side="A", index=0
         )
     field = pair_p.field
-    eye = Matrix.identity(field, pair_p.dim)
 
     def half(theta_p, theta_q, m_p, m_q, d):
         if d == 0:
@@ -301,7 +294,7 @@ def affine_relation(pair_p: TriDiagonalPair, pair_q: TriDiagonalPair):
             s = theta_q[0] - r * theta_p[0]
             if not r:
                 raise InvariantViolation("affine scale vanished on distinct eigenvalues")
-        if m_q != m_p.scale(r) + eye.scale(s):
+        if m_q != m_p.scale(r).shift(-s):
             raise InvariantViolation(
                 "shared eigenspaces but no affine relation; hypothesis violated"
             )
@@ -404,28 +397,22 @@ def _phi_from_split(field, theta, thetastar, varphi):
     Returns None when the structure breaks (degenerate parameters)."""
     d = len(theta) - 1
     a, astar = _split_matrices(field, theta, thetastar, varphi)
-    eye = Matrix.identity(field, d + 1)
     u = tuple([field.one] + [field.zero] * d)
     images = [u]
     for i in range(1, d + 1):
-        shifted = a - eye.scale(theta[d - i + 1])
-        nxt = shifted.apply(images[-1])
+        nxt = a.shift(theta[d - i + 1]).apply(images[-1])
         if vec_is_zero(nxt):
             return None
         images.append(nxt)
     phi = []
     for i in range(1, d + 1):
-        shifted = astar - eye.scale(thetastar[i])
-        w = shifted.apply(images[i])
+        w = astar.shift(thetastar[i]).apply(images[i])
         prev = images[i - 1]
         k = next(j for j, xval in enumerate(prev) if xval)
         scale = w[k] / prev[k]
-        if vec_is_zero(vec_sub(w, vec_scale(scale, prev))):
-            if not scale:
-                return None
-            phi.append(scale)
-        else:
+        if not scale or not vec_is_zero(vec_sub(w, vec_scale(scale, prev))):
             return None
+        phi.append(scale)
     return tuple(phi)
 
 

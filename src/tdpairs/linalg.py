@@ -5,13 +5,14 @@ Matrix(field, rows) coerces and field-checks every entry; same-field
 arithmetic builds its results with Matrix._trusted, which does not.
 The kernels run on int rows, read off once per matrix (Matrix._ints):
 residues over GF(p), numerators over one common denominator over Q.
-@ and apply are int dot products, mapped back once per output entry
-(Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), and so is char_poly
-over GF(p).  Every reduction to row echelon form runs in one engine,
-Echelon, an incremental canonical RREF, fraction-free over Q;
-rref_rows, kernel_vectors, solve, min_poly and the subspaces module are
-built on it.  Ambient sizes are desk scale (dimension a few dozen), so
-clarity wins over asymptotics.
+@ and shift (m - theta I) keep their results in that form, as field
+elements only once rows is read; apply maps back once per output entry
+(Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), and char_poly over
+GF(p) runs on residues.  Every reduction to row echelon form runs in
+one engine, Echelon, an incremental canonical RREF, fraction-free over
+Q; rref_rows, kernel_vectors, solve, min_poly and the subspaces module
+are built on it.  Ambient sizes are desk scale (dimension a few
+dozen), so clarity wins over asymptotics.
 """
 
 from __future__ import annotations
@@ -29,8 +30,13 @@ from .polynomials import Polynomial
 Vector = tuple
 
 
+def modulus(field: Field) -> int | None:
+    """What the int kernels reduce by: p over GF(p), None over Q."""
+    return field.p if isinstance(field, PrimeField) else None
+
+
 class Matrix:
-    __slots__ = ("field", "nrows", "ncols", "rows", "_res")
+    __slots__ = ("field", "nrows", "ncols", "_rows", "_res")
 
     def __init__(self, field: Field, rows: Iterable[Iterable]):
         rs = tuple(tuple(field.scalar(e) for e in row) for row in rows)
@@ -41,7 +47,7 @@ class Matrix:
         self.field = field
         self.nrows = len(rs)
         self.ncols = ncols
-        self.rows = rs
+        self._rows = rs
         self._res = None
 
     @classmethod
@@ -49,16 +55,40 @@ class Matrix:
         """A matrix of same-field arithmetic results: unlike Matrix(field,
         rows), no entry is coerced or checked again.  res: its _ints()."""
         m = cls.__new__(cls)
-        m.field, m.rows, m._res = field, tuple(map(tuple, rows)), res
-        m.nrows, m.ncols = len(m.rows), len(m.rows[0]) if m.rows else 0
+        m.field, m._rows, m._res = field, tuple(map(tuple, rows)), res
+        m.nrows, m.ncols = len(m._rows), len(m._rows[0]) if m._rows else 0
         return m
+
+    @classmethod
+    def _of_ints(cls, field: Field, rows: list, d: int = 1) -> "Matrix":
+        """The matrix rows / d for int rows (residues over GF(p)), kept in
+        that form, over Q in lowest terms as _ints() reads it; its entries
+        become field elements only when rows is read."""
+        g = 1 if modulus(field) else gcd(d, *chain.from_iterable(rows))
+        if g > 1:
+            rows, d = [[a // g for a in row] for row in rows], d // g
+        m = cls.__new__(cls)
+        m.field, m._rows, m._res = field, None, (rows, d)
+        m.nrows, m.ncols = len(rows), len(rows[0]) if rows else 0
+        return m
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as field elements, a tuple of row tuples."""
+        if self._rows is None:
+            ints, d = self._res
+            if modulus(self.field):
+                self._rows = tuple(tuple(map(self.field._element, row)) for row in ints)
+            else:
+                self._rows = tuple(tuple(_fractions(row, d)) for row in ints)
+        return self._rows
 
     def _ints(self) -> tuple:
         """(int rows, d) with self = rows / d, read off once per matrix:
         the residues and d = 1 over GF(p); over Q, d is the least common
         denominator of the entries."""
         if self._res is None:
-            if isinstance(self.field, PrimeField):
+            if modulus(self.field):
                 self._res = (tuple(tuple(e.v for e in row) for row in self.rows), 1)
             else:
                 d = lcm(*{e.denominator for row in self.rows for e in row})
@@ -150,17 +180,22 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        field = self.field
         (x, dx), (y, dy) = self._ints(), other._ints()
-        if isinstance(field, PrimeField):
-            res = residue_product(x, y, field.p)
-            return Matrix._trusted(field, [map(field._element, row) for row in res], (res, 1))
-        cols = tuple(zip(*y))
-        rows, d = [[sum(map(mul, row, col)) for col in cols] for row in x], dx * dy
-        g = gcd(d, *chain.from_iterable(rows))  # lowest terms, as _ints() reads them
-        if g > 1:
-            rows, d = [[a // g for a in row] for row in rows], d // g
-        return Matrix._trusted(field, [_fractions(row, d) for row in rows], (rows, d))
+        return Matrix._of_ints(self.field, residue_product(x, y, modulus(self.field)), dx * dy)
+
+    def shift(self, theta) -> "Matrix":
+        """self - theta I for a square matrix, on its int rows: only the
+        diagonal changes, and the result is kept in int form."""
+        if not self.is_square():
+            raise DimensionMismatch("shift of a non-square matrix")
+        theta, p = self.field.scalar(theta), modulus(self.field)
+        rows, d = self._ints()
+        s = 1 if p else lcm(d, theta.denominator) // d  # over Q: theta = t / (d s)
+        t = theta.v if p else theta.numerator * (d * s // theta.denominator)
+        ints = [[a * s for a in row] if s > 1 else list(row) for row in rows]
+        for i, row in enumerate(ints):
+            row[i] = (row[i] - t) % p if p else row[i] - t
+        return Matrix._of_ints(self.field, ints, d * s)
 
     def scale(self, c) -> "Matrix":
         c = self.field.scalar(c)
@@ -173,10 +208,10 @@ class Matrix:
         """Matrix-vector product."""
         if len(v) != self.ncols:
             raise DimensionMismatch("matrix-vector length mismatch")
-        field = self.field
+        field, p = self.field, modulus(self.field)
         rows, d = self._ints()
-        if isinstance(field, PrimeField):
-            v, p = field._residues(v), field.p
+        if p:
+            v = field._residues(v)
             return tuple(map(field._element, [sum(map(mul, row, v)) % p for row in rows]))
         v, dv = _common([field.scalar(x) for x in v])
         return tuple(_fractions([sum(map(mul, row, v)) for row in rows], d * dv))
@@ -213,9 +248,12 @@ def _fractions(ints: Sequence, d: int) -> list:
     return [Fraction(x, d) if x else QQ.zero for x in ints]
 
 
-def residue_product(x: Sequence, y: Sequence, p: int) -> list:
-    """x @ y for int matrices (sequences of rows), entries reduced mod p."""
+def residue_product(x: Sequence, y: Sequence, p: int | None) -> list:
+    """x @ y for int matrices (sequences of rows), entries reduced mod p
+    unless p is None."""
     cols = tuple(zip(*y))
+    if p is None:
+        return [[sum(map(mul, row, col)) for col in cols] for row in x]
     return [[sum(map(mul, row, col)) % p for col in cols] for row in x]
 
 
@@ -237,15 +275,15 @@ class Echelon:
     reduces in one pass to v - sum_c v[c] row_c / row_c[c], and its
     coordinates in the basis are its entries at the pivots.  A vector in
     the engine's form is int residues over GF(p) and Fractions over Q;
-    over Q insert also takes ints, and line and image give primitive int
-    vectors, as a spin only needs each vector up to a scalar.
+    over Q insert and reduce also take ints, and line, image and
+    nullspace give int vectors, as a span only needs them up to scalars.
     """
 
     __slots__ = ("field", "p", "rows")
 
     def __init__(self, field: Field, vectors: Iterable[Sequence] = ()):
         self.field = field
-        self.p = field.p if isinstance(field, PrimeField) else None
+        self.p = modulus(field)
         self.rows = {}  # pivot column -> reduced row
         for v in vectors:
             self.add(v)
@@ -337,21 +375,31 @@ class Echelon:
             return tuple(tuple(_fractions(self.rows[c], self.rows[c][c])) for c in self.pivots)
         return tuple(self.elements(self.rows[c]) for c in self.pivots)
 
+    @classmethod
+    def of_rows(cls, m: Matrix) -> "Echelon":
+        """The Echelon of m's row space, fed m's int rows."""
+        eng = cls(m.field)
+        for row in m._ints()[0]:
+            eng.insert(row)
+        return eng
+
     def nullspace(self, ncols: int) -> list:
-        """The standard back-substitution basis, in the engine's form, of
-        {x : row . x = 0 for every row}: one vector per free column, with
-        a 1 there and minus the canonical row's entry at each pivot."""
+        """The standard back-substitution basis of {x : row . x = 0 for
+        every row}, as (free column, vector) pairs: a 1 at the free column
+        and minus the canonical row's entry at each pivot, as residues
+        over GF(p); over Q times the lcm s of the pivot entries it uses,
+        an int vector with s at the free column."""
         p, rows = self.p, self.rows
-        zero, one = (0, 1) if p else (QQ.zero, QQ.one)
         out = []
         for free in range(ncols):
             if free not in rows:
-                u = [zero] * ncols
-                u[free] = one
-                for c, row in rows.items():
-                    if row[free]:
-                        u[c] = p - row[free] if p else Fraction(-row[free], row[c])
-                out.append(u)
+                hits = [(c, row) for c, row in rows.items() if row[free]]
+                s = 1 if p else lcm(*[row[c] for c, row in hits])
+                u = [0] * ncols
+                u[free] = s
+                for c, row in hits:
+                    u[c] = p - row[free] if p else -row[free] * (s // row[c])
+                out.append((free, u))
         return out
 
 
@@ -391,8 +439,10 @@ def kernel_vectors(m: Matrix) -> tuple:
     One basis vector per free column, with a 1 in that coordinate; this
     is the standard RREF back-substitution basis (not itself reduced).
     """
-    eng = Echelon(m.field, m.rows)
-    return tuple(map(eng.elements, eng.nullspace(m.ncols)))
+    eng = Echelon.of_rows(m)
+    if eng.p:
+        return tuple(eng.elements(u) for _, u in eng.nullspace(m.ncols))
+    return tuple(tuple(_fractions(u, u[free])) for free, u in eng.nullspace(m.ncols))
 
 
 def solve(m: Matrix, b: Sequence) -> Vector | None:
@@ -440,12 +490,9 @@ def poly_eval_matrix(p: Polynomial, m: Matrix) -> Matrix:
     n = m.nrows
     if p.is_zero():
         return Matrix.zeros(m.field, n, n)
-    eye = Matrix.identity(m.field, n)
-    acc = eye.scale(p.coeffs[-1])
+    acc = Matrix.identity(m.field, n).scale(p.coeffs[-1])
     for c in reversed(p.coeffs[:-1]):
-        acc = acc @ m
-        if c:
-            acc = acc + eye.scale(c)
+        acc = (acc @ m).shift(-c)
     return acc
 
 
@@ -453,10 +500,9 @@ def shifted_products(m: Matrix, roots: Sequence) -> list[Matrix]:
     """The matrices prod_{h < i} (m - roots[h] I) for i = 0..len(roots),
     as one running product: each one is (m - roots[i-1] I) times the
     one before."""
-    eye = Matrix.identity(m.field, m.nrows)
-    out = [eye]
+    out = [Matrix.identity(m.field, m.nrows)]
     for r in roots:
-        out.append((m - eye.scale(r)) @ out[-1])
+        out.append(m.shift(r) @ out[-1])
     return out
 
 
@@ -487,7 +533,7 @@ def char_poly(m: Matrix) -> Polynomial:
     """det(xI - m), by char_poly_coeffs (on int residues over GF(p))."""
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    if isinstance(m.field, PrimeField):
+    if modulus(m.field):
         return Polynomial(m.field, char_poly_coeffs(m._ints()[0], m.field.p))
     return Polynomial(m.field, char_poly_coeffs(m.rows))
 

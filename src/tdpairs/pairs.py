@@ -34,7 +34,7 @@ from .errors import (
     ParseError,
 )
 from .eigen import EigenDecomposition, eigen_decompose, eigencoordinate_change, eigenspaces
-from .linalg import Echelon, Matrix, shifted_products, vec_is_zero
+from .linalg import Echelon, Matrix, modulus, residue_product, shifted_products, vec_is_zero
 from .subspaces import (
     Subspace,
     annihilator,
@@ -164,16 +164,18 @@ def _spin(field, n: int, seeds, operators) -> Subspace:
 
 def _block_edges(eig: EigenDecomposition, b: Matrix) -> set:
     """The pairs (j, i), j != i, for which b maps some vector of
-    eigenspace j to a vector with a nonzero eigenspace-i component."""
-    _, c_inv, ranges = eigencoordinate_change(eig)
-    edges = set()
-    for j, space in enumerate(eig.eigenspaces):
-        for v in space.basis:
-            coords = c_inv.apply(b.apply(v))
-            for i, (lo, hi) in enumerate(ranges):
-                if i != j and any(coords[lo:hi]):
-                    edges.add((j, i))
-    return edges
+    eigenspace j to a vector with a nonzero eigenspace-i component: the
+    nonzero off-diagonal blocks of C^-1 b C, C the eigenbasis change,
+    read off the zero pattern of one int product."""
+    c, c_inv, ranges = eigencoordinate_change(eig)
+    p = modulus(eig.field)
+    prod = residue_product(residue_product(c_inv._ints()[0], b._ints()[0], p), c._ints()[0], p)
+    return {
+        (j, i)
+        for i, (lo, hi) in enumerate(ranges)
+        for j, (left, right) in enumerate(ranges)
+        if i != j and any(any(row[left:right]) for row in prod[lo:hi])
+    }
 
 
 def support_path_orderings(eig: EigenDecomposition, b: Matrix) -> list[tuple[int, ...]]:
@@ -401,21 +403,21 @@ def irreducible(
         return IrreducibilityReport.irreducible("no proper nonzero subspaces in dimension 1")
     field = a.field
     n = a.nrows
-    eye = Matrix.identity(field, n)
     spaces_a, eig_a = _eigenspaces(a, eig_a)
     spaces_astar, eig_astar = _eigenspaces(astar, eig_astar)
     shifts = [(a, eig_a, i, theta, k) for i, (theta, k) in enumerate(spaces_a)]
     shifts += [(astar, eig_astar, i, theta, k) for i, (theta, k) in enumerate(spaces_astar)]
     for m, _, _, theta, k in shifts:
         if k.dim == 1:
-            return _norton(a, astar, m - eye.scale(theta), k.basis, lambda: "simple")
+            return _norton(a, astar, m.shift(theta), k.basis, lambda: "simple")
     diagonal = [s for s in shifts if s[1] is not None]
     if diagonal:
         m, eig, i, theta, k = min(diagonal, key=lambda s: s[4].dim)
-        t, kbasis = m - eye.scale(theta), k.basis
+        t, kbasis = m.shift(theta), k.basis
         _, c_inv, ranges = eigencoordinate_change(eig)
         coords = Matrix(field, c_inv.rows[slice(*ranges[i])])
     else:
+        eye = Matrix.identity(field, n)
         t, kbasis, coords = Matrix.zeros(field, n, n), eye.rows, eye
     return _norton(
         a, astar, t, kbasis, lambda: _submodule(field, _condensed(a, astar, kbasis, coords))

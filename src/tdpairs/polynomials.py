@@ -94,20 +94,6 @@ class Polynomial:
     def __rmul__(self, other) -> "Polynomial":
         return self * other
 
-    def deflate(self, root) -> tuple["Polynomial", Scalar]:
-        """Synthetic division by (x - root): returns (quotient, remainder)."""
-        root = self.field.scalar(root)
-        if self.is_zero():
-            return Polynomial.zero(self.field), self.field.zero
-        acc = self.field.zero
-        out = []
-        for c in reversed(self.coeffs):
-            acc = acc * root + c
-            out.append(acc)
-        rem = out.pop()
-        out.reverse()
-        return Polynomial(self.field, out), rem
-
     def __eq__(self, other):
         return (
             isinstance(other, Polynomial)

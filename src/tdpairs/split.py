@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate
 
 from .errors import HypothesisNotMet, InvariantViolation, TauImageVanished
-from .linalg import Echelon, Matrix, shifted_products, vec_is_zero
+from .linalg import Echelon, shifted_products, vec_is_zero
 from .pairs import TriDiagonalPair
 from .polynomials import Polynomial
 from .subspaces import (
@@ -113,23 +113,15 @@ def verify_raising_lowering(sd: SplitDecomposition) -> SplitReport:
     """Check that A - theta_i I raises U_i into U_{i+1} and
     Astar - thetastar_i I lowers U_i into U_{i-1}, with zero subspaces
     past both ends; returns the report with per-index flags filled in."""
-    pair = sd.pair
-    field = pair.field
-    n = pair.dim
-    d = pair.diameter
-    eye = Matrix.identity(field, n)
-    zero_space = Subspace.zero(field, n)
-    eq7 = []
-    for i in range(d + 1):
-        shifted = pair.a - eye.scale(pair.theta(i))
-        target = sd.U[i + 1] if i < d else zero_space
-        eq7.append(subspace_leq(image_of(shifted, sd.U[i]), target))
-    eq8 = []
-    for i in range(d + 1):
-        shifted = pair.astar - eye.scale(pair.thetastar(i))
-        target = sd.U[i - 1] if i > 0 else zero_space
-        eq8.append(subspace_leq(image_of(shifted, sd.U[i]), target))
-    return replace(sd.report, eq7=tuple(eq7), eq8=tuple(eq8))
+    pair, d = sd.pair, sd.pair.diameter
+    zero_space = Subspace.zero(pair.field, pair.dim)
+
+    def moved(m, theta, step):  # (m - theta_i I) U_i <= U_{i+step}, 0 past the ends
+        targets = [sd.U[i + step] if 0 <= i + step <= d else zero_space for i in range(d + 1)]
+        return tuple(subspace_leq(image_of(m.shift(theta(i)), sd.U[i]), t) for i, t in enumerate(targets))
+
+    eq7, eq8 = moved(pair.a, pair.theta, 1), moved(pair.astar, pair.thetastar, -1)
+    return replace(sd.report, eq7=eq7, eq8=eq8)
 
 
 def tau_basis(pair: TriDiagonalPair) -> TauBasis:
@@ -183,11 +175,9 @@ def tau_images(pair: TriDiagonalPair, u, sd: SplitDecomposition | None = None) -
         raise HypothesisNotMet("u must lie in the first Astar-eigenspace")
     if sd is None:
         sd = split_subspaces(pair)
-    eye = Matrix.identity(field, pair.dim)
     images = [u]
     for i in range(1, d + 1):
-        shifted = pair.a - eye.scale(pair.theta(i - 1))
-        nxt = shifted.apply(images[-1])
+        nxt = pair.a.shift(pair.theta(i - 1)).apply(images[-1])
         if vec_is_zero(nxt):
             raise TauImageVanished(
                 f"tau_{i}(A)u = 0 for a nonzero u in Vstar_0", u=u, index=i

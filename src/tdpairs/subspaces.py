@@ -126,10 +126,9 @@ def subspace_sum(x: Subspace, y: Subspace) -> Subspace:
 
 
 def subspace_leq(x: Subspace, y: Subspace) -> bool:
-    """True iff every basis vector of x lies in y (rank is preserved when
-    stacking x's basis onto y's)."""
+    """True iff every row of x's Echelon, in the engine's form, lies in y."""
     x._check(y)
-    return all(y.contains(v) for v in x.basis)
+    return not any(any(y.echelon.reduce(u)) for u in x.echelon.rows.values())
 
 
 def subspace_intersect(x: Subspace, y: Subspace) -> Subspace:
@@ -147,20 +146,24 @@ def subspace_intersect(x: Subspace, y: Subspace) -> Subspace:
 
 def kernel(m: Matrix) -> Subspace:
     """Right kernel of a matrix as a Subspace: the canonical RREF of the
-    back-substitution basis, reduced in the engine's form."""
+    back-substitution basis, both eliminations on m's int rows."""
     eng = Echelon(m.field)
-    for u in Echelon(m.field, m.rows).nullspace(m.ncols):
+    for _, u in Echelon.of_rows(m).nullspace(m.ncols):
         eng.insert(u)
     return Subspace.of_echelon(eng, m.ncols)
 
 
 def image_of(m: Matrix, s: Subspace) -> Subspace:
-    """The image m(s) as a subspace of the codomain."""
+    """The image m(s) as a subspace of the codomain: the span of m's int
+    rows applied to the rows of s's Echelon."""
     if m.field != s.field:
         raise FieldMismatch(f"{m.field!r} vs {s.field!r}")
     if m.ncols != s.ambient_dim:
         raise DimensionMismatch("operator domain does not match ambient space")
-    return Subspace.span(m.field, m.nrows, [m.apply(v) for v in s.basis])
+    eng = Echelon(m.field)
+    for u in s.echelon.rows.values():
+        eng.insert(eng.image(m, u))
+    return Subspace.of_echelon(eng, m.nrows)
 
 
 def annihilator(field: Field, ambient_dim: int, vectors: Sequence[Sequence]) -> Subspace:

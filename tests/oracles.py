@@ -66,6 +66,25 @@ def int_rref(p, rows):
     return rows, len(pivots), tuple(pivots)
 
 
+def block_edges_per_vector(p, spaces, b_rows):
+    """The pairs (j, i), j != i, for which b maps a basis vector of
+    eigenspace j to a vector with a nonzero component in eigenspace i,
+    one vector at a time: the coordinates of b v in the concatenated
+    bases are the last column of the RREF of [C | b v], C the basis
+    vectors as columns.  spaces: one list of basis vectors per
+    eigenspace, as ints mod p (p None: Fractions over Q)."""
+    basis = [v for space in spaces for v in space]
+    owner = [j for j, space in enumerate(spaces) for _ in space]
+    n = len(basis)
+    edges = set()
+    for j, space in enumerate(spaces):
+        for v in space:
+            w = int_mat_apply(p, b_rows, v)
+            rows = int_rref(p, [[basis[k][r] for k in range(n)] + [w[r]] for r in range(n)])[0]
+            edges |= {(j, owner[k]) for k, row in enumerate(rows) if row[n] and owner[k] != j}
+    return edges
+
+
 def int_span(p, vectors, n):
     """The set of all GF(p)-linear combinations, as int tuples."""
     span = {(0,) * n}

@@ -8,6 +8,7 @@ import json
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -16,9 +17,10 @@ import tdpairs.cli
 import tdpairs.pairs
 from tdpairs import GF, QQ, InvariantViolation, LeonardParameterSet, Matrix, SearchSpec
 from tdpairs.cli import cmd_search, main
+from tdpairs.eigen import invert
 from tdpairs.serio import candidate_to_json, canonical_dumps, params_to_json
 
-from oracles import TENSOR_PARAMS, scalar_restriction_fixture, tensor_fixture
+from oracles import TENSOR_PARAMS, kron_sum_fixture, scalar_restriction_fixture, tensor_fixture
 from test_pairs import A_D2, ASTAR_D2
 
 
@@ -657,3 +659,51 @@ def test_golden_stdout_is_byte_identical(tmp_path, capsys):
     stdout = _golden_requests(tmp_path, capsys)
     assert len(stdout.splitlines()) == 72
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == GOLDEN_STDOUT_SHA256
+
+
+# sha256 of the stdout of _nonsharp_requests, generated before the eigen
+# pipeline moved to int rows: it pins kernels and support edges on
+# eigenspaces of dimension 2 and 3, which the Leonard-heavy digest above
+# barely reaches
+NONSHARP_STDOUT_SHA256 = "1424b2dc20073f23e3729b919bdd2153a9350efd28ffbb8cb1fc5b5165979322"
+
+
+def _nonsharp_requests(tmp_path, capsys):
+    """Every stdout byte of verify, decompose and detect on non-sharp
+    pairs: Kronecker sums of three diameter-1 pairs (n = 8, shape
+    (1, 3, 3, 1)) over Q, conjugated over Q, and over GF(101), and the
+    restriction-of-scalars pairs of shape (2, 2, 2, 2) over Q and
+    (3, 3, 3, 3) over GF(7), also conjugated."""
+    def conjugated(field, pair):
+        # by L L^T for a unit lower triangular L: dense eigenvectors
+        n = pair[0].nrows
+        entry = (lambda i, j: Fraction(i + 1, j + 2)) if field == QQ else (lambda i, j: i + 2 * j + 1)
+        lower = Matrix(field, [[entry(i, j) if j < i else int(i == j) for j in range(n)] for i in range(n)])
+        change = lower @ lower.transpose()
+        return tuple(change @ m @ invert(change) for m in pair)
+
+    kron_q = kron_sum_fixture(QQ, ((0, 1),) * 3, (1, 2, 3))
+    restricted_gf7 = scalar_restriction_fixture(GF(7), (-2, 0, 0, 1), 3)
+    inputs = {
+        "kron-q": kron_q,
+        "kron-q-conjugated": conjugated(QQ, kron_q),
+        "kron-gf101": kron_sum_fixture(GF(101), ((0, 1), (2, 3), (5, 6)), (1, 2, 3)),
+        "restricted-q": scalar_restriction_fixture(QQ, (1, 0, 1), 3),
+        "restricted-gf7": restricted_gf7,
+        "restricted-gf7-conjugated": conjugated(GF(7), restricted_gf7),
+    }
+    out = []
+    for name, (a, astar) in inputs.items():
+        path = write_candidate(tmp_path, f"{name}.json", a, astar)
+        for command in ("verify", "decompose", "detect"):
+            main([command, path])
+            out.append(capsys.readouterr().out)
+    return "".join(out)
+
+
+def test_golden_stdout_of_non_sharp_pairs_is_byte_identical(tmp_path, capsys):
+    stdout = _nonsharp_requests(tmp_path, capsys)
+    reports = reports_of(stdout)
+    assert len(reports) == 18
+    assert [r["exitCode"] for r in reports] == [0] * 18
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == NONSHARP_STDOUT_SHA256

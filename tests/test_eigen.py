@@ -20,14 +20,17 @@ from tdpairs import (
     min_poly,
     primitive_idempotents,
 )
+import tdpairs.eigen
 from tdpairs.eigen import (
     EigenDecomposition,
     _rational_roots,
     eigencoordinate_change,
     invert,
+    residue_roots,
     splits_mod_p,
 )
-from tdpairs.linalg import char_poly
+from tdpairs.subspaces import Subspace
+from tdpairs.linalg import Echelon, char_poly
 
 from oracles import char_poly_by_interpolation, rational_roots_by_divisors
 
@@ -104,22 +107,61 @@ def test_reordered_and_reversed():
 
 
 def test_reordered_copies_skip_the_eigenvector_check(monkeypatch):
-    # reordering cannot break an eigenpair, so a copy applies no operator;
-    # a fresh construction still checks every eigenvector
+    # reordering cannot break an eigenpair, so a copy checks no vector;
+    # a fresh construction applies A - theta I to every eigenvector
     eig = eigen_decompose(qm([[1, 0, 0], [1, 2, 0], [0, 1, 3]]))
     calls = []
-    real_apply = Matrix.apply
-    monkeypatch.setattr(Matrix, "apply", lambda m, v: calls.append(v) or real_apply(m, v))
+    real_image = Echelon.image
+    monkeypatch.setattr(Echelon, "image", lambda e, m, u: calls.append((m, u)) or real_image(e, m, u))
     eig.reordered((2, 0, 1))
     eig.reversed()
     assert calls == []
     EigenDecomposition(eig.operator, eig.eigenvalues, eig.eigenspaces)
+    shifts = [eig.operator.shift(theta) for theta in eig.eigenvalues]
+    assert [(m, list(u)) for m, u in calls] == [
+        (shift, list(space.echelon.rows[c]))
+        for shift, space in zip(shifts, eig.eigenspaces)
+        for c in space.echelon.pivots
+    ]
     assert len(calls) == 3
     for bad in ((0, 1), (0, 0, 1), (0, 1, 3)):
         with pytest.raises(DimensionMismatch):
             eig.reordered(bad)
     with pytest.raises(InvariantViolation, match="not one"):
         EigenDecomposition(eig.operator, eig.eigenvalues[::-1], eig.eigenspaces)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(65521)], ids=["Q", "GF7", "GF65521"])
+def test_eigenvector_check_rejects_a_wrong_eigenvalue_or_a_moved_vector(field):
+    # A = P diag(1, 1, 2, 3) P^-1: the check must catch one wrong
+    # eigenvalue and one basis vector moved off its eigenspace, so that it
+    # can never pass vacuously
+    lower = Matrix(field, [[1, 0, 0, 0], [2, 1, 0, 0], [0, 3, 1, 0], [1, 0, 2, 1]])
+    p = lower @ lower.transpose()  # determinant 1 in every field
+    a = p @ Matrix.diagonal(field, [1, 1, 2, 3]) @ invert(p)
+    eig = eigen_decompose(a)
+    assert eig.dims() == (2, 1, 1)
+    EigenDecomposition(a, eig.eigenvalues, eig.eigenspaces)
+    for i in range(3):
+        wrong = list(eig.eigenvalues)
+        wrong[i] = field.scalar(5)
+        with pytest.raises(InvariantViolation, match="claimed eigenvector is not one"):
+            EigenDecomposition(a, tuple(wrong), eig.eigenspaces)
+        space = eig.eigenspaces[i]
+        for j, k in itertools.product(range(3), range(space.dim)):
+            if j == i:
+                continue
+            moved = list(space.basis)  # vector k of space i plus one of space j
+            moved[k] = tuple(x + y for x, y in zip(moved[k], eig.eigenspaces[j].basis[0]))
+            spaces = list(eig.eigenspaces)
+            spaces[i] = Subspace.span(field, 4, moved)
+            assert spaces[i].dim == space.dim and spaces[i] != space
+            with pytest.raises(InvariantViolation, match="claimed eigenvector is not one"):
+                EigenDecomposition(a, eig.eigenvalues, tuple(spaces))
+    # the int check reads the spaces in the operator's field and dimension
+    for foreign in (Subspace.full(GF(3), 1), Subspace.full(field, 5)):
+        with pytest.raises(InvariantViolation, match="outside the operator's space"):
+            EigenDecomposition(a, eig.eigenvalues[:1], (foreign,))
 
 
 def test_primitive_idempotents_resolve_identity():
@@ -315,6 +357,71 @@ def test_rational_roots_of_semiprime_coefficients_need_no_factoring():
     assert _rational_roots(poly) == [Fraction(n * m)]
     poly = Polynomial(QQ, _poly_product([[-n, m], [-n, m], [m, n], [2, 0, 1]]))
     assert sorted(_rational_roots(poly)) == [Fraction(-m, n), Fraction(n, m), Fraction(n, m)]
+
+
+def test_rational_roots_match_divisor_oracle_under_wide_denominators():
+    # the root finder clears denominators once and works on primitive int
+    # coefficients, so a common factor with 1- to 30-digit numerator and
+    # denominator changes nothing it finds; the divisor oracle, which
+    # would factor that factor, gets the polynomial without it
+    rng = random.Random(30)
+    quadratics = [[1, 0, 1], [-2, 0, 1], [1, 1, 1]]
+    for _ in range(60):
+        factors = []
+        for _ in range(rng.randint(1, 5)):
+            lin = [Fraction(-rng.randint(-9, 9)), Fraction(rng.randint(1, 7))]
+            factors += [lin] * rng.choice([1, 1, 2])
+        factors += [[0, 1]] * rng.choice([0, 1])
+        factors += [[Fraction(c) for c in rng.choice(quadratics)] for _ in range(rng.randint(0, 1))]
+        digits = rng.randint(1, 30)
+        num = rng.randint(10 ** (digits - 1), 10**digits) * rng.choice((-1, 1))
+        wide = Fraction(num, rng.randint(10 ** (digits - 1), 10**digits))
+        coeffs = _poly_product(factors)
+        got = _rational_roots(Polynomial(QQ, [wide * c for c in coeffs]))
+        assert sorted(got) == rational_roots_by_divisors(coeffs), (factors, wide)
+
+
+def _brute_residue_roots(ints, p):
+    """Every t in [0, p) with its multiplicity: how often x - t divides."""
+    roots = []
+    for t in range(p):
+        f = [c % p for c in ints]
+        while len(f) > 1 and sum(c * pow(t, i, p) for i, c in enumerate(f)) % p == 0:
+            roots.append(t)
+            q = [0] * (len(f) - 1)  # f / (x - t) by synthetic division
+            carry = 0
+            for k in range(len(f) - 1, 0, -1):
+                carry = (f[k] + t * carry) % p
+                q[k - 1] = carry
+            f = q
+    return roots
+
+
+@pytest.mark.parametrize("p", (2, 3, 7, 101, 65521))
+def test_residue_roots_match_a_brute_force_scan(p, monkeypatch):
+    # roots at 0 and p - 1, repeated roots, and cofactors without roots;
+    # once the roots found use up the degree the scan stops
+    rng = random.Random(p)
+    for _ in range(40 if p < 1000 else 3):  # the brute scan is slow at 65521
+        roots = [rng.choice((0, p - 1, rng.randrange(p))) for _ in range(rng.randint(0, 4))]
+        roots += roots[:1] * rng.randint(0, 2)
+        poly = Polynomial(GF(p), [rng.randrange(1, p)])
+        for r in roots:
+            poly = poly * Polynomial.x_minus(GF(p), r)
+        if rng.random() < 0.5:
+            poly = poly * Polynomial(GF(p), [rng.randrange(p), rng.randrange(p), 1])
+        ints = [c.v for c in poly.coeffs]
+        assert residue_roots(ints, p) == _brute_residue_roots(ints, p)
+    scanned = []  # the residues the scan draws from range(p)
+
+    def scan_range(*args):
+        values = range(*args)
+        return (scanned.append(t) or t for t in values) if args == (p,) else values
+
+    monkeypatch.setattr(tdpairs.eigen, "range", scan_range, raising=False)
+    split = [c.v for c in Polynomial.from_roots(GF(p), [0, 1 % p, 1 % p]).coeffs]
+    assert residue_roots(split, p) == sorted([0, 1 % p, 1 % p])
+    assert scanned == list(range(min(p, 3)))
 
 
 def _min_poly_rule(m):

@@ -7,7 +7,18 @@ from fractions import Fraction
 
 import pytest
 
-from tdpairs import GF, QQ, DimensionMismatch, FieldMismatch, Matrix, Polynomial, min_poly, poly_eval_matrix
+from tdpairs import (
+    GF,
+    QQ,
+    DimensionMismatch,
+    FieldMismatch,
+    InvariantViolation,
+    Matrix,
+    Polynomial,
+    min_poly,
+    poly_eval_matrix,
+)
+from tdpairs.eigen import invert
 from tdpairs.fields import GFElement
 from tdpairs.linalg import Echelon, kernel_vectors, rank, rref, rref_rows, solve, vec_is_zero
 from tdpairs.subspaces import Subspace, kernel, subspace_intersect
@@ -382,6 +393,77 @@ def test_q_kernels_match_the_fraction_oracle_on_the_hilbert_matrix():
     # the spin of e_0 under H is all of Q^10
     spun = tdpairs.pairs._spin(QQ, 10, [[1] + [0] * 9], [qm(hilbert)])
     assert [list(b) for b in spun.basis] == _oracle_spin([[1] + [0] * 9], [hilbert])
+
+
+# ---- the eigen steps on int rows: shift, kernel and inverse ---------------------
+
+
+def _oracle_kernel(p, rows):
+    """The canonical RREF basis of {x : rows x = 0} by int_rref alone: the
+    back-substitution basis of the rows' RREF, reduced once more."""
+    ref, rank_, pivots = int_rref(p, rows)
+    n = len(rows[0])
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        u = [0] * n
+        u[free] = 1
+        for i, c in enumerate(pivots):
+            u[c] = -ref[i][free] if p is None else -ref[i][free] % p
+        basis.append(u)
+    return int_rref(p, basis)[0][: len(basis)] if basis else []
+
+
+def _kept_form(m):
+    """A matrix's kept int form and that of a fresh construction of it."""
+    kept, d = m._ints()
+    fresh, d_fresh = Matrix(m.field, m.rows)._ints()
+    return (list(map(list, kept)), d), (list(map(list, fresh)), d_fresh)
+
+
+def _check_int_eigen_steps(field, a, theta):
+    """M = A + theta I for an n x n oracle matrix A: M.shift(theta) against
+    M - theta I, its kernel and M's inverse against int_rref."""
+    p = getattr(field, "p", None)
+    n = len(a)
+    m_rows = [[x + theta * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)]
+    if p is not None:
+        m_rows = [[x % p for x in row] for row in m_rows]
+    m = Matrix(field, m_rows)
+    shifted = m.shift(field.scalar(theta))
+    assert shifted.rows == (m - Matrix.identity(field, n).scale(theta)).rows
+    assert _ints(shifted.rows) == [[x if p is None else x % p for x in row] for row in a]
+    kept, fresh = _kept_form(shifted)
+    assert kept == fresh
+    assert _ints(kernel(shifted).basis) == _oracle_kernel(p, a)
+    ref, rank_, _ = int_rref(p, [row + [int(i == j) for j in range(n)] for i, row in enumerate(m_rows)])
+    if int_rref(p, m_rows)[1] < n:
+        with pytest.raises(InvariantViolation, match="singular"):
+            invert(m)
+        return
+    inverse = invert(m)
+    assert _ints(inverse.rows) == [row[n:] for row in ref]
+    kept, fresh = _kept_form(inverse)
+    assert kept == fresh
+
+
+@pytest.mark.parametrize("p", (2, 3, 101, 65521))
+def test_int_eigen_steps_match_the_int_oracle_over_gf(p):
+    field = GF(p)
+    rng = random.Random(p + 1)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        a = _random_int_rows(rng, p, n, n)
+        _check_int_eigen_steps(field, a, rng.randrange(p))
+
+
+def test_int_eigen_steps_match_the_fraction_oracle_on_wide_denominators():
+    rng = random.Random(31)
+    for _ in range(30):
+        n = rng.randint(1, 6)
+        a = [[_wide(rng) for _ in range(n)] for _ in range(n - 1 if n > 2 else n)]
+        if len(a) < n:  # a singular A: a combination of two rows
+            a = _dependent(rng, a)
+        _check_int_eigen_steps(QQ, a, _wide(rng))
 
 
 def test_residue_kernels_take_entries_of_an_equal_field_instance():

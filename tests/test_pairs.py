@@ -40,6 +40,7 @@ from tdpairs.pairs import path_orderings
 
 from oracles import (
     TENSOR_PARAMS,
+    block_edges_per_vector,
     brute_common_invariant,
     brute_common_invariant_dim3,
     closure_algebra,
@@ -50,6 +51,7 @@ from oracles import (
     subspace_vector_set,
     tensor_fixture,
 )
+from test_linalg import _vals, _wide
 
 
 def qm(rows):
@@ -111,6 +113,42 @@ def test_support_orderings_of_valid_pair_are_walk_and_reverse():
     orderings = support_path_orderings(eig, astar)
     assert len(orderings) == 2
     assert orderings[0] == tuple(reversed(orderings[1]))
+
+
+def _check_block_edges(eig, b):
+    p = getattr(eig.field, "p", None)
+    spaces = [[_vals(v) for v in space.basis] for space in eig.eigenspaces]
+    b_rows = [_vals(row) for row in b.rows]
+    edges = tdpairs.pairs._block_edges(eig, b)
+    assert edges == block_edges_per_vector(p, spaces, b_rows)
+    return edges
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101), GF(65521)], ids=str)
+def test_block_edges_match_the_per_vector_definition(field):
+    # A = P D P^-1 with repeated eigenvalues in D and B random, so that
+    # blocks of every size are zero or not; the product C^-1 B C must give
+    # the edges that one C^-1 B v per eigenvector gives
+    rng = random.Random(7 if field == QQ else field.p)
+    draw = (lambda: _wide(rng)) if field == QQ else (lambda: rng.randrange(field.p))
+    found = set()
+    for _ in range(25):
+        n = rng.randint(1, 6)
+        lower = Matrix(field, [[draw() if j < i else int(i == j) for j in range(n)] for i in range(n)])
+        p_mat = lower @ lower.transpose()
+        values = [rng.randrange(min(3, getattr(field, "p", 3))) for _ in range(n)]
+        a = p_mat @ Matrix.diagonal(field, values) @ invert(p_mat)
+        b = Matrix(field, [[draw() if rng.random() < 0.4 else 0 for _ in range(n)] for _ in range(n)])
+        if rng.random() < 0.3:  # B with A's eigenspaces: no edges
+            b = p_mat @ Matrix.diagonal(field, [draw() for _ in range(n)]) @ invert(p_mat)
+        found.add(len(_check_block_edges(eigen_decompose(a), b)))
+    if getattr(field, "p", 101) > 3:  # pairs of shape (1, 1, 1) and (1, 3, 3, 1)
+        fixtures = [(Matrix(field, A_D2), Matrix(field, ASTAR_D2))]
+        fixtures.append(kron_sum_fixture(field, ((0, 1),) * 3, (1, 1, 1)))
+        for a, astar in fixtures:
+            found.add(len(_check_block_edges(eigen_decompose(a), astar)))
+            found.add(len(_check_block_edges(eigen_decompose(astar), a)))
+    assert 0 in found and len(found) > 2
 
 
 def test_support_orderings_diameter_zero():
