@@ -30,7 +30,7 @@ from .errors import (
 )
 from .eigen import EigenDecomposition, primitive_idempotents
 from .fields import Field, PrimeField
-from .linalg import Echelon, Matrix, kernel_vectors, solve, vec_is_zero, vec_scale, vec_sub
+from .linalg import Echelon, Matrix, kernel_vectors, solve, vec_is_zero
 from .pairs import TriDiagonalPair, validate_pair
 from .split import tau_basis
 from .subspaces import image_of, subspace_leq, subspace_sum
@@ -388,32 +388,22 @@ def generate_split_form(params: LeonardParameterSet) -> tuple[Matrix, Matrix]:
     return pair.a, pair.astar
 
 
-def _phi_from_split(field, theta, thetastar, varphi):
-    """Second split sequence of the split form, from the reversed
-    eigenvalue ordering: with u'_i the image of e_0 under the product of
-    (A - theta_{d-h} I) for h < i, the scalar phi_i satisfies
-    (Astar - thetastar_i I) u'_i = phi_i u'_{i-1}.
+def _phi_pa4(field, theta, thetastar, varphi):
+    """Second split sequence of a Leonard system from its eigenvalues and
+    first split sequence, by Terwilliger's PA4 (LAA 330, 2001):
+    phi_i = varphi_1 sum_{h<i} (theta_h - theta_{d-h}) / (theta_0 - theta_d)
+    + (thetastar_i - thetastar_0)(theta_{d-i+1} - theta_0).
 
-    Returns None when the structure breaks (degenerate parameters)."""
+    Returns None when some phi_i is zero (degenerate parameters)."""
     d = len(theta) - 1
-    a, astar = _split_matrices(field, theta, thetastar, varphi)
-    u = tuple([field.one] + [field.zero] * d)
-    images = [u]
+    phi, partial = [], field.zero
     for i in range(1, d + 1):
-        nxt = a.shift(theta[d - i + 1]).apply(images[-1])
-        if vec_is_zero(nxt):
-            return None
-        images.append(nxt)
-    phi = []
-    for i in range(1, d + 1):
-        w = astar.shift(thetastar[i]).apply(images[i])
-        prev = images[i - 1]
-        k = next(j for j, xval in enumerate(prev) if xval)
-        scale = w[k] / prev[k]
-        if not scale or not vec_is_zero(vec_sub(w, vec_scale(scale, prev))):
-            return None
-        phi.append(scale)
-    return tuple(phi)
+        partial += theta[i - 1] - theta[d - i + 1]
+        phi.append(
+            varphi[0] * partial / (theta[0] - theta[d])
+            + (thetastar[i] - thetastar[0]) * (theta[d - i + 1] - theta[0])
+        )
+    return tuple(phi) if all(phi) else None
 
 
 _MAX_RETRIES = 40
@@ -458,7 +448,7 @@ def random_leonard(field: Field, d: int, seed) -> tuple[LeonardParameterSet, Tri
         varphi = tuple(field.scalar(i * (d - i + 1) * t) for i in range(1, d + 1))
         if any(x == field.zero for x in varphi):
             continue
-        phi = _phi_from_split(field, theta, thetastar, varphi)
+        phi = _phi_pa4(field, theta, thetastar, varphi)
         if phi is None:
             continue
         try:

@@ -468,9 +468,6 @@ def solve(m: Matrix, b: Sequence) -> Vector | None:
 def vec_add(u: Sequence, v: Sequence) -> Vector:
     return tuple(a + b for a, b in zip(u, v))
 
-def vec_sub(u: Sequence, v: Sequence) -> Vector:
-    return tuple(a - b for a, b in zip(u, v))
-
 def vec_scale(c, v: Sequence) -> Vector:
     return tuple(c * x for x in v)
 

@@ -6,14 +6,14 @@ ranges over the block-tridiagonal pattern that condition (ii) forces,
 either exhaustively (candidate index = base-p digits of the entries) or
 pseudo-randomly (counter-based keyed hash, so any shard of the stream is
 reproducible on any machine).  A candidate Astar stays plain int rows
-mod p through a residue screen of necessary checks (_residue_screen):
-M^p == M row by row, exact because x^p - x is the product of (x - a)
-over all a in GF(p), so it holds iff Astar is diagonalizable over GF(p);
-the diameter and the shape multiset, from the roots of the characteristic
-polynomial mod p; an ordering of A's eigenspaces; an ordering of Astar's.
-Only a candidate that passes them becomes a Matrix, and validate_pair
-certifies it; only fully validated pairs of the requested shape are
-returned.
+mod p through the two checks that exist because A is fixed: M^p == M
+row by row (splits_mod_p), which holds iff Astar is diagonalizable over
+GF(p), as x^p - x is the product of (x - a) over all a in GF(p); and an
+ordering of A's eigenspaces, read off Astar's nonzero blocks, exact
+because A = diag(blocks).  A survivor goes to the certifier's own
+stages: eigen_decompose, a check of its eigenspace dimensions against
+the shape, and validate_pair, which reuses both decompositions; only
+fully validated pairs of the requested shape are returned.
 """
 
 from __future__ import annotations
@@ -21,20 +21,19 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, replace
-from functools import reduce
-from itertools import permutations
 
 from .errors import (
     BudgetZero,
     DimensionMismatch,
     FieldTooSmall,
     InvariantViolation,
+    NotDiagonalizableOverField,
     ParseError,
     TdpError,
 )
-from .eigen import eigen_decompose, residue_roots, splits_mod_p
+from .eigen import eigen_decompose, splits_mod_p
 from .fields import PrimeField
-from .linalg import Matrix, char_poly_coeffs, residue_product
+from .linalg import Matrix
 from .pairs import ShapeVector, path_orderings, validate_pair
 
 _MODES = ("exhaustive", "randomized")
@@ -142,43 +141,6 @@ def _randomized_entries(seed: int, k: int, count: int, p: int) -> list:
     return out
 
 
-def _residue_screen(rows: list, p: int, blocks: list, dims: list) -> str | None:
-    """The first check of the search funnel that the int rows of a
-    candidate Astar fail against A = diag(blocks), or None; dims is the
-    sorted shape.  Astar's edge (j, i) exists iff E_i A E_j != 0, and the
-    projection E_i is a nonzero multiple of the product of the (Astar -
-    theta_k I), k != i.
-    """
-    if not splits_mod_p(rows, p):
-        return "not_diagonalizable"
-    roots = residue_roots(char_poly_coeffs(rows, p), p)
-    thetas = sorted(set(roots))
-    if len(thetas) != len(dims):
-        return "wrong_diameter"
-    # Astar is diagonalizable, so each multiplicity is an eigenspace dimension
-    if sorted(map(roots.count, thetas)) != dims:
-        return "wrong_multiset"
-    n = len(rows)
-    a_edges = {(blocks[c], blocks[r]) for r in range(n) for c in range(n) if rows[r][c]}
-    if not path_orderings(len(dims), a_edges):
-        return "no_ordering_a"
-    eye = [[int(r == c) for c in range(n)] for r in range(n)]
-    shifted = [[[(x - t * u) % p for x, u in zip(*pair)] for pair in zip(rows, eye)] for t in thetas]
-    proj = [
-        reduce(lambda x, y: residue_product(x, y, p), shifted[:i] + shifted[i + 1 :], eye)
-        for i in range(len(thetas))
-    ]
-    a_proj = [[[b * x for x in row] for b, row in zip(blocks, e)] for e in proj]
-    edges = {
-        (j, i)
-        for i, j in permutations(range(len(thetas)), 2)
-        if any(map(any, residue_product(proj[i], a_proj[j], p)))
-    }
-    if not path_orderings(len(dims), edges):
-        return "no_ordering_astar"
-    return None
-
-
 def search_shape(spec: SearchSpec) -> SearchResult:
     """Try up to spec.budget candidates from spec.start onward and
     return every validated pair with the requested shape.
@@ -186,7 +148,8 @@ def search_shape(spec: SearchSpec) -> SearchResult:
     Deterministic for a fixed spec; a shard (same seed, shifted start)
     contributes exactly the candidates its counter range covers.  A
     rejected candidate is skipped; an InvariantViolation is a bug and
-    propagates.
+    propagates, and so is a candidate that passes M^p == M but does not
+    decompose.
     """
     t0 = time.monotonic()
     field = spec.field
@@ -218,11 +181,21 @@ def search_shape(spec: SearchSpec) -> SearchResult:
         rows = [[0] * n for _ in range(n)]
         for (r, c), v in zip(positions, values):
             rows[r][c] = v
-        if _residue_screen(rows, p, blocks, dims) is not None:
+        if not splits_mod_p(rows, p):
             continue
-        astar = Matrix(field, rows)
+        # A = diag(blocks), so Astar's (i, j) block is nonzero iff edge (j, i)
+        a_edges = {(blocks[c], blocks[r]) for r in range(n) for c in range(n) if rows[r][c]}
+        if not path_orderings(len(dims), a_edges):
+            continue
+        astar = Matrix._of_ints(field, rows)
         try:
-            pair = validate_pair(a, astar, eig_a)
+            eig_s = eigen_decompose(astar)
+        except NotDiagonalizableOverField as e:
+            raise InvariantViolation(f"Astar passed M^p == M but does not split: {e}") from None
+        if sorted(eig_s.dims()) != dims:
+            continue
+        try:
+            pair = validate_pair(a, astar, eig_a, eig_s)
         except InvariantViolation:
             raise
         except TdpError:

@@ -425,6 +425,40 @@ def oracle_split_sequences(pair):
     return tuple(varphi), tuple(phi)
 
 
+def phi_from_split_form(field, theta, thetastar, varphi):
+    """Second split sequence of the split form of (theta, thetastar,
+    varphi), from the reversed eigenvalue ordering: with u'_i the image of
+    e_0 under the product of (A - theta_{d-h} I) for h < i, the scalar
+    phi_i satisfies (Astar - thetastar_i I) u'_i = phi_i u'_{i-1}.
+
+    Returns None when the structure breaks (degenerate parameters)."""
+    d = len(theta) - 1
+    eye = Matrix.identity(field, d + 1)
+    a_rows = [[field.zero] * (d + 1) for _ in range(d + 1)]
+    astar_rows = [[field.zero] * (d + 1) for _ in range(d + 1)]
+    for i in range(d + 1):
+        a_rows[i][i], astar_rows[i][i] = theta[i], thetastar[i]
+        if i:
+            a_rows[i][i - 1], astar_rows[i - 1][i] = field.one, varphi[i - 1]
+    a, astar = Matrix(field, a_rows), Matrix(field, astar_rows)
+    images = [tuple([field.one] + [field.zero] * d)]
+    for i in range(1, d + 1):
+        nxt = (a - eye.scale(theta[d - i + 1])).apply(images[-1])
+        if not any(nxt):
+            return None
+        images.append(nxt)
+    phi = []
+    for i in range(1, d + 1):
+        w = (astar - eye.scale(thetastar[i])).apply(images[i])
+        prev = images[i - 1]
+        k = next(j for j, x in enumerate(prev) if x)
+        scale = w[k] / prev[k]
+        if not scale or any(x - scale * y for x, y in zip(w, prev)):
+            return None
+        phi.append(scale)
+    return tuple(phi)
+
+
 # ---- shape-(1,2,1) fixtures from products of diameter-1 pairs ---------------
 
 

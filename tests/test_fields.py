@@ -17,7 +17,7 @@ from tdpairs import (
     field_from_spec,
     field_to_spec,
 )
-from tdpairs.fields import MAX_SCALAR_DIGITS
+from tdpairs.fields import MAX_PRIME, MAX_SCALAR_DIGITS, _is_prime
 
 
 def test_gf_arithmetic_matches_int_mod_p():
@@ -123,6 +123,23 @@ def test_nonprime_and_oversized_orders_rejected():
     for bad in (0, 1, 4, 9, 15, 2**16 + 1):
         with pytest.raises(ParseError):
             GF(bad)
+
+
+def test_primality_matches_a_sieve_and_decides_huge_orders_at_once():
+    limit = MAX_PRIME + 1000
+    sieve = [False, False] + [True] * (limit - 2)
+    for q in range(2, limit):
+        if sieve[q]:
+            sieve[q * q :: q] = [False] * len(range(q * q, limit, q))
+    assert [n for n in range(limit) if _is_prime(n)] == [n for n in range(limit) if sieve[n]]
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for composite in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(composite)
+    # a 19-digit order was trial division up to its square root
+    with pytest.raises(ParseError, match="exceeds the cap"):
+        field_from_spec({"kind": "GFp", "p": 2**61 - 1})
+    with pytest.raises(ParseError, match="is not prime"):
+        field_from_spec({"kind": "GFp", "p": 2**61 + 1})
 
 
 def test_field_spec_round_trip():

@@ -36,7 +36,7 @@ from tdpairs import (
 )
 from tdpairs.eigen import invert
 
-from oracles import TENSOR_PARAMS, oracle_split_sequences, tensor_fixture
+from oracles import TENSOR_PARAMS, oracle_split_sequences, phi_from_split_form, tensor_fixture
 
 
 def qm(rows):
@@ -358,6 +358,31 @@ def test_random_leonard_sequences_match_eigenvector_chain_oracle():
         varphi, phi = oracle_split_sequences(pair)
         assert varphi == params.varphi
         assert phi == params.phi
+
+
+def test_pa4_phi_matches_the_split_form_on_the_pool_recipe(monkeypatch):
+    # every parameter draw of the acceptance pool's recipe, plus GF(2) and
+    # GF(3) draws that degenerate: PA4 gives the phi (or the None) that
+    # pushing e_0 through the split form gives
+    draws = []
+    pa4 = tdpairs.leonard._phi_pa4
+
+    def recorded(*args):
+        draws.append((args, pa4(*args)))
+        return draws[-1][1]
+
+    monkeypatch.setattr(tdpairs.leonard, "_phi_pa4", recorded)
+    for i in range(200):
+        field = (QQ, GF(5), GF(7), GF(13))[i % 4]
+        random_leonard(field, i % 7 % (5 if field == GF(5) else 7), seed=i)
+    for seed in range(5):
+        random_leonard(GF(3), 2, seed)
+        with pytest.raises(ExhaustedRetries, match="^no valid parameter set found after 40 attempts$"):
+            random_leonard(GF(2), 1, seed)
+    for args, phi in draws:
+        assert phi == phi_from_split_form(*args), args
+    assert None in [phi for _, phi in draws]
+    assert len(draws) > 200
 
 
 def test_random_leonard_diameter_zero():

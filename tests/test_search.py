@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-import random
 from collections import Counter
 
 import pytest
@@ -29,14 +27,11 @@ from tdpairs import (
 )
 import tdpairs.search
 from tdpairs.cli import cmd_search
-from tdpairs.eigen import invert, splits_mod_p
 from tdpairs.search import (
     _allowed_positions,
-    _block_of,
     _exhaustive_entries,
     _fixed_a,
     _randomized_entries,
-    _residue_screen,
 )
 
 
@@ -125,39 +120,38 @@ def test_search_propagates_internal_bugs(monkeypatch):
         search_shape(gf3_spec(budget=13))
 
 
-# ---- the residue screen against the Matrix checks --------------------------
+def test_a_split_candidate_that_does_not_decompose_is_a_bug(monkeypatch):
+    # M^p == M holds exactly when Astar is diagonalizable over GF(p), so a
+    # candidate that passes it and then fails eigen_decompose is a
+    # contradiction; candidate 3 is [[0, 1], [0, 0]], linked but nilpotent
+    monkeypatch.setattr(tdpairs.search, "splits_mod_p", lambda rows, p: True)
+    with pytest.raises(InvariantViolation, match="does not split"):
+        search_shape(gf3_spec(budget=4))
 
 
-def _matrix_funnel(a, eig_a, astar, dims):
-    """The first search check that astar fails, decided on Matrix objects by
-    eigen_decompose and both support_path_orderings, or None."""
+# ---- the search funnel against validating every candidate ---------------------
+
+
+def _matrix_funnel(a, eig_a, astar, shape):
+    """The search stage at which astar stops, decided on Matrix objects by
+    eigen_decompose, support_path_orderings and validate_pair: "not_split",
+    "a_pattern" (no ordering of A's eigenspaces), "wrong_dims <dims>",
+    "invalid" (validate_pair rejects it, or finds another shape) or "hit"."""
     try:
         eig_s = eigen_decompose(astar)
     except NotDiagonalizableOverField:
-        return "not_diagonalizable"
-    if len(eig_s.dims()) != len(dims):
-        return "wrong_diameter"
-    if sorted(eig_s.dims()) != dims:
-        return "wrong_multiset"
+        return "not_split"
     if not support_path_orderings(eig_a, astar):
-        return "no_ordering_a"
-    if not support_path_orderings(eig_s, a):
-        return "no_ordering_astar"
-    return None
-
-
-def _screen_stages(field, shape, candidates):
-    """_residue_screen's verdict on each int candidate, checked against
-    _matrix_funnel; returns how many candidates stopped at each stage."""
-    a = _fixed_a(field, shape)
-    eig_a = eigen_decompose(a)
-    blocks, dims = _block_of(shape), sorted(shape)
-    stages = Counter()
-    for rows in candidates:
-        verdict = _residue_screen(rows, field.p, blocks, dims)
-        assert verdict == _matrix_funnel(a, eig_a, Matrix(field, rows), dims), rows
-        stages[verdict] += 1
-    return stages
+        return "a_pattern"
+    if sorted(eig_s.dims()) != sorted(shape):
+        return f"wrong_dims {tuple(sorted(eig_s.dims()))}"
+    try:
+        pair = validate_pair(a, astar)
+    except InvariantViolation:
+        raise
+    except TdpError:
+        return "invalid"
+    return "hit" if tuple(pair.shape) == shape else "invalid"
 
 
 def _pattern_candidates(p, shape, keys, entries):
@@ -170,64 +164,107 @@ def _pattern_candidates(p, shape, keys, entries):
         yield rows
 
 
-def _conjugated_diagonals(p, n, count, rng):
-    """P D P^-1 for random invertible P and diagonal D with eigenvalues from
-    a random small subset, as int rows: diagonalizable, mostly outside the
-    block-tridiagonal pattern, any eigenvalue multiset."""
+def _row0_window(p, shape, rows):
+    """(start, budget) of the exhaustive counters that run the first three
+    entries of row 0 over GF(p) below the rest of rows: the candidate index
+    holds row 0 in its lowest base-p digits."""
+    k = sum(rows[r][c] * p**i for i, (r, c) in enumerate(_allowed_positions(shape)))
+    return k - k % p**3, p**3
+
+
+# (p, shape, windows, whether a window holds a hit).  Windows run row 0
+# below a rest of the matrix that reaches every rejection stage (Astar
+# block-triangular, so reducible whenever it passes the eigen checks), and
+# below the rest of a hit that a randomized search found.
+_TRIANGULAR_121 = [[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 2, 0], [0, 0, 3, 0]]
+FUNNEL_CASES = [
+    (3, (1, 1, 1), [(0, 3**7)], True),
+    (
+        5,
+        (1, 2, 1),
+        [
+            _row0_window(5, (1, 2, 1), _TRIANGULAR_121),
+            _row0_window(5, (1, 2, 1), [[0] * 4, [1, 2, 4, 0], [0, 4, 3, 3], [0, 1, 0, 0]]),
+        ],
+        True,
+    ),
+    (
+        7,
+        (1, 2, 1),
+        [
+            _row0_window(7, (1, 2, 1), _TRIANGULAR_121),
+            _row0_window(7, (1, 2, 1), [[0] * 4, [6, 5, 3, 1], [4, 4, 3, 3], [0, 3, 3, 3]]),
+        ],
+        True,
+    ),
+    # diag(*, b, c, c) below row 0: b = c gives dimensions (1, 3), b != c
+    # a block-triangular Astar of dimensions (2, 2)
+    (
+        5,
+        (2, 2),
+        [
+            _row0_window(5, (2, 2), [[0] * 4, [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+            _row0_window(5, (2, 2), [[0] * 4, [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+            _row0_window(5, (2, 2), [[0] * 4, [3, 0, 4, 4], [4, 4, 4, 2], [0, 2, 1, 1]]),
+        ],
+        True,
+    ),
+    (
+        7,
+        (2, 2),
+        [
+            _row0_window(7, (2, 2), [[0] * 4, [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+            _row0_window(7, (2, 2), [[0] * 4, [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        ],
+        False,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "p, shape, windows, has_hit",
+    FUNNEL_CASES,
+    ids=[f"gf{p}-{''.join(map(str, shape))}" for p, shape, _, _ in FUNNEL_CASES],
+)
+def test_search_equals_validating_every_candidate(p, shape, windows, has_hit):
+    # every candidate of each window goes to validate_pair with no cheap
+    # check in front, so a search stage that drops a real hit fails here;
+    # the Matrix funnel shows that each stage of the search rejects some
     f = GF(p)
-    out = []
-    while len(out) < count:
-        c = Matrix(f, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
-        try:
-            c_inv = invert(c)
-        except InvariantViolation:
-            continue
-        thetas = rng.sample(range(p), rng.randint(1, n))
-        d = Matrix.diagonal(f, [rng.choice(thetas) for _ in range(n)])
-        out.append([[x.v for x in row] for row in (c @ d @ c_inv).rows])
-    return out
-
-
-def test_residue_screen_matches_matrix_checks_on_every_gf3_111_candidate():
-    shape = (1, 1, 1)
-    stages = _screen_stages(GF(3), shape, _pattern_candidates(3, shape, range(3**7), _exhaustive_entries))
-    assert sum(stages.values()) == 3**7
-    # three eigenvalues in dimension 3 leave no wrong multiset
-    assert set(stages) == {
-        "not_diagonalizable",
-        "wrong_diameter",
-        "no_ordering_a",
-        "no_ordering_astar",
-        None,
-    }
-
-
-@pytest.mark.parametrize("p, shape", [(5, (1, 2, 1)), (7, (1, 2, 1)), (5, (2, 2)), (7, (2, 2))])
-def test_residue_screen_matches_matrix_checks_on_random_candidates(p, shape):
-    # random pattern candidates (mostly not diagonalizable), the
-    # diagonalizable ones among more of them (so the later stages are
-    # reached), and conjugated diagonal matrices outside the pattern
-    rng = random.Random(p * 10 + len(shape))
-    stream = lambda seed: lambda k, m, q: _randomized_entries(seed, k, m, q)
-    plain = _pattern_candidates(p, shape, range(600), stream(1))
-    split = (
-        rows
-        for rows in _pattern_candidates(p, shape, range(12000), stream(2))
-        if splits_mod_p(rows, p)
-    )
-    conjugated = _conjugated_diagonals(p, sum(shape), 60, rng)
-    stages = _screen_stages(GF(p), shape, itertools.chain(plain, split, conjugated))
-    assert {"not_diagonalizable", "wrong_diameter"} <= set(stages)
-    if shape == (1, 2, 1):
-        assert {"no_ordering_a", "no_ordering_astar", None} <= set(stages)
-    else:
-        assert "wrong_multiset" in stages  # dimensions (1, 3)
+    a = _fixed_a(f, shape)
+    eig_a = eigen_decompose(a)
+    stages = Counter()
+    hits = 0
+    for start, budget in windows:
+        keys = range(start, start + budget)
+        expected = []
+        for k, rows in zip(keys, _pattern_candidates(p, shape, keys, _exhaustive_entries)):
+            astar = Matrix(f, rows)
+            stages[_matrix_funnel(a, eig_a, astar, shape)] += 1
+            try:
+                pair = validate_pair(a, astar)
+            except InvariantViolation:
+                raise
+            except TdpError:
+                continue
+            if tuple(pair.shape) == shape:
+                expected.append(k)
+        res = search_shape(SearchSpec(field=f, dim=sum(shape), shape=shape, budget=budget, start=start))
+        assert res.candidates_tried == budget
+        assert res.candidate_indices == tuple(expected)
+        hits += len(expected)
+    assert stages["hit"] == hits
+    assert {"not_split", "a_pattern", "invalid"} <= set(stages)
+    assert any(stage.startswith("wrong_dims") for stage in stages)
+    if shape == (2, 2):
+        assert "wrong_dims (1, 3)" in stages
+    assert bool(hits) == has_hit
 
 
 def test_randomized_gf101_search_equals_validating_every_candidate():
     # GF(101) shape-(1,2,1) hits are rare enough that this stretch of the
     # stream has none: the search must not invent one, for any workers,
-    # and the screen must stop every candidate where the Matrix checks do
+    # although candidates get past both int checks
     f = GF(101)
     shape = (1, 2, 1)
     spec = SearchSpec(field=f, dim=4, shape=shape, budget=1000, mode="randomized", seed=3)
@@ -250,8 +287,9 @@ def test_randomized_gf101_search_equals_validating_every_candidate():
         reports, summary = cmd_search(spec, workers=workers)
         assert summary["candidatesTried"] == spec.budget
         assert [r["payload"]["candidateIndex"] for r in reports] == expected
-    stages = _screen_stages(f, shape, candidates)
-    assert {"not_diagonalizable", "wrong_diameter"} <= set(stages)
+    eig_a = eigen_decompose(a)
+    stages = Counter(_matrix_funnel(a, eig_a, Matrix(f, rows), shape) for rows in candidates)
+    assert set(stages) == {"not_split", "wrong_dims (1, 1, 1, 1)"}
 
 
 def test_exhaustive_budget_clamped_to_total_space():
