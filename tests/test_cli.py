@@ -707,3 +707,62 @@ def test_golden_stdout_of_non_sharp_pairs_is_byte_identical(tmp_path, capsys):
     assert len(reports) == 18
     assert [r["exitCode"] for r in reports] == [0] * 18
     assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == NONSHARP_STDOUT_SHA256
+
+
+# sha256 of the stdout of _surface_requests, generated before the commands
+# shared one request runner: it pins what the two digests above leave out,
+# affine, generate --params, switch without --sequences, search reports,
+# and one failure report per command
+SURFACE_STDOUT_SHA256 = "8bdc8cc63399cf0093d4f17b0cc4bafdf066b5b555bbdf32e753582717a7b95f"
+
+
+def _surface_requests(tmp_path, capsys, monkeypatch):
+    """Every stdout byte of one call of each command path outside the
+    Leonard round trip, run from tmp_path so that the paths a failure
+    names are relative."""
+    monkeypatch.chdir(tmp_path)
+    eye = Matrix.identity(QQ, 3)
+    a, astar = qm(A_D2), qm(ASTAR_D2)
+    write_candidate(tmp_path, "p.json", a, astar)
+    write_candidate(
+        tmp_path,
+        "q.json",
+        a.scale(QQ.scalar(-3)) + eye.scale(QQ.scalar("1/2")),
+        astar.scale(QQ.scalar("2/5")) + eye.scale(QQ.scalar(7)),
+    )
+    write_params(tmp_path, "d1.json", LeonardParameterSet(
+        field=GF(101), theta=(3, 9), thetastar=(0, 5), varphi=(7,), phi=(11,)
+    ))
+    write_candidate(tmp_path, "reducible.json", qm([[0, 0], [0, 1]]), qm([[2, 0], [0, 3]]))
+    (tmp_path / "junk.json").write_bytes(b"\x00{not json")
+    out = []
+    for argv in (
+        ["affine", "p.json", "q.json"],
+        ["generate", "--params", "d1.json"],
+        ["switch", "p.json"],
+        ["search", "--field", "gf3", "--dim", "3", "--shape", "1,1,1", "--budget", "2187"],
+        ["search", "--field", "gf5", "--dim", "2", "--shape", "1,1", "--budget", "200",
+         "--mode", "randomized", "--seed", "9", "--workers", "2"],
+        ["verify", "missing.json"],
+        ["decompose", "junk.json"],
+        ["detect", "reducible.json"],
+        ["switch", "p.json", "--sequences", "missing.json"],
+        ["affine", "p.json", "junk.json"],
+        ["generate", "--random", "gf4", "2", "1"],
+        ["search", "--field", "gf3", "--dim", "3", "--shape", "1,1", "--budget", "5"],
+    ):
+        main(argv)
+        out.append(capsys.readouterr().out)
+    return "".join(out)
+
+
+def test_golden_stdout_of_the_rest_of_the_cli_is_byte_identical(tmp_path, capsys, monkeypatch):
+    stdout = _surface_requests(tmp_path, capsys, monkeypatch)
+    reports = reports_of(stdout)
+    searched = [r for r in reports if r["command"] == "search" and r["exitCode"] == 0]
+    assert len({r["inputDigest"] for r in searched}) == 2  # both searches find hits
+    assert [r["exitCode"] for r in reports if r["command"] != "search"] == [0, 0, 0, 3, 3, 1, 3, 3, 3]
+    assert reports[-1]["exitCode"] == 3
+    failures = [r["payload"]["failure"] for r in reports if r["exitCode"]]
+    assert "witness" in failures[2]
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == SURFACE_STDOUT_SHA256
