@@ -5,10 +5,14 @@ document looks like
 
     {"command": ..., "inputDigest": ..., "payload": ..., "exitCode": ...}
 
-where inputDigest is the sha256 of the raw input bytes (or of the
-canonical request encoding for commands that take no file).  `search`
-streams one report per validated instance, one JSON document per line,
-and prints a human summary to stderr.
+Every subcommand runs through one runner, _request: read() returns the
+input byte strings, inputDigest is the sha256 of their concatenation
+(the raw files, or the canonical request encoding for commands that take
+no file), and compute(*inputs) returns the payload and exit code.  The
+digest is set whenever every input was read; a request whose inputs
+cannot all be read is a usage error with an empty digest.  `search`
+streams one report per instance its shards validated, one JSON document
+per line, and prints a human summary to stderr.
 
 Exit codes: 0 success, 1 invalid instance or failed hypothesis,
 2 inconclusive irreducibility verdict, 3 usage or parse error,
@@ -23,13 +27,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
 
-from .eigen import eigen_decompose
 from .errors import (
     HypothesisNotMet,
     InconclusiveIrreducibility,
@@ -48,21 +52,13 @@ from .leonard import (
     switching_via_solve,
 )
 from .pairs import ShapeVector, validate_pair
-from .search import (
-    SearchResult,
-    SearchSpec,
-    _fixed_a,
-    aggregate_results,
-    partition_seeds,
-    search_shape,
-)
+from .search import SearchSpec, aggregate_results, partition_seeds, search_shape
 from .serio import (
     candidate_from_json,
     candidate_to_json,
     canonical_dumps,
     input_digest,
     loads_strict,
-    matrix_from_json,
     matrix_to_json,
     params_from_json,
     params_to_json,
@@ -98,7 +94,7 @@ def _read_bytes(path: str) -> bytes:
         raise ParseError(f"cannot read {path!r}: {e}") from None
 
 
-def _exit_code(e: TdpError) -> int:
+def _exit_code(e: TdpError | InvariantViolation) -> int:
     if isinstance(e, InvariantViolation):
         return 4
     if isinstance(e, ParseError):
@@ -108,7 +104,7 @@ def _exit_code(e: TdpError) -> int:
     return 1
 
 
-def _failure_json(e: TdpError) -> dict:
+def _failure_json(e: TdpError | InvariantViolation) -> dict:
     out = {"kind": type(e).__name__, "message": str(e)}
     witness = getattr(e, "witness", None)
     if witness is not None:
@@ -135,27 +131,33 @@ def _report(command: str, digest: str, payload, exit_code: int) -> dict:
     }
 
 
+def _request(command: str, read, compute, failed=lambda failure: {"failure": failure}) -> dict:
+    """The one report of a request.  read() returns the input byte
+    strings, and compute(*inputs) the payload and exit code.  A rejection
+    or an internal error becomes failed(failure) with its exit code; one
+    raised before every input was read leaves the digest empty and is a
+    usage error."""
+    digest = ""
+    try:
+        inputs = read()
+        digest = input_digest(b"".join(inputs))
+        payload, code = compute(*inputs)
+    except (TdpError, InvariantViolation) as e:
+        return _report(command, digest, failed(_failure_json(e)), _exit_code(e) if digest else 3)
+    return _report(command, digest, payload, code)
+
+
+def _files(*paths):
+    return lambda: tuple(_read_bytes(path) for path in paths)
+
+
 def _load_pair(data: bytes):
     a, astar = candidate_from_json(loads_strict(data), _max_dim())
     return validate_pair(a, astar)
 
 
-def cmd_verify(path: str) -> dict:
-    digest = ""
-    try:
-        data = _read_bytes(path)
-        digest = input_digest(data)
-        pair = _load_pair(data)
-    except TdpError as e:
-        payload = {
-            "valid": False,
-            "diameter": None,
-            "shape": None,
-            "orderingA": None,
-            "orderingAstar": None,
-            "failure": _failure_json(e),
-        }
-        return _report("verify", digest, payload, _exit_code(e))
+def _verified(data: bytes):
+    pair = _load_pair(data)
     payload = {
         "valid": True,
         "diameter": pair.diameter,
@@ -166,19 +168,27 @@ def cmd_verify(path: str) -> dict:
         ],
         "failure": None,
     }
-    return _report("verify", digest, payload, 0)
+    return payload, 0
 
 
-def cmd_decompose(path: str) -> dict:
-    digest = ""
-    try:
-        data = _read_bytes(path)
-        digest = input_digest(data)
-        pair = _load_pair(data)
-        sd = split_subspaces(pair)
-        report = complete_report(sd)
-    except TdpError as e:
-        return _report("decompose", digest, {"failure": _failure_json(e)}, _exit_code(e))
+def _not_verified(failure: dict) -> dict:
+    return {
+        "valid": False,
+        "diameter": None,
+        "shape": None,
+        "orderingA": None,
+        "orderingAstar": None,
+        "failure": failure,
+    }
+
+
+def cmd_verify(path: str) -> dict:
+    return _request("verify", _files(path), _verified, _not_verified)
+
+
+def _decomposed(data: bytes):
+    sd = split_subspaces(_load_pair(data))
+    report = complete_report(sd)
     payload = {
         "dims": list(sd.dims),
         "U": [subspace_to_json(u) for u in sd.U],
@@ -189,18 +199,16 @@ def cmd_decompose(path: str) -> dict:
         "eq8": list(report.eq8),
         "eq10": list(report.eq10),
     }
-    return _report("decompose", digest, payload, 0 if report.all_true() else 1)
+    return payload, 0 if report.all_true() else 1
 
 
-def cmd_detect(path: str) -> dict:
-    digest = ""
-    try:
-        data = _read_bytes(path)
-        digest = input_digest(data)
-        pair = _load_pair(data)
-        outcome = detect_leonard(pair)
-    except TdpError as e:
-        return _report("detect", digest, {"failure": _failure_json(e)}, _exit_code(e))
+def cmd_decompose(path: str) -> dict:
+    return _request("decompose", _files(path), _decomposed)
+
+
+def _detected(data: bytes):
+    pair = _load_pair(data)
+    outcome = detect_leonard(pair)
     leonard = isinstance(outcome, LeonardCertificate)
     payload = {
         "leonard": leonard,
@@ -208,7 +216,11 @@ def cmd_detect(path: str) -> dict:
         "solutionDim": outcome.solution_dim,
         "shape": list(pair.shape),
     }
-    return _report("detect", digest, payload, 0)
+    return payload, 0
+
+
+def cmd_detect(path: str) -> dict:
+    return _request("detect", _files(path), _detected)
 
 
 def _align_pair_to_params(pair, params):
@@ -242,100 +254,87 @@ def _proportionality_ratio(m_left, m_right):
     return ratio if ratio is not None and m_left == m_right.scale(ratio) else None
 
 
+def _switched(data: bytes, seq_data: bytes | None = None):
+    seq_params = None if seq_data is None else params_from_json(loads_strict(seq_data))
+    pair = _load_pair(data)
+    if seq_params is not None:
+        pair = _align_pair_to_params(pair, seq_params)
+    s_solve = switching_via_solve(pair)
+    payload = {"S": matrix_to_json(s_solve), "normalization": "alpha_d=1"}
+    if seq_params is None:
+        return payload, 0
+    s_seq = switching_from_sequences(seq_params, pair.eig_a)
+    ratio = _proportionality_ratio(s_seq, s_solve)
+    if ratio is None:
+        payload["crossCheck"] = {"proportional": False, "ratio": None, "fromSequences": matrix_to_json(s_seq)}
+        return payload, 1
+    payload["crossCheck"] = {"proportional": True, "ratio": scalar_to_str(ratio)}
+    return payload, 0
+
+
 def cmd_switch(path: str, sequences_path: str | None = None) -> dict:
-    digest = ""
-    try:
-        data = _read_bytes(path)
-        raw = data
-        seq_params = None
-        if sequences_path is not None:
-            seq_data = _read_bytes(sequences_path)
-            raw = data + seq_data
-            seq_params = params_from_json(loads_strict(seq_data))
-        digest = input_digest(raw)
-        pair = _load_pair(data)
-        if seq_params is not None:
-            pair = _align_pair_to_params(pair, seq_params)
-        s_solve = switching_via_solve(pair)
-        payload = {"S": matrix_to_json(s_solve), "normalization": "alpha_d=1"}
-        code = 0
-        if seq_params is not None:
-            s_seq = switching_from_sequences(seq_params, pair.eig_a)
-            ratio = _proportionality_ratio(s_seq, s_solve)
-            if ratio is None:
-                cross = {"proportional": False, "ratio": None, "fromSequences": matrix_to_json(s_seq)}
-                code = 1
-            else:
-                cross = {"proportional": True, "ratio": scalar_to_str(ratio)}
-            payload["crossCheck"] = cross
-    except TdpError as e:
-        return _report("switch", digest, {"failure": _failure_json(e)}, _exit_code(e))
-    return _report("switch", digest, payload, code)
+    paths = (path,) if sequences_path is None else (path, sequences_path)
+    return _request("switch", _files(*paths), _switched)
 
 
-def cmd_affine(path_p: str, path_q: str) -> dict:
-    digest = ""
-    try:
-        data_p = _read_bytes(path_p)
-        data_q = _read_bytes(path_q)
-        digest = input_digest(data_p + data_q)
-        pair_p = _load_pair(data_p)
-        pair_q = _load_pair(data_q)
-        rel, rel_star = affine_relation(pair_p, pair_q)
-    except TdpError as e:
-        return _report("affine", digest, {"failure": _failure_json(e)}, _exit_code(e))
+def _related(data_p: bytes, data_q: bytes):
+    rel, rel_star = affine_relation(_load_pair(data_p), _load_pair(data_q))
     payload = {
         "r": scalar_to_str(rel.r),
         "s": scalar_to_str(rel.s),
         "rstar": scalar_to_str(rel_star.rstar),
         "sstar": scalar_to_str(rel_star.sstar),
     }
-    return _report("affine", digest, payload, 0)
+    return payload, 0
+
+
+def cmd_affine(path_p: str, path_q: str) -> dict:
+    return _request("affine", _files(path_p, path_q), _related)
+
+
+def _generated(params, a, astar):
+    return {"candidate": candidate_to_json(a, astar), "params": params_to_json(params)}, 0
+
+
+def _generated_from_params(data: bytes):
+    params = params_from_json(loads_strict(data))
+    if params.d + 1 > _max_dim():
+        raise ParseError(
+            f"diameter {params.d} implies dimension {params.d + 1}, "
+            f"above the cap of {_max_dim()}"
+        )
+    return _generated(params, *generate_split_form(params))
+
+
+def _random_request(field_name: str, d_str: str, seed_str: str) -> bytes:
+    """The canonical encoding of a valid --random request: what its
+    digest covers and what the generation reads back."""
+    field = field_from_spec(field_name)
+    try:
+        d = int(d_str)
+        seed = int(seed_str)
+    except ValueError:
+        raise ParseError("--random needs an integer diameter and seed") from None
+    if d < 0:
+        raise ParseError("--random diameter must be nonnegative")
+    if d + 1 > _max_dim():
+        raise ParseError(
+            f"diameter {d} implies dimension {d + 1}, above the cap of {_max_dim()}"
+        )
+    request = {"random": {"field": field_to_spec(field), "d": d, "seed": seed}}
+    return canonical_dumps(request).encode("utf-8")
+
+
+def _generated_at_random(request: bytes):
+    spec = json.loads(request)["random"]
+    params, pair = random_leonard(field_from_spec(spec["field"]), spec["d"], spec["seed"])
+    return _generated(params, pair.a, pair.astar)
 
 
 def cmd_generate(params_path: str | None, random_args: list | None) -> dict:
-    digest = ""
-    try:
-        if params_path is not None:
-            data = _read_bytes(params_path)
-            digest = input_digest(data)
-            params = params_from_json(loads_strict(data))
-            if params.d + 1 > _max_dim():
-                raise ParseError(
-                    f"diameter {params.d} implies dimension {params.d + 1}, "
-                    f"above the cap of {_max_dim()}"
-                )
-            a, astar = generate_split_form(params)
-        else:
-            field_name, d_str, seed_str = random_args
-            field = field_from_spec(field_name)
-            try:
-                d = int(d_str)
-                seed = int(seed_str)
-            except ValueError:
-                raise ParseError(
-                    "--random needs an integer diameter and seed"
-                ) from None
-            if d < 0:
-                raise ParseError("--random diameter must be nonnegative")
-            if d + 1 > _max_dim():
-                raise ParseError(
-                    f"diameter {d} implies dimension {d + 1}, "
-                    f"above the cap of {_max_dim()}"
-                )
-            request = canonical_dumps(
-                {"random": {"field": field_to_spec(field), "d": d, "seed": seed}}
-            )
-            digest = input_digest(request.encode("utf-8"))
-            params, pair = random_leonard(field, d, seed)
-            a, astar = pair.a, pair.astar
-        payload = {
-            "candidate": candidate_to_json(a, astar),
-            "params": params_to_json(params),
-        }
-    except TdpError as e:
-        return _report("generate", digest, {"failure": _failure_json(e)}, _exit_code(e))
-    return _report("generate", digest, payload, 0)
+    if params_path is not None:
+        return _request("generate", _files(params_path), _generated_from_params)
+    return _request("generate", lambda: (_random_request(*random_args),), _generated_at_random)
 
 
 # ---- search: the CLI owns the worker pool ----------------------------------
@@ -353,66 +352,25 @@ def _shard_payload(spec: SearchSpec) -> dict:
     }
 
 
-def _run_shard(payload: dict) -> dict:
-    """Top-level so process pools can pickle it.  Hits travel back as
-    serialized matrices and are re-validated by the parent, so every
-    reported instance has survived a decode in a fresh process."""
-    spec = SearchSpec(
-        field=field_from_spec(payload["field"]),
-        dim=payload["dim"],
-        shape=ShapeVector(tuple(payload["shape"])),
-        budget=payload["budget"],
-        seed=payload["seed"],
-        mode=payload["mode"],
-        start=payload["start"],
-    )
-    res = search_shape(spec)
-    return {
-        "tried": res.candidates_tried,
-        "elapsed": res.elapsed,
-        "hits": [
-            {"index": k, "astar": matrix_to_json(pair.astar)}
-            for k, pair in zip(res.candidate_indices, res.instances)
-        ],
-    }
-
-
-def _search_digest(spec: SearchSpec) -> str:
-    return input_digest(canonical_dumps(_shard_payload(spec)).encode("utf-8"))
+def _search_request(spec: SearchSpec) -> bytes:
+    return canonical_dumps(_shard_payload(spec)).encode("utf-8")
 
 
 def cmd_search(spec: SearchSpec, workers: int = 1) -> tuple[list[dict], dict]:
     """Run a (possibly sharded) search.  Returns one report per instance
     plus a summary dict; the report stream is independent of workers.
-    The summary's elapsed is this call's wall time and cpuSum the sum of
-    the shards' own times."""
+    Each report is built from the pair its shard validated.  The
+    summary's elapsed is this call's wall time and cpuSum the sum of the
+    shards' own times."""
     t0 = time.monotonic()
-    digest = _search_digest(spec)
     shards = partition_seeds(spec, workers)
     if len(shards) == 1:
-        shard_data = [_run_shard(_shard_payload(shards[0]))]
+        results = [search_shape(shards[0])]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
-            shard_data = list(pool.map(_run_shard, [_shard_payload(s) for s in shards]))
-    a_fixed = _fixed_a(spec.field, spec.shape)
-    eig_fixed = eigen_decompose(a_fixed) if any(data["hits"] for data in shard_data) else None
-    results = []
-    for data in shard_data:
-        instances = []
-        indices = []
-        for hit in data["hits"]:
-            astar = matrix_from_json(hit["astar"])
-            instances.append(validate_pair(a_fixed, astar, eig_fixed))
-            indices.append(hit["index"])
-        results.append(
-            SearchResult(
-                instances=tuple(instances),
-                candidates_tried=data["tried"],
-                elapsed=data["elapsed"],
-                candidate_indices=tuple(indices),
-            )
-        )
+            results = list(pool.map(search_shape, shards))
     total = aggregate_results(results)
+    digest = input_digest(_search_request(spec))
     reports = []
     for k, pair in zip(total.candidate_indices, total.instances):
         payload = {
@@ -441,6 +399,8 @@ def _parse_shape(text: str) -> ShapeVector:
 
 
 def _spec_from_args(args) -> SearchSpec:
+    if args.workers < 1:
+        raise ParseError("--workers must be at least 1")
     if args.dim > _max_dim():
         raise ParseError(
             f"--dim {args.dim} exceeds the cap of {_max_dim()} "
@@ -454,6 +414,27 @@ def _spec_from_args(args) -> SearchSpec:
         seed=args.seed,
         mode=args.mode,
     )
+
+
+def _search(args) -> list[dict]:
+    """The reports of one search request, one per instance, with the
+    summary on stderr; or its one failure report."""
+
+    def compute(request: bytes):
+        spec = json.loads(request)
+        spec["field"] = field_from_spec(spec["field"])
+        reports, summary = cmd_search(SearchSpec(**spec), workers=args.workers)
+        sys.stderr.write(
+            f"candidatesTried={summary['candidatesTried']} "
+            f"instances={summary['instances']} "
+            f"elapsed={summary['elapsed']:.3f}s "
+            f"cpuSum={summary['cpuSum']:.3f}s\n"
+        )
+        return reports, 0
+
+    outcome = _request("search", lambda: (_search_request(_spec_from_args(args)),), compute)
+    # a search that ran carries its reports as the request's payload
+    return [outcome] if outcome["exitCode"] else outcome["payload"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -519,48 +500,20 @@ def main(argv=None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 3
-
-    if args.command == "verify":
-        report = cmd_verify(args.path)
-    elif args.command == "decompose":
-        report = cmd_decompose(args.path)
-    elif args.command == "detect":
-        report = cmd_detect(args.path)
-    elif args.command == "switch":
-        report = cmd_switch(args.path, args.sequences)
-    elif args.command == "affine":
-        report = cmd_affine(args.pathP, args.pathQ)
-    elif args.command == "generate":
-        report = cmd_generate(args.params, args.random)
-    else:
-        try:
-            if args.workers < 1:
-                raise ParseError("--workers must be at least 1")
-            spec = _spec_from_args(args)
-        except TdpError as e:
-            report = _report("search", "", {"failure": _failure_json(e)}, 3)
-            sys.stdout.write(canonical_dumps(report))
-            return 3
-        try:
-            reports, summary = cmd_search(spec, workers=args.workers)
-        except TdpError as e:
-            report = _report(
-                "search", _search_digest(spec), {"failure": _failure_json(e)}, _exit_code(e)
-            )
-            sys.stdout.write(canonical_dumps(report))
-            return report["exitCode"]
-        for rep in reports:
-            sys.stdout.write(canonical_dumps(rep))
-        sys.stderr.write(
-            f"candidatesTried={summary['candidatesTried']} "
-            f"instances={summary['instances']} "
-            f"elapsed={summary['elapsed']:.3f}s "
-            f"cpuSum={summary['cpuSum']:.3f}s\n"
-        )
-        return 0
-
-    sys.stdout.write(canonical_dumps(report))
-    return report["exitCode"]
+    # each entry looks its cmd_* up when it runs, so a rebound one is seen
+    requests = {
+        "verify": lambda: [cmd_verify(args.path)],
+        "decompose": lambda: [cmd_decompose(args.path)],
+        "detect": lambda: [cmd_detect(args.path)],
+        "switch": lambda: [cmd_switch(args.path, args.sequences)],
+        "affine": lambda: [cmd_affine(args.pathP, args.pathQ)],
+        "generate": lambda: [cmd_generate(args.params, args.random)],
+        "search": lambda: _search(args),
+    }
+    reports = requests[args.command]()
+    for report in reports:
+        sys.stdout.write(canonical_dumps(report))
+    return reports[-1]["exitCode"] if reports else 0
 
 
 if __name__ == "__main__":

@@ -1,9 +1,9 @@
 """Exception types raised across the package.
 
 Every failure that a caller might want to branch on gets its own class.
-All of them derive from TdpError so `except TdpError` catches any
-domain-level rejection while programming errors (TypeError, ...) pass
-through untouched.
+The rejections derive from TdpError, so `except TdpError` catches any
+domain-level rejection while programming errors (TypeError, ...) and
+InvariantViolation, a failed internal check, pass through untouched.
 """
 
 from __future__ import annotations
@@ -140,5 +140,6 @@ class BudgetZero(TdpError):
     """A search was configured with no candidate budget."""
 
 
-class InvariantViolation(TdpError):
-    """Internal consistency check failed; indicates a bug, not bad input."""
+class InvariantViolation(Exception):
+    """Internal consistency check failed; indicates a bug, not bad input,
+    so it is not a TdpError."""

@@ -30,8 +30,8 @@ from .errors import (
 )
 from .eigen import EigenDecomposition, primitive_idempotents
 from .fields import Field, PrimeField
-from .linalg import Echelon, Matrix, kernel_vectors, solve, vec_is_zero
-from .pairs import TriDiagonalPair, validate_pair
+from .linalg import Echelon, Matrix, kernel_vectors, solve
+from .pairs import TriDiagonalPair, validate_pair, vstar0_vector
 from .split import tau_basis
 from .subspaces import image_of, subspace_leq, subspace_sum
 
@@ -194,11 +194,7 @@ def leonard_basis(pair: TriDiagonalPair, cert: LeonardCertificate, u) -> tuple:
     d = pair.diameter
     if cert.x.is_zero() or not subspace_leq(image_of(cert.x, pair.vstar(0)), pair.vstar(d)):
         raise HypothesisNotMet("certificate fails its defining containment")
-    u = tuple(field.scalar(x) for x in u)
-    if vec_is_zero(u):
-        raise HypothesisNotMet("u must be nonzero")
-    if not pair.vstar(0).contains(u):
-        raise HypothesisNotMet("u must lie in the first Astar-eigenspace")
+    u = vstar0_vector(pair.vstar(0), u)
     vectors = [u]
     for i in range(1, d + 1):
         vectors.append(pair.a.shift(pair.theta(i - 1)).apply(vectors[-1]))
@@ -372,8 +368,6 @@ def _split_pair(params: LeonardParameterSet) -> TriDiagonalPair:
     a, astar = _split_matrices(params.field, params.theta, params.thetastar, params.varphi)
     try:
         return validate_pair(a, astar)
-    except InvariantViolation:
-        raise  # a bug, not a rejected parameter set
     except TdpError as e:
         raise GeneratedPairInvalid(
             f"generated split form failed validation: {e}", cause=e

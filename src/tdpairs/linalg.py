@@ -465,12 +465,6 @@ def solve(m: Matrix, b: Sequence) -> Vector | None:
 # ---- vector helpers -----------------------------------------------------
 
 
-def vec_add(u: Sequence, v: Sequence) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-def vec_scale(c, v: Sequence) -> Vector:
-    return tuple(c * x for x in v)
-
 def vec_is_zero(v: Sequence) -> bool:
     return all(not x for x in v)
 

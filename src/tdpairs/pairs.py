@@ -568,6 +568,17 @@ def _shape_of(eig_a: EigenDecomposition, eig_astar: EigenDecomposition) -> Shape
 # ---- the contradiction witness --------------------------------------------
 
 
+def vstar0_vector(vstar0: Subspace, u) -> tuple:
+    """u over vstar0's field, checked to be a nonzero vector of vstar0,
+    the first Astar-eigenspace."""
+    u = tuple(vstar0.field.scalar(x) for x in u)
+    if vec_is_zero(u):
+        raise HypothesisNotMet("u must be nonzero")
+    if not vstar0.contains(u):
+        raise HypothesisNotMet("u must lie in the first Astar-eigenspace")
+    return u
+
+
 def reducibility_witness_from_tau_kernel(
     eig_a: EigenDecomposition,
     eig_astar: EigenDecomposition,
@@ -586,11 +597,7 @@ def reducibility_witness_from_tau_kernel(
     n = eig_a.ambient_dim
     if not (1 <= i <= eig_a.diameter):
         raise HypothesisNotMet(f"index {i} outside 1..{eig_a.diameter}")
-    u = tuple(field.scalar(x) for x in u)
-    if vec_is_zero(u):
-        raise HypothesisNotMet("u must be nonzero")
-    if not eig_astar.eigenspaces[0].contains(u):
-        raise HypothesisNotMet("u must lie in the first Astar-eigenspace")
+    u = vstar0_vector(eig_astar.eigenspaces[0], u)
     tau_i = shifted_products(eig_a.operator, eig_a.eigenvalues[:i])[-1]
     if not vec_is_zero(tau_i.apply(u)):
         raise HypothesisNotMet(

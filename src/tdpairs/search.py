@@ -196,8 +196,6 @@ def search_shape(spec: SearchSpec) -> SearchResult:
             continue
         try:
             pair = validate_pair(a, astar, eig_a, eig_s)
-        except InvariantViolation:
-            raise
         except TdpError:
             continue
         if tuple(pair.shape) != shape_t:

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from itertools import accumulate
 
-from .errors import HypothesisNotMet, InvariantViolation, TauImageVanished
+from .errors import InvariantViolation, TauImageVanished
 from .linalg import Echelon, shifted_products, vec_is_zero
-from .pairs import TriDiagonalPair
+from .pairs import TriDiagonalPair, vstar0_vector
 from .polynomials import Polynomial
 from .subspaces import (
     Subspace,
@@ -168,11 +168,7 @@ def tau_images(pair: TriDiagonalPair, u, sd: SplitDecomposition | None = None) -
     """
     field = pair.field
     d = pair.diameter
-    u = tuple(field.scalar(x) for x in u)
-    if vec_is_zero(u):
-        raise HypothesisNotMet("u must be nonzero")
-    if not pair.vstar(0).contains(u):
-        raise HypothesisNotMet("u must lie in the first Astar-eigenspace")
+    u = vstar0_vector(pair.vstar(0), u)
     if sd is None:
         sd = split_subspaces(pair)
     images = [u]

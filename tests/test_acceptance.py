@@ -42,7 +42,7 @@ from tdpairs import (
     validate_pair,
 )
 from tdpairs.cli import main
-from tdpairs.linalg import rank, vec_add, vec_is_zero, vec_scale
+from tdpairs.linalg import rank, vec_is_zero
 from tdpairs.serio import matrix_from_json
 
 from oracles import (
@@ -148,7 +148,7 @@ def test_tau_image_combinations_never_vanish_and_images_are_independent():
             alpha = rand_nonzero_vector(rng, field, d + 1)
             total = tuple(field.zero for _ in range(pair.dim))
             for a_i, w in zip(alpha, images):
-                total = vec_add(total, vec_scale(a_i, w))
+                total = tuple(t + a_i * x for t, x in zip(total, w))
             assert not vec_is_zero(total)
         assert rank(Matrix(field, [list(w) for w in images])) == d + 1
 

@@ -15,7 +15,8 @@ import pytest
 
 import tdpairs.cli
 import tdpairs.pairs
-from tdpairs import GF, QQ, InvariantViolation, LeonardParameterSet, Matrix, SearchSpec
+import tdpairs.search
+from tdpairs import GF, QQ, InvariantViolation, LeonardParameterSet, Matrix, SearchSpec, TdpError
 from tdpairs.cli import cmd_search, main
 from tdpairs.eigen import invert
 from tdpairs.serio import candidate_to_json, canonical_dumps, params_to_json
@@ -122,6 +123,25 @@ def test_verify_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     (rep,) = reports_of(out)
     assert rep["exitCode"] == 4
     assert rep["payload"]["valid"] is False
+    assert rep["payload"]["failure"]["kind"] == "InvariantViolation"
+
+
+def test_an_internal_error_is_not_a_rejection():
+    # `except TdpError` is for rejected input; a failed internal check
+    # must get past it
+    assert not issubclass(InvariantViolation, TdpError)
+
+
+def test_search_internal_error_exits_4(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InvariantViolation("planted bug")
+
+    monkeypatch.setattr(tdpairs.search, "validate_pair", broken)
+    argv = ["search", "--field", "gf3", "--dim", "2", "--shape", "1,1", "--budget", "81"]
+    rc, out, _ = run(capsys, argv)
+    assert rc == 4
+    (rep,) = reports_of(out)
+    assert rep["exitCode"] == 4 and rep["inputDigest"]
     assert rep["payload"]["failure"]["kind"] == "InvariantViolation"
 
 
@@ -328,6 +348,19 @@ def test_switch_with_cross_check(tmp_path, capsys):
     assert rep["inputDigest"] == hashlib.sha256(cand_bytes + par_bytes).hexdigest()
 
 
+def test_switch_digest_covers_a_malformed_sequences_file(tmp_path, capsys):
+    # both files were read, so the digest is set, as for verify and affine
+    cand = d2_candidate(tmp_path)
+    pfile = tmp_path / "params.json"
+    pfile.write_bytes(b"{not json")
+    rc, out, _ = run(capsys, ["switch", cand, "--sequences", str(pfile)])
+    assert rc == 3
+    (rep,) = reports_of(out)
+    assert rep["payload"]["failure"]["kind"] == "ParseError"
+    joined = open(cand, "rb").read() + pfile.read_bytes()
+    assert rep["inputDigest"] == hashlib.sha256(joined).hexdigest()
+
+
 def test_switch_without_sequences(tmp_path, capsys):
     cand = d2_candidate(tmp_path)
     rc, out, _ = run(capsys, ["switch", cand])
@@ -501,6 +534,28 @@ def test_search_summary_reports_wall_time_and_shard_time_sum(capsys):
     assert rc == 0 and "cpuSum=" in err and "cpuSum" not in out
 
 
+def test_search_reports_the_pairs_its_shards_validated(monkeypatch):
+    # every hit is validated once, inside search_shape; the cli builds its
+    # reports from those pairs and never validates again
+    calls = {"cli": 0, "search": 0}
+
+    def counting(module, key):
+        original = module.validate_pair
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, "validate_pair", wrapper)
+
+    counting(tdpairs.cli, "cli")
+    counting(tdpairs.search, "search")
+    reports, summary = cmd_search(SearchSpec(field=GF(3), dim=3, shape=(1, 1, 1), budget=3**7))
+    assert summary["instances"] == len(reports) == 12
+    assert calls["cli"] == 0
+    assert calls["search"] >= len(reports)
+
+
 def test_search_workers_do_not_change_stdout(tmp_path, capsys):
     argv = ["search", "--field", "gf3", "--dim", "2", "--shape", "1,1", "--budget", "81"]
     rc1, out1, _ = run(capsys, argv)
@@ -610,6 +665,30 @@ def test_reused_parser_answers_like_a_fresh_one(tmp_path, capsys, monkeypatch):
     assert [rc for rc, _ in reused] == [0, 0, 0, 3, 0, 0, 0, 3, 0]
     assert "crossCheck" in reports_of(reused[0][1])[0]["payload"]
     assert "crossCheck" not in reports_of(reused[1][1])[0]["payload"]
+
+
+def test_dispatch_runs_a_rebound_command_every_time(tmp_path, capsys, monkeypatch):
+    # the benchmark tracer rebinds cmd_* in tdpairs.cli; main must call
+    # the rebound function on every request, also with its cached parser
+    calls = []
+
+    def counting(name):
+        original = getattr(tdpairs.cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tdpairs.cli, name, wrapper)
+
+    counting("cmd_verify")
+    counting("cmd_search")
+    cand = d2_candidate(tmp_path)
+    search = ["search", "--field", "gf3", "--dim", "2", "--shape", "1,1", "--budget", "81"]
+    for _ in range(2):
+        assert run(capsys, ["verify", cand])[0] == 0
+        assert run(capsys, search)[0] == 0
+    assert calls == ["cmd_verify", "cmd_search"] * 2
 
 
 # ---- golden stdout ---------------------------------------------------------------
