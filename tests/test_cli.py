@@ -55,6 +55,17 @@ def d2_candidate(tmp_path, name="pair.json"):
     return write_candidate(tmp_path, name, qm(A_D2), qm(ASTAR_D2))
 
 
+def record_calls(monkeypatch, module, name, calls):
+    """Rebind module.name to a wrapper that appends "module.name" to calls."""
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(f"{module.__name__}.{name}")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
 # ---- verify -------------------------------------------------------------------
 
 
@@ -537,23 +548,13 @@ def test_search_summary_reports_wall_time_and_shard_time_sum(capsys):
 def test_search_reports_the_pairs_its_shards_validated(monkeypatch):
     # every hit is validated once, inside search_shape; the cli builds its
     # reports from those pairs and never validates again
-    calls = {"cli": 0, "search": 0}
-
-    def counting(module, key):
-        original = module.validate_pair
-
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, "validate_pair", wrapper)
-
-    counting(tdpairs.cli, "cli")
-    counting(tdpairs.search, "search")
+    calls = []
+    record_calls(monkeypatch, tdpairs.cli, "validate_pair", calls)
+    record_calls(monkeypatch, tdpairs.search, "validate_pair", calls)
     reports, summary = cmd_search(SearchSpec(field=GF(3), dim=3, shape=(1, 1, 1), budget=3**7))
     assert summary["instances"] == len(reports) == 12
-    assert calls["cli"] == 0
-    assert calls["search"] >= len(reports)
+    assert "tdpairs.cli.validate_pair" not in calls
+    assert calls.count("tdpairs.search.validate_pair") >= len(reports)
 
 
 def test_search_workers_do_not_change_stdout(tmp_path, capsys):
@@ -671,24 +672,14 @@ def test_dispatch_runs_a_rebound_command_every_time(tmp_path, capsys, monkeypatc
     # the benchmark tracer rebinds cmd_* in tdpairs.cli; main must call
     # the rebound function on every request, also with its cached parser
     calls = []
-
-    def counting(name):
-        original = getattr(tdpairs.cli, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(tdpairs.cli, name, wrapper)
-
-    counting("cmd_verify")
-    counting("cmd_search")
+    record_calls(monkeypatch, tdpairs.cli, "cmd_verify", calls)
+    record_calls(monkeypatch, tdpairs.cli, "cmd_search", calls)
     cand = d2_candidate(tmp_path)
     search = ["search", "--field", "gf3", "--dim", "2", "--shape", "1,1", "--budget", "81"]
     for _ in range(2):
         assert run(capsys, ["verify", cand])[0] == 0
         assert run(capsys, search)[0] == 0
-    assert calls == ["cmd_verify", "cmd_search"] * 2
+    assert calls == ["tdpairs.cli.cmd_verify", "tdpairs.cli.cmd_search"] * 2
 
 
 # ---- golden stdout ---------------------------------------------------------------
@@ -809,9 +800,8 @@ def _surface_requests(tmp_path, capsys, monkeypatch):
         a.scale(QQ.scalar(-3)) + eye.scale(QQ.scalar("1/2")),
         astar.scale(QQ.scalar("2/5")) + eye.scale(QQ.scalar(7)),
     )
-    write_params(tmp_path, "d1.json", LeonardParameterSet(
-        field=GF(101), theta=(3, 9), thetastar=(0, 5), varphi=(7,), phi=(11,)
-    ))
+    d1 = LeonardParameterSet(field=GF(101), theta=(3, 9), thetastar=(0, 5), varphi=(7,), phi=(11,))
+    write_params(tmp_path, "d1.json", d1)
     write_candidate(tmp_path, "reducible.json", qm([[0, 0], [0, 1]]), qm([[2, 0], [0, 3]]))
     (tmp_path / "junk.json").write_bytes(b"\x00{not json")
     out = []
