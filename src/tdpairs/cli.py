@@ -91,7 +91,7 @@ def _read_bytes(path: str) -> bytes:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as e:
-        raise ParseError(f"cannot read {path!r}: {e}") from None
+        raise ParseError(f"cannot read {path!r}: {type(e).__name__}") from None
 
 
 def _exit_code(e: TdpError | InvariantViolation) -> int:

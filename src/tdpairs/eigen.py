@@ -18,6 +18,7 @@ from operator import mul
 
 from .errors import (
     DimensionMismatch,
+    HypothesisNotMet,
     InvariantViolation,
     NotDiagonalizableOverField,
 )
@@ -277,18 +278,21 @@ def primitive_idempotents(eig: EigenDecomposition) -> tuple[Matrix, ...]:
 def eigencoordinate_change(eig: EigenDecomposition) -> tuple[Matrix, Matrix, tuple]:
     """(C, C_inv, block_ranges) where C's columns are the concatenated
     eigenbasis vectors and block_ranges[i] is the (start, stop) slice of
-    coordinates belonging to eigenspace i."""
+    coordinates belonging to eigenspace i.  A singular C is a bug."""
     cols, ranges = [], []
     for space in eig.eigenspaces:
         ranges.append((len(cols), len(cols) + space.dim))
         cols.extend(space.basis)
     c = Matrix._trusted(eig.field, cols).transpose()
-    return c, invert(c), tuple(ranges)
+    try:
+        return c, invert(c), tuple(ranges)
+    except HypothesisNotMet as e:
+        raise InvariantViolation(f"eigenbasis: {e}") from None
 
 
 def invert(m: Matrix) -> Matrix:
-    """Inverse of a square invertible matrix, on its int rows: with
-    m = R / d, the canonical RREF of [R | d I] is [I | m^-1]."""
+    """Inverse of a square matrix, on its int rows: with m = R / d, the
+    canonical RREF of [R | d I] is [I | m^-1]; a singular m is rejected."""
     if not m.is_square():
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.nrows
@@ -298,7 +302,7 @@ def invert(m: Matrix) -> Matrix:
         eng.insert(list(row) + [d if j == i else 0 for j in range(n)])
     # [R | dI] always has rank n; m is invertible iff no pivot leaves R
     if eng.pivots != tuple(range(n)):
-        raise InvariantViolation("matrix is singular")
+        raise HypothesisNotMet("matrix is singular")
     pivoted = [eng.rows[c] for c in range(n)]  # canonical row c: row / row[c]
     s = lcm(*[row[c] for c, row in enumerate(pivoted)])
     ints = [[x * (s // row[c]) for x in row[n:]] for c, row in enumerate(pivoted)]

@@ -10,15 +10,15 @@ A candidate (A, Astar) is accepted when four axioms hold exactly:
 Orderings are discovered through the support graph on eigenspace
 indices.  Irreducibility is decided by one engine for Q and GF(p):
 Norton's test on one eigenspace K, an eigenline when either side has
-one (every Leonard pair), else the smallest eigenspace of a
-diagonalizable side, decided as a module for the condensed algebra
-E <A, Astar> E on K (see irreducible).
+one (for every Leonard pair read off that support graph), else the
+smallest eigenspace of a diagonalizable side, decided as a module for
+the condensed algebra E <A, Astar> E on K (see irreducible).
 The accepted pair carries its canonically ordered eigen data and shape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate, product
 
 from .errors import (
@@ -309,6 +309,8 @@ def _submodule(field, b_basis: list[Matrix]):
 
 
 _KERNEL_SPIN = "spin-up of a kernel vector of a singular algebra element"
+_DUAL_SPIN = "annihilator of a proper dual spin-up"
+_SPINS_FILL = "kernel spin-ups and the dual spin-up all fill the space"
 
 
 def _norton(a: Matrix, astar: Matrix, t: Matrix, kbasis, submodule) -> IrreducibilityReport:
@@ -338,16 +340,30 @@ def _norton(a: Matrix, astar: Matrix, t: Matrix, kbasis, submodule) -> Irreducib
     w = kernel(t.transpose()).basis[0]
     spun = _spin(field, n, [w], (a.transpose(), astar.transpose()))
     if spun.dim < n:
-        witness = annihilator(field, n, spun.basis)
-        return _checked_reducible(a, astar, witness, "annihilator of a proper dual spin-up")
+        return _checked_reducible(a, astar, annihilator(field, n, spun.basis), _DUAL_SPIN)
     if found == "unknown":
         return IrreducibilityReport.inconclusive(
             "no eigenline, and the condensed algebra of the eigenspace is "
             "too large to decide its submodules"
         )
-    return IrreducibilityReport.irreducible(
-        "kernel spin-ups and the dual spin-up all fill the space"
-    )
+    return IrreducibilityReport.irreducible(_SPINS_FILL)
+
+
+def _graph_norton(a: Matrix, astar: Matrix, eig, edges, i0: int) -> IrreducibilityReport:
+    """_norton on the eigenline i0 of a side with n distinct eigenvalues,
+    read off its block graph (edge (j, i) read as j -> i).  Each subspace
+    that side keeps is a sum of its eigenlines: the spin of u_i0 sums those
+    i0 reaches, and the dual spin of w_i0 annihilates those not reaching i0."""
+    n, lines = a.nrows, [space.basis[0] for space in eig.eigenspaces]
+    for arrows, how in ((edges, _KERNEL_SPIN), ({(i, j) for j, i in edges}, _DUAL_SPIN)):
+        seen = {i0}
+        while more := {i for j, i in arrows if j in seen} - seen:
+            seen |= more
+        if len(seen) < n:
+            keep = seen if arrows is edges else set(range(n)) - seen
+            witness = Subspace.span(a.field, n, [lines[j] for j in keep])
+            return _checked_reducible(a, astar, witness, how)
+    return IrreducibilityReport.irreducible(_SPINS_FILL)
 
 
 # ---- the engine ---------------------------------------------------------------
@@ -370,15 +386,18 @@ def irreducible(
     astar: Matrix,
     eig_a: EigenDecomposition | None = None,
     eig_astar: EigenDecomposition | None = None,
+    edges_a: set | None = None,
 ) -> IrreducibilityReport:
     """Decide whether {A, Astar} admits a common invariant subspace
     other than 0 and V, by Norton's test on one eigenspace K = ker t,
     t = M - theta I (see _norton).
 
     K is the first eigenline of A or Astar (A's first, in eigenvalue
-    order), on any side; a line is a simple module.  With no eigenline,
-    K is the smallest eigenspace of a diagonalizable side (A's first on
-    a tie), and K is decided as a module for the condensed algebra
+    order); a line is a simple module, and on a side with n distinct
+    eigenvalues the test is read off the block graph (_graph_norton;
+    edges_a is _block_edges(eig_a, astar) when known).  With no
+    eigenline, K is the smallest eigenspace of a diagonalizable side
+    (A's first on a tie), decided as a module for the condensed algebra
     B = E <A, Astar> E, E the projection onto K along the other
     eigenspaces (A. J. E. Ryba, J. Symbolic Comput. 9, 1990; D. F. Holt
     and S. Rees, "Testing modules for irreducibility", 1994): see
@@ -407,7 +426,11 @@ def irreducible(
     spaces_astar, eig_astar = _eigenspaces(astar, eig_astar)
     shifts = [(a, eig_a, i, theta, k) for i, (theta, k) in enumerate(spaces_a)]
     shifts += [(astar, eig_astar, i, theta, k) for i, (theta, k) in enumerate(spaces_astar)]
-    for m, _, _, theta, k in shifts:
+    for m, eig, i, theta, k in shifts:
+        if k.dim == 1 and eig is not None and eig.diameter == n - 1:
+            other = astar if m is a else a
+            edges = edges_a if m is a and edges_a is not None else _block_edges(eig, other)
+            return _graph_norton(a, astar, eig, edges, i)
         if k.dim == 1:
             return _norton(a, astar, m.shift(theta), k.basis, lambda: "simple")
     diagonal = [s for s in shifts if s[1] is not None]
@@ -465,24 +488,10 @@ class TriDiagonalPair:
 
     def with_reversed_a(self) -> "TriDiagonalPair":
         """The same pair under the alternative (reversed) A-ordering."""
-        return TriDiagonalPair(
-            self.a,
-            self.astar,
-            self.eig_a.reversed(),
-            self.eig_astar,
-            self.shape,
-            self.irreducibility,
-        )
+        return replace(self, eig_a=self.eig_a.reversed())
 
     def with_reversed_astar(self) -> "TriDiagonalPair":
-        return TriDiagonalPair(
-            self.a,
-            self.astar,
-            self.eig_a,
-            self.eig_astar.reversed(),
-            self.shape,
-            self.irreducibility,
-        )
+        return replace(self, eig_astar=self.eig_astar.reversed())
 
 
 def validate_pair(
@@ -495,9 +504,10 @@ def validate_pair(
 
     eig_a / eig_astar, if given, are reused as the decompositions of a / astar.
     The irreducibility check runs before the ordering search so that a
-    definitive witness is reported even when orderings also fail
-    (a disconnected support graph always implies reducibility).  An
-    inconclusive irreducibility verdict is deferred: if an ordering
+    definitive witness is reported even when orderings also fail (a
+    disconnected support graph always implies reducibility); when A has
+    n distinct eigenvalues, A's block graph is computed once and serves
+    both.  An inconclusive irreducibility verdict is deferred: if an ordering
     failure can reject the candidate definitively, it does.
     """
     if not a.is_square() or not astar.is_square() or a.nrows != astar.nrows:
@@ -519,13 +529,14 @@ def validate_pair(
             f"{eig_a.diameter + 1} eigenvalues for A vs "
             f"{eig_astar.diameter + 1} for Astar"
         )
-    report = irreducible(a, astar, eig_a=eig_a, eig_astar=eig_astar)
+    edges_a = _block_edges(eig_a, astar) if 0 < eig_a.diameter == a.nrows - 1 else None
+    report = irreducible(a, astar, eig_a=eig_a, eig_astar=eig_astar, edges_a=edges_a)
     if report.is_reducible():
         raise NotIrreducible(
             f"common invariant subspace of dimension {report.witness.dim}",
             witness=report.witness,
         )
-    orderings_a = support_path_orderings(eig_a, astar)
+    orderings_a = path_orderings(eig_a.diameter + 1, edges_a or _block_edges(eig_a, astar))
     if not orderings_a:
         raise NoTridiagonalOrdering(
             "no ordering of A's eigenspaces makes Astar block-tridiagonal",

@@ -17,6 +17,7 @@ import math
 from fractions import Fraction
 
 from tdpairs import Matrix
+from tdpairs.eigen import invert
 
 
 # ---- linear algebra on ints mod p (p None: on Fractions over Q) -------------
@@ -559,3 +560,51 @@ def scalar_restriction_fixture(field, f, d):
                 for c in range(k):
                     astar[(i - 1) * k + r][i * k + c] = i * (d - i + 1) * companion[r][c]
     return Matrix(field, a), Matrix(field, astar)
+
+
+# ---- pairs with one side of n distinct eigenvalues --------------------------
+
+
+def _unitriangular(field, n, draw, lower):
+    """A unit lower (or upper) triangular matrix with entries from draw()."""
+    below = (lambda i, j: j < i) if lower else (lambda i, j: j > i)
+    return Matrix(field, [[draw() if below(i, j) else int(i == j) for j in range(n)] for i in range(n)])
+
+
+def multiplicity_free_pair(field, n, rng, second=False):
+    """A pair (A, B) over field (Q or GF(p), n >= 2) with one side of n
+    distinct eigenvalues, built in that side's eigenbasis and moved by
+    P = L U for random unit lower and upper triangular L and U.
+
+    By default A = P D P^-1 with D the n distinct eigenvalues and
+    B = P S P^-1, where each off-diagonal entry of S is nonzero with one
+    probability drawn per pair: A's block graph is the off-diagonal
+    support of S, so the draws are irreducible, reducible with a forward
+    witness and reducible with a dual witness at comparable rates.  With
+    second, the pair is (P R E R^-1 P^-1, P D P^-1) for E diagonal with
+    no eigenvalue of multiplicity 1 and R = L' U' as sparse as S: its
+    first operator has no eigenline."""
+    p = getattr(field, "p", None)
+    values = list(range(p) if p else range(-9, 10))
+    nonzero = [x for x in values if x]
+    dense = rng.random()
+
+    def entry():
+        return rng.choice(values)
+
+    def sparse():
+        return rng.choice(nonzero) if rng.random() < dense else 0
+
+    def moved(m, lower, upper):
+        change = lower @ upper
+        return change @ m @ invert(change)
+
+    lower, upper = (_unitriangular(field, n, entry, side) for side in (True, False))
+    a = moved(Matrix.diagonal(field, rng.sample(values, n)), lower, upper)
+    if not second:
+        s = Matrix(field, [[entry() if i == j else sparse() for j in range(n)] for i in range(n)])
+        return a, moved(s, lower, upper)
+    x, y = rng.sample(values, 2)
+    e = Matrix.diagonal(field, [x] * n if n < 4 else [x, x] + [y] * (n - 2))
+    mixed = moved(e, *(_unitriangular(field, n, sparse, side) for side in (True, False)))
+    return moved(mixed, lower, upper), a

@@ -1,10 +1,15 @@
-"""The benchmark's tracer binds library names by string: each must resolve."""
+"""The benchmark's tracer binds library names and diagnostics by string:
+each must resolve."""
 
 from __future__ import annotations
 
 import ast
 import importlib
 from pathlib import Path
+
+from tdpairs import irreducible
+from test_acceptance import instance_pool
+from test_pairs import GRAPH_FIELDS, multiplicity_free_samples
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,3 +41,17 @@ def test_every_name_the_benchmark_tracer_wraps_resolves():
     cli = importlib.import_module("tdpairs.cli")
     for name in consts["CLI_ENTRY_POINTS"]:
         assert callable(getattr(cli, name, None)), f"cli.{name}"
+
+
+def test_every_accepted_diagnostic_names_a_traced_branch():
+    # the tracer files an accepted pair's irreducibility diagnostic under
+    # BRANCHES[diagnostic], and under "other" when the key is missing, so
+    # a renamed diagnostic would silently move the branch counts
+    branches = _tracer_constants("BRANCHES")["BRANCHES"]
+    accepted = {pair.irreducibility.diagnostic for pair in instance_pool()}
+    for field in GRAPH_FIELDS:
+        for a, b in multiplicity_free_samples(field):
+            report = irreducible(a, b)
+            if report.is_irreducible():
+                accepted.add(report.diagnostic)
+    assert accepted and accepted <= set(branches)

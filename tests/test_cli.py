@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import io
 import json
@@ -174,6 +175,23 @@ def test_verify_parse_failures_exit_3(tmp_path, capsys):
     assert rep["payload"]["failure"]["kind"] == "ParseError"
     rc, out, _ = run(capsys, ["verify", str(tmp_path / "missing.json")])
     assert rc == 3
+
+
+def test_unreadable_inputs_report_the_path_and_the_exception_class(tmp_path, capsys, monkeypatch):
+    # the message carries no C-library error text, so it is the same bytes
+    # on every platform whose open() raises the same exception class
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "folder").mkdir()
+    messages = []
+    for path in ("missing.json", "folder"):
+        rc, out, _ = run(capsys, ["verify", path])
+        (rep,) = reports_of(out)
+        assert rc == 3 and rep["payload"]["failure"]["kind"] == "ParseError"
+        messages.append(rep["payload"]["failure"]["message"])
+    assert messages[0] == "cannot read 'missing.json': FileNotFoundError"
+    head, _, cls = messages[1].partition(": ")
+    assert head == "cannot read 'folder'"
+    assert issubclass(getattr(builtins, cls), OSError) and "Errno" not in messages[1]
 
 
 def test_verify_nondiagonalizable_side_reported(tmp_path, capsys):
@@ -782,8 +800,10 @@ def test_golden_stdout_of_non_sharp_pairs_is_byte_identical(tmp_path, capsys):
 # sha256 of the stdout of _surface_requests, generated before the commands
 # shared one request runner: it pins what the two digests above leave out,
 # affine, generate --params, switch without --sequences, search reports,
-# and one failure report per command
-SURFACE_STDOUT_SHA256 = "8bdc8cc63399cf0093d4f17b0cc4bafdf066b5b555bbdf32e753582717a7b95f"
+# and one failure report per command.  Re-pinned when a read failure came
+# to name the exception class instead of the C library's error text; the
+# two "cannot read 'missing.json'" messages are the only lines that moved
+SURFACE_STDOUT_SHA256 = "b52d6ef429fa75d3f78f48ae68abc968b13905076e406300c6acb17bfbde1fca"
 
 
 def _surface_requests(tmp_path, capsys, monkeypatch):

@@ -12,10 +12,12 @@ from tdpairs import (
     GF,
     QQ,
     DimensionMismatch,
+    HypothesisNotMet,
     InvariantViolation,
     Matrix,
     NotDiagonalizableOverField,
     Polynomial,
+    TdpError,
     eigen_decompose,
     min_poly,
     primitive_idempotents,
@@ -213,8 +215,26 @@ def test_invert_round_trip():
     ],
 )
 def test_invert_rejects_singular_matrices(m):
-    with pytest.raises(InvariantViolation, match="singular"):
+    with pytest.raises(HypothesisNotMet, match="singular"):
         invert(m)
+
+
+def test_a_library_caller_catches_a_singular_inverse_as_tdp_error():
+    try:
+        invert(qm([[1, 2], [2, 4]]))
+    except TdpError as e:
+        assert not isinstance(e, InvariantViolation)
+    else:
+        raise AssertionError("a singular matrix was inverted")
+
+
+def test_a_singular_eigenbasis_is_a_bug():
+    # a decomposition built without its checks, whose two "eigenlines"
+    # coincide, has a singular eigenbasis: that can only be a bug
+    line = Subspace.span(QQ, 2, [(1, 1)])
+    eig = EigenDecomposition(qm([[1, 0], [0, 2]]), (1, 2), (line, line), False)
+    with pytest.raises(InvariantViolation, match="singular"):
+        eigencoordinate_change(eig)
 
 
 # ---- the M^p == M search prefilter against eigen_decompose ------------------
@@ -248,7 +268,7 @@ def _conjugate(p, block, rng):
         c = gm(p, [[rng.randrange(p) for _ in range(n)] for _ in range(n)])
         try:
             c_inv = invert(c)
-        except InvariantViolation:
+        except HypothesisNotMet:
             continue
         return [[x.v for x in row] for row in (c @ gm(p, block) @ c_inv).rows]
 

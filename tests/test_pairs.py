@@ -34,7 +34,8 @@ from tdpairs import (
 import tdpairs.eigen
 import tdpairs.linalg
 import tdpairs.pairs
-from tdpairs.eigen import eigencoordinate_change, invert
+import tdpairs.search
+from tdpairs.eigen import eigencoordinate_change, eigenspaces, invert
 from tdpairs.subspaces import Subspace, kernel
 from tdpairs.pairs import path_orderings
 
@@ -46,6 +47,7 @@ from oracles import (
     closure_algebra,
     kron_sum_fixture,
     matrix_to_int_rows,
+    multiplicity_free_pair,
     scalar_restriction_fixture,
     spin_reducible,
     subspace_vector_set,
@@ -405,7 +407,7 @@ def _invertible(field, n, rng, keep=0):
         m = Matrix(field, rows)
         try:
             m_inv = invert(m)
-        except InvariantViolation:
+        except HypothesisNotMet:
             continue
         if m @ m_inv == Matrix.identity(field, n):
             return m, m_inv
@@ -591,7 +593,7 @@ def test_witness_of_a_plane_is_the_first_invariant_line_of_the_condensed_algebra
             try:
                 p_inv = invert(p)
                 break
-            except InvariantViolation:
+            except HypothesisNotMet:
                 continue
         rep = irreducible(p @ a @ p_inv, p @ astar @ p_inv)
         cols = [p.column(j) for j in range(5)]
@@ -831,6 +833,118 @@ def test_validate_never_needs_the_closure_algebra_with_an_eigenline(monkeypatch)
         pairs.append(pair)
     for pair in pairs:
         assert pair.irreducibility.diagnostic == norton
+
+
+# ---- Norton's test read off the block graph of n distinct eigenvalues --------
+
+GRAPH_FIELDS = (QQ, GF(5), GF(7))
+
+
+def multiplicity_free_samples(field, count=350):
+    """The seeded draws of the block-graph oracle: pairs with n = 2..5
+    over field, one in four with its n distinct eigenvalues on the second
+    operator and no eigenline on the first."""
+    rng = random.Random(2 if field == QQ else field.p)
+    for draw in range(count):
+        n = rng.randint(2, min(5, getattr(field, "p", 5)))
+        yield multiplicity_free_pair(field, n, rng, second=draw % 4 == 3)
+
+
+def _first_eigenline(a, astar):
+    """(M, theta, K) for the eigenline Norton's test runs on: A's first,
+    in eigenvalue order, else Astar's."""
+    for m in (a, astar):
+        thetas, spaces, _ = eigenspaces(m)
+        for theta, k in zip(thetas, spaces):
+            if k.dim == 1:
+                return m, theta, k
+
+
+def _counting(monkeypatch, name):
+    """Replace tdpairs.pairs.<name> by a wrapper that counts its calls."""
+    calls = [0]
+    original = getattr(tdpairs.pairs, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(tdpairs.pairs, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", GRAPH_FIELDS, ids=str)
+def test_block_graph_reading_equals_nortons_spins(field, monkeypatch):
+    # irreducible() reads the test off the block graph; _norton spins the
+    # same eigenline, and both must give the same verdict, diagnostic and
+    # canonical witness
+    spins = _counting(monkeypatch, "_spin")
+    outcomes = set()
+    for a, b in multiplicity_free_samples(field):
+        m, theta, k = _first_eigenline(a, b)
+        want = tdpairs.pairs._norton(a, b, m.shift(theta), k.basis, lambda: "simple")
+        before = spins[0]
+        got = irreducible(a, b)
+        assert spins[0] == before  # decided without a spin
+        assert (got.verdict, got.diagnostic, got.witness) == (want.verdict, want.diagnostic, want.witness)
+        outcomes.add(got.diagnostic)
+    assert outcomes == {
+        "kernel spin-ups and the dual spin-up all fill the space",
+        "spin-up of a kernel vector of a singular algebra element",
+        "annihilator of a proper dual spin-up",
+    }
+
+
+@pytest.mark.parametrize("p", (2, 3))
+def test_block_graph_verdicts_match_brute_force_over_tiny_fields(p):
+    rng = random.Random(11 * p)
+    verdicts = set()
+    for draw in range(150):
+        n = rng.randint(2, min(3, p))
+        a, b = multiplicity_free_pair(GF(p), n, rng, second=draw % 4 == 3)
+        rep = irreducible(a, b)
+        brute = brute_common_invariant(p, matrix_to_int_rows(a), matrix_to_int_rows(b))
+        assert rep.verdict == ("irreducible" if brute is None else "reducible")
+        verdicts.add(rep.verdict)
+    assert verdicts == {"irreducible", "reducible"}
+
+
+def test_validate_reads_leonard_pairs_off_one_block_graph_per_side(monkeypatch):
+    # with n distinct eigenvalues on both sides, validate_pair spins
+    # nothing and computes each side's block graph once
+    pairs = []
+    for field in (QQ, GF(5), GF(13)):
+        for d in range(0, min(6, getattr(field, "p", 7) - 1) + 1):
+            pairs.append(random_leonard(field, d, 300 + d)[1])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("_spin called")
+
+    monkeypatch.setattr(tdpairs.pairs, "_spin", refuse)
+    edges = _counting(monkeypatch, "_block_edges")
+    for pair in pairs:
+        before = edges[0]
+        again = validate_pair(pair.a, pair.astar)
+        assert edges[0] - before == 2
+        assert again.shape.is_all_ones() and again.diameter == pair.diameter
+
+
+def test_validate_still_spins_when_a_side_repeats_an_eigenvalue(monkeypatch):
+    # a GF(3) shape-(1, 2, 1) search hit and a (1, 3, 3, 1) Kronecker sum:
+    # no side has n distinct eigenvalues, so Norton's test spins
+    shape = (1, 2, 1)
+    positions = tdpairs.search._allowed_positions(shape)
+    rows = [[0] * 4 for _ in range(4)]
+    for (r, c), v in zip(positions, tdpairs.search._exhaustive_entries(184953, len(positions), 3)):
+        rows[r][c] = v
+    fixtures = [(tdpairs.search._fixed_a(GF(3), shape), gm(3, rows))]
+    fixtures.append(kron_sum_fixture(QQ, ((0, 1),) * 3, (1, 2, 3)))
+    spins = _counting(monkeypatch, "_spin")
+    for a, astar in fixtures:
+        before = spins[0]
+        pair = validate_pair(a, astar)
+        assert pair.shape.rho in ((1, 2, 1), (1, 3, 3, 1))
+        assert spins[0] > before
 
 
 # ---- reducibility witness from a vanishing tau image ------------------------
