@@ -1,19 +1,19 @@
 """Exact eigen-decomposition of diagonalizable operators.
 
 An operator is diagonalizable iff the field roots of its characteristic
-polynomial (linalg.char_poly) carry its whole degree and every eigenspace
-is as large as its root's multiplicity.  Roots are found exactly and
-without factoring integers: by scanning GF(p), and over Q p-adically on
-primitive int coefficients.  The steps after them run on int rows: the
-kernels of m.shift(theta), the eigenvector check and the inverse of the
-eigenbasis change.
+polynomial carry its whole degree and every eigenspace is as large as
+its root's multiplicity.  A triangular operator (A and A* in a split
+basis) has its diagonal for roots and a simple root's eigenline by
+substitution.  Otherwise the roots of linalg.char_poly are found exactly
+without factoring integers: by scanning GF(p), over Q p-adically.  The
+rest runs on int rows: kernels, eigenvector check and basis inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -25,7 +25,7 @@ from .errors import (
 from .fields import Rationals, _is_prime
 from .linalg import Echelon, Matrix, _common, _primitive, char_poly, min_poly, residue_product
 from .polynomials import Polynomial
-from .subspaces import kernel
+from .subspaces import Subspace, kernel
 
 # ---- root extraction -----------------------------------------------------
 
@@ -201,12 +201,42 @@ class EigenDecomposition:
 def eigenspaces(m: Matrix) -> tuple[tuple, tuple, int]:
     """(thetas, spaces, nroots): the distinct eigenvalues of a square m
     in its field, ascending, the eigenspace ker(m - theta I) of each, and
-    the number of roots of char_poly(m) in the field with multiplicity.
-    m is diagonalizable exactly when the spaces' dimensions sum to its
-    size; each is at most its root's multiplicity."""
-    roots = field_roots(char_poly(m), m.field)
-    thetas = tuple(sorted(set(roots)))
-    return thetas, tuple(kernel(m.shift(theta)) for theta in thetas), len(roots)
+    the number of roots of char_poly(m) in the field with multiplicity,
+    read off the diagonal of a triangular m (see _eigenline).  m is
+    diagonalizable exactly when the spaces' dimensions sum to its size;
+    each is at most its root's multiplicity."""
+    rows, d = m._ints()
+    lower = any(any(row[:i]) for i, row in enumerate(rows))
+    if lower and any(any(row[i + 1 :]) for i, row in enumerate(rows)):
+        roots = field_roots(char_poly(m), m.field)
+        thetas = tuple(sorted(set(roots)))
+        return thetas, tuple(kernel(m.shift(theta)) for theta in thetas), len(roots)
+    diag = [row[i] for i, row in enumerate(rows)]
+    ints = sorted(set(diag))  # d > 0, so in the order of the eigenvalues
+    thetas = Matrix._of_ints(m.field, [ints], d).rows[0]
+    spaces = tuple(
+        _eigenline(m, diag.index(t), lower) if diag.count(t) == 1 else kernel(m.shift(theta))
+        for t, theta in zip(ints, thetas)
+    )
+    return thetas, spaces, m.nrows
+
+
+def _eigenline(m: Matrix, k: int, lower: bool) -> Subspace:
+    """ker(m - theta I), m triangular with theta only at k on its diagonal:
+    the line of u with u_k = 1, u_j = 0 for j < k if m is lower (j > k if
+    upper), and the rest solved row by row, over Q fraction-free up to scale."""
+    eng, rows = Echelon(m.field), m._ints()[0]
+    p, u = eng.p, [int(i == k) for i in range(m.nrows)]
+    for i in range(k + 1, m.nrows) if lower else range(k - 1, -1, -1):
+        s, c = sum(map(mul, rows[i], u)), rows[i][i] - rows[k][k]
+        if p:
+            u[i] = -s * pow(c, -1, p) % p
+        elif s:  # scale u by c / g, then c u_i + s = 0
+            g = gcd(c, s)
+            u = [x * (c // g) for x in u]
+            u[i] = -s // g
+    eng.insert(u)
+    return Subspace.of_echelon(eng, m.nrows)
 
 
 def eigen_decompose(m: Matrix) -> EigenDecomposition:
@@ -216,8 +246,8 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
     repeated root (an eigenspace is smaller than its root's multiplicity
     in the characteristic polynomial) or an irreducible factor of degree
     > 1 (the characteristic polynomial does not split).  Eigenvalues are
-    returned in ascending order (canonical before any pair-specific
-    reordering).
+    ascending (canonical before any pair-specific reordering); those of a
+    triangular m are its diagonal entries, with no polynomial computed.
     """
     if not m.is_square():
         raise DimensionMismatch("eigen-decomposition of a non-square matrix")

@@ -407,8 +407,8 @@ def irreducible(
     spin-up.  The answer is "inconclusive" only when K has dimension at
     least 4, has no submodule that a common eigenline shows, B is not
     End(K), and K is over Q or has more than _LINE_ENUM_CAP lines.  The
-    eigen data comes from eig_a / eig_astar when given, else from the
-    roots of each characteristic polynomial.
+    eigen data comes from eig_a / eig_astar when given, else from
+    eigen.eigenspaces (the diagonal of a triangular side).
     """
     if not a.is_square() or not astar.is_square():
         raise DimensionMismatch("irreducibility needs square matrices")

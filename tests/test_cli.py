@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 import tdpairs.cli
+import tdpairs.eigen
 import tdpairs.pairs
 import tdpairs.search
 from tdpairs import GF, QQ, InvariantViolation, LeonardParameterSet, Matrix, SearchSpec, TdpError
@@ -23,6 +24,7 @@ from tdpairs.eigen import invert
 from tdpairs.serio import candidate_to_json, canonical_dumps, params_to_json
 
 from oracles import TENSOR_PARAMS, kron_sum_fixture, scalar_restriction_fixture, tensor_fixture
+from test_eigen import refuse_in_eigen, unit_line
 from test_pairs import A_D2, ASTAR_D2
 
 
@@ -155,6 +157,18 @@ def test_search_internal_error_exits_4(capsys, monkeypatch):
     (rep,) = reports_of(out)
     assert rep["exitCode"] == 4 and rep["inputDigest"]
     assert rep["payload"]["failure"]["kind"] == "InvariantViolation"
+
+
+def test_a_wrong_eigenline_exits_4(tmp_path, capsys, monkeypatch):
+    # the eigenvector check catches a broken substitution on a split form:
+    # a bug in the engine, never a rejected pair
+    pair, _ = _generated(tmp_path, capsys, "gf101", 3)
+    monkeypatch.setattr(tdpairs.eigen, "_eigenline", unit_line)
+    rc, out, _ = run(capsys, ["verify", pair])
+    assert rc == 4
+    (rep,) = reports_of(out)
+    assert rep["payload"]["valid"] is False
+    assert rep["payload"]["failure"] == {"kind": "InvariantViolation", "message": "claimed eigenvector is not one"}
 
 
 def test_verify_reads_stdin(tmp_path, capsys, monkeypatch):
@@ -526,6 +540,30 @@ def test_generate_respects_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TDP_MAX_DIM", "2")
     rc, out, _ = run(capsys, ["generate", "--random", "gf7", "2", "1"])
     assert rc == 3
+
+
+def _generated(tmp_path, capsys, field, d):
+    """generate --random FIELD d 1 as the README round trip keeps it: the
+    pair file and the parameters for switch --sequences."""
+    rc, out, _ = run(capsys, ["generate", "--random", field, str(d), "1"])
+    assert rc == 0
+    pair, params = tmp_path / f"{field}-{d}.json", tmp_path / f"{field}-{d}.params.json"
+    pair.write_text(out)
+    params.write_text(canonical_dumps(reports_of(out)[0]["payload"]["params"]))
+    return str(pair), str(params)
+
+
+@pytest.mark.parametrize("field", ["Q", "gf7", "gf101"])
+def test_round_trip_of_split_forms_reads_every_spectrum_off_the_diagonal(tmp_path, capsys, monkeypatch, field):
+    # generate --random writes A lower and A* upper bidiagonal with n
+    # distinct eigenvalues each, so no request needs a characteristic
+    # polynomial, a root scan or a kernel per eigenvalue
+    pairs = [_generated(tmp_path, capsys, field, d) for d in range(7)]
+    refuse_in_eigen(monkeypatch, "char_poly", "field_roots", "kernel")
+    for pair, params in pairs:
+        for argv in (["verify", pair], ["detect", pair], ["decompose", pair], ["switch", pair, "--sequences", params]):
+            rc, out, _ = run(capsys, argv)
+            assert rc == 0, (argv, out)
 
 
 # ---- search --------------------------------------------------------------------

@@ -23,18 +23,22 @@ from tdpairs import (
     primitive_idempotents,
 )
 import tdpairs.eigen
+import tdpairs.search
 from tdpairs.eigen import (
     EigenDecomposition,
     _rational_roots,
     eigencoordinate_change,
+    eigenspaces,
+    field_roots,
     invert,
     residue_roots,
     splits_mod_p,
 )
-from tdpairs.subspaces import Subspace
+from tdpairs.pairs import validate_pair
+from tdpairs.subspaces import Subspace, kernel
 from tdpairs.linalg import Echelon, char_poly
 
-from oracles import char_poly_by_interpolation, rational_roots_by_divisors
+from oracles import char_poly_by_interpolation, kron_sum_fixture, rational_roots_by_divisors
 
 
 def qm(rows):
@@ -512,3 +516,125 @@ def test_eigen_decompose_matches_min_poly_rule(p):
         "minimal polynomial has a repeated root",
         "minimal polynomial has an irreducible factor of degree > 1",
     }
+
+
+# ---- triangular operators: the spectrum off the diagonal ----------------------
+
+
+def _dense_eigenspaces(m):
+    """eigenspaces by the route for any operator: the roots of the
+    characteristic polynomial, then one kernel per root."""
+    roots = field_roots(char_poly(m), m.field)
+    thetas = tuple(sorted(set(roots)))
+    return thetas, tuple(kernel(m.shift(theta)) for theta in thetas), len(roots)
+
+
+def refuse_in_eigen(monkeypatch, *names):
+    """Make each tdpairs.eigen.<name> raise when called."""
+    for name in names:
+
+        def refuse(*args, name=name, **kwargs):
+            raise AssertionError(f"{name} called")
+
+        monkeypatch.setattr(tdpairs.eigen, name, refuse)
+
+
+def _decomposition_or_error(m):
+    try:
+        eig = eigen_decompose(m)
+    except NotDiagonalizableOverField as e:
+        return type(e), str(e)
+    return eig.eigenvalues, eig.eigenspaces
+
+
+TRIANGLES = (
+    "upper", "lower", "diagonal", "upper bidiagonal", "lower bidiagonal", "dense upper", "dense lower", "jordan"
+)
+
+
+def _triangular(field, n, kind, rng):
+    """A seeded n x n triangular matrix of the given kind whose diagonal
+    often repeats an entry; "jordan" chains equal diagonal entries by 1s
+    just above the diagonal, so it is not diagonalizable when n > 1."""
+    p = getattr(field, "p", None)
+
+    def entry(dense):
+        if p:
+            return rng.randrange(1 if dense else 0, p)
+        return Fraction(rng.choice([1, -1] if dense else [0, 1, -1]) * rng.randint(1, 9), rng.randint(1, 4))
+
+    pool = [Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(rng.randint(1, n))]
+    diag = [rng.choice(pool) if not p else rng.choice(pool).numerator % p for _ in range(n)]
+    rows = [[diag[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    for i, j in itertools.product(range(n), repeat=2):
+        if kind in ("upper", "dense upper") and j > i or kind in ("lower", "dense lower") and j < i:
+            rows[i][j] = entry(kind.startswith("dense"))
+        elif kind == "upper bidiagonal" and j == i + 1 or kind == "lower bidiagonal" and j == i - 1:
+            rows[i][j] = entry(rng.random() < 0.8)
+    if kind == "jordan":
+        rows = [[diag[0] if i == j else int(j == i + 1) for j in range(n)] for i in range(n)]
+    return Matrix(field, rows)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
+def test_triangular_eigenspaces_match_the_characteristic_polynomial_route(field, monkeypatch):
+    # a triangular operator's roots are its diagonal and a simple root's
+    # eigenline comes by substitution: same eigenvalues, canonical bases,
+    # root count and eigen_decompose verdict as the dense route
+    rng = random.Random(str(field))
+    seen = set()
+    for n, kind, _ in itertools.product(range(1, 9), TRIANGLES, range(4)):
+        m = _triangular(field, n, kind, rng)
+        want = _dense_eigenspaces(m)
+        with monkeypatch.context() as patch:
+            refuse_in_eigen(patch, "char_poly", "field_roots")
+            got = eigenspaces(m)
+            decomposed = _decomposition_or_error(m)
+        assert got == want, (kind, m.rows)
+        with monkeypatch.context() as patch:
+            patch.setattr(tdpairs.eigen, "eigenspaces", _dense_eigenspaces)
+            assert decomposed == _decomposition_or_error(m), (kind, m.rows)
+        seen.add(decomposed[0] if isinstance(decomposed[0], type) else "decomposed")
+        seen.update("line" if s.dim == 1 else "space" for s in got[1])
+    assert seen == {NotDiagonalizableOverField, "decomposed", "line", "space"}
+
+
+def test_repeated_or_dense_spectra_keep_the_kernel_and_the_polynomial(monkeypatch):
+    # the diagonal answers for the simple roots of a triangular side only:
+    # a (1, 3, 3, 1) Kronecker sum repeats A's eigenvalues, and the GF(3)
+    # search hit 184953 has A = diag(0, 1, 1, 2) and a dense A*
+    calls = {"kernel": 0, "char_poly": 0}
+    for name in calls:
+        real = getattr(tdpairs.eigen, name)
+
+        def counted(*args, name=name, real=real, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tdpairs.eigen, name, counted)
+    validate_pair(*kron_sum_fixture(QQ, ((0, 1),) * 3, (1, 2, 3)))
+    assert calls["kernel"] > 0 and calls["char_poly"] == 0
+    shape = (1, 2, 1)
+    positions = tdpairs.search._allowed_positions(shape)
+    rows = [[0] * 4 for _ in range(4)]
+    for (r, c), v in zip(positions, tdpairs.search._exhaustive_entries(184953, len(positions), 3)):
+        rows[r][c] = v
+    before = dict(calls)
+    validate_pair(tdpairs.search._fixed_a(GF(3), shape), gm(3, rows))
+    assert calls["kernel"] > before["kernel"] and calls["char_poly"] > before["char_poly"]
+
+
+def unit_line(m, k, lower):
+    """A wrong substitution: the line of e_k."""
+    return Subspace.span(m.field, m.nrows, [[int(i == k) for i in range(m.nrows)]])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
+def test_eigenvector_check_guards_the_substitution(field, monkeypatch):
+    # a split-form A (lower bidiagonal, 1s below the diagonal) has no
+    # eigenvector e_0, so a wrong line is caught, not decomposed
+    a = Matrix(field, [[2, 0, 0], [1, 5, 0], [0, 1, 3]])
+    assert eigen_decompose(a).eigenspaces[0] != unit_line(a, 0, True)
+    monkeypatch.setattr(tdpairs.eigen, "_eigenline", unit_line)
+    with pytest.raises(InvariantViolation, match="claimed eigenvector is not one"):
+        eigen_decompose(a)
