@@ -45,6 +45,7 @@ from .fields import field_from_spec, field_to_spec
 from .leonard import (
     LeonardCertificate,
     affine_relation,
+    aligned_to_params,
     detect_leonard,
     generate_split_form,
     random_leonard,
@@ -223,29 +224,6 @@ def cmd_detect(path: str) -> dict:
     return _request("detect", _files(path), _detected)
 
 
-def _align_pair_to_params(pair, params):
-    """Reorient the pair's stored eigenvalue orderings to match a
-    user-supplied parameter set, or reject the parameters."""
-    aligned = pair
-    if aligned.diameter != params.d:
-        raise HypothesisNotMet(
-            f"parameter set has diameter {params.d}, pair has {aligned.diameter}"
-        )
-    if aligned.theta(0) != params.theta[0]:
-        aligned = aligned.with_reversed_a()
-    if aligned.thetastar(0) != params.thetastar[0]:
-        aligned = aligned.with_reversed_astar()
-    d = aligned.diameter
-    theta = tuple(aligned.theta(i) for i in range(d + 1))
-    thetastar = tuple(aligned.thetastar(i) for i in range(d + 1))
-    if theta != tuple(params.theta) or thetastar != tuple(params.thetastar):
-        raise HypothesisNotMet(
-            "parameter eigenvalue sequences do not match the candidate, "
-            "in either orientation"
-        )
-    return aligned
-
-
 def _proportionality_ratio(m_left, m_right):
     """The scalar c with m_left == c * m_right, or None: c is read off
     the first nonzero entry of m_right."""
@@ -257,8 +235,17 @@ def _proportionality_ratio(m_left, m_right):
 def _switched(data: bytes, seq_data: bytes | None = None):
     seq_params = None if seq_data is None else params_from_json(loads_strict(seq_data))
     pair = _load_pair(data)
-    if seq_params is not None:
-        pair = _align_pair_to_params(pair, seq_params)
+    if seq_params is not None:  # orient the pair to the parameters, or reject them
+        if pair.diameter != seq_params.d:
+            raise HypothesisNotMet(
+                f"parameter set has diameter {seq_params.d}, pair has {pair.diameter}"
+            )
+        pair = aligned_to_params(pair, seq_params)
+        if pair is None:
+            raise HypothesisNotMet(
+                "parameter eigenvalue sequences do not match the candidate, "
+                "in either orientation"
+            )
     s_solve = switching_via_solve(pair)
     payload = {"S": matrix_to_json(s_solve), "normalization": "alpha_d=1"}
     if seq_params is None:

@@ -23,7 +23,7 @@ from .errors import (
     NotDiagonalizableOverField,
 )
 from .fields import Rationals, _is_prime
-from .linalg import Echelon, Matrix, _common, _primitive, char_poly, min_poly, residue_product
+from .linalg import Echelon, Matrix, _common, _primitive, char_poly, min_poly, modulus, residue_product
 from .polynomials import Polynomial
 from .subspaces import Subspace, kernel
 
@@ -161,10 +161,10 @@ class EigenDecomposition:
             if space.is_zero():
                 raise InvariantViolation("zero eigenspace")
             total += space.dim
-            if check_vectors:  # (A - theta I) u = 0 for each engine row u
-                eng, shifted = space.echelon, self.operator.shift(theta)
-                if any(any(eng.image(shifted, u)) for u in eng.rows.values()):
-                    raise InvariantViolation("claimed eigenvector is not one")
+            if check_vectors and not all(
+                _is_eigenvector(self.operator, theta, u) for u in space.echelon.rows.values()
+            ):
+                raise InvariantViolation("claimed eigenvector is not one")
         if total != n:
             raise InvariantViolation("eigenspace dimensions do not fill the space")
 
@@ -198,6 +198,15 @@ class EigenDecomposition:
         return self.reordered(range(self.diameter, -1, -1))
 
 
+def _is_eigenvector(m: Matrix, theta, u) -> bool:
+    """Whether m u = theta u for an Echelon row u, on m's int rows R =
+    d m: whether b R u = a d u for theta = a / b (b = 1 over GF(p))."""
+    (rows, d), theta, p = m._ints, m.field.scalar(theta), modulus(m.field)
+    a, b = (theta.v, 1) if p else (theta.numerator * d, theta.denominator)
+    w = [b * sum(map(mul, row, u)) - a * x for row, x in zip(rows, u)]
+    return not any(x % p for x in w) if p else not any(w)
+
+
 def eigenspaces(m: Matrix) -> tuple[tuple, tuple, int]:
     """(thetas, spaces, nroots): the distinct eigenvalues of a square m
     in its field, ascending, the eigenspace ker(m - theta I) of each, and
@@ -205,7 +214,7 @@ def eigenspaces(m: Matrix) -> tuple[tuple, tuple, int]:
     read off the diagonal of a triangular m (see _eigenline).  m is
     diagonalizable exactly when the spaces' dimensions sum to its size;
     each is at most its root's multiplicity."""
-    rows, d = m._ints()
+    rows, d = m._ints
     lower = any(any(row[:i]) for i, row in enumerate(rows))
     if lower and any(any(row[i + 1 :]) for i, row in enumerate(rows)):
         roots = field_roots(char_poly(m), m.field)
@@ -225,7 +234,7 @@ def _eigenline(m: Matrix, k: int, lower: bool) -> Subspace:
     """ker(m - theta I), m triangular with theta only at k on its diagonal:
     the line of u with u_k = 1, u_j = 0 for j < k if m is lower (j > k if
     upper), and the rest solved row by row, over Q fraction-free up to scale."""
-    eng, rows = Echelon(m.field), m._ints()[0]
+    eng, rows = Echelon(m.field), m._ints[0]
     p, u = eng.p, [int(i == k) for i in range(m.nrows)]
     for i in range(k + 1, m.nrows) if lower else range(k - 1, -1, -1):
         s, c = sum(map(mul, rows[i], u)), rows[i][i] - rows[k][k]
@@ -236,7 +245,7 @@ def _eigenline(m: Matrix, k: int, lower: bool) -> Subspace:
             u = [x * (c // g) for x in u]
             u[i] = -s // g
     eng.insert(u)
-    return Subspace.of_echelon(eng, m.nrows)
+    return Subspace(eng, m.nrows)
 
 
 def eigen_decompose(m: Matrix) -> EigenDecomposition:
@@ -298,22 +307,26 @@ def primitive_idempotents(eig: EigenDecomposition) -> tuple[Matrix, ...]:
     """The projections onto each eigenspace along the others:
     E_i = C[:, block i] C^{-1}[block i, :] for the eigenbasis change C."""
     c, c_inv, ranges = eigencoordinate_change(eig)
-    field = eig.field
+    (x, dx), (y, dy), field = c._ints, c_inv._ints, eig.field
     return tuple(
-        Matrix(field, [row[lo:hi] for row in c.rows]) @ Matrix(field, c_inv.rows[lo:hi])
+        Matrix._of_ints(field, [row[lo:hi] for row in x], dx) @ Matrix._of_ints(field, y[lo:hi], dy)
         for lo, hi in ranges
     )
 
 
 def eigencoordinate_change(eig: EigenDecomposition) -> tuple[Matrix, Matrix, tuple]:
     """(C, C_inv, block_ranges) where C's columns are the concatenated
-    eigenbasis vectors and block_ranges[i] is the (start, stop) slice of
-    coordinates belonging to eigenspace i.  A singular C is a bug."""
-    cols, ranges = [], []
+    canonical eigenspace bases, each Echelon row over its pivot entry,
+    and block_ranges[i] is the (start, stop) slice of coordinates
+    belonging to eigenspace i.  A singular C is a bug."""
+    vectors, ranges = [], []  # (Echelon row, its pivot entry)
     for space in eig.eigenspaces:
-        ranges.append((len(cols), len(cols) + space.dim))
-        cols.extend(space.basis)
-    c = Matrix._trusted(eig.field, cols).transpose()
+        eng = space.echelon
+        ranges.append((len(vectors), len(vectors) + space.dim))
+        vectors.extend((eng.rows[c], eng.rows[c][c]) for c in eng.pivots)
+    s = lcm(*[e for _, e in vectors])
+    cols = [[x * (s // e) for x in row] for row, e in vectors]
+    c = Matrix._of_ints(eig.field, list(zip(*cols)), s)
     try:
         return c, invert(c), tuple(ranges)
     except HypothesisNotMet as e:
@@ -326,7 +339,7 @@ def invert(m: Matrix) -> Matrix:
     if not m.is_square():
         raise DimensionMismatch("inverse of a non-square matrix")
     n = m.nrows
-    rows, d = m._ints()
+    rows, d = m._ints
     eng = Echelon(m.field)
     for i, row in enumerate(rows):
         eng.insert(list(row) + [d if j == i else 0 for j in range(n)])

@@ -400,6 +400,18 @@ def _phi_pa4(field, theta, thetastar, varphi):
     return tuple(phi) if all(phi) else None
 
 
+def aligned_to_params(pair: TriDiagonalPair, params: LeonardParameterSet) -> TriDiagonalPair | None:
+    """The pair, each ordering reversed where its first eigenvalue differs
+    from the parameters'; None when the sequences still differ."""
+    if pair.theta(0) != params.theta[0]:
+        pair = pair.with_reversed_a()
+    if pair.thetastar(0) != params.thetastar[0]:
+        pair = pair.with_reversed_astar()
+    if (tuple(pair.eig_a.eigenvalues), tuple(pair.eig_astar.eigenvalues)) != (params.theta, params.thetastar):
+        return None
+    return pair
+
+
 _MAX_RETRIES = 40
 
 
@@ -453,16 +465,10 @@ def random_leonard(field: Field, d: int, seed) -> tuple[LeonardParameterSet, Tri
         except (InvalidLeonardParameters, GeneratedPairInvalid) as e:
             last_failure = e
             continue
-        if pair.diameter >= 1 and pair.theta(0) != params.theta[0]:
-            pair = pair.with_reversed_a()
-        if pair.diameter >= 1 and pair.thetastar(0) != params.thetastar[0]:
-            pair = pair.with_reversed_astar()
-        if (
-            tuple(pair.eig_a.eigenvalues) != params.theta
-            or tuple(pair.eig_astar.eigenvalues) != params.thetastar
-        ):
+        aligned = aligned_to_params(pair, params)
+        if aligned is None:
             raise InvariantViolation("generated pair misaligned with parameters")
-        return params, pair
+        return params, aligned
     raise ExhaustedRetries(
         f"no valid parameter set found after {_MAX_RETRIES} attempts"
         + (f" (last failure: {last_failure})" if last_failure else "")

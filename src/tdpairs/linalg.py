@@ -1,18 +1,19 @@
 """Exact dense matrices and Gaussian elimination.
 
-Matrices are immutable tuples of row tuples over a single field.
-Matrix(field, rows) coerces and field-checks every entry; same-field
-arithmetic builds its results with Matrix._trusted, which does not.
-The kernels run on int rows, read off once per matrix (Matrix._ints):
-residues over GF(p), numerators over one common denominator over Q.
-@ and shift (m - theta I) keep their results in that form, as field
-elements only once rows is read; apply maps back once per output entry
-(Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008), and char_poly over
-GF(p) runs on residues.  Every reduction to row echelon form runs in
-one engine, Echelon, an incremental canonical RREF, fraction-free over
-Q; rref_rows, kernel_vectors, solve, min_poly and the subspaces module
-are built on it.  Ambient sizes are desk scale (dimension a few
-dozen), so clarity wins over asymptotics.
+A Matrix is immutable and holds one form, int rows over a denominator
+d: residues and d = 1 over GF(p), numerators over the least common
+denominator in lowest terms over Q, so equal matrices hold equal forms.
+That form is set once, by Matrix(field, rows), which coerces and
+field-checks every entry, or by Matrix._of_ints, and the arithmetic
+(+, -, scale, @, shift, transpose, ==, hash) runs on it; rows, the
+entries as field elements, is a read-only cache built on first read.
+apply maps back once per output entry (Dumas, Giorgi and Pernet, ACM
+TOMS 35(3), 2008), and char_poly over GF(p) runs on residues.  Every
+reduction to row echelon form runs in one engine, Echelon, an
+incremental canonical RREF, fraction-free over Q; rref_rows,
+kernel_vectors, solve, min_poly and the subspaces module are built on
+it.  Ambient sizes are desk scale (dimension a few dozen), so clarity
+wins over asymptotics.
 """
 
 from __future__ import annotations
@@ -36,83 +37,67 @@ def modulus(field: Field) -> int | None:
 
 
 class Matrix:
-    __slots__ = ("field", "nrows", "ncols", "_rows", "_res")
+    # _ints: (int rows, d) with self = rows / d, as _keep sets it; _rows: the rows cache
+    __slots__ = ("field", "nrows", "ncols", "_ints", "_rows")
 
     def __init__(self, field: Field, rows: Iterable[Iterable]):
-        rs = tuple(tuple(field.scalar(e) for e in row) for row in rows)
-        ncols = len(rs[0]) if rs else 0
-        for row in rs:
-            if len(row) != ncols:
-                raise DimensionMismatch("ragged rows")
-        self.field = field
-        self.nrows = len(rs)
-        self.ncols = ncols
-        self._rows = rs
-        self._res = None
+        """The matrix of rows, every entry coerced and checked as by the
+        field's scalar()."""
+        if modulus(field):
+            elements, ints, d = None, [field._residues(row) for row in rows], 1
+        else:
+            elements = tuple(tuple(field.scalar(e) for e in row) for row in rows)
+            d = lcm(*{e.denominator for row in elements for e in row})
+            ints = [_common(row, d)[0] for row in elements]
+        if any(len(row) != len(ints[0]) for row in ints):
+            raise DimensionMismatch("ragged rows")
+        self._keep(field, ints, d)
+        self._rows = elements
 
     @classmethod
-    def _trusted(cls, field: Field, rows, res=None) -> "Matrix":
-        """A matrix of same-field arithmetic results: unlike Matrix(field,
-        rows), no entry is coerced or checked again.  res: its _ints()."""
+    def _of_ints(cls, field: Field, rows: Sequence, d: int = 1) -> "Matrix":
+        """The matrix rows / d for int rows (residues over GF(p)); its
+        entries become field elements only when rows is read."""
         m = cls.__new__(cls)
-        m.field, m._rows, m._res = field, tuple(map(tuple, rows)), res
-        m.nrows, m.ncols = len(m._rows), len(m._rows[0]) if m._rows else 0
+        m._keep(field, rows, d)
         return m
 
-    @classmethod
-    def _of_ints(cls, field: Field, rows: list, d: int = 1) -> "Matrix":
-        """The matrix rows / d for int rows (residues over GF(p)), kept in
-        that form, over Q in lowest terms as _ints() reads it; its entries
-        become field elements only when rows is read."""
+    def _keep(self, field: Field, rows: Sequence, d: int):
+        """Set the int form rows / d, over Q in lowest terms, so that
+        equal matrices hold equal forms."""
         g = 1 if modulus(field) else gcd(d, *chain.from_iterable(rows))
         if g > 1:
             rows, d = [[a // g for a in row] for row in rows], d // g
-        m = cls.__new__(cls)
-        m.field, m._rows, m._res = field, None, (rows, d)
-        m.nrows, m.ncols = len(rows), len(rows[0]) if rows else 0
-        return m
+        self.field, self._ints, self._rows = field, (tuple(map(tuple, rows)), d), None
+        self.nrows, self.ncols = len(rows), len(rows[0]) if rows else 0
 
     @property
     def rows(self) -> tuple:
-        """The entries as field elements, a tuple of row tuples."""
+        """The entries as field elements, a tuple of row tuples, built
+        from the int form on first read."""
         if self._rows is None:
-            ints, d = self._res
+            ints, d = self._ints
             if modulus(self.field):
                 self._rows = tuple(tuple(map(self.field._element, row)) for row in ints)
             else:
                 self._rows = tuple(tuple(_fractions(row, d)) for row in ints)
         return self._rows
 
-    def _ints(self) -> tuple:
-        """(int rows, d) with self = rows / d, read off once per matrix:
-        the residues and d = 1 over GF(p); over Q, d is the least common
-        denominator of the entries."""
-        if self._res is None:
-            if modulus(self.field):
-                self._res = (tuple(tuple(e.v for e in row) for row in self.rows), 1)
-            else:
-                d = lcm(*{e.denominator for row in self.rows for e in row})
-                self._res = tuple(_common(row, d)[0] for row in self.rows), d
-        return self._res
-
     # ---- constructors -------------------------------------------------
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls._trusted(field, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls._of_ints(field, [[int(i == j) for j in range(n)] for i in range(n)])
 
     @classmethod
     def zeros(cls, field: Field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero
-        return cls._trusted(field, [[z] * ncols for _ in range(nrows)])
+        return cls._of_ints(field, [[0] * ncols for _ in range(nrows)])
 
     @classmethod
     def diagonal(cls, field: Field, diag: Sequence) -> "Matrix":
-        z = field.zero
-        d = [field.scalar(x) for x in diag]
-        n = len(d)
-        return cls._trusted(field, [[d[i] if i == j else z for j in range(n)] for i in range(n)])
+        (ints,), d = cls(field, [diag])._ints  # coerced and checked as one row
+        n = len(ints)
+        return cls._of_ints(field, [[ints[i] if i == j else 0 for j in range(n)] for i in range(n)], d)
 
     @classmethod
     def from_columns(cls, field: Field, cols: Sequence[Sequence]) -> "Matrix":
@@ -124,7 +109,7 @@ class Matrix:
         return self.nrows == self.ncols
 
     def is_zero(self) -> bool:
-        return all(not e for row in self.rows for e in row)
+        return not any(map(any, self._ints[0]))
 
     def __getitem__(self, ij) -> Scalar:
         i, j = ij
@@ -147,32 +132,28 @@ class Matrix:
         if self.field != other.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
 
-    def __add__(self, other: "Matrix") -> "Matrix":
+    def _plus(self, other: "Matrix", sign: int) -> "Matrix":
+        """self + sign * other on the int rows, over Q over the lcm of
+        the two denominators."""
         self._check(other)
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("matrix addition shape mismatch")
-        return Matrix._trusted(
-            self.field,
-            [
-                [a + b if b else a for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
+            raise DimensionMismatch("matrix sum shape mismatch")
+        (x, dx), (y, dy), p = self._ints, other._ints, modulus(self.field)
+        if p:
+            rows = [[(a + sign * b) % p for a, b in zip(r, s)] for r, s in zip(x, y)]
+            return Matrix._of_ints(self.field, rows)
+        d = lcm(dx, dy)
+        sx, sy = d // dx, sign * (d // dy)
+        return Matrix._of_ints(self.field, [[a * sx + b * sy for a, b in zip(r, s)] for r, s in zip(x, y)], d)
+
+    def __add__(self, other: "Matrix") -> "Matrix":
+        return self._plus(other, 1)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatch("matrix subtraction shape mismatch")
-        return Matrix._trusted(
-            self.field,
-            [
-                [a - b if b else a for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.rows, other.rows)
-            ],
-        )
+        return self._plus(other, -1)
 
     def __neg__(self) -> "Matrix":
-        return Matrix._trusted(self.field, [[-e for e in row] for row in self.rows])
+        return self.scale(-1)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         self._check(other)
@@ -180,16 +161,16 @@ class Matrix:
             raise DimensionMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        (x, dx), (y, dy) = self._ints(), other._ints()
+        (x, dx), (y, dy) = self._ints, other._ints
         return Matrix._of_ints(self.field, residue_product(x, y, modulus(self.field)), dx * dy)
 
     def shift(self, theta) -> "Matrix":
         """self - theta I for a square matrix, on its int rows: only the
-        diagonal changes, and the result is kept in int form."""
+        diagonal changes."""
         if not self.is_square():
             raise DimensionMismatch("shift of a non-square matrix")
         theta, p = self.field.scalar(theta), modulus(self.field)
-        rows, d = self._ints()
+        rows, d = self._ints
         s = 1 if p else lcm(d, theta.denominator) // d  # over Q: theta = t / (d s)
         t = theta.v if p else theta.numerator * (d * s // theta.denominator)
         ints = [[a * s for a in row] if s > 1 else list(row) for row in rows]
@@ -198,8 +179,11 @@ class Matrix:
         return Matrix._of_ints(self.field, ints, d * s)
 
     def scale(self, c) -> "Matrix":
-        c = self.field.scalar(c)
-        return Matrix._trusted(self.field, [[c * e if e else e for e in row] for row in self.rows])
+        c, p = self.field.scalar(c), modulus(self.field)
+        rows, d = self._ints
+        if p:
+            return Matrix._of_ints(self.field, [[c.v * a % p for a in row] for row in rows])
+        return Matrix._of_ints(self.field, [[c.numerator * a for a in row] for row in rows], d * c.denominator)
 
     def __rmul__(self, c) -> "Matrix":
         return self.scale(c)
@@ -209,7 +193,7 @@ class Matrix:
         if len(v) != self.ncols:
             raise DimensionMismatch("matrix-vector length mismatch")
         field, p = self.field, modulus(self.field)
-        rows, d = self._ints()
+        rows, d = self._ints
         if p:
             v = field._residues(v)
             return tuple(map(field._element, [sum(map(mul, row, v)) % p for row in rows]))
@@ -217,18 +201,14 @@ class Matrix:
         return tuple(_fractions([sum(map(mul, row, v)) for row in rows], d * dv))
 
     def transpose(self) -> "Matrix":
-        return Matrix._trusted(self.field, [self.column(j) for j in range(self.ncols)])
+        rows, d = self._ints
+        return Matrix._of_ints(self.field, list(zip(*rows)), d)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Matrix)
-            and self.field == other.field
-            and self.rows == other.rows
-            and self.ncols == other.ncols
-        )
+        return isinstance(other, Matrix) and self.field == other.field and self._ints == other._ints
 
     def __hash__(self):
-        return hash((self.field, self.ncols, self.rows))
+        return hash((self.field, self._ints))
 
     def __repr__(self):
         return f"Matrix({self.field!r}, {self.nrows}x{self.ncols})"
@@ -306,7 +286,7 @@ class Echelon:
 
     def image(self, m: Matrix, u: Sequence) -> list:
         """m u on m's int rows, for u as line gives it."""
-        w = [sum(map(mul, row, u)) for row in m._ints()[0]]
+        w = [sum(map(mul, row, u)) for row in m._ints[0]]
         return [a % self.p for a in w] if self.p else _primitive(w)
 
     def _residual(self, u: Sequence) -> tuple:
@@ -379,7 +359,7 @@ class Echelon:
     def of_rows(cls, m: Matrix) -> "Echelon":
         """The Echelon of m's row space, fed m's int rows."""
         eng = cls(m.field)
-        for row in m._ints()[0]:
+        for row in m._ints[0]:
             eng.insert(row)
         return eng
 
@@ -525,7 +505,7 @@ def char_poly(m: Matrix) -> Polynomial:
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
     if modulus(m.field):
-        return Polynomial(m.field, char_poly_coeffs(m._ints()[0], m.field.p))
+        return Polynomial(m.field, char_poly_coeffs(m._ints[0], m.field.p))
     return Polynomial(m.field, char_poly_coeffs(m.rows))
 
 

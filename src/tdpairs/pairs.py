@@ -156,7 +156,7 @@ def _spin(field, n: int, seeds, operators) -> Subspace:
                 queue.append(w)
         if acc.dim == n:
             break
-    return Subspace.of_echelon(acc, n)
+    return Subspace(acc, n)
 
 
 # ---- support-graph orderings ----------------------------------------------
@@ -169,7 +169,7 @@ def _block_edges(eig: EigenDecomposition, b: Matrix) -> set:
     read off the zero pattern of one int product."""
     c, c_inv, ranges = eigencoordinate_change(eig)
     p = modulus(eig.field)
-    prod = residue_product(residue_product(c_inv._ints()[0], b._ints()[0], p), c._ints()[0], p)
+    prod = residue_product(residue_product(c_inv._ints[0], b._ints[0], p), c._ints[0], p)
     return {
         (j, i)
         for i, (lo, hi) in enumerate(ranges)
@@ -223,11 +223,9 @@ def _gf_lines(field, basis):
 
 def _blocks(m: Matrix, k: int) -> Matrix:
     """diag(m, ..., m) with k blocks, acting on V^k."""
-    n = m.ncols
-    zero = (m.field.zero,)
-    return Matrix(
-        m.field,
-        [zero * (n * j) + row + zero * (n * (k - j - 1)) for j in range(k) for row in m.rows],
+    (rows, d), n = m._ints, m.ncols
+    return Matrix._of_ints(
+        m.field, [(0,) * (n * j) + row + (0,) * (n * (k - j - 1)) for j in range(k) for row in rows], d
     )
 
 
@@ -438,7 +436,8 @@ def irreducible(
         m, eig, i, theta, k = min(diagonal, key=lambda s: s[4].dim)
         t, kbasis = m.shift(theta), k.basis
         _, c_inv, ranges = eigencoordinate_change(eig)
-        coords = Matrix(field, c_inv.rows[slice(*ranges[i])])
+        rows, d = c_inv._ints
+        coords = Matrix._of_ints(field, rows[slice(*ranges[i])], d)
     else:
         eye = Matrix.identity(field, n)
         t, kbasis, coords = Matrix.zeros(field, n, n), eye.rows, eye

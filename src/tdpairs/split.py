@@ -133,11 +133,13 @@ def tau_basis(pair: TriDiagonalPair) -> TauBasis:
     """
     field = pair.field
     thetas = pair.eig_a.eigenvalues[: pair.diameter]
-    taus = tuple(Polynomial.from_roots(field, thetas[:i]) for i in range(len(thetas) + 1))
+    taus = [Polynomial.one(field)]
+    for t in thetas:
+        taus.append(taus[-1] * Polynomial.x_minus(field, t))
     mats = tuple(shifted_products(pair.a, thetas))
     if Echelon(field, [m.flatten() for m in mats]).dim < len(mats):
         raise InvariantViolation("tau matrices are linearly dependent")
-    return TauBasis(taus=taus, tau_matrices=mats)
+    return TauBasis(taus=tuple(taus), tau_matrices=mats)
 
 
 def verify_tau_images(sd: SplitDecomposition) -> SplitReport:

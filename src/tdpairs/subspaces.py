@@ -1,10 +1,11 @@
-"""Subspaces of K^n with a canonical RREF basis.
+"""Subspaces of K^n, each held as a linalg.Echelon.
 
-Equal subspaces compare equal because the reduced row echelon basis is
-unique.  Every operation runs on linalg.Echelon: a span, image or sum
-feeds its vectors to one; membership and coordinates are one residual
-against the subspace's own Echelon; an intersection is one Zassenhaus
-elimination and a kernel one elimination of the back-substitution basis.
+Echelon rows are canonical (over GF(p) pivot 1, over Q primitive with a
+positive pivot), so equal subspaces hold equal rows; the RREF basis as
+field elements is a read-only cache.  Every operation runs on the rows:
+a span, image or sum feeds its vectors to an Echelon (a sum to a copy of
+the first summand's); membership and coordinates are one residual; an
+intersection is one Zassenhaus elimination.
 """
 
 from __future__ import annotations
@@ -13,26 +14,26 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import Field
-from .linalg import Echelon, Matrix, Vector, rref_rows
+from .linalg import Echelon, Matrix, Vector
+
+
+def _canonical(field: Field, rows: dict) -> Echelon:
+    """The Echelon whose rows (pivot column -> row) are already canonical."""
+    eng = Echelon(field)
+    eng.rows = rows
+    return eng
 
 
 class Subspace:
-    __slots__ = ("field", "ambient_dim", "basis", "_echelon")
+    __slots__ = ("field", "ambient_dim", "echelon", "_basis")
 
-    def __init__(self, field: Field, ambient_dim: int, basis: tuple):
-        """Internal constructor; `basis` must already be canonical RREF
-        rows with no zero rows.  Use `span` to build from raw vectors."""
-        self.field = field
+    def __init__(self, echelon: Echelon, ambient_dim: int):
+        """The span of an Echelon's rows in K^ambient_dim; add nothing to
+        the Echelon afterwards.  Use span to build from raw vectors."""
+        self.field = echelon.field
         self.ambient_dim = ambient_dim
-        self.basis = basis
-        self._echelon = None
-
-    @classmethod
-    def of_echelon(cls, eng: Echelon, ambient_dim: int) -> "Subspace":
-        """The span of an Echelon that its owner no longer changes."""
-        s = cls(eng.field, ambient_dim, eng.basis())
-        s._echelon = eng
-        return s
+        self.echelon = echelon
+        self._basis = None
 
     @classmethod
     def span(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -44,23 +45,30 @@ class Subspace:
                     f"vector of length {len(u)} in ambient dimension {ambient_dim}"
                 )
             eng.insert(u)
-        return cls.of_echelon(eng, ambient_dim)
+        return cls(eng, ambient_dim)
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, ())
+        return cls(Echelon(field), ambient_dim)
 
     @classmethod
     def full(cls, field: Field, ambient_dim: int) -> "Subspace":
-        eye = Matrix.identity(field, ambient_dim)
-        return cls(field, ambient_dim, eye.rows)
+        n = ambient_dim
+        return cls(_canonical(field, {i: [int(i == j) for j in range(n)] for i in range(n)}), n)
+
+    @property
+    def basis(self) -> tuple:
+        """The canonical RREF basis as field elements, in pivot order."""
+        if self._basis is None:
+            self._basis = self.echelon.basis()
+        return self._basis
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.echelon.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.echelon.rows
 
     def is_full(self) -> bool:
         return self.dim == self.ambient_dim
@@ -74,14 +82,6 @@ class Subspace:
             raise DimensionMismatch(
                 f"ambient {self.ambient_dim} vs {other.ambient_dim}"
             )
-
-    @property
-    def echelon(self) -> Echelon:
-        """The Echelon of the basis, built once and shared: add nothing
-        to it."""
-        if self._echelon is None:
-            self._echelon = Echelon(self.field, self.basis)
-        return self._echelon
 
     def _vector(self, v: Sequence) -> list:
         u = self.echelon.scalars(v)
@@ -110,19 +110,19 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.echelon.rows == other.echelon.rows
         )
 
     def __hash__(self):
-        return hash((self.field, self.ambient_dim, self.basis))
+        eng = self.echelon
+        return hash((self.field, self.ambient_dim, tuple(tuple(eng.rows[c]) for c in eng.pivots)))
 
     def __repr__(self):
         return f"Subspace(dim {self.dim} of {self.ambient_dim} over {self.field!r})"
 
 
 def subspace_sum(x: Subspace, y: Subspace) -> Subspace:
-    x._check(y)
-    return Subspace.span(x.field, x.ambient_dim, x.basis + y.basis)
+    return sum_of((x, y))
 
 
 def subspace_leq(x: Subspace, y: Subspace) -> bool:
@@ -132,16 +132,20 @@ def subspace_leq(x: Subspace, y: Subspace) -> bool:
 
 
 def subspace_intersect(x: Subspace, y: Subspace) -> Subspace:
-    """Intersection by Zassenhaus's algorithm: one RREF of the rows
-    (v, v) for v in x's basis and (w, 0) for w in y's.  Its rows with a
-    pivot in the right half are (0, u), and those u are the canonical
-    RREF basis of the intersection.
+    """Intersection by Zassenhaus's algorithm: one Echelon of the rows
+    (u, u) for u in the larger space's Echelon, already canonical, and
+    (w, 0) for w in the other's.  Its rows with a pivot in the right half
+    are (0, u), and those u are the canonical rows of the intersection.
     """
     x._check(y)
+    if x.dim < y.dim:
+        x, y = y, x
     n = x.ambient_dim
-    zero = (x.field.zero,) * n
-    rows, _, pivots = rref_rows(x.field, [v + v for v in x.basis] + [w + zero for w in y.basis])
-    return Subspace(x.field, n, tuple(tuple(row[n:]) for row, c in zip(rows, pivots) if c >= n))
+    eng = _canonical(x.field, {c: [*u, *u] for c, u in x.echelon.rows.items()})
+    zero = [0] * n
+    for w in y.echelon.rows.values():
+        eng.insert([*w, *zero])
+    return Subspace(_canonical(x.field, {c - n: row[n:] for c, row in eng.rows.items() if c >= n}), n)
 
 
 def kernel(m: Matrix) -> Subspace:
@@ -150,7 +154,7 @@ def kernel(m: Matrix) -> Subspace:
     eng = Echelon(m.field)
     for _, u in Echelon.of_rows(m).nullspace(m.ncols):
         eng.insert(u)
-    return Subspace.of_echelon(eng, m.ncols)
+    return Subspace(eng, m.ncols)
 
 
 def image_of(m: Matrix, s: Subspace) -> Subspace:
@@ -163,7 +167,7 @@ def image_of(m: Matrix, s: Subspace) -> Subspace:
     eng = Echelon(m.field)
     for u in s.echelon.rows.values():
         eng.insert(eng.image(m, u))
-    return Subspace.of_echelon(eng, m.nrows)
+    return Subspace(eng, m.nrows)
 
 
 def annihilator(field: Field, ambient_dim: int, vectors: Sequence[Sequence]) -> Subspace:
@@ -175,13 +179,15 @@ def annihilator(field: Field, ambient_dim: int, vectors: Sequence[Sequence]) -> 
 
 
 def sum_of(spaces: Sequence[Subspace], field: Field | None = None, ambient_dim: int | None = None) -> Subspace:
-    """Sum of several subspaces; pass field/ambient for the empty case."""
+    """Sum of several subspaces, grown from a copy of the first one's
+    Echelon; pass field/ambient for the empty case."""
     if not spaces:
         if field is None or ambient_dim is None:
             raise ValueError("empty sum needs an explicit field and ambient dimension")
         return Subspace.zero(field, ambient_dim)
-    rows = []
-    for s in spaces:
+    eng = _canonical(spaces[0].field, dict(spaces[0].echelon.rows))
+    for s in spaces[1:]:
         spaces[0]._check(s)
-        rows.extend(s.basis)
-    return Subspace.span(spaces[0].field, spaces[0].ambient_dim, rows)
+        for u in s.echelon.rows.values():
+            eng.insert(u)
+    return Subspace(eng, spaces[0].ambient_dim)

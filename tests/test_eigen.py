@@ -36,7 +36,7 @@ from tdpairs.eigen import (
 )
 from tdpairs.pairs import validate_pair
 from tdpairs.subspaces import Subspace, kernel
-from tdpairs.linalg import Echelon, char_poly
+from tdpairs.linalg import char_poly
 
 from oracles import char_poly_by_interpolation, kron_sum_fixture, rational_roots_by_divisors
 
@@ -114,19 +114,20 @@ def test_reordered_and_reversed():
 
 def test_reordered_copies_skip_the_eigenvector_check(monkeypatch):
     # reordering cannot break an eigenpair, so a copy checks no vector;
-    # a fresh construction applies A - theta I to every eigenvector
+    # a fresh construction checks A u = theta u for every engine row u
     eig = eigen_decompose(qm([[1, 0, 0], [1, 2, 0], [0, 1, 3]]))
     calls = []
-    real_image = Echelon.image
-    monkeypatch.setattr(Echelon, "image", lambda e, m, u: calls.append((m, u)) or real_image(e, m, u))
+    real_check = tdpairs.eigen._is_eigenvector
+    monkeypatch.setattr(
+        tdpairs.eigen, "_is_eigenvector", lambda m, t, u: calls.append((m, t, u)) or real_check(m, t, u)
+    )
     eig.reordered((2, 0, 1))
     eig.reversed()
     assert calls == []
     EigenDecomposition(eig.operator, eig.eigenvalues, eig.eigenspaces)
-    shifts = [eig.operator.shift(theta) for theta in eig.eigenvalues]
-    assert [(m, list(u)) for m, u in calls] == [
-        (shift, list(space.echelon.rows[c]))
-        for shift, space in zip(shifts, eig.eigenspaces)
+    assert [(m, t, list(u)) for m, t, u in calls] == [
+        (eig.operator, theta, list(space.echelon.rows[c]))
+        for theta, space in zip(eig.eigenvalues, eig.eigenspaces)
         for c in space.echelon.pivots
     ]
     assert len(calls) == 3

@@ -332,7 +332,7 @@ def _check_q_kernels(rows, other, v):
     for w in rows + [v]:
         residual = [a - sum(w[c] * r[j] for c, r in zip(pivots, ref)) for j, a in enumerate(w)]
         assert eng.reduce(eng.scalars(w)) == residual
-    (kept, d), (fresh, d_fresh) = (m @ o)._ints(), Matrix(QQ, (m @ o).rows)._ints()
+    (kept, d), (fresh, d_fresh) = (m @ o)._ints, Matrix(QQ, (m @ o).rows)._ints
     assert (list(map(list, kept)), d) == (list(map(list, fresh)), d_fresh)
 
 
@@ -416,8 +416,8 @@ def _oracle_kernel(p, rows):
 
 def _kept_form(m):
     """A matrix's kept int form and that of a fresh construction of it."""
-    kept, d = m._ints()
-    fresh, d_fresh = Matrix(m.field, m.rows)._ints()
+    kept, d = m._ints
+    fresh, d_fresh = Matrix(m.field, m.rows)._ints
     return (list(map(list, kept)), d), (list(map(list, fresh)), d_fresh)
 
 
@@ -518,3 +518,39 @@ def test_outside_construction_still_coerces_every_entry():
     for result in (m + m, m - m.transpose(), -m, m.scale(3), m @ m, m.transpose()):
         assert result == Matrix(f, result.rows)
         assert all(type(x) is GFElement for row in result.rows for x in row)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101), GF(65521)], ids=["Q", "GF2", "GF101", "GF65521"])
+def test_int_form_arithmetic_matches_the_entrywise_oracle(field):
+    # +, -, unary -, scale and transpose run on the int form, and == and
+    # hash compare it: each result must hold the entries the field's own
+    # element arithmetic gives, and equal and hash as Matrix(field, rows)
+    # of them, which only holds while every route keeps the form canonical
+    rng = random.Random(16)
+    p = getattr(field, "p", None)
+
+    def entry():
+        return _wide(rng) if p is None else field.scalar(rng.randint(-(10**9), 10**9))
+
+    for _ in range(20):
+        nrows, ncols = rng.sample(range(1, 6), 2)
+        x, y = ([[entry() for _ in range(ncols)] for _ in range(nrows)] for _ in range(2))
+        a, b = Matrix(field, x), Matrix(field, y)
+        scalars = [0, -1, entry()]
+        scalars += [Fraction(0), Fraction(-3, 7), -abs(_wide(rng))] if p is None else [-rng.randrange(1, p + 1)]
+        cases = [
+            (a + b, [[u + v for u, v in zip(r, s)] for r, s in zip(x, y)]),
+            (a - b, [[u - v for u, v in zip(r, s)] for r, s in zip(x, y)]),
+            (-a, [[-u for u in r] for r in x]),
+            (a.transpose(), [list(col) for col in zip(*x)]),
+            (a - a, [[field.zero] * ncols for _ in range(nrows)]),
+        ]
+        cases += [(a.scale(c), [[field.scalar(c) * u for u in r] for r in x]) for c in scalars]
+        for got, want in cases:
+            fresh = Matrix(field, want)
+            assert got.rows == tuple(map(tuple, want))
+            assert got == fresh and hash(got) == hash(fresh)
+        assert (a - a).is_zero() and a - a == Matrix.zeros(field, nrows, ncols)
+        assert a + b - b == a and hash(a + b - b) == hash(a)
+        assert (a == b) == (x == y) and a.transpose() != a
+    assert Matrix.identity(field, 2) != Matrix.identity(GF(3), 2)

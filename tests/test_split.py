@@ -10,6 +10,7 @@ from tdpairs import (
     HypothesisNotMet,
     IrreducibilityReport,
     Matrix,
+    Polynomial,
     ShapeVector,
     Subspace,
     TauImageVanished,
@@ -128,6 +129,8 @@ def test_tau_basis_structure():
     tb = tau_basis(pair)
     assert len(tb.taus) == 3 and len(tb.tau_matrices) == 3
     assert [t.degree for t in tb.taus] == [0, 1, 2]
+    thetas = pair.eig_a.eigenvalues
+    assert tb.taus == tuple(Polynomial.from_roots(QQ, thetas[:i]) for i in range(3))
     assert tb.tau_matrices[0] == Matrix.identity(QQ, 3)
     # tau_i(A) equals the explicit product of shifted operators
     eye = Matrix.identity(QQ, 3)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -130,3 +131,59 @@ def test_sum_of_many():
 def test_mismatched_ambient_dimensions_rejected():
     with pytest.raises(DimensionMismatch):
         subspace_sum(Subspace.zero(QQ, 2), Subspace.zero(QQ, 3))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101), GF(65521)], ids=["Q", "GF2", "GF101", "GF65521"])
+def test_equal_subspaces_compare_equal_whatever_the_route(field):
+    # == and hash compare the Echelon rows, so every route to a subspace
+    # must leave them canonical: a span of shuffled, rescaled generators,
+    # a sum, an intersection, full and zero
+    rng = random.Random(16)
+    p = getattr(field, "p", None)
+
+    def scalar():
+        if p is None:
+            return Fraction(rng.randint(-(10**12), 10**12), rng.randint(1, 10**12))
+        return field.scalar(rng.randrange(p))
+
+    def gens(n):
+        vecs = [[scalar() for _ in range(n)] for _ in range(rng.randint(0, n))]
+        if len(vecs) >= 2:  # a dependent one, so some spans lose a dimension
+            c = scalar()
+            vecs.append([u + c * v for u, v in zip(vecs[0], vecs[1])])
+        return vecs
+
+    def nonzero():
+        c = scalar()
+        return c if c else nonzero()
+
+    def respan(n, vecs):
+        moved = [[c * u for u in v] for v in vecs for c in [nonzero()]]
+        rng.shuffle(moved)
+        return Subspace.span(field, n, moved)
+
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        xs, ys = gens(n), gens(n)
+        x, y = Subspace.span(field, n, xs), Subspace.span(field, n, ys)
+        full, zero = Subspace.full(field, n), Subspace.zero(field, n)
+        both, meet = subspace_sum(x, y), subspace_intersect(x, y)
+        assert meet.dim == x.dim + y.dim - both.dim
+        assert subspace_leq(meet, x) and subspace_leq(meet, y)
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        routes = [
+            (x, respan(n, xs)),
+            (both, respan(n, xs + ys)),
+            (both, sum_of([y, x])),
+            (meet, respan(n, meet.basis)),
+            (meet, subspace_intersect(y, x)),
+            (full, respan(n, eye)),
+            (full, subspace_sum(x, full)),
+            (x, subspace_intersect(x, full)),
+            (zero, Subspace.span(field, n, [])),
+            (zero, subspace_intersect(x, zero)),
+            (x, subspace_sum(zero, x)),
+        ]
+        for want, got in routes:
+            assert got == want and hash(got) == hash(want)
+            assert got.basis == want.basis
