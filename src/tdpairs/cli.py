@@ -346,6 +346,7 @@ def _search_request(spec: SearchSpec) -> bytes:
 def cmd_search(spec: SearchSpec, workers: int = 1) -> tuple[list[dict], dict]:
     """Run a (possibly sharded) search.  Returns one report per instance
     plus a summary dict; the report stream is independent of workers.
+    The shards run in a pool of at most os.cpu_count() processes.
     Each report is built from the pair its shard validated.  The
     summary's elapsed is this call's wall time and cpuSum the sum of the
     shards' own times."""
@@ -354,7 +355,7 @@ def cmd_search(spec: SearchSpec, workers: int = 1) -> tuple[list[dict], dict]:
     if len(shards) == 1:
         results = [search_shape(shards[0])]
     else:
-        with ProcessPoolExecutor(max_workers=min(workers, len(shards))) as pool:
+        with ProcessPoolExecutor(max_workers=min(len(shards), os.cpu_count() or 1)) as pool:
             results = list(pool.map(search_shape, shards))
     total = aggregate_results(results)
     digest = input_digest(_search_request(spec))

@@ -30,10 +30,10 @@ from .errors import (
 )
 from .eigen import EigenDecomposition, primitive_idempotents
 from .fields import Field, PrimeField
-from .linalg import Echelon, Matrix, kernel_vectors, solve
+from .linalg import Matrix, kernel_vectors, solve
 from .pairs import TriDiagonalPair, validate_pair, vstar0_vector
 from .split import tau_basis
-from .subspaces import image_of, subspace_leq, subspace_sum
+from .subspaces import Subspace, image_of, subspace_leq, subspace_sum
 
 # ---- result and parameter types --------------------------------------------
 
@@ -198,7 +198,7 @@ def leonard_basis(pair: TriDiagonalPair, cert: LeonardCertificate, u) -> tuple:
     vectors = [u]
     for i in range(1, d + 1):
         vectors.append(pair.a.shift(pair.theta(i - 1)).apply(vectors[-1]))
-    if Echelon(field, vectors).dim < len(vectors):
+    if Subspace.span(field, pair.dim, vectors).dim < len(vectors):
         raise InvariantViolation("tau images of u do not form a basis")
     if len(vectors) != pair.dim:
         raise InvariantViolation("basis has wrong size; pair is not Leonard")
@@ -325,8 +325,6 @@ def switching_from_sequences(params: LeonardParameterSet, eig_a: EigenDecomposit
     denominator = field.one
     for r in range(1, d + 1):
         numerator = numerator * params.phi[d - r]
-        if not params.varphi[r - 1]:
-            raise ZeroVarphi("first split sequence contains a zero entry")
         denominator = denominator * params.varphi[r - 1]
         result = result + idempotents[r].scale(numerator / denominator)
     return result

@@ -10,10 +10,12 @@ entries as field elements, is a read-only cache built on first read.
 apply maps back once per output entry (Dumas, Giorgi and Pernet, ACM
 TOMS 35(3), 2008), and char_poly over GF(p) runs on residues.  Every
 reduction to row echelon form runs in one engine, Echelon, an
-incremental canonical RREF, fraction-free over Q; rref_rows,
-kernel_vectors, solve, min_poly and the subspaces module are built on
-it.  Ambient sizes are desk scale (dimension a few dozen), so clarity
-wins over asymptotics.
+incremental canonical RREF, fraction-free over Q, which takes and gives
+int rows only; rref_rows, kernel_vectors, solve, min_poly and the
+subspaces module are built on it, feeding it a Matrix's int rows and
+reading its rows back through row_elements, the one map from an int row
+over d to field elements.  Ambient sizes are desk scale (dimension a few
+dozen), so clarity wins over asymptotics.
 """
 
 from __future__ import annotations
@@ -77,10 +79,7 @@ class Matrix:
         from the int form on first read."""
         if self._rows is None:
             ints, d = self._ints
-            if modulus(self.field):
-                self._rows = tuple(tuple(map(self.field._element, row)) for row in ints)
-            else:
-                self._rows = tuple(tuple(_fractions(row, d)) for row in ints)
+            self._rows = tuple(row_elements(self.field, row, d) for row in ints)
         return self._rows
 
     # ---- constructors -------------------------------------------------
@@ -196,9 +195,9 @@ class Matrix:
         rows, d = self._ints
         if p:
             v = field._residues(v)
-            return tuple(map(field._element, [sum(map(mul, row, v)) % p for row in rows]))
+            return row_elements(field, [sum(map(mul, row, v)) % p for row in rows])
         v, dv = _common([field.scalar(x) for x in v])
-        return tuple(_fractions([sum(map(mul, row, v)) for row in rows], d * dv))
+        return row_elements(field, [sum(map(mul, row, v)) for row in rows], d * dv)
 
     def transpose(self) -> "Matrix":
         rows, d = self._ints
@@ -223,9 +222,12 @@ def _common(xs: Sequence, d: int = 0) -> tuple[list, int]:
     return [x.numerator * (d // x.denominator) for x in xs], d
 
 
-def _fractions(ints: Sequence, d: int) -> list:
-    """The Fractions ints / d, one per entry."""
-    return [Fraction(x, d) if x else QQ.zero for x in ints]
+def row_elements(field: Field, ints: Sequence, d: int = 1) -> tuple:
+    """The field elements of the int row ints / d: residues over GF(p),
+    where d is 1, and Fractions over Q."""
+    if modulus(field):
+        return tuple(map(field._element, ints))
+    return tuple(Fraction(x, d) if x else QQ.zero for x in ints)
 
 
 def residue_product(x: Sequence, y: Sequence, p: int | None) -> list:
@@ -253,46 +255,36 @@ class Echelon:
     canonical row (fraction-free elimination: E. H. Bareiss, Math. Comp.
     22, 1968).  Every row is 0 at every other pivot, so a vector v
     reduces in one pass to v - sum_c v[c] row_c / row_c[c], and its
-    coordinates in the basis are its entries at the pivots.  A vector in
-    the engine's form is int residues over GF(p) and Fractions over Q;
-    over Q insert and reduce also take ints, and line, image and
-    nullspace give int vectors, as a span only needs them up to scalars.
+    coordinates in the basis are its entries at the pivots.  insert,
+    reduce, image and nullspace take and give int rows: residues mod p,
+    and over Q int vectors up to a positive scale, which is all a span
+    needs; _residual gives the exact scale.  Field elements never enter:
+    callers convert in through Matrix and out through row_elements.
     """
 
     __slots__ = ("field", "p", "rows")
 
-    def __init__(self, field: Field, vectors: Iterable[Sequence] = ()):
+    def __init__(self, field: Field):
         self.field = field
         self.p = modulus(field)
         self.rows = {}  # pivot column -> reduced row
-        for v in vectors:
-            self.add(v)
-
-    def scalars(self, v: Iterable) -> list:
-        """v in the engine's form, each entry coerced and checked as by
-        the field's scalar()."""
-        if self.p is None:
-            return [self.field.scalar(x) for x in v]
-        return self.field._residues(v)
-
-    def elements(self, u: Sequence) -> Vector:
-        """A vector in the engine's form as field elements."""
-        return tuple(u) if self.p is None else tuple(map(self.field._element, u))
-
-    def line(self, v: Iterable) -> list:
-        """scalars(v), over Q as a primitive int vector."""
-        u = self.scalars(v)
-        return u if self.p else _primitive(_common(u)[0])
 
     def image(self, m: Matrix, u: Sequence) -> list:
-        """m u on m's int rows, for u as line gives it."""
+        """m u on m's int rows, for an int row u."""
         w = [sum(map(mul, row, u)) for row in m._ints[0]]
         return [a % self.p for a in w] if self.p else _primitive(w)
 
     def _residual(self, u: Sequence) -> tuple:
-        """(w, s): w / s is u minus its part on the basis, for an int
-        vector u over Q; s is the lcm of the pivot entries u meets, so
-        every row is subtracted an int number of times."""
+        """(w, s): w / s is the int row u minus its part on the basis; s
+        is 1 over GF(p), and over Q the lcm of the pivot entries u meets,
+        so every row is subtracted an int number of times."""
+        p = self.p
+        if p:
+            for c, row in self.rows.items():
+                f = u[c]
+                if f:
+                    u = [(a - f * b) % p if b else a for a, b in zip(u, row)]
+            return u, 1
         hits = [(c, row) for c, row in self.rows.items() if u[c]]
         s = lcm(*[row[c] for c, row in hits])
         w = [s * a for a in u] if s > 1 else u
@@ -301,24 +293,16 @@ class Echelon:
             w = [a - f * b if b else a for a, b in zip(w, row)]
         return w, s
 
-    def reduce(self, u: Sequence) -> list:
-        """u minus its part on the basis, for u in the engine's form; it
-        is zero at every pivot, and zero exactly when u is in the span."""
-        p = self.p
-        if p is None:
-            ints, d = _common(u)
-            w, s = self._residual(ints)
-            return _fractions(w, d * s)
-        for c, row in self.rows.items():
-            f = u[c]
-            if f:
-                u = [(a - f * b) % p if b else a for a, b in zip(u, row)]
-        return u
+    def reduce(self, u: Sequence) -> Sequence:
+        """The int row u minus its part on the basis, over Q up to the
+        positive scale _residual gives; it is zero at every pivot, and
+        zero exactly when u is in the span."""
+        return self._residual(u)[0]
 
     def insert(self, u: Sequence) -> bool:
-        """Add u, in the engine's form, to the span; True when it grew."""
+        """Add the int row u to the span; True when it grew."""
         p = self.p
-        u = self.reduce(u) if p else self._residual(_common(u)[0])[0]
+        u = self.reduce(u)
         c = next((i for i, x in enumerate(u) if x), None)
         if c is None:
             return False
@@ -338,9 +322,6 @@ class Echelon:
         self.rows[c] = u
         return True
 
-    def add(self, v: Iterable) -> bool:
-        return self.insert(self.scalars(v))
-
     @property
     def dim(self) -> int:
         return len(self.rows)
@@ -348,12 +329,6 @@ class Echelon:
     @property
     def pivots(self) -> tuple:
         return tuple(sorted(self.rows))
-
-    def basis(self) -> tuple:
-        """The canonical RREF rows as field elements, in pivot order."""
-        if self.p is None:
-            return tuple(tuple(_fractions(self.rows[c], self.rows[c][c])) for c in self.pivots)
-        return tuple(self.elements(self.rows[c]) for c in self.pivots)
 
     @classmethod
     def of_rows(cls, m: Matrix) -> "Echelon":
@@ -383,10 +358,11 @@ class Echelon:
         return out
 
 
-def _primitive(u: list, negate: bool = False) -> list:
-    """The int vector u over the gcd of its entries, negated if asked."""
+def _primitive(u: Sequence, negate: bool = False) -> list:
+    """The int vector u over the gcd of its entries, negated if asked, as
+    a new list."""
     g = -gcd(*u) if negate else gcd(*u)
-    return u if g in (0, 1) else [a // g for a in u]
+    return list(u) if g in (0, 1) else [a // g for a in u]
 
 
 def rref_rows(field: Field, rows: list) -> tuple[list, int, tuple]:
@@ -397,10 +373,10 @@ def rref_rows(field: Field, rows: list) -> tuple[list, int, tuple]:
     row spaces give equal outputs.  The entries may be anything the
     field's scalar() takes.
     """
-    eng = Echelon(field, rows)
-    ncols = len(rows[0]) if rows else 0
-    zero = [field.zero] * ncols
-    rows[:] = [list(b) for b in eng.basis()] + [list(zero) for _ in range(len(rows) - eng.dim)]
+    m = Matrix(field, rows)
+    eng = Echelon.of_rows(m)
+    basis = [list(row_elements(field, eng.rows[c], eng.rows[c][c])) for c in eng.pivots]
+    rows[:] = basis + [[field.zero] * m.ncols for _ in range(m.nrows - eng.dim)]
     return rows, eng.dim, eng.pivots
 
 
@@ -419,10 +395,7 @@ def kernel_vectors(m: Matrix) -> tuple:
     One basis vector per free column, with a 1 in that coordinate; this
     is the standard RREF back-substitution basis (not itself reduced).
     """
-    eng = Echelon.of_rows(m)
-    if eng.p:
-        return tuple(eng.elements(u) for _, u in eng.nullspace(m.ncols))
-    return tuple(tuple(_fractions(u, u[free])) for free, u in eng.nullspace(m.ncols))
+    return tuple(row_elements(m.field, u, u[free]) for free, u in Echelon.of_rows(m).nullspace(m.ncols))
 
 
 def solve(m: Matrix, b: Sequence) -> Vector | None:
@@ -481,9 +454,9 @@ def min_poly(m: Matrix) -> Polynomial:
     """Monic minimal polynomial, found as the first linear dependency
     among the flattened powers I, m, m^2, ...
 
-    Each power P_k is reduced with the coordinate vector e_k appended;
+    Each power P_k = rows / d is reduced as the int row d (P_k, e_k);
     when the P-part of the residual vanishes, its e-part holds the
-    coefficients of sum_i c_i m^i = 0, with c_k = 1.
+    coefficients of sum_i c_i m^i = 0 up to a scale, c_k at index k.
     """
     if not m.is_square():
         raise DimensionMismatch("minimal polynomial of a non-square matrix")
@@ -492,9 +465,10 @@ def min_poly(m: Matrix) -> Polynomial:
     eng = Echelon(field)
     power = Matrix.identity(field, n)
     for k in range(n + 1):
-        u = eng.reduce(eng.scalars(power.flatten() + (0,) * k + (1,) + (0,) * (n - k)))
+        rows, d = power._ints  # P_k = rows / d, so the row is d (P_k, e_k)
+        u = eng.reduce([*chain.from_iterable(rows), *(0,) * k, d, *(0,) * (n - k)])
         if not any(u[: n * n]):
-            return Polynomial(field, eng.elements(u[n * n : n * n + k + 1]))
+            return Polynomial(field, row_elements(field, u[n * n : n * n + k + 1], u[n * n + k]))
         eng.insert(u)
         power = power @ m
     raise AssertionError("minimal polynomial exceeded ambient dimension")

@@ -19,7 +19,7 @@ The accepted pair carries its canonically ordered eigen data and shape.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, product
+from itertools import accumulate, chain, product
 
 from .errors import (
     DiameterMismatch,
@@ -141,11 +141,11 @@ def _checked_reducible(a: Matrix, astar: Matrix, w: Subspace, how: str) -> Irred
 
 def _spin(field, n: int, seeds, operators) -> Subspace:
     """Smallest subspace containing the seeds and invariant under the
-    operators, grown by a worklist of images.  The worklist holds
-    vectors in the Echelon's form (over Q, primitive int vectors), and
-    each image is taken on the operators' int rows."""
+    operators, grown by a worklist of images.  The worklist holds int
+    rows, the seeds as Matrix reads them, and each image is taken on the
+    operators' int rows."""
     acc = Echelon(field)
-    queue = [u for u in map(acc.line, seeds) if acc.insert(u)]
+    queue = [u for u in Matrix(field, seeds)._ints[0] if acc.insert(u)]
     qi = 0
     while qi < len(queue):
         v = queue[qi]
@@ -247,7 +247,7 @@ def _condensed(a: Matrix, astar: Matrix, kbasis, coords: Matrix) -> list[Matrix]
     basis = []
     for y in spun.basis:
         b = Matrix.from_columns(field, [coords.apply(y[j : j + n]) for j in range(0, n * k, n)])
-        if acc.add(b.flatten()):
+        if acc.insert([*chain.from_iterable(b._ints[0])]):
             basis.append(b)
     return basis
 

@@ -75,6 +75,11 @@ class SearchSpec:
             raise BudgetZero("budget must be at least 1")
         if self.start < 0:
             raise ParseError("start must be nonnegative")
+        if self.mode == "randomized":  # seed and counter are hashed as 8 bytes each
+            if not -(2**63) <= self.seed < 2**63:
+                raise ParseError("seed must lie in [-2^63, 2^63) in randomized mode")
+            if self.start + self.budget > 2**64:
+                raise ParseError("start + budget must be at most 2^64 in randomized mode")
 
 
 @dataclass(frozen=True)
@@ -141,6 +146,15 @@ def _randomized_entries(seed: int, k: int, count: int, p: int) -> list:
     return out
 
 
+def _candidate_count(spec: SearchSpec) -> int:
+    """How many candidates spec tries: its budget, cut in exhaustive mode
+    at the end of the p^m candidate space."""
+    if spec.mode == "exhaustive":
+        total = spec.field.p ** len(_allowed_positions(spec.shape))
+        return max(0, min(total - spec.start, spec.budget))
+    return spec.budget
+
+
 def search_shape(spec: SearchSpec) -> SearchResult:
     """Try up to spec.budget candidates from spec.start onward and
     return every validated pair with the requested shape.
@@ -161,11 +175,7 @@ def search_shape(spec: SearchSpec) -> SearchResult:
     eig_a = eigen_decompose(a)
     positions = _allowed_positions(spec.shape)
     m = len(positions)
-    if spec.mode == "exhaustive":
-        total = p**m
-        count = max(0, min(total - spec.start, spec.budget))
-    else:
-        count = spec.budget
+    count = _candidate_count(spec)
     dims = sorted(shape_t)
     hits = []
     indices = []
@@ -224,11 +234,7 @@ def partition_seeds(spec: SearchSpec, workers: int) -> list:
         raise ParseError("workers must be at least 1")
     if workers == 1:
         return [spec]
-    if spec.mode == "exhaustive":
-        total_space = spec.field.p ** len(_allowed_positions(spec.shape))
-        n = max(0, min(total_space - spec.start, spec.budget))
-    else:
-        n = spec.budget
+    n = _candidate_count(spec)
     if n <= 0:
         return [spec]
     base, extra = divmod(n, workers)

@@ -15,7 +15,7 @@ a failing candidate pinpoints which identity broke.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .errors import InvariantViolation, TauImageVanished
 from .linalg import Echelon, shifted_products, vec_is_zero
@@ -124,20 +124,30 @@ def verify_raising_lowering(sd: SplitDecomposition) -> SplitReport:
     return replace(sd.report, eq7=eq7, eq8=eq8)
 
 
+def _tau_matrices(pair: TriDiagonalPair) -> tuple:
+    """The matrices tau_i(A), i = 0..d, as one running product, built
+    once per (immutable) pair and kept on it."""
+    if "_tau_matrices" not in pair.__dict__:
+        thetas = pair.eig_a.eigenvalues[: pair.diameter]
+        object.__setattr__(pair, "_tau_matrices", tuple(shifted_products(pair.a, thetas)))
+    return pair.__dict__["_tau_matrices"]
+
+
 def tau_basis(pair: TriDiagonalPair) -> TauBasis:
     """tau_i = (x - theta_0)...(x - theta_{i-1}), evaluated at A.
 
-    The d+1 matrices are asserted linearly independent: they span the
-    subalgebra generated by A, which has dimension d+1 because the
-    minimal polynomial of a diagonalizable A has degree d+1.
+    The d+1 matrices are asserted linearly independent, their int rows
+    fed to one Echelon: they span the subalgebra generated by A, which
+    has dimension d+1 because the minimal polynomial of a diagonalizable
+    A has degree d+1.
     """
     field = pair.field
-    thetas = pair.eig_a.eigenvalues[: pair.diameter]
     taus = [Polynomial.one(field)]
-    for t in thetas:
+    for t in pair.eig_a.eigenvalues[: pair.diameter]:
         taus.append(taus[-1] * Polynomial.x_minus(field, t))
-    mats = tuple(shifted_products(pair.a, thetas))
-    if Echelon(field, [m.flatten() for m in mats]).dim < len(mats):
+    mats = _tau_matrices(pair)
+    eng = Echelon(field)
+    if sum(eng.insert([*chain.from_iterable(m._ints[0])]) for m in mats) < len(mats):
         raise InvariantViolation("tau matrices are linearly dependent")
     return TauBasis(taus=tuple(taus), tau_matrices=mats)
 
@@ -145,13 +155,11 @@ def tau_basis(pair: TriDiagonalPair) -> TauBasis:
 def verify_tau_images(sd: SplitDecomposition) -> SplitReport:
     """Check tau_i(A) U_0 lies in U_i for every i and fill the eq10 flags.
 
-    Built from A and its eigenvalues directly so the check stays
-    meaningful on corrupted decompositions where tau_basis assertions
-    might not hold.
+    Reads the pair's tau_i(A) without tau_basis's independence
+    assertion, so the check stays meaningful on corrupted decompositions
+    where that assertion might not hold.
     """
-    pair = sd.pair
-    mats = shifted_products(pair.a, pair.eig_a.eigenvalues[: pair.diameter])
-    flags = [subspace_leq(image_of(m, sd.U[0]), sd.U[i]) for i, m in enumerate(mats)]
+    flags = [subspace_leq(image_of(m, sd.U[0]), sd.U[i]) for i, m in enumerate(_tau_matrices(sd.pair))]
     return replace(sd.report, eq10=tuple(flags))
 
 
@@ -184,6 +192,6 @@ def tau_images(pair: TriDiagonalPair, u, sd: SplitDecomposition | None = None) -
     for i, w in enumerate(images):
         if not sd.U[i].contains(w):
             raise InvariantViolation(f"tau_{i}(A)u escapes U_{i}")
-    if Echelon(field, images).dim < len(images):
+    if Subspace.span(field, pair.dim, images).dim < len(images):
         raise InvariantViolation("tau images of u are linearly dependent")
     return tuple(images)

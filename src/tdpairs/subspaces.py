@@ -1,11 +1,13 @@
 """Subspaces of K^n, each held as a linalg.Echelon.
 
-Echelon rows are canonical (over GF(p) pivot 1, over Q primitive with a
-positive pivot), so equal subspaces hold equal rows; the RREF basis as
-field elements is a read-only cache.  Every operation runs on the rows:
-a span, image or sum feeds its vectors to an Echelon (a sum to a copy of
-the first summand's); membership and coordinates are one residual; an
-intersection is one Zassenhaus elimination.
+Echelon rows are canonical int rows (over GF(p) residues with pivot 1,
+over Q primitive with a positive pivot), so equal subspaces hold equal
+rows.  Every operation runs on them: a span, image or sum feeds int rows
+to an Echelon (a sum to a copy of the first summand's); membership and
+coordinates are one residual; an intersection is one Zassenhaus
+elimination.  Field elements cross only in the public methods span,
+basis, residual, contains and coordinates, in through Matrix and out
+through linalg.row_elements; the basis is a read-only cache.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import Field
-from .linalg import Echelon, Matrix, Vector
+from .linalg import Echelon, Matrix, Vector, row_elements
 
 
 def _canonical(field: Field, rows: dict) -> Echelon:
@@ -37,15 +39,10 @@ class Subspace:
 
     @classmethod
     def span(cls, field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        eng = Echelon(field)
-        for v in vectors:
-            u = eng.scalars(v)
-            if len(u) != ambient_dim:
-                raise DimensionMismatch(
-                    f"vector of length {len(u)} in ambient dimension {ambient_dim}"
-                )
-            eng.insert(u)
-        return cls(eng, ambient_dim)
+        m = Matrix(field, vectors)
+        if m.nrows and m.ncols != ambient_dim:
+            raise DimensionMismatch(f"vector of length {m.ncols} in ambient dimension {ambient_dim}")
+        return cls(Echelon.of_rows(m), ambient_dim)
 
     @classmethod
     def zero(cls, field: Field, ambient_dim: int) -> "Subspace":
@@ -60,7 +57,8 @@ class Subspace:
     def basis(self) -> tuple:
         """The canonical RREF basis as field elements, in pivot order."""
         if self._basis is None:
-            self._basis = self.echelon.basis()
+            rows = self.echelon.rows
+            self._basis = tuple(row_elements(self.field, rows[c], rows[c][c]) for c in self.echelon.pivots)
         return self._basis
 
     @property
@@ -83,27 +81,31 @@ class Subspace:
                 f"ambient {self.ambient_dim} vs {other.ambient_dim}"
             )
 
-    def _vector(self, v: Sequence) -> list:
-        u = self.echelon.scalars(v)
+    def _ints(self, v: Sequence) -> tuple:
+        """(u, d) with v = u / d for an int row u, every entry coerced and
+        checked as by Matrix."""
+        (u,), d = Matrix(self.field, [v])._ints
         if len(u) != self.ambient_dim:
             raise DimensionMismatch("vector length mismatch")
-        return u
+        return u, d
 
-    def residual(self, v: Sequence) -> list:
-        """v minus its part on the basis, in the Echelon's form (int
-        residues over GF(p)); zero exactly when v lies in the subspace."""
-        return self.echelon.reduce(self._vector(v))
+    def residual(self, v: Sequence) -> Vector:
+        """v minus its part on the basis, as field elements; zero exactly
+        when v lies in the subspace."""
+        u, d = self._ints(v)
+        w, s = self.echelon._residual(u)
+        return row_elements(self.field, w, d * s)
 
     def contains(self, v: Sequence) -> bool:
-        return not any(self.residual(v))
+        return not any(self.echelon.reduce(self._ints(v)[0]))
 
     def coordinates(self, v: Sequence) -> Vector | None:
         """Coefficients of v in the basis, or None if v lies outside:
         with an RREF basis, v's entries at the pivot columns."""
-        u = self._vector(v)
+        u, d = self._ints(v)
         if any(self.echelon.reduce(u)):
             return None
-        return self.echelon.elements([u[c] for c in self.echelon.pivots])
+        return row_elements(self.field, [u[c] for c in self.echelon.pivots], d)
 
     def __eq__(self, other):
         return (
@@ -126,7 +128,7 @@ def subspace_sum(x: Subspace, y: Subspace) -> Subspace:
 
 
 def subspace_leq(x: Subspace, y: Subspace) -> bool:
-    """True iff every row of x's Echelon, in the engine's form, lies in y."""
+    """True iff every int row of x's Echelon lies in y."""
     x._check(y)
     return not any(any(y.echelon.reduce(u)) for u in x.echelon.rows.values())
 

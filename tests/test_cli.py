@@ -674,6 +674,55 @@ def test_search_spec_errors_exit_3(tmp_path, capsys):
         assert "failure" in rep["payload"]
 
 
+def test_search_randomized_seed_and_counter_fit_eight_bytes(capsys):
+    # the seed and the candidate counter are hashed as 8 bytes each; a
+    # value that does not fit is a usage error, not a traceback
+    argv = ["search", "--field", "gf3", "--dim", "4", "--shape", "1,2,1", "--mode", "randomized"]
+    for extra in (
+        ["--budget", "5", "--seed", str(2**63)],
+        ["--budget", "5", "--seed", str(-(2**63) - 1)],
+        ["--budget", str(2**64 + 1), "--seed", "0"],
+    ):
+        rc, out, _ = run(capsys, argv + extra)
+        assert rc == 3, extra
+        (rep,) = reports_of(out)
+        assert rep["exitCode"] == 3 and rep["payload"]["failure"]["kind"] == "ParseError"
+    for seed in (2**63 - 1, -(2**63)):
+        rc, out, err = run(capsys, argv + ["--budget", "5", "--seed", str(seed)])
+        assert rc == 0 and "candidatesTried=5" in err
+
+
+def test_search_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # partition_seeds makes one shard per worker, so the shards and stdout
+    # do not change, but the pool never asks for more processes than CPUs;
+    # the stand-in pool maps the shards in this process
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(tdpairs.cli, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(tdpairs.cli.os, "cpu_count", lambda: 2)
+    spec = SearchSpec(field=GF(3), dim=2, shape=(1, 1), budget=81)
+    reports, summary = cmd_search(spec, workers=5000)
+    assert sizes == [2]
+    assert reports == cmd_search(spec)[0]
+    assert summary["candidatesTried"] == 81
+    monkeypatch.setattr(tdpairs.cli.os, "cpu_count", lambda: None)
+    cmd_search(spec, workers=3)
+    assert sizes == [2, 1]
+
+
 def test_search_bad_shape_is_a_parse_error(capsys):
     for shape in ("1,2", "0,3"):
         argv = ["search", "--field", "gf3", "--dim", "3", "--shape", shape, "--budget", "5"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -236,13 +237,22 @@ def _check_residue_kernels(field, entry, rows, other, v):
     assert _ints(product.rows) == int_matmul(p, rows, other)
     assert product == Matrix(field, int_matmul(p, rows, other))
     assert _ints(m.transpose().rows) == [list(col) for col in zip(*rows)]
-    # the engine: growth flags, pivots, and the canonical RREF
+    # the engine on the matrix's int rows: growth flags, pivots, and the
+    # canonical RREF, row / row[pivot] (over GF(p) the pivot entry is 1)
     eng = Echelon(field)
-    grew = [eng.add(row) for row in elements(rows)]
+    grew = [eng.insert(row) for row in m._ints[0]]
     assert grew == [int_rref(p, rows[: i + 1])[1] > int_rref(p, rows[:i])[1] for i in range(len(rows))]
-    assert (eng.dim, eng.pivots, _ints(eng.basis())) == (rank_, pivots, ref[:rank_])
+    assert (eng.dim, eng.pivots) == (rank_, pivots)
+    canonical = [[Fraction(a, row[c]) for a in row] for c, row in sorted(eng.rows.items())]
+    assert canonical == ref[:rank_]
+    for c, row in eng.rows.items():  # residues with pivot 1, or primitive with a positive pivot
+        if p:
+            assert row[c] == 1 and all(0 <= a < p for a in row)
+        else:
+            assert row[c] > 0 and gcd(*row) == 1
     x = Subspace.span(field, ncols, elements(rows))
-    assert x.basis == eng.basis()
+    assert x.echelon.rows == eng.rows
+    assert _ints(x.basis) == ref[:rank_]
     # membership and coordinates: one residual against the RREF basis
     for w in rows + [v]:
         inside = int_rref(p, rows + [w])[1] == rank_
@@ -323,15 +333,19 @@ def _oracle_spin(seeds, ops):
 
 def _check_q_kernels(rows, other, v):
     """_check_residue_kernels over Q, plus the exact residual of
-    Echelon.reduce and the product's kept int form, against the Fraction
-    oracle."""
+    Subspace.residual and of Echelon._residual on int rows, and the
+    product's kept int form, against the Fraction oracle."""
     _check_residue_kernels(QQ, QQ.scalar, rows, other, v)
     m, o = qm(rows), qm(other)
     ref, rank_, pivots = int_rref(None, rows)
-    eng = Echelon(QQ, m.rows)
+    x = Subspace.span(QQ, len(v), rows)
     for w in rows + [v]:
         residual = [a - sum(w[c] * r[j] for c, r in zip(pivots, ref)) for j, a in enumerate(w)]
-        assert eng.reduce(eng.scalars(w)) == residual
+        assert list(x.residual(w)) == residual
+        (u,), d = qm([w])._ints
+        reduced, s = x.echelon._residual(u)
+        assert s > 0 and [Fraction(a, d * s) for a in reduced] == residual
+        assert x.echelon.reduce(u) == reduced
     (kept, d), (fresh, d_fresh) = (m @ o)._ints, Matrix(QQ, (m @ o).rows)._ints
     assert (list(map(list, kept)), d) == (list(map(list, fresh)), d_fresh)
 
@@ -394,6 +408,32 @@ def test_q_kernels_match_the_fraction_oracle_on_the_hilbert_matrix():
     # the spin of e_0 under H is all of Q^10
     spun = tdpairs.pairs._spin(QQ, 10, [[1] + [0] * 9], [qm(hilbert)])
     assert [list(b) for b in spun.basis] == _oracle_spin([[1] + [0] * 9], [hilbert])
+
+
+@pytest.mark.parametrize("p", (2, 101, 65521, None))
+def test_subspace_residual_matches_the_oracle(p):
+    # Subspace.residual is the one way out of the engine's exact
+    # residual: field elements, over Q with 1- to 30-digit entries
+    field = GF(p) if p else QQ
+    rng = random.Random(p or 30)
+    for _ in range(25):
+        n = rng.randint(1, 6)
+        if p:
+            rows = _random_int_rows(rng, p, rng.randint(1, 5), n)
+            extra = [rng.randrange(p) for _ in range(n)]
+        else:
+            rows = [[_wide(rng) for _ in range(n)] for _ in range(rng.randint(1, 5))]
+            rows = _dependent(rng, rows) if len(rows) >= 2 and rng.random() < 0.5 else rows
+            extra = [_wide(rng) for _ in range(n)]
+        ref, _, pivots = int_rref(p, rows)
+        x = Subspace.span(field, n, [[field.scalar(a) for a in row] for row in rows])
+        for w in rows + [extra]:
+            want = [a - sum(w[c] * r[j] for c, r in zip(pivots, ref)) for j, a in enumerate(w)]
+            want = [a % p for a in want] if p else want
+            got = x.residual([field.scalar(a) for a in w])
+            assert all(type(e) is type(field.zero) for e in got)
+            assert _vals(got) == want
+            assert x.contains(w) == (not any(want))
 
 
 # ---- the eigen steps on int rows: shift, kernel and inverse ---------------------
@@ -494,9 +534,9 @@ def test_residue_kernels_still_reject_another_prime():
     with pytest.raises(FieldMismatch):
         rref_rows(f, [foreign])
     with pytest.raises(FieldMismatch):
-        Echelon(f).add(foreign)
-    with pytest.raises(FieldMismatch):
         Subspace.span(f, 2, [foreign])
+    with pytest.raises(FieldMismatch):
+        Subspace.full(f, 2).residual(foreign)
     with pytest.raises(FieldMismatch):
         Subspace.full(f, 2).contains(foreign)
     with pytest.raises(FieldMismatch):

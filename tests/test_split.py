@@ -25,6 +25,7 @@ from tdpairs import (
     verify_raising_lowering,
     verify_tau_images,
 )
+import tdpairs.split
 from tdpairs.split import SplitDecomposition
 
 from oracles import TENSOR_PARAMS, tensor_fixture
@@ -138,6 +139,23 @@ def test_tau_basis_structure():
     for i in range(1, 3):
         prod = (pair.a - eye.scale(pair.theta(i - 1))) @ prod
         assert tb.tau_matrices[i] == prod
+
+
+def test_tau_matrices_are_built_once_per_pair(monkeypatch):
+    # tau_basis (through detect_leonard) and verify_tau_images (through
+    # complete_report) read the same tau_i(A), kept on the pair
+    calls = []
+    original = tdpairs.split.shifted_products
+    monkeypatch.setattr(tdpairs.split, "shifted_products", lambda *args: calls.append(args) or original(*args))
+    pair = d2_pair()
+    sd = split_subspaces(pair)
+    assert complete_report(sd).eq10 == (True, True, True)
+    assert tau_basis(pair).tau_matrices == tau_basis(pair).tau_matrices
+    assert len(calls) == 1
+    # a reoriented pair is another object with its own tau_i(A)
+    flipped = pair.with_reversed_a()
+    assert tau_basis(flipped).tau_matrices != tau_basis(pair).tau_matrices
+    assert len(calls) == 2
 
 
 # ---- tau image chains --------------------------------------------------------
