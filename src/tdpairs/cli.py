@@ -348,8 +348,9 @@ def cmd_search(spec: SearchSpec, workers: int = 1) -> tuple[list[dict], dict]:
     plus a summary dict; the report stream is independent of workers.
     The shards run in a pool of at most os.cpu_count() processes.
     Each report is built from the pair its shard validated.  The
-    summary's elapsed is this call's wall time and cpuSum the sum of the
-    shards' own times."""
+    summary's elapsed is this call's wall time, cpuSum the sum of the
+    shards' own times and funnel the candidates that stopped at each
+    search stage (SearchResult.funnel)."""
     t0 = time.monotonic()
     shards = partition_seeds(spec, workers)
     if len(shards) == 1:
@@ -374,6 +375,7 @@ def cmd_search(spec: SearchSpec, workers: int = 1) -> tuple[list[dict], dict]:
         "instances": len(total.instances),
         "elapsed": time.monotonic() - t0,
         "cpuSum": total.elapsed,
+        "funnel": total.funnel,
     }
     return reports, summary
 
@@ -416,7 +418,9 @@ def _search(args) -> list[dict]:
             f"candidatesTried={summary['candidatesTried']} "
             f"instances={summary['instances']} "
             f"elapsed={summary['elapsed']:.3f}s "
-            f"cpuSum={summary['cpuSum']:.3f}s\n"
+            f"cpuSum={summary['cpuSum']:.3f}s "
+            + " ".join(f"{stage}={c}" for stage, c in summary["funnel"].items())
+            + "\n"
         )
         return reports, 0
 

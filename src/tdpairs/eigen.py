@@ -284,16 +284,19 @@ def splits_mod_p(rows: list, p: int) -> bool:
     a product of distinct linear factors.  Row i of M^p is row i pushed
     through M p - 1 times; while that costs at most what square-and-multiply
     costs for all of M^p (k = bit_length(p) + popcount(p) - 2 products), the
-    rows are checked one at a time, as most matrices fail on row 0.
+    rows are checked one at a time, as most matrices fail on row 0.  The
+    last push is made entry by entry against the row and stops at the
+    first entry that differs, which leaves the verdict exact.
     """
     if p - 1 <= len(rows) * (p.bit_length() + p.bit_count() - 2):
         cols = tuple(zip(*rows))
         for row in rows:
             v = row
-            for _ in range(p - 1):
+            for _ in range(p - 2):
                 v = [sum(map(mul, v, col)) % p for col in cols]
-            if v != row:
-                return False
+            for x, col in zip(row, cols):
+                if sum(map(mul, v, col)) % p != x:
+                    return False
         return True
     power = rows
     for bit in bin(p)[3:]:

@@ -3,24 +3,25 @@
 A is pinned to the block-diagonal form diag(0 I_{rho_0}, ..., d I_{rho_d});
 conjugation freedom makes that lossless for existence questions.  Astar
 ranges over the block-tridiagonal pattern that condition (ii) forces,
-either exhaustively (candidate index = base-p digits of the entries) or
-pseudo-randomly (counter-based keyed hash, so any shard of the stream is
-reproducible on any machine).  A candidate Astar stays plain int rows
-mod p through the two checks that exist because A is fixed: M^p == M
-row by row (splits_mod_p), which holds iff Astar is diagonalizable over
-GF(p), as x^p - x is the product of (x - a) over all a in GF(p); and an
-ordering of A's eigenspaces, read off Astar's nonzero blocks, exact
-because A = diag(blocks).  A survivor goes to the certifier's own
-stages: eigen_decompose, a check of its eigenspace dimensions against
-the shape, and validate_pair, which reuses both decompositions; only
-fully validated pairs of the requested shape are returned.
+either exhaustively (candidate index = base-p digits of the entries,
+stepped by an odometer) or pseudo-randomly (counter-based keyed hash, so
+any shard of the stream is reproducible on any machine).  A candidate
+stays in one reused buffer of int rows mod p through the two checks that
+exist because A is fixed: M^p == M row by row (splits_mod_p), which
+holds iff Astar is diagonalizable over GF(p), as x^p - x is the product
+of (x - a) over all a in GF(p); and an ordering of A's eigenspaces, read
+off Astar's nonzero blocks, exact because A = diag(blocks).  A survivor
+is copied into a Matrix and goes to the certifier's own stages:
+eigen_decompose, a check of its eigenspace dimensions against the shape,
+and validate_pair, which reuses both decompositions; only fully
+validated pairs of the requested shape are returned.
 """
 
 from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as _field, replace
 
 from .errors import (
     BudgetZero,
@@ -37,6 +38,8 @@ from .linalg import Matrix
 from .pairs import ShapeVector, path_orderings, validate_pair
 
 _MODES = ("exhaustive", "randomized")
+# The stages of search_shape's funnel, in the order it applies them.
+FUNNEL = ("not_split", "a_pattern", "wrong_dims", "invalid", "duplicate", "hit")
 
 
 @dataclass(frozen=True)
@@ -88,12 +91,15 @@ class SearchResult:
 
     candidate_indices[i] is the counter value that produced
     instances[i]; elapsed is wall-clock seconds spent in this call.
+    funnel counts the candidates that stopped at each FUNNEL stage,
+    so its counts sum to candidates_tried.
     """
 
     instances: tuple
     candidates_tried: int
     elapsed: float
     candidate_indices: tuple = ()
+    funnel: dict = _field(default_factory=dict)
 
 
 def _block_of(shape) -> list:
@@ -146,6 +152,30 @@ def _randomized_entries(seed: int, k: int, count: int, p: int) -> list:
     return out
 
 
+def _candidates(spec: SearchSpec, positions: list, count: int):
+    """Yield (k, rows) for the count candidates from spec.start on, on one
+    rows buffer that each step overwrites: a caller that keeps a candidate
+    copies it.  The rows hold k's base-p digits in exhaustive mode, so
+    spec.start is decoded once and each next k adds 1 at position 0 and
+    carries (an odometer)."""
+    p, m, randomized = spec.field.p, len(positions), spec.mode == "randomized"
+    rows = [[0] * spec.dim for _ in range(spec.dim)]
+    for k in range(spec.start, spec.start + count):
+        if randomized or k == spec.start:
+            entries = (
+                _randomized_entries(spec.seed, k, m, p) if randomized else _exhaustive_entries(k, m, p)
+            )
+            for (r, c), v in zip(positions, entries):
+                rows[r][c] = v
+        else:
+            for r, c in positions:
+                if rows[r][c] < p - 1:
+                    rows[r][c] += 1
+                    break
+                rows[r][c] = 0
+        yield k, rows
+
+
 def _candidate_count(spec: SearchSpec) -> int:
     """How many candidates spec tries: its budget, cut in exhaustive mode
     at the end of the p^m candidate space."""
@@ -160,10 +190,13 @@ def search_shape(spec: SearchSpec) -> SearchResult:
     return every validated pair with the requested shape.
 
     Deterministic for a fixed spec; a shard (same seed, shifted start)
-    contributes exactly the candidates its counter range covers.  A
-    rejected candidate is skipped; an InvariantViolation is a bug and
-    propagates, and so is a candidate that passes M^p == M but does not
-    decompose.
+    contributes exactly the candidates its counter range covers.  The
+    candidates come from _candidates, in exhaustive mode an odometer, on
+    one reused rows buffer that no reference outlives a step:
+    Matrix._of_ints copies the rows into tuples.  A rejected candidate is
+    counted at its funnel stage and skipped; an InvariantViolation is a
+    bug and propagates, and so is a candidate that passes M^p == M but
+    does not decompose.
     """
     t0 = time.monotonic()
     field = spec.field
@@ -174,28 +207,19 @@ def search_shape(spec: SearchSpec) -> SearchResult:
     a = _fixed_a(field, shape_t)
     eig_a = eigen_decompose(a)
     positions = _allowed_positions(spec.shape)
-    m = len(positions)
     count = _candidate_count(spec)
     dims = sorted(shape_t)
     hits = []
     indices = []
     seen = set()
-    tried = 0
-    for step in range(count):
-        k = spec.start + step
-        if spec.mode == "exhaustive":
-            values = _exhaustive_entries(k, m, p)
-        else:
-            values = _randomized_entries(spec.seed, k, m, p)
-        tried += 1
-        rows = [[0] * n for _ in range(n)]
-        for (r, c), v in zip(positions, values):
-            rows[r][c] = v
+    funnel = dict.fromkeys(FUNNEL, 0)
+    for k, rows in _candidates(spec, positions, count):
         if not splits_mod_p(rows, p):
             continue
         # A = diag(blocks), so Astar's (i, j) block is nonzero iff edge (j, i)
         a_edges = {(blocks[c], blocks[r]) for r in range(n) for c in range(n) if rows[r][c]}
         if not path_orderings(len(dims), a_edges):
+            funnel["a_pattern"] += 1
             continue
         astar = Matrix._of_ints(field, rows)
         try:
@@ -203,24 +227,30 @@ def search_shape(spec: SearchSpec) -> SearchResult:
         except NotDiagonalizableOverField as e:
             raise InvariantViolation(f"Astar passed M^p == M but does not split: {e}") from None
         if sorted(eig_s.dims()) != dims:
+            funnel["wrong_dims"] += 1
             continue
         try:
             pair = validate_pair(a, astar, eig_a, eig_s)
         except TdpError:
-            continue
-        if tuple(pair.shape) != shape_t:
+            pair = None
+        if pair is None or tuple(pair.shape) != shape_t:
+            funnel["invalid"] += 1
             continue
         key = pair.astar.flatten()
         if key in seen:
+            funnel["duplicate"] += 1
             continue
         seen.add(key)
         hits.append(pair)
         indices.append(k)
+    funnel["hit"] = len(hits)
+    funnel["not_split"] = count - sum(funnel.values())
     return SearchResult(
         instances=tuple(hits),
-        candidates_tried=tried,
+        candidates_tried=count,
         elapsed=time.monotonic() - t0,
         candidate_indices=tuple(indices),
+        funnel=funnel,
     )
 
 
@@ -251,18 +281,25 @@ def partition_seeds(spec: SearchSpec, workers: int) -> list:
 
 def aggregate_results(results) -> SearchResult:
     """Deterministic merge of shard results in the given order,
-    deduplicated by the canonical encoding of the found operator."""
+    deduplicated by the canonical encoding of the found operator.  The
+    funnel counts are summed, and a hit that an earlier shard already
+    found moves from "hit" to "duplicate", as in an unsharded run."""
     instances = []
     indices = []
     seen = set()
     tried = 0
     elapsed = 0.0
+    funnel = dict.fromkeys(FUNNEL, 0)
     for res in results:
         tried += res.candidates_tried
         elapsed += res.elapsed
+        for stage, c in res.funnel.items():
+            funnel[stage] += c
         for pair, k in zip(res.instances, res.candidate_indices):
             key = pair.astar.flatten()
             if key in seen:
+                funnel["hit"] -= 1
+                funnel["duplicate"] += 1
                 continue
             seen.add(key)
             instances.append(pair)
@@ -272,4 +309,5 @@ def aggregate_results(results) -> SearchResult:
         candidates_tried=tried,
         elapsed=elapsed,
         candidate_indices=tuple(indices),
+        funnel=funnel,
     )

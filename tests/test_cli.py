@@ -587,6 +587,11 @@ def test_search_stream_and_summary(tmp_path, capsys):
     assert "candidatesTried=81" in err
     assert "instances=6" in err
     assert "elapsed=" in err  # timing goes to stderr, never stdout
+    # the funnel follows cpuSum: 42 of the 81 matrices do not split, 9 of
+    # the 39 that do are diagonal, so A's eigenspaces have no ordering
+    funnel = err.split("cpuSum=")[1].split()[1:]
+    assert funnel == ["not_split=42", "a_pattern=9", "wrong_dims=0", "invalid=24", "duplicate=0", "hit=6"]
+    assert "not_split" not in out
 
 
 def test_search_summary_reports_wall_time_and_shard_time_sum(capsys):

@@ -36,7 +36,7 @@ from tdpairs.eigen import (
 )
 from tdpairs.pairs import validate_pair
 from tdpairs.subspaces import Subspace, kernel
-from tdpairs.linalg import char_poly
+from tdpairs.linalg import char_poly, residue_product
 
 from oracles import char_poly_by_interpolation, kron_sum_fixture, rational_roots_by_divisors
 
@@ -316,6 +316,46 @@ def test_splits_mod_p_matches_eigen_decompose_on_random_matrices(p):
             assert not _agree_with_eigen_decompose(_conjugate(p, quadratic, rng), p)
             plain = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
             _agree_with_eigen_decompose(plain, p)
+
+
+def _splits_by_full_power(rows, p):
+    """M^p == M with M^p built as p - 1 repeated products, independent of
+    both branches of splits_mod_p."""
+    power = rows
+    for _ in range(p - 1):
+        power = residue_product(power, rows, p)
+    return power == rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_splits_mod_p_matches_the_full_power(p):
+    rng = random.Random(p)
+    cases = [
+        [list(entries[:2]), list(entries[2:])]
+        for entries in itertools.product(range(p), repeat=4)
+        if p <= 5 or rng.random() < 0.1
+    ]
+    for n in range(3, 7):
+        # a dense split block, then a trailing [[t, 1], [0, u]]: u = t + 1
+        # splits, u = t is a Jordan block.  The two differ only in their last
+        # entry; the row test passes every row above the block and finds the
+        # Jordan block at its last entry of row n - 2, or, transposed, in the
+        # last row.  At n >= 3 every p here takes the row-by-row branch.
+        lead = _conjugate(p, _block_diagonal([[[rng.randrange(p)]] for _ in range(n - 2)]), rng)
+        t = rng.randrange(p)
+        for u, splits in (((t + 1) % p, True), (t, False)):
+            m = _block_diagonal([lead, [[t, 1], [0, u]]])
+            for rows in (m, [list(col) for col in zip(*m)]):
+                assert _splits_by_full_power(rows, p) == splits
+                cases.append(rows)
+        cases.append(_conjugate(p, m, rng))
+        cases.extend([[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in range(20))
+    verdicts = set()
+    for rows in cases:
+        verdict = splits_mod_p(rows, p)
+        assert verdict == _splits_by_full_power(rows, p), (p, rows)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 # ---- characteristic polynomial, p-adic roots and the diagonalizability rule ---

@@ -28,11 +28,14 @@ from tdpairs import (
 import tdpairs.search
 from tdpairs.cli import cmd_search
 from tdpairs.search import (
+    FUNNEL,
     _allowed_positions,
+    _candidates,
     _exhaustive_entries,
     _fixed_a,
     _randomized_entries,
 )
+from tdpairs.serio import matrix_to_json
 
 
 def gf3_spec(**overrides):
@@ -125,6 +128,61 @@ def test_a_split_candidate_that_does_not_decompose_is_a_bug(monkeypatch):
     monkeypatch.setattr(tdpairs.search, "splits_mod_p", lambda rows, p: True)
     with pytest.raises(InvariantViolation, match="does not split"):
         search_shape(gf3_spec(budget=4))
+
+
+# ---- the odometer against decoding each index -------------------------------
+
+
+def _decoded(p, shape, k, entries=_exhaustive_entries):
+    return next(_pattern_candidates(p, shape, [k], entries))
+
+
+# p = 2 hosts only diameter-1 shapes
+ODOMETER_CASES = [(2, (2, 2))] + [
+    (p, shape) for p in (3, 5) for shape in ((1, 1, 1), (1, 2, 1), (2, 2))
+]
+
+
+@pytest.mark.parametrize(
+    "p, shape", ODOMETER_CASES, ids=[f"gf{p}-{''.join(map(str, s))}" for p, s in ODOMETER_CASES]
+)
+def test_odometer_rows_equal_decoding_each_index(p, shape):
+    # windows from 0, across carries through 1, 2, 3 and m - 1 digits, and
+    # one that ends exactly at p^m, the end of the candidate space
+    positions = _allowed_positions(shape)
+    m = len(positions)
+    windows = [(0, p + 2)] + [(p**j - 2, 4) for j in (1, 2, 3, m - 1)] + [(p**m - 2 * p, 2 * p)]
+    for start, budget in windows:
+        spec = SearchSpec(field=GF(p), dim=sum(shape), shape=shape, budget=budget, start=start)
+        seen = []
+        for k, rows in _candidates(spec, positions, budget):
+            assert rows == _decoded(p, shape, k), (start, k)
+            seen.append(k)
+        assert seen == list(range(start, start + budget))
+    spec = SearchSpec(
+        field=GF(p), dim=sum(shape), shape=shape, budget=40, start=7, mode="randomized", seed=5
+    )
+    entries = lambda k, count, q: _randomized_entries(5, k, count, q)  # noqa: E731
+    for k, rows in _candidates(spec, positions, spec.budget):
+        assert rows == _decoded(p, shape, k, entries), k
+
+
+def test_hits_do_not_alias_the_reused_candidate_buffer():
+    # the window runs 16 candidates past its last hit, so a hit that kept a
+    # reference to the candidate buffer would hold a later candidate
+    shape = (1, 2, 1)
+    spec = SearchSpec(field=GF(3), dim=4, shape=shape, budget=200, start=184900)
+    res = search_shape(spec)
+    assert res.candidate_indices == (184953, 184983)
+    for k, pair in zip(res.candidate_indices, res.instances):
+        # both the int form (==) and the field elements (.rows) of the hit
+        assert pair.astar == Matrix(GF(3), _decoded(3, shape, k))
+        assert [list(row) for row in int_entries(pair.astar)] == _decoded(3, shape, k)
+    reports = cmd_search(spec, workers=1)[0]
+    assert reports == cmd_search(spec, workers=3)[0]
+    for rep in reports:
+        k = rep["payload"]["candidateIndex"]
+        assert rep["payload"]["Astar"] == matrix_to_json(Matrix(GF(3), _decoded(3, shape, k)))
 
 
 # ---- the search funnel against validating every candidate ---------------------
@@ -225,7 +283,8 @@ FUNNEL_CASES = [
 def test_search_equals_validating_every_candidate(p, shape, windows, has_hit):
     # every candidate of each window goes to validate_pair with no cheap
     # check in front, so a search stage that drops a real hit fails here;
-    # the Matrix funnel shows that each stage of the search rejects some
+    # the Matrix funnel shows that each stage of the search rejects some,
+    # and the search's own funnel counts the same stages
     f = GF(p)
     a = _fixed_a(f, shape)
     eig_a = eigen_decompose(a)
@@ -234,9 +293,12 @@ def test_search_equals_validating_every_candidate(p, shape, windows, has_hit):
     for start, budget in windows:
         keys = range(start, start + budget)
         expected = []
+        window = Counter()
         for k, rows in zip(keys, _pattern_candidates(p, shape, keys, _exhaustive_entries)):
             astar = Matrix(f, rows)
-            stages[_matrix_funnel(a, eig_a, astar, shape)] += 1
+            stage = _matrix_funnel(a, eig_a, astar, shape)
+            stages[stage] += 1
+            window[stage.split()[0]] += 1
             try:
                 pair = validate_pair(a, astar)
             except TdpError:
@@ -246,6 +308,8 @@ def test_search_equals_validating_every_candidate(p, shape, windows, has_hit):
         res = search_shape(SearchSpec(field=f, dim=sum(shape), shape=shape, budget=budget, start=start))
         assert res.candidates_tried == budget
         assert res.candidate_indices == tuple(expected)
+        assert res.funnel == {stage: window[stage] for stage in FUNNEL}
+        assert sum(res.funnel.values()) == budget
         hits += len(expected)
     assert stages["hit"] == hits
     assert {"not_split", "a_pattern", "invalid"} <= set(stages)
@@ -275,13 +339,16 @@ def test_randomized_gf101_search_equals_validating_every_candidate():
         if tuple(pair.shape) == shape:
             expected.append(k)
     assert search_shape(spec).candidate_indices == tuple(expected)
-    for workers in (1, 2):
-        reports, summary = cmd_search(spec, workers=workers)
-        assert summary["candidatesTried"] == spec.budget
-        assert [r["payload"]["candidateIndex"] for r in reports] == expected
     eig_a = eigen_decompose(a)
     stages = Counter(_matrix_funnel(a, eig_a, Matrix(f, rows), shape) for rows in candidates)
     assert set(stages) == {"not_split", "wrong_dims (1, 1, 1, 1)"}
+    funnel = {stage: stages[stage] for stage in FUNNEL}
+    funnel["wrong_dims"] = stages["wrong_dims (1, 1, 1, 1)"]
+    for workers in (1, 2):
+        reports, summary = cmd_search(spec, workers=workers)
+        assert summary["candidatesTried"] == spec.budget
+        assert summary["funnel"] == funnel
+        assert [r["payload"]["candidateIndex"] for r in reports] == expected
 
 
 def test_exhaustive_budget_clamped_to_total_space():
@@ -351,6 +418,9 @@ def test_randomized_shards_union_to_the_unsharded_run():
     merged = aggregate_results([search_shape(s) for s in shards])
     assert merged.candidates_tried == full.candidates_tried
     assert merged.candidate_indices == full.candidate_indices
+    # a hit found again in a later shard counts as a duplicate, as unsharded
+    assert full.funnel["duplicate"] > 0
+    assert merged.funnel == full.funnel
     assert [int_entries(p.astar) for p in merged.instances] == [
         int_entries(p.astar) for p in full.instances
     ]
@@ -385,6 +455,8 @@ def test_aggregate_deduplicates_overlapping_shards():
     merged = aggregate_results([full, full])
     assert merged.candidates_tried == 162
     assert len(merged.instances) == 6
+    assert merged.funnel["hit"] == merged.funnel["duplicate"] == 6
+    assert sum(merged.funnel.values()) == 162
     assert merged.candidate_indices == full.candidate_indices
 
 
