@@ -6,13 +6,15 @@ its root's multiplicity.  A triangular operator (A and A* in a split
 basis) has its diagonal for roots and a simple root's eigenline by
 substitution.  Otherwise the roots of linalg.char_poly are found exactly
 without factoring integers: by scanning GF(p), over Q p-adically.  The
-rest runs on int rows: kernels, eigenvector check and basis inverse.
+rest runs on int rows: kernels, eigenvector check and basis inverse,
+which is computed once per decomposition and carried by its reorderings.
 """
 
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 
@@ -23,7 +25,7 @@ from .errors import (
     NotDiagonalizableOverField,
 )
 from .fields import Rationals, _is_prime
-from .linalg import Echelon, Matrix, _common, _primitive, char_poly, min_poly, modulus, residue_product
+from .linalg import Echelon, Matrix, _common, _primitive, char_poly, modulus, residue_product
 from .polynomials import Polynomial
 from .subspaces import Subspace, kernel
 
@@ -184,15 +186,31 @@ class EigenDecomposition:
         return tuple(s.dim for s in self.eigenspaces)
 
     def reordered(self, order) -> "EigenDecomposition":
+        """The decomposition with its eigenspaces in the given order; it
+        carries this one's eigenbasis change, if computed, with C's column
+        blocks and C^-1's row blocks permuted alike, which is what
+        eigencoordinate_change would compute for it afresh."""
         order = tuple(order)
         if sorted(order) != list(range(len(self.eigenvalues))):
             raise DimensionMismatch("reordering must be a permutation")
-        return EigenDecomposition(
+        copy = EigenDecomposition(
             self.operator,
             tuple(self.eigenvalues[i] for i in order),
             tuple(self.eigenspaces[i] for i in order),
             check_vectors=False,
         )
+        if "_change" in self.__dict__:
+            c, c_inv, ranges = self.__dict__["_change"]
+            (x, dx), (y, dy) = c._ints, c_inv._ints
+            perm = [j for i in order for j in range(*ranges[i])]  # old coordinates, new order
+            ends = list(accumulate(copy.dims()))
+            change = (
+                Matrix._of_ints(self.field, [[row[j] for j in perm] for row in x], dx),
+                Matrix._of_ints(self.field, [y[j] for j in perm], dy),
+                tuple(zip([0, *ends], ends)),
+            )
+            object.__setattr__(copy, "_change", change)
+        return copy
 
     def reversed(self) -> "EigenDecomposition":
         return self.reordered(range(self.diameter, -1, -1))
@@ -270,7 +288,7 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
     if nroots != m.nrows:
         raise NotDiagonalizableOverField(
             "minimal polynomial has an irreducible factor of degree > 1 "
-            f"(found {len(eigenvalues)} roots for degree {min_poly(m).degree})"
+            f"(found {nroots} of {m.nrows} roots of the characteristic polynomial)"
         )
     return EigenDecomposition(m, eigenvalues, spaces)
 
@@ -321,7 +339,14 @@ def eigencoordinate_change(eig: EigenDecomposition) -> tuple[Matrix, Matrix, tup
     """(C, C_inv, block_ranges) where C's columns are the concatenated
     canonical eigenspace bases, each Echelon row over its pivot entry,
     and block_ranges[i] is the (start, stop) slice of coordinates
-    belonging to eigenspace i.  A singular C is a bug."""
+    belonging to eigenspace i.  Computed once per (immutable)
+    decomposition and kept on it; a singular C is a bug."""
+    if "_change" not in eig.__dict__:
+        object.__setattr__(eig, "_change", _eigencoordinate_change(eig))
+    return eig.__dict__["_change"]
+
+
+def _eigencoordinate_change(eig: EigenDecomposition) -> tuple[Matrix, Matrix, tuple]:
     vectors, ranges = [], []  # (Echelon row, its pivot entry)
     for space in eig.eigenspaces:
         eng = space.echelon

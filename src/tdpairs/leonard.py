@@ -4,9 +4,12 @@ split-form generation.
 A validated pair is Leonard exactly when some nonzero X in the
 subalgebra generated by A maps the first Astar-eigenspace into the last
 one.  Detection solves that membership condition as a homogeneous linear
-system in the tau-basis coefficients of X; the certificate is unique up
-to scalar and, suitably normalized, is the switching element that the
-closed-form idempotent sum also produces from the split sequences.
+system in the tau-basis coefficients of X, whose solutions are one
+subspaces.kernel; the certificate is unique up to scalar and, suitably
+normalized, is the switching element that the closed-form idempotent sum
+also produces from the split sequences.  Affine reduction reads the
+tau-expansion of X off one Subspace residual.  Both run on the Echelon
+engine and read tau_i(A) through split.checked_tau_matrices.
 """
 
 from __future__ import annotations
@@ -30,10 +33,10 @@ from .errors import (
 )
 from .eigen import EigenDecomposition, primitive_idempotents
 from .fields import Field, PrimeField
-from .linalg import Matrix, kernel_vectors, solve
+from .linalg import Matrix
 from .pairs import TriDiagonalPair, validate_pair, vstar0_vector
-from .split import tau_basis
-from .subspaces import Subspace, image_of, subspace_leq, subspace_sum
+from .split import checked_tau_matrices
+from .subspaces import Subspace, image_of, kernel, subspace_leq, subspace_sum
 
 # ---- result and parameter types --------------------------------------------
 
@@ -149,12 +152,12 @@ def detect_leonard(pair: TriDiagonalPair):
 def _detect(pair: TriDiagonalPair):
     field = pair.field
     d = pair.diameter
-    taus = tau_basis(pair).tau_matrices
+    taus = checked_tau_matrices(pair)
     vstar0 = pair.vstar(0)
     vstard = pair.vstar(d)
     images = [[m.apply(u) for m in taus] for u in vstar0.basis]
     rows = _membership_rows(images, vstard)
-    solutions = kernel_vectors(Matrix(field, rows)) if rows else Matrix.identity(field, d + 1).rows
+    solutions = (kernel(Matrix(field, rows)) if rows else Subspace.full(field, d + 1)).basis
     solution_dim = len(solutions)
     if solution_dim == 0:
         if pair.shape.is_all_ones():
@@ -212,9 +215,12 @@ def reduce_to_affine(pair: TriDiagonalPair, x: Matrix) -> AffineRelation:
     """Given X in the A-subalgebra with X Vstar_0 <= Vstar_0 + Vstar_1,
     recover (r, s) with X = rA + sI.
 
-    The tau-expansion of X is computed and all coefficients above degree
-    one are asserted to vanish, which the containment hypothesis forces;
-    then r = alpha_1 and s = alpha_0 - alpha_1 theta_0.
+    The tau-expansion alpha of X is read off one residual: that of
+    (X, 0) against the rows (tau_i(A), e_i) is (0, -alpha) exactly when
+    X = sum alpha_i tau_i(A), and nonzero in its first n^2 entries when X
+    is outside the subalgebra.  All coefficients above degree one are
+    asserted to vanish, which the containment hypothesis forces; then
+    r = alpha_1 and s = alpha_0 - alpha_1 theta_0.
     """
     if pair.diameter == 0:
         raise DiameterZero("affine reduction assumes diameter at least 1")
@@ -223,13 +229,13 @@ def reduce_to_affine(pair: TriDiagonalPair, x: Matrix) -> AffineRelation:
     if x.nrows != pair.dim or x.ncols != pair.dim:
         raise DimensionMismatch("X has the wrong size")
     field = pair.field
-    d = pair.diameter
-    taus = tau_basis(pair).tau_matrices
-    columns = [list(m.flatten()) for m in taus]
-    system = Matrix(field, [[col[k] for col in columns] for k in range(pair.dim**2)])
-    alpha = solve(system, list(x.flatten()))
-    if alpha is None:
+    d, nn = pair.diameter, pair.dim**2
+    eye = Matrix.identity(field, d + 1).rows
+    rows = [(*m.flatten(), *e) for m, e in zip(checked_tau_matrices(pair), eye)]
+    residual = Subspace.span(field, nn + d + 1, rows).residual((*x.flatten(), *(field.zero,) * (d + 1)))
+    if any(residual[:nn]):
         raise HypothesisNotMet("X is not in the subalgebra generated by A")
+    alpha = [-a for a in residual[nn:]]
     target = subspace_sum(pair.vstar(0), pair.vstar(1))
     if not subspace_leq(image_of(x, pair.vstar(0)), target):
         raise HypothesisNotMet("X Vstar_0 is not inside Vstar_0 + Vstar_1")

@@ -11,11 +11,15 @@ apply maps back once per output entry (Dumas, Giorgi and Pernet, ACM
 TOMS 35(3), 2008), and char_poly over GF(p) runs on residues.  Every
 reduction to row echelon form runs in one engine, Echelon, an
 incremental canonical RREF, fraction-free over Q, which takes and gives
-int rows only; rref_rows, kernel_vectors, solve, min_poly and the
-subspaces module are built on it, feeding it a Matrix's int rows and
-reading its rows back through row_elements, the one map from an int row
-over d to field elements.  Ambient sizes are desk scale (dimension a few
-dozen), so clarity wins over asymptotics.
+int rows only; min_poly, rref_rows and the subspaces module are built on
+it, feeding it a Matrix's int rows and reading its rows back through
+row_elements, the one map from an int row over d to field elements.
+Linear systems are solved as spans: a kernel is subspaces.kernel, and
+x = sum c_i m_i is read off the residual of (x, 0) against the rows
+(m_i, e_i) of independent m_i, which is (0, -c) exactly when x lies in
+their span.  Ambient
+sizes are desk scale (dimension a few dozen), so clarity wins over
+asymptotics.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul, truediv
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import QQ, Field, PrimeField, Scalar
@@ -242,12 +246,6 @@ def residue_product(x: Sequence, y: Sequence, p: int | None) -> list:
 # ---- elimination -------------------------------------------------------
 
 
-class RrefResult(NamedTuple):
-    matrix: "Matrix"
-    rank: int
-    pivots: tuple
-
-
 class Echelon:
     """The canonical RREF of a growing span, on int rows.  Over GF(p) a
     row holds residues and has a 1 at its pivot; over Q it is a primitive
@@ -371,48 +369,14 @@ def rref_rows(field: Field, rows: list) -> tuple[list, int, tuple]:
     Returns (rows, rank, pivot-columns).  The first `rank` rows carry the
     pivots; the rest are zero.  The result is the unique RREF, so equal
     row spaces give equal outputs.  The entries may be anything the
-    field's scalar() takes.
+    field's scalar() takes.  No engine code calls it; perfbench/tracer.py
+    wraps this name, so it stays until the benchmark drops it.
     """
     m = Matrix(field, rows)
     eng = Echelon.of_rows(m)
     basis = [list(row_elements(field, eng.rows[c], eng.rows[c][c])) for c in eng.pivots]
     rows[:] = basis + [[field.zero] * m.ncols for _ in range(m.nrows - eng.dim)]
     return rows, eng.dim, eng.pivots
-
-
-def rref(m: Matrix) -> RrefResult:
-    rows, rank, pivots = rref_rows(m.field, [list(r) for r in m.rows])
-    return RrefResult(Matrix(m.field, rows), rank, pivots)
-
-
-def rank(m: Matrix) -> int:
-    return rref(m).rank
-
-
-def kernel_vectors(m: Matrix) -> tuple:
-    """Basis of the right kernel {x : m @ x = 0} as a tuple of vectors.
-
-    One basis vector per free column, with a 1 in that coordinate; this
-    is the standard RREF back-substitution basis (not itself reduced).
-    """
-    return tuple(row_elements(m.field, u, u[free]) for free, u in Echelon.of_rows(m).nullspace(m.ncols))
-
-
-def solve(m: Matrix, b: Sequence) -> Vector | None:
-    """One solution of m @ x = b, or None if the system is inconsistent."""
-    field = m.field
-    if len(b) != m.nrows:
-        raise DimensionMismatch("right-hand side length mismatch")
-    b = [field.scalar(x) for x in b]
-    aug = [list(row) + [b[i]] for i, row in enumerate(m.rows)]
-    rows, r, pivots = rref_rows(field, aug)
-    if m.ncols in pivots:
-        return None
-    z = field.zero
-    x = [z] * m.ncols
-    for i, pcol in enumerate(pivots):
-        x[pcol] = rows[i][m.ncols]
-    return tuple(x)
 
 
 # ---- vector helpers -----------------------------------------------------

@@ -236,7 +236,7 @@ def search_shape(spec: SearchSpec) -> SearchResult:
         if pair is None or tuple(pair.shape) != shape_t:
             funnel["invalid"] += 1
             continue
-        key = pair.astar.flatten()
+        key = pair.astar
         if key in seen:
             funnel["duplicate"] += 1
             continue
@@ -296,7 +296,7 @@ def aggregate_results(results) -> SearchResult:
         for stage, c in res.funnel.items():
             funnel[stage] += c
         for pair, k in zip(res.instances, res.candidate_indices):
-            key = pair.astar.flatten()
+            key = pair.astar
             if key in seen:
                 funnel["hit"] -= 1
                 funnel["duplicate"] += 1

@@ -133,29 +133,33 @@ def _tau_matrices(pair: TriDiagonalPair) -> tuple:
     return pair.__dict__["_tau_matrices"]
 
 
-def tau_basis(pair: TriDiagonalPair) -> TauBasis:
-    """tau_i = (x - theta_0)...(x - theta_{i-1}), evaluated at A.
+def checked_tau_matrices(pair: TriDiagonalPair) -> tuple:
+    """The pair's tau_i(A), i = 0..d, asserted linearly independent, their
+    int rows fed to one Echelon: they span the subalgebra generated by A,
+    which has dimension d+1 because the minimal polynomial of a
+    diagonalizable A has degree d+1."""
+    mats = _tau_matrices(pair)
+    eng = Echelon(pair.field)
+    if sum(eng.insert([*chain.from_iterable(m._ints[0])]) for m in mats) < len(mats):
+        raise InvariantViolation("tau matrices are linearly dependent")
+    return mats
 
-    The d+1 matrices are asserted linearly independent, their int rows
-    fed to one Echelon: they span the subalgebra generated by A, which
-    has dimension d+1 because the minimal polynomial of a diagonalizable
-    A has degree d+1.
-    """
+
+def tau_basis(pair: TriDiagonalPair) -> TauBasis:
+    """tau_i = (x - theta_0)...(x - theta_{i-1}) and the checked matrices
+    tau_i(A) of checked_tau_matrices."""
     field = pair.field
+    mats = checked_tau_matrices(pair)
     taus = [Polynomial.one(field)]
     for t in pair.eig_a.eigenvalues[: pair.diameter]:
         taus.append(taus[-1] * Polynomial.x_minus(field, t))
-    mats = _tau_matrices(pair)
-    eng = Echelon(field)
-    if sum(eng.insert([*chain.from_iterable(m._ints[0])]) for m in mats) < len(mats):
-        raise InvariantViolation("tau matrices are linearly dependent")
     return TauBasis(taus=tuple(taus), tau_matrices=mats)
 
 
 def verify_tau_images(sd: SplitDecomposition) -> SplitReport:
     """Check tau_i(A) U_0 lies in U_i for every i and fill the eq10 flags.
 
-    Reads the pair's tau_i(A) without tau_basis's independence
+    Reads the pair's tau_i(A) without checked_tau_matrices's independence
     assertion, so the check stays meaningful on corrupted decompositions
     where that assertion might not hold.
     """

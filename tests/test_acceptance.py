@@ -42,7 +42,7 @@ from tdpairs import (
     validate_pair,
 )
 from tdpairs.cli import main
-from tdpairs.linalg import rank, vec_is_zero
+from tdpairs.linalg import Echelon, vec_is_zero
 from tdpairs.serio import matrix_from_json
 
 from oracles import (
@@ -150,7 +150,7 @@ def test_tau_image_combinations_never_vanish_and_images_are_independent():
             for a_i, w in zip(alpha, images):
                 total = tuple(t + a_i * x for t, x in zip(total, w))
             assert not vec_is_zero(total)
-        assert rank(Matrix(field, [list(w) for w in images])) == d + 1
+        assert Echelon.of_rows(Matrix(field, [list(w) for w in images])).dim == d + 1
 
 
 def test_leonard_detection_yields_unique_certificate_mapping_vstar0_into_vstard():

@@ -21,6 +21,7 @@ from tdpairs import (
     eigen_decompose,
     min_poly,
     primitive_idempotents,
+    random_leonard,
 )
 import tdpairs.eigen
 import tdpairs.search
@@ -38,7 +39,14 @@ from tdpairs.pairs import validate_pair
 from tdpairs.subspaces import Subspace, kernel
 from tdpairs.linalg import char_poly, residue_product
 
-from oracles import char_poly_by_interpolation, kron_sum_fixture, rational_roots_by_divisors
+from oracles import (
+    char_poly_by_interpolation,
+    int_rref,
+    kron_sum_fixture,
+    rational_roots_by_divisors,
+    ref_rank_q,
+    scalar_restriction_fixture,
+)
 
 
 def qm(rows):
@@ -240,6 +248,54 @@ def test_a_singular_eigenbasis_is_a_bug():
     eig = EigenDecomposition(qm([[1, 0], [0, 2]]), (1, 2), (line, line), False)
     with pytest.raises(InvariantViolation, match="singular"):
         eigencoordinate_change(eig)
+
+
+@pytest.mark.parametrize("p", [None, 7, 101])
+def test_a_reordered_decomposition_carries_the_fresh_eigenbasis_change(p, monkeypatch):
+    # the copy's C and C^-1 are the parent's with blocks permuted, equal
+    # to what a fresh decomposition in the copy's order computes
+    rng = random.Random(p or 5)
+    half, third = (Fraction(1, 2), Fraction(-4, 3)) if p is None else (1, 4)
+    block = _block_diagonal([[[t]] for t in (0, 0, half, 3, 3, 3, third, 6)])
+    m = _conjugate_q(block, rng) if p is None else gm(p, _conjugate(p, block, rng))
+    eig = eigen_decompose(m)
+    assert sorted(eig.dims()) == [1, 1, 1, 2, 3]
+    calls = []
+    monkeypatch.setattr(tdpairs.eigen, "invert", lambda c: calls.append(c) or invert(c))
+    change = eigencoordinate_change(eig)
+    assert eigencoordinate_change(eig) is change and len(calls) == 1
+    copies = [eig.reordered(rng.sample(range(5), 5)) for _ in range(4)]
+    copies.append(copies[-1].reversed())
+    carried = [eigencoordinate_change(copy) for copy in copies]
+    assert len(calls) == 1
+    for copy, kept in zip(copies, carried):
+        assert kept == eigencoordinate_change(EigenDecomposition(m, copy.eigenvalues, copy.eigenspaces))
+    assert len(calls) == 1 + len(copies)
+    # a copy taken before its parent's change is computed computes its own
+    fresh = eigencoordinate_change(eigen_decompose(m).reversed())
+    assert len(calls) == 2 + len(copies)
+    assert fresh == eigencoordinate_change(eig.reversed())
+
+
+@pytest.mark.parametrize(
+    "pair",
+    [
+        lambda: random_leonard(GF(13), 5, seed=1)[1],
+        # no eigenline on either side: irreducible decides on A's eigenbasis
+        lambda: validate_pair(*scalar_restriction_fixture(QQ, (-2, 0, 0, 1), 2)),
+    ],
+    ids=["leonard", "no_eigenline"],
+)
+def test_validation_inverts_each_eigenbasis_once(pair, monkeypatch):
+    source = pair()
+    a, astar = source.a, source.astar
+    calls = []
+    monkeypatch.setattr(tdpairs.eigen, "invert", lambda c: calls.append(c) or invert(c))
+    validated = validate_pair(a, astar)
+    assert len(calls) == 2
+    es = primitive_idempotents(validated.eig_a)
+    assert len(calls) == 2
+    assert sum(es[1:], es[0]) == Matrix.identity(a.field, a.nrows)
 
 
 # ---- the M^p == M search prefilter against eigen_decompose ------------------
@@ -504,11 +560,21 @@ def _min_poly_rule(m):
     if len(set(roots)) != len(roots):
         return "minimal polynomial has a repeated root"
     if len(roots) != mp.degree:
+        # each root is simple in the minimal polynomial, so its multiplicity
+        # in the characteristic polynomial is dim ker(m - t I)
+        n = m.nrows
+        nroots = sum(n - _oracle_rank(m.shift(t)) for t in roots)
         return (
             "minimal polynomial has an irreducible factor of degree > 1 "
-            f"(found {len(roots)} roots for degree {mp.degree})"
+            f"(found {nroots} of {n} roots of the characteristic polynomial)"
         )
     return tuple(sorted(roots))
+
+
+def _oracle_rank(m):
+    if m.field == QQ:
+        return ref_rank_q([list(row) for row in m.rows])
+    return int_rref(m.field.p, [[x.v for x in row] for row in m.rows])[1]
 
 
 def _conjugate_q(block, rng):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import tdpairs.leonard
@@ -170,6 +172,25 @@ def test_reduce_to_affine_recovers_known_combinations():
     two, three = QQ.scalar(2), QQ.scalar(3)
     combo = pair.a.scale(two) + eye.scale(three)
     assert reduce_to_affine(pair, combo) == AffineRelation(r=two, s=three)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(101)], ids=["Q", "GF5", "GF101"])
+def test_reduce_to_affine_reads_the_tau_expansion_off_one_residual(field):
+    # the residual of (X, 0) against the rows (tau_i(A), e_i) is (0, -alpha)
+    # for X in the subalgebra, and nonzero in its X part otherwise
+    rng = random.Random(getattr(field, "p", 0))
+    for d in range(1, 5):
+        _, pair = random_leonard(field, d, seed=rng.randrange(1000))
+        n = pair.dim
+        eye = Matrix.identity(field, n)
+        for _ in range(3):
+            r = field.scalar(rng.randrange(1, 50))
+            s = field.scalar(rng.randrange(-50, 50))
+            assert reduce_to_affine(pair, pair.a.scale(r) + eye.scale(s)) == AffineRelation(r=r, s=s)
+        dense = Matrix(field, [[rng.randrange(-9, 10) for _ in range(n)] for _ in range(n)])
+        for x in (dense, pair.astar, pair.a + pair.astar):
+            with pytest.raises(HypothesisNotMet, match="not in the subalgebra"):
+                reduce_to_affine(pair, x)
 
 
 def test_reduce_to_affine_rejects_higher_degree_and_foreign_x():
@@ -394,7 +415,7 @@ def test_random_leonard_diameter_zero():
 def test_each_pair_object_is_detected_once(monkeypatch):
     _, pair = random_leonard(GF(13), 4, seed=3)
     cert = detect_leonard(pair)
-    monkeypatch.setattr(tdpairs.leonard, "tau_basis", None)  # any new detection fails
+    monkeypatch.setattr(tdpairs.leonard, "checked_tau_matrices", None)  # any new detection fails
     assert detect_leonard(pair) is cert
     assert switching_via_solve(pair) is cert.x
     monkeypatch.undo()

@@ -22,7 +22,7 @@ from tdpairs import (
 )
 from tdpairs.eigen import invert
 from tdpairs.fields import GFElement
-from tdpairs.linalg import Echelon, kernel_vectors, rank, rref, rref_rows, solve, vec_is_zero
+from tdpairs.linalg import Echelon, row_elements, rref_rows, vec_is_zero
 from tdpairs.subspaces import Subspace, kernel, subspace_intersect
 import tdpairs.pairs
 
@@ -91,8 +91,7 @@ def test_rref_properties_random_q():
     rng = random.Random(7)
     for _ in range(40):
         m = _random_q_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        result = rref(m)
-        rows, r, pivots = result.matrix.rows, result.rank, result.pivots
+        rows, r, pivots = rref_rows(QQ, [list(row) for row in m.rows])
         assert r == len(pivots)
         # pivot structure: strictly increasing columns, unit pivots,
         # zeros elsewhere in pivot columns
@@ -111,7 +110,7 @@ def test_rank_matches_independent_elimination():
     rng = random.Random(13)
     for _ in range(60):
         m = _random_q_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        assert rank(m) == ref_rank_q([list(r) for r in m.rows])
+        assert Echelon.of_rows(m).dim == ref_rank_q([list(r) for r in m.rows])
 
 
 def test_rank_matches_span_size_over_gf():
@@ -125,31 +124,17 @@ def test_rank_matches_span_size_over_gf():
             rows = [[rng.randrange(p) for _ in range(n)] for _ in range(rng.randint(1, 3))]
             m = gm(p, rows)
             span = int_span(p, rows, n)
-            assert p ** rank(m) == len(span)
+            assert p ** Echelon.of_rows(m).dim == len(span)
 
 
 def test_kernel_vectors_annihilate_and_count():
     rng = random.Random(23)
     for _ in range(40):
         m = _random_q_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        ks = kernel_vectors(m)
-        assert len(ks) == m.ncols - rank(m)
+        ks = kernel(m).basis
+        assert len(ks) == m.ncols - Echelon.of_rows(m).dim
         for k in ks:
             assert vec_is_zero(m.apply(k))
-
-
-def test_solve_returns_exact_solutions_or_none():
-    rng = random.Random(29)
-    for _ in range(40):
-        m = _random_q_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        x = [QQ.scalar(rng.randint(-3, 3)) for _ in range(m.ncols)]
-        b = m.apply(x)
-        got = solve(m, b)
-        assert got is not None
-        assert m.apply(got) == tuple(b)
-    # inconsistent system
-    m = qm([[1, 0], [1, 0]])
-    assert solve(m, (QQ.scalar(1), QQ.scalar(2))) is None
 
 
 def test_min_poly_annihilates_and_is_minimal():
@@ -209,7 +194,7 @@ def _random_int_rows(rng, p, nrows, ncols):
 
 
 def _check_residue_kernels(field, entry, rows, other, v):
-    """The Echelon engine, rref_rows, kernel_vectors, kernel, contains,
+    """The Echelon engine, rref_rows, kernel, contains,
     coordinates, subspace_intersect, apply, @ and transpose of the rows
     (entries built by entry()) against the plain oracle: ints mod p over
     GF(p), Fractions over Q.  The columns of other span a second
@@ -225,13 +210,16 @@ def _check_residue_kernels(field, entry, rows, other, v):
     out, r, piv = rref_rows(field, elements(rows))
     assert (_ints(out), r, piv) == (ref, rank_, pivots)
     assert all(type(x) is type(field.zero) for row in out for x in row)
-    kernel_basis = kernel_vectors(m)
-    assert len(kernel_basis) == m.ncols - rank_
-    for k in kernel_basis:
-        assert int_mat_apply(p, rows, _vals(k)) == (0,) * len(rows)
+    # the engine's back-substitution basis: a 1 at each free column
+    nullspace = Echelon.of_rows(m).nullspace(ncols)
+    assert [free for free, _ in nullspace] == [c for c in range(ncols) if c not in pivots]
+    back = [row_elements(field, u, u[free]) for free, u in nullspace]
     ker = kernel(m)
-    assert ker == Subspace.span(field, ncols, kernel_basis)
-    assert _ints(ker.basis) == int_rref(p, _ints(kernel_basis))[0][: ker.dim]
+    assert len(ker.basis) == m.ncols - rank_
+    for k in back + list(ker.basis):
+        assert int_mat_apply(p, rows, _vals(k)) == (0,) * len(rows)
+    assert ker == Subspace.span(field, ncols, back)
+    assert _ints(ker.basis) == int_rref(p, _ints(back))[0][: ker.dim]
     assert _vals(m.apply(elements([v])[0])) == list(int_mat_apply(p, rows, v))
     product = m @ Matrix(field, elements(other))
     assert _ints(product.rows) == int_matmul(p, rows, other)
@@ -402,7 +390,7 @@ def test_q_kernels_match_the_fraction_oracle_on_the_hilbert_matrix():
     assert int_rref(None, stacked)[1] == 10
     _check_q_kernels(stacked, hilbert, v)
     columns = [list(col) for col in zip(*stacked)]
-    (line,) = kernel_vectors(qm(columns))
+    (line,) = kernel(qm(columns)).basis
     assert int_mat_apply(None, columns, line) == (0,) * 10
     _check_q_kernels(columns, stacked, v + [_wide(rng)])
     # the spin of e_0 under H is all of Q^10
