@@ -31,7 +31,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
 
 from .errors import (
@@ -337,6 +336,14 @@ def _shard_payload(spec: SearchSpec) -> dict:
         "mode": spec.mode,
         "start": spec.start,
     }
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures' pool, imported on the first search with more
+    than one worker instead of at every command's start-up."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def _search_request(spec: SearchSpec) -> bytes:

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
+from struct import Struct
 
 from .errors import (
     DimensionMismatch,
@@ -189,8 +191,11 @@ class EigenDecomposition:
         """The decomposition with its eigenspaces in the given order; it
         carries this one's eigenbasis change, if computed, with C's column
         blocks and C^-1's row blocks permuted alike, which is what
-        eigencoordinate_change would compute for it afresh."""
+        eigencoordinate_change would compute for it afresh.  The identity
+        order gives back this decomposition itself, as it is immutable."""
         order = tuple(order)
+        if order == tuple(range(len(self.eigenvalues))):
+            return self
         if sorted(order) != list(range(len(self.eigenvalues))):
             raise DimensionMismatch("reordering must be a permutation")
         copy = EigenDecomposition(
@@ -293,7 +298,29 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
     return EigenDecomposition(m, eigenvalues, spaces)
 
 
-def splits_mod_p(rows: list, p: int) -> bool:
+@lru_cache(maxsize=64)
+def row_lanes(n: int, p: int) -> tuple | None:
+    """(units, pack, read) for splits_mod_p's row test of an n x n matrix
+    mod p, or None when it squares and multiplies instead.  pack(row) is
+    one int, entry c in lane c, and units[c] is 1 in lane c; a lane is the
+    smallest of 1, 2, 4 or 8 bytes that holds n (p - 1)^2, so no lane of a
+    sum of n packed rows times residues carries (delayed reduction: Dumas,
+    Giorgi and Pernet, ACM TOMS 35(3), 2008).  read(x) is x's lanes mod p."""
+    bound = n * (p - 1) ** 2
+    if p - 1 > n * (p.bit_length() + p.bit_count() - 2) or bound >= 1 << 64:
+        return None
+    width, code = next((w, c) for w, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if bound < 1 << 8 * w)
+    lanes = Struct(f"<{n}{code}")
+    if width == 1:  # reduced as bytes, in one translate
+        residues = bytes(i % p for i in range(256))
+        read = lambda x: x.to_bytes(n, "little").translate(residues)  # noqa: E731
+    else:
+        read = lambda x: [y % p for y in lanes.unpack(x.to_bytes(lanes.size, "little"))]  # noqa: E731
+    units = [1 << 8 * width * c for c in range(n)]
+    return units, lambda row: int.from_bytes(lanes.pack(*row), "little"), read
+
+
+def splits_mod_p(rows: list, p: int, packed: list | None = None) -> bool:
     """Whether the square int matrix `rows` (a list of lists, entries in
     [0, p)) is diagonalizable over GF(p) with all its eigenvalues in GF(p).
 
@@ -302,19 +329,23 @@ def splits_mod_p(rows: list, p: int) -> bool:
     a product of distinct linear factors.  Row i of M^p is row i pushed
     through M p - 1 times; while that costs at most what square-and-multiply
     costs for all of M^p (k = bit_length(p) + popcount(p) - 2 products), the
-    rows are checked one at a time, as most matrices fail on row 0.  The
-    last push is made entry by entry against the row and stops at the
-    first entry that differs, which leaves the verdict exact.
+    rows are checked one at a time, as most matrices fail on row 0.  A push
+    is one sum over the rows packed by row_lanes, read back lane by lane
+    mod p, and the row after p - 1 pushes is compared with the row whole.
+    packed, if given, is the rows packed so; the search keeps it up to
+    date as it steps through its candidates.
     """
-    if p - 1 <= len(rows) * (p.bit_length() + p.bit_count() - 2):
-        cols = tuple(zip(*rows))
-        for row in rows:
-            v = row
-            for _ in range(p - 2):
-                v = [sum(map(mul, v, col)) % p for col in cols]
-            for x, col in zip(row, cols):
-                if sum(map(mul, v, col)) % p != x:
-                    return False
+    packing = row_lanes(len(rows), p)
+    if packing:
+        _, pack, read = packing
+        if packed is None:
+            packed = [pack(row) for row in rows]
+        for target in packed:
+            start = v = read(target)
+            for _ in range(p - 1):
+                v = read(sum(map(mul, v, packed)))
+            if v != start:
+                return False
         return True
     power = rows
     for bit in bin(p)[3:]:

@@ -10,7 +10,10 @@ stays in one reused buffer of int rows mod p through the two checks that
 exist because A is fixed: M^p == M row by row (splits_mod_p), which
 holds iff Astar is diagonalizable over GF(p), as x^p - x is the product
 of (x - a) over all a in GF(p); and an ordering of A's eigenspaces, read
-off Astar's nonzero blocks, exact because A = diag(blocks).  A survivor
+off Astar's nonzero blocks, exact because A = diag(blocks).  The row
+test pushes a row through Astar p - 1 times, each push one sum over the
+rows packed one int each, and compares the result with the row whole;
+the odometer keeps the packed rows up to date as it steps.  A survivor
 is copied into a Matrix and goes to the certifier's own stages:
 eigen_decompose, a check of its eigenspace dimensions against the shape,
 and validate_pair, which reuses both decompositions; only fully
@@ -32,7 +35,7 @@ from .errors import (
     ParseError,
     TdpError,
 )
-from .eigen import eigen_decompose, splits_mod_p
+from .eigen import eigen_decompose, row_lanes, splits_mod_p
 from .fields import PrimeField
 from .linalg import Matrix
 from .pairs import ShapeVector, path_orderings, validate_pair
@@ -153,13 +156,19 @@ def _randomized_entries(seed: int, k: int, count: int, p: int) -> list:
 
 
 def _candidates(spec: SearchSpec, positions: list, count: int):
-    """Yield (k, rows) for the count candidates from spec.start on, on one
-    rows buffer that each step overwrites: a caller that keeps a candidate
-    copies it.  The rows hold k's base-p digits in exhaustive mode, so
-    spec.start is decoded once and each next k adds 1 at position 0 and
-    carries (an odometer)."""
+    """Yield (k, rows, packed) for the count candidates from spec.start on,
+    on one rows buffer that each step overwrites: a caller that keeps a
+    candidate copies it.  packed is rows packed for splits_mod_p's row
+    test (row_lanes), or None when that test squares and multiplies.  The
+    rows hold k's base-p digits in exhaustive mode, so spec.start is
+    decoded once and each next k adds 1 at position 0 and carries (an
+    odometer), adding each entry's step to its lane of packed."""
     p, m, randomized = spec.field.p, len(positions), spec.mode == "randomized"
     rows = [[0] * spec.dim for _ in range(spec.dim)]
+    packing = row_lanes(spec.dim, p)
+    units = packing[0] if packing else [0] * spec.dim
+    steps = [(rows[r], c, r, units[c], (p - 1) * units[c]) for r, c in positions]
+    packed = None
     for k in range(spec.start, spec.start + count):
         if randomized or k == spec.start:
             entries = (
@@ -167,13 +176,19 @@ def _candidates(spec: SearchSpec, positions: list, count: int):
             )
             for (r, c), v in zip(positions, entries):
                 rows[r][c] = v
+            if packing:
+                packed = [packing[1](row) for row in rows]
         else:
-            for r, c in positions:
-                if rows[r][c] < p - 1:
-                    rows[r][c] += 1
+            for row, c, r, unit, wrap in steps:
+                if row[c] < p - 1:
+                    row[c] += 1
+                    if packed:
+                        packed[r] += unit
                     break
-                rows[r][c] = 0
-        yield k, rows
+                row[c] = 0
+                if packed:
+                    packed[r] -= wrap
+        yield k, rows, packed
 
 
 def _candidate_count(spec: SearchSpec) -> int:
@@ -213,8 +228,8 @@ def search_shape(spec: SearchSpec) -> SearchResult:
     indices = []
     seen = set()
     funnel = dict.fromkeys(FUNNEL, 0)
-    for k, rows in _candidates(spec, positions, count):
-        if not splits_mod_p(rows, p):
+    for k, rows, packed in _candidates(spec, positions, count):
+        if not splits_mod_p(rows, p, packed):
             continue
         # A = diag(blocks), so Astar's (i, j) block is nonzero iff edge (j, i)
         a_edges = {(blocks[c], blocks[r]) for r in range(n) for c in range(n) if rows[r][c]}

@@ -33,6 +33,7 @@ from tdpairs.eigen import (
     field_roots,
     invert,
     residue_roots,
+    row_lanes,
     splits_mod_p,
 )
 from tdpairs.pairs import validate_pair
@@ -118,6 +119,18 @@ def test_reordered_and_reversed():
     assert tuple(re.eigenspaces) == tuple(eig.eigenspaces[i] for i in perm)
     rev = eig.reversed()
     assert tuple(rev.eigenvalues) == tuple(reversed(eig.eigenvalues))
+
+
+def test_the_identity_reorder_is_the_decomposition_itself():
+    # a decomposition is immutable, so the identity order gives it back,
+    # with the eigenbasis change it carries, computed or not
+    eig = eigen_decompose(qm([[1, 0, 0], [1, 2, 0], [0, 1, 3]]))
+    assert eig.reordered((0, 1, 2)) is eig and eig.reordered(range(3)) is eig
+    change = eigencoordinate_change(eig)
+    assert eig.reordered([0, 1, 2]) is eig and eigencoordinate_change(eig) is change
+    assert eig.reordered((1, 0, 2)) is not eig
+    line = eigen_decompose(gm(5, [[2, 0], [0, 2]]))
+    assert line.diameter == 0 and line.reversed() is line
 
 
 def test_reordered_copies_skip_the_eigenvector_check(monkeypatch):
@@ -383,20 +396,41 @@ def _splits_by_full_power(rows, p):
     return power == rows
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+# the sizes n > 2 tried at each p, all in the row test, and its lane width
+# in bytes where it is pinned: n (p - 1)^2 is 240 at GF(5), n = 15 and 256 at
+# n = 16, 252 at GF(7), n = 7 and 288 at n = 8, and 174,636 at GF(127),
+# n = 11.  The 2 x 2 cases square and multiply at GF(13) and GF(127).
+FULL_POWER_SIZES = {2: range(3, 7), 3: range(3, 7), 5: [*range(3, 7), 15, 16],
+                    7: range(3, 9), 13: range(3, 7), 127: [11]}
+LANE_BYTES = {(5, 15): 1, (5, 16): 2, (7, 7): 1, (7, 8): 2, (13, 6): 2, (127, 11): 4}
+
+
+def _packed_by_units(rows, p):
+    """rows packed for the row test as sums of entry times lane unit,
+    independent of the Struct that splits_mod_p packs with."""
+    units = row_lanes(len(rows), p)[0]
+    return [sum(x * unit for x, unit in zip(row, units)) for row in rows]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 127])
 def test_splits_mod_p_matches_the_full_power(p):
     rng = random.Random(p)
-    cases = [
-        [list(entries[:2]), list(entries[2:])]
-        for entries in itertools.product(range(p), repeat=4)
-        if p <= 5 or rng.random() < 0.1
-    ]
-    for n in range(3, 7):
+    if p <= 13:
+        cases = [
+            [list(entries[:2]), list(entries[2:])]
+            for entries in itertools.product(range(p), repeat=4)
+            if p <= 5 or rng.random() < 0.1
+        ]
+    else:  # too many to enumerate
+        cases = [[[rng.randrange(p) for _ in range(2)] for _ in range(2)] for _ in range(200)]
+    for n in FULL_POWER_SIZES[p]:
+        units, _, _ = row_lanes(n, p)
+        if (p, n) in LANE_BYTES:
+            assert units[1] == 1 << 8 * LANE_BYTES[p, n]
         # a dense split block, then a trailing [[t, 1], [0, u]]: u = t + 1
         # splits, u = t is a Jordan block.  The two differ only in their last
         # entry; the row test passes every row above the block and finds the
-        # Jordan block at its last entry of row n - 2, or, transposed, in the
-        # last row.  At n >= 3 every p here takes the row-by-row branch.
+        # Jordan block in row n - 2, or, transposed, in the last row
         lead = _conjugate(p, _block_diagonal([[[rng.randrange(p)]] for _ in range(n - 2)]), rng)
         t = rng.randrange(p)
         for u, splits in (((t + 1) % p, True), (t, False)):
@@ -405,13 +439,29 @@ def test_splits_mod_p_matches_the_full_power(p):
                 assert _splits_by_full_power(rows, p) == splits
                 cases.append(rows)
         cases.append(_conjugate(p, m, rng))
+        # all entries p - 1: a push of a row fills every lane to n (p - 1)^2,
+        # and the matrix splits iff p does not divide n
+        full = [[p - 1] * n for _ in range(n)]
+        assert _splits_by_full_power(full, p) == (n % p != 0)
+        cases.append(full)
         cases.extend([[rng.randrange(p) for _ in range(n)] for _ in range(n)] for _ in range(20))
     verdicts = set()
     for rows in cases:
         verdict = splits_mod_p(rows, p)
         assert verdict == _splits_by_full_power(rows, p), (p, rows)
+        if len(rows) > 2:  # rows packed by the caller give the same verdict
+            assert splits_mod_p(rows, p, _packed_by_units(rows, p)) == verdict, (p, rows)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_the_row_test_packs_no_lane_wider_than_8_bytes():
+    # GF(2^31 - 1) at n = 35,791,395 is within the row test's cost model,
+    # but n (p - 1)^2 needs 11 bytes a lane, so it squares and multiplies
+    p, n = 2**31 - 1, 35_791_395
+    assert p - 1 <= n * (p.bit_length() + p.bit_count() - 2)
+    assert 1 << 80 <= n * (p - 1) ** 2 < 1 << 88
+    assert row_lanes(n, p) is None
 
 
 # ---- characteristic polynomial, p-adic roots and the diagonalizability rule ---

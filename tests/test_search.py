@@ -35,6 +35,7 @@ from tdpairs.search import (
     _fixed_a,
     _randomized_entries,
 )
+from tdpairs.eigen import row_lanes
 from tdpairs.serio import matrix_to_json
 
 
@@ -125,7 +126,7 @@ def test_a_split_candidate_that_does_not_decompose_is_a_bug(monkeypatch):
     # M^p == M holds exactly when Astar is diagonalizable over GF(p), so a
     # candidate that passes it and then fails eigen_decompose is a
     # contradiction; candidate 3 is [[0, 1], [0, 0]], linked but nilpotent
-    monkeypatch.setattr(tdpairs.search, "splits_mod_p", lambda rows, p: True)
+    monkeypatch.setattr(tdpairs.search, "splits_mod_p", lambda rows, p, packed: True)
     with pytest.raises(InvariantViolation, match="does not split"):
         search_shape(gf3_spec(budget=4))
 
@@ -137,10 +138,20 @@ def _decoded(p, shape, k, entries=_exhaustive_entries):
     return next(_pattern_candidates(p, shape, [k], entries))
 
 
-# p = 2 hosts only diameter-1 shapes
-ODOMETER_CASES = [(2, (2, 2))] + [
-    (p, shape) for p in (3, 5) for shape in ((1, 1, 1), (1, 2, 1), (2, 2))
-]
+def _packed(p, rows):
+    """rows as splits_mod_p packs them itself (one Struct.pack a row, not
+    the odometer's lane steps), or None when it squares and multiplies."""
+    packing = row_lanes(len(rows), p)
+    return [packing[1](row) for row in rows] if packing else None
+
+
+# p = 2 hosts only diameter-1 shapes; GF(7) at n = 8 packs 2-byte lanes,
+# GF(127) at n = 11 4-byte lanes, and GF(31) at n = 3 packs no rows
+ODOMETER_CASES = (
+    [(2, (2, 2))]
+    + [(p, shape) for p in (3, 5) for shape in ((1, 1, 1), (1, 2, 1), (2, 2))]
+    + [(7, (2, 2, 2, 2)), (127, (3, 5, 3)), (31, (1, 1, 1))]
+)
 
 
 @pytest.mark.parametrize(
@@ -148,23 +159,28 @@ ODOMETER_CASES = [(2, (2, 2))] + [
 )
 def test_odometer_rows_equal_decoding_each_index(p, shape):
     # windows from 0, across carries through 1, 2, 3 and m - 1 digits, and
-    # one that ends exactly at p^m, the end of the candidate space
+    # one that ends exactly at p^m, the end of the candidate space; at
+    # every step the packed rows are the packing of the decoded rows
     positions = _allowed_positions(shape)
     m = len(positions)
     windows = [(0, p + 2)] + [(p**j - 2, 4) for j in (1, 2, 3, m - 1)] + [(p**m - 2 * p, 2 * p)]
     for start, budget in windows:
         spec = SearchSpec(field=GF(p), dim=sum(shape), shape=shape, budget=budget, start=start)
         seen = []
-        for k, rows in _candidates(spec, positions, budget):
-            assert rows == _decoded(p, shape, k), (start, k)
+        for k, rows, packed in _candidates(spec, positions, budget):
+            decoded = _decoded(p, shape, k)
+            assert rows == decoded, (start, k)
+            assert packed == _packed(p, decoded), (start, k)
             seen.append(k)
         assert seen == list(range(start, start + budget))
     spec = SearchSpec(
         field=GF(p), dim=sum(shape), shape=shape, budget=40, start=7, mode="randomized", seed=5
     )
     entries = lambda k, count, q: _randomized_entries(5, k, count, q)  # noqa: E731
-    for k, rows in _candidates(spec, positions, spec.budget):
-        assert rows == _decoded(p, shape, k, entries), k
+    for k, rows, packed in _candidates(spec, positions, spec.budget):
+        decoded = _decoded(p, shape, k, entries)
+        assert rows == decoded, k
+        assert packed == _packed(p, decoded), k
 
 
 def test_hits_do_not_alias_the_reused_candidate_buffer():
