@@ -4,10 +4,12 @@ An operator is diagonalizable iff the field roots of its characteristic
 polynomial carry its whole degree and every eigenspace is as large as
 its root's multiplicity.  A triangular operator (A and A* in a split
 basis) has its diagonal for roots and a simple root's eigenline by
-substitution.  Otherwise the roots of linalg.char_poly are found exactly
-without factoring integers: by scanning GF(p), over Q p-adically.  The
-rest runs on int rows: kernels, eigenvector check and basis inverse,
-which is computed once per decomposition and carried by its reorderings.
+substitution.  Over GF(p) with p <= n they are the t with ker(m - tI)
+nonzero, scanned until the kernels fill the space.  Otherwise the roots
+of linalg.char_poly are found exactly without factoring integers: by
+scanning GF(p), over Q p-adically.  The rest runs on int rows: kernels,
+eigenvector check and basis inverse, computed once per decomposition
+and carried by its reorderings.
 """
 
 from __future__ import annotations
@@ -236,13 +238,23 @@ def eigenspaces(m: Matrix) -> tuple[tuple, tuple, int]:
     the number of roots of char_poly(m) in the field with multiplicity,
     read off the diagonal of a triangular m (see _eigenline).  m is
     diagonalizable exactly when the spaces' dimensions sum to its size;
-    each is at most its root's multiplicity."""
+    each is at most its root's multiplicity.  Over GF(p) with p <= n the
+    eigenvalues of a non-triangular m are found by scanning t in GF(p) for
+    ker(m - tI) != 0 until the kernels fill the space, at most p kernels
+    and no polynomial; only if they never fill is char_poly counted."""
     rows, d = m._ints
     lower = any(any(row[:i]) for i, row in enumerate(rows))
     if lower and any(any(row[i + 1 :]) for i, row in enumerate(rows)):
-        roots = field_roots(char_poly(m), m.field)
-        thetas = tuple(sorted(set(roots)))
-        return thetas, tuple(kernel(m.shift(theta)) for theta in thetas), len(roots)
+        n, p = m.nrows, modulus(m.field)
+        scan = p and p <= n  # every t in GF(p), and no polynomial unless rejected
+        roots = () if scan else field_roots(char_poly(m), m.field)
+        found, dim = {}, 0
+        for theta in map(m.field.scalar, range(p)) if scan else sorted(set(roots)):
+            if dim < n and (space := kernel(m.shift(theta))).dim:
+                found[theta], dim = space, dim + space.dim
+        if scan and dim < n:  # not diagonalizable: count the roots for the message
+            roots = field_roots(char_poly(m), m.field)
+        return tuple(found), tuple(found.values()), len(roots) if dim < n else n
     diag = [row[i] for i, row in enumerate(rows)]
     ints = sorted(set(diag))  # d > 0, so in the order of the eigenvalues
     thetas = Matrix._of_ints(m.field, [ints], d).rows[0]
@@ -287,9 +299,7 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
         raise DimensionMismatch("eigen-decomposition of an empty matrix")
     eigenvalues, spaces, nroots = eigenspaces(m)
     if sum(sp.dim for sp in spaces) < nroots:
-        raise NotDiagonalizableOverField(
-            "minimal polynomial has a repeated root"
-        )
+        raise NotDiagonalizableOverField("minimal polynomial has a repeated root")
     if nroots != m.nrows:
         raise NotDiagonalizableOverField(
             "minimal polynomial has an irreducible factor of degree > 1 "

@@ -36,7 +36,7 @@ from .fields import Field, PrimeField
 from .linalg import Matrix
 from .pairs import TriDiagonalPair, validate_pair, vstar0_vector
 from .split import checked_tau_matrices
-from .subspaces import Subspace, image_of, kernel, subspace_leq, subspace_sum
+from .subspaces import Subspace, kernel, maps_into, subspace_sum
 
 # ---- result and parameter types --------------------------------------------
 
@@ -175,16 +175,14 @@ def _detect(pair: TriDiagonalPair):
     if any(alpha[i] == field.zero for i in range(min_nonzero, d + 1)):
         raise InvariantViolation("certificate coefficients violate the cascade")
     if min_nonzero != 0 or pair.dim != d + 1 or not pair.shape.is_all_ones():
-        raise InvariantViolation(
-            "certificate exists but the pair does not look Leonard"
-        )
+        raise InvariantViolation("certificate exists but the pair does not look Leonard")
     x = Matrix.zeros(field, pair.dim, pair.dim)
     for coeff, m in zip(alpha, taus):
         if coeff:
             x = x + m.scale(coeff)
     if x.is_zero():
         raise InvariantViolation("certificate matrix is zero")
-    if not subspace_leq(image_of(x, vstar0), vstard):
+    if not maps_into(x, vstar0, vstard):
         raise InvariantViolation("certificate containment fails on recheck")
     return LeonardCertificate(alpha=alpha, x=x, solution_dim=solution_dim)
 
@@ -195,7 +193,7 @@ def leonard_basis(pair: TriDiagonalPair, cert: LeonardCertificate, u) -> tuple:
     and unit subdiagonal."""
     field = pair.field
     d = pair.diameter
-    if cert.x.is_zero() or not subspace_leq(image_of(cert.x, pair.vstar(0)), pair.vstar(d)):
+    if cert.x.is_zero() or not maps_into(cert.x, pair.vstar(0), pair.vstar(d)):
         raise HypothesisNotMet("certificate fails its defining containment")
     u = vstar0_vector(pair.vstar(0), u)
     vectors = [u]
@@ -237,12 +235,10 @@ def reduce_to_affine(pair: TriDiagonalPair, x: Matrix) -> AffineRelation:
         raise HypothesisNotMet("X is not in the subalgebra generated by A")
     alpha = [-a for a in residual[nn:]]
     target = subspace_sum(pair.vstar(0), pair.vstar(1))
-    if not subspace_leq(image_of(x, pair.vstar(0)), target):
+    if not maps_into(x, pair.vstar(0), target):
         raise HypothesisNotMet("X Vstar_0 is not inside Vstar_0 + Vstar_1")
     if any(alpha[i] != field.zero for i in range(2, d + 1)):
-        raise InvariantViolation(
-            "containment holds but the tau-expansion has degree above one"
-        )
+        raise InvariantViolation("containment holds but the tau-expansion has degree above one")
     r = alpha[1]
     s = alpha[0] - alpha[1] * pair.theta(0)
     return AffineRelation(r=r, s=s)

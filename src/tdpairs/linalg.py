@@ -389,21 +389,6 @@ def vec_is_zero(v: Sequence) -> bool:
 # ---- polynomials of matrices --------------------------------------------
 
 
-def poly_eval_matrix(p: Polynomial, m: Matrix) -> Matrix:
-    """Evaluate a polynomial at a square matrix by Horner's rule."""
-    if not m.is_square():
-        raise DimensionMismatch("polynomial of a non-square matrix")
-    if p.field != m.field:
-        raise FieldMismatch(f"{p.field!r} vs {m.field!r}")
-    n = m.nrows
-    if p.is_zero():
-        return Matrix.zeros(m.field, n, n)
-    acc = Matrix.identity(m.field, n).scale(p.coeffs[-1])
-    for c in reversed(p.coeffs[:-1]):
-        acc = (acc @ m).shift(-c)
-    return acc
-
-
 def shifted_products(m: Matrix, roots: Sequence) -> list[Matrix]:
     """The matrices prod_{h < i} (m - roots[h] I) for i = 0..len(roots),
     as one running product: each one is (m - roots[i-1] I) times the

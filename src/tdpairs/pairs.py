@@ -38,10 +38,9 @@ from .linalg import Echelon, Matrix, modulus, residue_product, shifted_products,
 from .subspaces import (
     Subspace,
     annihilator,
-    image_of,
     kernel,
+    maps_into,
     subspace_intersect,
-    subspace_leq,
     subspace_sum,
     sum_of,
 )
@@ -127,7 +126,7 @@ def _witness_ok(a: Matrix, astar: Matrix, w: Subspace) -> bool:
     """The three properties every reducibility witness must satisfy."""
     if w.is_zero() or w.is_full():
         return False
-    return subspace_leq(image_of(a, w), w) and subspace_leq(image_of(astar, w), w)
+    return maps_into(a, w, w) and maps_into(astar, w, w)
 
 
 def _checked_reducible(a: Matrix, astar: Matrix, w: Subspace, how: str) -> IrreducibilityReport:

@@ -21,13 +21,7 @@ from .errors import InvariantViolation, TauImageVanished
 from .linalg import Echelon, shifted_products, vec_is_zero
 from .pairs import TriDiagonalPair, vstar0_vector
 from .polynomials import Polynomial
-from .subspaces import (
-    Subspace,
-    image_of,
-    subspace_intersect,
-    subspace_leq,
-    subspace_sum,
-)
+from .subspaces import Subspace, maps_into, subspace_intersect, subspace_sum
 
 
 @dataclass(frozen=True)
@@ -113,12 +107,12 @@ def verify_raising_lowering(sd: SplitDecomposition) -> SplitReport:
     """Check that A - theta_i I raises U_i into U_{i+1} and
     Astar - thetastar_i I lowers U_i into U_{i-1}, with zero subspaces
     past both ends; returns the report with per-index flags filled in."""
-    pair, d = sd.pair, sd.pair.diameter
+    pair = sd.pair
     zero_space = Subspace.zero(pair.field, pair.dim)
+    padded = (zero_space, *sd.U, zero_space)
 
     def moved(m, theta, step):  # (m - theta_i I) U_i <= U_{i+step}, 0 past the ends
-        targets = [sd.U[i + step] if 0 <= i + step <= d else zero_space for i in range(d + 1)]
-        return tuple(subspace_leq(image_of(m.shift(theta(i)), sd.U[i]), t) for i, t in enumerate(targets))
+        return tuple(maps_into(m.shift(theta(i)), u, padded[i + 1 + step]) for i, u in enumerate(sd.U))
 
     eq7, eq8 = moved(pair.a, pair.theta, 1), moved(pair.astar, pair.thetastar, -1)
     return replace(sd.report, eq7=eq7, eq8=eq8)
@@ -163,7 +157,7 @@ def verify_tau_images(sd: SplitDecomposition) -> SplitReport:
     assertion, so the check stays meaningful on corrupted decompositions
     where that assertion might not hold.
     """
-    flags = [subspace_leq(image_of(m, sd.U[0]), sd.U[i]) for i, m in enumerate(_tau_matrices(sd.pair))]
+    flags = [maps_into(m, sd.U[0], sd.U[i]) for i, m in enumerate(_tau_matrices(sd.pair))]
     return replace(sd.report, eq10=tuple(flags))
 
 
@@ -189,9 +183,7 @@ def tau_images(pair: TriDiagonalPair, u, sd: SplitDecomposition | None = None) -
     for i in range(1, d + 1):
         nxt = pair.a.shift(pair.theta(i - 1)).apply(images[-1])
         if vec_is_zero(nxt):
-            raise TauImageVanished(
-                f"tau_{i}(A)u = 0 for a nonzero u in Vstar_0", u=u, index=i
-            )
+            raise TauImageVanished(f"tau_{i}(A)u = 0 for a nonzero u in Vstar_0", u=u, index=i)
         images.append(nxt)
     for i, w in enumerate(images):
         if not sd.U[i].contains(w):

@@ -3,11 +3,13 @@
 Echelon rows are canonical int rows (over GF(p) residues with pivot 1,
 over Q primitive with a positive pivot), so equal subspaces hold equal
 rows.  Every operation runs on them: a span, image or sum feeds int rows
-to an Echelon (a sum to a copy of the first summand's); membership and
-coordinates are one residual; an intersection is one Zassenhaus
-elimination.  Field elements cross only in the public methods span,
-basis, residual, contains and coordinates, in through Matrix and out
-through linalg.row_elements; the basis is a read-only cache.
+to an Echelon (a sum to a copy of the first summand's); membership,
+coordinates and invariance (maps_into, no Echelon of the image) are
+residuals; a kernel is one elimination of the reversed columns, an
+intersection one Zassenhaus elimination.  Field elements cross only in
+the public methods span, basis, residual, contains and coordinates, in
+through Matrix and out through linalg.row_elements; the basis is a
+read-only cache.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import Field
-from .linalg import Echelon, Matrix, Vector, row_elements
+from .linalg import Echelon, Matrix, Vector, _primitive, row_elements
 
 
 def _canonical(field: Field, rows: dict) -> Echelon:
@@ -77,9 +79,7 @@ class Subspace:
         if self.field != other.field:
             raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
         if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch(
-                f"ambient {self.ambient_dim} vs {other.ambient_dim}"
-            )
+            raise DimensionMismatch(f"ambient {self.ambient_dim} vs {other.ambient_dim}")
 
     def _ints(self, v: Sequence) -> tuple:
         """(u, d) with v = u / d for an int row u, every entry coerced and
@@ -151,25 +151,42 @@ def subspace_intersect(x: Subspace, y: Subspace) -> Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """Right kernel of a matrix as a Subspace: the canonical RREF of the
-    back-substitution basis, both eliminations on m's int rows."""
-    eng = Echelon(m.field)
-    for _, u in Echelon.of_rows(m).nullspace(m.ncols):
-        eng.insert(u)
-    return Subspace(eng, m.ncols)
+    """Right kernel of a matrix as a Subspace, in one elimination of m's
+    int rows with their columns reversed.  Read back in the original
+    order, each back-substitution vector starts at its free column (1
+    over GF(p), positive over Q) and is 0 at every other free column: the
+    kernel's canonical rows, over Q once made primitive."""
+    n, eng = m.ncols, Echelon(m.field)
+    for row in m._ints[0]:
+        eng.insert(row[::-1])
+    rows = {n - 1 - free: u[::-1] if eng.p else _primitive(u[::-1]) for free, u in eng.nullspace(n)}
+    return Subspace(_canonical(m.field, rows), n)
+
+
+def _check_operator(m: Matrix, s: Subspace):
+    if m.field != s.field:
+        raise FieldMismatch(f"{m.field!r} vs {s.field!r}")
+    if m.ncols != s.ambient_dim:
+        raise DimensionMismatch("operator domain does not match ambient space")
 
 
 def image_of(m: Matrix, s: Subspace) -> Subspace:
     """The image m(s) as a subspace of the codomain: the span of m's int
     rows applied to the rows of s's Echelon."""
-    if m.field != s.field:
-        raise FieldMismatch(f"{m.field!r} vs {s.field!r}")
-    if m.ncols != s.ambient_dim:
-        raise DimensionMismatch("operator domain does not match ambient space")
+    _check_operator(m, s)
     eng = Echelon(m.field)
     for u in s.echelon.rows.values():
         eng.insert(eng.image(m, u))
     return Subspace(eng, m.nrows)
+
+
+def maps_into(m: Matrix, s: Subspace, t: Subspace) -> bool:
+    """Whether m(s) lies in t: m u reduces to 0 against t's Echelon for
+    every row u of s's, with image_of's and subspace_leq's checks."""
+    _check_operator(m, s)
+    Subspace.zero(m.field, m.nrows)._check(t)  # where the image would lie
+    eng = t.echelon
+    return not any(any(eng.reduce(eng.image(m, u))) for u in s.echelon.rows.values())
 
 
 def annihilator(field: Field, ambient_dim: int, vectors: Sequence[Sequence]) -> Subspace:

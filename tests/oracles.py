@@ -16,8 +16,37 @@ import itertools
 import math
 from fractions import Fraction
 
-from tdpairs import Matrix
+from tdpairs import DimensionMismatch, FieldMismatch, Matrix, Subspace
 from tdpairs.eigen import invert
+from tdpairs.linalg import Echelon
+
+
+# ---- the library's retired routes, kept as oracles ---------------------------
+
+
+def poly_eval_matrix(p, m):
+    """Evaluate a polynomial at a square matrix by Horner's rule."""
+    if not m.is_square():
+        raise DimensionMismatch("polynomial of a non-square matrix")
+    if p.field != m.field:
+        raise FieldMismatch(f"{p.field!r} vs {m.field!r}")
+    n = m.nrows
+    if p.is_zero():
+        return Matrix.zeros(m.field, n, n)
+    acc = Matrix.identity(m.field, n).scale(p.coeffs[-1])
+    for c in reversed(p.coeffs[:-1]):
+        acc = (acc @ m).shift(-c)
+    return acc
+
+
+def kernel_by_two_eliminations(m):
+    """Right kernel of m as a Subspace in two eliminations: the
+    back-substitution basis of the RREF of m's int rows, re-inserted into
+    a fresh Echelon to make it canonical."""
+    eng = Echelon(m.field)
+    for _, u in Echelon.of_rows(m).nullspace(m.ncols):
+        eng.insert(u)
+    return Subspace(eng, m.ncols)
 
 
 # ---- linear algebra on ints mod p (p None: on Fractions over Q) -------------

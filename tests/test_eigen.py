@@ -758,8 +758,10 @@ def test_triangular_eigenspaces_match_the_characteristic_polynomial_route(field,
 
 def test_repeated_or_dense_spectra_keep_the_kernel_and_the_polynomial(monkeypatch):
     # the diagonal answers for the simple roots of a triangular side only:
-    # a (1, 3, 3, 1) Kronecker sum repeats A's eigenvalues, and the GF(3)
-    # search hit 184953 has A = diag(0, 1, 1, 2) and a dense A*
+    # a (1, 3, 3, 1) Kronecker sum repeats A's eigenvalues; the GF(3)
+    # search hit 184953 has A = diag(0, 1, 1, 2) and a dense A*, whose
+    # spectrum the kernel scan finds as p <= n, with no polynomial; a dense
+    # operator over GF(101) at n = 4 (p > n) keeps the polynomial
     calls = {"kernel": 0, "char_poly": 0}
     for name in calls:
         real = getattr(tdpairs.eigen, name)
@@ -778,7 +780,47 @@ def test_repeated_or_dense_spectra_keep_the_kernel_and_the_polynomial(monkeypatc
         rows[r][c] = v
     before = dict(calls)
     validate_pair(tdpairs.search._fixed_a(GF(3), shape), gm(3, rows))
-    assert calls["kernel"] > before["kernel"] and calls["char_poly"] > before["char_poly"]
+    assert calls["kernel"] > before["kernel"] and calls["char_poly"] == before["char_poly"]
+    before = dict(calls)
+    eig = eigen_decompose(gm(101, _conjugate(101, _block_diagonal([[[5]], [[7]], [[7]], [[90]]]), random.Random(4))))
+    assert eig.dims() == (1, 2, 1)
+    assert calls["kernel"] == before["kernel"] + 3 and calls["char_poly"] == before["char_poly"] + 1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_the_kernel_scan_matches_the_polynomial_route(p, monkeypatch):
+    # dense operators over GF(p) with p <= n: a split spectrum, a Jordan
+    # block and an irreducible quadratic, hidden by a change of basis; the
+    # scan gives the same eigenvalues, canonical bases, root count and
+    # eigen_decompose verdict or message as the polynomial route, and a
+    # split operator is decomposed with no polynomial at all
+    rng = random.Random(p)
+    seen = set()
+    for n, _ in itertools.product(range(p, 9), range(4)):
+        diag = [rng.randrange(p) for _ in range(n)]
+        blocks = (
+            [[[t]] for t in diag],
+            [[[diag[0], 1], [0, diag[0]]]] + [[[t]] for t in diag[2:]],
+            [_irreducible_quadratic_companion(p, rng)] + [[[t]] for t in diag[2:]],
+        )
+        for block in blocks:
+            m = gm(p, _conjugate(p, _block_diagonal(block), rng))
+            want = _dense_eigenspaces(m)
+            with monkeypatch.context() as patch:
+                if sum(space.dim for space in want[1]) == n:
+                    refuse_in_eigen(patch, "char_poly", "field_roots")
+                got = eigenspaces(m)
+                decomposed = _decomposition_or_error(m)
+            assert got == want, (p, m.rows)
+            with monkeypatch.context() as patch:
+                patch.setattr(tdpairs.eigen, "eigenspaces", _dense_eigenspaces)
+                assert decomposed == _decomposition_or_error(m), (p, m.rows)
+            seen.add(decomposed[1].split(" (")[0] if decomposed[0] is NotDiagonalizableOverField else "decomposed")
+    assert seen == {
+        "decomposed",
+        "minimal polynomial has a repeated root",
+        "minimal polynomial has an irreducible factor of degree > 1",
+    }
 
 
 def unit_line(m, k, lower):

@@ -18,7 +18,6 @@ from tdpairs import (
     Matrix,
     Polynomial,
     min_poly,
-    poly_eval_matrix,
 )
 from tdpairs.eigen import invert
 from tdpairs.fields import GFElement
@@ -31,6 +30,7 @@ from oracles import (
     int_mat_apply,
     int_matmul,
     int_rref,
+    poly_eval_matrix,
     ref_rank_q,
     subspace_vector_set,
 )

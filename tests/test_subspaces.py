@@ -4,13 +4,30 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
-from tdpairs import GF, QQ, DimensionMismatch, Matrix, Subspace, annihilator, image_of, kernel, subspace_intersect, subspace_leq, subspace_sum
+from tdpairs import (
+    GF,
+    QQ,
+    DimensionMismatch,
+    FieldMismatch,
+    InvariantViolation,
+    Matrix,
+    Subspace,
+    annihilator,
+    image_of,
+    kernel,
+    maps_into,
+    subspace_intersect,
+    subspace_leq,
+    subspace_sum,
+)
+from tdpairs.pairs import _checked_reducible
 from tdpairs.subspaces import sum_of
 
-from oracles import int_span, subspace_vector_set
+from oracles import int_span, kernel_by_two_eliminations, subspace_vector_set
 
 
 def _random_subspace(rng, field, n, p):
@@ -103,6 +120,100 @@ def test_kernel_and_image_of():
     s = Subspace.span(f, 3, [[f.one, f.zero, f.zero], [f.zero, f.zero, f.one]])
     img = image_of(m, s)
     assert img == Subspace.span(f, 2, [[f.one, f.scalar(2)]])
+
+
+def _entry(rng, field, digits):
+    """A random field element; over Q a fraction with up to `digits`
+    digits above and below."""
+    if getattr(field, "p", None):
+        return field.scalar(rng.randrange(field.p))
+    top = 10 ** rng.randint(1, digits)
+    return Fraction(rng.randint(-top, top), rng.randint(1, 10 ** rng.randint(1, digits)))
+
+
+def _random_matrix(rng, field, nrows, ncols, digits=1):
+    """A random matrix, of full rank or, as a product through a narrower
+    middle, of lower rank; sometimes zero or the identity."""
+    kind = rng.random()
+    if kind < 0.1:
+        return Matrix.zeros(field, nrows, ncols)
+    if kind < 0.15 and nrows == ncols:
+        return Matrix.identity(field, nrows)
+    if kind < 0.6:
+        return Matrix(field, [[_entry(rng, field, digits) for _ in range(ncols)] for _ in range(nrows)])
+    k = rng.randint(1, max(1, min(nrows, ncols) - 1))
+    left = Matrix(field, [[_entry(rng, field, digits) for _ in range(k)] for _ in range(nrows)])
+    return left @ Matrix(field, [[_entry(rng, field, digits) for _ in range(ncols)] for _ in range(k)])
+
+
+def _is_canonical(s):
+    """Whether the Echelon rows of s are a canonical RREF: each row 0 left
+    of its pivot and at every other pivot, with pivot 1 over GF(p), and
+    over Q primitive with a positive pivot."""
+    rows, p = s.echelon.rows, s.echelon.p
+    for c, row in rows.items():
+        if any(row[:c]) or any(row[o] for o in rows if o != c):
+            return False
+        if (row[c] != 1 or any(not 0 <= x < p for x in row)) if p else (row[c] <= 0 or gcd(*row) != 1):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(101), GF(65521), QQ], ids=str)
+def test_kernel_matches_the_two_elimination_oracle(field):
+    # square, wide and tall matrices of every rank, zero and full rank; over
+    # Q with entries of 1 to 30 digits
+    rng = random.Random(str(field))
+    ranks = set()
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        m = _random_matrix(rng, field, nrows, ncols, digits=rng.choice([1, 3, 10, 30]))
+        k = kernel(m)
+        assert k == kernel_by_two_eliminations(m), m.rows
+        assert _is_canonical(k), m.rows
+        assert all(not any(m.apply(b)) for b in k.basis)
+        ranks.add("zero" if m.is_zero() else "full" if k.dim == max(0, ncols - nrows) else "deficient")
+    assert ranks == {"zero", "full", "deficient"}
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(101), QQ], ids=str)
+def test_maps_into_matches_the_image_and_containment(field):
+    rng = random.Random(str(field))
+    verdicts = set()
+    for _ in range(150):
+        n, k = rng.randint(1, 6), rng.randint(1, 6)
+        m = _random_matrix(rng, field, k, n, digits=3)
+        s = rng.choice([Subspace.zero(field, n), Subspace.full(field, n), kernel(_random_matrix(rng, field, 2, n))])
+        other = kernel(_random_matrix(rng, field, rng.randint(1, k), k))
+        t = rng.choice([Subspace.zero(field, k), Subspace.full(field, k), other, subspace_sum(image_of(m, s), other)])
+        verdict = maps_into(m, s, t)
+        assert verdict == subspace_leq(image_of(m, s), t), (m.rows, s, t)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_maps_into_checks_fields_and_dimensions():
+    f = GF(3)
+    m = Matrix.identity(f, 3)
+    full = Subspace.full(f, 3)
+    with pytest.raises(FieldMismatch):
+        maps_into(m, Subspace.full(GF(5), 3), full)
+    with pytest.raises(FieldMismatch):
+        maps_into(m, full, Subspace.full(QQ, 3))
+    with pytest.raises(DimensionMismatch):
+        maps_into(m, Subspace.full(f, 2), full)
+    with pytest.raises(DimensionMismatch):
+        maps_into(Matrix.zeros(f, 2, 3), full, full)
+
+
+def test_a_witness_that_is_not_invariant_is_a_bug():
+    f = GF(3)
+    a = Matrix(f, [[0, 0, 0], [0, 1, 0], [0, 0, 2]])
+    astar = Matrix(f, [[1, 1, 0], [1, 1, 1], [0, 1, 1]])
+    line = Subspace.span(f, 3, [[1, 0, 0]])  # A-invariant, moved by Astar
+    assert maps_into(a, line, line) and not maps_into(astar, line, line)
+    with pytest.raises(InvariantViolation, match="witness fails its checks"):
+        _checked_reducible(a, astar, line, "test")
 
 
 def test_annihilator_dimension_and_orthogonality():
