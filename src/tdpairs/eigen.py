@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import gcd, lcm
 from operator import mul
 from struct import Struct
@@ -309,28 +309,28 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
 
 
 @lru_cache(maxsize=64)
-def row_lanes(n: int, p: int) -> tuple | None:
-    """(units, pack, read) for splits_mod_p's row test of an n x n matrix
-    mod p, or None when it squares and multiplies instead.  pack(row) is
-    one int, entry c in lane c, and units[c] is 1 in lane c; a lane is the
-    smallest of 1, 2, 4 or 8 bytes that holds n (p - 1)^2, so no lane of a
-    sum of n packed rows times residues carries (delayed reduction: Dumas,
-    Giorgi and Pernet, ACM TOMS 35(3), 2008).  read(x) is x's lanes mod p."""
+def row_lanes(n: int, p: int, count: int = 0) -> tuple | None:
+    """(pack, read) for the M^p == M tests on n x n matrices mod p, or
+    None when they square and multiply instead.  pack(values) is one int,
+    values[i] in lane i; read(x) is x's first count lanes (n if count is
+    0) mod p.  A lane is the smallest of 1, 2, 4 or 8 bytes that holds
+    n (p - 1)^2, so no lane of a sum of n products of residues carries
+    (delayed reduction: Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008)."""
     bound = n * (p - 1) ** 2
     if p - 1 > n * (p.bit_length() + p.bit_count() - 2) or bound >= 1 << 64:
         return None
-    width, code = next((w, c) for w, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q")) if bound < 1 << 8 * w)
-    lanes = Struct(f"<{n}{code}")
-    if width == 1:  # reduced as bytes, in one translate
+    count = count or n
+    if bound < 1 << 8:  # reduced as bytes, in one translate
         residues = bytes(i % p for i in range(256))
-        read = lambda x: x.to_bytes(n, "little").translate(residues)  # noqa: E731
-    else:
-        read = lambda x: [y % p for y in lanes.unpack(x.to_bytes(lanes.size, "little"))]  # noqa: E731
-    units = [1 << 8 * width * c for c in range(n)]
-    return units, lambda row: int.from_bytes(lanes.pack(*row), "little"), read
+        read = lambda x: x.to_bytes(count, "little").translate(residues)  # noqa: E731
+        return lambda values: int.from_bytes(bytes(values), "little"), read
+    code = next(c for c, w in (("H", 16), ("I", 32), ("Q", 64)) if bound < 1 << w)
+    lanes = Struct(f"<{count}{code}")
+    read = lambda x: [y % p for y in lanes.unpack(x.to_bytes(lanes.size, "little"))]  # noqa: E731
+    return lambda values: int.from_bytes(lanes.pack(*values), "little"), read
 
 
-def splits_mod_p(rows: list, p: int, packed: list | None = None) -> bool:
+def splits_mod_p(rows: list, p: int) -> bool:
     """Whether the square int matrix `rows` (a list of lists, entries in
     [0, p)) is diagonalizable over GF(p) with all its eigenvalues in GF(p).
 
@@ -342,14 +342,11 @@ def splits_mod_p(rows: list, p: int, packed: list | None = None) -> bool:
     rows are checked one at a time, as most matrices fail on row 0.  A push
     is one sum over the rows packed by row_lanes, read back lane by lane
     mod p, and the row after p - 1 pushes is compared with the row whole.
-    packed, if given, is the rows packed so; the search keeps it up to
-    date as it steps through its candidates.
     """
     packing = row_lanes(len(rows), p)
     if packing:
-        _, pack, read = packing
-        if packed is None:
-            packed = [pack(row) for row in rows]
+        pack, read = packing
+        packed = [pack(row) for row in rows]
         for target in packed:
             start = v = read(target)
             for _ in range(p - 1):
@@ -363,6 +360,48 @@ def splits_mod_p(rows: list, p: int, packed: list | None = None) -> bool:
         if bit == "1":
             power = residue_product(power, rows, p)
     return power == rows
+
+
+@lru_cache(maxsize=16)
+def _digit_lanes(n: int, p: int, m: int) -> tuple:
+    """split_lanes's pack, read and ones (1 in every one of p^m lanes), and per
+    digit of the lane index its lanes and bit planes (t, mask of bit t)."""
+    pack, read = row_lanes(n, p, p**m)
+    full, planes = (1 << p.bit_length()) - 1, range((p - 1).bit_length())
+    digits = [[j // p**i % p for j in range(p**m)] for i in range(m)]
+    return pack, read, pack([1] * p**m), [
+        (pack(d), [(t, pack([full * (x >> t & 1) for x in d])) for t in planes]) for d in digits
+    ]
+
+
+def split_lanes(rows: list, varying: list, p: int) -> list:
+    """The j in [0, p^m), ascending, for which splits_mod_p holds on the
+    int matrix `rows` with its entry at varying[i] (m positions (r, c)) set
+    to the i-th base-p digit of j, kept in lane j of row_lanes(n, p, p^m)
+    (the SWAR idea of Lamport, CACM 18(8), 1975).  Each row goes through M
+    p - 1 times in all lanes at once: a fixed entry scales a lane vector, a
+    varying one multiplies lane by lane as the sum over its digit's bit
+    planes t of (x & mask_t) << t, and the lanes are reduced mod p."""
+    pack, read, ones, digits = _digit_lanes(len(rows), p, len(varying))
+    start = [[x * ones for x in row] for row in rows]
+    cols = [list(col) for col in zip(*rows)]
+    for (r, c), (lanes, _) in zip(varying, digits):
+        start[r][c], cols[c][r] = lanes, 0
+    bad, b = 0, p.bit_length()
+    for row in start:
+        x = row
+        for _ in range(p - 1):
+            y = [sum(map(mul, x, col)) for col in cols]
+            for (r, c), (_, planes) in zip(varying, digits):
+                for t, mask in planes:
+                    y[c] += (x[r] & mask) << t
+            x = [pack(read(s)) for s in y]
+        for u, v in zip(x, row):
+            bad |= u ^ v
+        dead = (bad + ones * ((1 << b) - 1)) >> b & ones  # bit b of a lane is set iff it is not 0
+        if dead == ones:
+            return []
+    return list(compress(range(p ** len(varying)), read(ones ^ dead)))
 
 
 def primitive_idempotents(eig: EigenDecomposition) -> tuple[Matrix, ...]:

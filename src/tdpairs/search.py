@@ -3,18 +3,16 @@
 A is pinned to the block-diagonal form diag(0 I_{rho_0}, ..., d I_{rho_d});
 conjugation freedom makes that lossless for existence questions.  Astar
 ranges over the block-tridiagonal pattern that condition (ii) forces,
-either exhaustively (candidate index = base-p digits of the entries,
-stepped by an odometer) or pseudo-randomly (counter-based keyed hash, so
-any shard of the stream is reproducible on any machine).  A candidate
-stays in one reused buffer of int rows mod p through the two checks that
-exist because A is fixed: M^p == M row by row (splits_mod_p), which
-holds iff Astar is diagonalizable over GF(p), as x^p - x is the product
-of (x - a) over all a in GF(p); and an ordering of A's eigenspaces, read
-off Astar's nonzero blocks, exact because A = diag(blocks).  The row
-test pushes a row through Astar p - 1 times, each push one sum over the
-rows packed one int each, and compares the result with the row whole;
-the odometer keeps the packed rows up to date as it steps.  A survivor
-is copied into a Matrix and goes to the certifier's own stages:
+either exhaustively (candidate index = base-p digits of the entries) or
+pseudo-randomly (counter-based keyed hash, so any shard of the stream is
+reproducible on any machine).  Two checks on int rows mod p exist because
+A is fixed: M^p == M, which holds iff Astar is diagonalizable over GF(p),
+as x^p - x is the product of (x - a) over all a in GF(p), run on a block
+of consecutive indices at once in exhaustive mode, one candidate per lane
+of an int (split_lanes), else on each candidate (splits_mod_p); and an
+ordering of A's eigenspaces, read off Astar's nonzero blocks, exact
+because A = diag(blocks).  A survivor of both, in one reused buffer of
+int rows, is copied into a Matrix and goes to the certifier's own stages:
 eigen_decompose, a check of its eigenspace dimensions against the shape,
 and validate_pair, which reuses both decompositions; only fully
 validated pairs of the requested shape are returned.
@@ -25,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field as _field, replace
+from functools import partial
 
 from .errors import (
     BudgetZero,
@@ -35,7 +34,7 @@ from .errors import (
     ParseError,
     TdpError,
 )
-from .eigen import eigen_decompose, row_lanes, splits_mod_p
+from .eigen import eigen_decompose, row_lanes, split_lanes, splits_mod_p
 from .fields import PrimeField
 from .linalg import Matrix
 from .pairs import ShapeVector, path_orderings, validate_pair
@@ -43,6 +42,7 @@ from .pairs import ShapeVector, path_orderings, validate_pair
 _MODES = ("exhaustive", "randomized")
 # The stages of search_shape's funnel, in the order it applies them.
 FUNNEL = ("not_split", "a_pattern", "wrong_dims", "invalid", "duplicate", "hit")
+_MAX_LANES = 2187  # the most candidates in one split_lanes block unless p is more; measured
 
 
 @dataclass(frozen=True)
@@ -156,39 +156,29 @@ def _randomized_entries(seed: int, k: int, count: int, p: int) -> list:
 
 
 def _candidates(spec: SearchSpec, positions: list, count: int):
-    """Yield (k, rows, packed) for the count candidates from spec.start on,
-    on one rows buffer that each step overwrites: a caller that keeps a
-    candidate copies it.  packed is rows packed for splits_mod_p's row
-    test (row_lanes), or None when that test squares and multiplies.  The
-    rows hold k's base-p digits in exhaustive mode, so spec.start is
-    decoded once and each next k adds 1 at position 0 and carries (an
-    odometer), adding each entry's step to its lane of packed."""
-    p, m, randomized = spec.field.p, len(positions), spec.mode == "randomized"
-    rows = [[0] * spec.dim for _ in range(spec.dim)]
-    packing = row_lanes(spec.dim, p)
-    units = packing[0] if packing else [0] * spec.dim
-    steps = [(rows[r], c, r, units[c], (p - 1) * units[c]) for r, c in positions]
-    packed = None
-    for k in range(spec.start, spec.start + count):
-        if randomized or k == spec.start:
-            entries = (
-                _randomized_entries(spec.seed, k, m, p) if randomized else _exhaustive_entries(k, m, p)
-            )
-            for (r, c), v in zip(positions, entries):
-                rows[r][c] = v
-            if packing:
-                packed = [packing[1](row) for row in rows]
-        else:
-            for row, c, r, unit, wrap in steps:
-                if row[c] < p - 1:
-                    row[c] += 1
-                    if packed:
-                        packed[r] += unit
-                    break
-                row[c] = 0
-                if packed:
-                    packed[r] -= wrap
-        yield k, rows, packed
+    """Yield (k, rows) for each of the count candidates from spec.start on
+    that passes M^p == M, on one rows buffer that each yield overwrites.
+    Exhaustive mode takes p^m consecutive indices at a time, which share all
+    but their m lowest base-p digits (row 0's entries first): all in one
+    split_lanes call if row_lanes packs, else one splits_mod_p call each."""
+    p, n, start = spec.field.p, spec.dim, spec.start
+    rows = [[0] * n for _ in range(n)]
+    exhaustive = spec.mode == "exhaustive"
+    decode = _exhaustive_entries if exhaustive else partial(_randomized_entries, spec.seed)
+    lanes = exhaustive and row_lanes(n, p)
+    m = 0  # fewest with p^m >= count; 1 at most without lanes, else p^m <= _MAX_LANES unless 1
+    while exhaustive and p**m < count and (m == 0 or lanes and p ** (m + 1) <= _MAX_LANES):
+        m += 1
+    size, varying = p**m, positions[:m]
+    for base in range(start - start % size, start + count, size):
+        for (r, c), v in zip(positions, decode(base, len(positions), p)):
+            rows[r][c] = v
+        for j in split_lanes(rows, varying, p) if lanes else range(size):
+            if start <= base + j < start + count:
+                for (r, c), v in zip(varying, _exhaustive_entries(j, m, p)):
+                    rows[r][c] = v
+                if lanes or splits_mod_p(rows, p):
+                    yield base + j, rows
 
 
 def _candidate_count(spec: SearchSpec) -> int:
@@ -206,31 +196,27 @@ def search_shape(spec: SearchSpec) -> SearchResult:
 
     Deterministic for a fixed spec; a shard (same seed, shifted start)
     contributes exactly the candidates its counter range covers.  The
-    candidates come from _candidates, in exhaustive mode an odometer, on
-    one reused rows buffer that no reference outlives a step:
-    Matrix._of_ints copies the rows into tuples.  A rejected candidate is
-    counted at its funnel stage and skipped; an InvariantViolation is a
-    bug and propagates, and so is a candidate that passes M^p == M but
-    does not decompose.
+    candidates that pass M^p == M come from _candidates, in exhaustive
+    mode a block at a time, on one reused rows buffer that no reference
+    outlives a step: Matrix._of_ints copies the rows into tuples.  A
+    rejected candidate is counted at its funnel stage and skipped; an
+    InvariantViolation is a bug and propagates, and so is a candidate that
+    passes M^p == M but does not decompose.
     """
     t0 = time.monotonic()
     field = spec.field
-    p = field.p
     shape_t = tuple(spec.shape)
     n = spec.dim
     blocks = _block_of(shape_t)
     a = _fixed_a(field, shape_t)
     eig_a = eigen_decompose(a)
-    positions = _allowed_positions(spec.shape)
     count = _candidate_count(spec)
     dims = sorted(shape_t)
     hits = []
     indices = []
     seen = set()
     funnel = dict.fromkeys(FUNNEL, 0)
-    for k, rows, packed in _candidates(spec, positions, count):
-        if not splits_mod_p(rows, p, packed):
-            continue
+    for k, rows in _candidates(spec, _allowed_positions(spec.shape), count):
         # A = diag(blocks), so Astar's (i, j) block is nonzero iff edge (j, i)
         a_edges = {(blocks[c], blocks[r]) for r in range(n) for c in range(n) if rows[r][c]}
         if not path_orderings(len(dims), a_edges):

@@ -200,6 +200,9 @@ def test_searched_gf3_shape_1_2_1_instances_are_all_non_leonard():
     assert found == sorted(found)
     assert len(found) == 14
     assert found[0] == 184953
+    # the funnel ends the stderr summary: where each candidate stopped
+    funnel = "not_split=240772 a_pattern=2682 wrong_dims=696 invalid=5836 duplicate=0 hit=14"
+    assert proc.stderr.rstrip().endswith(funnel), proc.stderr
     # hand-built wide fixtures keep the negative direction covered even
     # for runs of this command with budgets that find nothing
     for key, field in (("Q", QQ), ("gf5", GF(5)), ("gf7", GF(7))):

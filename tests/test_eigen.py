@@ -34,6 +34,7 @@ from tdpairs.eigen import (
     invert,
     residue_roots,
     row_lanes,
+    split_lanes,
     splits_mod_p,
 )
 from tdpairs.pairs import validate_pair
@@ -405,11 +406,10 @@ FULL_POWER_SIZES = {2: range(3, 7), 3: range(3, 7), 5: [*range(3, 7), 15, 16],
 LANE_BYTES = {(5, 15): 1, (5, 16): 2, (7, 7): 1, (7, 8): 2, (13, 6): 2, (127, 11): 4}
 
 
-def _packed_by_units(rows, p):
-    """rows packed for the row test as sums of entry times lane unit,
-    independent of the Struct that splits_mod_p packs with."""
-    units = row_lanes(len(rows), p)[0]
-    return [sum(x * unit for x, unit in zip(row, units)) for row in rows]
+def _packed_by_units(row, p):
+    """row packed as the sum of entry c times 1 in lane c, with the lane
+    width pinned in LANE_BYTES, independent of row_lanes's Struct."""
+    return sum(x << 8 * LANE_BYTES[p, len(row)] * c for c, x in enumerate(row))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13, 127])
@@ -424,9 +424,10 @@ def test_splits_mod_p_matches_the_full_power(p):
     else:  # too many to enumerate
         cases = [[[rng.randrange(p) for _ in range(2)] for _ in range(2)] for _ in range(200)]
     for n in FULL_POWER_SIZES[p]:
-        units, _, _ = row_lanes(n, p)
+        pack, _ = row_lanes(n, p)
+        row = [rng.randrange(p) for _ in range(n)]
         if (p, n) in LANE_BYTES:
-            assert units[1] == 1 << 8 * LANE_BYTES[p, n]
+            assert pack(row) == _packed_by_units(row, p)
         # a dense split block, then a trailing [[t, 1], [0, u]]: u = t + 1
         # splits, u = t is a Jordan block.  The two differ only in their last
         # entry; the row test passes every row above the block and finds the
@@ -449,9 +450,35 @@ def test_splits_mod_p_matches_the_full_power(p):
     for rows in cases:
         verdict = splits_mod_p(rows, p)
         assert verdict == _splits_by_full_power(rows, p), (p, rows)
-        if len(rows) > 2:  # rows packed by the caller give the same verdict
-            assert splits_mod_p(rows, p, _packed_by_units(rows, p)) == verdict, (p, rows)
         verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("p, n", sorted(LANE_BYTES))
+def test_split_lanes_matches_the_full_power_on_full_blocks(p, n):
+    # every lane of a block against its own candidate.  The all-(p - 1)
+    # matrix is the last lane of the first block, where a push fills every
+    # lane to n (p - 1)^2; in the second, the last two entries of a split
+    # matrix ending in [[t, 1], [0, t]] vary, so the lanes with u = t and a
+    # nonzero 1 hold a Jordan block.  GF(127) runs the first block only, at
+    # 127 lanes, as its full power costs 126 products a lane
+    rng = random.Random(p * n)
+    t = rng.randrange(p)
+    lead = _conjugate(p, _block_diagonal([[[rng.randrange(p)]] for _ in range(n - 2)]), rng)
+    blocks = [([[p - 1] * n for _ in range(n)], [(0, 0), (n - 1, 2)])]
+    blocks.append((_block_diagonal([lead, [[t, 1], [0, t]]]), [(n - 1, n - 1), (n - 2, n - 1)]))
+    verdicts = set()
+    for rows, varying in blocks[:1] if p == 127 else blocks:
+        varying = varying[: 1 if p == 127 else 2]
+        lanes = split_lanes(rows, varying, p)
+        for j in range(p ** len(varying)):
+            candidate = [row[:] for row in rows]
+            for i, (r, c) in enumerate(varying):
+                candidate[r][c] = j // p**i % p
+            verdict = _splits_by_full_power(candidate, p)
+            assert (j in lanes) == verdict, (p, n, j)
+            verdicts.add(verdict)
+        assert lanes == sorted(lanes)
     assert verdicts == {True, False}
 
 

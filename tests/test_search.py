@@ -35,7 +35,7 @@ from tdpairs.search import (
     _fixed_a,
     _randomized_entries,
 )
-from tdpairs.eigen import row_lanes
+from tdpairs.eigen import row_lanes, splits_mod_p
 from tdpairs.serio import matrix_to_json
 
 
@@ -125,28 +125,30 @@ def test_search_propagates_internal_bugs(monkeypatch):
 def test_a_split_candidate_that_does_not_decompose_is_a_bug(monkeypatch):
     # M^p == M holds exactly when Astar is diagonalizable over GF(p), so a
     # candidate that passes it and then fails eigen_decompose is a
-    # contradiction; candidate 3 is [[0, 1], [0, 0]], linked but nilpotent
-    monkeypatch.setattr(tdpairs.search, "splits_mod_p", lambda rows, p, packed: True)
+    # contradiction.  Exhaustive mode tests a block of candidates at once:
+    # every lane passes, and candidate 3 is [[0, 1], [0, 0]], linked but
+    # nilpotent
+    monkeypatch.setattr(tdpairs.search, "split_lanes", lambda rows, varying, p: range(p ** len(varying)))
     with pytest.raises(InvariantViolation, match="does not split"):
         search_shape(gf3_spec(budget=4))
+    # randomized mode tests each candidate: candidate 0 of seed 0 is
+    # [[2, 1], [2, 2]], whose characteristic polynomial has no root mod 3
+    monkeypatch.setattr(tdpairs.search, "splits_mod_p", lambda rows, p: True)
+    assert _randomized_entries(0, 0, 4, 3) == [2, 1, 2, 2]
+    with pytest.raises(InvariantViolation, match="does not split"):
+        search_shape(gf3_spec(budget=1, mode="randomized"))
 
 
-# ---- the odometer against decoding each index -------------------------------
+# ---- the candidate blocks against decoding each index ------------------------
 
 
 def _decoded(p, shape, k, entries=_exhaustive_entries):
     return next(_pattern_candidates(p, shape, [k], entries))
 
 
-def _packed(p, rows):
-    """rows as splits_mod_p packs them itself (one Struct.pack a row, not
-    the odometer's lane steps), or None when it squares and multiplies."""
-    packing = row_lanes(len(rows), p)
-    return [packing[1](row) for row in rows] if packing else None
-
-
 # p = 2 hosts only diameter-1 shapes; GF(7) at n = 8 packs 2-byte lanes,
-# GF(127) at n = 11 4-byte lanes, and GF(31) at n = 3 packs no rows
+# GF(127) at n = 11 4-byte lanes, and GF(31) at n = 3 squares and
+# multiplies, one candidate at a time
 ODOMETER_CASES = (
     [(2, (2, 2))]
     + [(p, shape) for p in (3, 5) for shape in ((1, 1, 1), (1, 2, 1), (2, 2))]
@@ -154,33 +156,53 @@ ODOMETER_CASES = (
 )
 
 
+def _windows(p, m, lanes):
+    """(start, budget) windows over a space of p^m candidates: from 0 to mid
+    block; mid block to mid block across the block boundaries at p^j;
+    across several full blocks of _MAX_LANES (or p) lanes, if candidates
+    share lanes; and one that ends exactly at p^m, the end of the space."""
+    many = min(max(tdpairs.search._MAX_LANES, p) * 2 + 3, p**m // 2) if lanes else 3 * p
+    return (
+        [(0, p + 2)]
+        + [(p**j - p // 2 - 1, p + 2) for j in (1, 2, 3, m - 1)]
+        + [(p**3 + 5, many), (p**m - 2 * p, 2 * p), (p**m - many, many)]
+    )
+
+
 @pytest.mark.parametrize(
     "p, shape", ODOMETER_CASES, ids=[f"gf{p}-{''.join(map(str, s))}" for p, s in ODOMETER_CASES]
 )
 def test_odometer_rows_equal_decoding_each_index(p, shape):
-    # windows from 0, across carries through 1, 2, 3 and m - 1 digits, and
-    # one that ends exactly at p^m, the end of the candidate space; at
-    # every step the packed rows are the packing of the decoded rows
+    # the candidate generator (named here for the odometer that once stepped
+    # it) yields exactly the k of its window whose decoded rows pass
+    # splits_mod_p, each with the decoded rows, whether it tests blocks of
+    # candidates in lanes or one candidate at a time
     positions = _allowed_positions(shape)
     m = len(positions)
-    windows = [(0, p + 2)] + [(p**j - 2, 4) for j in (1, 2, 3, m - 1)] + [(p**m - 2 * p, 2 * p)]
+    windows = _windows(p, m, row_lanes(sum(shape), p))
+    if p == 127:  # fewer, shorter windows: near 0, where most rows come back, a block takes 0.1 s
+        windows = [(0, 5), (p**40 - 3, 6), (p**40 + 120, p + 20), (p**m - 9, 9)]
+    passed = failed = 0
     for start, budget in windows:
         spec = SearchSpec(field=GF(p), dim=sum(shape), shape=shape, budget=budget, start=start)
+        expected = [k for k in range(start, start + budget) if splits_mod_p(_decoded(p, shape, k), p)]
         seen = []
-        for k, rows, packed in _candidates(spec, positions, budget):
-            decoded = _decoded(p, shape, k)
-            assert rows == decoded, (start, k)
-            assert packed == _packed(p, decoded), (start, k)
+        for k, rows in _candidates(spec, positions, budget):
+            assert rows == _decoded(p, shape, k), (start, k)
             seen.append(k)
-        assert seen == list(range(start, start + budget))
+        assert seen == expected, (start, budget)
+        passed, failed = passed + len(expected), failed + budget - len(expected)
+    assert passed and failed
     spec = SearchSpec(
         field=GF(p), dim=sum(shape), shape=shape, budget=40, start=7, mode="randomized", seed=5
     )
     entries = lambda k, count, q: _randomized_entries(5, k, count, q)  # noqa: E731
-    for k, rows, packed in _candidates(spec, positions, spec.budget):
-        decoded = _decoded(p, shape, k, entries)
-        assert rows == decoded, k
-        assert packed == _packed(p, decoded), k
+    decoded = {k: _decoded(p, shape, k, entries) for k in range(7, 47)}
+    seen = []
+    for k, rows in _candidates(spec, positions, spec.budget):
+        assert rows == decoded[k], k
+        seen.append(k)
+    assert seen == [k for k, rows in decoded.items() if splits_mod_p(rows, p)]
 
 
 def test_hits_do_not_alias_the_reused_candidate_buffer():
