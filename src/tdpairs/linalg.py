@@ -8,11 +8,12 @@ field-checks every entry, or by Matrix._of_ints, and the arithmetic
 (+, -, scale, @, shift, transpose, ==, hash) runs on it; rows, the
 entries as field elements, is a read-only cache built on first read.
 apply maps back once per output entry (Dumas, Giorgi and Pernet, ACM
-TOMS 35(3), 2008), and char_poly over GF(p) runs on residues.  Every
-reduction to row echelon form runs in one engine, Echelon, an
-incremental canonical RREF, fraction-free over Q, which takes and gives
-int rows only; min_poly, rref_rows and the subspaces module are built on
-it, feeding it a Matrix's int rows and reading its rows back through
+TOMS 35(3), 2008), and char_poly runs on the int rows over both fields,
+by one division-free loop (Berkowitz 1984).  Every reduction to row
+echelon form runs in one engine, Echelon, an incremental canonical RREF,
+fraction-free over Q, which takes and gives int rows only; min_poly,
+rref_rows and the subspaces module are built on it, feeding it a
+Matrix's int rows and reading its rows back through
 row_elements, the one map from an int row over d to field elements.
 Linear systems are solved as spans: a kernel is subspaces.kernel, and
 x = sum c_i m_i is read off the residual of (x, 0) against the rows
@@ -27,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from operator import mul, truediv
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
@@ -424,52 +425,37 @@ def min_poly(m: Matrix) -> Polynomial:
 
 
 def char_poly(m: Matrix) -> Polynomial:
-    """det(xI - m), by char_poly_coeffs (on int residues over GF(p))."""
+    """det(xI - m) by char_poly_coeffs on m's int rows R = d m, over Q as
+    well as GF(p): coefficient k is c_k / d^(n-k) for det(xI - R) = sum
+    c_k x^k."""
     if not m.is_square():
         raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    if modulus(m.field):
-        return Polynomial(m.field, char_poly_coeffs(m._ints[0], m.field.p))
-    return Polynomial(m.field, char_poly_coeffs(m.rows))
+    rows, d = m._ints
+    cs = char_poly_coeffs(rows, modulus(m.field))
+    return Polynomial(m.field, row_elements(m.field, [c * d**k for k, c in enumerate(cs)], d ** m.nrows))
 
 
 def char_poly_coeffs(rows: Sequence, p: int | None = None) -> list:
-    """det(xI - M), lowest degree first, in O(n^3) operations on the
-    entries in their own field, or on ints mod p when p is given (H.
-    Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.2.9):
-    M is brought to upper Hessenberg form H by similarities (r_i -= u r_k,
-    c_k += u c_i), then p_0 = 1, p_k = (x - h_kk) p_{k-1} - sum_{i<k} h_ik
-    h_{i+1,i} ... h_{k,k-1} p_{i-1}, and p_n is the answer.
+    """det(xI - M) for int rows M, lowest degree first, reduced mod p
+    when p is given, by Berkowitz's division-free recurrence (S. J.
+    Berkowitz, Inf. Process. Lett. 18(3), 1984): for the leading r x r
+    block M_r, the row R = M[r][:r], the column C = M[:r][r] and a =
+    M[r][r], the coefficients of det(xI - M_{r+1}), highest degree first,
+    are the lower triangular Toeplitz matrix with first column (1, -a,
+    -R C, -R M_r C, ..., -R M_r^(r-1) C) times those of det(xI - M_r).
+    O(n^4) ring operations and no division, so a zero leading minor needs
+    no pivot and the coefficients over Z stay integers.
     """
-    h = [list(row) for row in rows]
-    red = (lambda x: x) if p is None else (lambda x: x % p)
-    div = truediv if p is None else (lambda a, b: a * pow(b, -1, p) % p)
-    n = len(h)
-    for k in range(1, n - 1):
-        piv = next((i for i in range(k, n) if h[i][k - 1]), None)
-        if piv is None:
-            continue
-        if piv != k:
-            h[piv], h[k] = h[k], h[piv]
-            for row in h:
-                row[piv], row[k] = row[k], row[piv]
-        for i in range(k + 1, n):
-            u = div(h[i][k - 1], h[k][k - 1])
-            if u:
-                h[i] = [red(a - u * b) if b else a for a, b in zip(h[i], h[k])]
-                for row in h:
-                    if row[i]:
-                        row[k] = red(row[k] + u * row[i])
-    polys = [[1]]
-    for k in range(n):
-        poly = [0] + polys[-1]
-        for j, c in enumerate(polys[-1]):
-            poly[j] -= h[k][k] * c
-        t = 1
-        for i in range(k, 0, -1):
-            t = red(t * h[i][i - 1])
-            if not t:
-                break
-            for j, c in enumerate(polys[i - 1]):
-                poly[j] -= t * h[i - 1][k] * c
-        polys.append([red(c) for c in poly])
-    return polys[-1]
+    poly = [1]  # det(xI - M_r), highest degree first
+    for r, row in enumerate(rows):
+        col, v = [1, -row[r]], [m[r] for m in rows[:r]]  # v = M_r^j C
+        for j in range(r):
+            if j:
+                v = [sum(map(mul, m, v)) for m in rows[:r]]  # map stops at r
+                if p:
+                    v = [x % p for x in v]
+            col.append(-sum(map(mul, row, v)))
+        poly = [sum(map(mul, col[i::-1], poly)) for i in range(r + 2)]
+        if p:
+            poly = [c % p for c in poly]
+    return poly[::-1]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -498,23 +499,69 @@ def _small_rational(rng):
     return Fraction(rng.randint(-6, 6), rng.choice([1, 1, 1, 2, 3, 7]))
 
 
-@pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 11, 13])
+def _oracle_rows(rng, n, entry):
+    """An n x n matrix of entry() draws: dense, or sparse (zero leading
+    minors, which the recurrence passes through with no pivot),
+    triangular, zero or scalar."""
+    kind = rng.choice(["dense", "sparse", "upper", "lower", "zero", "scalar"])
+    keep = {
+        "dense": lambda i, j: True,
+        "sparse": lambda i, j: rng.random() < 0.35,
+        "upper": lambda i, j: i <= j,
+        "lower": lambda i, j: i >= j,
+        "zero": lambda i, j: False,
+        "scalar": lambda i, j: i == j,
+    }[kind]
+    c = entry()
+    return [[(c if kind == "scalar" else entry()) if keep(i, j) else 0 for j in range(n)] for i in range(n)]
+
+
+def _wide_rational(rng):
+    """About 20-digit numerators over denominators up to 10^4, or a small one."""
+    if rng.random() < 0.5:
+        return _small_rational(rng)
+    return Fraction(rng.randrange(-(10**20), 10**20), rng.randint(1, 10**4))
+
+
+@pytest.mark.parametrize("p", [None, 2, 3, 5, 7, 11, 13, 65521])
 def test_char_poly_matches_interpolation_oracle(p):
     rng = random.Random(p or 0)
     for _ in range(40):
-        n = rng.randint(1, 7)
+        n = rng.randint(1, 9)
         if p is None:
-            rows = [[_small_rational(rng) for _ in range(n)] for _ in range(n)]
+            rows = _oracle_rows(rng, n, lambda: _wide_rational(rng))
             got = list(char_poly(qm(rows)).coeffs)
             want = char_poly_by_interpolation(rows)
         else:
-            # sparse rows exercise the Hessenberg pivot search and swaps
-            rows = [[rng.choice([0, 0, rng.randrange(p)]) for _ in range(n)] for _ in range(n)]
+            rows = _oracle_rows(rng, n, lambda: rng.randrange(p))
             got = [c.v for c in char_poly(gm(p, rows)).coeffs]
             # det(xI - M) has integer coefficients in the entries, so it
             # commutes with reduction mod p
             want = [int(c) % p for c in char_poly_by_interpolation(rows)]
         assert got == want, (p, rows)
+
+
+def _mod(x, p):
+    return x.numerator * pow(x.denominator, -1, p) % p
+
+
+def test_dense_wide_q_rejection_is_fast_and_char_poly_reduces_mod_p():
+    """A dense 24 x 24 Q matrix with 30-digit entries is rejected within
+    a generous 10 s, and its characteristic polynomial, also over a
+    denominator d, reduces mod primes not dividing d to that of the
+    matrix reduced mod them."""
+    rng = random.Random(30)
+    m = qm([[rng.randrange(-(10**30), 10**30) for _ in range(24)] for _ in range(24)])
+    start = time.perf_counter()
+    with pytest.raises(NotDiagonalizableOverField):
+        eigen_decompose(m)
+    assert time.perf_counter() - start < 10
+    d = 2**5 * 3 * 10007
+    for q in (m, m.scale(Fraction(1, d))):
+        for p in (32749, 65521):
+            got = [_mod(c, p) for c in char_poly(q).coeffs]
+            want = [c.v for c in char_poly(gm(p, [[_mod(x, p) for x in row] for row in q.rows])).coeffs]
+            assert got == want, p
 
 
 def _poly_product(factors):
