@@ -7,9 +7,12 @@ basis) has its diagonal for roots and a simple root's eigenline by
 substitution.  Over GF(p) with p <= n they are the t with ker(m - tI)
 nonzero, scanned until the kernels fill the space.  Otherwise the roots
 of linalg.char_poly are found exactly without factoring integers: by
-scanning GF(p), over Q p-adically.  The rest runs on int rows: kernels,
-eigenvector check and basis inverse, computed once per decomposition
-and carried by its reorderings.
+scanning GF(p), over Q p-adically.  The rest runs on int rows: each
+eigenspace is subspaces.kernel(m, theta), one elimination of m's rows
+with theta subtracted as they are fed in, with no shifted matrix; the
+eigenvector check reads m's rows and theta once per eigenspace; the
+basis inverse is computed once per decomposition and carried by its
+reorderings.
 """
 
 from __future__ import annotations
@@ -155,7 +158,8 @@ class EigenDecomposition:
     check_vectors: InitVar[bool] = True  # False only for reordered copies
 
     def __post_init__(self, check_vectors):
-        n = self.operator.nrows
+        m = self.operator
+        n, (rows, _), p = m.nrows, m._ints, modulus(m.field)
         if len(self.eigenvalues) != len(self.eigenspaces):
             raise InvariantViolation("eigenvalue/eigenspace count mismatch")
         if len(set(self.eigenvalues)) != len(self.eigenvalues):
@@ -167,9 +171,8 @@ class EigenDecomposition:
             if space.is_zero():
                 raise InvariantViolation("zero eigenspace")
             total += space.dim
-            if check_vectors and not all(
-                _is_eigenvector(self.operator, theta, u) for u in space.echelon.rows.values()
-            ):
+            vectors = space.echelon.rows.values()
+            if check_vectors and not _are_eigenvectors(rows, p, *m._shift_ints(theta), vectors):
                 raise InvariantViolation("claimed eigenvector is not one")
         if total != n:
             raise InvariantViolation("eigenspace dimensions do not fill the space")
@@ -223,13 +226,15 @@ class EigenDecomposition:
         return self.reordered(range(self.diameter, -1, -1))
 
 
-def _is_eigenvector(m: Matrix, theta, u) -> bool:
-    """Whether m u = theta u for an Echelon row u, on m's int rows R =
-    d m: whether b R u = a d u for theta = a / b (b = 1 over GF(p))."""
-    (rows, d), theta, p = m._ints, m.field.scalar(theta), modulus(m.field)
-    a, b = (theta.v, 1) if p else (theta.numerator * d, theta.denominator)
-    w = [b * sum(map(mul, row, u)) - a * x for row, x in zip(rows, u)]
-    return not any(x % p for x in w) if p else not any(w)
+def _are_eigenvectors(rows, p, a: int, b: int, vectors) -> bool:
+    """Whether m u = theta u for every Echelon row u in vectors, on the
+    int rows R = d m of m: whether b R u = a u, for theta = a / (b d) as
+    Matrix._shift_ints gives it, mod p unless p is None."""
+    for u in vectors:
+        w = [b * sum(map(mul, row, u)) - a * x for row, x in zip(rows, u)]
+        if any(x % p for x in w) if p else any(w):
+            return False
+    return True
 
 
 def eigenspaces(m: Matrix) -> tuple[tuple, tuple, int]:
@@ -241,7 +246,8 @@ def eigenspaces(m: Matrix) -> tuple[tuple, tuple, int]:
     each is at most its root's multiplicity.  Over GF(p) with p <= n the
     eigenvalues of a non-triangular m are found by scanning t in GF(p) for
     ker(m - tI) != 0 until the kernels fill the space, at most p kernels
-    and no polynomial; only if they never fill is char_poly counted."""
+    and no polynomial; only if they never fill is char_poly counted.
+    Every kernel is kernel(m, theta), so no m - theta I is built."""
     rows, d = m._ints
     lower = any(any(row[:i]) for i, row in enumerate(rows))
     if lower and any(any(row[i + 1 :]) for i, row in enumerate(rows)):
@@ -250,7 +256,7 @@ def eigenspaces(m: Matrix) -> tuple[tuple, tuple, int]:
         roots = () if scan else field_roots(char_poly(m), m.field)
         found, dim = {}, 0
         for theta in map(m.field.scalar, range(p)) if scan else sorted(set(roots)):
-            if dim < n and (space := kernel(m.shift(theta))).dim:
+            if dim < n and (space := kernel(m, theta)).dim:
                 found[theta], dim = space, dim + space.dim
         if scan and dim < n:  # not diagonalizable: count the roots for the message
             roots = field_roots(char_poly(m), m.field)
@@ -259,7 +265,7 @@ def eigenspaces(m: Matrix) -> tuple[tuple, tuple, int]:
     ints = sorted(set(diag))  # d > 0, so in the order of the eigenvalues
     thetas = Matrix._of_ints(m.field, [ints], d).rows[0]
     spaces = tuple(
-        _eigenline(m, diag.index(t), lower) if diag.count(t) == 1 else kernel(m.shift(theta))
+        _eigenline(m, diag.index(t), lower) if diag.count(t) == 1 else kernel(m, theta)
         for t, theta in zip(ints, thetas)
     )
     return thetas, spaces, m.nrows

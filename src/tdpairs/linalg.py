@@ -29,7 +29,7 @@ from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import QQ, Field, PrimeField, Scalar
@@ -171,16 +171,18 @@ class Matrix:
     def shift(self, theta) -> "Matrix":
         """self - theta I for a square matrix, on its int rows: only the
         diagonal changes."""
+        a, b = self._shift_ints(theta)
+        rows, d = self._ints
+        return Matrix._of_ints(self.field, list(shifted_rows(rows, a, b, modulus(self.field))), b * d)
+
+    def _shift_ints(self, theta) -> tuple[int, int]:
+        """(a, b) with self - theta I = (b R - a I) / (b d) for a square
+        self = R / d: theta = a / (b d), with b = 1 and a the residue over
+        GF(p)."""
         if not self.is_square():
             raise DimensionMismatch("shift of a non-square matrix")
-        theta, p = self.field.scalar(theta), modulus(self.field)
-        rows, d = self._ints
-        s = 1 if p else lcm(d, theta.denominator) // d  # over Q: theta = t / (d s)
-        t = theta.v if p else theta.numerator * (d * s // theta.denominator)
-        ints = [[a * s for a in row] if s > 1 else list(row) for row in rows]
-        for i, row in enumerate(ints):
-            row[i] = (row[i] - t) % p if p else row[i] - t
-        return Matrix._of_ints(self.field, ints, d * s)
+        theta = self.field.scalar(theta)
+        return (theta.v, 1) if modulus(self.field) else (theta.numerator * self._ints[1], theta.denominator)
 
     def scale(self, c) -> "Matrix":
         c, p = self.field.scalar(c), modulus(self.field)
@@ -235,6 +237,16 @@ def row_elements(field: Field, ints: Sequence, d: int = 1) -> tuple:
     return tuple(Fraction(x, d) if x else QQ.zero for x in ints)
 
 
+def shifted_rows(rows: Sequence, a: int, b: int, p: int | None) -> Iterator[list]:
+    """The int rows b R - a I of square int rows R (a = 0: of any R), one
+    new list at a time, the diagonal reduced mod p unless p is None."""
+    for i, row in enumerate(rows):
+        u = [b * x for x in row] if b > 1 else list(row)
+        if a:
+            u[i] = (u[i] - a) % p if p else u[i] - a
+        yield u
+
+
 def residue_product(x: Sequence, y: Sequence, p: int | None) -> list:
     """x @ y for int matrices (sequences of rows), entries reduced mod p
     unless p is None."""
@@ -270,8 +282,10 @@ class Echelon:
 
     def image(self, m: Matrix, u: Sequence) -> list:
         """m u on m's int rows, for an int row u."""
-        w = [sum(map(mul, row, u)) for row in m._ints[0]]
-        return [a % self.p for a in w] if self.p else _primitive(w)
+        p = self.p
+        if p:
+            return [sum(map(mul, row, u)) % p for row in m._ints[0]]
+        return _primitive([sum(map(mul, row, u)) for row in m._ints[0]])
 
     def _residual(self, u: Sequence) -> tuple:
         """(w, s): w / s is the int row u minus its part on the basis; s
@@ -299,17 +313,27 @@ class Echelon:
         return self._residual(u)[0]
 
     def insert(self, u: Sequence) -> bool:
-        """Add the int row u to the span; True when it grew."""
-        p = self.p
-        u = self.reduce(u)
+        """Add the int row u (over GF(p) residues in [0, p)) to the span;
+        True when it grew.  It keeps a new list, and over GF(p) reduces
+        u in one pass here and scales it only when its pivot is not 1."""
+        p, given = self.p, u
+        if p:
+            for c, row in self.rows.items():
+                f = u[c]
+                if f:
+                    u = [(a - f * b) % p if b else a for a, b in zip(u, row)]
+        else:
+            u = self._residual(u)[0]
         c = next((i for i, x in enumerate(u) if x), None)
         if c is None:
             return False
-        if p:
+        if not p:
+            u = _primitive(u, u[c] < 0)
+        elif u[c] != 1:
             inv = pow(u[c], -1, p)
             u = [inv * e % p for e in u]
-        else:
-            u = _primitive(u, u[c] < 0)
+        elif u is given:
+            u = list(u)
         e = u[c]
         for pivot, row in self.rows.items():
             f = row[c]

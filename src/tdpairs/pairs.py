@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import accumulate, chain, product
+from operator import mul
 
 from .errors import (
     DiameterMismatch,
@@ -139,12 +140,11 @@ def _checked_reducible(a: Matrix, astar: Matrix, w: Subspace, how: str) -> Irred
 
 
 def _spin(field, n: int, seeds, operators) -> Subspace:
-    """Smallest subspace containing the seeds and invariant under the
-    operators, grown by a worklist of images.  The worklist holds int
-    rows, the seeds as Matrix reads them, and each image is taken on the
-    operators' int rows."""
+    """Smallest subspace containing the seeds, int rows as an Echelon
+    takes them, and invariant under the operators, grown by a worklist of
+    int rows; each image is taken on the operators' int rows."""
     acc = Echelon(field)
-    queue = [u for u in Matrix(field, seeds)._ints[0] if acc.insert(u)]
+    queue = [u for u in seeds if acc.insert(u)]
     qi = 0
     while qi < len(queue):
         v = queue[qi]
@@ -212,12 +212,14 @@ _LINE_ENUM_CAP = 200_000
 
 def _gf_lines(field, basis):
     """One representative per 1-dimensional subspace of the span of the
-    given independent vectors (first nonzero coefficient normalized)."""
-    combine, k = Matrix.from_columns(field, basis), len(basis)
+    given independent vectors (first nonzero coefficient normalized), as
+    an int row of residues."""
+    rows, p, k = Matrix.from_columns(field, basis)._ints[0], field.p, len(basis)
     # coefficients (0, ..., 0, 1, c_1, c_2, ...), c_1 running fastest
     for lead in range(k):
-        for tail in product(range(field.p), repeat=k - lead - 1):
-            yield combine.apply((0,) * lead + (1,) + tail[::-1])
+        for tail in product(range(p), repeat=k - lead - 1):
+            c = (0,) * lead + (1,) + tail[::-1]
+            yield [sum(map(mul, row, c)) % p for row in rows]
 
 
 def _blocks(m: Matrix, k: int) -> Matrix:
@@ -240,7 +242,7 @@ def _condensed(a: Matrix, astar: Matrix, kbasis, coords: Matrix) -> list[Matrix]
     """
     field = a.field
     n, k = a.nrows, len(kbasis)
-    seed = tuple(x for v in kbasis for x in v)
+    seed = [*chain.from_iterable(Matrix(field, kbasis)._ints[0])]
     spun = _spin(field, n * k, [seed], (_blocks(a, k), _blocks(astar, k)))
     acc = Echelon(field)
     basis = []
@@ -310,9 +312,10 @@ _DUAL_SPIN = "annihilator of a proper dual spin-up"
 _SPINS_FILL = "kernel spin-ups and the dual spin-up all fill the space"
 
 
-def _norton(a: Matrix, astar: Matrix, t: Matrix, kbasis, submodule) -> IrreducibilityReport:
-    """Norton's irreducibility test on K = ker t, for a singular element t
-    of the algebra generated by {A, Astar} with kernel basis kbasis.
+def _norton(a: Matrix, astar: Matrix, m: Matrix, theta, kbasis, submodule) -> IrreducibilityReport:
+    """Norton's irreducibility test on K = ker t, for a singular element
+    t = m - theta I of the algebra generated by {A, Astar} with kernel
+    basis kbasis.
 
     A common invariant W either contains K, and then the spin-up of k_1
     is proper; or meets K in a proper submodule of the condensed algebra
@@ -323,19 +326,20 @@ def _norton(a: Matrix, astar: Matrix, t: Matrix, kbasis, submodule) -> Irreducib
     of k_1, the spin of a submodule vector and the dual spin of one w
     decide irreducibility whenever submodule() decides K.  submodule()
     runs only when k_1 spins to V, and gives K-coordinates, "simple" or
-    "unknown".
+    "unknown".  Every spin is seeded with int rows, and w is the first
+    canonical row of ker t^T = ker(m^T - theta I), so t is never built.
     """
     field = a.field
     n = a.nrows
-    spun = _spin(field, n, [kbasis[0]], (a, astar))
+    spun = _spin(field, n, Matrix(field, kbasis[:1])._ints[0], (a, astar))
     if spun.dim < n:
         return _checked_reducible(a, astar, spun, _KERNEL_SPIN)
     found = submodule()
     if found not in ("simple", "unknown"):
-        v = Matrix.from_columns(field, kbasis).apply(found)
-        return _checked_reducible(a, astar, _spin(field, n, [v], (a, astar)), _KERNEL_SPIN)
-    w = kernel(t.transpose()).basis[0]
-    spun = _spin(field, n, [w], (a.transpose(), astar.transpose()))
+        v = (Matrix(field, [found]) @ Matrix(field, kbasis))._ints[0]
+        return _checked_reducible(a, astar, _spin(field, n, v, (a, astar)), _KERNEL_SPIN)
+    dual = kernel(m.transpose(), theta).echelon.rows
+    spun = _spin(field, n, [dual[min(dual)]], (a.transpose(), astar.transpose()))
     if spun.dim < n:
         return _checked_reducible(a, astar, annihilator(field, n, spun.basis), _DUAL_SPIN)
     if found == "unknown":
@@ -429,19 +433,19 @@ def irreducible(
             edges = edges_a if m is a and edges_a is not None else _block_edges(eig, other)
             return _graph_norton(a, astar, eig, edges, i)
         if k.dim == 1:
-            return _norton(a, astar, m.shift(theta), k.basis, lambda: "simple")
+            return _norton(a, astar, m, theta, k.basis, lambda: "simple")
     diagonal = [s for s in shifts if s[1] is not None]
     if diagonal:
         m, eig, i, theta, k = min(diagonal, key=lambda s: s[4].dim)
-        t, kbasis = m.shift(theta), k.basis
+        kbasis = k.basis
         _, c_inv, ranges = eigencoordinate_change(eig)
         rows, d = c_inv._ints
         coords = Matrix._of_ints(field, rows[slice(*ranges[i])], d)
     else:
         eye = Matrix.identity(field, n)
-        t, kbasis, coords = Matrix.zeros(field, n, n), eye.rows, eye
+        m, theta, kbasis, coords = Matrix.zeros(field, n, n), field.zero, eye.rows, eye
     return _norton(
-        a, astar, t, kbasis, lambda: _submodule(field, _condensed(a, astar, kbasis, coords))
+        a, astar, m, theta, kbasis, lambda: _submodule(field, _condensed(a, astar, kbasis, coords))
     )
 
 

@@ -5,11 +5,11 @@ over Q primitive with a positive pivot), so equal subspaces hold equal
 rows.  Every operation runs on them: a span, image or sum feeds int rows
 to an Echelon (a sum to a copy of the first summand's); membership,
 coordinates and invariance (maps_into, no Echelon of the image) are
-residuals; a kernel is one elimination of the reversed columns, an
-intersection one Zassenhaus elimination.  Field elements cross only in
-the public methods span, basis, residual, contains and coordinates, in
-through Matrix and out through linalg.row_elements; the basis is a
-read-only cache.
+residuals; a kernel, or an eigenspace ker(m - theta I), is one
+elimination of the reversed columns, an intersection one Zassenhaus
+elimination.  Field elements cross only in the public methods span,
+basis, residual, contains and coordinates, in through Matrix and out
+through linalg.row_elements; the basis is a read-only cache.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import Field
-from .linalg import Echelon, Matrix, Vector, _primitive, row_elements
+from .linalg import Echelon, Matrix, Vector, _primitive, row_elements, shifted_rows
 
 
 def _canonical(field: Field, rows: dict) -> Echelon:
@@ -26,6 +26,16 @@ def _canonical(field: Field, rows: dict) -> Echelon:
     eng = Echelon(field)
     eng.rows = rows
     return eng
+
+
+def _check_space(field: Field, ambient_dim: int, other) -> None:
+    """Raise unless other is a Subspace of field^ambient_dim."""
+    if not isinstance(other, Subspace):
+        raise TypeError("expected a Subspace")
+    if field != other.field:
+        raise FieldMismatch(f"{field!r} vs {other.field!r}")
+    if ambient_dim != other.ambient_dim:
+        raise DimensionMismatch(f"ambient {ambient_dim} vs {other.ambient_dim}")
 
 
 class Subspace:
@@ -74,12 +84,7 @@ class Subspace:
         return self.dim == self.ambient_dim
 
     def _check(self, other: "Subspace"):
-        if not isinstance(other, Subspace):
-            raise TypeError("expected a Subspace")
-        if self.field != other.field:
-            raise FieldMismatch(f"{self.field!r} vs {other.field!r}")
-        if self.ambient_dim != other.ambient_dim:
-            raise DimensionMismatch(f"ambient {self.ambient_dim} vs {other.ambient_dim}")
+        _check_space(self.field, self.ambient_dim, other)
 
     def _ints(self, v: Sequence) -> tuple:
         """(u, d) with v = u / d for an int row u, every entry coerced and
@@ -150,15 +155,20 @@ def subspace_intersect(x: Subspace, y: Subspace) -> Subspace:
     return Subspace(_canonical(x.field, {c - n: row[n:] for c, row in eng.rows.items() if c >= n}), n)
 
 
-def kernel(m: Matrix) -> Subspace:
-    """Right kernel of a matrix as a Subspace, in one elimination of m's
-    int rows with their columns reversed.  Read back in the original
-    order, each back-substitution vector starts at its free column (1
-    over GF(p), positive over Q) and is 0 at every other free column: the
-    kernel's canonical rows, over Q once made primitive."""
+def kernel(m: Matrix, theta=None) -> Subspace:
+    """Right kernel of a matrix as a Subspace, or with theta the
+    eigenspace ker(m - theta I) of a square m, in one elimination of m's
+    int rows R = d m with their columns reversed, fed in as b R - a I for
+    theta = a / (b d) (Matrix._shift_ints), so no shifted Matrix is built.
+    Read back in the original order, each back-substitution vector starts
+    at its free column (1 over GF(p), positive over Q) and is 0 at every
+    other free column: the kernel's canonical rows, over Q once made
+    primitive."""
     n, eng = m.ncols, Echelon(m.field)
-    for row in m._ints[0]:
-        eng.insert(row[::-1])
+    a, b = (0, 1) if theta is None else m._shift_ints(theta)
+    for u in shifted_rows(m._ints[0], a, b, eng.p):
+        u.reverse()
+        eng.insert(u)
     rows = {n - 1 - free: u[::-1] if eng.p else _primitive(u[::-1]) for free, u in eng.nullspace(n)}
     return Subspace(_canonical(m.field, rows), n)
 
@@ -184,7 +194,7 @@ def maps_into(m: Matrix, s: Subspace, t: Subspace) -> bool:
     """Whether m(s) lies in t: m u reduces to 0 against t's Echelon for
     every row u of s's, with image_of's and subspace_leq's checks."""
     _check_operator(m, s)
-    Subspace.zero(m.field, m.nrows)._check(t)  # where the image would lie
+    _check_space(m.field, m.nrows, t)  # where the image would lie
     eng = t.echelon
     return not any(any(eng.reduce(eng.image(m, u))) for u in s.echelon.rows.values())
 

@@ -91,6 +91,43 @@ def test_irrational_spectrum_rejected_over_q():
         eigen_decompose(qm([[0, 2], [1, 0]]))
 
 
+_REPEATED = "minimal polynomial has a repeated root"
+
+
+def _unsplit(found, n):
+    return (
+        "minimal polynomial has an irreducible factor of degree > 1 "
+        f"(found {found} of {n} roots of the characteristic polynomial)"
+    )
+
+
+@pytest.mark.parametrize(
+    "field, rows, message",
+    [
+        # p <= n, not triangular: the scan over GF(p) finds too little
+        (GF(2), [[0, 1, 0], [1, 0, 0], [0, 0, 1]], _REPEATED),
+        (GF(3), [[0, 0, 1], [1, 0, 1], [0, 1, 0]], _unsplit(0, 3)),
+        (GF(2), [[0, 1, 0, 0], [1, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 0]], _unsplit(2, 4)),
+        (GF(2), [[0, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 0, 1]], _REPEATED),
+        (GF(3), [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 2, 0], [1, 0, 0, 0]], _REPEATED),
+        # p > n and Q: one kernel per root
+        (GF(101), [[1, 1, 0], [0, 1, 0], [1, 0, 2]], _REPEATED),
+        (QQ, [[0, 2], [1, 0]], _unsplit(0, 2)),
+        (QQ, [[Fraction(-2, 3), 1, 0], [-1, Fraction(4, 3), 0], [0, 1, Fraction(1, 3)]], _REPEATED),
+        # triangular with a repeated diagonal entry
+        (GF(2), [[1, 1, 0], [0, 1, 1], [0, 0, 0]], _REPEATED),
+        (QQ, [[Fraction(1, 2), 1], [0, Fraction(1, 2)]], _REPEATED),
+    ],
+)
+def test_rejection_messages_are_pinned(field, rows, message):
+    # the eigenspaces come from kernels of the int rows with theta
+    # subtracted as they are fed in; the verdict and its message are the
+    # ones the shifted matrices gave
+    with pytest.raises(NotDiagonalizableOverField) as caught:
+        eigen_decompose(Matrix(field, rows))
+    assert str(caught.value) == message
+
+
 def test_gf_spectrum_must_split():
     # x^2 + 1 has no roots mod 3, two roots mod 5
     m3 = gm(3, [[0, -1], [1, 0]])
@@ -140,20 +177,23 @@ def test_reordered_copies_skip_the_eigenvector_check(monkeypatch):
     # a fresh construction checks A u = theta u for every engine row u
     eig = eigen_decompose(qm([[1, 0, 0], [1, 2, 0], [0, 1, 3]]))
     calls = []
-    real_check = tdpairs.eigen._is_eigenvector
-    monkeypatch.setattr(
-        tdpairs.eigen, "_is_eigenvector", lambda m, t, u: calls.append((m, t, u)) or real_check(m, t, u)
-    )
+    real_check = tdpairs.eigen._are_eigenvectors
+
+    def check(rows, p, a, b, vectors):
+        calls.append((rows, p, a, b, [list(u) for u in vectors]))
+        return real_check(rows, p, a, b, vectors)
+
+    monkeypatch.setattr(tdpairs.eigen, "_are_eigenvectors", check)
     eig.reordered((2, 0, 1))
     eig.reversed()
     assert calls == []
     EigenDecomposition(eig.operator, eig.eigenvalues, eig.eigenspaces)
-    assert [(m, t, list(u)) for m, t, u in calls] == [
-        (eig.operator, theta, list(space.echelon.rows[c]))
+    m = eig.operator
+    assert calls == [  # one call per eigenspace, with every engine row
+        (m._ints[0], None, *m._shift_ints(theta), [list(u) for u in space.echelon.rows.values()])
         for theta, space in zip(eig.eigenvalues, eig.eigenspaces)
-        for c in space.echelon.pivots
     ]
-    assert len(calls) == 3
+    assert sum(len(c[-1]) for c in calls) == 3
     for bad in ((0, 1), (0, 0, 1), (0, 1, 3)):
         with pytest.raises(DimensionMismatch):
             eig.reordered(bad)

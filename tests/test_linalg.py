@@ -279,6 +279,32 @@ def test_residue_kernels_match_the_int_oracle(p):
         _check_residue_kernels(field, field.scalar, rows, other, v)
 
 
+@pytest.mark.parametrize("p", (2, 3, 101))
+def test_echelon_keeps_canonical_lists_of_its_own_whatever_the_input(p):
+    # insert does not rescale a row whose pivot is already 1, yet it must
+    # keep a new list: tuple rows, and lists the caller reuses afterwards,
+    # leave the same rows, == and hash as a span of fresh lists
+    field, rng = GF(p), random.Random(p)
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(1, n)):
+            c = rng.randrange(n)
+            rows.append((0,) * c + (1,) + tuple(rng.randrange(p) for _ in range(n - c - 1)))
+        fed = [list(r) if rng.random() < 0.5 else r for r in rows]
+        eng, fresh = Echelon(field), Echelon(field)
+        for u, r in zip(fed, rows):
+            eng.insert(u)
+            fresh.insert(list(r))
+        for u in fed:
+            if isinstance(u, list):
+                u[:] = [0] * n
+        assert all(type(row) is list for row in eng.rows.values())
+        got = Subspace(eng, n)
+        for want in (Subspace(fresh, n), Subspace.span(field, n, [list(r) for r in rows])):
+            assert got == want and hash(got) == hash(want) and got.basis == want.basis
+
+
 def test_echelon_users_match_the_rational_oracle():
     rng = random.Random(5)
     for _ in range(25):
@@ -371,7 +397,7 @@ def test_q_spin_matches_the_fraction_oracle_on_proper_invariant_subspaces():
             t = [[0 if i >= k > j else _wide(rng) for j in range(n)] for i in range(n)]
             ops.append(int_matmul(None, int_matmul(None, p, t), p_inv))
         seeds = [int_mat_apply(None, p, [_wide(rng) for _ in range(k)] + [0] * (n - k))]
-        spun = tdpairs.pairs._spin(QQ, n, seeds, [qm(g) for g in ops])
+        spun = tdpairs.pairs._spin(QQ, n, qm(seeds)._ints[0], [qm(g) for g in ops])
         assert spun.dim <= k
         assert [list(b) for b in spun.basis] == _oracle_spin(seeds, ops)
         proper += spun.dim < n

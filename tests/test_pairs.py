@@ -435,8 +435,8 @@ def _condensed_norton(a, astar, eig, i):
     _, c_inv, ranges = eigencoordinate_change(eig)
     coords = Matrix(field, c_inv.rows[slice(*ranges[i])])
     b = tdpairs.pairs._condensed(a, astar, kbasis, coords)
-    t = a - Matrix.identity(field, a.nrows).scale(eig.eigenvalues[i])
-    rep = tdpairs.pairs._norton(a, astar, t, kbasis, lambda: tdpairs.pairs._submodule(field, b))
+    theta = eig.eigenvalues[i]
+    rep = tdpairs.pairs._norton(a, astar, a, theta, kbasis, lambda: tdpairs.pairs._submodule(field, b))
     return rep, b
 
 
@@ -449,8 +449,8 @@ def _every_line_verdict(a, astar, eig, i):
     if any(spin(field, n, [v], (a, astar)).dim < n for v in lines):
         return "reducible"
     t = a - Matrix.identity(field, n).scale(eig.eigenvalues[i])
-    w = kernel(t.transpose()).basis[0]
-    dual = spin(field, n, [w], (a.transpose(), astar.transpose()))
+    w = Matrix(field, kernel(t.transpose()).basis[:1])._ints[0]
+    dual = spin(field, n, w, (a.transpose(), astar.transpose()))
     return "irreducible" if dual.dim == n else "reducible"
 
 
@@ -476,7 +476,7 @@ def test_spin_is_the_canonical_span_of_every_image(field):
         n = rng.randint(1, 5)
         ops = [Matrix(field, [[entry() for _ in range(n)] for _ in range(n)]) for _ in range(2)]
         seeds = [tuple(field.scalar(entry()) for _ in range(n)) for _ in range(rng.randint(1, 2))]
-        spun = tdpairs.pairs._spin(field, n, seeds, ops)
+        spun = tdpairs.pairs._spin(field, n, Matrix(field, seeds)._ints[0], ops)
         images, frontier = list(seeds), list(seeds)
         for _ in range(n):
             frontier = [g.apply(v) for v in frontier for g in ops]
@@ -882,7 +882,7 @@ def test_block_graph_reading_equals_nortons_spins(field, monkeypatch):
     outcomes = set()
     for a, b in multiplicity_free_samples(field):
         m, theta, k = _first_eigenline(a, b)
-        want = tdpairs.pairs._norton(a, b, m.shift(theta), k.basis, lambda: "simple")
+        want = tdpairs.pairs._norton(a, b, m, theta, k.basis, lambda: "simple")
         before = spins[0]
         got = irreducible(a, b)
         assert spins[0] == before  # decided without a spin

@@ -27,7 +27,7 @@ from tdpairs import (
 from tdpairs.pairs import _checked_reducible
 from tdpairs.subspaces import sum_of
 
-from oracles import int_span, kernel_by_two_eliminations, subspace_vector_set
+from oracles import int_rref, int_span, kernel_by_two_eliminations, subspace_vector_set
 
 
 def _random_subspace(rng, field, n, p):
@@ -176,6 +176,45 @@ def test_kernel_matches_the_two_elimination_oracle(field):
     assert ranks == {"zero", "full", "deficient"}
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
+def test_shifted_kernel_matches_the_shifted_matrix_and_the_rank_oracle(field):
+    # kernel(m, theta) feeds m's int rows with theta subtracted into one
+    # elimination; it must give kernel(m.shift(theta)) row for row, of
+    # dimension n - rank(m - theta I), for eigenvalues (fractional over
+    # Q), for theta off the spectrum and on triangular m with a repeated
+    # diagonal entry
+    rng = random.Random(f"shifted kernel {field}")
+    p = getattr(field, "p", None)
+
+    def draw():
+        return rng.randrange(p) if p else Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    seen = set()
+    for _ in range(80):
+        n, shape = rng.randint(1, 6), rng.choice(["dense", "upper", "lower"])
+        rows = [[draw() for _ in range(n)] for _ in range(n)]
+        if shape != "dense":  # sparse above (or below) a diagonal of two values
+            diag, upper = [draw(), draw()], shape == "upper"
+
+            def entry(i, j, x):
+                if i == j:
+                    return rng.choice(diag)
+                return x if (j > i) == upper and rng.random() < 0.5 else 0
+
+            rows = [[entry(i, j, x) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        m = Matrix(field, rows)
+        for theta in [draw(), *(row[i] for i, row in enumerate(rows))]:
+            k, shifted = kernel(m, theta), m.shift(theta)
+            assert k == kernel(shifted) and k.basis == kernel(shifted).basis, (rows, theta)
+            minus = [[x - theta if i == j else x for j, x in enumerate(row)] for i, row in enumerate(rows)]
+            assert k.dim == n - int_rref(p, minus)[1], (rows, theta)
+            assert _is_canonical(k) and all(not any(shifted.apply(b)) for b in k.basis)
+            seen.add((shape == "dense", k.dim > 0, k.dim > 1))
+    assert seen >= {(True, False, False), (True, True, False), (False, True, True)}
+    with pytest.raises(DimensionMismatch, match="shift of a non-square matrix"):
+        kernel(Matrix(field, [[1, 0, 0], [0, 1, 0]]), 1)
+
+
 @pytest.mark.parametrize("field", [GF(3), GF(101), QQ], ids=str)
 def test_maps_into_matches_the_image_and_containment(field):
     rng = random.Random(str(field))
@@ -204,6 +243,18 @@ def test_maps_into_checks_fields_and_dimensions():
         maps_into(m, Subspace.full(f, 2), full)
     with pytest.raises(DimensionMismatch):
         maps_into(Matrix.zeros(f, 2, 3), full, full)
+    # the target is checked as the image's space, messages and all
+    with pytest.raises(FieldMismatch) as caught:
+        maps_into(m, full, Subspace.full(QQ, 3))
+    assert str(caught.value) == "GF(3) vs Q"
+    with pytest.raises(DimensionMismatch) as caught:
+        maps_into(Matrix.zeros(f, 2, 3), full, full)
+    assert str(caught.value) == "ambient 2 vs 3"
+    with pytest.raises(DimensionMismatch) as caught:
+        maps_into(m, Subspace.full(f, 2), full)
+    assert str(caught.value) == "operator domain does not match ambient space"
+    with pytest.raises(TypeError, match="^expected a Subspace$"):
+        maps_into(m, full, [[1, 0, 0]])
 
 
 def test_a_witness_that_is_not_invariant_is_a_bug():
