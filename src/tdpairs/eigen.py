@@ -32,7 +32,7 @@ from .errors import (
     NotDiagonalizableOverField,
 )
 from .fields import Rationals, _is_prime
-from .linalg import Echelon, Matrix, _common, _primitive, char_poly, modulus, residue_product
+from .linalg import Echelon, Matrix, _common, _primitive, char_poly, modulus, residue_product, shifted_image
 from .polynomials import Polynomial
 from .subspaces import Subspace, kernel
 
@@ -230,11 +230,7 @@ def _are_eigenvectors(rows, p, a: int, b: int, vectors) -> bool:
     """Whether m u = theta u for every Echelon row u in vectors, on the
     int rows R = d m of m: whether b R u = a u, for theta = a / (b d) as
     Matrix._shift_ints gives it, mod p unless p is None."""
-    for u in vectors:
-        w = [b * sum(map(mul, row, u)) - a * x for row, x in zip(rows, u)]
-        if any(x % p for x in w) if p else any(w):
-            return False
-    return True
+    return not any(any(shifted_image(rows, a, b, u, p)) for u in vectors)
 
 
 def eigenspaces(m: Matrix) -> tuple[tuple, tuple, int]:

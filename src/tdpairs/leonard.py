@@ -9,13 +9,18 @@ subspaces.kernel; the certificate is unique up to scalar and, suitably
 normalized, is the switching element that the closed-form idempotent sum
 also produces from the split sequences.  Affine reduction reads the
 tau-expansion of X off one Subspace residual.  Both run on the Echelon
-engine and read tau_i(A) through split.checked_tau_matrices.
+engine and read tau_i(A) through split.checked_tau_matrices.  Detection,
+X and the closed-form switching element (one product C diag(c) C^-1 of
+A's eigenbasis change) are computed on int rows, with no Matrix built
+per index.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import lcm
+from operator import mul
 
 from .errors import (
     DiameterZero,
@@ -31,9 +36,9 @@ from .errors import (
     TdpError,
     ZeroVarphi,
 )
-from .eigen import EigenDecomposition, primitive_idempotents
+from .eigen import EigenDecomposition, eigencoordinate_change
 from .fields import Field, PrimeField
-from .linalg import Matrix
+from .linalg import Matrix, modulus, residue_product, shifted_image
 from .pairs import TriDiagonalPair, validate_pair, vstar0_vector
 from .split import checked_tau_matrices
 from .subspaces import Subspace, kernel, maps_into, subspace_sum
@@ -123,19 +128,6 @@ class LeonardParameterSet:
 # ---- detection ---------------------------------------------------------------
 
 
-def _membership_rows(images, target):
-    """Linear conditions on alpha expressing sum_i alpha_i images[i][j]
-    in target, for every j.  Membership is linear: the combination lies
-    in target iff the same combination of the images' residuals against
-    target's RREF basis vanishes, so each column of those residuals
-    that is not all zero gives one condition."""
-    rows = []
-    for image_seq in images:
-        residuals = [target.residual(w) for w in image_seq]
-        rows.extend(row for row in zip(*residuals) if any(row))
-    return rows
-
-
 def detect_leonard(pair: TriDiagonalPair):
     """Certificate of a nonzero X in the A-subalgebra with
     X Vstar_0 <= Vstar_d, or NotLeonard when only X = 0 works.
@@ -150,20 +142,21 @@ def detect_leonard(pair: TriDiagonalPair):
 
 
 def _detect(pair: TriDiagonalPair):
-    field = pair.field
-    d = pair.diameter
-    taus = checked_tau_matrices(pair)
-    vstar0 = pair.vstar(0)
-    vstard = pair.vstar(d)
-    images = [[m.apply(u) for m in taus] for u in vstar0.basis]
-    rows = _membership_rows(images, vstard)
-    solutions = (kernel(Matrix(field, rows)) if rows else Subspace.full(field, d + 1)).basis
+    field, d = pair.field, pair.diameter
+    taus = [m._ints for m in checked_tau_matrices(pair)]
+    vstar0, vstard, p = pair.vstar(0), pair.vstar(d), modulus(field)
+    rows = []
+    for u in vstar0.echelon.rows.values():
+        # tau_i(A) u = R_i u / d_i leaves the residual w_i / (s_i d_i)
+        res = [(*vstard.echelon._residual(shifted_image(r, 0, 1, u, p)), den) for r, den in taus]
+        lcd = lcm(*[s * den for _, s, den in res])
+        cols = [[x * (lcd // (s * den)) for x in w] for w, s, den in res]
+        rows.extend(row for row in zip(*cols) if any(row))
+    solutions = (kernel(Matrix._of_ints(field, rows)) if rows else Subspace.full(field, d + 1)).basis
     solution_dim = len(solutions)
     if solution_dim == 0:
         if pair.shape.is_all_ones():
-            raise InvariantViolation(
-                "no certificate found although every eigenspace is 1-dimensional"
-            )
+            raise InvariantViolation("no certificate found although every eigenspace is 1-dimensional")
         return NotLeonard(shape=tuple(pair.shape), solution_dim=0)
     alpha = list(solutions[0])
     if not alpha[d]:
@@ -176,10 +169,12 @@ def _detect(pair: TriDiagonalPair):
         raise InvariantViolation("certificate coefficients violate the cascade")
     if min_nonzero != 0 or pair.dim != d + 1 or not pair.shape.is_all_ones():
         raise InvariantViolation("certificate exists but the pair does not look Leonard")
-    x = Matrix.zeros(field, pair.dim, pair.dim)
-    for coeff, m in zip(alpha, taus):
-        if coeff:
-            x = x + m.scale(coeff)
+    # X = sum alpha_i R_i / d_i = sum c_i (L / d_i) R_i / (e L) for alpha = c / e
+    (coeffs,), e = Matrix(field, [alpha])._ints
+    lcd = lcm(*[den for _, den in taus])
+    coeffs = [[c * (lcd // den) for c, (_, den) in zip(coeffs, taus)]]
+    x = [residue_product(coeffs, ith, p)[0] for ith in zip(*[r for r, _ in taus])]
+    x = Matrix._of_ints(field, x, e * lcd)
     if x.is_zero():
         raise InvariantViolation("certificate matrix is zero")
     if not maps_into(x, vstar0, vstard):
@@ -312,24 +307,22 @@ def affine_relation(pair_p: TriDiagonalPair, pair_q: TriDiagonalPair):
 
 
 def switching_from_sequences(params: LeonardParameterSet, eig_a: EigenDecomposition) -> Matrix:
-    """S = sum_r (phi_d phi_{d-1} ... phi_{d-r+1}) / (varphi_1 ... varphi_r) E_r,
+    """S = sum_r c_r E_r, c_r = (phi_d phi_{d-1} ... phi_{d-r+1}) / (varphi_1 ... varphi_r),
     with empty products equal to one and E_r the primitive idempotents of
-    A taken in the theta-order of params."""
-    field = params.field
-    d = params.d
+    A taken in the theta-order of params (eigen.primitive_idempotents):
+    one product C diag(c) C^-1 for the eigenbasis change C, column block
+    r of C scaled by c_r, on the int rows."""
+    field, d = params.field, params.d
     if tuple(eig_a.eigenvalues) != params.theta:
-        raise HypothesisNotMet(
-            "eigenvalue ordering does not match the parameter set"
-        )
-    idempotents = primitive_idempotents(eig_a)
-    result = idempotents[0]
-    numerator = field.one
-    denominator = field.one
+        raise HypothesisNotMet("eigenvalue ordering does not match the parameter set")
+    cs = [field.one]
     for r in range(1, d + 1):
-        numerator = numerator * params.phi[d - r]
-        denominator = denominator * params.varphi[r - 1]
-        result = result + idempotents[r].scale(numerator / denominator)
-    return result
+        cs.append(cs[-1] * params.phi[d - r] / params.varphi[r - 1])
+    c, c_inv, ranges = eigencoordinate_change(eig_a)
+    ((cs,), e), (x, dx), (y, dy) = Matrix(field, [cs])._ints, c._ints, c_inv._ints
+    scale = [cs[r] for r, (lo, hi) in enumerate(ranges) for _ in range(lo, hi)]
+    scaled = [list(map(mul, row, scale)) for row in x]
+    return Matrix._of_ints(field, residue_product(scaled, y, modulus(field)), dx * dy * e)
 
 
 def switching_via_solve(pair: TriDiagonalPair) -> Matrix:
@@ -391,12 +384,10 @@ def _phi_pa4(field, theta, thetastar, varphi):
     Returns None when some phi_i is zero (degenerate parameters)."""
     d = len(theta) - 1
     phi, partial = [], field.zero
+    ratio = varphi[0] / (theta[0] - theta[d]) if d else None  # read only when d >= 1
     for i in range(1, d + 1):
         partial += theta[i - 1] - theta[d - i + 1]
-        phi.append(
-            varphi[0] * partial / (theta[0] - theta[d])
-            + (thetastar[i] - thetastar[0]) * (theta[d - i + 1] - theta[0])
-        )
+        phi.append(ratio * partial + (thetastar[i] - thetastar[0]) * (theta[d - i + 1] - theta[0]))
     return tuple(phi) if all(phi) else None
 
 

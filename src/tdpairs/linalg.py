@@ -247,6 +247,15 @@ def shifted_rows(rows: Sequence, a: int, b: int, p: int | None) -> Iterator[list
         yield u
 
 
+def shifted_image(rows: Sequence, a: int, b: int, u: Sequence, p: int | None) -> list:
+    """(b R - a I) u for int rows R and an int row u (a = 0: R u for any
+    R), without building the shifted rows, reduced mod p unless p is None."""
+    w = [b * sum(map(mul, row, u)) for row in rows]
+    if a:
+        w = [x - a * y for x, y in zip(w, u)]
+    return [x % p for x in w] if p else w
+
+
 def residue_product(x: Sequence, y: Sequence, p: int | None) -> list:
     """x @ y for int matrices (sequences of rows), entries reduced mod p
     unless p is None."""

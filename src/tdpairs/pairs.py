@@ -165,16 +165,14 @@ def _block_edges(eig: EigenDecomposition, b: Matrix) -> set:
     """The pairs (j, i), j != i, for which b maps some vector of
     eigenspace j to a vector with a nonzero eigenspace-i component: the
     nonzero off-diagonal blocks of C^-1 b C, C the eigenbasis change,
-    read off the zero pattern of one int product."""
+    read off the nonzero entries of one int product through the block
+    of each coordinate."""
     c, c_inv, ranges = eigencoordinate_change(eig)
     p = modulus(eig.field)
     prod = residue_product(residue_product(c_inv._ints[0], b._ints[0], p), c._ints[0], p)
-    return {
-        (j, i)
-        for i, (lo, hi) in enumerate(ranges)
-        for j, (left, right) in enumerate(ranges)
-        if i != j and any(any(row[left:right]) for row in prod[lo:hi])
-    }
+    blocks = [i for i, (lo, hi) in enumerate(ranges) for _ in range(lo, hi)]
+    edges = {(blocks[k], blocks[r]) for r, row in enumerate(prod) for k, x in enumerate(row) if x}
+    return {(j, i) for j, i in edges if j != i}
 
 
 def support_path_orderings(eig: EigenDecomposition, b: Matrix) -> list[tuple[int, ...]]:
@@ -230,19 +228,20 @@ def _blocks(m: Matrix, k: int) -> Matrix:
     )
 
 
-def _condensed(a: Matrix, astar: Matrix, kbasis, coords: Matrix) -> list[Matrix]:
+def _condensed(a: Matrix, astar: Matrix, krows, coords: Matrix) -> list[Matrix]:
     """A basis of the condensed algebra B = E <A, Astar> E acting on K.
 
-    kbasis is a basis (k_1, ..., k_k) of K = E V, and coords reads the
-    K-coordinates of E v for a vector v.  Spinning (k_1, ..., k_k) in V^k
-    under diag(A, ..., A) and diag(Astar, ..., Astar) gives the tuples
-    (x k_1, ..., x k_k) for x in the algebra; their K-coordinates are the
-    columns of E x on K, so they span B.  The basis is the independent
-    ones among them, in the spin's order, so it has at most k^2 elements.
+    krows are the int rows of a basis (k_1, ..., k_k) of K = E V over one
+    denominator, and coords reads the K-coordinates of E v for a vector
+    v.  Spinning (k_1, ..., k_k) in V^k under diag(A, ..., A) and
+    diag(Astar, ..., Astar) gives the tuples (x k_1, ..., x k_k) for x in
+    the algebra; their K-coordinates are the columns of E x on K, so they
+    span B.  The basis is the independent ones among them, in the spin's
+    order, so it has at most k^2 elements.
     """
     field = a.field
-    n, k = a.nrows, len(kbasis)
-    seed = [*chain.from_iterable(Matrix(field, kbasis)._ints[0])]
+    n, k = a.nrows, len(krows)
+    seed = [*chain.from_iterable(krows)]
     spun = _spin(field, n * k, [seed], (_blocks(a, k), _blocks(astar, k)))
     acc = Echelon(field)
     basis = []
@@ -259,7 +258,7 @@ def closure_algebra(a: Matrix, astar: Matrix) -> tuple[list[Matrix], int]:
     K = V, with E = I.  The engine does not call it; perfbench/tracer.py
     wraps this name, so it stays until the benchmark drops it."""
     eye = Matrix.identity(a.field, a.nrows)
-    basis = _condensed(a, astar, eye.rows, eye)
+    basis = _condensed(a, astar, eye._ints[0], eye)
     return basis, len(basis)
 
 
@@ -312,10 +311,10 @@ _DUAL_SPIN = "annihilator of a proper dual spin-up"
 _SPINS_FILL = "kernel spin-ups and the dual spin-up all fill the space"
 
 
-def _norton(a: Matrix, astar: Matrix, m: Matrix, theta, kbasis, submodule) -> IrreducibilityReport:
+def _norton(a: Matrix, astar: Matrix, m: Matrix, theta, krows, submodule) -> IrreducibilityReport:
     """Norton's irreducibility test on K = ker t, for a singular element
-    t = m - theta I of the algebra generated by {A, Astar} with kernel
-    basis kbasis.
+    t = m - theta I of the algebra generated by {A, Astar}, with the
+    kernel basis k_1, ..., k_k given as int rows over one denominator.
 
     A common invariant W either contains K, and then the spin-up of k_1
     is proper; or meets K in a proper submodule of the condensed algebra
@@ -331,12 +330,12 @@ def _norton(a: Matrix, astar: Matrix, m: Matrix, theta, kbasis, submodule) -> Ir
     """
     field = a.field
     n = a.nrows
-    spun = _spin(field, n, Matrix(field, kbasis[:1])._ints[0], (a, astar))
+    spun = _spin(field, n, krows[:1], (a, astar))
     if spun.dim < n:
         return _checked_reducible(a, astar, spun, _KERNEL_SPIN)
     found = submodule()
     if found not in ("simple", "unknown"):
-        v = (Matrix(field, [found]) @ Matrix(field, kbasis))._ints[0]
+        v = (Matrix(field, [found]) @ Matrix._of_ints(field, krows))._ints[0]
         return _checked_reducible(a, astar, _spin(field, n, v, (a, astar)), _KERNEL_SPIN)
     dual = kernel(m.transpose(), theta).echelon.rows
     spun = _spin(field, n, [dual[min(dual)]], (a.transpose(), astar.transpose()))
@@ -433,19 +432,19 @@ def irreducible(
             edges = edges_a if m is a and edges_a is not None else _block_edges(eig, other)
             return _graph_norton(a, astar, eig, edges, i)
         if k.dim == 1:
-            return _norton(a, astar, m, theta, k.basis, lambda: "simple")
+            return _norton(a, astar, m, theta, [*k.echelon.rows.values()], lambda: "simple")
     diagonal = [s for s in shifts if s[1] is not None]
     if diagonal:
         m, eig, i, theta, k = min(diagonal, key=lambda s: s[4].dim)
-        kbasis = k.basis
-        _, c_inv, ranges = eigencoordinate_change(eig)
+        c, c_inv, ranges = eigencoordinate_change(eig)
+        krows = [*zip(*c._ints[0])][slice(*ranges[i])]  # C's columns, over C's denominator
         rows, d = c_inv._ints
         coords = Matrix._of_ints(field, rows[slice(*ranges[i])], d)
     else:
         eye = Matrix.identity(field, n)
-        m, theta, kbasis, coords = Matrix.zeros(field, n, n), field.zero, eye.rows, eye
+        m, theta, krows, coords = Matrix.zeros(field, n, n), field.zero, eye._ints[0], eye
     return _norton(
-        a, astar, m, theta, kbasis, lambda: _submodule(field, _condensed(a, astar, kbasis, coords))
+        a, astar, m, theta, krows, lambda: _submodule(field, _condensed(a, astar, krows, coords))
     )
 
 

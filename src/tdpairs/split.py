@@ -106,13 +106,15 @@ def split_subspaces(pair: TriDiagonalPair) -> SplitDecomposition:
 def verify_raising_lowering(sd: SplitDecomposition) -> SplitReport:
     """Check that A - theta_i I raises U_i into U_{i+1} and
     Astar - thetastar_i I lowers U_i into U_{i-1}, with zero subspaces
-    past both ends; returns the report with per-index flags filled in."""
+    past both ends, each by maps_into(m, U_i, target, theta_i), which
+    shifts the images and builds no shifted matrix; returns the report
+    with per-index flags filled in."""
     pair = sd.pair
     zero_space = Subspace.zero(pair.field, pair.dim)
     padded = (zero_space, *sd.U, zero_space)
 
     def moved(m, theta, step):  # (m - theta_i I) U_i <= U_{i+step}, 0 past the ends
-        return tuple(maps_into(m.shift(theta(i)), u, padded[i + 1 + step]) for i, u in enumerate(sd.U))
+        return tuple(maps_into(m, u, padded[i + 1 + step], theta(i)) for i, u in enumerate(sd.U))
 
     eq7, eq8 = moved(pair.a, pair.theta, 1), moved(pair.astar, pair.thetastar, -1)
     return replace(sd.report, eq7=eq7, eq8=eq8)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import Field
-from .linalg import Echelon, Matrix, Vector, _primitive, row_elements, shifted_rows
+from .linalg import Echelon, Matrix, Vector, _primitive, row_elements, shifted_image, shifted_rows
 
 
 def _canonical(field: Field, rows: dict) -> Echelon:
@@ -190,13 +190,16 @@ def image_of(m: Matrix, s: Subspace) -> Subspace:
     return Subspace(eng, m.nrows)
 
 
-def maps_into(m: Matrix, s: Subspace, t: Subspace) -> bool:
-    """Whether m(s) lies in t: m u reduces to 0 against t's Echelon for
-    every row u of s's, with image_of's and subspace_leq's checks."""
+def maps_into(m: Matrix, s: Subspace, t: Subspace, theta=None) -> bool:
+    """Whether m(s) lies in t, or with theta whether (m - theta I)(s)
+    does: m u, or b R u - a u as kernel(m, theta) shifts (no shifted
+    matrix), reduces to 0 against t's Echelon for every row u of s's,
+    with image_of's, subspace_leq's and shift's checks."""
     _check_operator(m, s)
     _check_space(m.field, m.nrows, t)  # where the image would lie
-    eng = t.echelon
-    return not any(any(eng.reduce(eng.image(m, u))) for u in s.echelon.rows.values())
+    a, b = (0, 1) if theta is None else m._shift_ints(theta)
+    eng, rows = t.echelon, m._ints[0]
+    return not any(any(eng.reduce(shifted_image(rows, a, b, u, eng.p))) for u in s.echelon.rows.values())
 
 
 def annihilator(field: Field, ambient_dim: int, vectors: Sequence[Sequence]) -> Subspace:

@@ -49,6 +49,33 @@ def kernel_by_two_eliminations(m):
     return Subspace(eng, m.ncols)
 
 
+def detect_by_membership(pair):
+    """(alpha, X, solution_dim) of Leonard detection by field elements:
+    tau_i(A) as a running product of A - theta_h I, the images tau_i(A) u
+    of each basis vector u of Vstar_0 by Matrix.apply, their residuals
+    against Vstar_d, one condition on alpha per column of those residuals
+    that is not all zero, and the kernel of the conditions; alpha is
+    scaled so alpha_d = 1 and X = sum alpha_i tau_i(A) by scale and +.
+    alpha and X are None when only X = 0 works."""
+    field, d, n = pair.field, pair.diameter, pair.dim
+    eye = Matrix.identity(field, n)
+    taus = [eye]
+    for theta in pair.eig_a.eigenvalues[:d]:
+        taus.append((pair.a - eye.scale(theta)) @ taus[-1])
+    target, rows = pair.vstar(d), []
+    for u in pair.vstar(0).basis:
+        residuals = [target.residual(m.apply(u)) for m in taus]
+        rows.extend(row for row in zip(*residuals) if any(row))
+    solutions = kernel_by_two_eliminations(Matrix(field, rows)).basis if rows else Matrix.identity(field, d + 1).rows
+    if not solutions:
+        return None, None, 0
+    alpha = tuple(x / solutions[0][d] for x in solutions[0])
+    x = Matrix.zeros(field, n, n)
+    for c, m in zip(alpha, taus):
+        x = x + m.scale(c)
+    return alpha, x, len(solutions)
+
+
 # ---- linear algebra on ints mod p (p None: on Fractions over Q) -------------
 
 

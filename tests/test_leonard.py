@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,18 +28,28 @@ from tdpairs import (
     NotLeonardError,
     ZeroVarphi,
     affine_relation,
+    complete_report,
     detect_leonard,
     generate_split_form,
     leonard_basis,
+    primitive_idempotents,
     random_leonard,
     reduce_to_affine,
+    split_subspaces,
     switching_from_sequences,
     switching_via_solve,
     validate_pair,
 )
 from tdpairs.eigen import invert
 
-from oracles import TENSOR_PARAMS, oracle_split_sequences, phi_from_split_form, tensor_fixture
+from oracles import (
+    TENSOR_PARAMS,
+    detect_by_membership,
+    kron_sum_fixture,
+    oracle_split_sequences,
+    phi_from_split_form,
+    tensor_fixture,
+)
 
 
 def qm(rows):
@@ -77,6 +88,61 @@ def d2_params(field=QQ):
 
 
 # ---- detection ----------------------------------------------------------------
+
+ORACLE_FIELDS = (QQ, GF(2), GF(3), GF(101))
+
+
+def pool_recipe_pairs(field):
+    """(params, fresh pair) of the acceptance pool's recipe, random_leonard
+    of every diameter the field hosts up to 6 (over GF(2) only 0, as PA4
+    gives phi_1 = varphi_1 + 1 = 0 at diameter 1); over Q also the same
+    pairs moved affinely to fractional theta and thetastar (varphi and
+    phi scale by r rstar, so PA4 still holds)."""
+    top = 0 if field == GF(2) else min(6, getattr(field, "p", 7) - 1)
+    out = [random_leonard(field, d, seed=31 * d + 5) for d in range(top + 1)]
+    if field != QQ:
+        return out
+    r, s, rstar, sstar = Fraction(1, 3), Fraction(1, 5), Fraction(-1, 2), Fraction(2, 7)
+    for params, _ in list(out):
+        moved = LeonardParameterSet(
+            field=QQ,
+            theta=[r * t + s for t in params.theta],
+            thetastar=[rstar * t + sstar for t in params.thetastar],
+            varphi=[r * rstar * x for x in params.varphi],
+            phi=[r * rstar * x for x in params.phi],
+        )
+        pair = tdpairs.leonard.aligned_to_params(validate_pair(*generate_split_form(moved)), moved)
+        out.append((moved, pair))
+    return out
+
+
+def not_leonard_pairs(field):
+    """Validated pairs of shapes (1, 2, 1) and (1, 3, 3, 1) where the
+    field hosts them (not over GF(2) or GF(3))."""
+    if field in (GF(2), GF(3)):
+        return []
+    return [
+        validate_pair(*tensor_fixture(field, (0, 1), (0, 1), (1, 2))),
+        validate_pair(*kron_sum_fixture(field, ((0, 1),) * 3, (1, 2, 3))),
+    ]
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_detection_matches_the_membership_oracle(field):
+    # detection runs on int rows; the field-element route of the oracle
+    # (images by apply, residuals, X by scale and +) must give the same
+    # alpha, X and solution dimension, and no certificate on fat shapes
+    pairs = [pair for _, pair in pool_recipe_pairs(field)] + not_leonard_pairs(field)
+    outcomes = set()
+    for pair in pairs:
+        alpha, x, solution_dim = detect_by_membership(pair)
+        found = detect_leonard(pair)
+        if alpha is None:
+            assert isinstance(found, NotLeonard) and found.solution_dim == solution_dim == 0
+        else:
+            assert (found.alpha, found.x, found.solution_dim) == (alpha, x, solution_dim), pair.shape
+        outcomes.add(type(found))
+    assert outcomes == ({LeonardCertificate} if field in (GF(2), GF(3)) else {LeonardCertificate, NotLeonard})
 
 
 def test_detect_certificate_on_running_example():
@@ -300,6 +366,38 @@ def test_switching_diameter_zero_is_identity():
     pair = validate_pair(qm([[5]]), qm([[7]]))
     s = switching_from_sequences(params, pair.eig_a)
     assert s == Matrix.identity(QQ, 1)
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_switching_from_sequences_is_the_idempotent_sum(field):
+    # one product C diag(c) C^-1 must equal Terwilliger's closed form
+    # sum c_r E_r over the primitive idempotents, term by term
+    for params, pair in pool_recipe_pairs(field):
+        es, d = primitive_idempotents(pair.eig_a), params.d
+        want, c = es[0], field.one
+        for r in range(1, d + 1):
+            c = c * params.phi[d - r] / params.varphi[r - 1]
+            want = want + es[r].scale(c)
+        assert switching_from_sequences(params, pair.eig_a) == want, (field, d)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(13)], ids=str)
+def test_the_leonard_layer_builds_no_matrix_per_index(field, monkeypatch):
+    # the raising/lowering checks, detection and the switching element run
+    # on int rows: no shifted matrix, no image by apply, no scaled sum
+    pairs = pool_recipe_pairs(field)
+    for _, pair in pairs:
+        tdpairs.split.checked_tau_matrices(pair)  # the running product, kept on the pair
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-index Matrix built")
+
+    for name in ("scale", "__add__", "apply", "shift"):
+        monkeypatch.setattr(Matrix, name, refuse)
+    for params, pair in pairs:
+        assert complete_report(split_subspaces(pair)).all_true()
+        assert isinstance(detect_leonard(pair), LeonardCertificate)
+        switching_from_sequences(params, pair.eig_a)
 
 
 def test_switching_rejects_misaligned_ordering_and_non_leonard():

@@ -431,12 +431,12 @@ def _condensed_norton(a, astar, eig, i):
     """Norton's test on eigenspace i of A, decided by its condensed
     algebra, as the engine runs it; returns the report and the algebra."""
     field = a.field
-    kbasis = eig.eigenspaces[i].basis
+    krows = Matrix(field, eig.eigenspaces[i].basis)._ints[0]  # over one denominator
     _, c_inv, ranges = eigencoordinate_change(eig)
     coords = Matrix(field, c_inv.rows[slice(*ranges[i])])
-    b = tdpairs.pairs._condensed(a, astar, kbasis, coords)
+    b = tdpairs.pairs._condensed(a, astar, krows, coords)
     theta = eig.eigenvalues[i]
-    rep = tdpairs.pairs._norton(a, astar, a, theta, kbasis, lambda: tdpairs.pairs._submodule(field, b))
+    rep = tdpairs.pairs._norton(a, astar, a, theta, krows, lambda: tdpairs.pairs._submodule(field, b))
     return rep, b
 
 
@@ -882,7 +882,7 @@ def test_block_graph_reading_equals_nortons_spins(field, monkeypatch):
     outcomes = set()
     for a, b in multiplicity_free_samples(field):
         m, theta, k = _first_eigenline(a, b)
-        want = tdpairs.pairs._norton(a, b, m, theta, k.basis, lambda: "simple")
+        want = tdpairs.pairs._norton(a, b, m, theta, Matrix(field, k.basis)._ints[0], lambda: "simple")
         before = spins[0]
         got = irreducible(a, b)
         assert spins[0] == before  # decided without a spin
