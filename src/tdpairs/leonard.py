@@ -9,10 +9,11 @@ subspaces.kernel; the certificate is unique up to scalar and, suitably
 normalized, is the switching element that the closed-form idempotent sum
 also produces from the split sequences.  Affine reduction reads the
 tau-expansion of X off one Subspace residual.  Both run on the Echelon
-engine and read tau_i(A) through split.checked_tau_matrices.  Detection,
-X and the closed-form switching element (one product C diag(c) C^-1 of
-A's eigenbasis change) are computed on int rows, with no Matrix built
-per index.
+engine and read tau_i(A) through split.checked_tau_matrices; the basis
+tau_0(A)u, ..., tau_d(A)u in which A is lower bidiagonal is
+split.tau_images.  Detection, X and the closed-form switching element
+(one product C diag(c) C^-1 of A's eigenbasis change) are computed on
+int rows, with no Matrix built per index.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .errors import (
 from .eigen import EigenDecomposition, eigencoordinate_change
 from .fields import Field, PrimeField
 from .linalg import Matrix, modulus, residue_product, shifted_image
-from .pairs import TriDiagonalPair, validate_pair, vstar0_vector
+from .pairs import TriDiagonalPair, validate_pair
 from .split import checked_tau_matrices
 from .subspaces import Subspace, kernel, maps_into, subspace_sum
 
@@ -180,25 +181,6 @@ def _detect(pair: TriDiagonalPair):
     if not maps_into(x, vstar0, vstard):
         raise InvariantViolation("certificate containment fails on recheck")
     return LeonardCertificate(alpha=alpha, x=x, solution_dim=solution_dim)
-
-
-def leonard_basis(pair: TriDiagonalPair, cert: LeonardCertificate, u) -> tuple:
-    """The basis (tau_0(A)u, ..., tau_d(A)u) of V for nonzero u in
-    Vstar_0; in it, A is lower bidiagonal with diagonal theta_0..theta_d
-    and unit subdiagonal."""
-    field = pair.field
-    d = pair.diameter
-    if cert.x.is_zero() or not maps_into(cert.x, pair.vstar(0), pair.vstar(d)):
-        raise HypothesisNotMet("certificate fails its defining containment")
-    u = vstar0_vector(pair.vstar(0), u)
-    vectors = [u]
-    for i in range(1, d + 1):
-        vectors.append(pair.a.shift(pair.theta(i - 1)).apply(vectors[-1]))
-    if Subspace.span(field, pair.dim, vectors).dim < len(vectors):
-        raise InvariantViolation("tau images of u do not form a basis")
-    if len(vectors) != pair.dim:
-        raise InvariantViolation("basis has wrong size; pair is not Leonard")
-    return tuple(vectors)
 
 
 # ---- affine relations ---------------------------------------------------------

@@ -256,6 +256,17 @@ def shifted_image(rows: Sequence, a: int, b: int, u: Sequence, p: int | None) ->
     return [x % p for x in w] if p else w
 
 
+def shifted_chain(rows: Sequence, shifts: Sequence, u: Sequence, p: int | None) -> list[list]:
+    """The int rows w_0 = u and w_i = (b R - a I) w_{i-1} for (a, b) =
+    shifts[i-1], one shifted_image each: for m = R / d and theta_h =
+    a_h / (b_h d) (Matrix._shift_ints), w_i is prod_h (b_h d) times
+    prod_{h < i} (m - theta_h I) u."""
+    out = [list(u)]
+    for a, b in shifts:
+        out.append(shifted_image(rows, a, b, out[-1], p))
+    return out
+
+
 def residue_product(x: Sequence, y: Sequence, p: int | None) -> list:
     """x @ y for int matrices (sequences of rows), entries reduced mod p
     unless p is None."""

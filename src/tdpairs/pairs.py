@@ -35,7 +35,7 @@ from .errors import (
     ParseError,
 )
 from .eigen import EigenDecomposition, eigen_decompose, eigencoordinate_change, eigenspaces
-from .linalg import Echelon, Matrix, modulus, residue_product, shifted_products, vec_is_zero
+from .linalg import Echelon, Matrix, modulus, residue_product, shifted_chain, vec_is_zero
 from .subspaces import (
     Subspace,
     annihilator,
@@ -610,8 +610,9 @@ def reducibility_witness_from_tau_kernel(
     if not (1 <= i <= eig_a.diameter):
         raise HypothesisNotMet(f"index {i} outside 1..{eig_a.diameter}")
     u = vstar0_vector(eig_astar.eigenspaces[0], u)
-    tau_i = shifted_products(eig_a.operator, eig_a.eigenvalues[:i])[-1]
-    if not vec_is_zero(tau_i.apply(u)):
+    m = eig_a.operator
+    shifts = [m._shift_ints(t) for t in eig_a.eigenvalues[:i]]
+    if any(shifted_chain(m._ints[0], shifts, Matrix(field, [u])._ints[0][0], modulus(field))[-1]):
         raise HypothesisNotMet(
             "the degree-i product does not annihilate u; construction does not apply"
         )

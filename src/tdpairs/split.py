@@ -1,4 +1,4 @@
-"""Split decomposition and the polynomial subalgebra basis.
+"""Split decomposition, tau matrices and tau images.
 
 For a validated pair with orderings fixed, the subspaces
 
@@ -7,21 +7,23 @@ For a validated pair with orderings fixed, the subspaces
 decompose V directly, refine both flag filtrations, and are raised by
 A - theta_i I and lowered by Astar - thetastar_i I.  The polynomials
 tau_i(x) = (x - theta_0)...(x - theta_{i-1}) evaluate on A to a basis of
-the subalgebra they generate, and tau_i(A) maps U_0 into U_i.  Every one
-of those statements is checked here, per index, and reported as flags so
-a failing candidate pinpoints which identity broke.
+the subalgebra they generate (checked_tau_matrices), and tau_i(A) maps
+U_0 into U_i; on a Leonard pair tau_0(A)u, ..., tau_d(A)u is a basis of
+V for any nonzero u in Vstar_0 (tau_images).  complete_report checks
+every one of those statements per index, on int rows, and reports them
+as flags so a failing candidate pinpoints which identity broke.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain
+from itertools import accumulate, chain, repeat
+from operator import mul
 
 from .errors import InvariantViolation, TauImageVanished
-from .linalg import Echelon, shifted_products, vec_is_zero
+from .linalg import Echelon, Matrix, modulus, row_elements, shifted_chain, shifted_products
 from .pairs import TriDiagonalPair, vstar0_vector
-from .polynomials import Polynomial
-from .subspaces import Subspace, maps_into, subspace_intersect, subspace_sum
+from .subspaces import Subspace, _check_space, _lands_in, subspace_intersect, subspace_sum
 
 
 @dataclass(frozen=True)
@@ -71,15 +73,6 @@ class SplitDecomposition:
         return tuple(u.dim for u in self.U)
 
 
-@dataclass(frozen=True)
-class TauBasis:
-    """The polynomials tau_0..tau_d and their evaluations at A; the
-    matrices form a basis of the subalgebra generated by A."""
-
-    taus: tuple
-    tau_matrices: tuple
-
-
 def split_subspaces(pair: TriDiagonalPair) -> SplitDecomposition:
     """Compute U_i from the defining intersection and record the
     direct-sum and filtration identities.
@@ -103,23 +96,6 @@ def split_subspaces(pair: TriDiagonalPair) -> SplitDecomposition:
     return SplitDecomposition(U=u_spaces, pair=pair, report=report)
 
 
-def verify_raising_lowering(sd: SplitDecomposition) -> SplitReport:
-    """Check that A - theta_i I raises U_i into U_{i+1} and
-    Astar - thetastar_i I lowers U_i into U_{i-1}, with zero subspaces
-    past both ends, each by maps_into(m, U_i, target, theta_i), which
-    shifts the images and builds no shifted matrix; returns the report
-    with per-index flags filled in."""
-    pair = sd.pair
-    zero_space = Subspace.zero(pair.field, pair.dim)
-    padded = (zero_space, *sd.U, zero_space)
-
-    def moved(m, theta, step):  # (m - theta_i I) U_i <= U_{i+step}, 0 past the ends
-        return tuple(maps_into(m, u, padded[i + 1 + step], theta(i)) for i, u in enumerate(sd.U))
-
-    eq7, eq8 = moved(pair.a, pair.theta, 1), moved(pair.astar, pair.thetastar, -1)
-    return replace(sd.report, eq7=eq7, eq8=eq8)
-
-
 def _tau_matrices(pair: TriDiagonalPair) -> tuple:
     """The matrices tau_i(A), i = 0..d, as one running product, built
     once per (immutable) pair and kept on it."""
@@ -141,55 +117,55 @@ def checked_tau_matrices(pair: TriDiagonalPair) -> tuple:
     return mats
 
 
-def tau_basis(pair: TriDiagonalPair) -> TauBasis:
-    """tau_i = (x - theta_0)...(x - theta_{i-1}) and the checked matrices
-    tau_i(A) of checked_tau_matrices."""
-    field = pair.field
-    mats = checked_tau_matrices(pair)
-    taus = [Polynomial.one(field)]
-    for t in pair.eig_a.eigenvalues[: pair.diameter]:
-        taus.append(taus[-1] * Polynomial.x_minus(field, t))
-    return TauBasis(taus=tuple(taus), tau_matrices=mats)
-
-
-def verify_tau_images(sd: SplitDecomposition) -> SplitReport:
-    """Check tau_i(A) U_0 lies in U_i for every i and fill the eq10 flags.
-
-    Reads the pair's tau_i(A) without checked_tau_matrices's independence
-    assertion, so the check stays meaningful on corrupted decompositions
-    where that assertion might not hold.
-    """
-    flags = [maps_into(m, sd.U[0], sd.U[i]) for i, m in enumerate(_tau_matrices(sd.pair))]
-    return replace(sd.report, eq10=tuple(flags))
-
-
 def complete_report(sd: SplitDecomposition) -> SplitReport:
-    """All identity flags in one report."""
-    return replace(verify_raising_lowering(sd), eq10=verify_tau_images(sd).eq10)
+    """All identity flags in one report.  Each U_i is checked once against
+    the pair's field and dimension and each theta_i, thetastar_i shift is
+    read once; then, on int rows with no shifted matrix, (A - theta_i I) U_i
+    against U_{i+1} (eq7), (Astar - thetastar_i I) U_i against U_{i-1}
+    (eq8), zero past both ends, and tau_i(A) U_0 as a shifted_chain
+    against U_i (eq10), which needs no tau_i(A) and so stays meaningful on
+    a corrupted decomposition."""
+    pair, d = sd.pair, sd.pair.diameter
+    for u in sd.U:
+        _check_space(pair.field, pair.dim, u)
+    zero = Subspace.zero(pair.field, pair.dim)
+    targets, p = (zero, *sd.U, zero), zero.echelon.p
+    shifts = [pair.a._shift_ints(t) for t in pair.eig_a.eigenvalues]
+
+    def moved(m, by, step):  # (m - theta_i I) U_i <= U_{i+step}
+        return tuple(_lands_in(m._ints[0], *by[i], u, targets[i + 1 + step]) for i, u in enumerate(sd.U))
+
+    eq8 = moved(pair.astar, [pair.astar._shift_ints(t) for t in pair.eig_astar.eigenvalues], -1)
+    chains = [shifted_chain(pair.a._ints[0], shifts[:d], w, p) for w in sd.U[0].echelon.rows.values()]
+    eq10 = tuple(not any(any(targets[i + 1].echelon.reduce(c[i])) for c in chains) for i in range(d + 1))
+    return replace(sd.report, eq7=moved(pair.a, shifts, 1), eq8=eq8, eq10=eq10)
 
 
 def tau_images(pair: TriDiagonalPair, u, sd: SplitDecomposition | None = None) -> tuple:
-    """The vectors tau_i(A)u for a nonzero u in Vstar_0.
+    """The vectors tau_i(A)u for a nonzero u in Vstar_0, from one
+    shifted_chain on the int rows.
 
     Each image is asserted to lie in U_i and the full sequence to be
     linearly independent; on a genuine pair both hold for every valid u.
     A vanishing image raises TauImageVanished with the failing index,
     which feeds the reducibility-witness construction.
     """
-    field = pair.field
-    d = pair.diameter
+    field, d, p = pair.field, pair.diameter, modulus(pair.field)
     u = vstar0_vector(pair.vstar(0), u)
     if sd is None:
         sd = split_subspaces(pair)
-    images = [u]
-    for i in range(1, d + 1):
-        nxt = pair.a.shift(pair.theta(i - 1)).apply(images[-1])
-        if vec_is_zero(nxt):
-            raise TauImageVanished(f"tau_{i}(A)u = 0 for a nonzero u in Vstar_0", u=u, index=i)
-        images.append(nxt)
-    for i, w in enumerate(images):
-        if not sd.U[i].contains(w):
+    (w,), scale = Matrix(field, [u])._ints
+    shifts = [pair.a._shift_ints(t) for t in pair.eig_a.eigenvalues[:d]]
+    ws = shifted_chain(pair.a._ints[0], shifts, w, p)
+    vanished = next((i for i, x in enumerate(ws) if not any(x)), None)
+    if vanished is not None:
+        raise TauImageVanished(f"tau_{vanished}(A)u = 0 for a nonzero u in Vstar_0", u=u, index=vanished)
+    for i, x in enumerate(ws):
+        if any(sd.U[i].echelon.reduce(x)):
             raise InvariantViolation(f"tau_{i}(A)u escapes U_{i}")
-    if Subspace.span(field, pair.dim, images).dim < len(images):
+    eng = Echelon(field)
+    if sum(map(eng.insert, ws)) < len(ws):
         raise InvariantViolation("tau images of u are linearly dependent")
-    return tuple(images)
+    # tau_i(A) u = w_i / (scale prod_{h < i} b_h d) for A = R / d
+    scales = accumulate((b * pair.a._ints[1] for _, b in shifts), mul, initial=scale)
+    return tuple(map(row_elements, repeat(field), ws, scales))

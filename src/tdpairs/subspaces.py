@@ -2,8 +2,8 @@
 
 Echelon rows are canonical int rows (over GF(p) residues with pivot 1,
 over Q primitive with a positive pivot), so equal subspaces hold equal
-rows.  Every operation runs on them: a span, image or sum feeds int rows
-to an Echelon (a sum to a copy of the first summand's); membership,
+rows.  Every operation runs on them: a span or sum feeds int rows to an
+Echelon (a sum to a copy of the first summand's); membership,
 coordinates and invariance (maps_into, no Echelon of the image) are
 residuals; a kernel, or an eigenspace ker(m - theta I), is one
 elimination of the reversed columns, an intersection one Zassenhaus
@@ -132,12 +132,6 @@ def subspace_sum(x: Subspace, y: Subspace) -> Subspace:
     return sum_of((x, y))
 
 
-def subspace_leq(x: Subspace, y: Subspace) -> bool:
-    """True iff every int row of x's Echelon lies in y."""
-    x._check(y)
-    return not any(any(y.echelon.reduce(u)) for u in x.echelon.rows.values())
-
-
 def subspace_intersect(x: Subspace, y: Subspace) -> Subspace:
     """Intersection by Zassenhaus's algorithm: one Echelon of the rows
     (u, u) for u in the larger space's Echelon, already canonical, and
@@ -173,33 +167,25 @@ def kernel(m: Matrix, theta=None) -> Subspace:
     return Subspace(_canonical(m.field, rows), n)
 
 
-def _check_operator(m: Matrix, s: Subspace):
-    if m.field != s.field:
-        raise FieldMismatch(f"{m.field!r} vs {s.field!r}")
-    if m.ncols != s.ambient_dim:
-        raise DimensionMismatch("operator domain does not match ambient space")
-
-
-def image_of(m: Matrix, s: Subspace) -> Subspace:
-    """The image m(s) as a subspace of the codomain: the span of m's int
-    rows applied to the rows of s's Echelon."""
-    _check_operator(m, s)
-    eng = Echelon(m.field)
-    for u in s.echelon.rows.values():
-        eng.insert(eng.image(m, u))
-    return Subspace(eng, m.nrows)
+def _lands_in(rows, a: int, b: int, s: Subspace, t: Subspace) -> bool:
+    """Whether (b R - a I) u reduces to 0 against t's Echelon for every
+    row u of s's: the unchecked core of maps_into on int rows R."""
+    eng = t.echelon
+    return not any(any(eng.reduce(shifted_image(rows, a, b, u, eng.p))) for u in s.echelon.rows.values())
 
 
 def maps_into(m: Matrix, s: Subspace, t: Subspace, theta=None) -> bool:
     """Whether m(s) lies in t, or with theta whether (m - theta I)(s)
     does: m u, or b R u - a u as kernel(m, theta) shifts (no shifted
-    matrix), reduces to 0 against t's Echelon for every row u of s's,
-    with image_of's, subspace_leq's and shift's checks."""
-    _check_operator(m, s)
+    matrix), reduces to 0 against t's Echelon for every row u of s's.
+    m must map s's ambient space into t's, over the same field."""
+    if m.field != s.field:
+        raise FieldMismatch(f"{m.field!r} vs {s.field!r}")
+    if m.ncols != s.ambient_dim:
+        raise DimensionMismatch("operator domain does not match ambient space")
     _check_space(m.field, m.nrows, t)  # where the image would lie
     a, b = (0, 1) if theta is None else m._shift_ints(theta)
-    eng, rows = t.echelon, m._ints[0]
-    return not any(any(eng.reduce(shifted_image(rows, a, b, u, eng.p))) for u in s.echelon.rows.values())
+    return _lands_in(m._ints[0], a, b, s, t)
 
 
 def annihilator(field: Field, ambient_dim: int, vectors: Sequence[Sequence]) -> Subspace:

@@ -76,6 +76,34 @@ def detect_by_membership(pair):
     return alpha, x, len(solutions)
 
 
+def tau_images_by_shift(pair, u):
+    """tau_i(A)u, i = 0..d, by field elements: one shifted matrix
+    A - theta_{i-1} I per index, applied to the image before."""
+    images = [tuple(u)]
+    for i in range(1, pair.diameter + 1):
+        images.append(pair.a.shift(pair.theta(i - 1)).apply(images[-1]))
+    return tuple(images)
+
+
+def subspace_leq(x, y):
+    """True iff every int row of x's Echelon lies in y."""
+    x._check(y)
+    return not any(any(y.echelon.reduce(u)) for u in x.echelon.rows.values())
+
+
+def image_of(m, s):
+    """The image m(s) as a subspace of the codomain: the span of m's int
+    rows applied to the rows of s's Echelon."""
+    if m.field != s.field:
+        raise FieldMismatch(f"{m.field!r} vs {s.field!r}")
+    if m.ncols != s.ambient_dim:
+        raise DimensionMismatch("operator domain does not match ambient space")
+    eng = Echelon(m.field)
+    for u in s.echelon.rows.values():
+        eng.insert(eng.image(m, u))
+    return Subspace(eng, m.nrows)
+
+
 # ---- linear algebra on ints mod p (p None: on Fractions over Q) -------------
 
 

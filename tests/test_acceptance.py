@@ -28,28 +28,28 @@ from tdpairs import (
     affine_relation,
     complete_report,
     detect_leonard,
-    image_of,
     irreducible,
     random_leonard,
     reduce_to_affine,
     split_subspaces,
     subspace_intersect,
-    subspace_leq,
     switching_from_sequences,
     switching_via_solve,
-    tau_basis,
     tau_images,
     validate_pair,
 )
 from tdpairs.cli import main
 from tdpairs.linalg import Echelon, vec_is_zero
 from tdpairs.serio import matrix_from_json
+from tdpairs.split import checked_tau_matrices
 
 from oracles import (
     TENSOR_PARAMS,
     brute_common_invariant,
+    image_of,
     matrix_to_int_rows,
     oracle_split_sequences,
+    subspace_leq,
     subspace_vector_set,
     tensor_fixture,
 )
@@ -250,7 +250,7 @@ def test_affine_reduction_round_trips_and_rejects_higher_tau_degrees():
     for pair in instance_pool():
         if pair.diameter < 2:
             continue
-        taus = tau_basis(pair).tau_matrices
+        taus = checked_tau_matrices(pair)
         for i in range(2, pair.diameter + 1):
             with pytest.raises(HypothesisNotMet):
                 reduce_to_affine(pair, taus[i])

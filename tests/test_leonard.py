@@ -31,13 +31,13 @@ from tdpairs import (
     complete_report,
     detect_leonard,
     generate_split_form,
-    leonard_basis,
     primitive_idempotents,
     random_leonard,
     reduce_to_affine,
     split_subspaces,
     switching_from_sequences,
     switching_via_solve,
+    tau_images,
     validate_pair,
 )
 from tdpairs.eigen import invert
@@ -48,6 +48,7 @@ from oracles import (
     kron_sum_fixture,
     oracle_split_sequences,
     phi_from_split_form,
+    tau_images_by_shift,
     tensor_fixture,
 )
 
@@ -181,50 +182,27 @@ def test_detect_over_prime_field():
     assert cert.solution_dim == 1
 
 
-# ---- leonard basis ------------------------------------------------------------
+# ---- the tau-image basis ---------------------------------------------------------
 
 
-def test_leonard_basis_of_running_example_is_standard():
-    pair = d2_pair()
-    cert = detect_leonard(pair)
-    u = pair.vstar(0).basis[0]
-    basis = leonard_basis(pair, cert, u)
-    assert [tuple(v) for v in basis] == [
-        (QQ.one, QQ.zero, QQ.zero),
-        (QQ.zero, QQ.one, QQ.zero),
-        (QQ.zero, QQ.zero, QQ.one),
-    ]
-
-
-def test_leonard_basis_makes_a_lower_bidiagonal():
-    params, pair = random_leonard(GF(13), 4, seed=20)
-    cert = detect_leonard(pair)
-    basis = leonard_basis(pair, cert, pair.vstar(0).basis[0])
-    c = Matrix.from_columns(pair.field, [list(v) for v in basis])
-    b = invert(c) @ pair.a @ c
-    n = pair.dim
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                assert b[i, j] == pair.theta(i)
-            elif i == j + 1:
-                assert b[i, j] == pair.field.one
-            else:
-                assert b[i, j] == pair.field.zero
-
-
-def test_leonard_basis_hypothesis_checks():
-    pair = d2_pair()
-    cert = detect_leonard(pair)
-    with pytest.raises(HypothesisNotMet):
-        leonard_basis(pair, cert, (QQ.zero, QQ.zero, QQ.zero))
-    with pytest.raises(HypothesisNotMet):
-        leonard_basis(pair, cert, (QQ.zero, QQ.one, QQ.zero))
-    fake = LeonardCertificate(
-        alpha=cert.alpha, x=Matrix.zeros(QQ, 3, 3), solution_dim=1
-    )
-    with pytest.raises(HypothesisNotMet):
-        leonard_basis(pair, fake, pair.vstar(0).basis[0])
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(13), GF(101)], ids=str)
+def test_tau_images_make_a_lower_bidiagonal(field):
+    # in the basis tau_0(A)u, ..., tau_d(A)u of a Leonard pair, A is lower
+    # bidiagonal with diagonal theta_0..theta_d and unit subdiagonal
+    for _, pair in pool_recipe_pairs(field):
+        basis = tau_images(pair, pair.vstar(0).basis[0])
+        assert len(basis) == pair.dim
+        c = Matrix.from_columns(field, [list(v) for v in basis])
+        b = invert(c) @ pair.a @ c
+        n = pair.dim
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    assert b[i, j] == pair.theta(i)
+                elif i == j + 1:
+                    assert b[i, j] == field.one
+                else:
+                    assert b[i, j] == field.zero
 
 
 # ---- affine reduction ----------------------------------------------------------
@@ -383,21 +361,26 @@ def test_switching_from_sequences_is_the_idempotent_sum(field):
 
 @pytest.mark.parametrize("field", [QQ, GF(101), GF(13)], ids=str)
 def test_the_leonard_layer_builds_no_matrix_per_index(field, monkeypatch):
-    # the raising/lowering checks, detection and the switching element run
-    # on int rows: no shifted matrix, no image by apply, no scaled sum
+    # the identity report, detection, the switching element and the tau
+    # images run on int rows: no shifted matrix, no image by apply, no
+    # scaled sum; the tau images equal the per-index shifted route's
     pairs = pool_recipe_pairs(field)
+    want = []
     for _, pair in pairs:
         tdpairs.split.checked_tau_matrices(pair)  # the running product, kept on the pair
+        u = pair.vstar(0).basis[0]
+        want.append((u, tau_images_by_shift(pair, u)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-index Matrix built")
 
     for name in ("scale", "__add__", "apply", "shift"):
         monkeypatch.setattr(Matrix, name, refuse)
-    for params, pair in pairs:
+    for (params, pair), (u, images) in zip(pairs, want):
         assert complete_report(split_subspaces(pair)).all_true()
         assert isinstance(detect_leonard(pair), LeonardCertificate)
         switching_from_sequences(params, pair.eig_a)
+        assert tau_images(pair, u) == images
 
 
 def test_switching_rejects_misaligned_ordering_and_non_leonard():

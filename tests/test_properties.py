@@ -10,9 +10,10 @@ from tdpairs.pairs import ShapeVector
 from tdpairs.subspaces import (
     Subspace,
     subspace_intersect,
-    subspace_leq,
     subspace_sum,
 )
+
+from oracles import subspace_leq
 
 PRIMES = (2, 3, 5, 7, 11)
 

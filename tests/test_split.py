@@ -1,4 +1,4 @@
-"""Split decomposition identities, tau basis, and tau image chains."""
+"""Split decomposition identities, tau matrices, and tau image chains."""
 
 from __future__ import annotations
 
@@ -7,6 +7,8 @@ import pytest
 from tdpairs import (
     GF,
     QQ,
+    DimensionMismatch,
+    FieldMismatch,
     HypothesisNotMet,
     IrreducibilityReport,
     Matrix,
@@ -19,14 +21,11 @@ from tdpairs import (
     eigen_decompose,
     reducibility_witness_from_tau_kernel,
     split_subspaces,
-    tau_basis,
     tau_images,
     validate_pair,
-    verify_raising_lowering,
-    verify_tau_images,
 )
 import tdpairs.split
-from tdpairs.split import SplitDecomposition
+from tdpairs.split import SplitDecomposition, checked_tau_matrices
 
 from oracles import TENSOR_PARAMS, tensor_fixture
 
@@ -107,11 +106,26 @@ def test_corrupted_middle_subspace_fails_pinpointed_flags():
     corrupted = SplitDecomposition(
         U=(good.U[0], e0_line, good.U[2]), pair=pair, report=good.report
     )
-    rl = verify_raising_lowering(corrupted)
-    assert rl.eq7[0] is False  # (A - theta_0) U_0 no longer lands in U_1
-    ti = verify_tau_images(corrupted)
-    assert ti.eq10[1] is False
-    assert not complete_report(corrupted).all_true()
+    report = complete_report(corrupted)
+    assert report.eq7[0] is False  # (A - theta_0) U_0 no longer lands in U_1
+    assert report.eq10[1] is False
+    assert not report.all_true()
+
+
+def test_complete_report_checks_each_subspace_at_the_boundary():
+    # one bad U_1 is caught before any identity is computed, with the
+    # exception types and messages of maps_into's checks
+    pair = d2_pair()
+    good = split_subspaces(pair)
+    f5 = GF(5)
+    for bad, exc, message in (
+        (Subspace.span(f5, 3, [(f5.one, f5.zero, f5.zero)]), FieldMismatch, f"{QQ!r} vs {f5!r}"),
+        (Subspace.span(QQ, 4, [(QQ.one, QQ.zero, QQ.zero, QQ.zero)]), DimensionMismatch, "ambient 3 vs 4"),
+    ):
+        corrupted = SplitDecomposition(U=(good.U[0], bad, good.U[2]), pair=pair, report=good.report)
+        with pytest.raises(exc) as err:
+            complete_report(corrupted)
+        assert str(err.value) == message
 
 
 def test_all_true_requires_every_stage():
@@ -122,39 +136,40 @@ def test_all_true_requires_every_stage():
     assert sd.report.eq7 is None and sd.report.eq8 is None and sd.report.eq10 is None
 
 
-# ---- tau basis ---------------------------------------------------------------
+# ---- tau matrices ------------------------------------------------------------
 
 
 def test_tau_basis_structure():
     pair = d2_pair()
-    tb = tau_basis(pair)
-    assert len(tb.taus) == 3 and len(tb.tau_matrices) == 3
-    assert [t.degree for t in tb.taus] == [0, 1, 2]
+    mats = checked_tau_matrices(pair)
+    assert len(mats) == 3
     thetas = pair.eig_a.eigenvalues
-    assert tb.taus == tuple(Polynomial.from_roots(QQ, thetas[:i]) for i in range(3))
-    assert tb.tau_matrices[0] == Matrix.identity(QQ, 3)
+    taus = [Polynomial.from_roots(QQ, thetas[:i]) for i in range(3)]
+    assert [t.degree for t in taus] == [0, 1, 2]
+    assert mats[0] == Matrix.identity(QQ, 3)
     # tau_i(A) equals the explicit product of shifted operators
     eye = Matrix.identity(QQ, 3)
     prod = eye
     for i in range(1, 3):
         prod = (pair.a - eye.scale(pair.theta(i - 1))) @ prod
-        assert tb.tau_matrices[i] == prod
+        assert mats[i] == prod
 
 
 def test_tau_matrices_are_built_once_per_pair(monkeypatch):
-    # tau_basis (through detect_leonard) and verify_tau_images (through
-    # complete_report) read the same tau_i(A), kept on the pair
+    # detect_leonard and reduce_to_affine read the same tau_i(A) through
+    # checked_tau_matrices, kept on the pair; complete_report needs none
     calls = []
     original = tdpairs.split.shifted_products
     monkeypatch.setattr(tdpairs.split, "shifted_products", lambda *args: calls.append(args) or original(*args))
     pair = d2_pair()
     sd = split_subspaces(pair)
     assert complete_report(sd).eq10 == (True, True, True)
-    assert tau_basis(pair).tau_matrices == tau_basis(pair).tau_matrices
+    assert not calls
+    assert checked_tau_matrices(pair) is checked_tau_matrices(pair)
     assert len(calls) == 1
     # a reoriented pair is another object with its own tau_i(A)
     flipped = pair.with_reversed_a()
-    assert tau_basis(flipped).tau_matrices != tau_basis(pair).tau_matrices
+    assert checked_tau_matrices(flipped) != checked_tau_matrices(pair)
     assert len(calls) == 2
 
 

@@ -17,17 +17,15 @@ from tdpairs import (
     Matrix,
     Subspace,
     annihilator,
-    image_of,
     kernel,
     maps_into,
     subspace_intersect,
-    subspace_leq,
     subspace_sum,
 )
 from tdpairs.pairs import _checked_reducible
 from tdpairs.subspaces import sum_of
 
-from oracles import int_rref, int_span, kernel_by_two_eliminations, subspace_vector_set
+from oracles import image_of, int_rref, int_span, kernel_by_two_eliminations, subspace_leq, subspace_vector_set
 
 
 def _random_subspace(rng, field, n, p):
