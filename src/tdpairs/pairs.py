@@ -551,14 +551,16 @@ def validate_pair(
         )
     if not report.is_irreducible():
         raise InconclusiveIrreducibility(report.diagnostic, diagnostic=report.diagnostic)
-
-    def lex_least(eig, orderings):
-        best = min(orderings, key=lambda o: tuple(eig.eigenvalues[i] for i in o))
-        return eig.reordered(best)
-
-    eig_a = lex_least(eig_a, orderings_a)
-    eig_astar = lex_least(eig_astar, orderings_astar)
+    eig_a = _lex_least(eig_a, orderings_a)
+    eig_astar = _lex_least(eig_astar, orderings_astar)
     return TriDiagonalPair(a, astar, eig_a, eig_astar, _shape_of(eig_a, eig_astar), report)
+
+
+def _lex_least(eig: EigenDecomposition, orderings) -> EigenDecomposition:
+    """eig reordered by the ordering whose eigenvalue sequence is least:
+    the one validate_pair keeps of a side's tridiagonal orderings."""
+    best = min(orderings, key=lambda o: tuple(eig.eigenvalues[i] for i in o))
+    return eig.reordered(best)
 
 
 def shape(pair: TriDiagonalPair) -> ShapeVector:

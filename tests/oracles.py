@@ -544,6 +544,37 @@ def phi_from_split_form(field, theta, thetastar, varphi):
     return tuple(phi)
 
 
+def leonard_parameter_array(field, theta, thetastar, varphi):
+    """The phi that makes (theta, thetastar, varphi, phi) a parameter
+    array, or None when none does: PA1-PA5 of P. Terwilliger, "Two linear
+    transformations each tridiagonal with respect to an eigenbasis of the
+    other", LAA 330 (2001), Thm 1.9, read formula by formula on Fractions
+    or on ints mod p, dividing where the paper divides.  PA4 defines phi;
+    PA1, PA2, PA3 and PA5 are checks."""
+    p = getattr(field, "p", None)
+    th, ts, vp = ([Fraction(x) if p is None else x.v for x in seq] for seq in (theta, thetastar, varphi))
+    d = len(th) - 1
+
+    def div(a, b):
+        return a / b if p is None else a * pow(b, -1, p) % p
+
+    def vartheta(i):  # sum_{h=0}^{i-1} (theta_h - theta_{d-h}) / (theta_0 - theta_d)
+        return sum(div(th[h] - th[d - h], th[0] - th[d]) for h in range(i))
+
+    if len({_red(p, x) for x in th}) <= d or len({_red(p, x) for x in ts}) <= d:  # PA1
+        return None
+    phi = [_red(p, vp[0] * vartheta(i) + (ts[i] - ts[0]) * (th[d - i + 1] - th[0])) for i in range(1, d + 1)]
+    if not all(_red(p, x) for x in vp + phi):  # PA2
+        return None
+    for i in range(1, d + 1):  # PA3
+        if _red(p, vp[i - 1] - phi[0] * vartheta(i) - (ts[i] - ts[0]) * (th[i - 1] - th[d])):
+            return None
+    betas = {_red(p, div(s[i - 2] - s[i + 1], s[i - 1] - s[i])) for s in (th, ts) for i in range(2, d)}
+    if len(betas) > 1:  # PA5: one beta + 1 for both sequences
+        return None
+    return tuple(field.scalar(x) for x in phi)
+
+
 # ---- shape-(1,2,1) fixtures from products of diameter-1 pairs ---------------
 
 

@@ -24,8 +24,10 @@ from tdpairs import (
     LeonardCertificate,
     LeonardParameterSet,
     Matrix,
+    NotDiagonalizableOverField,
     NotLeonard,
     NotLeonardError,
+    TdpError,
     ZeroVarphi,
     affine_relation,
     complete_report,
@@ -46,6 +48,7 @@ from oracles import (
     TENSOR_PARAMS,
     detect_by_membership,
     kron_sum_fixture,
+    leonard_parameter_array,
     oracle_split_sequences,
     phi_from_split_form,
     tau_images_by_shift,
@@ -487,6 +490,101 @@ def test_pa4_phi_matches_the_split_form_on_the_pool_recipe(monkeypatch):
     assert len(draws) > 200
 
 
+def parameter_draws(field, rng):
+    """(theta, thetastar, varphi) at every diameter 1..6 the field hosts,
+    from four sources: random_leonard's parameters (PA1-PA5 hold); affine
+    theta and thetastar with a random varphi (PA5 holds, PA3 mostly
+    fails); random distinct theta and thetastar with varphi from PA3 for
+    a random phi_1 (PA5 mostly fails from d = 3 on); and all three random."""
+    def distinct(d, affine):
+        while True:
+            a, b = rng.randrange(1, 50), rng.randrange(-50, 50)
+            xs = [field.scalar(a * i + b if affine else rng.randrange(-20, 21)) for i in range(d + 1)]
+            if len(set(xs)) == d + 1:
+                return xs
+
+    def nonzero():
+        while not (x := field.scalar(rng.randrange(-9, 10))):
+            pass
+        return x
+
+    for d in range(1, min(6, getattr(field, "p", 7) - 1) + 1):
+        for _ in range(8):
+            params, _ = random_leonard(field, d, seed=rng.randrange(10**6))
+            yield params.theta, params.thetastar, params.varphi
+            yield distinct(d, True), distinct(d, True), [nonzero() for _ in range(d)]
+            theta, thetastar, phi1 = distinct(d, False), distinct(d, False), nonzero()
+            span, partial, varphi = theta[0] - theta[d], field.zero, []
+            for i in range(1, d + 1):
+                partial += (theta[i - 1] - theta[d - i + 1]) / span
+                varphi.append(phi1 * partial + (thetastar[i] - thetastar[0]) * (theta[i - 1] - theta[d]))
+            if all(varphi):
+                yield theta, thetastar, varphi
+            yield distinct(d, False), distinct(d, False), [nonzero() for _ in range(d)]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7), GF(13), GF(101)], ids=str)
+def test_generation_certifies_exactly_the_parameter_arrays(field):
+    # the PA1-PA5 oracle, the certifying check and validate_pair on the
+    # split form agree; a certified pair is the one validate_pair returns,
+    # and a rejected one fails with validate_pair's text
+    rng = random.Random(27 + getattr(field, "p", 0))
+    outcomes = set()
+    for theta, thetastar, varphi in parameter_draws(field, rng):
+        phi = leonard_parameter_array(field, theta, thetastar, varphi)
+        pa4, certified = tdpairs.leonard._parameter_array(field, theta, thetastar, varphi)
+        assert certified == (phi is not None) and (pa4 == phi or not certified)
+        params = LeonardParameterSet(
+            field=field, theta=theta, thetastar=thetastar, varphi=varphi, phi=pa4 or [1] * len(varphi)
+        )
+        try:
+            want = validate_pair(*tdpairs.leonard._split_matrices(field, theta, thetastar, varphi))
+        except TdpError as e:
+            want = e
+        if certified:
+            assert tdpairs.leonard._split_pair(params, True) == want
+        else:
+            assert isinstance(want, TdpError)
+            with pytest.raises(GeneratedPairInvalid) as raised:
+                generate_split_form(params)
+            assert str(raised.value) == f"generated split form failed validation: {want}"
+        outcomes.add(certified)
+    assert outcomes == {True, False}
+    ones = (field.one, field.one)
+    for theta, thetastar in (((0, 1, 0), (0, 1, 2)), ((0, 1, 2), (0, 2, 2))):  # PA1 fails
+        seqs = [tuple(map(field.scalar, s)) for s in (theta, thetastar)]
+        assert leonard_parameter_array(field, *seqs, ones) is None
+        assert tdpairs.leonard._parameter_array(field, *seqs, ones) == (None, False)
+
+
+def test_pool_recipe_generation_runs_no_general_validation(monkeypatch):
+    # the acceptance pool's 200 draws: every split form of diameter at
+    # least 1 is certified by its parameter array, with no validate_pair
+    # and no block graph; diameter 0 still goes through validate_pair
+    counts = dict.fromkeys(("validate_pair", "_block_edges"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    validate = counted("validate_pair", tdpairs.pairs.validate_pair)
+    monkeypatch.setattr(tdpairs.leonard, "validate_pair", validate)
+    monkeypatch.setattr(tdpairs.pairs, "validate_pair", validate)
+    monkeypatch.setattr(tdpairs.pairs, "_block_edges", counted("_block_edges", tdpairs.pairs._block_edges))
+    for i in range(200):
+        field = (QQ, GF(5), GF(7), GF(13))[i % 4]
+        d = i % 7 % (5 if field == GF(5) else 7)
+        before = dict(counts)
+        random_leonard(field, d, seed=i)
+        if d:
+            assert counts == before, i
+        else:
+            assert counts["validate_pair"] == before["validate_pair"] + 1, i
+
+
 def test_random_leonard_diameter_zero():
     params, pair = random_leonard(QQ, 0, seed=4)
     assert pair.diameter == 0
@@ -507,7 +605,35 @@ def test_each_pair_object_is_detected_once(monkeypatch):
 
 
 def test_random_leonard_raises_an_internal_error_instead_of_retrying(monkeypatch):
-    # a bug during validation is not a rejected parameter set
+    # a bug while certifying a parameter array's split form is not a
+    # rejected parameter set, and a rejection there is reported as the
+    # bug it is, never as GeneratedPairInvalid
+    for planted in (InvariantViolation, NotDiagonalizableOverField):
+        calls = []
+
+        def broken(*args, **kwargs):
+            calls.append(args)
+            raise planted("planted bug")
+
+        monkeypatch.setattr(tdpairs.leonard, "eigen_decompose", broken)
+        with pytest.raises(InvariantViolation, match="planted bug"):
+            random_leonard(GF(7), 2, seed=1)
+        assert len(calls) == 1
+
+
+def test_generation_outside_the_parameter_arrays_raises_validation_bugs(monkeypatch):
+    # PA4 gives phi = (3, 3), but PA3 asks varphi_2 = 3 + 2 (1 - 2) = 1:
+    # the split form goes through validate_pair, which rejects it, and a
+    # bug there is raised as it is
+    params = LeonardParameterSet(
+        field=QQ, theta=(0, 1, 2), thetastar=(0, 1, 2), varphi=(1, 2), phi=(3, 3)
+    )
+    assert tdpairs.leonard._parameter_array(QQ, params.theta, params.thetastar, params.varphi) == (
+        params.phi,
+        False,
+    )
+    with pytest.raises(GeneratedPairInvalid, match="^generated split form failed validation: "):
+        generate_split_form(params)
     calls = []
 
     def broken(*args, **kwargs):
@@ -516,7 +642,7 @@ def test_random_leonard_raises_an_internal_error_instead_of_retrying(monkeypatch
 
     monkeypatch.setattr(tdpairs.leonard, "validate_pair", broken)
     with pytest.raises(InvariantViolation, match="planted bug"):
-        random_leonard(GF(7), 2, seed=1)
+        generate_split_form(params)
     assert len(calls) == 1
 
 
