@@ -417,6 +417,17 @@ def primitive_idempotents(eig: EigenDecomposition) -> tuple[Matrix, ...]:
     )
 
 
+def _idempotent_sum(eig: EigenDecomposition, cs: list, e: int) -> Matrix:
+    """sum_r (cs[r] / e) E_r for ints cs, in eig's order (e = 1 over
+    GF(p)): one product C diag(c) C^-1 of the kept eigenbasis change, C's
+    column block r scaled by cs[r], on the int rows."""
+    c, c_inv, ranges = eigencoordinate_change(eig)
+    (x, dx), (y, dy) = c._ints, c_inv._ints
+    scale = [cs[r] for r, (lo, hi) in enumerate(ranges) for _ in range(lo, hi)]
+    scaled = [list(map(mul, row, scale)) for row in x]
+    return Matrix._of_ints(eig.field, residue_product(scaled, y, modulus(eig.field)), dx * dy * e)
+
+
 def eigencoordinate_change(eig: EigenDecomposition) -> tuple[Matrix, Matrix, tuple]:
     """(C, C_inv, block_ranges) where C's columns are the concatenated
     canonical eigenspace bases, each Echelon row over its pivot entry,

@@ -2,18 +2,18 @@
 split-form generation.
 
 A validated pair is Leonard exactly when some nonzero X in the
-subalgebra generated by A maps the first Astar-eigenspace into the last
-one.  Detection solves that membership condition as a homogeneous linear
-system in the tau-basis coefficients of X, whose solutions are one
-subspaces.kernel; the certificate is unique up to scalar and, suitably
-normalized, is the switching element that the closed-form idempotent sum
-also produces from the split sequences.  Affine reduction reads the
-tau-expansion of X off one Subspace residual.  Both run on the Echelon
-engine and read tau_i(A) through split.checked_tau_matrices; the basis
-tau_0(A)u, ..., tau_d(A)u in which A is lower bidiagonal is
-split.tau_images.  Detection, X and the closed-form switching element
-(one product C diag(c) C^-1 of A's eigenbasis change) are computed on
-int rows, with no Matrix built per index.
+subalgebra M generated by A maps the first Astar-eigenspace into the
+last one.  Detection solves that membership condition as a homogeneous
+linear system in the tau-basis coefficients alpha of X, whose solutions
+are one subspaces.kernel; its columns are the images tau_i(A)u of each
+Echelon row u of Vstar_0, one linalg.shifted_chain per u.  The
+certificate is unique up to scalar and, suitably normalized, is the
+switching element that the closed-form idempotent sum also produces from
+the split sequences.  Every element of M is built and read in one form,
+its scalars c_j on A's eigenspaces: X and the closed-form switching
+element are sum c_j E_j, one product C diag(c) C^-1 of A's eigenbasis
+change (eigen._idempotent_sum), and affine reduction reads c_j off X's
+action on each eigenspace.  No tau_i(A) and no Matrix per index is built.
 
 Generation certifies a split form by Terwilliger's classification
 (LAA 330, 2001, Thm 1.9): one whose sequences satisfy PA1-PA5 needs only
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from math import lcm
 from operator import mul
 
@@ -41,11 +42,10 @@ from .errors import (
     TdpError,
     ZeroVarphi,
 )
-from .eigen import EigenDecomposition, eigen_decompose, eigencoordinate_change
+from .eigen import EigenDecomposition, _are_eigenvectors, _idempotent_sum, eigen_decompose
 from .fields import Field, PrimeField
-from .linalg import Matrix, modulus, residue_product, shifted_image
+from .linalg import Matrix, modulus, shifted_chain
 from .pairs import _SPINS_FILL, IrreducibilityReport, TriDiagonalPair, _lex_least, _shape_of, validate_pair
-from .split import checked_tau_matrices
 from .subspaces import Subspace, kernel, maps_into, subspace_sum
 
 # ---- result and parameter types --------------------------------------------
@@ -148,14 +148,15 @@ def detect_leonard(pair: TriDiagonalPair):
 
 def _detect(pair: TriDiagonalPair):
     field, d = pair.field, pair.diameter
-    taus = [m._ints for m in checked_tau_matrices(pair)]
     vstar0, vstard, p = pair.vstar(0), pair.vstar(d), modulus(field)
+    (a_rows, da), shifts = pair.a._ints, [pair.a._shift_ints(t) for t in pair.eig_a.eigenvalues[:d]]
+    # the chain gives w_i = f_i tau_i(A) u, so tau_i(A) u leaves the residual r_i / (s_i f_i)
+    factors = list(accumulate((b * da for _, b in shifts), mul, initial=1))
     rows = []
     for u in vstar0.echelon.rows.values():
-        # tau_i(A) u = R_i u / d_i leaves the residual w_i / (s_i d_i)
-        res = [(*vstard.echelon._residual(shifted_image(r, 0, 1, u, p)), den) for r, den in taus]
-        lcd = lcm(*[s * den for _, s, den in res])
-        cols = [[x * (lcd // (s * den)) for x in w] for w, s, den in res]
+        res = [(*vstard.echelon._residual(w), f) for w, f in zip(shifted_chain(a_rows, shifts, u, p), factors)]
+        lcd = lcm(*[s * f for _, s, f in res])
+        cols = [[x * (lcd // (s * f)) for x in w] for w, s, f in res]
         rows.extend(row for row in zip(*cols) if any(row))
     solutions = (kernel(Matrix._of_ints(field, rows)) if rows else Subspace.full(field, d + 1)).basis
     solution_dim = len(solutions)
@@ -174,12 +175,16 @@ def _detect(pair: TriDiagonalPair):
         raise InvariantViolation("certificate coefficients violate the cascade")
     if min_nonzero != 0 or pair.dim != d + 1 or not pair.shape.is_all_ones():
         raise InvariantViolation("certificate exists but the pair does not look Leonard")
-    # X = sum alpha_i R_i / d_i = sum c_i (L / d_i) R_i / (e L) for alpha = c / e
-    (coeffs,), e = Matrix(field, [alpha])._ints
-    lcd = lcm(*[den for _, den in taus])
-    coeffs = [[c * (lcd // den) for c, (_, den) in zip(coeffs, taus)]]
-    x = [residue_product(coeffs, ith, p)[0] for ith in zip(*[r for r, _ in taus])]
-    x = Matrix._of_ints(field, x, e * lcd)
+    # X = sum_j c_j E_j, c_j = sum_i alpha_i tau_i(theta_j) by Horner's rule in Newton
+    # form; for alpha = a / e and theta = t / g the ints c are e g^d c_j
+    ((a,), e), ((t,), g) = Matrix(field, [alpha])._ints, Matrix(field, [pair.eig_a.eigenvalues])._ints
+    cs = []
+    for tj in t:
+        c = 0
+        for i in range(d, -1, -1):
+            c = a[i] * g ** (d - i) + (tj - t[i]) * c
+        cs.append(c)
+    x = _idempotent_sum(pair.eig_a, cs, e * g**d)
     if x.is_zero():
         raise InvariantViolation("certificate matrix is zero")
     if not maps_into(x, vstar0, vstard):
@@ -194,12 +199,12 @@ def reduce_to_affine(pair: TriDiagonalPair, x: Matrix) -> AffineRelation:
     """Given X in the A-subalgebra with X Vstar_0 <= Vstar_0 + Vstar_1,
     recover (r, s) with X = rA + sI.
 
-    The tau-expansion alpha of X is read off one residual: that of
-    (X, 0) against the rows (tau_i(A), e_i) is (0, -alpha) exactly when
-    X = sum alpha_i tau_i(A), and nonzero in its first n^2 entries when X
-    is outside the subalgebra.  All coefficients above degree one are
-    asserted to vanish, which the containment hypothesis forces; then
-    r = alpha_1 and s = alpha_0 - alpha_1 theta_0.
+    X lies in the subalgebra, spanned by the primitive idempotents E_j of
+    A, exactly when it acts on each eigenspace V_j as a scalar c_j: c_j is
+    read off one Echelon row of V_j, and every row of V_j is checked to be
+    an eigenvector of X for it, on X's int rows.  X = rA + sI exactly when
+    c_j = c_0 + r (theta_j - theta_0) for every j, which the containment
+    hypothesis forces and which is asserted; then s = c_0 - r theta_0.
     """
     if pair.diameter == 0:
         raise DiameterZero("affine reduction assumes diameter at least 1")
@@ -207,22 +212,23 @@ def reduce_to_affine(pair: TriDiagonalPair, x: Matrix) -> AffineRelation:
         raise FieldMismatch(f"{x.field!r} vs {pair.field!r}")
     if x.nrows != pair.dim or x.ncols != pair.dim:
         raise DimensionMismatch("X has the wrong size")
-    field = pair.field
-    d, nn = pair.diameter, pair.dim**2
-    eye = Matrix.identity(field, d + 1).rows
-    rows = [(*m.flatten(), *e) for m, e in zip(checked_tau_matrices(pair), eye)]
-    residual = Subspace.span(field, nn + d + 1, rows).residual((*x.flatten(), *(field.zero,) * (d + 1)))
-    if any(residual[:nn]):
-        raise HypothesisNotMet("X is not in the subalgebra generated by A")
-    alpha = [-a for a in residual[nn:]]
+    field, (rows, dx), p = pair.field, x._ints, modulus(pair.field)
+    cs = []
+    for space in pair.eig_a.eigenspaces:
+        k, u = next(iter(space.echelon.rows.items()))  # u[k], its pivot entry, is nonzero
+        xu = sum(map(mul, rows[k], u))
+        c = field.scalar(xu) / field.scalar(dx * u[k])
+        if not _are_eigenvectors(rows, p, *x._shift_ints(c), space.echelon.rows.values()):
+            raise HypothesisNotMet("X is not in the subalgebra generated by A")
+        cs.append(c)
     target = subspace_sum(pair.vstar(0), pair.vstar(1))
     if not maps_into(x, pair.vstar(0), target):
         raise HypothesisNotMet("X Vstar_0 is not inside Vstar_0 + Vstar_1")
-    if any(alpha[i] != field.zero for i in range(2, d + 1)):
+    thetas = pair.eig_a.eigenvalues
+    r = (cs[1] - cs[0]) / (thetas[1] - thetas[0])
+    if any(c != cs[0] + r * (t - thetas[0]) for c, t in zip(cs[2:], thetas[2:])):
         raise InvariantViolation("containment holds but the tau-expansion has degree above one")
-    r = alpha[1]
-    s = alpha[0] - alpha[1] * pair.theta(0)
-    return AffineRelation(r=r, s=s)
+    return AffineRelation(r=r, s=cs[0] - r * thetas[0])
 
 
 def _align_orderings(eig_p: EigenDecomposition, eig_q: EigenDecomposition, side: str):
@@ -295,20 +301,16 @@ def affine_relation(pair_p: TriDiagonalPair, pair_q: TriDiagonalPair):
 def switching_from_sequences(params: LeonardParameterSet, eig_a: EigenDecomposition) -> Matrix:
     """S = sum_r c_r E_r, c_r = (phi_d phi_{d-1} ... phi_{d-r+1}) / (varphi_1 ... varphi_r),
     with empty products equal to one and E_r the primitive idempotents of
-    A taken in the theta-order of params (eigen.primitive_idempotents):
-    one product C diag(c) C^-1 for the eigenbasis change C, column block
-    r of C scaled by c_r, on the int rows."""
+    A taken in the theta-order of params (eigen.primitive_idempotents),
+    as one product C diag(c) C^-1 (eigen._idempotent_sum)."""
     field, d = params.field, params.d
     if tuple(eig_a.eigenvalues) != params.theta:
         raise HypothesisNotMet("eigenvalue ordering does not match the parameter set")
     cs = [field.one]
     for r in range(1, d + 1):
         cs.append(cs[-1] * params.phi[d - r] / params.varphi[r - 1])
-    c, c_inv, ranges = eigencoordinate_change(eig_a)
-    ((cs,), e), (x, dx), (y, dy) = Matrix(field, [cs])._ints, c._ints, c_inv._ints
-    scale = [cs[r] for r, (lo, hi) in enumerate(ranges) for _ in range(lo, hi)]
-    scaled = [list(map(mul, row, scale)) for row in x]
-    return Matrix._of_ints(field, residue_product(scaled, y, modulus(field)), dx * dy * e)
+    (cs,), e = Matrix(field, [cs])._ints
+    return _idempotent_sum(eig_a, cs, e)
 
 
 def switching_via_solve(pair: TriDiagonalPair) -> Matrix:

@@ -15,12 +15,9 @@ fraction-free over Q, which takes and gives int rows only; min_poly,
 rref_rows and the subspaces module are built on it, feeding it a
 Matrix's int rows and reading its rows back through
 row_elements, the one map from an int row over d to field elements.
-Linear systems are solved as spans: a kernel is subspaces.kernel, and
-x = sum c_i m_i is read off the residual of (x, 0) against the rows
-(m_i, e_i) of independent m_i, which is (0, -c) exactly when x lies in
-their span.  Ambient
-sizes are desk scale (dimension a few dozen), so clarity wins over
-asymptotics.
+Linear systems are solved as spans, a kernel as subspaces.kernel.
+Ambient sizes are desk scale (dimension a few dozen), so clarity wins
+over asymptotics.
 """
 
 from __future__ import annotations
@@ -432,16 +429,6 @@ def vec_is_zero(v: Sequence) -> bool:
 
 
 # ---- polynomials of matrices --------------------------------------------
-
-
-def shifted_products(m: Matrix, roots: Sequence) -> list[Matrix]:
-    """The matrices prod_{h < i} (m - roots[h] I) for i = 0..len(roots),
-    as one running product: each one is (m - roots[i-1] I) times the
-    one before."""
-    out = [Matrix.identity(m.field, m.nrows)]
-    for r in roots:
-        out.append(m.shift(r) @ out[-1])
-    return out
 
 
 def min_poly(m: Matrix) -> Polynomial:

@@ -1,4 +1,4 @@
-"""Split decomposition, tau matrices and tau images.
+"""Split decomposition and tau images.
 
 For a validated pair with orderings fixed, the subspaces
 
@@ -6,22 +6,22 @@ For a validated pair with orderings fixed, the subspaces
 
 decompose V directly, refine both flag filtrations, and are raised by
 A - theta_i I and lowered by Astar - thetastar_i I.  The polynomials
-tau_i(x) = (x - theta_0)...(x - theta_{i-1}) evaluate on A to a basis of
-the subalgebra they generate (checked_tau_matrices), and tau_i(A) maps
+tau_i(x) = (x - theta_0)...(x - theta_{i-1}) give tau_i(A), which maps
 U_0 into U_i; on a Leonard pair tau_0(A)u, ..., tau_d(A)u is a basis of
-V for any nonzero u in Vstar_0 (tau_images).  complete_report checks
-every one of those statements per index, on int rows, and reports them
-as flags so a failing candidate pinpoints which identity broke.
+V for any nonzero u in Vstar_0 (tau_images), read off one shifted_chain
+with no tau_i(A) built.  complete_report checks every one of those
+statements per index, on int rows, and reports them as flags so a
+failing candidate pinpoints which identity broke.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, repeat
 from operator import mul
 
 from .errors import InvariantViolation, TauImageVanished
-from .linalg import Echelon, Matrix, modulus, row_elements, shifted_chain, shifted_products
+from .linalg import Echelon, Matrix, modulus, row_elements, shifted_chain
 from .pairs import TriDiagonalPair, vstar0_vector
 from .subspaces import Subspace, _check_space, _lands_in, subspace_intersect, subspace_sum
 
@@ -94,27 +94,6 @@ def split_subspaces(pair: TriDiagonalPair) -> SplitDecomposition:
         eq6=tuple(map(Subspace.__eq__, u_suffix, suffix)),
     )
     return SplitDecomposition(U=u_spaces, pair=pair, report=report)
-
-
-def _tau_matrices(pair: TriDiagonalPair) -> tuple:
-    """The matrices tau_i(A), i = 0..d, as one running product, built
-    once per (immutable) pair and kept on it."""
-    if "_tau_matrices" not in pair.__dict__:
-        thetas = pair.eig_a.eigenvalues[: pair.diameter]
-        object.__setattr__(pair, "_tau_matrices", tuple(shifted_products(pair.a, thetas)))
-    return pair.__dict__["_tau_matrices"]
-
-
-def checked_tau_matrices(pair: TriDiagonalPair) -> tuple:
-    """The pair's tau_i(A), i = 0..d, asserted linearly independent, their
-    int rows fed to one Echelon: they span the subalgebra generated by A,
-    which has dimension d+1 because the minimal polynomial of a
-    diagonalizable A has degree d+1."""
-    mats = _tau_matrices(pair)
-    eng = Echelon(pair.field)
-    if sum(eng.insert([*chain.from_iterable(m._ints[0])]) for m in mats) < len(mats):
-        raise InvariantViolation("tau matrices are linearly dependent")
-    return mats
 
 
 def complete_report(sd: SplitDecomposition) -> SplitReport:

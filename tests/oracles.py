@@ -49,19 +49,27 @@ def kernel_by_two_eliminations(m):
     return Subspace(eng, m.ncols)
 
 
+def tau_matrices_by_product(pair):
+    """tau_i(A) = prod_{h < i} (A - theta_h I), i = 0..d, as one running
+    product of field-element matrices: each one is A - theta_{i-1} I,
+    built by scale and -, times the one before."""
+    eye = Matrix.identity(pair.field, pair.dim)
+    taus = [eye]
+    for theta in pair.eig_a.eigenvalues[: pair.diameter]:
+        taus.append((pair.a - eye.scale(theta)) @ taus[-1])
+    return taus
+
+
 def detect_by_membership(pair):
     """(alpha, X, solution_dim) of Leonard detection by field elements:
-    tau_i(A) as a running product of A - theta_h I, the images tau_i(A) u
-    of each basis vector u of Vstar_0 by Matrix.apply, their residuals
-    against Vstar_d, one condition on alpha per column of those residuals
-    that is not all zero, and the kernel of the conditions; alpha is
-    scaled so alpha_d = 1 and X = sum alpha_i tau_i(A) by scale and +.
-    alpha and X are None when only X = 0 works."""
+    tau_i(A) from tau_matrices_by_product, the images tau_i(A) u of each
+    basis vector u of Vstar_0 by Matrix.apply, their residuals against
+    Vstar_d, one condition on alpha per column of those residuals that is
+    not all zero, and the kernel of the conditions; alpha is scaled so
+    alpha_d = 1 and X = sum alpha_i tau_i(A) by scale and +.  alpha and X
+    are None when only X = 0 works."""
     field, d, n = pair.field, pair.diameter, pair.dim
-    eye = Matrix.identity(field, n)
-    taus = [eye]
-    for theta in pair.eig_a.eigenvalues[:d]:
-        taus.append((pair.a - eye.scale(theta)) @ taus[-1])
+    taus = tau_matrices_by_product(pair)
     target, rows = pair.vstar(d), []
     for u in pair.vstar(0).basis:
         residuals = [target.residual(m.apply(u)) for m in taus]

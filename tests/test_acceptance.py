@@ -41,7 +41,6 @@ from tdpairs import (
 from tdpairs.cli import main
 from tdpairs.linalg import Echelon, vec_is_zero
 from tdpairs.serio import matrix_from_json
-from tdpairs.split import checked_tau_matrices
 
 from oracles import (
     TENSOR_PARAMS,
@@ -51,6 +50,7 @@ from oracles import (
     oracle_split_sequences,
     subspace_leq,
     subspace_vector_set,
+    tau_matrices_by_product,
     tensor_fixture,
 )
 from test_cli import d2_candidate, d2_params, run, write_params
@@ -250,7 +250,7 @@ def test_affine_reduction_round_trips_and_rejects_higher_tau_degrees():
     for pair in instance_pool():
         if pair.diameter < 2:
             continue
-        taus = checked_tau_matrices(pair)
+        taus = tau_matrices_by_product(pair)
         for i in range(2, pair.diameter + 1):
             with pytest.raises(HypothesisNotMet):
                 reduce_to_affine(pair, taus[i])

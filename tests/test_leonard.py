@@ -27,6 +27,7 @@ from tdpairs import (
     NotDiagonalizableOverField,
     NotLeonard,
     NotLeonardError,
+    Subspace,
     TdpError,
     ZeroVarphi,
     affine_relation,
@@ -52,6 +53,7 @@ from oracles import (
     oracle_split_sequences,
     phi_from_split_form,
     tau_images_by_shift,
+    tau_matrices_by_product,
     tensor_fixture,
 )
 
@@ -135,12 +137,18 @@ def not_leonard_pairs(field):
 def test_detection_matches_the_membership_oracle(field):
     # detection runs on int rows; the field-element route of the oracle
     # (images by apply, residuals, X by scale and +) must give the same
-    # alpha, X and solution dimension, and no certificate on fat shapes
+    # alpha, X = sum alpha_i tau_i(A) and solution dimension, and no
+    # certificate on fat shapes.  Independently of any kernel, the
+    # residuals of tau_i(A) V*_0 against V*_d, one long vector per i, have
+    # rank d + 1 - solution_dim: 0 solutions on the fat shapes
     pairs = [pair for _, pair in pool_recipe_pairs(field)] + not_leonard_pairs(field)
     outcomes = set()
     for pair in pairs:
         alpha, x, solution_dim = detect_by_membership(pair)
         found = detect_leonard(pair)
+        taus, target = tau_matrices_by_product(pair), pair.vstar(pair.diameter)
+        residuals = [[e for u in pair.vstar(0).basis for e in target.residual(m.apply(u))] for m in taus]
+        assert Subspace.span(field, len(residuals[0]), residuals).dim == len(taus) - solution_dim
         if alpha is None:
             assert isinstance(found, NotLeonard) and found.solution_dim == solution_dim == 0
         else:
@@ -223,8 +231,8 @@ def test_reduce_to_affine_recovers_known_combinations():
 
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(101)], ids=["Q", "GF5", "GF101"])
 def test_reduce_to_affine_reads_the_tau_expansion_off_one_residual(field):
-    # the residual of (X, 0) against the rows (tau_i(A), e_i) is (0, -alpha)
-    # for X in the subalgebra, and nonzero in its X part otherwise
+    # X = rA + sI acts on each eigenspace of A as one scalar, from which
+    # r and s are read; a dense X, A* and A + A* act on none as a scalar
     rng = random.Random(getattr(field, "p", 0))
     for d in range(1, 5):
         _, pair = random_leonard(field, d, seed=rng.randrange(1000))
@@ -246,6 +254,22 @@ def test_reduce_to_affine_rejects_higher_degree_and_foreign_x():
         reduce_to_affine(pair, pair.a @ pair.a)  # containment fails
     with pytest.raises(HypothesisNotMet):
         reduce_to_affine(pair, pair.astar)  # not in the A-subalgebra
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
+def test_reduce_to_affine_rejects_a_commuting_x_outside_the_subalgebra(field):
+    # on a shape (1, 2, 1) pair, the projection onto one line of the
+    # 2-dimensional V_1 along the other eigenvectors commutes with A, but
+    # it is not a scalar on V_1, so it is not in the subalgebra
+    theta, mu, varphis = TENSOR_PARAMS["Q" if field == QQ else f"gf{field.p}"]
+    pair = validate_pair(*tensor_fixture(field, theta, mu, varphis))
+    assert pair.eig_a.dims() == (1, 2, 1)
+    c = Matrix.from_columns(field, [v for space in pair.eig_a.eigenspaces for v in space.basis])
+    for line in (1, 2):  # the coordinates of V_1
+        x = c @ Matrix.diagonal(field, [int(k == line) for k in range(4)]) @ invert(c)
+        assert x @ pair.a == pair.a @ x
+        with pytest.raises(HypothesisNotMet, match="not in the subalgebra"):
+            reduce_to_affine(pair, x)
 
 
 def test_reduce_to_affine_input_validation():
@@ -364,20 +388,20 @@ def test_switching_from_sequences_is_the_idempotent_sum(field):
 
 @pytest.mark.parametrize("field", [QQ, GF(101), GF(13)], ids=str)
 def test_the_leonard_layer_builds_no_matrix_per_index(field, monkeypatch):
-    # the identity report, detection, the switching element and the tau
-    # images run on int rows: no shifted matrix, no image by apply, no
-    # scaled sum; the tau images equal the per-index shifted route's
+    # the identity report, a fresh detection, the switching element and
+    # the tau images run on int rows: no shifted matrix, no image by
+    # apply, no scaled sum, no matrix product; the tau images equal the
+    # per-index shifted route's
     pairs = pool_recipe_pairs(field)
     want = []
     for _, pair in pairs:
-        tdpairs.split.checked_tau_matrices(pair)  # the running product, kept on the pair
         u = pair.vstar(0).basis[0]
         want.append((u, tau_images_by_shift(pair, u)))
 
     def refuse(*args, **kwargs):
         raise AssertionError("per-index Matrix built")
 
-    for name in ("scale", "__add__", "apply", "shift"):
+    for name in ("scale", "__add__", "apply", "shift", "__matmul__"):
         monkeypatch.setattr(Matrix, name, refuse)
     for (params, pair), (u, images) in zip(pairs, want):
         assert complete_report(split_subspaces(pair)).all_true()
@@ -594,7 +618,7 @@ def test_random_leonard_diameter_zero():
 def test_each_pair_object_is_detected_once(monkeypatch):
     _, pair = random_leonard(GF(13), 4, seed=3)
     cert = detect_leonard(pair)
-    monkeypatch.setattr(tdpairs.leonard, "checked_tau_matrices", None)  # any new detection fails
+    monkeypatch.setattr(tdpairs.leonard, "_detect", None)  # any new detection fails
     assert detect_leonard(pair) is cert
     assert switching_via_solve(pair) is cert.x
     monkeypatch.undo()

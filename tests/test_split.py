@@ -24,10 +24,9 @@ from tdpairs import (
     tau_images,
     validate_pair,
 )
-import tdpairs.split
-from tdpairs.split import SplitDecomposition, checked_tau_matrices
+from tdpairs.split import SplitDecomposition
 
-from oracles import TENSOR_PARAMS, tensor_fixture
+from oracles import TENSOR_PARAMS, poly_eval_matrix, tau_matrices_by_product, tensor_fixture
 
 
 def qm(rows):
@@ -140,37 +139,21 @@ def test_all_true_requires_every_stage():
 
 
 def test_tau_basis_structure():
+    # the oracle's running product is Horner's tau_i(A); the d + 1 of
+    # them span the subalgebra generated by A, and tau_images reads
+    # tau_i(A) u off one shifted chain
     pair = d2_pair()
-    mats = checked_tau_matrices(pair)
+    mats = tau_matrices_by_product(pair)
     assert len(mats) == 3
-    thetas = pair.eig_a.eigenvalues
-    taus = [Polynomial.from_roots(QQ, thetas[:i]) for i in range(3)]
-    assert [t.degree for t in taus] == [0, 1, 2]
     assert mats[0] == Matrix.identity(QQ, 3)
-    # tau_i(A) equals the explicit product of shifted operators
-    eye = Matrix.identity(QQ, 3)
-    prod = eye
-    for i in range(1, 3):
-        prod = (pair.a - eye.scale(pair.theta(i - 1))) @ prod
-        assert mats[i] == prod
-
-
-def test_tau_matrices_are_built_once_per_pair(monkeypatch):
-    # detect_leonard and reduce_to_affine read the same tau_i(A) through
-    # checked_tau_matrices, kept on the pair; complete_report needs none
-    calls = []
-    original = tdpairs.split.shifted_products
-    monkeypatch.setattr(tdpairs.split, "shifted_products", lambda *args: calls.append(args) or original(*args))
-    pair = d2_pair()
-    sd = split_subspaces(pair)
-    assert complete_report(sd).eq10 == (True, True, True)
-    assert not calls
-    assert checked_tau_matrices(pair) is checked_tau_matrices(pair)
-    assert len(calls) == 1
-    # a reoriented pair is another object with its own tau_i(A)
-    flipped = pair.with_reversed_a()
-    assert checked_tau_matrices(flipped) != checked_tau_matrices(pair)
-    assert len(calls) == 2
+    thetas = pair.eig_a.eigenvalues
+    for i, m in enumerate(mats):
+        tau = Polynomial.from_roots(QQ, thetas[:i])
+        assert tau.degree == i
+        assert m == poly_eval_matrix(tau, pair.a)
+    assert Subspace.span(QQ, 9, [m.flatten() for m in mats]).dim == 3
+    for u in pair.vstar(0).basis:
+        assert tau_images(pair, u) == tuple(m.apply(u) for m in mats)
 
 
 # ---- tau image chains --------------------------------------------------------
