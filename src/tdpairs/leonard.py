@@ -15,9 +15,9 @@ element are sum c_j E_j, one product C diag(c) C^-1 of A's eigenbasis
 change (eigen._idempotent_sum), and affine reduction reads c_j off X's
 action on each eigenspace.  No tau_i(A) and no Matrix per index is built.
 
-Generation certifies a split form by Terwilliger's classification
-(LAA 330, 2001, Thm 1.9): one whose sequences satisfy PA1-PA5 needs only
-its two triangular decompositions; any other goes through validate_pair.
+Generation validates the split form of a parameter set with
+validate_pair, which certifies one whose sequences satisfy PA1-PA5
+(Terwilliger, LAA 330, 2001, Thm 1.9) from its triangular decompositions.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ from .errors import (
     TdpError,
     ZeroVarphi,
 )
-from .eigen import EigenDecomposition, _are_eigenvectors, _idempotent_sum, eigen_decompose
+from .eigen import EigenDecomposition, _are_eigenvectors, _idempotent_sum
 from .fields import Field, PrimeField
 from .linalg import Matrix, modulus, shifted_chain
-from .pairs import _SPINS_FILL, IrreducibilityReport, TriDiagonalPair, _lex_least, _shape_of, validate_pair
+from .pairs import TriDiagonalPair, validate_pair
 from .subspaces import Subspace, kernel, maps_into, subspace_sum
 
 # ---- result and parameter types --------------------------------------------
@@ -343,43 +343,20 @@ def _split_matrices(field, theta, thetastar, varphi) -> tuple[Matrix, Matrix]:
     return Matrix(field, a_rows), Matrix(field, astar_rows)
 
 
-def _split_pair(params: LeonardParameterSet, certified: bool) -> TriDiagonalPair:
-    """The validated split-form pair of params.  When certified (PA1-PA5
-    hold, see _parameter_array) and d >= 1, it is a Leonard pair with
-    standard orderings theta and thetastar up to reversal, irreducible
-    with the verdict validate_pair's Norton test reads off its block
-    graph: only the two triangular decompositions are computed (and
-    checked), each in validate_pair's lex-least ordering, and a rejection
-    there is a bug.  Otherwise the split form goes through validate_pair,
-    and generation fails when it does not pass."""
+def _split_pair(params: LeonardParameterSet) -> TriDiagonalPair:
+    """The split form of params as validate_pair certifies it; its rejection is GeneratedPairInvalid."""
     a, astar = _split_matrices(params.field, params.theta, params.thetastar, params.varphi)
-    if certified and params.d:
-        eigs = []
-        for m, sequence in ((a, params.theta), (astar, params.thetastar)):
-            try:
-                eig = eigen_decompose(m)
-            except TdpError as e:
-                raise InvariantViolation(f"certified split form rejected: {e}") from e
-            order = [eig.eigenvalues.index(t) for t in sequence]
-            eigs.append(_lex_least(eig, (order, order[::-1])))
-        report = IrreducibilityReport.irreducible(_SPINS_FILL)
-        return TriDiagonalPair(a, astar, *eigs, _shape_of(*eigs), report)
     try:
         return validate_pair(a, astar)
     except TdpError as e:
-        raise GeneratedPairInvalid(
-            f"generated split form failed validation: {e}", cause=e
-        ) from e
+        raise GeneratedPairInvalid(f"generated split form failed validation: {e}", cause=e) from e
 
 
 def generate_split_form(params: LeonardParameterSet) -> tuple[Matrix, Matrix]:
     """A lower bidiagonal with diagonal theta and unit subdiagonal,
     Astar upper bidiagonal with diagonal thetastar and superdiagonal
-    varphi.  The pair is certified by Terwilliger's classification when
-    (theta, thetastar, varphi) is a parameter array, else it must pass
-    validate_pair or generation fails (see _split_pair)."""
-    _, certified = _parameter_array(params.field, params.theta, params.thetastar, params.varphi)
-    pair = _split_pair(params, certified)
+    varphi; generation fails when it does not pass validate_pair."""
+    pair = _split_pair(params)
     return pair.a, pair.astar
 
 
@@ -397,36 +374,6 @@ def _phi_pa4(field, theta, thetastar, varphi):
         partial += theta[i - 1] - theta[d - i + 1]
         phi.append(ratio * partial + (thetastar[i] - thetastar[0]) * (theta[d - i + 1] - theta[0]))
     return tuple(phi) if all(phi) else None
-
-
-def _parameter_array(field, theta, thetastar, varphi) -> tuple[tuple | None, bool]:
-    """(phi, certified): phi by PA4 (None when theta or thetastar repeats
-    or some phi_i is zero), and whether PA1-PA5 of Terwilliger's
-    classification (LAA 330, 2001, Thm 1.9, any field) hold, i.e. whether
-    the split form is a Leonard pair with standard orderings theta and
-    thetastar:
-      PA1  theta and thetastar each hold distinct scalars;
-      PA2  every varphi_i and phi_i is nonzero;
-      PA3  varphi_i = phi_1 sum_{h<i} (theta_h - theta_{d-h}) / (theta_0 - theta_d)
-           + (thetastar_i - thetastar_0)(theta_{i-1} - theta_d);
-      PA4  phi_i is what _phi_pa4 gives;
-      PA5  (theta_{i-2} - theta_{i+1}) / (theta_{i-1} - theta_i) is one scalar
-           for 2 <= i <= d - 1, and the same one for thetastar.
-    PA3 and PA5 are compared multiplied out, with no division."""
-    d = len(theta) - 1
-    if len(set(theta)) <= d or len(set(thetastar)) <= d:
-        return None, False
-    phi = _phi_pa4(field, theta, thetastar, varphi)
-    if phi is None or not all(varphi):
-        return phi, False
-    span, partial = theta[0] - theta[d], field.zero
-    for i in range(1, d + 1):
-        partial += theta[i - 1] - theta[d - i + 1]
-        pa3 = phi[0] * partial + (thetastar[i] - thetastar[0]) * (theta[i - 1] - theta[d]) * span
-        if varphi[i - 1] * span != pa3:
-            return phi, False
-    ratios = [(s[i - 2] - s[i + 1], s[i - 1] - s[i]) for s in (theta, thetastar) for i in range(2, d)]
-    return phi, all(x * ratios[0][1] == ratios[0][0] * y for x, y in ratios)
 
 
 def aligned_to_params(pair: TriDiagonalPair, params: LeonardParameterSet) -> TriDiagonalPair | None:
@@ -450,7 +397,7 @@ def random_leonard(field: Field, d: int, seed) -> tuple[LeonardParameterSet, Tri
     Parameters are drawn from a family known to validate (affine
     eigenvalue progressions with first split sequence proportional to
     i(d - i + 1)), phi is computed once by PA4, the split form is
-    generated and certified (see _split_pair), and the accepted pair is
+    generated and validated (see _split_pair), and the accepted pair is
     returned with its orderings aligned to the parameter sequences.
     Every output is the pair validate_pair would return for its split
     form; the family only controls how often retries happen.
@@ -482,16 +429,16 @@ def random_leonard(field: Field, d: int, seed) -> tuple[LeonardParameterSet, Tri
             field.scalar(astar_scale * i + bstar_shift) for i in range(d + 1)
         )
         varphi = tuple(field.scalar(i * (d - i + 1) * t) for i in range(1, d + 1))
-        if any(x == field.zero for x in varphi):
+        if any(x == field.zero for x in varphi) or len(set(theta)) <= d or len(set(thetastar)) <= d:
             continue
-        phi, certified = _parameter_array(field, theta, thetastar, varphi)
+        phi = _phi_pa4(field, theta, thetastar, varphi)
         if phi is None:
             continue
         try:
             params = LeonardParameterSet(
                 field=field, theta=theta, thetastar=thetastar, varphi=varphi, phi=phi
             )
-            pair = _split_pair(params, certified)
+            pair = _split_pair(params)
         except (InvalidLeonardParameters, GeneratedPairInvalid) as e:
             last_failure = e
             continue

@@ -122,9 +122,6 @@ class Matrix:
     def column(self, j: int) -> Vector:
         return tuple(row[j] for row in self.rows)
 
-    def flatten(self) -> Vector:
-        return tuple(e for row in self.rows for e in row)
-
     # ---- arithmetic ----------------------------------------------------
 
     def _check(self, other: "Matrix"):

@@ -33,6 +33,7 @@ from .errors import (
     NotDiagonalizableOverField,
     NotIrreducible,
     ParseError,
+    TdpError,
 )
 from .eigen import EigenDecomposition, eigen_decompose, eigencoordinate_change, eigenspaces
 from .linalg import Echelon, Matrix, modulus, residue_product, shifted_chain, vec_is_zero
@@ -504,12 +505,15 @@ def validate_pair(
     """Certify the four axioms and assemble the ordered pair data.
 
     eig_a / eig_astar, if given, are reused as the decompositions of a / astar.
-    The irreducibility check runs before the ordering search so that a
-    definitive witness is reported even when orderings also fail (a
-    disconnected support graph always implies reducibility); when A has
-    n distinct eigenvalues, A's block graph is computed once and serves
-    both.  An inconclusive irreducibility verdict is deferred: if an ordering
-    failure can reject the candidate definitively, it does.
+    Right after the size and field checks, a split form whose sequences form
+    a parameter array is certified by Terwilliger's classification
+    (_split_form_pair); any other input goes through the general engine, so
+    every rejection is the engine's.  There the irreducibility check runs
+    before the ordering search so that a definitive witness is reported even
+    when orderings also fail (a disconnected support graph always implies
+    reducibility); when A has n distinct eigenvalues, A's block graph is
+    computed once and serves both.  An inconclusive irreducibility verdict is
+    deferred: if an ordering failure can reject the candidate definitively, it does.
     """
     if not a.is_square() or not astar.is_square() or a.nrows != astar.nrows:
         raise DimensionMismatch("pair members must be square and of equal size")
@@ -517,6 +521,8 @@ def validate_pair(
         raise FieldMismatch(f"{a.field!r} vs {astar.field!r}")
     if a.nrows == 0:
         raise DimensionMismatch("dimension must be positive")
+    if (pair := _split_form_pair(a, astar, eig_a, eig_astar)) is not None:
+        return pair
     try:
         eig_a = eig_a or eigen_decompose(a)
     except NotDiagonalizableOverField as e:
@@ -554,6 +560,56 @@ def validate_pair(
     eig_a = _lex_least(eig_a, orderings_a)
     eig_astar = _lex_least(eig_astar, orderings_astar)
     return TriDiagonalPair(a, astar, eig_a, eig_astar, _shape_of(eig_a, eig_astar), report)
+
+
+def _split_form_pair(a: Matrix, astar: Matrix, eig_a, eig_astar) -> TriDiagonalPair | None:
+    """The pair as validate_pair returns it when A = R / d_A is lower
+    bidiagonal with unit subdiagonal, Astar = S / d_S is upper bidiagonal,
+    n >= 2, and theta_i = R_ii / d_A, thetastar_i = S_ii / d_S and varphi_i
+    = S_{i-1,i} / d_S satisfy PA1-PA5 of Terwilliger's classification (LAA
+    330, 2001, Thm 1.9, any field), else None.  With vartheta_i the sum over
+    h < i of (theta_h - theta_{d-h}) / (theta_0 - theta_d):
+      PA1  theta and thetastar each hold distinct scalars;
+      PA2  every varphi_i and phi_i is nonzero;
+      PA3  varphi_i = phi_1 vartheta_i + (thetastar_i - thetastar_0)(theta_{i-1} - theta_d);
+      PA4  phi_i = varphi_1 vartheta_i + (thetastar_i - thetastar_0)(theta_{d-i+1} - theta_0);
+      PA5  (theta_{i-2} - theta_{i+1}) / (theta_{i-1} - theta_i), 2 <= i <= d - 1,
+           is one scalar for theta and thetastar.
+    Read on the int rows, mod p over GF(p): phi_i times d_A d_S (R_00 - R_dd),
+    PA3 times d_A d_S (R_00 - R_dd)^2, PA5 cross-multiplied.  The pair is then
+    Leonard with standard orderings theta and thetastar: each side is its
+    triangular decomposition (eig_a / eig_astar when given) in the lex-least
+    of its diagonal order and the reverse; Norton's test fills both spins."""
+    (r, da), (s, ds), p = a._ints, astar._ints, modulus(a.field)
+    n, d = len(r), len(r) - 1
+    if d < 1 or any(r[i][i - 1] != da for i in range(1, n)) or any(
+        any(r[i][: max(i - 1, 0)] + r[i][i + 1 :] + s[i][:i] + s[i][i + 2 :]) for i in range(n)
+    ):
+        return None
+    t, u, f = [r[i][i] for i in range(n)], [s[i][i] for i in range(n)], [s[i - 1][i] for i in range(1, n)]
+    if len(set(t)) < n or len(set(u)) < n or not all(f):  # PA1, PA2 on varphi
+        return None
+    residue = (lambda x: x % p) if p else (lambda x: x)
+    span, partial = t[0] - t[d], 0
+    phi1 = span * (da * f[0] - (u[1] - u[0]) * span)
+    for i in range(1, n):
+        partial += t[i - 1] - t[d - i + 1]
+        phi = da * f[0] * partial + (u[i] - u[0]) * (t[d - i + 1] - t[0]) * span
+        pa3 = phi1 * partial + (u[i] - u[0]) * (t[i - 1] - t[d]) * span**2
+        if not residue(phi) or residue(da * f[i - 1] * span**2 - pa3):  # PA2 on phi, PA3
+            return None
+    ratios = [(x[i - 2] - x[i + 1], x[i - 1] - x[i]) for x in (t, u) for i in range(2, d)]
+    if any(residue(x * ratios[0][1] - ratios[0][0] * y) for x, y in ratios):  # PA5
+        return None
+    eigs = []
+    for m, eig, diag, e in ((a, eig_a, t, da), (astar, eig_astar, u, ds)):
+        try:
+            eig = eig or eigen_decompose(m)
+        except TdpError as err:  # a bug, not a rejection
+            raise InvariantViolation(f"certified split form rejected: {err}") from err
+        order = [eig.eigenvalues.index(x) for x in Matrix._of_ints(a.field, [diag], e).rows[0]]
+        eigs.append(_lex_least(eig, (order, order[::-1])))
+    return TriDiagonalPair(a, astar, *eigs, _shape_of(*eigs), IrreducibilityReport.irreducible(_SPINS_FILL))
 
 
 def _lex_least(eig: EigenDecomposition, orderings) -> EigenDecomposition:

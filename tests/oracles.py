@@ -11,17 +11,25 @@ modulo p so no package arithmetic is involved on the oracle side.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
+import tdpairs.pairs
 from tdpairs import DimensionMismatch, FieldMismatch, Matrix, Subspace
 from tdpairs.eigen import invert
 from tdpairs.linalg import Echelon
 
 
 # ---- the library's retired routes, kept as oracles ---------------------------
+
+
+def flatten(m):
+    """The entries of a matrix as field elements, row after row."""
+    return tuple(e for row in m.rows for e in row)
 
 
 def poly_eval_matrix(p, m):
@@ -312,7 +320,7 @@ def closure_algebra(a, astar):
     echelon = {}  # pivot -> flattened row, normalized at its pivot
 
     def enlarge(m):
-        w = list(m.flatten())
+        w = list(flatten(m))
         for i in range(len(w)):
             if w[i] and i in echelon:
                 c = w[i]
@@ -550,6 +558,27 @@ def phi_from_split_form(field, theta, thetastar, varphi):
             return None
         phi.append(scale)
     return tuple(phi)
+
+
+def reversed_basis(m):
+    """J m J for the reversal permutation J: m in its basis read from the
+    last vector to the first.  A split form's lower bidiagonal A becomes
+    upper bidiagonal, so the J-conjugate of a pair is never a split form
+    and validate_pair takes it through its general engine."""
+    return Matrix(m.field, [row[::-1] for row in m.rows[::-1]])
+
+
+def reversed_pair(pair):
+    """(J A J, J Astar J) for a pair with members a and astar."""
+    return reversed_basis(pair.a), reversed_basis(pair.astar)
+
+
+@contextlib.contextmanager
+def split_form_route_declined():
+    """validate_pair with its split-form route declining every input, so
+    that every pair goes through the general engine."""
+    with mock.patch.object(tdpairs.pairs, "_split_form_pair", lambda *args: None):
+        yield
 
 
 def leonard_parameter_array(field, theta, thetastar, varphi):

@@ -48,6 +48,7 @@ from oracles import (
     image_of,
     matrix_to_int_rows,
     oracle_split_sequences,
+    split_form_route_declined,
     subspace_leq,
     subspace_vector_set,
     tau_matrices_by_product,
@@ -65,8 +66,10 @@ _POOL_SECONDS = None
 def instance_pool():
     """200 validated random Leonard pairs over Q, GF(5), GF(7), GF(13)
     with diameters cycling 0..6 (0..4 over GF(5), which cannot hold more
-    than five distinct eigenvalues). Generation and validation are timed
-    together; the wall-clock budget is asserted by the axiom-suite test.
+    than five distinct eigenvalues). Each generated pair is validated
+    again by the general engine, with the split-form route that certified
+    it declined. Generation and validation are timed together; the
+    wall-clock budget is asserted by the axiom-suite test.
     """
     global _POOL, _POOL_SECONDS
     if _POOL is None:
@@ -78,7 +81,8 @@ def instance_pool():
             if getattr(field, "p", 0) == 5:
                 d %= 5
             _, generated = random_leonard(field, d, seed=i)
-            pair = validate_pair(generated.a, generated.astar)
+            with split_form_route_declined():
+                pair = validate_pair(generated.a, generated.astar)
             assert pair.shape.is_all_ones()
             assert pair.diameter == d
             built.append(pair)

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -18,12 +19,21 @@ import tdpairs.cli
 import tdpairs.eigen
 import tdpairs.pairs
 import tdpairs.search
-from tdpairs import GF, QQ, InvariantViolation, LeonardParameterSet, Matrix, SearchSpec, TdpError
+from tdpairs import (
+    GF,
+    QQ,
+    InvariantViolation,
+    LeonardParameterSet,
+    Matrix,
+    NotDiagonalizableOverField,
+    SearchSpec,
+    TdpError,
+)
 from tdpairs.cli import cmd_search, main
 from tdpairs.eigen import invert
-from tdpairs.serio import candidate_to_json, canonical_dumps, params_to_json
+from tdpairs.serio import candidate_from_json, candidate_to_json, canonical_dumps, params_to_json
 
-from oracles import TENSOR_PARAMS, kron_sum_fixture, scalar_restriction_fixture, tensor_fixture
+from oracles import TENSOR_PARAMS, kron_sum_fixture, reversed_basis, scalar_restriction_fixture, tensor_fixture
 from test_eigen import refuse_in_eigen, unit_line
 from test_pairs import A_D2, ASTAR_D2
 
@@ -127,17 +137,68 @@ def test_verify_inconclusive_exit_2(tmp_path, capsys):
 
 
 def test_verify_internal_error_exits_4(tmp_path, capsys, monkeypatch):
-    # a bug inside the engine is reported as one, never as an invalid pair
+    # a bug inside the engine is reported as one, never as an invalid pair;
+    # the running example read in the reversed basis is no split form, so
+    # the general engine decides it
     def broken(*args, **kwargs):
         raise InvariantViolation("planted bug")
 
     monkeypatch.setattr(tdpairs.pairs, "irreducible", broken)
-    rc, out, _ = run(capsys, ["verify", d2_candidate(tmp_path)])
+    candidate = write_candidate(tmp_path, "pair.json", reversed_basis(qm(A_D2)), reversed_basis(qm(ASTAR_D2)))
+    rc, out, _ = run(capsys, ["verify", candidate])
     assert rc == 4
     (rep,) = reports_of(out)
     assert rep["exitCode"] == 4
     assert rep["payload"]["valid"] is False
     assert rep["payload"]["failure"]["kind"] == "InvariantViolation"
+
+
+def _generated_candidate(tmp_path, capsys):
+    """The report of `generate --random`, which verify reads as a candidate."""
+    rc, out, _ = run(capsys, ["generate", "--random", "gf101", "4", "5"])
+    assert rc == 0
+    path = tmp_path / "generated.json"
+    path.write_text(out)
+    return str(path)
+
+
+def test_a_bug_on_the_split_form_route_exits_4(tmp_path, capsys, monkeypatch):
+    # a generated candidate is certified from its parameter array, and a
+    # rejection on that route is a bug
+    candidate = _generated_candidate(tmp_path, capsys)
+
+    def broken(*args, **kwargs):
+        raise NotDiagonalizableOverField("planted bug")
+
+    monkeypatch.setattr(tdpairs.pairs, "eigen_decompose", broken)
+    rc, out, _ = run(capsys, ["verify", candidate])
+    assert rc == 4
+    (rep,) = reports_of(out)
+    assert rep["payload"]["failure"] == {
+        "kind": "InvariantViolation",
+        "message": "certified split form rejected: planted bug",
+    }
+
+
+def test_requests_on_a_generated_candidate_skip_the_general_engine(tmp_path, capsys, monkeypatch):
+    # verify, detect, decompose and switch read a generated split form off
+    # its parameter array; the same pair in the reversed basis still goes
+    # through the block graphs, Norton's test and the ordering search (a
+    # Leonard pair's Norton test reads the graph and spins nothing)
+    generated = _generated_candidate(tmp_path, capsys)
+    a, astar = candidate_from_json(json.loads(Path(generated).read_text()))
+    conjugate = write_candidate(tmp_path, "conjugate.json", reversed_basis(a), reversed_basis(astar))
+    engine = ("_block_edges", "irreducible", "path_orderings", "_spin")
+    for candidate in (generated, conjugate):
+        for command in ("verify", "detect", "decompose", "switch"):
+            calls = []
+            for name in engine:
+                record_calls(monkeypatch, tdpairs.pairs, name, calls)
+            rc, out, _ = run(capsys, [command, candidate])
+            monkeypatch.undo()
+            assert rc == 0, out
+            called = {call.rsplit(".", 1)[1] for call in calls}
+            assert called == (set() if candidate == generated else set(engine[:3])), command
 
 
 def test_an_internal_error_is_not_a_rejection():

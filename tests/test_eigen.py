@@ -48,6 +48,7 @@ from oracles import (
     kron_sum_fixture,
     rational_roots_by_divisors,
     ref_rank_q,
+    reversed_pair,
     scalar_restriction_fixture,
 )
 
@@ -335,7 +336,8 @@ def test_a_reordered_decomposition_carries_the_fresh_eigenbasis_change(p, monkey
 @pytest.mark.parametrize(
     "pair",
     [
-        lambda: random_leonard(GF(13), 5, seed=1)[1],
+        # read in the reversed basis, so that the general engine validates it
+        lambda: validate_pair(*reversed_pair(random_leonard(GF(13), 5, seed=1)[1])),
         # no eigenline on either side: irreducible decides on A's eigenbasis
         lambda: validate_pair(*scalar_restriction_fixture(QQ, (-2, 0, 0, 1), 2)),
     ],

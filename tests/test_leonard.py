@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import tdpairs.leonard
+import tdpairs.pairs
 from tdpairs import (
     GF,
     QQ,
@@ -52,6 +53,7 @@ from oracles import (
     leonard_parameter_array,
     oracle_split_sequences,
     phi_from_split_form,
+    split_form_route_declined,
     tau_images_by_shift,
     tau_matrices_by_product,
     tensor_fixture,
@@ -519,7 +521,10 @@ def parameter_draws(field, rng):
     from four sources: random_leonard's parameters (PA1-PA5 hold); affine
     theta and thetastar with a random varphi (PA5 holds, PA3 mostly
     fails); random distinct theta and thetastar with varphi from PA3 for
-    a random phi_1 (PA5 mostly fails from d = 3 on); and all three random."""
+    a random phi_1 (PA5 mostly fails from d = 3 on); and all three random.
+    Over Q each draw is followed by its image with rational entries,
+    theta / k + s, thetastar / m + t and varphi / (k m), an affine change
+    that keeps whether PA1-PA5 hold."""
     def distinct(d, affine):
         while True:
             a, b = rng.randrange(1, 50), rng.randrange(-50, 50)
@@ -532,60 +537,113 @@ def parameter_draws(field, rng):
             pass
         return x
 
+    def draws(d):
+        params, _ = random_leonard(field, d, seed=rng.randrange(10**6))
+        yield params.theta, params.thetastar, params.varphi
+        yield distinct(d, True), distinct(d, True), [nonzero() for _ in range(d)]
+        theta, thetastar, phi1 = distinct(d, False), distinct(d, False), nonzero()
+        span, partial, varphi = theta[0] - theta[d], field.zero, []
+        for i in range(1, d + 1):
+            partial += (theta[i - 1] - theta[d - i + 1]) / span
+            varphi.append(phi1 * partial + (thetastar[i] - thetastar[0]) * (theta[i - 1] - theta[d]))
+        if all(varphi):
+            yield theta, thetastar, varphi
+        yield distinct(d, False), distinct(d, False), [nonzero() for _ in range(d)]
+
     for d in range(1, min(6, getattr(field, "p", 7) - 1) + 1):
         for _ in range(8):
-            params, _ = random_leonard(field, d, seed=rng.randrange(10**6))
-            yield params.theta, params.thetastar, params.varphi
-            yield distinct(d, True), distinct(d, True), [nonzero() for _ in range(d)]
-            theta, thetastar, phi1 = distinct(d, False), distinct(d, False), nonzero()
-            span, partial, varphi = theta[0] - theta[d], field.zero, []
-            for i in range(1, d + 1):
-                partial += (theta[i - 1] - theta[d - i + 1]) / span
-                varphi.append(phi1 * partial + (thetastar[i] - thetastar[0]) * (theta[i - 1] - theta[d]))
-            if all(varphi):
+            for theta, thetastar, varphi in draws(d):
                 yield theta, thetastar, varphi
-            yield distinct(d, False), distinct(d, False), [nonzero() for _ in range(d)]
+                if field == QQ:
+                    k, m, s, t = (Fraction(nonzero(), rng.randrange(2, 12)) for _ in range(4))
+                    yield [x / k + s for x in theta], [x / m + t for x in thetastar], [x / (k * m) for x in varphi]
+
+
+def _verdict(a, astar):
+    """validate_pair's pair, or the type and text of its rejection."""
+    try:
+        return validate_pair(a, astar)
+    except TdpError as e:
+        return type(e), str(e)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(7), GF(13), GF(101)], ids=str)
 def test_generation_certifies_exactly_the_parameter_arrays(field):
-    # the PA1-PA5 oracle, the certifying check and validate_pair on the
-    # split form agree; a certified pair is the one validate_pair returns,
-    # and a rejected one fails with validate_pair's text
+    # validate_pair's split-form route certifies exactly the split forms
+    # the PA1-PA5 oracle accepts, each to the pair the general engine
+    # returns; generation takes that route, and a split form off it fails
+    # with the general engine's text
     rng = random.Random(27 + getattr(field, "p", 0))
     outcomes = set()
     for theta, thetastar, varphi in parameter_draws(field, rng):
         phi = leonard_parameter_array(field, theta, thetastar, varphi)
-        pa4, certified = tdpairs.leonard._parameter_array(field, theta, thetastar, varphi)
-        assert certified == (phi is not None) and (pa4 == phi or not certified)
+        a, astar = tdpairs.leonard._split_matrices(field, theta, thetastar, varphi)
+        certified = tdpairs.pairs._split_form_pair(a, astar, None, None)
+        assert (certified is not None) == (phi is not None)
+        with split_form_route_declined():
+            want = _verdict(a, astar)
         params = LeonardParameterSet(
-            field=field, theta=theta, thetastar=thetastar, varphi=varphi, phi=pa4 or [1] * len(varphi)
+            field=field, theta=theta, thetastar=thetastar, varphi=varphi, phi=phi or [1] * len(varphi)
         )
-        try:
-            want = validate_pair(*tdpairs.leonard._split_matrices(field, theta, thetastar, varphi))
-        except TdpError as e:
-            want = e
-        if certified:
-            assert tdpairs.leonard._split_pair(params, True) == want
+        if certified is not None:
+            assert certified == want
+            assert tdpairs.leonard._split_pair(params) == want
         else:
-            assert isinstance(want, TdpError)
+            assert isinstance(want, tuple)
             with pytest.raises(GeneratedPairInvalid) as raised:
                 generate_split_form(params)
-            assert str(raised.value) == f"generated split form failed validation: {want}"
-        outcomes.add(certified)
+            assert str(raised.value) == f"generated split form failed validation: {want[1]}"
+        outcomes.add(certified is not None)
     assert outcomes == {True, False}
     ones = (field.one, field.one)
     for theta, thetastar in (((0, 1, 0), (0, 1, 2)), ((0, 1, 2), (0, 2, 2))):  # PA1 fails
         seqs = [tuple(map(field.scalar, s)) for s in (theta, thetastar)]
         assert leonard_parameter_array(field, *seqs, ones) is None
-        assert tdpairs.leonard._parameter_array(field, *seqs, ones) == (None, False)
+        assert tdpairs.pairs._split_form_pair(*tdpairs.leonard._split_matrices(field, *seqs, ones), None, None) is None
+
+
+def _near_misses(a, astar):
+    """Pairs one step off a split form: a non-unit subdiagonal entry, one
+    extra entry off either band, Astar lower bidiagonal, and n = 1."""
+    n, field = a.nrows, a.field
+
+    def changed(m, i, j, x):
+        entries = [list(r) for r in m.rows]
+        entries[i][j] = field.scalar(x)
+        return Matrix(field, entries)
+
+    yield changed(a, n - 1, n - 2, 2), astar
+    yield changed(a, 0, n - 1, 1), astar
+    yield a, changed(astar, n - 1, 0, 1)
+    yield a, astar.transpose()
+    yield Matrix(field, [[a[0, 0]]]), Matrix(field, [[astar[0, 0]]])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
+def test_split_form_route_declines_near_misses(field):
+    # one step off a split form the route declines, and validate_pair's
+    # verdict is the general engine's, pair or rejection
+    rng = random.Random(29 + getattr(field, "p", 0))
+    verdicts = set()
+    for draw in parameter_draws(field, rng):
+        if leonard_parameter_array(field, *draw) is None:
+            continue
+        for a, astar in _near_misses(*tdpairs.leonard._split_matrices(field, *draw)):
+            assert tdpairs.pairs._split_form_pair(a, astar, None, None) is None
+            got = _verdict(a, astar)
+            with split_form_route_declined():
+                assert got == _verdict(a, astar)
+            verdicts.add(got[0] if isinstance(got, tuple) else "valid")
+    assert "valid" in verdicts and len(verdicts) > 2
 
 
 def test_pool_recipe_generation_runs_no_general_validation(monkeypatch):
-    # the acceptance pool's 200 draws: every split form of diameter at
-    # least 1 is certified by its parameter array, with no validate_pair
-    # and no block graph; diameter 0 still goes through validate_pair
-    counts = dict.fromkeys(("validate_pair", "_block_edges"), 0)
+    # the acceptance pool's 200 draws: each is validated once, and every
+    # split form of diameter at least 1 is certified by its parameter
+    # array, with no block graph, Norton test or ordering search; diameter
+    # 0 goes through the general engine
+    engine = ("_block_edges", "irreducible", "path_orderings")
+    counts = dict.fromkeys(("validate_pair", *engine), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -594,19 +652,19 @@ def test_pool_recipe_generation_runs_no_general_validation(monkeypatch):
 
         return wrapper
 
-    validate = counted("validate_pair", tdpairs.pairs.validate_pair)
-    monkeypatch.setattr(tdpairs.leonard, "validate_pair", validate)
-    monkeypatch.setattr(tdpairs.pairs, "validate_pair", validate)
-    monkeypatch.setattr(tdpairs.pairs, "_block_edges", counted("_block_edges", tdpairs.pairs._block_edges))
+    monkeypatch.setattr(tdpairs.leonard, "validate_pair", counted("validate_pair", tdpairs.pairs.validate_pair))
+    for name in engine:
+        monkeypatch.setattr(tdpairs.pairs, name, counted(name, getattr(tdpairs.pairs, name)))
     for i in range(200):
         field = (QQ, GF(5), GF(7), GF(13))[i % 4]
         d = i % 7 % (5 if field == GF(5) else 7)
         before = dict(counts)
         random_leonard(field, d, seed=i)
+        assert counts["validate_pair"] == before["validate_pair"] + 1, i
         if d:
-            assert counts == before, i
+            assert all(counts[name] == before[name] for name in engine), i
         else:
-            assert counts["validate_pair"] == before["validate_pair"] + 1, i
+            assert all(counts[name] > before[name] for name in engine), i
 
 
 def test_random_leonard_diameter_zero():
@@ -632,6 +690,8 @@ def test_random_leonard_raises_an_internal_error_instead_of_retrying(monkeypatch
     # a bug while certifying a parameter array's split form is not a
     # rejected parameter set, and a rejection there is reported as the
     # bug it is, never as GeneratedPairInvalid
+    params, _ = random_leonard(GF(7), 2, seed=1)
+    split_form = tdpairs.leonard._split_matrices(GF(7), params.theta, params.thetastar, params.varphi)
     for planted in (InvariantViolation, NotDiagonalizableOverField):
         calls = []
 
@@ -639,23 +699,25 @@ def test_random_leonard_raises_an_internal_error_instead_of_retrying(monkeypatch
             calls.append(args)
             raise planted("planted bug")
 
-        monkeypatch.setattr(tdpairs.leonard, "eigen_decompose", broken)
+        monkeypatch.setattr(tdpairs.pairs, "eigen_decompose", broken)
         with pytest.raises(InvariantViolation, match="planted bug"):
             random_leonard(GF(7), 2, seed=1)
         assert len(calls) == 1
+        with pytest.raises(InvariantViolation, match="planted bug"):
+            validate_pair(*split_form)
+        assert len(calls) == 2
 
 
 def test_generation_outside_the_parameter_arrays_raises_validation_bugs(monkeypatch):
     # PA4 gives phi = (3, 3), but PA3 asks varphi_2 = 3 + 2 (1 - 2) = 1:
-    # the split form goes through validate_pair, which rejects it, and a
-    # bug there is raised as it is
+    # the split form goes through the general engine, which rejects it,
+    # and a bug there is raised as it is
     params = LeonardParameterSet(
         field=QQ, theta=(0, 1, 2), thetastar=(0, 1, 2), varphi=(1, 2), phi=(3, 3)
     )
-    assert tdpairs.leonard._parameter_array(QQ, params.theta, params.thetastar, params.varphi) == (
-        params.phi,
-        False,
-    )
+    assert leonard_parameter_array(QQ, params.theta, params.thetastar, params.varphi) is None
+    split_form = tdpairs.leonard._split_matrices(QQ, params.theta, params.thetastar, params.varphi)
+    assert tdpairs.pairs._split_form_pair(*split_form, None, None) is None
     with pytest.raises(GeneratedPairInvalid, match="^generated split form failed validation: "):
         generate_split_form(params)
     calls = []

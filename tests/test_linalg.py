@@ -27,6 +27,7 @@ import tdpairs.pairs
 
 from oracles import (
     brute_intersection,
+    flatten,
     int_mat_apply,
     int_matmul,
     int_rref,
@@ -60,7 +61,7 @@ def test_matrix_shape_and_entry_access():
     assert m[1, 2] == 6
     assert m.row(0) == (1, 2, 3)
     assert m.column(2) == (3, 6)
-    assert m.flatten() == (1, 2, 3, 4, 5, 6)
+    assert flatten(m) == (1, 2, 3, 4, 5, 6)
 
 
 def test_ragged_rows_rejected():

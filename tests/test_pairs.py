@@ -48,6 +48,7 @@ from oracles import (
     kron_sum_fixture,
     matrix_to_int_rows,
     multiplicity_free_pair,
+    reversed_pair,
     scalar_restriction_fixture,
     spin_reducible,
     subspace_vector_set,
@@ -911,7 +912,8 @@ def test_block_graph_verdicts_match_brute_force_over_tiny_fields(p):
 
 def test_validate_reads_leonard_pairs_off_one_block_graph_per_side(monkeypatch):
     # with n distinct eigenvalues on both sides, validate_pair spins
-    # nothing and computes each side's block graph once
+    # nothing and computes each side's block graph once; the pairs are read
+    # in the reversed basis, so no split-form route certifies them
     pairs = []
     for field in (QQ, GF(5), GF(13)):
         for d in range(0, min(6, getattr(field, "p", 7) - 1) + 1):
@@ -924,7 +926,7 @@ def test_validate_reads_leonard_pairs_off_one_block_graph_per_side(monkeypatch):
     edges = _counting(monkeypatch, "_block_edges")
     for pair in pairs:
         before = edges[0]
-        again = validate_pair(pair.a, pair.astar)
+        again = validate_pair(*reversed_pair(pair))
         assert edges[0] - before == 2
         assert again.shape.is_all_ones() and again.diameter == pair.diameter
 

@@ -26,7 +26,7 @@ from tdpairs import (
 )
 from tdpairs.split import SplitDecomposition
 
-from oracles import TENSOR_PARAMS, poly_eval_matrix, tau_matrices_by_product, tensor_fixture
+from oracles import TENSOR_PARAMS, flatten, poly_eval_matrix, tau_matrices_by_product, tensor_fixture
 
 
 def qm(rows):
@@ -151,7 +151,7 @@ def test_tau_basis_structure():
         tau = Polynomial.from_roots(QQ, thetas[:i])
         assert tau.degree == i
         assert m == poly_eval_matrix(tau, pair.a)
-    assert Subspace.span(QQ, 9, [m.flatten() for m in mats]).dim == 3
+    assert Subspace.span(QQ, 9, [flatten(m) for m in mats]).dim == 3
     for u in pair.vstar(0).basis:
         assert tau_images(pair, u) == tuple(m.apply(u) for m in mats)
 
