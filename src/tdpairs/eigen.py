@@ -5,9 +5,11 @@ polynomial carry its whole degree and every eigenspace is as large as
 its root's multiplicity.  A triangular operator (A and A* in a split
 basis) has its diagonal for roots and a simple root's eigenline by
 substitution.  Over GF(p) with p <= n they are the t with ker(m - tI)
-nonzero, scanned until the kernels fill the space.  Otherwise the roots
-of linalg.char_poly are found exactly without factoring integers: by
-scanning GF(p), over Q p-adically.  The rest runs on int rows: each
+nonzero, scanned until the kernels fill the space.  Otherwise they are
+r / d for the roots r of det(xI - R), R = d m the int rows, a monic
+polynomial in Z[x] (linalg.char_poly_coeffs): residues found by scanning
+GF(p), over Q integers found p-adically, with no factoring and no
+rational reconstruction.  The rest runs on int rows: each
 eigenspace is subspaces.kernel(m, theta), one elimination of m's rows
 with theta subtracted as they are fed in, with no shifted matrix; the
 eigenvector check reads m's rows and theta once per eigenspace; the
@@ -18,7 +20,6 @@ reorderings.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, compress
 from math import gcd, lcm
@@ -31,23 +32,23 @@ from .errors import (
     InvariantViolation,
     NotDiagonalizableOverField,
 )
-from .fields import Rationals, _is_prime
-from .linalg import Echelon, Matrix, _common, _primitive, char_poly, modulus, residue_product, shifted_image
-from .polynomials import Polynomial
+from .fields import _is_prime
+from .linalg import (
+    Echelon, Matrix, _primitive, char_poly_coeffs, modulus, residue_product, row_elements, shifted_image
+)
 from .subspaces import Subspace, kernel
 
 # ---- root extraction -----------------------------------------------------
 
 
-def _int_divmod(f: list, g: list) -> tuple[list, list] | None:
+def _int_divmod(f: list, g: list) -> tuple[list, list]:
     """Quotient and remainder of int coefficient lists (lowest degree
-    first) by long division, or None when a quotient coefficient is not
-    an int; a primitive g divides f iff the remainder is 0 (Gauss)."""
+    first) by long division, where g's leading coefficient divides every
+    leading term met: g monic, a pseudo-division, or a primitive g that
+    divides f over Q (Gauss)."""
     r, q = list(f), []
     for k in reversed(range(len(f) - len(g) + 1)):
-        c, rem = divmod(r[k + len(g) - 1], g[-1])
-        if rem:
-            return None
+        c = r[k + len(g) - 1] // g[-1]
         q.append(c)
         for j, b in enumerate(g):
             r[k + j] -= c * b
@@ -73,56 +74,49 @@ def _eval_mod(ints: list, x: int, q: int) -> int:
     return acc
 
 
-def _rational_roots(poly: Polynomial) -> list[Fraction]:
-    """All rational roots of a nonzero polynomial over Q, with
-    multiplicity, by p-adic lifting (R. Loos, SIAM J. Comput. 1983).
+def _integer_roots(f: list) -> list[int]:
+    """All integer roots of a monic int polynomial (lowest degree first),
+    with multiplicity, by p-adic lifting (R. Loos, SIAM J. Comput. 1983);
+    a monic polynomial over Z has no other rational roots.
 
-    g is the integer squarefree part without zero roots, p the first odd
-    prime that keeps g's degree and every root of g mod p simple.  Each
-    root mod p is Hensel-lifted past 2 |g(0)| |lead g|, which bounds
-    every root a/b (a | g(0), b | lead g), and rebuilt by rational
-    reconstruction; a candidate counts only if it divides exactly.
+    g is the squarefree part without zero roots and p the first odd prime
+    that keeps every root of g mod p simple (residue_roots on g mod p).
+    Each root mod p is Hensel-lifted to a modulus q > 2 |g(0)|, which
+    bounds every root (a divisor of g(0)), and read as a symmetric
+    residue; it counts as often as x - r divides f exactly.
     """
-    zeros = next(i for i, c in enumerate(poly.coeffs) if c)
-    f = _primitive(_common(poly.coeffs[zeros:])[0])
+    zeros = next(i for i, c in enumerate(f) if c)
+    f = f[zeros:]
     g = _squarefree_ints(f)
     dg = [i * c for i, c in enumerate(g)][1:]
-    const, bound = abs(g[0]), 2 * abs(g[0] * g[-1])
     p = 2
     while True:
         p += 1
-        if not _is_prime(p) or not g[-1] % p:
-            continue
-        residues = [r for r in range(p) if not _eval_mod(g, r, p)]
-        if all(_eval_mod(dg, r, p) for r in residues):
-            break
-    roots, candidates = [Fraction(0)] * zeros, []
+        if _is_prime(p):
+            residues = residue_roots([c % p for c in g], p)
+            if len(set(residues)) == len(residues):
+                break
+    roots = [0] * zeros
     for r in residues:
         q = p
-        while q <= bound:
+        while q <= 2 * abs(g[0]):
             q *= q
             r = (r - _eval_mod(g, r, q) * pow(_eval_mod(dg, r, q), -1, q)) % q
-        # rational reconstruction: the first remainder <= |g(0)|
-        r0, r1, s0, s1 = q, r, 0, 1
-        while r1 > const:
-            k = r0 // r1
-            r0, r1, s0, s1 = r1, r0 - k * r1, s1, s0 - k * s1
-        candidates.append(Fraction(r1, s1))
-    for cand in candidates:  # a / b as often as b x - a divides f
-        line = [-cand.numerator, cand.denominator]
-        qr = _int_divmod(f, line)
-        while qr and not any(qr[1]):
-            roots.append(cand)
-            f, qr = qr[0], _int_divmod(qr[0], line)
+        r -= q if 2 * r > q else 0
+        quotient, rem = _int_divmod(f, [-r, 1])
+        while not any(rem):
+            roots.append(r)
+            f = quotient
+            quotient, rem = _int_divmod(f, [-r, 1])
     return roots
 
 
-def field_roots(poly: Polynomial, field) -> list:
-    """All roots of a nonzero polynomial in its own field, with
-    multiplicity; over GF(p) found by scanning the field."""
-    if isinstance(field, Rationals):
-        return _rational_roots(poly)
-    return [field.scalar(v) for v in residue_roots([c.v for c in poly.coeffs], field.p)]
+def _char_roots(rows: list, p: int | None) -> list[int]:
+    """The roots r of det(xI - R) for a square m's int rows R = d m, with
+    multiplicity: residues over GF(p) (d = 1), integers over Q, as that
+    polynomial is monic in Z[x].  m's eigenvalues are the r / d."""
+    chi = char_poly_coeffs(rows, p)
+    return residue_roots(chi, p) if p else _integer_roots(chi)
 
 
 def residue_roots(ints: list, p: int) -> list[int]:
@@ -236,26 +230,27 @@ def _are_eigenvectors(rows, p, a: int, b: int, vectors) -> bool:
 def eigenspaces(m: Matrix) -> tuple[tuple, tuple, int]:
     """(thetas, spaces, nroots): the distinct eigenvalues of a square m
     in its field, ascending, the eigenspace ker(m - theta I) of each, and
-    the number of roots of char_poly(m) in the field with multiplicity,
-    read off the diagonal of a triangular m (see _eigenline).  m is
-    diagonalizable exactly when the spaces' dimensions sum to its size;
+    the number of roots of det(xI - m) in the field with multiplicity
+    (_char_roots), read off the diagonal of a triangular m (see
+    _eigenline).  m is diagonalizable exactly when the spaces' dimensions
+    sum to its size;
     each is at most its root's multiplicity.  Over GF(p) with p <= n the
     eigenvalues of a non-triangular m are found by scanning t in GF(p) for
     ker(m - tI) != 0 until the kernels fill the space, at most p kernels
-    and no polynomial; only if they never fill is char_poly counted.
+    and no polynomial; only if they never fill are the roots counted.
     Every kernel is kernel(m, theta), so no m - theta I is built."""
     rows, d = m._ints
     lower = any(any(row[:i]) for i, row in enumerate(rows))
     if lower and any(any(row[i + 1 :]) for i, row in enumerate(rows)):
         n, p = m.nrows, modulus(m.field)
         scan = p and p <= n  # every t in GF(p), and no polynomial unless rejected
-        roots = () if scan else field_roots(char_poly(m), m.field)
+        roots = () if scan else _char_roots(rows, p)
         found, dim = {}, 0
-        for theta in map(m.field.scalar, range(p)) if scan else sorted(set(roots)):
+        for theta in map(m.field.scalar, range(p)) if scan else row_elements(m.field, sorted(set(roots)), d):
             if dim < n and (space := kernel(m, theta)).dim:
                 found[theta], dim = space, dim + space.dim
         if scan and dim < n:  # not diagonalizable: count the roots for the message
-            roots = field_roots(char_poly(m), m.field)
+            roots = _char_roots(rows, p)
         return tuple(found), tuple(found.values()), len(roots) if dim < n else n
     diag = [row[i] for i, row in enumerate(rows)]
     ints = sorted(set(diag))  # d > 0, so in the order of the eigenvalues

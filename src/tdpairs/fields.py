@@ -1,12 +1,13 @@
 """Ground fields for exact linear algebra: Q and GF(p).
 
-A field object is a small factory that builds, parses, and formats
-scalars.  Rational scalars are `fractions.Fraction`; prime-field scalars
-are `GFElement` instances that overload arithmetic.  The bulk kernels of
-`linalg` work on ints instead: over Q on numerators over a common
-denominator, over GF(p) on residues, which `PrimeField._residues` reads
-off with scalar()'s coercion and field check, and `_element` maps a
-residue back to its element (from the field's table when p <= 1024).
+A field object is a small factory that builds and parses scalars
+(serio.scalar_to_str writes them).  Rational scalars are
+`fractions.Fraction`; prime-field scalars are `GFElement` instances that
+overload arithmetic.  The bulk kernels of `linalg` work on ints
+instead: over Q on numerators over a common denominator, over GF(p) on
+residues, which `PrimeField._residues` reads off with scalar()'s
+coercion and field check, and `_element` maps a residue back to its
+element (from the field's table when p <= 1024).
 
 Fields compare by value, so two `PrimeField(7)` instances are
 interchangeable; `field_from_spec` hands out one shared instance per p.
@@ -179,9 +180,6 @@ class Rationals:
         except (ValueError, ZeroDivisionError) as e:
             raise ParseError(f"bad rational scalar {s!r}: {e}") from None
 
-    def format(self, x: Fraction) -> str:
-        return str(x)
-
     def elements(self) -> Iterator[Fraction]:
         raise TypeError("Q is infinite; cannot enumerate its elements")
 
@@ -226,13 +224,13 @@ class PrimeField:
         return self.scalar(1)
 
     def scalar(self, x) -> GFElement:
-        """Coerce an int, integer string, or same-field element."""
+        """Coerce an int, same-field element, or string (by parse)."""
         if isinstance(x, GFElement):
             if x.field.p != self.p:
                 raise FieldMismatch(f"GF({x.field.p}) element given to GF({self.p})")
             return x
         if isinstance(x, str):
-            x = int(x)
+            return self.parse(x)
         if not isinstance(x, int):
             raise TypeError(f"cannot coerce {type(x).__name__} into GF({self.p})")
         if self._cache is not None:
@@ -249,9 +247,6 @@ class PrimeField:
             return self.scalar(int(s.strip()))
         except ValueError:
             raise ParseError(f"bad GF({self.p}) scalar {s!r}") from None
-
-    def format(self, x: GFElement) -> str:
-        return str(x.v)
 
     def elements(self) -> Iterator[GFElement]:
         for v in range(self.p):

@@ -18,6 +18,9 @@ action on each eigenspace.  No tau_i(A) and no Matrix per index is built.
 Generation validates the split form of a parameter set with
 validate_pair, which certifies one whose sequences satisfy PA1-PA5
 (Terwilliger, LAA 330, 2001, Thm 1.9) from its triangular decompositions.
+random_leonard draws from an affine family whose phi has a closed form
+in integers, so every draw it keeps is a parameter array and a rejection
+of one is a bug.
 """
 
 from __future__ import annotations
@@ -360,22 +363,6 @@ def generate_split_form(params: LeonardParameterSet) -> tuple[Matrix, Matrix]:
     return pair.a, pair.astar
 
 
-def _phi_pa4(field, theta, thetastar, varphi):
-    """Second split sequence of a Leonard system from its eigenvalues and
-    first split sequence, by Terwilliger's PA4 (LAA 330, 2001):
-    phi_i = varphi_1 sum_{h<i} (theta_h - theta_{d-h}) / (theta_0 - theta_d)
-    + (thetastar_i - thetastar_0)(theta_{d-i+1} - theta_0).
-
-    Returns None when some phi_i is zero (degenerate parameters)."""
-    d = len(theta) - 1
-    phi, partial = [], field.zero
-    ratio = varphi[0] / (theta[0] - theta[d]) if d else None  # read only when d >= 1
-    for i in range(1, d + 1):
-        partial += theta[i - 1] - theta[d - i + 1]
-        phi.append(ratio * partial + (thetastar[i] - thetastar[0]) * (theta[d - i + 1] - theta[0]))
-    return tuple(phi) if all(phi) else None
-
-
 def aligned_to_params(pair: TriDiagonalPair, params: LeonardParameterSet) -> TriDiagonalPair | None:
     """The pair, each ordering reversed where its first eigenvalue differs
     from the parameters'; None when the sequences still differ."""
@@ -394,13 +381,14 @@ _MAX_RETRIES = 40
 def random_leonard(field: Field, d: int, seed) -> tuple[LeonardParameterSet, TriDiagonalPair]:
     """Deterministic pseudo-random Leonard pair of diameter d.
 
-    Parameters are drawn from a family known to validate (affine
-    eigenvalue progressions with first split sequence proportional to
-    i(d - i + 1)), phi is computed once by PA4, the split form is
-    generated and validated (see _split_pair), and the accepted pair is
-    returned with its orderings aligned to the parameter sequences.
-    Every output is the pair validate_pair would return for its split
-    form; the family only controls how often retries happen.
+    Each draw (a, b, astar, bstar, t) gives theta_i = a i + b, thetastar_i
+    = astar i + bstar, varphi_i = i (d - i + 1) t and phi_i = i (d - i + 1)
+    (t + a astar), an affine family on which PA1-PA5 hold (Terwilliger,
+    LAA 330, 2001, Thm 1.9) unless some phi_i is 0, that is (as p > d)
+    when d >= 1 and t + a astar = 0: such a draw is skipped.  The split
+    form is validated (see _split_pair), and the pair is returned with its
+    orderings aligned to the parameter sequences; a rejection of a drawn
+    split form is a bug, raised as InvariantViolation.
     """
     if d < 0:
         raise DimensionMismatch("diameter must be nonnegative")
@@ -409,7 +397,6 @@ def random_leonard(field: Field, d: int, seed) -> tuple[LeonardParameterSet, Tri
             f"GF({field.p}) cannot host {d + 1} distinct eigenvalues"
         )
     rng = random.Random(seed)
-    last_failure = None
     for _ in range(_MAX_RETRIES):
         if isinstance(field, PrimeField):
             p = field.p
@@ -424,29 +411,22 @@ def random_leonard(field: Field, d: int, seed) -> tuple[LeonardParameterSet, Tri
             astar_scale = rng.choice([x for x in range(-6, 7) if x])
             bstar_shift = rng.randrange(-9, 10)
             t = rng.choice([x for x in range(-6, 7) if x])
-        theta = tuple(field.scalar(a_scale * i + b_shift) for i in range(d + 1))
-        thetastar = tuple(
-            field.scalar(astar_scale * i + bstar_shift) for i in range(d + 1)
-        )
-        varphi = tuple(field.scalar(i * (d - i + 1) * t) for i in range(1, d + 1))
-        if any(x == field.zero for x in varphi) or len(set(theta)) <= d or len(set(thetastar)) <= d:
-            continue
-        phi = _phi_pa4(field, theta, thetastar, varphi)
-        if phi is None:
+        s = t + a_scale * astar_scale  # phi_i / (i (d - i + 1))
+        if d and not field.scalar(s):
             continue
         try:
             params = LeonardParameterSet(
-                field=field, theta=theta, thetastar=thetastar, varphi=varphi, phi=phi
+                field=field,
+                theta=[a_scale * i + b_shift for i in range(d + 1)],
+                thetastar=[astar_scale * i + bstar_shift for i in range(d + 1)],
+                varphi=[i * (d - i + 1) * t for i in range(1, d + 1)],
+                phi=[i * (d - i + 1) * s for i in range(1, d + 1)],
             )
             pair = _split_pair(params)
         except (InvalidLeonardParameters, GeneratedPairInvalid) as e:
-            last_failure = e
-            continue
+            raise InvariantViolation(f"drawn parameter array rejected: {e}") from e
         aligned = aligned_to_params(pair, params)
         if aligned is None:
             raise InvariantViolation("generated pair misaligned with parameters")
         return params, aligned
-    raise ExhaustedRetries(
-        f"no valid parameter set found after {_MAX_RETRIES} attempts"
-        + (f" (last failure: {last_failure})" if last_failure else "")
-    )
+    raise ExhaustedRetries(f"no valid parameter set found after {_MAX_RETRIES} attempts")

@@ -8,9 +8,9 @@ field-checks every entry, or by Matrix._of_ints, and the arithmetic
 (+, -, scale, @, shift, transpose, ==, hash) runs on it; rows, the
 entries as field elements, is a read-only cache built on first read.
 apply maps back once per output entry (Dumas, Giorgi and Pernet, ACM
-TOMS 35(3), 2008), and char_poly runs on the int rows over both fields,
-by one division-free loop (Berkowitz 1984).  Every reduction to row
-echelon form runs in one engine, Echelon, an incremental canonical RREF,
+TOMS 35(3), 2008), and char_poly_coeffs runs on int rows over both
+fields, by one division-free loop (Berkowitz 1984).  Every reduction to
+row echelon form runs in one engine, Echelon, an incremental canonical RREF,
 fraction-free over Q, which takes and gives int rows only; min_poly,
 rref_rows and the subspaces module are built on it, feeding it a
 Matrix's int rows and reading its rows back through
@@ -450,17 +450,6 @@ def min_poly(m: Matrix) -> Polynomial:
         eng.insert(u)
         power = power @ m
     raise AssertionError("minimal polynomial exceeded ambient dimension")
-
-
-def char_poly(m: Matrix) -> Polynomial:
-    """det(xI - m) by char_poly_coeffs on m's int rows R = d m, over Q as
-    well as GF(p): coefficient k is c_k / d^(n-k) for det(xI - R) = sum
-    c_k x^k."""
-    if not m.is_square():
-        raise DimensionMismatch("characteristic polynomial of a non-square matrix")
-    rows, d = m._ints
-    cs = char_poly_coeffs(rows, modulus(m.field))
-    return Polynomial(m.field, row_elements(m.field, [c * d**k for k, c in enumerate(cs)], d ** m.nrows))
 
 
 def char_poly_coeffs(rows: Sequence, p: int | None = None) -> list:

@@ -620,7 +620,7 @@ def test_round_trip_of_split_forms_reads_every_spectrum_off_the_diagonal(tmp_pat
     # distinct eigenvalues each, so no request needs a characteristic
     # polynomial, a root scan or a kernel per eigenvalue
     pairs = [_generated(tmp_path, capsys, field, d) for d in range(7)]
-    refuse_in_eigen(monkeypatch, "char_poly", "field_roots", "kernel")
+    refuse_in_eigen(monkeypatch, "char_poly_coeffs", "kernel")
     for pair, params in pairs:
         for argv in (["verify", pair], ["detect", pair], ["decompose", pair], ["switch", pair, "--sequences", params]):
             rc, out, _ = run(capsys, argv)

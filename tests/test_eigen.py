@@ -28,10 +28,10 @@ import tdpairs.eigen
 import tdpairs.search
 from tdpairs.eigen import (
     EigenDecomposition,
-    _rational_roots,
+    _char_roots,
+    _integer_roots,
     eigencoordinate_change,
     eigenspaces,
-    field_roots,
     invert,
     residue_roots,
     row_lanes,
@@ -40,7 +40,7 @@ from tdpairs.eigen import (
 )
 from tdpairs.pairs import validate_pair
 from tdpairs.subspaces import Subspace, kernel
-from tdpairs.linalg import char_poly, residue_product
+from tdpairs.linalg import char_poly_coeffs, modulus, residue_product
 
 from oracles import (
     char_poly_by_interpolation,
@@ -572,11 +572,12 @@ def test_char_poly_matches_interpolation_oracle(p):
         n = rng.randint(1, 9)
         if p is None:
             rows = _oracle_rows(rng, n, lambda: _wide_rational(rng))
-            got = list(char_poly(qm(rows)).coeffs)
+            ints, d = qm(rows)._ints  # det(xI - ints) = d^n det(x/d I - rows)
+            got = [Fraction(c, d ** (n - k)) for k, c in enumerate(char_poly_coeffs(ints))]
             want = char_poly_by_interpolation(rows)
         else:
             rows = _oracle_rows(rng, n, lambda: rng.randrange(p))
-            got = [c.v for c in char_poly(gm(p, rows)).coeffs]
+            got = char_poly_coeffs(rows, p)
             # det(xI - M) has integer coefficients in the entries, so it
             # commutes with reduction mod p
             want = [int(c) % p for c in char_poly_by_interpolation(rows)]
@@ -589,9 +590,9 @@ def _mod(x, p):
 
 def test_dense_wide_q_rejection_is_fast_and_char_poly_reduces_mod_p():
     """A dense 24 x 24 Q matrix with 30-digit entries is rejected within
-    a generous 10 s, and its characteristic polynomial, also over a
-    denominator d, reduces mod primes not dividing d to that of the
-    matrix reduced mod them."""
+    a generous 10 s, and the characteristic polynomial of its int rows R
+    = d m, also over a denominator d, gives m's modulo primes not dividing
+    d: coefficient k over d^(n-k) is that of m reduced mod them."""
     rng = random.Random(30)
     m = qm([[rng.randrange(-(10**30), 10**30) for _ in range(24)] for _ in range(24)])
     start = time.perf_counter()
@@ -600,9 +601,10 @@ def test_dense_wide_q_rejection_is_fast_and_char_poly_reduces_mod_p():
     assert time.perf_counter() - start < 10
     d = 2**5 * 3 * 10007
     for q in (m, m.scale(Fraction(1, d))):
+        ints, e = q._ints
         for p in (32749, 65521):
-            got = [_mod(c, p) for c in char_poly(q).coeffs]
-            want = [c.v for c in char_poly(gm(p, [[_mod(x, p) for x in row] for row in q.rows])).coeffs]
+            got = [c * pow(e, k - 24, p) % p for k, c in enumerate(char_poly_coeffs(ints))]
+            want = char_poly_coeffs([[_mod(x, p) for x in row] for row in q.rows], p)
             assert got == want, p
 
 
@@ -618,54 +620,46 @@ def _poly_product(factors):
     return out
 
 
-def test_rational_roots_match_divisor_oracle():
-    # repeated linear factors b x - a, zero roots, irreducible quadratics
-    # (x^2 + c, x^2 - k with k not a square, x^2 + x + 1) and non-unit content
+def test_integer_roots_match_divisor_oracle():
+    # monic int polynomials: repeated linear factors x - a, zero roots and
+    # irreducible quadratics (x^2 + 1, x^2 + 3, x^2 - 2, x^2 + x + 1)
     rng = random.Random(5)
-    quadratics = [[1, 0, 1], [3, 0, 1], [-2, 0, 1], [-6, 0, 5], [1, 1, 1]]
+    quadratics = [[1, 0, 1], [3, 0, 1], [-2, 0, 1], [1, 1, 1]]
     for _ in range(150):
         factors = []
         for _ in range(rng.randint(0, 5)):
-            lin = [Fraction(-rng.randint(-9, 9)), Fraction(rng.randint(1, 5))]
-            factors += [lin] * rng.choice([1, 1, 2, 3])
+            factors += [[-rng.randint(-9, 9), 1]] * rng.choice([1, 1, 2, 3])
         factors += [[0, 1]] * rng.choice([0, 0, 1, 2])
-        factors += [[Fraction(c) for c in rng.choice(quadratics)] for _ in range(rng.randint(0, 2))]
-        factors.append([Fraction(rng.choice([1, -1, 4, 6, -15]), rng.choice([1, 3, 14]))])
-        coeffs = _poly_product(factors)
-        assert sorted(_rational_roots(Polynomial(QQ, coeffs))) == rational_roots_by_divisors(
-            coeffs
-        ), factors
+        factors += [rng.choice(quadratics) for _ in range(rng.randint(0, 2))]
+        coeffs = [int(c) for c in _poly_product(factors)]
+        assert sorted(_integer_roots(coeffs)) == rational_roots_by_divisors(coeffs), factors
 
 
-def test_rational_roots_of_semiprime_coefficients_need_no_factoring():
-    # divisor enumeration factors both coefficients; p-adic lifting does not
-    n, m = 2**61 - 1, 2**89 - 1
-    poly = Polynomial(QQ, [-n * m, 1])
-    assert _rational_roots(poly) == [Fraction(n * m)]
-    poly = Polynomial(QQ, _poly_product([[-n, m], [-n, m], [m, n], [2, 0, 1]]))
-    assert sorted(_rational_roots(poly)) == [Fraction(-m, n), Fraction(n, m), Fraction(n, m)]
-
-
-def test_rational_roots_match_divisor_oracle_under_wide_denominators():
-    # the root finder clears denominators once and works on primitive int
-    # coefficients, so a common factor with 1- to 30-digit numerator and
-    # denominator changes nothing it finds; the divisor oracle, which
-    # would factor that factor, gets the polynomial without it
+def test_integer_roots_of_wide_roots_are_their_linear_factors():
+    # 1- to 30-digit roots, repeated, some congruent modulo every prime up
+    # to 13, next to zero roots and irreducible quadratics; the divisor
+    # oracle would factor the constant term, so the reference is the
+    # factor list itself
     rng = random.Random(30)
-    quadratics = [[1, 0, 1], [-2, 0, 1], [1, 1, 1]]
+    quadratics = [[1, 0, 1], [-2, 0, 1], [1, 1, 1], [10**40 + 1, 0, 1]]
     for _ in range(60):
-        factors = []
+        roots = []
         for _ in range(rng.randint(1, 5)):
-            lin = [Fraction(-rng.randint(-9, 9)), Fraction(rng.randint(1, 7))]
-            factors += [lin] * rng.choice([1, 1, 2])
-        factors += [[0, 1]] * rng.choice([0, 1])
-        factors += [[Fraction(c) for c in rng.choice(quadratics)] for _ in range(rng.randint(0, 1))]
-        digits = rng.randint(1, 30)
-        num = rng.randint(10 ** (digits - 1), 10**digits) * rng.choice((-1, 1))
-        wide = Fraction(num, rng.randint(10 ** (digits - 1), 10**digits))
-        coeffs = _poly_product(factors)
-        got = _rational_roots(Polynomial(QQ, [wide * c for c in coeffs]))
-        assert sorted(got) == rational_roots_by_divisors(coeffs), (factors, wide)
+            digits = rng.randint(1, 30)
+            r = rng.randint(10 ** (digits - 1), 10**digits) * rng.choice((-1, 1))
+            roots += [r] * rng.choice([1, 1, 2]) + [r + 30030] * rng.choice([0, 1])
+        roots += [0] * rng.choice([0, 1, 2])
+        quads = [rng.choice(quadratics) for _ in range(rng.randint(0, 2))]
+        coeffs = [int(c) for c in _poly_product([[-r, 1] for r in roots] + quads)]
+        assert sorted(_integer_roots(coeffs)) == sorted(roots), (roots, quads)
+
+
+def test_integer_roots_of_semiprime_coefficients_need_no_factoring():
+    # divisor enumeration factors the constant term; p-adic lifting does not
+    n, m = 2**61 - 1, 2**89 - 1
+    assert _integer_roots([-n * m, 1]) == [n * m]
+    coeffs = [int(c) for c in _poly_product([[-n, 1], [-n, 1], [m, 1], [2, 0, 1]])]
+    assert sorted(_integer_roots(coeffs)) == [-m, n, n]
 
 
 def _brute_residue_roots(ints, p):
@@ -795,10 +789,12 @@ def test_eigen_decompose_matches_min_poly_rule(p):
 
 
 def _dense_eigenspaces(m):
-    """eigenspaces by the route for any operator: the roots of the
-    characteristic polynomial, then one kernel per root."""
-    roots = field_roots(char_poly(m), m.field)
-    thetas = tuple(sorted(set(roots)))
+    """eigenspaces by the route for any operator: the roots r of the
+    characteristic polynomial of m's int rows R = d m, then one kernel per
+    eigenvalue r / d."""
+    (rows, d), field = m._ints, m.field
+    roots = _char_roots(rows, modulus(field))
+    thetas = tuple(Fraction(r, d) if field == QQ else field.scalar(r) for r in sorted(set(roots)))
     return thetas, tuple(kernel(m.shift(theta)) for theta in thetas), len(roots)
 
 
@@ -860,7 +856,7 @@ def test_triangular_eigenspaces_match_the_characteristic_polynomial_route(field,
         m = _triangular(field, n, kind, rng)
         want = _dense_eigenspaces(m)
         with monkeypatch.context() as patch:
-            refuse_in_eigen(patch, "char_poly", "field_roots")
+            refuse_in_eigen(patch, "char_poly_coeffs")
             got = eigenspaces(m)
             decomposed = _decomposition_or_error(m)
         assert got == want, (kind, m.rows)
@@ -878,7 +874,7 @@ def test_repeated_or_dense_spectra_keep_the_kernel_and_the_polynomial(monkeypatc
     # search hit 184953 has A = diag(0, 1, 1, 2) and a dense A*, whose
     # spectrum the kernel scan finds as p <= n, with no polynomial; a dense
     # operator over GF(101) at n = 4 (p > n) keeps the polynomial
-    calls = {"kernel": 0, "char_poly": 0}
+    calls = {"kernel": 0, "char_poly_coeffs": 0}
     for name in calls:
         real = getattr(tdpairs.eigen, name)
 
@@ -888,7 +884,7 @@ def test_repeated_or_dense_spectra_keep_the_kernel_and_the_polynomial(monkeypatc
 
         monkeypatch.setattr(tdpairs.eigen, name, counted)
     validate_pair(*kron_sum_fixture(QQ, ((0, 1),) * 3, (1, 2, 3)))
-    assert calls["kernel"] > 0 and calls["char_poly"] == 0
+    assert calls["kernel"] > 0 and calls["char_poly_coeffs"] == 0
     shape = (1, 2, 1)
     positions = tdpairs.search._allowed_positions(shape)
     rows = [[0] * 4 for _ in range(4)]
@@ -896,11 +892,32 @@ def test_repeated_or_dense_spectra_keep_the_kernel_and_the_polynomial(monkeypatc
         rows[r][c] = v
     before = dict(calls)
     validate_pair(tdpairs.search._fixed_a(GF(3), shape), gm(3, rows))
-    assert calls["kernel"] > before["kernel"] and calls["char_poly"] == before["char_poly"]
+    assert calls["kernel"] > before["kernel"] and calls["char_poly_coeffs"] == before["char_poly_coeffs"]
     before = dict(calls)
     eig = eigen_decompose(gm(101, _conjugate(101, _block_diagonal([[[5]], [[7]], [[7]], [[90]]]), random.Random(4))))
     assert eig.dims() == (1, 2, 1)
-    assert calls["kernel"] == before["kernel"] + 3 and calls["char_poly"] == before["char_poly"] + 1
+    assert calls["kernel"] == before["kernel"] + 3 and calls["char_poly_coeffs"] == before["char_poly_coeffs"] + 1
+
+
+def test_eigen_decompose_builds_no_polynomial(monkeypatch):
+    # the roots of det(xI - R) are read off its int coefficients: dense
+    # operators over Q (with denominators) and GF(101), and rejected ones
+    # with a Jordan block or an irreducible quadratic, build no Polynomial
+    def refuse(*args, **kwargs):
+        raise AssertionError("Polynomial built")
+
+    rng = random.Random(8)
+    q = _conjugate_q(_block_diagonal([[[Fraction(1, 2)]], [[3]], [[3]], [[-5]]]), rng)
+    gf = gm(101, _conjugate(101, _block_diagonal([[[5]], [[7]], [[7]], [[90]]]), rng))
+    jordan = _conjugate_q(_block_diagonal([[[2, 1], [0, 2]], [[1]]]), rng)
+    quadratic = _conjugate_q(_block_diagonal([[[0, 2], [1, 0]], [[Fraction(-1, 3)]]]), rng)
+    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    assert eigen_decompose(q).eigenvalues == (-5, Fraction(1, 2), 3)
+    assert eigen_decompose(gf).dims() == (1, 2, 1)
+    with pytest.raises(NotDiagonalizableOverField, match="repeated root"):
+        eigen_decompose(jordan)
+    with pytest.raises(NotDiagonalizableOverField, match=r"found 1 of 3 roots"):
+        eigen_decompose(quadratic)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -924,7 +941,7 @@ def test_the_kernel_scan_matches_the_polynomial_route(p, monkeypatch):
             want = _dense_eigenspaces(m)
             with monkeypatch.context() as patch:
                 if sum(space.dim for space in want[1]) == n:
-                    refuse_in_eigen(patch, "char_poly", "field_roots")
+                    refuse_in_eigen(patch, "char_poly_coeffs")
                 got = eigenspaces(m)
                 decomposed = _decomposition_or_error(m)
             assert got == want, (p, m.rows)

@@ -18,6 +18,7 @@ from tdpairs import (
     field_to_spec,
 )
 from tdpairs.fields import MAX_PRIME, MAX_SCALAR_DIGITS, _is_prime
+from tdpairs.serio import scalar_to_str
 
 
 def test_gf_arithmetic_matches_int_mod_p():
@@ -92,14 +93,29 @@ def test_rational_scalar_strings_meet_the_parse_bounds():
 
 def test_parse_and_format_round_trip():
     assert QQ.parse("-22/7") == Fraction(-22, 7)
-    assert QQ.format(Fraction(-22, 7)) == "-22/7"
+    assert scalar_to_str(Fraction(-22, 7)) == "-22/7"
     f = GF(13)
     assert f.parse("-1") == f.scalar(12)
-    assert f.format(f.scalar(12)) == "12"
+    assert scalar_to_str(f.scalar(12)) == "12"
     with pytest.raises(ParseError):
         QQ.parse("abc")
     with pytest.raises(ParseError):
         f.parse("x")
+
+
+def test_prime_field_scalar_strings_go_through_parse():
+    # a string entry is parsed as the CLI parses it, over GF(p) as over Q:
+    # a bad one is a ParseError, never a bare ValueError
+    f = GF(7)
+    for bad in ("x", "1/2", "", "9" * 5000):
+        with pytest.raises(ParseError, match="bad GF"):
+            Matrix(f, [[bad]])
+        with pytest.raises(ParseError, match="bad GF"):
+            f.scalar(bad)
+    with pytest.raises(ParseError):
+        Matrix(QQ, [["x"]])
+    assert f.scalar(" -1 ") == f.parse("-1") == f.scalar(6)
+    assert Matrix(f, [["3", 10]]).rows == ((f.scalar(3), f.scalar(3)),)
 
 
 @pytest.mark.parametrize("text", ["1e3000000", "2E5", "1.5e3", " -4e-2 "])
@@ -112,7 +128,7 @@ def test_rational_parse_caps_digits_so_values_print_back():
     widest = "9" * MAX_SCALAR_DIGITS
     for text in (widest, "1/" + widest[1:], "0." + "0" * (MAX_SCALAR_DIGITS - 2) + "1"):
         assert QQ.parse(text) == Fraction(text)
-        assert QQ.format(QQ.parse(text))
+        assert scalar_to_str(QQ.parse(text))
     for text in (widest + "9", "1/" + widest, "1." + widest):
         with pytest.raises(ParseError, match="digits"):
             QQ.parse(text)

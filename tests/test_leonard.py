@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -492,28 +493,31 @@ def test_random_leonard_sequences_match_eigenvector_chain_oracle():
 
 
 def test_pa4_phi_matches_the_split_form_on_the_pool_recipe(monkeypatch):
-    # every parameter draw of the acceptance pool's recipe, plus GF(2) and
-    # GF(3) draws that degenerate: PA4 gives the phi (or the None) that
-    # pushing e_0 through the split form gives
-    draws = []
-    pa4 = tdpairs.leonard._phi_pa4
-
-    def recorded(*args):
-        draws.append((args, pa4(*args)))
-        return draws[-1][1]
-
-    monkeypatch.setattr(tdpairs.leonard, "_phi_pa4", recorded)
+    # every parameter set of the acceptance pool's recipe, plus GF(3)
+    # draws: phi is the one pushing e_0 through the split form gives.  A
+    # draw is skipped exactly when that push breaks down, t + a astar = 0:
+    # over GF(2) at d = 1 that is every draw, so generation exhausts its
+    # draws and validates none
     for i in range(200):
         field = (QQ, GF(5), GF(7), GF(13))[i % 4]
-        random_leonard(field, i % 7 % (5 if field == GF(5) else 7), seed=i)
+        params, _ = random_leonard(field, i % 7 % (5 if field == GF(5) else 7), seed=i)
+        assert params.phi == phi_from_split_form(field, params.theta, params.thetastar, params.varphi), i
     for seed in range(5):
-        random_leonard(GF(3), 2, seed)
+        params, _ = random_leonard(GF(3), 2, seed)
+        assert params.phi == phi_from_split_form(GF(3), params.theta, params.thetastar, params.varphi)
+    for p in (2, 3, 5):
+        for d, a, astar, t in itertools.product(range(1, p), range(1, p), range(1, p), range(1, p)):
+            theta = [GF(p).scalar(a * i) for i in range(d + 1)]
+            thetastar = [GF(p).scalar(astar * i + 1) for i in range(d + 1)]
+            varphi = [GF(p).scalar(i * (d - i + 1) * t) for i in range(1, d + 1)]
+            degenerate = phi_from_split_form(GF(p), theta, thetastar, varphi) is None
+            assert degenerate == ((t + a * astar) % p == 0), (p, d, a, astar, t)
+    calls = []
+    monkeypatch.setattr(tdpairs.leonard, "validate_pair", lambda *args: calls.append(args))
+    for seed in range(5):
         with pytest.raises(ExhaustedRetries, match="^no valid parameter set found after 40 attempts$"):
             random_leonard(GF(2), 1, seed)
-    for args, phi in draws:
-        assert phi == phi_from_split_form(*args), args
-    assert None in [phi for _, phi in draws]
-    assert len(draws) > 200
+    assert not calls
 
 
 def parameter_draws(field, rng):
@@ -706,6 +710,21 @@ def test_random_leonard_raises_an_internal_error_instead_of_retrying(monkeypatch
         with pytest.raises(InvariantViolation, match="planted bug"):
             validate_pair(*split_form)
         assert len(calls) == 2
+
+
+def test_random_leonard_raises_a_rejected_draw_as_a_bug(monkeypatch):
+    # every draw the family keeps satisfies PA1-PA5, so a rejection of its
+    # split form is a bug, raised after one validation with no retry
+    calls = []
+
+    def rejecting(*args, **kwargs):
+        calls.append(args)
+        raise NotDiagonalizableOverField("planted rejection")
+
+    monkeypatch.setattr(tdpairs.leonard, "validate_pair", rejecting)
+    with pytest.raises(InvariantViolation, match="planted rejection"):
+        random_leonard(GF(7), 2, seed=1)
+    assert len(calls) == 1
 
 
 def test_generation_outside_the_parameter_arrays_raises_validation_bugs(monkeypatch):

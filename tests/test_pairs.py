@@ -32,7 +32,6 @@ from tdpairs import (
     validate_pair,
 )
 import tdpairs.eigen
-import tdpairs.linalg
 import tdpairs.pairs
 import tdpairs.search
 from tdpairs.eigen import eigencoordinate_change, eigenspaces, invert
@@ -44,10 +43,12 @@ from oracles import (
     block_edges_per_vector,
     brute_common_invariant,
     brute_common_invariant_dim3,
+    char_poly_by_interpolation,
     closure_algebra,
     kron_sum_fixture,
     matrix_to_int_rows,
     multiplicity_free_pair,
+    rational_roots_by_divisors,
     reversed_pair,
     scalar_restriction_fixture,
     spin_reducible,
@@ -611,8 +612,9 @@ def test_q_eigenspace_of_dimension_4_with_the_full_condensed_algebra_is_simple()
     for _ in range(2):
         p, p_inv = _invertible(QQ, 8, rng)
         a = p @ Matrix.diagonal(QQ, (0, 1) * 4) @ p_inv
-        astar = qm([[rng.randint(-2, 2) for _ in range(8)] for _ in range(8)])
-        assert not tdpairs.eigen.field_roots(tdpairs.linalg.char_poly(astar), QQ)
+        entries = [[rng.randint(-2, 2) for _ in range(8)] for _ in range(8)]
+        astar = qm(entries)
+        assert not rational_roots_by_divisors(char_poly_by_interpolation(entries))
         assert irreducible(a, astar).is_irreducible()
 
 
