@@ -4,17 +4,17 @@ An operator is diagonalizable iff the field roots of its characteristic
 polynomial carry its whole degree and every eigenspace is as large as
 its root's multiplicity.  A triangular operator (A and A* in a split
 basis) has its diagonal for roots and a simple root's eigenline by
-substitution.  Over GF(p) with p <= n they are the t with ker(m - tI)
-nonzero, scanned until the kernels fill the space.  Otherwise they are
-r / d for the roots r of det(xI - R), R = d m the int rows, a monic
-polynomial in Z[x] (linalg.char_poly_coeffs): residues found by scanning
-GF(p), over Q integers found p-adically, with no factoring and no
-rational reconstruction.  The rest runs on int rows: each
-eigenspace is subspaces.kernel(m, theta), one elimination of m's rows
-with theta subtracted as they are fed in, with no shifted matrix; the
-eigenvector check reads m's rows and theta once per eigenspace; the
-basis inverse is computed once per decomposition and carried by its
-reorderings.
+substitution, written as its canonical row with no elimination.  Over
+GF(p) with p <= n they are the t with ker(m - tI) nonzero, scanned until
+the kernels fill the space.  Otherwise they are r / d for the roots r of
+det(xI - R), R = d m the int rows, a monic polynomial in Z[x]
+(linalg.char_poly_coeffs): residues found by scanning GF(p), over Q
+integers found p-adically, with no factoring and no rational
+reconstruction.  The rest runs on int rows: each eigenspace is
+subspaces.kernel(m, theta), one elimination of m's rows with theta
+subtracted as they are fed in, with no shifted matrix; the eigenvector
+check reads theta off its element; the basis inverse is computed once per
+decomposition and carried by its reorderings.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .fields import _is_prime
 from .linalg import (
     Echelon, Matrix, _primitive, char_poly_coeffs, modulus, residue_product, row_elements, shifted_image
 )
-from .subspaces import Subspace, kernel
+from .subspaces import Subspace, _canonical, kernel
 
 # ---- root extraction -----------------------------------------------------
 
@@ -143,8 +143,8 @@ class EigenDecomposition:
     and eigenspaces, in a fixed order.
 
     The order of `eigenvalues` is meaningful: reordering produces a new
-    decomposition of the same operator.
-    """
+    decomposition of the same operator.  The eigenvalues are coerced once,
+    by field.scalar, before any check."""
 
     operator: Matrix
     eigenvalues: tuple
@@ -152,21 +152,26 @@ class EigenDecomposition:
     check_vectors: InitVar[bool] = True  # False only for reordered copies
 
     def __post_init__(self, check_vectors):
-        m = self.operator
-        n, (rows, _), p = m.nrows, m._ints, modulus(m.field)
-        if len(self.eigenvalues) != len(self.eigenspaces):
+        m, field = self.operator, self.operator.field
+        n, (rows, d), p = m.nrows, m._ints, modulus(field)
+        if not m.is_square():
+            raise DimensionMismatch("eigen-decomposition of a non-square matrix")
+        thetas = tuple(map(field.scalar, self.eigenvalues))
+        object.__setattr__(self, "eigenvalues", thetas)
+        if len(thetas) != len(self.eigenspaces):
             raise InvariantViolation("eigenvalue/eigenspace count mismatch")
-        if len(set(self.eigenvalues)) != len(self.eigenvalues):
+        if len(set(thetas)) != len(thetas):
             raise InvariantViolation("repeated eigenvalue")
         total = 0
-        for theta, space in zip(self.eigenvalues, self.eigenspaces):
-            if (space.field, space.ambient_dim) != (self.field, n):
+        for theta, space in zip(thetas, self.eigenspaces):
+            if (space.field, space.ambient_dim) != (field, n):
                 raise InvariantViolation("eigenspace outside the operator's space")
-            if space.is_zero():
-                raise InvariantViolation("zero eigenspace")
-            total += space.dim
             vectors = space.echelon.rows.values()
-            if check_vectors and not _are_eigenvectors(rows, p, *m._shift_ints(theta), vectors):
+            if not vectors:
+                raise InvariantViolation("zero eigenspace")
+            total += len(vectors)
+            shift = (theta.v, 1) if p else (theta.numerator * d, theta.denominator)  # as _shift_ints
+            if check_vectors and not _are_eigenvectors(rows, p, *shift, vectors):
                 raise InvariantViolation("claimed eigenvector is not one")
         if total != n:
             raise InvariantViolation("eigenspace dimensions do not fill the space")
@@ -231,9 +236,9 @@ def eigenspaces(m: Matrix) -> tuple[tuple, tuple, int]:
     """(thetas, spaces, nroots): the distinct eigenvalues of a square m
     in its field, ascending, the eigenspace ker(m - theta I) of each, and
     the number of roots of det(xI - m) in the field with multiplicity
-    (_char_roots), read off the diagonal of a triangular m (see
-    _eigenline).  m is diagonalizable exactly when the spaces' dimensions
-    sum to its size;
+    (_char_roots), read off the diagonal of a triangular m: one pass finds
+    the simple entries for _eigenline, a repeated one has kernel(m, theta).
+    m is diagonalizable exactly when the spaces' dimensions sum to its size;
     each is at most its root's multiplicity.  Over GF(p) with p <= n the
     eigenvalues of a non-triangular m are found by scanning t in GF(p) for
     ker(m - tI) != 0 until the kernels fill the space, at most p kernels
@@ -252,12 +257,13 @@ def eigenspaces(m: Matrix) -> tuple[tuple, tuple, int]:
         if scan and dim < n:  # not diagonalizable: count the roots for the message
             roots = _char_roots(rows, p)
         return tuple(found), tuple(found.values()), len(roots) if dim < n else n
-    diag = [row[i] for i, row in enumerate(rows)]
-    ints = sorted(set(diag))  # d > 0, so in the order of the eigenvalues
-    thetas = Matrix._of_ints(m.field, [ints], d).rows[0]
+    at = {}  # diagonal entry -> its index, None if repeated
+    for i, row in enumerate(rows):
+        at[row[i]] = None if row[i] in at else i
+    ints = sorted(at)  # d > 0, so in the order of the eigenvalues
+    thetas = row_elements(m.field, ints, d)
     spaces = tuple(
-        _eigenline(m, diag.index(t), lower) if diag.count(t) == 1 else kernel(m, theta)
-        for t, theta in zip(ints, thetas)
+        kernel(m, theta) if at[t] is None else _eigenline(m, at[t], lower) for t, theta in zip(ints, thetas)
     )
     return thetas, spaces, m.nrows
 
@@ -265,19 +271,27 @@ def eigenspaces(m: Matrix) -> tuple[tuple, tuple, int]:
 def _eigenline(m: Matrix, k: int, lower: bool) -> Subspace:
     """ker(m - theta I), m triangular with theta only at k on its diagonal:
     the line of u with u_k = 1, u_j = 0 for j < k if m is lower (j > k if
-    upper), and the rest solved row by row, over Q fraction-free up to scale."""
-    eng, rows = Echelon(m.field), m._ints[0]
-    p, u = eng.p, [int(i == k) for i in range(m.nrows)]
-    for i in range(k + 1, m.nrows) if lower else range(k - 1, -1, -1):
-        s, c = sum(map(mul, rows[i], u)), rows[i][i] - rows[k][k]
+    upper), and the rest solved row by row, over Q fraction-free up to scale,
+    then kept as the canonical Echelon row of its pivot (k if m is lower)."""
+    rows, p, n = m._ints[0], modulus(m.field), m.nrows
+    u, theta = [0] * n, rows[k][k]
+    u[k] = 1
+    for i in range(k + 1, n) if lower else range(k - 1, -1, -1):
+        s, c = sum(map(mul, rows[i], u)), rows[i][i] - theta
         if p:
-            u[i] = -s * pow(c, -1, p) % p
+            if s % p:  # else u_i = 0, with no inverse
+                u[i] = -s * pow(c, -1, p) % p
         elif s:  # scale u by c / g, then c u_i + s = 0
             g = gcd(c, s)
             u = [x * (c // g) for x in u]
             u[i] = -s // g
-    eng.insert(u)
-    return Subspace(eng, m.nrows)
+    pivot = k if lower else next(i for i, x in enumerate(u) if x)
+    if not p:
+        u = _primitive(u, u[pivot] < 0)
+    elif u[pivot] != 1:
+        inv = pow(u[pivot], -1, p)
+        u = [inv * x % p for x in u]
+    return Subspace(_canonical(m.field, {pivot: u}), n)
 
 
 def eigen_decompose(m: Matrix) -> EigenDecomposition:

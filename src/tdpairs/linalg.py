@@ -243,11 +243,13 @@ def shifted_rows(rows: Sequence, a: int, b: int, p: int | None) -> Iterator[list
 
 def shifted_image(rows: Sequence, a: int, b: int, u: Sequence, p: int | None) -> list:
     """(b R - a I) u for int rows R and an int row u (a = 0: R u for any
-    R), without building the shifted rows, reduced mod p unless p is None."""
-    w = [b * sum(map(mul, row, u)) for row in rows]
-    if a:
-        w = [x - a * y for x, y in zip(w, u)]
-    return [x % p for x in w] if p else w
+    R), in one pass, reduced mod p unless p is None."""
+    if not a:
+        w = [b * sum(map(mul, row, u)) for row in rows]
+        return [x % p for x in w] if p else w
+    if p:
+        return [(b * sum(map(mul, row, u)) - a * x) % p for row, x in zip(rows, u)]
+    return [b * sum(map(mul, row, u)) - a * x for row, x in zip(rows, u)]
 
 
 def shifted_chain(rows: Sequence, shifts: Sequence, u: Sequence, p: int | None) -> list[list]:

@@ -36,7 +36,7 @@ from .errors import (
     TdpError,
 )
 from .eigen import EigenDecomposition, eigen_decompose, eigencoordinate_change, eigenspaces
-from .linalg import Echelon, Matrix, modulus, residue_product, shifted_chain, vec_is_zero
+from .linalg import Echelon, Matrix, modulus, residue_product, row_elements, shifted_chain, vec_is_zero
 from .subspaces import (
     Subspace,
     annihilator,
@@ -579,7 +579,8 @@ def _split_form_pair(a: Matrix, astar: Matrix, eig_a, eig_astar) -> TriDiagonalP
     PA3 times d_A d_S (R_00 - R_dd)^2, PA5 cross-multiplied.  The pair is then
     Leonard with standard orderings theta and thetastar: each side is its
     triangular decomposition (eig_a / eig_astar when given) in the lex-least
-    of its diagonal order and the reverse; Norton's test fills both spins."""
+    of its diagonal order and the reverse, compared on the diagonal ints;
+    Norton's test fills both spins."""
     (r, da), (s, ds), p = a._ints, astar._ints, modulus(a.field)
     n, d = len(r), len(r) - 1
     if d < 1 or any(r[i][i - 1] != da for i in range(1, n)) or any(
@@ -603,12 +604,17 @@ def _split_form_pair(a: Matrix, astar: Matrix, eig_a, eig_astar) -> TriDiagonalP
         return None
     eigs = []
     for m, eig, diag, e in ((a, eig_a, t, da), (astar, eig_astar, u, ds)):
-        try:
-            eig = eig or eigen_decompose(m)
-        except TdpError as err:  # a bug, not a rejection
-            raise InvariantViolation(f"certified split form rejected: {err}") from err
-        order = [eig.eigenvalues.index(x) for x in Matrix._of_ints(a.field, [diag], e).rows[0]]
-        eigs.append(_lex_least(eig, (order, order[::-1])))
+        if eig:  # each diagonal entry's place in the given order
+            at = {x: j for j, x in enumerate(eig.eigenvalues)}
+            order = [at[x] for x in row_elements(a.field, diag, e)]
+        else:  # the ranks of the diagonal ints, the ascending eigenvalue order as e > 0
+            at = {x: j for j, x in enumerate(sorted(diag))}
+            order = [at[x] for x in diag]
+            try:
+                eig = eigen_decompose(m)
+            except TdpError as err:  # a bug, not a rejection
+                raise InvariantViolation(f"certified split form rejected: {err}") from err
+        eigs.append(eig.reordered(order if diag <= diag[::-1] else order[::-1]))
     return TriDiagonalPair(a, astar, *eigs, _shape_of(*eigs), IrreducibilityReport.irreducible(_SPINS_FILL))
 
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 from fractions import Fraction
+from math import lcm
 
 from .errors import FieldMismatch, ParseError
 from .fields import Field, GFElement, field_from_spec, field_to_spec
-from .linalg import Matrix
+from .linalg import Matrix, _common, modulus
 from .subspaces import Subspace
 
 
@@ -28,9 +29,13 @@ def scalar_to_str(x) -> str:
 
 
 def scalar_from_str(field: Field, s) -> object:
+    return field.parse(_string(s))
+
+
+def _string(s) -> str:
     if not isinstance(s, str):
         raise ParseError(f"scalar must be a string, got {type(s).__name__}")
-    return field.parse(s)
+    return s
 
 
 def vector_to_json(v) -> list:
@@ -57,6 +62,9 @@ def matrix_to_json(m: Matrix) -> dict:
 
 
 def matrix_from_json(obj, max_dim: int | None = None) -> Matrix:
+    """The matrix of a JSON object, its entry strings read straight to int
+    rows with parse's checks and texts: residues, or over Q over one lcm.
+    Row by row, a row's shape is checked before its entries."""
     if not isinstance(obj, dict):
         raise ParseError("matrix must be a JSON object")
     for key in ("field", "rows", "cols", "entries"):
@@ -74,12 +82,16 @@ def matrix_from_json(obj, max_dim: int | None = None) -> Matrix:
     entries = obj["entries"]
     if not isinstance(entries, list) or len(entries) != nrows:
         raise ParseError("entries must be a list with one row per matrix row")
-    rows = []
+    p, rows = modulus(field), []
+    read = field._parse_residue if p else field._parse_number
     for row in entries:
         if not isinstance(row, list) or len(row) != ncols:
             raise ParseError("every entry row must list exactly cols scalars")
-        rows.append([scalar_from_str(field, s) for s in row])
-    return Matrix(field, rows)
+        rows.append([read(_string(s)) for s in row])
+    if p:
+        return Matrix._of_ints(field, rows)
+    d = lcm(*{x.denominator for row in rows for x in row})
+    return Matrix._of_ints(field, [_common(row, d)[0] for row in rows], d)
 
 
 def candidate_to_json(a: Matrix, astar: Matrix) -> dict:

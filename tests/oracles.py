@@ -19,8 +19,9 @@ from fractions import Fraction
 from unittest import mock
 
 import tdpairs.pairs
-from tdpairs import DimensionMismatch, FieldMismatch, Matrix, Subspace
+from tdpairs import DimensionMismatch, FieldMismatch, Matrix, ParseError, Subspace
 from tdpairs.eigen import invert
+from tdpairs.fields import MAX_SCALAR_DIGITS, field_from_spec
 from tdpairs.linalg import Echelon
 
 
@@ -30,6 +31,42 @@ from tdpairs.linalg import Echelon
 def flatten(m):
     """The entries of a matrix as field elements, row after row."""
     return tuple(e for row in m.rows for e in row)
+
+
+def scalar_by_field_parse(field, s):
+    """An entry string as field.parse once read it: Fraction(text) over Q,
+    after the exponent and digit checks, and int(text) reduced by
+    field.scalar over GF(p), with the same ParseError texts."""
+    if not isinstance(s, str):
+        raise ParseError(f"scalar must be a string, got {type(s).__name__}")
+    text = s.strip()
+    if getattr(field, "p", None):
+        try:
+            return field.scalar(int(text))
+        except ValueError:
+            raise ParseError(f"bad GF({field.p}) scalar {s!r}") from None
+    if "e" in text.lower():
+        raise ParseError(f"bad rational scalar {s!r}: exponent notation")
+    if sum(ch.isdigit() for ch in text) > MAX_SCALAR_DIGITS:
+        raise ParseError(f"rational scalar has more than {MAX_SCALAR_DIGITS} digits")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as e:
+        raise ParseError(f"bad rational scalar {s!r}: {e}") from None
+
+
+def matrix_by_field_parse(obj):
+    """The matrix of a JSON matrix object with a well-formed header, read
+    as the wire once read it: row by row, the row's shape, then each entry
+    made a field element (scalar_by_field_parse), and then
+    Matrix(field, rows) coerces every element again."""
+    field = field_from_spec(obj["field"])
+    rows = []
+    for row in obj["entries"]:
+        if not isinstance(row, list) or len(row) != obj["cols"]:
+            raise ParseError("every entry row must list exactly cols scalars")
+        rows.append([scalar_by_field_parse(field, s) for s in row])
+    return Matrix(field, rows)
 
 
 def poly_eval_matrix(p, m):

@@ -40,7 +40,8 @@ from tdpairs.eigen import (
 )
 from tdpairs.pairs import validate_pair
 from tdpairs.subspaces import Subspace, kernel
-from tdpairs.linalg import char_poly_coeffs, modulus, residue_product
+from tdpairs.linalg import Echelon, char_poly_coeffs, modulus, residue_product
+from tdpairs.serio import scalar_to_str
 
 from oracles import (
     char_poly_by_interpolation,
@@ -845,7 +846,7 @@ def _triangular(field, n, kind, rng):
     return Matrix(field, rows)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101), GF(65521)], ids=str)
 def test_triangular_eigenspaces_match_the_characteristic_polynomial_route(field, monkeypatch):
     # a triangular operator's roots are its diagonal and a simple root's
     # eigenline comes by substitution: same eigenvalues, canonical bases,
@@ -860,12 +861,45 @@ def test_triangular_eigenspaces_match_the_characteristic_polynomial_route(field,
             got = eigenspaces(m)
             decomposed = _decomposition_or_error(m)
         assert got == want, (kind, m.rows)
-        with monkeypatch.context() as patch:
-            patch.setattr(tdpairs.eigen, "eigenspaces", _dense_eigenspaces)
+        with monkeypatch.context() as patch:  # the dense route's spaces, computed once above
+            patch.setattr(tdpairs.eigen, "eigenspaces", lambda _: want)
             assert decomposed == _decomposition_or_error(m), (kind, m.rows)
         seen.add(decomposed[0] if isinstance(decomposed[0], type) else "decomposed")
         seen.update("line" if s.dim == 1 else "space" for s in got[1])
     assert seen == {NotDiagonalizableOverField, "decomposed", "line", "space"}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(65521)], ids=str)
+def test_split_form_eigenlines_are_written_without_elimination(field, monkeypatch):
+    # both sides of a generated split form at n = 13, 17 and 24 decompose
+    # with no kernel and no Echelon.insert: every eigenline is substituted
+    # and written as its canonical row, the one kernel(m, theta) gives
+    for n, seed in itertools.product((13, 17, 24), range(2)):
+        pair = random_leonard(field, n - 1, seed)[1]
+        with monkeypatch.context() as patch:
+            refuse_in_eigen(patch, "kernel")
+            patch.setattr(Echelon, "insert", lambda *args: pytest.fail("Echelon.insert called"))
+            eigs = [eigen_decompose(pair.a), eigen_decompose(pair.astar)]
+        for eig in eigs:
+            assert eig.dims() == (1,) * n
+            for theta, space in zip(eig.eigenvalues, eig.eigenspaces):
+                assert space == kernel(eig.operator, theta), (n, seed, theta)
+
+
+def test_eigenvalues_are_coerced_once_into_the_field():
+    # plain ints are read as field elements before any check: they encode
+    # as scalars, and 9 over GF(7) repeats 2 instead of failing the
+    # eigenvector check
+    for field in (QQ, GF(7)):
+        m = Matrix(field, [[1, 0], [1, 2]])
+        spaces = eigen_decompose(m).eigenspaces
+        eig = EigenDecomposition(m, (1, 2), spaces)
+        assert eig == eigen_decompose(m)
+        assert all(type(x) is type(field.one) for x in eig.eigenvalues)
+        assert [scalar_to_str(x) for x in eig.eigenvalues] == ["1", "2"]
+        assert eig.reversed().eigenvalues == (field.scalar(2), field.one)
+    with pytest.raises(InvariantViolation, match="^repeated eigenvalue$"):
+        EigenDecomposition(m, (2, 9), spaces)  # the GF(7) operator: 9 is 2
 
 
 def test_repeated_or_dense_spectra_keep_the_kernel_and_the_polynomial(monkeypatch):

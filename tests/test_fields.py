@@ -20,6 +20,8 @@ from tdpairs import (
 from tdpairs.fields import MAX_PRIME, MAX_SCALAR_DIGITS, _is_prime
 from tdpairs.serio import scalar_to_str
 
+from oracles import scalar_by_field_parse
+
 
 def test_gf_arithmetic_matches_int_mod_p():
     rng = random.Random(101)
@@ -89,6 +91,31 @@ def test_rational_scalar_strings_meet_the_parse_bounds():
         (Fraction(1, 2), Fraction(3)),
         (third, Fraction(4)),
     )
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(65521)], ids=str)
+def test_parse_matches_the_fraction_and_int_readings(field):
+    # Rationals.parse reads an integer string by int() and anything else by
+    # Fraction(): the same value, type and ParseError text as reading every
+    # string by Fraction(), over PEP 515 underscores, signs, Unicode
+    # digits and spaces, and digit-like characters neither accepts; GF(p)
+    # reads int() mod p, as before
+    rng = random.Random(str(field))
+    alphabet = [*"0123456789" * 3, *"__+-/. \t", "\u0663", "\uff11", "\u00b2", "\u2160", "\xa0", "\x1c", "x", "e"]
+    kinds = set()
+    for _ in range(20000):
+        s = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 7)))
+        try:
+            got = field.parse(s)
+        except ParseError as e:
+            got = str(e)
+        try:
+            want = scalar_by_field_parse(field, s)
+        except ParseError as e:
+            want = str(e)
+        assert got == want and type(got) is type(want), s
+        kinds.add(type(got))
+    assert kinds == {str, type(field.one)}
 
 
 def test_parse_and_format_round_trip():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from tdpairs import (
     Matrix,
     ParseError,
     Subspace,
+    field_to_spec,
 )
 from tdpairs.serio import (
     candidate_from_json,
@@ -31,6 +33,8 @@ from tdpairs.serio import (
     vector_from_json,
     vector_to_json,
 )
+
+from oracles import matrix_by_field_parse
 
 
 def qm(rows):
@@ -140,6 +144,70 @@ def test_matrix_dimension_cap():
     with pytest.raises(ParseError) as exc:
         matrix_from_json(obj, max_dim=1)
     assert "TDP_MAX_DIM" in str(exc.value)
+
+
+def _entry_strings(field, rng):
+    """Seeded entry strings: signs, padding, residues >= p and negative
+    ones over GF(p); fractions and decimals over Q; and 4,000-digit
+    entries, the most Rationals.parse allows."""
+    p = getattr(field, "p", None)
+    digits = lambda k: str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(k - 1))  # noqa: E731
+    pad = lambda x: rng.choice(["", " ", "\t", "\n "]) + x + rng.choice(["", " ", " \n"])  # noqa: E731
+    sign = lambda: rng.choice(["", "", "-", "+"])  # noqa: E731
+    kind = rng.randrange(6)
+    if kind == 0:
+        return pad(digits(4000) if p else sign() + digits(2000) + "/" + digits(2000))
+    if p:
+        return pad(sign() + str(rng.choice([rng.randrange(p), rng.randrange(p, 10 * p), rng.randrange(10**30)])))
+    if kind == 1:
+        return pad(sign() + str(rng.randrange(10**6)) + "." + str(rng.randrange(10**4)))
+    if kind == 2:
+        return pad(sign() + str(rng.randrange(10**9)) + "/" + str(rng.randint(1, 10**6)))
+    return pad(sign() + str(rng.randrange(10**12)))
+
+
+def _outcome(read, obj):
+    try:
+        m = read(obj)
+    except ParseError as e:
+        return str(e)
+    return m._ints, m.rows
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(101), GF(65521)], ids=str)
+def test_matrix_from_json_reads_the_int_rows_field_parse_gives(field):
+    # entry strings go straight to residues over GF(p) and to Fractions
+    # over one lcm over Q: the same int rows, entries and ParseError texts
+    # as parsing every entry to an element and coercing it again
+    # (GF(65521) has no element cache)
+    rng = random.Random(str(field))
+    spec = field_to_spec(field)
+    for n in (1, 2, 3, 5):
+        for _ in range(6):
+            entries = [[_entry_strings(field, rng) for _ in range(n)] for _ in range(n)]
+            obj = {"field": spec, "rows": n, "cols": n, "entries": entries}
+            got = _outcome(matrix_from_json, obj)
+            assert not isinstance(got, str) and got == _outcome(matrix_by_field_parse, obj)
+    bad = [
+        [["1", "x"], ["1"]],  # a bad scalar in row 0 wins over the short row 1
+        [["1"], ["x", "2"]],  # a short row 0 wins over the bad scalar in row 1
+        [["x", 2], ["1", "2"]],
+        [["1", 2], ["x", "2"]],  # a non-string scalar, before row 1
+        [["1", None], ["1", "2"]],
+        [["1.5", 1.5], ["1", "2"]],
+        [["1", ["1"]], ["1", "2"]],
+        [["1e3", "2"], ["1", "2"]],  # exponent notation
+        [["1", "2"], ["3", "1" * 4001]],  # 4,001 digits: the rational cap
+        [["1", "2"], ["3", "-" + "7" * 4400]],  # over Python's int string limit
+        [["1/0", "2"], ["3", "4"]],
+        ["12", ["3", "4"]],
+    ]
+    for entries in bad:
+        obj = {"field": spec, "rows": 2, "cols": 2, "entries": entries}
+        want = _outcome(matrix_by_field_parse, obj)
+        assert _outcome(matrix_from_json, obj) == want
+        if entries[1][-1] != "1" * 4001 or field == QQ:
+            assert isinstance(want, str), entries
 
 
 # ---- candidates -----------------------------------------------------------------
