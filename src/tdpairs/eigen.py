@@ -7,19 +7,18 @@ basis) has its diagonal for roots and a simple root's eigenline by
 substitution, written as its canonical row with no elimination.  Over
 GF(p) with p <= n they are the t with ker(m - tI) nonzero, scanned until
 the kernels fill the space.  Otherwise they are r / d for the roots r of
-det(xI - R), R = d m the int rows, a monic polynomial in Z[x]
-(linalg.char_poly_coeffs): residues found by scanning GF(p), over Q
-integers found p-adically, with no factoring and no rational
-reconstruction.  The rest runs on int rows: each eigenspace is
-subspaces.kernel(m, theta), one elimination of m's rows with theta
-subtracted as they are fed in, with no shifted matrix; the eigenvector
-check reads theta off its element; the basis inverse is computed once per
-decomposition and carried by its reorderings.
+det(xI - R), R = d m the int rows, a monic polynomial in Z[x], which the
+polynomials module finds on int coefficient lists (_char_roots).  The
+rest runs on int rows: each eigenspace is subspaces.kernel(m, theta), one
+elimination of m's rows with theta subtracted as they are fed in, with
+no shifted matrix; the eigenvector check reads theta off its element;
+the basis inverse is computed once per decomposition and carried by its
+reorderings, which are built with no check.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, compress
 from math import gcd, lcm
@@ -32,107 +31,9 @@ from .errors import (
     InvariantViolation,
     NotDiagonalizableOverField,
 )
-from .fields import _is_prime
-from .linalg import (
-    Echelon, Matrix, _primitive, char_poly_coeffs, modulus, residue_product, row_elements, shifted_image
-)
+from .linalg import Echelon, Matrix, _primitive, modulus, residue_product, row_elements, shifted_image
+from .polynomials import _char_roots
 from .subspaces import Subspace, _canonical, kernel
-
-# ---- root extraction -----------------------------------------------------
-
-
-def _int_divmod(f: list, g: list) -> tuple[list, list]:
-    """Quotient and remainder of int coefficient lists (lowest degree
-    first) by long division, where g's leading coefficient divides every
-    leading term met: g monic, a pseudo-division, or a primitive g that
-    divides f over Q (Gauss)."""
-    r, q = list(f), []
-    for k in reversed(range(len(f) - len(g) + 1)):
-        c = r[k + len(g) - 1] // g[-1]
-        q.append(c)
-        for j, b in enumerate(g):
-            r[k + j] -= c * b
-    return q[::-1], r[: len(g) - 1]
-
-
-def _squarefree_ints(f: list) -> list[int]:
-    """f / gcd(f, f') for an int coefficient list, primitive: the gcd by
-    a primitive pseudo-remainder sequence (Knuth, TAOCP 2, 4.6.1)."""
-    a, b = f, _primitive([i * c for i, c in enumerate(f)][1:])
-    while b:
-        r = _int_divmod([b[-1] ** (len(a) - len(b) + 1) * c for c in a], b)[1]
-        while r and not r[-1]:
-            r.pop()
-        a, b = b, _primitive(r)
-    return _primitive(_int_divmod(f, a)[0])
-
-
-def _eval_mod(ints: list, x: int, q: int) -> int:
-    acc = 0
-    for c in reversed(ints):
-        acc = (acc * x + c) % q
-    return acc
-
-
-def _integer_roots(f: list) -> list[int]:
-    """All integer roots of a monic int polynomial (lowest degree first),
-    with multiplicity, by p-adic lifting (R. Loos, SIAM J. Comput. 1983);
-    a monic polynomial over Z has no other rational roots.
-
-    g is the squarefree part without zero roots and p the first odd prime
-    that keeps every root of g mod p simple (residue_roots on g mod p).
-    Each root mod p is Hensel-lifted to a modulus q > 2 |g(0)|, which
-    bounds every root (a divisor of g(0)), and read as a symmetric
-    residue; it counts as often as x - r divides f exactly.
-    """
-    zeros = next(i for i, c in enumerate(f) if c)
-    f = f[zeros:]
-    g = _squarefree_ints(f)
-    dg = [i * c for i, c in enumerate(g)][1:]
-    p = 2
-    while True:
-        p += 1
-        if _is_prime(p):
-            residues = residue_roots([c % p for c in g], p)
-            if len(set(residues)) == len(residues):
-                break
-    roots = [0] * zeros
-    for r in residues:
-        q = p
-        while q <= 2 * abs(g[0]):
-            q *= q
-            r = (r - _eval_mod(g, r, q) * pow(_eval_mod(dg, r, q), -1, q)) % q
-        r -= q if 2 * r > q else 0
-        quotient, rem = _int_divmod(f, [-r, 1])
-        while not any(rem):
-            roots.append(r)
-            f = quotient
-            quotient, rem = _int_divmod(f, [-r, 1])
-    return roots
-
-
-def _char_roots(rows: list, p: int | None) -> list[int]:
-    """The roots r of det(xI - R) for a square m's int rows R = d m, with
-    multiplicity: residues over GF(p) (d = 1), integers over Q, as that
-    polynomial is monic in Z[x].  m's eigenvalues are the r / d."""
-    chi = char_poly_coeffs(rows, p)
-    return residue_roots(chi, p) if p else _integer_roots(chi)
-
-
-def residue_roots(ints: list, p: int) -> list[int]:
-    """The roots in [0, p) of a polynomial mod p (int coefficients, lowest
-    degree first, leading one nonzero mod p), ascending, with multiplicity."""
-    roots, ints = [], list(ints)
-    for t in range(p):
-        if len(ints) == 1:  # every root found
-            break
-        while len(ints) > 1 and not _eval_mod(ints, t, p):
-            roots.append(t)
-            for j in range(len(ints) - 2, 0, -1):  # deflate by x - t in place
-                ints[j] = (ints[j] + t * ints[j + 1]) % p
-            ints = ints[1:]
-    return roots
-
 
 # ---- decomposition --------------------------------------------------------
 
@@ -149,9 +50,8 @@ class EigenDecomposition:
     operator: Matrix
     eigenvalues: tuple
     eigenspaces: tuple
-    check_vectors: InitVar[bool] = True  # False only for reordered copies
 
-    def __post_init__(self, check_vectors):
+    def __post_init__(self):
         m, field = self.operator, self.operator.field
         n, (rows, d), p = m.nrows, m._ints, modulus(field)
         if not m.is_square():
@@ -171,7 +71,7 @@ class EigenDecomposition:
                 raise InvariantViolation("zero eigenspace")
             total += len(vectors)
             shift = (theta.v, 1) if p else (theta.numerator * d, theta.denominator)  # as _shift_ints
-            if check_vectors and not _are_eigenvectors(rows, p, *shift, vectors):
+            if not _are_eigenvectors(rows, p, *shift, vectors):
                 raise InvariantViolation("claimed eigenvector is not one")
         if total != n:
             raise InvariantViolation("eigenspace dimensions do not fill the space")
@@ -192,9 +92,10 @@ class EigenDecomposition:
         return tuple(s.dim for s in self.eigenspaces)
 
     def reordered(self, order) -> "EigenDecomposition":
-        """The decomposition with its eigenspaces in the given order; it
-        carries this one's eigenbasis change, if computed, with C's column
-        blocks and C^-1's row blocks permuted alike, which is what
+        """The decomposition with its eigenspaces in the given order, built
+        with no check, as a permutation of a checked decomposition is one;
+        it carries this one's eigenbasis change, if computed, with C's
+        column blocks and C^-1's row blocks permuted alike, which is what
         eigencoordinate_change would compute for it afresh.  The identity
         order gives back this decomposition itself, as it is immutable."""
         order = tuple(order)
@@ -202,23 +103,22 @@ class EigenDecomposition:
             return self
         if sorted(order) != list(range(len(self.eigenvalues))):
             raise DimensionMismatch("reordering must be a permutation")
-        copy = EigenDecomposition(
-            self.operator,
-            tuple(self.eigenvalues[i] for i in order),
-            tuple(self.eigenspaces[i] for i in order),
-            check_vectors=False,
+        copy = object.__new__(EigenDecomposition)
+        vars(copy).update(
+            operator=self.operator,
+            eigenvalues=tuple(self.eigenvalues[i] for i in order),
+            eigenspaces=tuple(self.eigenspaces[i] for i in order),
         )
         if "_change" in self.__dict__:
             c, c_inv, ranges = self.__dict__["_change"]
             (x, dx), (y, dy) = c._ints, c_inv._ints
             perm = [j for i in order for j in range(*ranges[i])]  # old coordinates, new order
             ends = list(accumulate(copy.dims()))
-            change = (
+            vars(copy)["_change"] = (
                 Matrix._of_ints(self.field, [[row[j] for j in perm] for row in x], dx),
                 Matrix._of_ints(self.field, [y[j] for j in perm], dy),
                 tuple(zip([0, *ends], ends)),
             )
-            object.__setattr__(copy, "_change", change)
         return copy
 
     def reversed(self) -> "EigenDecomposition":

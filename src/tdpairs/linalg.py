@@ -8,13 +8,12 @@ field-checks every entry, or by Matrix._of_ints, and the arithmetic
 (+, -, scale, @, shift, transpose, ==, hash) runs on it; rows, the
 entries as field elements, is a read-only cache built on first read.
 apply maps back once per output entry (Dumas, Giorgi and Pernet, ACM
-TOMS 35(3), 2008), and char_poly_coeffs runs on int rows over both
-fields, by one division-free loop (Berkowitz 1984).  Every reduction to
-row echelon form runs in one engine, Echelon, an incremental canonical RREF,
-fraction-free over Q, which takes and gives int rows only; min_poly,
-rref_rows and the subspaces module are built on it, feeding it a
-Matrix's int rows and reading its rows back through
-row_elements, the one map from an int row over d to field elements.
+TOMS 35(3), 2008).  Every reduction to row echelon form runs in one
+engine, Echelon, an incremental canonical RREF, fraction-free over Q,
+which takes and gives int rows only; min_poly, rref_rows and the
+subspaces module are built on it, feeding it a Matrix's int rows and
+reading its rows back through row_elements, the one map from an int row
+over d to field elements.  Polynomials live in the polynomials module.
 Linear systems are solved as spans, a kernel as subspaces.kernel.
 Ambient sizes are desk scale (dimension a few dozen), so clarity wins
 over asymptotics.
@@ -30,7 +29,6 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
 from .fields import QQ, Field, PrimeField, Scalar
-from .polynomials import Polynomial
 
 Vector = tuple
 
@@ -430,9 +428,10 @@ def vec_is_zero(v: Sequence) -> bool:
 # ---- polynomials of matrices --------------------------------------------
 
 
-def min_poly(m: Matrix) -> Polynomial:
-    """Monic minimal polynomial, found as the first linear dependency
-    among the flattened powers I, m, m^2, ...
+def min_poly(m: Matrix) -> tuple:
+    """The monic minimal polynomial's coefficients as field elements,
+    lowest degree first, found as the first linear dependency among the
+    flattened powers I, m, m^2, ...
 
     Each power P_k = rows / d is reduced as the int row d (P_k, e_k);
     when the P-part of the residual vanishes, its e-part holds the
@@ -448,33 +447,8 @@ def min_poly(m: Matrix) -> Polynomial:
         rows, d = power._ints  # P_k = rows / d, so the row is d (P_k, e_k)
         u = eng.reduce([*chain.from_iterable(rows), *(0,) * k, d, *(0,) * (n - k)])
         if not any(u[: n * n]):
-            return Polynomial(field, row_elements(field, u[n * n : n * n + k + 1], u[n * n + k]))
+            return row_elements(field, u[n * n : n * n + k + 1], u[n * n + k])
         eng.insert(u)
         power = power @ m
     raise AssertionError("minimal polynomial exceeded ambient dimension")
 
-
-def char_poly_coeffs(rows: Sequence, p: int | None = None) -> list:
-    """det(xI - M) for int rows M, lowest degree first, reduced mod p
-    when p is given, by Berkowitz's division-free recurrence (S. J.
-    Berkowitz, Inf. Process. Lett. 18(3), 1984): for the leading r x r
-    block M_r, the row R = M[r][:r], the column C = M[:r][r] and a =
-    M[r][r], the coefficients of det(xI - M_{r+1}), highest degree first,
-    are the lower triangular Toeplitz matrix with first column (1, -a,
-    -R C, -R M_r C, ..., -R M_r^(r-1) C) times those of det(xI - M_r).
-    O(n^4) ring operations and no division, so a zero leading minor needs
-    no pivot and the coefficients over Z stay integers.
-    """
-    poly = [1]  # det(xI - M_r), highest degree first
-    for r, row in enumerate(rows):
-        col, v = [1, -row[r]], [m[r] for m in rows[:r]]  # v = M_r^j C
-        for j in range(r):
-            if j:
-                v = [sum(map(mul, m, v)) for m in rows[:r]]  # map stops at r
-                if p:
-                    v = [x % p for x in v]
-            col.append(-sum(map(mul, row, v)))
-        poly = [sum(map(mul, col[i::-1], poly)) for i in range(r + 2)]
-        if p:
-            poly = [c % p for c in poly]
-    return poly[::-1]

@@ -59,7 +59,9 @@ class ShapeVector:
     rho: tuple
 
     def __post_init__(self):
-        rho = tuple(int(x) for x in self.rho)
+        rho = tuple(self.rho)
+        if any(type(x) is not int for x in rho):  # bools and floats too
+            raise ParseError(f"shape entries must be integers, got {rho}")
         object.__setattr__(self, "rho", rho)
         if not rho:
             raise ParseError("empty shape")

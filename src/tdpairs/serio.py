@@ -72,7 +72,7 @@ def matrix_from_json(obj, max_dim: int | None = None) -> Matrix:
             raise ParseError(f"matrix object missing key {key!r}")
     field = field_from_spec(obj["field"])
     nrows, ncols = obj["rows"], obj["cols"]
-    if not isinstance(nrows, int) or not isinstance(ncols, int) or nrows < 1 or ncols < 1:
+    if any(type(k) is not int or k < 1 for k in (nrows, ncols)):  # JSON true is a bool
         raise ParseError("rows and cols must be positive integers")
     if max_dim is not None and (nrows > max_dim or ncols > max_dim):
         raise ParseError(

@@ -69,17 +69,38 @@ def matrix_by_field_parse(obj):
     return Matrix(field, rows)
 
 
-def poly_eval_matrix(p, m):
-    """Evaluate a polynomial at a square matrix by Horner's rule."""
+def poly_product(field, factors):
+    """The coefficients (lowest degree first, as field elements) of the
+    product of coefficient lists of anything field.scalar takes; no
+    factors gives 1."""
+    out = [field.one]
+    for f in factors:
+        prod = [field.zero] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * field.scalar(b)
+        out = prod
+    return out
+
+
+def poly_value(field, coeffs, x):
+    """A coefficient list (lowest degree first) at x, by Horner's rule."""
+    acc = field.zero
+    for c in reversed(coeffs):
+        acc = acc * field.scalar(x) + field.scalar(c)
+    return acc
+
+
+def poly_eval_matrix(coeffs, m):
+    """A coefficient list (lowest degree first, anything m's field.scalar
+    takes) at a square matrix, by Horner's rule."""
     if not m.is_square():
         raise DimensionMismatch("polynomial of a non-square matrix")
-    if p.field != m.field:
-        raise FieldMismatch(f"{p.field!r} vs {m.field!r}")
     n = m.nrows
-    if p.is_zero():
+    if not coeffs:
         return Matrix.zeros(m.field, n, n)
-    acc = Matrix.identity(m.field, n).scale(p.coeffs[-1])
-    for c in reversed(p.coeffs[:-1]):
+    acc = Matrix.identity(m.field, n).scale(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
         acc = (acc @ m).shift(-c)
     return acc
 

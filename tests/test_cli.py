@@ -17,6 +17,7 @@ import pytest
 
 import tdpairs.cli
 import tdpairs.eigen
+import tdpairs.polynomials
 import tdpairs.pairs
 import tdpairs.search
 from tdpairs import (
@@ -34,7 +35,7 @@ from tdpairs.eigen import invert
 from tdpairs.serio import candidate_from_json, candidate_to_json, canonical_dumps, params_to_json
 
 from oracles import TENSOR_PARAMS, kron_sum_fixture, reversed_basis, scalar_restriction_fixture, tensor_fixture
-from test_eigen import refuse_in_eigen, unit_line
+from test_eigen import refuse_in, unit_line
 from test_pairs import A_D2, ASTAR_D2
 
 
@@ -250,6 +251,20 @@ def test_verify_parse_failures_exit_3(tmp_path, capsys):
     assert rep["payload"]["failure"]["kind"] == "ParseError"
     rc, out, _ = run(capsys, ["verify", str(tmp_path / "missing.json")])
     assert rc == 3
+
+
+def test_verify_rejects_json_booleans_as_sizes_exit_3(tmp_path, capsys):
+    # JSON true reads as Python True, an int: it is not a size
+    for key in ("rows", "cols"):
+        obj = json.loads(canonical_dumps(candidate_to_json(qm([[1]]), qm([[2]]))))
+        obj["A"][key] = True
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(obj))
+        rc, out, _ = run(capsys, ["verify", str(path)])
+        assert rc == 3, key
+        (rep,) = reports_of(out)
+        assert rep["payload"]["failure"]["kind"] == "ParseError"
+        assert rep["payload"]["failure"]["message"] == "rows and cols must be positive integers"
 
 
 def test_unreadable_inputs_report_the_path_and_the_exception_class(tmp_path, capsys, monkeypatch):
@@ -620,7 +635,8 @@ def test_round_trip_of_split_forms_reads_every_spectrum_off_the_diagonal(tmp_pat
     # distinct eigenvalues each, so no request needs a characteristic
     # polynomial, a root scan or a kernel per eigenvalue
     pairs = [_generated(tmp_path, capsys, field, d) for d in range(7)]
-    refuse_in_eigen(monkeypatch, "char_poly_coeffs", "kernel")
+    refuse_in(monkeypatch, tdpairs.polynomials, "char_poly_coeffs")
+    refuse_in(monkeypatch, tdpairs.eigen, "kernel")
     for pair, params in pairs:
         for argv in (["verify", pair], ["detect", pair], ["decompose", pair], ["switch", pair, "--sequences", params]):
             rc, out, _ = run(capsys, argv)

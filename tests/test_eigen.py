@@ -17,36 +17,36 @@ from tdpairs import (
     InvariantViolation,
     Matrix,
     NotDiagonalizableOverField,
-    Polynomial,
     TdpError,
     eigen_decompose,
-    min_poly,
     primitive_idempotents,
     random_leonard,
 )
 import tdpairs.eigen
+import tdpairs.linalg
+import tdpairs.polynomials
 import tdpairs.search
 from tdpairs.eigen import (
     EigenDecomposition,
-    _char_roots,
-    _integer_roots,
     eigencoordinate_change,
     eigenspaces,
     invert,
-    residue_roots,
     row_lanes,
     split_lanes,
     splits_mod_p,
 )
 from tdpairs.pairs import validate_pair
 from tdpairs.subspaces import Subspace, kernel
-from tdpairs.linalg import Echelon, char_poly_coeffs, modulus, residue_product
+from tdpairs.linalg import Echelon, min_poly, modulus, residue_product
+from tdpairs.polynomials import _char_roots, _integer_roots, char_poly_coeffs, residue_roots
 from tdpairs.serio import scalar_to_str
 
 from oracles import (
     char_poly_by_interpolation,
     int_rref,
     kron_sum_fixture,
+    poly_product,
+    poly_value,
     rational_roots_by_divisors,
     ref_rank_q,
     reversed_pair,
@@ -203,6 +203,23 @@ def test_reordered_copies_skip_the_eigenvector_check(monkeypatch):
         EigenDecomposition(eig.operator, eig.eigenvalues[::-1], eig.eigenspaces)
 
 
+def test_no_caller_can_skip_the_eigenvector_check():
+    # A of a Leonard pair in the reversed basis (general engine), its
+    # eigenvalues reversed against their eigenspaces: the claim is
+    # refused, so validate_pair cannot be handed a decomposition that puts
+    # theta_0 = 1 on the eigenspace of 9; a reordered copy is a true one
+    a, astar = reversed_pair(random_leonard(QQ, 2, 1)[1])
+    eig = eigen_decompose(a)
+    assert eig.eigenvalues == (1, 5, 9)
+    with pytest.raises(TypeError):
+        EigenDecomposition(a, eig.eigenvalues[::-1], eig.eigenspaces, check_vectors=False)
+    with pytest.raises(InvariantViolation, match="not one"):
+        EigenDecomposition(a, eig.eigenvalues[::-1], eig.eigenspaces)
+    pair = validate_pair(a, astar, eig_a=eig.reversed())
+    for theta, space in zip(pair.eig_a.eigenvalues, pair.eig_a.eigenspaces):
+        assert space == kernel(a, theta)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(65521)], ids=["Q", "GF7", "GF65521"])
 def test_eigenvector_check_rejects_a_wrong_eigenvalue_or_a_moved_vector(field):
     # A = P diag(1, 1, 2, 3) P^-1: the check must catch one wrong
@@ -302,7 +319,8 @@ def test_a_singular_eigenbasis_is_a_bug():
     # a decomposition built without its checks, whose two "eigenlines"
     # coincide, has a singular eigenbasis: that can only be a bug
     line = Subspace.span(QQ, 2, [(1, 1)])
-    eig = EigenDecomposition(qm([[1, 0], [0, 2]]), (1, 2), (line, line), False)
+    eig = object.__new__(EigenDecomposition)
+    vars(eig).update(operator=qm([[1, 0], [0, 2]]), eigenvalues=(1, 2), eigenspaces=(line, line))
     with pytest.raises(InvariantViolation, match="singular"):
         eigencoordinate_change(eig)
 
@@ -326,7 +344,9 @@ def test_a_reordered_decomposition_carries_the_fresh_eigenbasis_change(p, monkey
     carried = [eigencoordinate_change(copy) for copy in copies]
     assert len(calls) == 1
     for copy, kept in zip(copies, carried):
-        assert kept == eigencoordinate_change(EigenDecomposition(m, copy.eigenvalues, copy.eigenspaces))
+        fresh = EigenDecomposition(m, copy.eigenvalues, copy.eigenspaces)
+        assert kept == eigencoordinate_change(fresh)
+        assert vars(copy) == vars(fresh)  # fields and carried change, as a checked copy holds them
     assert len(calls) == 1 + len(copies)
     # a copy taken before its parent's change is computed computes its own
     fresh = eigencoordinate_change(eigen_decompose(m).reversed())
@@ -609,18 +629,6 @@ def test_dense_wide_q_rejection_is_fast_and_char_poly_reduces_mod_p():
             assert got == want, p
 
 
-def _poly_product(factors):
-    """Coefficient list (lowest degree first) of a product of coefficient lists."""
-    out = [Fraction(1)]
-    for f in factors:
-        prod = [Fraction(0)] * (len(out) + len(f) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(f):
-                prod[i + j] += a * b
-        out = prod
-    return out
-
-
 def test_integer_roots_match_divisor_oracle():
     # monic int polynomials: repeated linear factors x - a, zero roots and
     # irreducible quadratics (x^2 + 1, x^2 + 3, x^2 - 2, x^2 + x + 1)
@@ -632,7 +640,7 @@ def test_integer_roots_match_divisor_oracle():
             factors += [[-rng.randint(-9, 9), 1]] * rng.choice([1, 1, 2, 3])
         factors += [[0, 1]] * rng.choice([0, 0, 1, 2])
         factors += [rng.choice(quadratics) for _ in range(rng.randint(0, 2))]
-        coeffs = [int(c) for c in _poly_product(factors)]
+        coeffs = [int(c) for c in poly_product(QQ, factors)]
         assert sorted(_integer_roots(coeffs)) == rational_roots_by_divisors(coeffs), factors
 
 
@@ -651,7 +659,7 @@ def test_integer_roots_of_wide_roots_are_their_linear_factors():
             roots += [r] * rng.choice([1, 1, 2]) + [r + 30030] * rng.choice([0, 1])
         roots += [0] * rng.choice([0, 1, 2])
         quads = [rng.choice(quadratics) for _ in range(rng.randint(0, 2))]
-        coeffs = [int(c) for c in _poly_product([[-r, 1] for r in roots] + quads)]
+        coeffs = [int(c) for c in poly_product(QQ, [[-r, 1] for r in roots] + quads)]
         assert sorted(_integer_roots(coeffs)) == sorted(roots), (roots, quads)
 
 
@@ -659,7 +667,7 @@ def test_integer_roots_of_semiprime_coefficients_need_no_factoring():
     # divisor enumeration factors the constant term; p-adic lifting does not
     n, m = 2**61 - 1, 2**89 - 1
     assert _integer_roots([-n * m, 1]) == [n * m]
-    coeffs = [int(c) for c in _poly_product([[-n, 1], [-n, 1], [m, 1], [2, 0, 1]])]
+    coeffs = [int(c) for c in poly_product(QQ, [[-n, 1], [-n, 1], [m, 1], [2, 0, 1]])]
     assert sorted(_integer_roots(coeffs)) == [-m, n, n]
 
 
@@ -687,12 +695,10 @@ def test_residue_roots_match_a_brute_force_scan(p, monkeypatch):
     for _ in range(40 if p < 1000 else 3):  # the brute scan is slow at 65521
         roots = [rng.choice((0, p - 1, rng.randrange(p))) for _ in range(rng.randint(0, 4))]
         roots += roots[:1] * rng.randint(0, 2)
-        poly = Polynomial(GF(p), [rng.randrange(1, p)])
-        for r in roots:
-            poly = poly * Polynomial.x_minus(GF(p), r)
+        factors = [[rng.randrange(1, p)]] + [[-r, 1] for r in roots]
         if rng.random() < 0.5:
-            poly = poly * Polynomial(GF(p), [rng.randrange(p), rng.randrange(p), 1])
-        ints = [c.v for c in poly.coeffs]
+            factors.append([rng.randrange(p), rng.randrange(p), 1])
+        ints = [c.v for c in poly_product(GF(p), factors)]
         assert residue_roots(ints, p) == _brute_residue_roots(ints, p)
     scanned = []  # the residues the scan draws from range(p)
 
@@ -700,8 +706,8 @@ def test_residue_roots_match_a_brute_force_scan(p, monkeypatch):
         values = range(*args)
         return (scanned.append(t) or t for t in values) if args == (p,) else values
 
-    monkeypatch.setattr(tdpairs.eigen, "range", scan_range, raising=False)
-    split = [c.v for c in Polynomial.from_roots(GF(p), [0, 1 % p, 1 % p]).coeffs]
+    monkeypatch.setattr(tdpairs.polynomials, "range", scan_range, raising=False)
+    split = [c.v for c in poly_product(GF(p), [[0, 1], [-1, 1], [-1, 1]])]
     assert residue_roots(split, p) == sorted([0, 1 % p, 1 % p])
     assert scanned == list(range(min(p, 3)))
 
@@ -711,16 +717,16 @@ def _min_poly_rule(m):
     minimal polynomial: the ascending eigenvalues, or the failure message."""
     mp = min_poly(m)
     if m.field == QQ:
-        roots = rational_roots_by_divisors(mp.coeffs)
+        roots = rational_roots_by_divisors(mp)
     else:
         p = m.field.p
-        roots = [m.field.scalar(x) for x in range(p) if mp(x) == 0]
+        roots = [m.field.scalar(x) for x in range(p) if poly_value(m.field, mp, x) == 0]
         # a root of multiplicity >= 2 is also a root of the derivative
-        deriv = Polynomial(m.field, [i * c for i, c in enumerate(mp.coeffs)][1:])
-        roots += [r for r in roots if deriv(r) == 0]
+        deriv = [i * c for i, c in enumerate(mp)][1:]
+        roots += [r for r in roots if poly_value(m.field, deriv, r) == 0]
     if len(set(roots)) != len(roots):
         return "minimal polynomial has a repeated root"
-    if len(roots) != mp.degree:
+    if len(roots) != len(mp) - 1:
         # each root is simple in the minimal polynomial, so its multiplicity
         # in the characteristic polynomial is dim ker(m - t I)
         n = m.nrows
@@ -799,14 +805,14 @@ def _dense_eigenspaces(m):
     return thetas, tuple(kernel(m.shift(theta)) for theta in thetas), len(roots)
 
 
-def refuse_in_eigen(monkeypatch, *names):
-    """Make each tdpairs.eigen.<name> raise when called."""
+def refuse_in(monkeypatch, module, *names):
+    """Make each module.<name> raise when called."""
     for name in names:
 
         def refuse(*args, name=name, **kwargs):
             raise AssertionError(f"{name} called")
 
-        monkeypatch.setattr(tdpairs.eigen, name, refuse)
+        monkeypatch.setattr(module, name, refuse)
 
 
 def _decomposition_or_error(m):
@@ -857,7 +863,7 @@ def test_triangular_eigenspaces_match_the_characteristic_polynomial_route(field,
         m = _triangular(field, n, kind, rng)
         want = _dense_eigenspaces(m)
         with monkeypatch.context() as patch:
-            refuse_in_eigen(patch, "char_poly_coeffs")
+            refuse_in(patch, tdpairs.polynomials, "char_poly_coeffs")
             got = eigenspaces(m)
             decomposed = _decomposition_or_error(m)
         assert got == want, (kind, m.rows)
@@ -877,7 +883,7 @@ def test_split_form_eigenlines_are_written_without_elimination(field, monkeypatc
     for n, seed in itertools.product((13, 17, 24), range(2)):
         pair = random_leonard(field, n - 1, seed)[1]
         with monkeypatch.context() as patch:
-            refuse_in_eigen(patch, "kernel")
+            refuse_in(patch, tdpairs.eigen, "kernel")
             patch.setattr(Echelon, "insert", lambda *args: pytest.fail("Echelon.insert called"))
             eigs = [eigen_decompose(pair.a), eigen_decompose(pair.astar)]
         for eig in eigs:
@@ -909,14 +915,14 @@ def test_repeated_or_dense_spectra_keep_the_kernel_and_the_polynomial(monkeypatc
     # spectrum the kernel scan finds as p <= n, with no polynomial; a dense
     # operator over GF(101) at n = 4 (p > n) keeps the polynomial
     calls = {"kernel": 0, "char_poly_coeffs": 0}
-    for name in calls:
-        real = getattr(tdpairs.eigen, name)
+    for module, name in ((tdpairs.eigen, "kernel"), (tdpairs.polynomials, "char_poly_coeffs")):
+        real = getattr(module, name)
 
         def counted(*args, name=name, real=real, **kwargs):
             calls[name] += 1
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(tdpairs.eigen, name, counted)
+        monkeypatch.setattr(module, name, counted)
     validate_pair(*kron_sum_fixture(QQ, ((0, 1),) * 3, (1, 2, 3)))
     assert calls["kernel"] > 0 and calls["char_poly_coeffs"] == 0
     shape = (1, 2, 1)
@@ -936,16 +942,14 @@ def test_repeated_or_dense_spectra_keep_the_kernel_and_the_polynomial(monkeypatc
 def test_eigen_decompose_builds_no_polynomial(monkeypatch):
     # the roots of det(xI - R) are read off its int coefficients: dense
     # operators over Q (with denominators) and GF(101), and rejected ones
-    # with a Jordan block or an irreducible quadratic, build no Polynomial
-    def refuse(*args, **kwargs):
-        raise AssertionError("Polynomial built")
+    # with a Jordan block or an irreducible quadratic, call no min_poly
 
     rng = random.Random(8)
     q = _conjugate_q(_block_diagonal([[[Fraction(1, 2)]], [[3]], [[3]], [[-5]]]), rng)
     gf = gm(101, _conjugate(101, _block_diagonal([[[5]], [[7]], [[7]], [[90]]]), rng))
     jordan = _conjugate_q(_block_diagonal([[[2, 1], [0, 2]], [[1]]]), rng)
     quadratic = _conjugate_q(_block_diagonal([[[0, 2], [1, 0]], [[Fraction(-1, 3)]]]), rng)
-    monkeypatch.setattr(Polynomial, "__init__", refuse)
+    refuse_in(monkeypatch, tdpairs.linalg, "min_poly")
     assert eigen_decompose(q).eigenvalues == (-5, Fraction(1, 2), 3)
     assert eigen_decompose(gf).dims() == (1, 2, 1)
     with pytest.raises(NotDiagonalizableOverField, match="repeated root"):
@@ -975,7 +979,7 @@ def test_the_kernel_scan_matches_the_polynomial_route(p, monkeypatch):
             want = _dense_eigenspaces(m)
             with monkeypatch.context() as patch:
                 if sum(space.dim for space in want[1]) == n:
-                    refuse_in_eigen(patch, "char_poly_coeffs")
+                    refuse_in(patch, tdpairs.polynomials, "char_poly_coeffs")
                 got = eigenspaces(m)
                 decomposed = _decomposition_or_error(m)
             assert got == want, (p, m.rows)

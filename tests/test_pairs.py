@@ -85,7 +85,9 @@ def test_shape_vector_accepts_symmetric_unimodal():
 
 
 def test_shape_vector_rejects_bad_vectors():
-    for rho in ((), (0,), (-1,), (1, 2), (2, 1, 2), (1, 3, 2, 3, 1)):
+    # entries that are not ints, a bool included, are rejected, not
+    # converted or truncated
+    for rho in ((), (0,), (-1,), (1, 2), (2, 1, 2), (1, 3, 2, 3, 1), ("a",), (None,), (1, 2.7, 1), (True,)):
         with pytest.raises(ParseError):
             ShapeVector(rho)
 

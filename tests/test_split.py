@@ -12,7 +12,6 @@ from tdpairs import (
     HypothesisNotMet,
     IrreducibilityReport,
     Matrix,
-    Polynomial,
     ShapeVector,
     Subspace,
     TauImageVanished,
@@ -26,7 +25,7 @@ from tdpairs import (
 )
 from tdpairs.split import SplitDecomposition
 
-from oracles import TENSOR_PARAMS, flatten, poly_eval_matrix, tau_matrices_by_product, tensor_fixture
+from oracles import TENSOR_PARAMS, flatten, poly_eval_matrix, poly_product, tau_matrices_by_product, tensor_fixture
 
 
 def qm(rows):
@@ -148,8 +147,8 @@ def test_tau_basis_structure():
     assert mats[0] == Matrix.identity(QQ, 3)
     thetas = pair.eig_a.eigenvalues
     for i, m in enumerate(mats):
-        tau = Polynomial.from_roots(QQ, thetas[:i])
-        assert tau.degree == i
+        tau = poly_product(QQ, [[-t, 1] for t in thetas[:i]])
+        assert len(tau) - 1 == i
         assert m == poly_eval_matrix(tau, pair.a)
     assert Subspace.span(QQ, 9, [flatten(m) for m in mats]).dim == 3
     for u in pair.vstar(0).basis:
