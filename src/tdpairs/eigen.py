@@ -24,6 +24,7 @@ from itertools import accumulate, compress
 from math import gcd, lcm
 from operator import mul
 from struct import Struct
+from weakref import ref
 
 from .errors import (
     DimensionMismatch,
@@ -53,7 +54,7 @@ class EigenDecomposition:
 
     def __post_init__(self):
         m, field = self.operator, self.operator.field
-        n, (rows, d), p = m.nrows, m._ints, modulus(field)
+        n, rows, p = m.nrows, m._ints[0], modulus(field)
         if not m.is_square():
             raise DimensionMismatch("eigen-decomposition of a non-square matrix")
         thetas = tuple(map(field.scalar, self.eigenvalues))
@@ -70,8 +71,7 @@ class EigenDecomposition:
             if not vectors:
                 raise InvariantViolation("zero eigenspace")
             total += len(vectors)
-            shift = (theta.v, 1) if p else (theta.numerator * d, theta.denominator)  # as _shift_ints
-            if not _are_eigenvectors(rows, p, *shift, vectors):
+            if not _are_eigenvectors(rows, p, *m._shift_ints(theta), vectors):
                 raise InvariantViolation("claimed eigenvector is not one")
         if total != n:
             raise InvariantViolation("eigenspace dimensions do not fill the space")
@@ -194,6 +194,9 @@ def _eigenline(m: Matrix, k: int, lower: bool) -> Subspace:
     return Subspace(_canonical(m.field, {pivot: u}), n)
 
 
+_live = {}  # id(m) -> a weak reference to the decomposition eigen_decompose made for m
+
+
 def eigen_decompose(m: Matrix) -> EigenDecomposition:
     """Decompose a square matrix into eigenspaces over its own field.
 
@@ -203,7 +206,12 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
     > 1 (the characteristic polynomial does not split).  Eigenvalues are
     ascending (canonical before any pair-specific reordering); those of a
     triangular m are its diagonal entries, with no polynomial computed.
+    While a decomposition this made for m is alive, it is returned again:
+    it holds m, so no other matrix has m's id, and m holds nothing back,
+    so dropping the decomposition frees it and its entry at once.
     """
+    if (kept := _live.get(id(m))) is not None and (eig := kept()) is not None and eig.operator is m:
+        return eig
     if not m.is_square():
         raise DimensionMismatch("eigen-decomposition of a non-square matrix")
     if m.nrows == 0:
@@ -216,7 +224,9 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
             "minimal polynomial has an irreducible factor of degree > 1 "
             f"(found {nroots} of {m.nrows} roots of the characteristic polynomial)"
         )
-    return EigenDecomposition(m, eigenvalues, spaces)
+    eig = EigenDecomposition(m, eigenvalues, spaces)
+    _live[id(m)] = ref(eig, lambda dead, key=id(m), live=_live: live.get(key) is dead and live.pop(key))
+    return eig
 
 
 @lru_cache(maxsize=64)

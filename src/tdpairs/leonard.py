@@ -48,7 +48,8 @@ from .errors import (
 from .eigen import EigenDecomposition, _are_eigenvectors, _idempotent_sum
 from .fields import Field, PrimeField
 from .linalg import Matrix, modulus, shifted_chain
-from .pairs import TriDiagonalPair, validate_pair
+from .pairs import TriDiagonalPair, _split_phi, validate_pair
+from .serio import scalar_to_str
 from .subspaces import Subspace, kernel, maps_into, subspace_sum
 
 # ---- result and parameter types --------------------------------------------
@@ -243,12 +244,7 @@ def _align_orderings(eig_p: EigenDecomposition, eig_q: EigenDecomposition, side:
         return eig_q
     if spaces_p == list(reversed(spaces_q)):
         return eig_q.reversed()
-    comparison = spaces_q if len(spaces_p) == len(spaces_q) else []
-    index = 0
-    for k, (sp, sq) in enumerate(zip(spaces_p, comparison)):
-        if sp != sq:
-            index = k
-            break
+    index = next(k for k, (sp, sq) in enumerate(zip(spaces_p, spaces_q)) if sp != sq)
     raise EigenspaceMismatch(
         f"{side}-eigenspaces differ at position {index} (up to reversal)",
         side=side,
@@ -358,8 +354,16 @@ def _split_pair(params: LeonardParameterSet) -> TriDiagonalPair:
 def generate_split_form(params: LeonardParameterSet) -> tuple[Matrix, Matrix]:
     """A lower bidiagonal with diagonal theta and unit subdiagonal,
     Astar upper bidiagonal with diagonal thetastar and superdiagonal
-    varphi; generation fails when it does not pass validate_pair."""
-    pair = _split_pair(params)
+    varphi; generation fails when it does not pass validate_pair, and
+    when phi is not PA4's phi as validate_pair reads it (pairs._split_phi)."""
+    pair, field = _split_pair(params), params.field
+    found = _split_phi(pair.a, pair.astar) if params.d else ((), 1)
+    if found is None:  # Terwilliger's Thm 1.9: a split-form Leonard pair has a parameter array
+        raise InvariantViolation("validated split form has no parameter array")
+    for i, (given, x) in enumerate(zip(params.phi, found[0])):
+        if (want := field.scalar(x) / field.scalar(found[1])) != given:
+            given, want = scalar_to_str(given), scalar_to_str(want)
+            raise InvalidLeonardParameters(f"phi[{i}] is {given}, but PA4 gives {want}")
     return pair.a, pair.astar
 
 

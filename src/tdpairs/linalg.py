@@ -171,10 +171,10 @@ class Matrix:
         """(a, b) with self - theta I = (b R - a I) / (b d) for a square
         self = R / d: theta = a / (b d), with b = 1 and a the residue over
         GF(p)."""
-        if not self.is_square():
+        if self.nrows != self.ncols:
             raise DimensionMismatch("shift of a non-square matrix")
-        theta = self.field.scalar(theta)
-        return (theta.v, 1) if modulus(self.field) else (theta.numerator * self._ints[1], theta.denominator)
+        theta = self.field.scalar(theta)  # a Fraction over Q, a residue element over GF(p)
+        return (theta.numerator * self._ints[1], theta.denominator) if type(theta) is Fraction else (theta.v, 1)
 
     def scale(self, c) -> "Matrix":
         c, p = self.field.scalar(c), modulus(self.field)

@@ -36,7 +36,7 @@ from .errors import (
     TdpError,
 )
 from .eigen import EigenDecomposition, eigen_decompose, eigencoordinate_change, eigenspaces
-from .linalg import Echelon, Matrix, modulus, residue_product, row_elements, shifted_chain, vec_is_zero
+from .linalg import Echelon, Matrix, modulus, residue_product, shifted_chain, vec_is_zero
 from .subspaces import (
     Subspace,
     annihilator,
@@ -164,18 +164,26 @@ def _spin(field, n: int, seeds, operators) -> Subspace:
 # ---- support-graph orderings ----------------------------------------------
 
 
-def _block_edges(eig: EigenDecomposition, b: Matrix) -> set:
+def _block_edges(eig: EigenDecomposition, b: Matrix) -> frozenset:
     """The pairs (j, i), j != i, for which b maps some vector of
     eigenspace j to a vector with a nonzero eigenspace-i component: the
     nonzero off-diagonal blocks of C^-1 b C, C the eigenbasis change,
     read off the nonzero entries of one int product through the block
-    of each coordinate."""
+    of each coordinate.  The last b's edges are kept on (immutable) eig,
+    so irreducible and the ordering search share one block graph."""
+    kept = eig.__dict__.get("_edges")
+    if kept is None or kept[0] is not b:
+        kept = (b, _block_graph(eig, b))
+        object.__setattr__(eig, "_edges", kept)
+    return kept[1]
+
+
+def _block_graph(eig: EigenDecomposition, b: Matrix) -> frozenset:
     c, c_inv, ranges = eigencoordinate_change(eig)
     p = modulus(eig.field)
     prod = residue_product(residue_product(c_inv._ints[0], b._ints[0], p), c._ints[0], p)
-    blocks = [i for i, (lo, hi) in enumerate(ranges) for _ in range(lo, hi)]
-    edges = {(blocks[k], blocks[r]) for r, row in enumerate(prod) for k, x in enumerate(row) if x}
-    return {(j, i) for j, i in edges if j != i}
+    block = [i for i, (lo, hi) in enumerate(ranges) for _ in range(lo, hi)]  # of each coordinate
+    return frozenset({(block[k], i) for i, row in zip(block, prod) for k, x in enumerate(row) if x and block[k] != i})
 
 
 def support_path_orderings(eig: EigenDecomposition, b: Matrix) -> list[tuple[int, ...]]:
@@ -372,25 +380,19 @@ def _graph_norton(a: Matrix, astar: Matrix, eig, edges, i0: int) -> Irreducibili
 # ---- the engine ---------------------------------------------------------------
 
 
-def _eigenspaces(m: Matrix, eig: EigenDecomposition | None) -> tuple[list, EigenDecomposition | None]:
+def _eigenspaces(m: Matrix) -> tuple[list, EigenDecomposition | None]:
     """(theta, eigenspace) for every eigenvalue of m in its field, and
-    m's decomposition when m is diagonalizable.  Taken from eig when the
-    caller has it, else from eigen.eigenspaces."""
-    if eig is not None:
-        return list(zip(eig.eigenvalues, eig.eigenspaces)), eig
-    thetas, spaces, _ = eigenspaces(m)
-    if sum(space.dim for space in spaces) == m.nrows:
-        eig = EigenDecomposition(m, thetas, spaces)
-    return list(zip(thetas, spaces)), eig
+    m's decomposition (eigen_decompose) or None when m is not
+    diagonalizable, its eigenspaces then from eigen.eigenspaces."""
+    try:
+        eig = eigen_decompose(m)
+    except NotDiagonalizableOverField:
+        thetas, spaces, _ = eigenspaces(m)
+        return list(zip(thetas, spaces)), None
+    return list(zip(eig.eigenvalues, eig.eigenspaces)), eig
 
 
-def irreducible(
-    a: Matrix,
-    astar: Matrix,
-    eig_a: EigenDecomposition | None = None,
-    eig_astar: EigenDecomposition | None = None,
-    edges_a: set | None = None,
-) -> IrreducibilityReport:
+def irreducible(a: Matrix, astar: Matrix) -> IrreducibilityReport:
     """Decide whether {A, Astar} admits a common invariant subspace
     other than 0 and V, by Norton's test on one eigenspace K = ker t,
     t = M - theta I (see _norton).
@@ -398,7 +400,7 @@ def irreducible(
     K is the first eigenline of A or Astar (A's first, in eigenvalue
     order); a line is a simple module, and on a side with n distinct
     eigenvalues the test is read off the block graph (_graph_norton;
-    edges_a is _block_edges(eig_a, astar) when known).  With no
+    _block_edges keeps it on that side's decomposition).  With no
     eigenline, K is the smallest eigenspace of a diagonalizable side
     (A's first on a tie), decided as a module for the condensed algebra
     B = E <A, Astar> E, E the projection onto K along the other
@@ -409,9 +411,9 @@ def irreducible(
     or of a submodule vector, or the annihilator of the proper dual
     spin-up.  The answer is "inconclusive" only when K has dimension at
     least 4, has no submodule that a common eigenline shows, B is not
-    End(K), and K is over Q or has more than _LINE_ENUM_CAP lines.  The
-    eigen data comes from eig_a / eig_astar when given, else from
-    eigen.eigenspaces (the diagonal of a triangular side).
+    End(K), and K is over Q or has more than _LINE_ENUM_CAP lines.  Each
+    side's eigen data comes from _eigenspaces: its decomposition, given back
+    by eigen_decompose when the caller holds one, else its eigenspaces.
     """
     if not a.is_square() or not astar.is_square():
         raise DimensionMismatch("irreducibility needs square matrices")
@@ -425,17 +427,15 @@ def irreducible(
         return IrreducibilityReport.irreducible("no proper nonzero subspaces in dimension 1")
     field = a.field
     n = a.nrows
-    spaces_a, eig_a = _eigenspaces(a, eig_a)
-    spaces_astar, eig_astar = _eigenspaces(astar, eig_astar)
-    shifts = [(a, eig_a, i, theta, k) for i, (theta, k) in enumerate(spaces_a)]
-    shifts += [(astar, eig_astar, i, theta, k) for i, (theta, k) in enumerate(spaces_astar)]
-    for m, eig, i, theta, k in shifts:
-        if k.dim == 1 and eig is not None and eig.diameter == n - 1:
-            other = astar if m is a else a
-            edges = edges_a if m is a and edges_a is not None else _block_edges(eig, other)
-            return _graph_norton(a, astar, eig, edges, i)
-        if k.dim == 1:
-            return _norton(a, astar, m, theta, [*k.echelon.rows.values()], lambda: "simple")
+    shifts = []
+    for m in (a, astar):  # Astar's eigenspaces only when A has no eigenline
+        spaces, eig = _eigenspaces(m)
+        for i, (theta, k) in enumerate(spaces):
+            if k.dim == 1 and eig is not None and eig.diameter == n - 1:
+                return _graph_norton(a, astar, eig, _block_edges(eig, astar if m is a else a), i)
+            if k.dim == 1:
+                return _norton(a, astar, m, theta, [*k.echelon.rows.values()], lambda: "simple")
+            shifts.append((m, eig, i, theta, k))
     diagonal = [s for s in shifts if s[1] is not None]
     if diagonal:
         m, eig, i, theta, k = min(diagonal, key=lambda s: s[4].dim)
@@ -498,24 +498,20 @@ class TriDiagonalPair:
         return replace(self, eig_astar=self.eig_astar.reversed())
 
 
-def validate_pair(
-    a: Matrix,
-    astar: Matrix,
-    eig_a: EigenDecomposition | None = None,
-    eig_astar: EigenDecomposition | None = None,
-) -> TriDiagonalPair:
+def validate_pair(a: Matrix, astar: Matrix) -> TriDiagonalPair:
     """Certify the four axioms and assemble the ordered pair data.
 
-    eig_a / eig_astar, if given, are reused as the decompositions of a / astar.
     Right after the size and field checks, a split form whose sequences form
     a parameter array is certified by Terwilliger's classification
     (_split_form_pair); any other input goes through the general engine, so
     every rejection is the engine's.  There the irreducibility check runs
     before the ordering search so that a definitive witness is reported even
     when orderings also fail (a disconnected support graph always implies
-    reducibility); when A has n distinct eigenvalues, A's block graph is
-    computed once and serves both.  An inconclusive irreducibility verdict is
-    deferred: if an ordering failure can reject the candidate definitively, it does.
+    reducibility).  Each side is decomposed once: irreducible gets the
+    decompositions made here back from eigen_decompose, and a block graph
+    it reads off one is kept there for the ordering search.  An inconclusive
+    irreducibility verdict is deferred: if an ordering failure can reject
+    the candidate definitively, it does.
     """
     if not a.is_square() or not astar.is_square() or a.nrows != astar.nrows:
         raise DimensionMismatch("pair members must be square and of equal size")
@@ -523,66 +519,44 @@ def validate_pair(
         raise FieldMismatch(f"{a.field!r} vs {astar.field!r}")
     if a.nrows == 0:
         raise DimensionMismatch("dimension must be positive")
-    if (pair := _split_form_pair(a, astar, eig_a, eig_astar)) is not None:
+    if (pair := _split_form_pair(a, astar)) is not None:
         return pair
-    try:
-        eig_a = eig_a or eigen_decompose(a)
-    except NotDiagonalizableOverField as e:
-        raise NotDiagonalizableOverField(str(e), side="A") from None
-    try:
-        eig_astar = eig_astar or eigen_decompose(astar)
-    except NotDiagonalizableOverField as e:
-        raise NotDiagonalizableOverField(str(e), side="Astar") from None
-    if eig_a.diameter != eig_astar.diameter:
-        raise DiameterMismatch(
-            f"{eig_a.diameter + 1} eigenvalues for A vs "
-            f"{eig_astar.diameter + 1} for Astar"
-        )
-    edges_a = _block_edges(eig_a, astar) if 0 < eig_a.diameter == a.nrows - 1 else None
-    report = irreducible(a, astar, eig_a=eig_a, eig_astar=eig_astar, edges_a=edges_a)
+    eigs = []
+    for m, side in ((a, "A"), (astar, "Astar")):
+        try:
+            eigs.append(eigen_decompose(m))
+        except NotDiagonalizableOverField as e:
+            raise NotDiagonalizableOverField(str(e), side=side) from None
+    if eigs[0].diameter != eigs[1].diameter:
+        raise DiameterMismatch(f"{eigs[0].diameter + 1} eigenvalues for A vs {eigs[1].diameter + 1} for Astar")
+    report = irreducible(a, astar)
     if report.is_reducible():
-        raise NotIrreducible(
-            f"common invariant subspace of dimension {report.witness.dim}",
-            witness=report.witness,
-        )
-    orderings_a = path_orderings(eig_a.diameter + 1, edges_a or _block_edges(eig_a, astar))
-    if not orderings_a:
-        raise NoTridiagonalOrdering(
-            "no ordering of A's eigenspaces makes Astar block-tridiagonal",
-            side="A",
-        )
-    orderings_astar = support_path_orderings(eig_astar, a)
-    if not orderings_astar:
-        raise NoTridiagonalOrdering(
-            "no ordering of Astar's eigenspaces makes A block-tridiagonal",
-            side="Astar",
-        )
+        raise NotIrreducible(f"common invariant subspace of dimension {report.witness.dim}", witness=report.witness)
+    for i, (b, side, other) in enumerate(((astar, "A", "Astar"), (a, "Astar", "A"))):
+        if not (orderings := support_path_orderings(eigs[i], b)):
+            how = f"no ordering of {side}'s eigenspaces makes {other} block-tridiagonal"
+            raise NoTridiagonalOrdering(how, side=side)
+        eigs[i] = _lex_least(eigs[i], orderings)
     if not report.is_irreducible():
         raise InconclusiveIrreducibility(report.diagnostic, diagnostic=report.diagnostic)
-    eig_a = _lex_least(eig_a, orderings_a)
-    eig_astar = _lex_least(eig_astar, orderings_astar)
-    return TriDiagonalPair(a, astar, eig_a, eig_astar, _shape_of(eig_a, eig_astar), report)
+    return TriDiagonalPair(a, astar, *eigs, _shape_of(*eigs), report)
 
 
-def _split_form_pair(a: Matrix, astar: Matrix, eig_a, eig_astar) -> TriDiagonalPair | None:
-    """The pair as validate_pair returns it when A = R / d_A is lower
-    bidiagonal with unit subdiagonal, Astar = S / d_S is upper bidiagonal,
-    n >= 2, and theta_i = R_ii / d_A, thetastar_i = S_ii / d_S and varphi_i
-    = S_{i-1,i} / d_S satisfy PA1-PA5 of Terwilliger's classification (LAA
-    330, 2001, Thm 1.9, any field), else None.  With vartheta_i the sum over
-    h < i of (theta_h - theta_{d-h}) / (theta_0 - theta_d):
+def _split_phi(a: Matrix, astar: Matrix) -> tuple[list, int] | None:
+    """(phi, e) when A = R / d_A is lower bidiagonal with unit subdiagonal,
+    Astar = S / d_S is upper bidiagonal, n >= 2, and theta_i = R_ii / d_A,
+    thetastar_i = S_ii / d_S and varphi_i = S_{i-1,i} / d_S satisfy PA1-PA5
+    of Terwilliger's classification (LAA 330, 2001, Thm 1.9, any field),
+    else None; phi_i = phi[i - 1] / e is then PA4's phi_i.  With vartheta_i
+    the sum over h < i of (theta_h - theta_{d-h}) / (theta_0 - theta_d):
       PA1  theta and thetastar each hold distinct scalars;
       PA2  every varphi_i and phi_i is nonzero;
       PA3  varphi_i = phi_1 vartheta_i + (thetastar_i - thetastar_0)(theta_{i-1} - theta_d);
       PA4  phi_i = varphi_1 vartheta_i + (thetastar_i - thetastar_0)(theta_{d-i+1} - theta_0);
       PA5  (theta_{i-2} - theta_{i+1}) / (theta_{i-1} - theta_i), 2 <= i <= d - 1,
            is one scalar for theta and thetastar.
-    Read on the int rows, mod p over GF(p): phi_i times d_A d_S (R_00 - R_dd),
-    PA3 times d_A d_S (R_00 - R_dd)^2, PA5 cross-multiplied.  The pair is then
-    Leonard with standard orderings theta and thetastar: each side is its
-    triangular decomposition (eig_a / eig_astar when given) in the lex-least
-    of its diagonal order and the reverse, compared on the diagonal ints;
-    Norton's test fills both spins."""
+    Read on the int rows, mod p over GF(p): phi_i times e = d_A d_S (R_00 - R_dd),
+    PA3 times d_A d_S (R_00 - R_dd)^2, PA5 cross-multiplied."""
     (r, da), (s, ds), p = a._ints, astar._ints, modulus(a.field)
     n, d = len(r), len(r) - 1
     if d < 1 or any(r[i][i - 1] != da for i in range(1, n)) or any(
@@ -593,7 +567,7 @@ def _split_form_pair(a: Matrix, astar: Matrix, eig_a, eig_astar) -> TriDiagonalP
     if len(set(t)) < n or len(set(u)) < n or not all(f):  # PA1, PA2 on varphi
         return None
     residue = (lambda x: x % p) if p else (lambda x: x)
-    span, partial = t[0] - t[d], 0
+    span, partial, phis = t[0] - t[d], 0, []
     phi1 = span * (da * f[0] - (u[1] - u[0]) * span)
     for i in range(1, n):
         partial += t[i - 1] - t[d - i + 1]
@@ -601,21 +575,30 @@ def _split_form_pair(a: Matrix, astar: Matrix, eig_a, eig_astar) -> TriDiagonalP
         pa3 = phi1 * partial + (u[i] - u[0]) * (t[i - 1] - t[d]) * span**2
         if not residue(phi) or residue(da * f[i - 1] * span**2 - pa3):  # PA2 on phi, PA3
             return None
+        phis.append(phi)
     ratios = [(x[i - 2] - x[i + 1], x[i - 1] - x[i]) for x in (t, u) for i in range(2, d)]
     if any(residue(x * ratios[0][1] - ratios[0][0] * y) for x, y in ratios):  # PA5
         return None
+    return phis, da * ds * span
+
+
+def _split_form_pair(a: Matrix, astar: Matrix) -> TriDiagonalPair | None:
+    """The pair as validate_pair returns it when _split_phi finds a
+    parameter array, else None: Leonard with standard orderings theta and
+    thetastar, each side its triangular decomposition in the lex-least of
+    its diagonal order and the reverse, compared on the diagonal ints;
+    Norton's test fills both spins."""
+    if _split_phi(a, astar) is None:
+        return None
     eigs = []
-    for m, eig, diag, e in ((a, eig_a, t, da), (astar, eig_astar, u, ds)):
-        if eig:  # each diagonal entry's place in the given order
-            at = {x: j for j, x in enumerate(eig.eigenvalues)}
-            order = [at[x] for x in row_elements(a.field, diag, e)]
-        else:  # the ranks of the diagonal ints, the ascending eigenvalue order as e > 0
-            at = {x: j for j, x in enumerate(sorted(diag))}
-            order = [at[x] for x in diag]
-            try:
-                eig = eigen_decompose(m)
-            except TdpError as err:  # a bug, not a rejection
-                raise InvariantViolation(f"certified split form rejected: {err}") from err
+    for m in (a, astar):
+        diag = [row[i] for i, row in enumerate(m._ints[0])]
+        at = {x: j for j, x in enumerate(sorted(diag))}  # the ascending eigenvalue order, as d > 0
+        order = [at[x] for x in diag]
+        try:
+            eig = eigen_decompose(m)
+        except TdpError as err:  # a bug, not a rejection
+            raise InvariantViolation(f"certified split form rejected: {err}") from err
         eigs.append(eig.reordered(order if diag <= diag[::-1] else order[::-1]))
     return TriDiagonalPair(a, astar, *eigs, _shape_of(*eigs), IrreducibilityReport.irreducible(_SPINS_FILL))
 

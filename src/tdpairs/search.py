@@ -14,8 +14,9 @@ ordering of A's eigenspaces, read off Astar's nonzero blocks, exact
 because A = diag(blocks).  A survivor of both, in one reused buffer of
 int rows, is copied into a Matrix and goes to the certifier's own stages:
 eigen_decompose, a check of its eigenspace dimensions against the shape,
-and validate_pair, which reuses both decompositions; only fully
-validated pairs of the requested shape are returned.
+and validate_pair, which gets both decompositions back from
+eigen_decompose while search_shape holds them; only fully validated
+pairs of the requested shape are returned.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ def search_shape(spec: SearchSpec) -> SearchResult:
     n = spec.dim
     blocks = _block_of(shape_t)
     a = _fixed_a(field, shape_t)
-    eig_a = eigen_decompose(a)
+    eig_a = eigen_decompose(a)  # held, so validate_pair gets it back, as it does eig_s
     count = _candidate_count(spec)
     dims = sorted(shape_t)
     hits = []
@@ -231,7 +232,7 @@ def search_shape(spec: SearchSpec) -> SearchResult:
             funnel["wrong_dims"] += 1
             continue
         try:
-            pair = validate_pair(a, astar, eig_a, eig_s)
+            pair = validate_pair(a, astar)
         except TdpError:
             pair = None
         if pair is None or tuple(pair.shape) != shape_t:

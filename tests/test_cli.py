@@ -584,6 +584,27 @@ def test_generate_from_params_then_verify(tmp_path, capsys):
     assert reports_of(out2)[0]["payload"]["valid"] is True
 
 
+def test_generate_rejects_a_phi_that_pa4_does_not_give(tmp_path, capsys):
+    # PA4 gives phi_1 = varphi_1 + (thetastar_1 - thetastar_0)(theta_1 - theta_0) = 37;
+    # the emitted split form of the right phi passes switch's cross-check
+    reports = {}
+    for phi in (11, 37):
+        params = LeonardParameterSet(field=GF(101), theta=(3, 9), thetastar=(0, 5), varphi=(7,), phi=(phi,))
+        pfile = write_params(tmp_path, f"phi{phi}.json", params)
+        rc, out, _ = run(capsys, ["generate", "--params", pfile])
+        (reports[phi],) = reports_of(out)
+        assert rc == reports[phi]["exitCode"] == (1 if phi == 11 else 0)
+    assert reports[11]["payload"]["failure"] == {
+        "kind": "InvalidLeonardParameters",
+        "message": "phi[0] is 11, but PA4 gives 37",
+    }
+    gen_out = tmp_path / "generated.json"
+    gen_out.write_text(json.dumps(reports[37]))
+    rc, out, _ = run(capsys, ["switch", str(gen_out), "--sequences", str(tmp_path / "phi37.json")])
+    assert rc == 0
+    assert reports_of(out)[0]["payload"]["crossCheck"]["proportional"] is True
+
+
 def test_generate_random_deterministic(tmp_path, capsys):
     rc1, out1, _ = run(capsys, ["generate", "--random", "gf7", "2", "1"])
     rc2, out2, _ = run(capsys, ["generate", "--random", "gf7", "2", "1"])
@@ -974,8 +995,10 @@ def test_golden_stdout_of_non_sharp_pairs_is_byte_identical(tmp_path, capsys):
 # affine, generate --params, switch without --sequences, search reports,
 # and one failure report per command.  Re-pinned when a read failure came
 # to name the exception class instead of the C library's error text; the
-# two "cannot read 'missing.json'" messages are the only lines that moved
-SURFACE_STDOUT_SHA256 = "b52d6ef429fa75d3f78f48ae68abc968b13905076e406300c6acb17bfbde1fca"
+# two "cannot read 'missing.json'" messages are the only lines that moved.
+# Re-pinned when generate came to reject a phi that PA4 does not give: the
+# d1 fixture's phi went from 11 to PA4's 37, and its generate line moved
+SURFACE_STDOUT_SHA256 = "8ca9b0f171efc5435f3f22791abb0d541cc492ec70293a9f37c1d6dcd96a489c"
 
 
 def _surface_requests(tmp_path, capsys, monkeypatch):
@@ -992,7 +1015,7 @@ def _surface_requests(tmp_path, capsys, monkeypatch):
         a.scale(QQ.scalar(-3)) + eye.scale(QQ.scalar("1/2")),
         astar.scale(QQ.scalar("2/5")) + eye.scale(QQ.scalar(7)),
     )
-    d1 = LeonardParameterSet(field=GF(101), theta=(3, 9), thetastar=(0, 5), varphi=(7,), phi=(11,))
+    d1 = LeonardParameterSet(field=GF(101), theta=(3, 9), thetastar=(0, 5), varphi=(7,), phi=(37,))
     write_params(tmp_path, "d1.json", d1)
     write_candidate(tmp_path, "reducible.json", qm([[0, 0], [0, 1]]), qm([[2, 0], [0, 3]]))
     (tmp_path / "junk.json").write_bytes(b"\x00{not json")

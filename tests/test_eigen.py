@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -206,8 +208,8 @@ def test_reordered_copies_skip_the_eigenvector_check(monkeypatch):
 def test_no_caller_can_skip_the_eigenvector_check():
     # A of a Leonard pair in the reversed basis (general engine), its
     # eigenvalues reversed against their eigenspaces: the claim is
-    # refused, so validate_pair cannot be handed a decomposition that puts
-    # theta_0 = 1 on the eigenspace of 9; a reordered copy is a true one
+    # refused, so no decomposition can put theta_0 = 1 on the eigenspace
+    # of 9; a reordered copy is a true one
     a, astar = reversed_pair(random_leonard(QQ, 2, 1)[1])
     eig = eigen_decompose(a)
     assert eig.eigenvalues == (1, 5, 9)
@@ -215,7 +217,7 @@ def test_no_caller_can_skip_the_eigenvector_check():
         EigenDecomposition(a, eig.eigenvalues[::-1], eig.eigenspaces, check_vectors=False)
     with pytest.raises(InvariantViolation, match="not one"):
         EigenDecomposition(a, eig.eigenvalues[::-1], eig.eigenspaces)
-    pair = validate_pair(a, astar, eig_a=eig.reversed())
+    pair = validate_pair(a, astar)
     for theta, space in zip(pair.eig_a.eigenvalues, pair.eig_a.eigenspaces):
         assert space == kernel(a, theta)
 
@@ -349,9 +351,42 @@ def test_a_reordered_decomposition_carries_the_fresh_eigenbasis_change(p, monkey
         assert vars(copy) == vars(fresh)  # fields and carried change, as a checked copy holds them
     assert len(calls) == 1 + len(copies)
     # a copy taken before its parent's change is computed computes its own
-    fresh = eigencoordinate_change(eigen_decompose(m).reversed())
+    fresh = eigencoordinate_change(eigen_decompose(Matrix(m.field, m.rows)).reversed())
     assert len(calls) == 2 + len(copies)
     assert fresh == eigencoordinate_change(eig.reversed())
+
+
+def test_a_live_decomposition_is_given_back_for_its_matrix_alone():
+    # ids of dropped matrices come back in the loop; their decompositions
+    # must not, as each one holds its own matrix
+    seen, reused = set(), 0
+    for i in range(2000):
+        field, t = (GF(101), i % 97) if i % 2 else (QQ, i)
+        m = Matrix.diagonal(field, [t, t + 1, t + 3])
+        eig = eigen_decompose(m)
+        assert eig.operator is m and eig.eigenvalues == tuple(map(field.scalar, (t, t + 1, t + 3)))
+        assert eigen_decompose(m) is eig
+        reused += id(m) in seen
+        seen.add(id(m))
+    assert reused
+
+
+def test_a_matrix_and_its_decomposition_form_no_reference_cycle():
+    # with the cycle collector off, dropping a validated pair frees its
+    # decompositions, together with the kept block graphs and eigenbasis
+    # changes, and eigen_decompose then decomposes afresh
+    a, astar = reversed_pair(random_leonard(GF(13), 4, seed=2)[1])
+    gc.disable()
+    try:
+        pair = validate_pair(a, astar)
+        eig = eigen_decompose(a)
+        assert "_edges" in vars(eig) and "_change" in vars(eig)
+        refs = [weakref.ref(x) for x in (pair.eig_a, pair.eig_astar, eig)]
+        del pair, eig
+        assert [ref() for ref in refs] == [None] * 3
+        assert "_change" not in vars(eigen_decompose(a))
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize(
@@ -366,7 +401,7 @@ def test_a_reordered_decomposition_carries_the_fresh_eigenbasis_change(p, monkey
 )
 def test_validation_inverts_each_eigenbasis_once(pair, monkeypatch):
     source = pair()
-    a, astar = source.a, source.astar
+    a, astar = (Matrix(m.field, m.rows) for m in (source.a, source.astar))  # no live decomposition
     calls = []
     monkeypatch.setattr(tdpairs.eigen, "invert", lambda c: calls.append(c) or invert(c))
     validated = validate_pair(a, astar)

@@ -45,7 +45,7 @@ from tdpairs import (
     tau_images,
     validate_pair,
 )
-from tdpairs.eigen import eigen_decompose, invert
+from tdpairs.eigen import invert
 
 from oracles import (
     TENSOR_PARAMS,
@@ -582,7 +582,7 @@ def test_generation_certifies_exactly_the_parameter_arrays(field):
     for theta, thetastar, varphi in parameter_draws(field, rng):
         phi = leonard_parameter_array(field, theta, thetastar, varphi)
         a, astar = tdpairs.leonard._split_matrices(field, theta, thetastar, varphi)
-        certified = tdpairs.pairs._split_form_pair(a, astar, None, None)
+        certified = tdpairs.pairs._split_form_pair(a, astar)
         assert (certified is not None) == (phi is not None)
         with split_form_route_declined():
             want = _verdict(a, astar)
@@ -603,30 +603,7 @@ def test_generation_certifies_exactly_the_parameter_arrays(field):
     for theta, thetastar in (((0, 1, 0), (0, 1, 2)), ((0, 1, 2), (0, 2, 2))):  # PA1 fails
         seqs = [tuple(map(field.scalar, s)) for s in (theta, thetastar)]
         assert leonard_parameter_array(field, *seqs, ones) is None
-        assert tdpairs.pairs._split_form_pair(*tdpairs.leonard._split_matrices(field, *seqs, ones), None, None) is None
-
-
-@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
-def test_split_form_route_matches_given_decompositions_to_the_diagonal(field, monkeypatch):
-    # decompositions the caller passes in, reversed or shuffled, are
-    # matched to the diagonals by their eigenvalues: the same pair as
-    # validate_pair builds alone, and no general engine runs
-    rng = random.Random(31 + getattr(field, "p", 0))
-    checked = 0
-    for draw in parameter_draws(field, rng):
-        if leonard_parameter_array(field, *draw) is None:
-            continue
-        a, astar = tdpairs.leonard._split_matrices(field, *draw)
-        want, eig_a, eig_astar = validate_pair(a, astar), eigen_decompose(a), eigen_decompose(astar)
-        order = list(range(eig_a.diameter + 1))
-        rng.shuffle(order)
-        with monkeypatch.context() as patch:
-            patch.setattr(tdpairs.pairs, "irreducible", lambda *args, **kwargs: pytest.fail("general engine"))
-            assert validate_pair(a, astar, eig_a.reversed(), eig_astar.reversed()) == want
-            assert validate_pair(a, astar, eig_a.reordered(order), eig_astar.reordered(order[::-1])) == want
-            assert validate_pair(a, astar, eig_a, None) == want
-        checked += 1
-    assert checked > 10
+        assert tdpairs.pairs._split_form_pair(*tdpairs.leonard._split_matrices(field, *seqs, ones)) is None
 
 
 def _near_misses(a, astar):
@@ -656,7 +633,7 @@ def test_split_form_route_declines_near_misses(field):
         if leonard_parameter_array(field, *draw) is None:
             continue
         for a, astar in _near_misses(*tdpairs.leonard._split_matrices(field, *draw)):
-            assert tdpairs.pairs._split_form_pair(a, astar, None, None) is None
+            assert tdpairs.pairs._split_form_pair(a, astar) is None
             got = _verdict(a, astar)
             with split_form_route_declined():
                 assert got == _verdict(a, astar)
@@ -759,7 +736,7 @@ def test_generation_outside_the_parameter_arrays_raises_validation_bugs(monkeypa
     )
     assert leonard_parameter_array(QQ, params.theta, params.thetastar, params.varphi) is None
     split_form = tdpairs.leonard._split_matrices(QQ, params.theta, params.thetastar, params.varphi)
-    assert tdpairs.pairs._split_form_pair(*split_form, None, None) is None
+    assert tdpairs.pairs._split_form_pair(*split_form) is None
     with pytest.raises(GeneratedPairInvalid, match="^generated split form failed validation: "):
         generate_split_form(params)
     calls = []

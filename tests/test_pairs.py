@@ -559,7 +559,7 @@ def test_submodules_without_a_common_eigenline_are_found():
             r[i][:w] = [0] * w
         a = p @ Matrix.diagonal(field, thetas) @ p_inv
         astar = p @ Matrix(field, r) @ p_inv
-        spaces, _ = tdpairs.pairs._eigenspaces(astar, None)
+        spaces, _ = tdpairs.pairs._eigenspaces(astar)
         assert all(space.dim != 1 for _, space in spaces)
         rep, b = _condensed_norton(a, astar, eigen_decompose(a), 0)
         transposes = [m.transpose() for m in b]
@@ -927,12 +927,38 @@ def test_validate_reads_leonard_pairs_off_one_block_graph_per_side(monkeypatch):
         raise AssertionError("_spin called")
 
     monkeypatch.setattr(tdpairs.pairs, "_spin", refuse)
-    edges = _counting(monkeypatch, "_block_edges")
+    edges = _counting(monkeypatch, "_block_graph")
     for pair in pairs:
         before = edges[0]
         again = validate_pair(*reversed_pair(pair))
         assert edges[0] - before == 2
         assert again.shape.is_all_ones() and again.diameter == pair.diameter
+
+
+def test_validation_reads_each_side_off_the_matrix_it_is_given():
+    # a live decomposition of A is reused for A alone: A + 5I, validated
+    # while A's is held, has its own eigenvalues, in the reversed basis
+    # (general engine) and in split form (Terwilliger's route)
+    for members in (reversed_pair, lambda pair: (pair.a, pair.astar)):
+        a, astar = members(random_leonard(QQ, 2, 1)[1])
+        eig = eigen_decompose(a)
+        assert sorted(eig.eigenvalues) == [1, 5, 9]
+        shifted = validate_pair(a + Matrix.identity(QQ, 3).scale(QQ.scalar(5)), astar)
+        assert sorted(shifted.eig_a.eigenvalues) == [6, 10, 14]
+        assert eigen_decompose(a) is eig
+
+
+def test_validate_and_irreducible_take_only_the_two_matrices():
+    a, astar = reversed_pair(random_leonard(QQ, 2, 1)[1])
+    eig = eigen_decompose(a)
+    for call in (
+        lambda: validate_pair(a, astar, eig_a=eig),
+        lambda: validate_pair(a, astar, eig, None),
+        lambda: irreducible(a, astar, eig_a=eig),
+        lambda: irreducible(a, astar, edges_a=set()),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_validate_still_spins_when_a_side_repeats_an_eigenvalue(monkeypatch):

@@ -25,6 +25,8 @@ from tdpairs import (
     support_path_orderings,
     validate_pair,
 )
+import tdpairs.eigen
+import tdpairs.pairs
 import tdpairs.search
 from tdpairs.cli import cmd_search
 from tdpairs.search import (
@@ -203,6 +205,28 @@ def test_odometer_rows_equal_decoding_each_index(p, shape):
         assert rows == decoded[k], k
         seen.append(k)
     assert seen == [k for k, rows in decoded.items() if splits_mod_p(rows, p)]
+
+
+def test_search_decomposes_the_fixed_a_once_and_each_survivor_once(monkeypatch):
+    # search throughput rests on this: validate_pair gets both sides'
+    # decompositions back from eigen_decompose while search_shape holds
+    # them, each block graph is computed once, and the fixed A's
+    # decomposition keeps one block graph however many candidates it meets
+    decomposed, graphs = [], []
+    spaces, graph = tdpairs.eigen.eigenspaces, tdpairs.pairs._block_graph
+    counted = lambda m: decomposed.append(m) or spaces(m)  # noqa: E731
+    for module in (tdpairs.eigen, tdpairs.pairs):
+        monkeypatch.setattr(module, "eigenspaces", counted)
+    monkeypatch.setattr(tdpairs.pairs, "_block_graph", lambda eig, b: graphs.append((eig, b)) or graph(eig, b))
+    result = search_shape(SearchSpec(GF(3), 4, (1, 2, 1), budget=8000, start=184000))
+    survivors = sum(result.funnel[stage] for stage in ("wrong_dims", "invalid", "duplicate", "hit"))
+    assert result.candidate_indices == (184953, 184983, 191271, 191301) and survivors > 100
+    a = decomposed[0]
+    assert len(decomposed) == 1 + survivors
+    assert len({id(m) for m in decomposed}) == len(decomposed)  # each held, so ids are distinct
+    assert len({(id(eig), id(b)) for eig, b in graphs}) == len(graphs)
+    (eig_a,) = {id(eig): eig for eig, _ in graphs if eig.operator is a}.values()  # one decomposition of A
+    assert set(vars(eig_a)) == {"operator", "eigenvalues", "eigenspaces", "_change", "_edges"}
 
 
 def test_hits_do_not_alias_the_reused_candidate_buffer():
