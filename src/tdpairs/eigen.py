@@ -200,12 +200,13 @@ _live = {}  # id(m) -> a weak reference to the decomposition eigen_decompose mad
 def eigen_decompose(m: Matrix) -> EigenDecomposition:
     """Decompose a square matrix into eigenspaces over its own field.
 
-    Raises NotDiagonalizableOverField when the minimal polynomial has a
-    repeated root (an eigenspace is smaller than its root's multiplicity
-    in the characteristic polynomial) or an irreducible factor of degree
-    > 1 (the characteristic polynomial does not split).  Eigenvalues are
-    ascending (canonical before any pair-specific reordering); those of a
-    triangular m are its diagonal entries, with no polynomial computed.
+    Raises NotDiagonalizableOverField, carrying the eigenspaces found, when
+    the minimal polynomial has a repeated root (an eigenspace is smaller
+    than its root's multiplicity in the characteristic polynomial) or an
+    irreducible factor of degree > 1 (the characteristic polynomial does
+    not split).  Eigenvalues are ascending (canonical before any
+    pair-specific reordering); those of a triangular m are its diagonal
+    entries, with no polynomial computed.
     While a decomposition this made for m is alive, it is returned again:
     it holds m, so no other matrix has m's id, and m holds nothing back,
     so dropping the decomposition frees it and its entry at once.
@@ -217,12 +218,13 @@ def eigen_decompose(m: Matrix) -> EigenDecomposition:
     if m.nrows == 0:
         raise DimensionMismatch("eigen-decomposition of an empty matrix")
     eigenvalues, spaces, nroots = eigenspaces(m)
-    if sum(sp.dim for sp in spaces) < nroots:
-        raise NotDiagonalizableOverField("minimal polynomial has a repeated root")
-    if nroots != m.nrows:
+    if (repeated := sum(sp.dim for sp in spaces) < nroots) or nroots != m.nrows:
         raise NotDiagonalizableOverField(
-            "minimal polynomial has an irreducible factor of degree > 1 "
-            f"(found {nroots} of {m.nrows} roots of the characteristic polynomial)"
+            "minimal polynomial has a repeated root"
+            if repeated
+            else "minimal polynomial has an irreducible factor of degree > 1 "
+            f"(found {nroots} of {m.nrows} roots of the characteristic polynomial)",
+            spaces=(*zip(eigenvalues, spaces),),
         )
     eig = EigenDecomposition(m, eigenvalues, spaces)
     _live[id(m)] = ref(eig, lambda dead, key=id(m), live=_live: live.get(key) is dead and live.pop(key))

@@ -28,12 +28,13 @@ class DimensionMismatch(TdpError):
 class NotDiagonalizableOverField(TdpError):
     """An operator has no eigenbasis over its ground field.
 
-    `side` is "A" or "Astar" when raised during pair validation, else None.
+    `side` is "A" or "Astar" when raised during pair validation, else None;
+    `spaces` holds the (eigenvalue, eigenspace) pairs eigen_decompose found.
     """
 
-    def __init__(self, message: str, side: str | None = None):
+    def __init__(self, message: str, side: str | None = None, spaces: tuple = ()):
         super().__init__(message)
-        self.side = side
+        self.side, self.spaces = side, spaces
 
 
 class NoTridiagonalOrdering(TdpError):

@@ -383,12 +383,11 @@ def _graph_norton(a: Matrix, astar: Matrix, eig, edges, i0: int) -> Irreducibili
 def _eigenspaces(m: Matrix) -> tuple[list, EigenDecomposition | None]:
     """(theta, eigenspace) for every eigenvalue of m in its field, and
     m's decomposition (eigen_decompose) or None when m is not
-    diagonalizable, its eigenspaces then from eigen.eigenspaces."""
+    diagonalizable, its eigenspaces then carried by the rejection."""
     try:
         eig = eigen_decompose(m)
-    except NotDiagonalizableOverField:
-        thetas, spaces, _ = eigenspaces(m)
-        return list(zip(thetas, spaces)), None
+    except NotDiagonalizableOverField as e:
+        return list(e.spaces), None
     return list(zip(eig.eigenvalues, eig.eigenspaces)), eig
 
 

@@ -5,7 +5,9 @@ For a validated pair with orderings fixed, the subspaces
     U_i = (Vstar_0 + ... + Vstar_i)  meet  (V_i + ... + V_d)
 
 decompose V directly, refine both flag filtrations, and are raised by
-A - theta_i I and lowered by Astar - thetastar_i I.  The polynomials
+A - theta_i I and lowered by Astar - thetastar_i I.  They are read off
+as blocks of unit vectors when both flags are coordinate flags (a split
+basis), else computed from the definition.  The polynomials
 tau_i(x) = (x - theta_0)...(x - theta_{i-1}) give tau_i(A), which maps
 U_0 into U_i; on a Leonard pair tau_0(A)u, ..., tau_d(A)u is a basis of
 V for any nonzero u in Vstar_0 (tau_images), read off one shifted_chain
@@ -48,12 +50,8 @@ class SplitReport:
     eq10: tuple | None = None
 
     def all_true(self) -> bool:
-        for value in (self.eq4, self.eq5, self.eq6, self.eq7, self.eq8, self.eq10):
-            if value is None:
-                return False
-            if value is not True and not all(value):
-                return False
-        return True
+        flags = (self.eq5, self.eq6, self.eq7, self.eq8, self.eq10)
+        return self.eq4 is True and all(f is not None and all(f) for f in flags)
 
 
 @dataclass(frozen=True)
@@ -74,26 +72,32 @@ class SplitDecomposition:
 
 
 def split_subspaces(pair: TriDiagonalPair) -> SplitDecomposition:
-    """Compute U_i from the defining intersection and record the
-    direct-sum and filtration identities.
+    """The U_i, with the direct-sum and filtration identities recorded.
 
-    The subspaces come straight from the definition, not from the
+    Let s_k = dim V_0 + ... + dim V_{k-1}.  When dim Vstar_k = dim V_k, each
+    row of V_k is 0 before s_k and each row of Vstar_k is 0 from s_{k+1} on,
+    both flags are coordinate flags (a checked decomposition's eigenspaces
+    are independent, so each flag space fills the coordinate span holding
+    it): U_i = span(e_{s_i}..e_{s_{i+1}-1}), and eq4-eq6 hold.  Any other
+    pair has its U_i straight from the definition.  Neither way uses the
     raising maps, so the raising/lowering checks stay independent.
     """
-    n = pair.dim
-    prefix_star = list(accumulate(pair.eig_astar.eigenspaces, subspace_sum))
-    suffix = list(accumulate(reversed(pair.eig_a.eigenspaces), subspace_sum))[::-1]
+    n, eig_a, eig_astar = pair.dim, pair.eig_a, pair.eig_astar
+    cuts = [0, *accumulate(eig_a.dims())]  # s_0, ..., s_d, n
+    outside = [u[:lo] for v, lo in zip(eig_a.eigenspaces, cuts) for u in v.echelon.rows.values()]
+    outside += [u[hi:] for v, hi in zip(eig_astar.eigenspaces, cuts[1:]) for u in v.echelon.rows.values()]
+    if eig_a.dims() == eig_astar.dims() and not any(map(any, outside)):
+        u_spaces = tuple(map(Subspace.block, repeat(pair.field), repeat(n), cuts, cuts[1:]))
+        return SplitDecomposition(u_spaces, pair, SplitReport(True, (True,) * len(u_spaces), (True,) * len(u_spaces)))
+    prefix_star = list(accumulate(eig_astar.eigenspaces, subspace_sum))
+    suffix = list(accumulate(reversed(eig_a.eigenspaces), subspace_sum))[::-1]
     u_spaces = tuple(map(subspace_intersect, prefix_star, suffix))
     u_prefix = list(accumulate(u_spaces, subspace_sum))
     u_suffix = list(accumulate(reversed(u_spaces), subspace_sum))[::-1]
     # direct sum: the summands' dimensions add up to the dimension of V
     eq4 = u_prefix[-1].dim == n == sum(u.dim for u in u_spaces)
-    report = SplitReport(
-        eq4=eq4,
-        eq5=tuple(map(Subspace.__eq__, u_prefix, prefix_star)),
-        eq6=tuple(map(Subspace.__eq__, u_suffix, suffix)),
-    )
-    return SplitDecomposition(U=u_spaces, pair=pair, report=report)
+    eq5, eq6 = (tuple(map(Subspace.__eq__, *sums)) for sums in ((u_prefix, prefix_star), (u_suffix, suffix)))
+    return SplitDecomposition(U=u_spaces, pair=pair, report=SplitReport(eq4, eq5, eq6))
 
 
 def complete_report(sd: SplitDecomposition) -> SplitReport:
@@ -120,27 +124,26 @@ def complete_report(sd: SplitDecomposition) -> SplitReport:
     return replace(sd.report, eq7=moved(pair.a, shifts, 1), eq8=eq8, eq10=eq10)
 
 
-def tau_images(pair: TriDiagonalPair, u, sd: SplitDecomposition | None = None) -> tuple:
+def tau_images(pair: TriDiagonalPair, u) -> tuple:
     """The vectors tau_i(A)u for a nonzero u in Vstar_0, from one
     shifted_chain on the int rows.
 
-    Each image is asserted to lie in U_i and the full sequence to be
-    linearly independent; on a genuine pair both hold for every valid u.
-    A vanishing image raises TauImageVanished with the failing index,
-    which feeds the reducibility-witness construction.
+    Each image is asserted to lie in U_i of split_subspaces(pair) and the
+    full sequence to be linearly independent; on a genuine pair both hold
+    for every valid u.  A vanishing image raises TauImageVanished with the
+    failing index, which feeds the reducibility-witness construction.
     """
     field, d, p = pair.field, pair.diameter, modulus(pair.field)
     u = vstar0_vector(pair.vstar(0), u)
-    if sd is None:
-        sd = split_subspaces(pair)
     (w,), scale = Matrix(field, [u])._ints
     shifts = [pair.a._shift_ints(t) for t in pair.eig_a.eigenvalues[:d]]
     ws = shifted_chain(pair.a._ints[0], shifts, w, p)
     vanished = next((i for i, x in enumerate(ws) if not any(x)), None)
     if vanished is not None:
         raise TauImageVanished(f"tau_{vanished}(A)u = 0 for a nonzero u in Vstar_0", u=u, index=vanished)
+    u_spaces = split_subspaces(pair).U
     for i, x in enumerate(ws):
-        if any(sd.U[i].echelon.reduce(x)):
+        if any(u_spaces[i].echelon.reduce(x)):
             raise InvariantViolation(f"tau_{i}(A)u escapes U_{i}")
     eng = Echelon(field)
     if sum(map(eng.insert, ws)) < len(ws):

@@ -61,9 +61,13 @@ class Subspace:
         return cls(Echelon(field), ambient_dim)
 
     @classmethod
-    def full(cls, field: Field, ambient_dim: int) -> "Subspace":
+    def block(cls, field: Field, ambient_dim: int, start: int, stop: int) -> "Subspace":
         n = ambient_dim
-        return cls(_canonical(field, {i: [int(i == j) for j in range(n)] for i in range(n)}), n)
+        return cls(_canonical(field, {i: [int(i == j) for j in range(n)] for i in range(start, stop)}), n)
+
+    @classmethod
+    def full(cls, field: Field, ambient_dim: int) -> "Subspace":
+        return cls.block(field, ambient_dim, 0, ambient_dim)
 
     @property
     def basis(self) -> tuple:

@@ -23,6 +23,7 @@ from tdpairs import DimensionMismatch, FieldMismatch, Matrix, ParseError, Subspa
 from tdpairs.eigen import invert
 from tdpairs.fields import MAX_SCALAR_DIGITS, field_from_spec
 from tdpairs.linalg import Echelon
+from tdpairs.subspaces import annihilator
 
 
 # ---- the library's retired routes, kept as oracles ---------------------------
@@ -157,6 +158,31 @@ def tau_images_by_shift(pair, u):
     for i in range(1, pair.diameter + 1):
         images.append(pair.a.shift(pair.theta(i - 1)).apply(images[-1]))
     return tuple(images)
+
+
+def split_by_definition(pair):
+    """(U, eq4, eq5, eq6) for U_i = (Vstar_0 + ... + Vstar_i) meet
+    (V_i + ... + V_d), straight from the definition, with no Zassenhaus
+    elimination: a sum is the span of its summands' joined bases, and
+    X meet Y is the annihilator of ann(X) + ann(Y).  eq4: the U_i sum
+    directly to V; eq5[i], eq6[i]: the prefix and suffix sums of the U_i
+    equal those of the Astar- and A-eigenspaces."""
+    field, n = pair.field, pair.dim
+
+    def total(spaces):
+        return Subspace.span(field, n, [v for s in spaces for v in s.basis])
+
+    def meet(x, y):
+        return annihilator(field, n, [*annihilator(field, n, x.basis).basis, *annihilator(field, n, y.basis).basis])
+
+    vstar, v = pair.eig_astar.eigenspaces, pair.eig_a.eigenspaces
+    prefix_star = [total(vstar[: i + 1]) for i in range(len(vstar))]
+    suffix = [total(v[i:]) for i in range(len(v))]
+    us = tuple(map(meet, prefix_star, suffix))
+    eq4 = total(us).dim == n == sum(u.dim for u in us)
+    eq5 = tuple(total(us[: i + 1]) == s for i, s in enumerate(prefix_star[: len(us)]))
+    eq6 = tuple(total(us[i:]) == s for i, s in enumerate(suffix[: len(us)]))
+    return us, eq4, eq5, eq6
 
 
 def subspace_leq(x, y):

@@ -142,13 +142,12 @@ def test_tau_image_combinations_never_vanish_and_images_are_independent():
     for pair in instance_pool():
         field = pair.field
         d = pair.diameter
-        sd = split_subspaces(pair)
         base = pair.vstar(0).basis[0]
         images = None
         for _ in range(20):
             c = rand_scalar(rng, field, nonzero=True)
             u = tuple(x * c for x in base)
-            images = tau_images(pair, u, sd)
+            images = tau_images(pair, u)
             alpha = rand_nonzero_vector(rng, field, d + 1)
             total = tuple(field.zero for _ in range(pair.dim))
             for a_i, w in zip(alpha, images):

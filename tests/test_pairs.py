@@ -785,6 +785,34 @@ def test_validate_rejects_nondiagonalizable_sides():
     assert exc.value.side == "Astar"
 
 
+def test_a_side_that_is_not_diagonalizable_has_its_eigenspaces_computed_once(monkeypatch):
+    # eigen_decompose's rejection carries the eigenspaces it found, and
+    # irreducible reads them off it rather than computing them again
+    a = qm([[1, 1, 0], [0, 1, 0], [0, 0, 2]])
+    with pytest.raises(NotDiagonalizableOverField) as exc:
+        eigen_decompose(a)
+    assert str(exc.value) == "minimal polynomial has a repeated root"
+    assert exc.value.spaces == tuple(zip(*eigenspaces(a)[:2]))
+    calls = []
+    original = tdpairs.eigen.eigenspaces
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(tdpairs.eigen, "eigenspaces", counted)
+    monkeypatch.setattr(tdpairs.pairs, "eigenspaces", counted)
+    for astar in (qm([[0, 1, 0], [0, 1, 1], [0, 0, 2]]), qm([[1, 0, 0], [0, 2, 0], [0, 0, 3]])):
+        calls.clear()
+        report = irreducible(a, astar)
+        assert sum(m is a for m in calls) == 1
+        assert (report.verdict, report.diagnostic) == (
+            "reducible",
+            "spin-up of a kernel vector of a singular algebra element",
+        )
+        assert report.witness == Subspace.span(QQ, 3, [(QQ.one, QQ.zero, QQ.zero)])
+
+
 def test_validate_rejects_diameter_mismatch():
     a = qm([[0, 0], [0, 1]])
     scalar = qm([[5, 0], [0, 5]])

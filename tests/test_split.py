@@ -18,14 +18,26 @@ from tdpairs import (
     TriDiagonalPair,
     complete_report,
     eigen_decompose,
+    random_leonard,
     reducibility_witness_from_tau_kernel,
     split_subspaces,
     tau_images,
     validate_pair,
 )
-from tdpairs.split import SplitDecomposition
+import tdpairs.split
+import tdpairs.subspaces
+from tdpairs.split import SplitDecomposition, SplitReport
 
-from oracles import TENSOR_PARAMS, flatten, poly_eval_matrix, poly_product, tau_matrices_by_product, tensor_fixture
+from oracles import (
+    TENSOR_PARAMS,
+    flatten,
+    kron_sum_fixture,
+    poly_eval_matrix,
+    poly_product,
+    split_by_definition,
+    tau_matrices_by_product,
+    tensor_fixture,
+)
 
 
 def qm(rows):
@@ -134,6 +146,13 @@ def test_all_true_requires_every_stage():
     assert sd.report.eq7 is None and sd.report.eq8 is None and sd.report.eq10 is None
 
 
+def test_all_true_is_false_on_any_false_flag():
+    ok = dict(eq4=True, eq5=(True,), eq6=(True,), eq7=(True,), eq8=(True,), eq10=(True,))
+    assert SplitReport(**ok).all_true()
+    for name in ok:
+        assert not SplitReport(**{**ok, name: False if name == "eq4" else (False,)}).all_true()
+
+
 # ---- tau matrices ------------------------------------------------------------
 
 
@@ -174,7 +193,7 @@ def test_tau_images_live_in_split_subspaces():
     theta, mu, varphis = TENSOR_PARAMS["Q"]
     pair = validate_pair(*tensor_fixture(QQ, theta, mu, varphis))
     sd = split_subspaces(pair)
-    images = tau_images(pair, pair.vstar(0).basis[0], sd)
+    images = tau_images(pair, pair.vstar(0).basis[0])
     assert len(images) == pair.diameter + 1
     for i, w in enumerate(images):
         assert sd.U[i].contains(w)
@@ -217,3 +236,137 @@ def test_vanishing_tau_image_feeds_the_witness_construction():
     assert 0 < w.dim < 3
     for b in w.basis:
         assert w.contains(a.apply(b)) and w.contains(astar.apply(b))
+
+
+# ---- the coordinate-flag path against the definition ---------------------------
+
+
+SPLIT_FIELDS = (QQ, GF(5), GF(7), GF(13), GF(101))
+
+
+def _counting_sums_and_meets(monkeypatch):
+    """Count subspace_sum and subspace_intersect calls, wherever looked up."""
+    calls = [0]
+    for name in ("subspace_sum", "subspace_intersect"):
+        original = getattr(tdpairs.subspaces, name)
+
+        def counted(*args, _original=original):
+            calls[0] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(tdpairs.subspaces, name, counted)
+        monkeypatch.setattr(tdpairs.split, name, counted)
+    return calls
+
+
+def _assert_split_is_the_definition(pair):
+    sd = split_subspaces(pair)
+    us, eq4, eq5, eq6 = split_by_definition(pair)
+    assert sd.U == us
+    assert (sd.report.eq4, sd.report.eq5, sd.report.eq6) == (eq4, eq5, eq6)
+    return sd
+
+
+def _diagonal_orders(pair):
+    """The pair with each side's eigenvalues in the order of its diagonal."""
+    if pair.theta(0) != pair.a.rows[0][0]:
+        pair = pair.with_reversed_a()
+    if pair.thetastar(0) != pair.astar.rows[0][0]:
+        pair = pair.with_reversed_astar()
+    return pair
+
+
+def _by_popcount(m, k):
+    """m in the basis of a k-fold Kronecker sum sorted by the number of
+    raised factors, so that equal diagonal entries are adjacent."""
+    order = sorted(range(2**k), key=int.bit_count)
+    return Matrix(m.field, [[m.rows[i][j] for j in order] for i in order])
+
+
+@pytest.mark.parametrize("field", SPLIT_FIELDS, ids=str)
+def test_split_subspaces_equal_the_definition_on_split_forms_in_all_four_orders(field):
+    for d in range(min(6, getattr(field, "p", 7) - 1) + 1):
+        for seed in range(5):
+            pair = random_leonard(field, d, seed)[1]
+            for variant in (pair, pair.with_reversed_a(), pair.with_reversed_astar()):
+                _assert_split_is_the_definition(variant)
+            sd = _assert_split_is_the_definition(pair.with_reversed_a().with_reversed_astar())
+            assert sd.report.eq4 is True and sd.dims == (1,) * (d + 1)
+
+
+@pytest.mark.parametrize(
+    "field, thetas, varphis, rho",
+    [
+        (QQ, (TENSOR_PARAMS["Q"][0], TENSOR_PARAMS["Q"][1]), TENSOR_PARAMS["Q"][2], (1, 2, 1)),
+        (GF(7), TENSOR_PARAMS["gf7"][:2], TENSOR_PARAMS["gf7"][2], (1, 2, 1)),
+        (QQ, ((0, 1),) * 3, (1, 2, 3), (1, 3, 3, 1)),
+        (GF(101), ((0, 1), (2, 3), (5, 6)), (1, 2, 3), (1, 3, 3, 1)),
+    ],
+    ids=["Q-121", "gf7-121", "Q-1331", "gf101-1331"],
+)
+def test_wide_coordinate_blocks_equal_the_definition(field, thetas, varphis, rho, monkeypatch):
+    a, astar = (_by_popcount(m, len(thetas)) for m in kron_sum_fixture(field, thetas, varphis))
+    pair = _diagonal_orders(validate_pair(a, astar))
+    calls = _counting_sums_and_meets(monkeypatch)
+    sd = _assert_split_is_the_definition(pair)
+    assert calls[0] == 0  # read off the coordinate flags
+    assert sd.dims == rho and sd.report.eq4 is True
+    ends = [sum(rho[: i + 1]) for i in range(len(rho))]
+    assert sd.U == tuple(Subspace.block(field, pair.dim, lo, hi) for lo, hi in zip([0, *ends], ends))
+    assert complete_report(sd).all_true()
+
+
+def test_a_pair_whose_dimension_vectors_differ_takes_the_definition(monkeypatch):
+    # both flags are coordinate flags, but the dimension vectors are (1, 2)
+    # and (2, 1): the blocks do not tile.  With A's (2, 1) every row also
+    # lies where A's dimensions would put it, so only the dimension check
+    # keeps the blocks [0, 2), [2, 3) from being reported
+    one_two, two_one = qm([[0, 0, 0], [0, 1, 0], [0, 0, 1]]), qm([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+    calls = _counting_sums_and_meets(monkeypatch)
+    for a, astar, want in (
+        (one_two, two_one, ((0, 2), (1, 3))),
+        (two_one, one_two, ((0, 1), (2, 3))),
+    ):
+        fake = TriDiagonalPair(
+            a=a,
+            astar=astar,
+            eig_a=eigen_decompose(a),
+            eig_astar=eigen_decompose(astar),
+            shape=ShapeVector((1, 1)),  # a placeholder: split_subspaces reads the decompositions
+            irreducibility=IrreducibilityReport.irreducible("forced for this test"),
+        )
+        before = calls[0]
+        sd = _assert_split_is_the_definition(fake)
+        assert calls[0] > before
+        assert sd.U == tuple(Subspace.block(QQ, 3, lo, hi) for lo, hi in want)
+        assert sd.report.eq4 is False
+
+
+@pytest.mark.parametrize("field", (QQ, GF(7), GF(101)), ids=str)
+def test_split_forms_need_no_sum_or_intersection_unless_an_order_is_reversed(field, monkeypatch):
+    pairs = [random_leonard(field, d, 40 + d)[1] for d in range(1, 7)]
+    calls = _counting_sums_and_meets(monkeypatch)
+    for pair in pairs:
+        for variant, reversed_side in (
+            (pair, False),
+            (pair.with_reversed_a(), True),
+            (pair.with_reversed_astar(), True),
+        ):
+            before = calls[0]
+            split_subspaces(variant)
+            assert (calls[0] > before) == reversed_side
+
+
+def test_subspace_block_is_the_span_of_its_unit_vectors():
+    for field in (QQ, GF(5)):
+        for lo, hi in ((0, 0), (0, 4), (1, 3), (3, 4)):
+            units = [[int(i == j) for j in range(4)] for i in range(lo, hi)]
+            assert Subspace.block(field, 4, lo, hi) == Subspace.span(field, 4, units)
+        assert Subspace.block(field, 4, 0, 4) == Subspace.full(field, 4)
+
+
+def test_tau_images_take_only_the_pair_and_the_vector():
+    pair = random_leonard(QQ, 3, 1)[1]
+    other = random_leonard(QQ, 2, 2)[1]
+    with pytest.raises(TypeError):
+        tau_images(pair, pair.vstar(0).basis[0], split_subspaces(other))
