@@ -2,18 +2,17 @@
 
 An operator is diagonalizable iff the field roots of its characteristic
 polynomial carry its whole degree and every eigenspace is as large as
-its root's multiplicity.  A triangular operator (A and A* in a split
-basis) has its diagonal for roots and a simple root's eigenline by
-substitution, written as its canonical row with no elimination.  Over
-GF(p) with p <= n they are the t with ker(m - tI) nonzero, scanned until
-the kernels fill the space.  Otherwise they are r / d for the roots r of
-det(xI - R), R = d m the int rows, a monic polynomial in Z[x], which the
-polynomials module finds on int coefficient lists (_char_roots).  The
-rest runs on int rows: each eigenspace is subspaces.kernel(m, theta), one
-elimination of m's rows with theta subtracted as they are fed in, with
-no shifted matrix; the eigenvector check reads theta off its element;
-the basis inverse is computed once per decomposition and carried by its
-reorderings, which are built with no check.
+its root's multiplicity.  A triangular operator has its diagonal for
+roots and a simple root's eigenline by substitution, with no elimination;
+a certified split form's two bidiagonal sides are decomposed on their
+band alone (_band_decomposition).  Otherwise, over GF(p) with p <= n,
+the roots are the t with ker(m - tI) nonzero, scanned until the kernels
+fill the space, else r / d for the roots r of det(xI - R), R = d m the
+int rows, a monic polynomial in Z[x] (polynomials._char_roots).  Each
+such eigenspace is subspaces.kernel(m, theta), one elimination of m's
+int rows with theta subtracted as they are fed in; the eigenvector check
+reads theta off its element; the basis inverse is computed once per
+decomposition and carried by its reorderings, built with no check.
 """
 
 from __future__ import annotations
@@ -192,6 +191,48 @@ def _eigenline(m: Matrix, k: int, lower: bool) -> Subspace:
         inv = pow(u[pivot], -1, p)
         u = [inv * x % p for x in u]
     return Subspace(_canonical(m.field, {pivot: u}), n)
+
+
+def _band_decomposition(m: Matrix, lower: bool, order) -> EigenDecomposition:
+    """A split form's side m = R / d, R lower (if lower) or upper
+    bidiagonal as pairs._split_phi has read it, decomposed as R_kk / d for
+    k in order with _band_line's u, checked nonzero at its pivot and on
+    every row of (R - R_kk I) u = 0 from R_ii and its one band entry (every
+    other entry is 0).  By construction the eigenvalues are distinct (PA1)
+    row_elements of the diagonal ints and the n nonzero lines fill K^n."""
+    (rows, d), p, n = m._ints, modulus(m.field), m.nrows
+    t = [row[i] for i, row in enumerate(rows)]
+    band = [rows[j][j - 1] if lower else rows[j - 1][j] for j in range(1, n)]
+    by_row = [0, *band] if lower else [*band, 0]  # each row's band entry
+    residue = (lambda x: x % p) if p else (lambda x: x)
+    spaces = []
+    for k in order:
+        u, pivot = _band_line(t, band, k, lower, p), k if lower else 0
+        near = [0, *u[:-1]] if lower else [*u[1:], 0]  # the entry of u each row's band entry meets
+        if not u[pivot] or any(residue((x - t[k]) * y + b * z) for x, y, b, z in zip(t, u, by_row, near)):
+            raise InvariantViolation("claimed eigenvector is not one")
+        spaces.append(Subspace(_canonical(m.field, {pivot: u}), n))
+    eig = object.__new__(EigenDecomposition)
+    vars(eig).update(operator=m, eigenvalues=row_elements(m.field, [t[k] for k in order], d), eigenspaces=(*spaces,))
+    return eig
+
+
+def _band_line(t: list, band: list, k: int, lower: bool, p: int | None) -> list:
+    """The canonical Echelon row of the eigenline for t[k] of the int
+    matrix with diagonal t and band[j - 1] at (j, j - 1) if lower, else at
+    (j - 1, j): u_k = 1 and u_j = -band u_{j-/+1} / (t_j - t_k) away from k,
+    fraction-free the signed product of the band from k to j times the
+    differences past j, scaled to pivot 1 over GF(p) and primitive over Q."""
+    walk = range(k + 1, len(t)) if lower else range(k - 1, -1, -1)
+    suffix = list(accumulate((t[j] - t[k] for j in reversed(walk)), mul, initial=1))  # past each j, last j first
+    u, prefix = [0] * len(t), 1
+    u[k] = suffix.pop()
+    for j in walk:
+        prefix *= -band[j - 1 if lower else j]
+        u[j] = prefix * suffix.pop()
+    c = u[k if lower else 0]  # the pivot entry
+    inv = p and pow(c, -1, p)
+    return [x * inv % p for x in u] if p else _primitive(u, c < 0)
 
 
 _live = {}  # id(m) -> a weak reference to the decomposition eigen_decompose made for m

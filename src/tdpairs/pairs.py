@@ -33,9 +33,8 @@ from .errors import (
     NotDiagonalizableOverField,
     NotIrreducible,
     ParseError,
-    TdpError,
 )
-from .eigen import EigenDecomposition, eigen_decompose, eigencoordinate_change, eigenspaces
+from .eigen import EigenDecomposition, _band_decomposition, eigen_decompose, eigencoordinate_change, eigenspaces
 from .linalg import Echelon, Matrix, modulus, residue_product, shifted_chain, vec_is_zero
 from .subspaces import (
     Subspace,
@@ -555,7 +554,7 @@ def _split_phi(a: Matrix, astar: Matrix) -> tuple[list, int] | None:
       PA5  (theta_{i-2} - theta_{i+1}) / (theta_{i-1} - theta_i), 2 <= i <= d - 1,
            is one scalar for theta and thetastar.
     Read on the int rows, mod p over GF(p): phi_i times e = d_A d_S (R_00 - R_dd),
-    PA3 times d_A d_S (R_00 - R_dd)^2, PA5 cross-multiplied."""
+    PA3 times d_A d_S (R_00 - R_dd)^2, PA5 cross-multiplied; every entry off the bands is 0."""
     (r, da), (s, ds), p = a._ints, astar._ints, modulus(a.field)
     n, d = len(r), len(r) - 1
     if d < 1 or any(r[i][i - 1] != da for i in range(1, n)) or any(
@@ -584,21 +583,15 @@ def _split_phi(a: Matrix, astar: Matrix) -> tuple[list, int] | None:
 def _split_form_pair(a: Matrix, astar: Matrix) -> TriDiagonalPair | None:
     """The pair as validate_pair returns it when _split_phi finds a
     parameter array, else None: Leonard with standard orderings theta and
-    thetastar, each side its triangular decomposition in the lex-least of
-    its diagonal order and the reverse, compared on the diagonal ints;
-    Norton's test fills both spins."""
+    thetastar, each side decomposed on the band _split_phi has read, in the
+    lex-least of its diagonal order and the reverse, compared on the
+    diagonal ints; Norton's test fills both spins."""
     if _split_phi(a, astar) is None:
         return None
     eigs = []
-    for m in (a, astar):
-        diag = [row[i] for i, row in enumerate(m._ints[0])]
-        at = {x: j for j, x in enumerate(sorted(diag))}  # the ascending eigenvalue order, as d > 0
-        order = [at[x] for x in diag]
-        try:
-            eig = eigen_decompose(m)
-        except TdpError as err:  # a bug, not a rejection
-            raise InvariantViolation(f"certified split form rejected: {err}") from err
-        eigs.append(eig.reordered(order if diag <= diag[::-1] else order[::-1]))
+    for m, lower in ((a, True), (astar, False)):
+        t = [row[i] for i, row in enumerate(m._ints[0])]
+        eigs.append(_band_decomposition(m, lower, range(len(t))[:: 1 if t <= t[::-1] else -1]))
     return TriDiagonalPair(a, astar, *eigs, _shape_of(*eigs), IrreducibilityReport.irreducible(_SPINS_FILL))
 
 

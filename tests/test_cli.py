@@ -26,7 +26,6 @@ from tdpairs import (
     InvariantViolation,
     LeonardParameterSet,
     Matrix,
-    NotDiagonalizableOverField,
     SearchSpec,
     TdpError,
 )
@@ -35,7 +34,7 @@ from tdpairs.eigen import invert
 from tdpairs.serio import candidate_from_json, candidate_to_json, canonical_dumps, params_to_json
 
 from oracles import TENSOR_PARAMS, kron_sum_fixture, reversed_basis, scalar_restriction_fixture, tensor_fixture
-from test_eigen import refuse_in, unit_line
+from test_eigen import refuse_in, unit_band_line
 from test_pairs import A_D2, ASTAR_D2
 
 
@@ -169,15 +168,15 @@ def test_a_bug_on_the_split_form_route_exits_4(tmp_path, capsys, monkeypatch):
     candidate = _generated_candidate(tmp_path, capsys)
 
     def broken(*args, **kwargs):
-        raise NotDiagonalizableOverField("planted bug")
+        raise InvariantViolation("planted bug")
 
-    monkeypatch.setattr(tdpairs.pairs, "eigen_decompose", broken)
+    monkeypatch.setattr(tdpairs.pairs, "_band_decomposition", broken)
     rc, out, _ = run(capsys, ["verify", candidate])
     assert rc == 4
     (rep,) = reports_of(out)
     assert rep["payload"]["failure"] == {
         "kind": "InvariantViolation",
-        "message": "certified split form rejected: planted bug",
+        "message": "planted bug",
     }
 
 
@@ -222,10 +221,10 @@ def test_search_internal_error_exits_4(capsys, monkeypatch):
 
 
 def test_a_wrong_eigenline_exits_4(tmp_path, capsys, monkeypatch):
-    # the eigenvector check catches a broken substitution on a split form:
-    # a bug in the engine, never a rejected pair
+    # the band check catches a broken recurrence on a split form: a bug in
+    # the engine, never a rejected pair
     pair, _ = _generated(tmp_path, capsys, "gf101", 3)
-    monkeypatch.setattr(tdpairs.eigen, "_eigenline", unit_line)
+    monkeypatch.setattr(tdpairs.eigen, "_band_line", unit_band_line)
     rc, out, _ = run(capsys, ["verify", pair])
     assert rc == 4
     (rep,) = reports_of(out)

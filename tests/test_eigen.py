@@ -1034,6 +1034,11 @@ def unit_line(m, k, lower):
     return Subspace.span(m.field, m.nrows, [[int(i == k) for i in range(m.nrows)]])
 
 
+def unit_band_line(t, band, k, lower, p):
+    """A wrong band recurrence: the int row e_k."""
+    return [int(i == k) for i in range(len(t))]
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
 def test_eigenvector_check_guards_the_substitution(field, monkeypatch):
     # a split-form A (lower bidiagonal, 1s below the diagonal) has no

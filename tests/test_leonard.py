@@ -8,8 +8,11 @@ from fractions import Fraction
 
 import pytest
 
+import tdpairs.eigen
 import tdpairs.leonard
+import tdpairs.linalg
 import tdpairs.pairs
+import tdpairs.subspaces
 from tdpairs import (
     GF,
     QQ,
@@ -29,6 +32,7 @@ from tdpairs import (
     NotDiagonalizableOverField,
     NotLeonard,
     NotLeonardError,
+    ShapeVector,
     Subspace,
     TdpError,
     ZeroVarphi,
@@ -46,6 +50,7 @@ from tdpairs import (
     validate_pair,
 )
 from tdpairs.eigen import invert
+from tdpairs.linalg import Echelon
 
 from oracles import (
     TENSOR_PARAMS,
@@ -59,6 +64,7 @@ from oracles import (
     tau_matrices_by_product,
     tensor_fixture,
 )
+from test_eigen import refuse_in
 
 
 def qm(rows):
@@ -606,6 +612,56 @@ def test_generation_certifies_exactly_the_parameter_arrays(field):
         assert tdpairs.pairs._split_form_pair(*tdpairs.leonard._split_matrices(field, *seqs, ones)) is None
 
 
+def _ladder_split_forms(field, n):
+    """random_leonard's split forms of size n at seeds 0 and 1, and over Q
+    the image of each with fractional diagonals and band (theta / k + s,
+    thetastar / m + t, varphi / (k m), as parameter_draws makes them), so
+    that A's int subdiagonal is d_A > 1."""
+    rng = random.Random(n)
+    for seed in (0, 1):
+        params, pair = random_leonard(field, n - 1, seed=seed)
+        yield pair.a, pair.astar
+        if field == QQ:
+            k, m, s, t = (Fraction(rng.choice([-7, -3, 2, 5]), rng.randrange(2, 12)) for _ in range(4))
+            yield tdpairs.leonard._split_matrices(
+                field,
+                [x / k + s for x in params.theta],
+                [x / m + t for x in params.thetastar],
+                [x / (k * m) for x in params.varphi],
+            )
+
+
+@pytest.mark.parametrize("n", [2, 4, 7, 13, 17, 24])
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(65521)], ids=str)
+def test_the_split_form_route_gives_the_engines_pair_on_the_ladder(field, n):
+    # the band decompositions of a certified split form are the general
+    # engine's: eigenvalues, eigenspaces, orderings and shape
+    for a, astar in _ladder_split_forms(field, n):
+        certified = tdpairs.pairs._split_form_pair(a, astar)
+        with split_form_route_declined():
+            want = validate_pair(a, astar)
+        assert certified is not None and certified == validate_pair(a, astar) == want
+        for side in ("eig_a", "eig_astar"):
+            got, engine = getattr(certified, side), getattr(want, side)
+            assert got.eigenvalues == engine.eigenvalues and got.eigenspaces == engine.eigenspaces
+        assert certified.shape == want.shape == ShapeVector((1,) * n)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_a_certified_split_form_is_decomposed_with_no_elimination(field, monkeypatch):
+    # the route reads both eigenbases off the band: no kernel, no Echelon
+    # insert, no dense eigenvector check and no general decomposition
+    for a, astar in list(_ladder_split_forms(field, 7))[:2]:
+        with split_form_route_declined():
+            want = validate_pair(a, astar)
+        with monkeypatch.context() as patch:
+            for module in (tdpairs.eigen, tdpairs.pairs, tdpairs.subspaces, tdpairs.linalg):
+                names = ("eigen_decompose", "eigenspaces", "kernel", "shifted_image")
+                refuse_in(patch, module, *(name for name in names if hasattr(module, name)))
+            refuse_in(patch, Echelon, "insert")
+            assert validate_pair(a, astar) == want
+
+
 def _near_misses(a, astar):
     """Pairs one step off a split form: a non-unit subdiagonal entry, one
     extra entry off either band, Astar lower bidiagonal, and n = 1."""
@@ -692,24 +748,37 @@ def test_each_pair_object_is_detected_once(monkeypatch):
 
 def test_random_leonard_raises_an_internal_error_instead_of_retrying(monkeypatch):
     # a bug while certifying a parameter array's split form is not a
-    # rejected parameter set, and a rejection there is reported as the
-    # bug it is, never as GeneratedPairInvalid
+    # rejected parameter set: a failure planted on the route, and a wrong
+    # eigenline caught by the band check, are reported as the bug they
+    # are, never as GeneratedPairInvalid
     params, _ = random_leonard(GF(7), 2, seed=1)
     split_form = tdpairs.leonard._split_matrices(GF(7), params.theta, params.thetastar, params.varphi)
-    for planted in (InvariantViolation, NotDiagonalizableOverField):
+    band_line = tdpairs.eigen._band_line
+
+    def raising(*args):
+        raise InvariantViolation("planted bug")
+
+    def next_line(t, band, k, lower, p):  # the eigenline of another eigenvalue
+        return band_line(t, band, (k + 1) % len(t), lower, p)
+
+    for module, name, planted, message in (
+        (tdpairs.pairs, "_band_decomposition", raising, "planted bug"),
+        (tdpairs.eigen, "_band_line", next_line, "claimed eigenvector is not one"),
+    ):
         calls = []
 
-        def broken(*args, **kwargs):
+        def broken(*args, planted=planted):
             calls.append(args)
-            raise planted("planted bug")
+            return planted(*args)
 
-        monkeypatch.setattr(tdpairs.pairs, "eigen_decompose", broken)
-        with pytest.raises(InvariantViolation, match="planted bug"):
+        monkeypatch.setattr(module, name, broken)
+        with pytest.raises(InvariantViolation, match=message):
             random_leonard(GF(7), 2, seed=1)
         assert len(calls) == 1
-        with pytest.raises(InvariantViolation, match="planted bug"):
+        with pytest.raises(InvariantViolation, match=message):
             validate_pair(*split_form)
         assert len(calls) == 2
+        monkeypatch.undo()
 
 
 def test_random_leonard_raises_a_rejected_draw_as_a_bug(monkeypatch):
