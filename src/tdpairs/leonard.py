@@ -4,9 +4,11 @@ split-form generation.
 A validated pair is Leonard exactly when some nonzero X in the
 subalgebra M generated by A maps the first Astar-eigenspace into the
 last one.  Detection solves that membership condition as a homogeneous
-linear system in the tau-basis coefficients alpha of X, whose solutions
-are one subspaces.kernel; its columns are the images tau_i(A)u of each
-Echelon row u of Vstar_0, one linalg.shifted_chain per u.  The
+linear system in the tau-basis coefficients alpha of X.  In a split basis
+(_split_diagonal) tau_i(A) e_0 = e_i, so its solutions are Vstar_d's line
+(Terwilliger, LAA 330, 2001, Thm 1.9); any other pair's are one
+subspaces.kernel, whose columns are the images tau_i(A)u of each Echelon
+row u of Vstar_0, one linalg.shifted_chain per u.  The
 certificate is unique up to scalar and, suitably normalized, is the
 switching element that the closed-form idempotent sum also produces from
 the split sequences.  Every element of M is built and read in one form,
@@ -47,8 +49,8 @@ from .errors import (
 )
 from .eigen import EigenDecomposition, _are_eigenvectors, _idempotent_sum
 from .fields import Field, PrimeField
-from .linalg import Matrix, modulus, shifted_chain
-from .pairs import TriDiagonalPair, _split_phi, validate_pair
+from .linalg import Matrix, modulus, row_elements, shifted_chain
+from .pairs import TriDiagonalPair, _split_phi, _unit_lower_bidiagonal, validate_pair
 from .serio import scalar_to_str
 from .subspaces import Subspace, kernel, maps_into, subspace_sum
 
@@ -153,35 +155,37 @@ def detect_leonard(pair: TriDiagonalPair):
 def _detect(pair: TriDiagonalPair):
     field, d = pair.field, pair.diameter
     vstar0, vstard, p = pair.vstar(0), pair.vstar(d), modulus(field)
-    (a_rows, da), shifts = pair.a._ints, [pair.a._shift_ints(t) for t in pair.eig_a.eigenvalues[:d]]
-    # the chain gives w_i = f_i tau_i(A) u, so tau_i(A) u leaves the residual r_i / (s_i f_i)
-    factors = list(accumulate((b * da for _, b in shifts), mul, initial=1))
-    rows = []
-    for u in vstar0.echelon.rows.values():
-        res = [(*vstard.echelon._residual(w), f) for w, f in zip(shifted_chain(a_rows, shifts, u, p), factors)]
-        lcd = lcm(*[s * f for _, s, f in res])
-        cols = [[x * (lcd // (s * f)) for x in w] for w, s, f in res]
-        rows.extend(row for row in zip(*cols) if any(row))
-    solutions = (kernel(Matrix._of_ints(field, rows)) if rows else Subspace.full(field, d + 1)).basis
-    solution_dim = len(solutions)
-    if solution_dim == 0:
+    (a_rows, da), thetas = pair.a._ints, pair.eig_a.eigenvalues
+    if (t := _split_diagonal(pair, a_rows, da, vstar0)) is not None:  # X e_0 = alpha: the solutions are Vstar_d
+        solutions, g = vstard, da
+    else:  # the chain gives w_i = f_i tau_i(A) u, so tau_i(A) u leaves the residual r_i / (s_i f_i)
+        shifts = [pair.a._shift_ints(theta) for theta in thetas[:d]]
+        factors = list(accumulate((b * da for _, b in shifts), mul, initial=1))
+        rows = []
+        for u in vstar0.echelon.rows.values():
+            res = [(*vstard.echelon._residual(w), f) for w, f in zip(shifted_chain(a_rows, shifts, u, p), factors)]
+            lcd = lcm(*[s * f for _, s, f in res])
+            cols = [[x * (lcd // (s * f)) for x in w] for w, s, f in res]
+            rows.extend(row for row in zip(*cols) if any(row))
+        solutions = kernel(Matrix._of_ints(field, rows)) if rows else Subspace.full(field, d + 1)
+        ((t,), g) = Matrix(field, [thetas])._ints
+    if not (solution_dim := solutions.dim):
         if pair.shape.is_all_ones():
             raise InvariantViolation("no certificate found although every eigenspace is 1-dimensional")
         return NotLeonard(shape=tuple(pair.shape), solution_dim=0)
-    alpha = list(solutions[0])
-    if not alpha[d]:
+    w = solutions.echelon.rows[solutions.echelon.pivots[0]]
+    if not w[d]:
         raise InvariantViolation("certificate with vanishing top coefficient")
-    inv = field.one / alpha[d]
-    alpha = tuple(x * inv for x in alpha)
+    e, s = (1, pow(w[d], -1, p)) if p else (abs(w[d]), 1 if w[d] > 0 else -1)
+    a = [x * s % p for x in w] if p else [x * s for x in w]  # alpha = w / w_d = a / e
     # cascade: once a coefficient is nonzero, all later ones stay nonzero
-    min_nonzero = next(i for i, x in enumerate(alpha) if x)
-    if any(alpha[i] == field.zero for i in range(min_nonzero, d + 1)):
+    min_nonzero = next(i for i, x in enumerate(a) if x)
+    if not all(a[min_nonzero:]):
         raise InvariantViolation("certificate coefficients violate the cascade")
     if min_nonzero != 0 or pair.dim != d + 1 or not pair.shape.is_all_ones():
         raise InvariantViolation("certificate exists but the pair does not look Leonard")
     # X = sum_j c_j E_j, c_j = sum_i alpha_i tau_i(theta_j) by Horner's rule in Newton
-    # form; for alpha = a / e and theta = t / g the ints c are e g^d c_j
-    ((a,), e), ((t,), g) = Matrix(field, [alpha])._ints, Matrix(field, [pair.eig_a.eigenvalues])._ints
+    # form; for theta = t / g the ints c are e g^d c_j
     cs = []
     for tj in t:
         c = 0
@@ -193,7 +197,19 @@ def _detect(pair: TriDiagonalPair):
         raise InvariantViolation("certificate matrix is zero")
     if not maps_into(x, vstar0, vstard):
         raise InvariantViolation("certificate containment fails on recheck")
-    return LeonardCertificate(alpha=alpha, x=x, solution_dim=solution_dim)
+    return LeonardCertificate(alpha=row_elements(field, a, e), x=x, solution_dim=solution_dim)
+
+
+def _split_diagonal(pair: TriDiagonalPair, rows: list, da: int, vstar0: Subspace) -> list | None:
+    """R's diagonal t when pair is in a split basis (every eigenspace a line,
+    Vstar_0 = span(e_0), A = R / d_A lower bidiagonal with R_{i,i-1} = d_A and
+    its eigenvalues t_i / d_A in pair's order, read on int rows), else None."""
+    first = vstar0.echelon.rows
+    if not (pair.shape.is_all_ones() and list(first) == [0] and not any(first[0][1:])):
+        return None
+    t = [row[i] for i, row in enumerate(rows)]
+    shifts = map(pair.a._shift_ints, pair.eig_a.eigenvalues)  # theta_i = a / (b d_A)
+    return t if _unit_lower_bidiagonal(rows, da) and all(a == x * b for x, (a, b) in zip(t, shifts)) else None
 
 
 # ---- affine relations ---------------------------------------------------------
@@ -329,22 +345,16 @@ def switching_via_solve(pair: TriDiagonalPair) -> Matrix:
 
 
 def _split_matrices(field, theta, thetastar, varphi) -> tuple[Matrix, Matrix]:
-    """The split-form matrices described in generate_split_form."""
-    size = len(theta)
-    a_rows = [[field.zero] * size for _ in range(size)]
-    astar_rows = [[field.zero] * size for _ in range(size)]
-    for i in range(size):
-        a_rows[i][i] = theta[i]
-        astar_rows[i][i] = thetastar[i]
-    for i in range(1, size):
-        a_rows[i][i - 1] = field.one
-        astar_rows[i - 1][i] = varphi[i - 1]
-    return Matrix(field, a_rows), Matrix(field, astar_rows)
+    """The split-form matrices described in generate_split_form, on int
+    rows: theta, and thetastar with varphi, are coerced once each as one row."""
+    ((t,), da), ((u,), ds), n = Matrix(field, [theta])._ints, Matrix(field, [[*thetastar, *varphi]])._ints, len(theta)
+    a = [[t[i] if j == i else da if j == i - 1 else 0 for j in range(n)] for i in range(n)]
+    astar = [[u[i] if j == i else u[n + i] if j == i + 1 else 0 for j in range(n)] for i in range(n)]
+    return Matrix._of_ints(field, a, da), Matrix._of_ints(field, astar, ds)
 
 
-def _split_pair(params: LeonardParameterSet) -> TriDiagonalPair:
-    """The split form of params as validate_pair certifies it; its rejection is GeneratedPairInvalid."""
-    a, astar = _split_matrices(params.field, params.theta, params.thetastar, params.varphi)
+def _split_pair(a: Matrix, astar: Matrix) -> TriDiagonalPair:
+    """validate_pair's pair of a generated split form; its rejection is GeneratedPairInvalid."""
     try:
         return validate_pair(a, astar)
     except TdpError as e:
@@ -355,16 +365,20 @@ def generate_split_form(params: LeonardParameterSet) -> tuple[Matrix, Matrix]:
     """A lower bidiagonal with diagonal theta and unit subdiagonal,
     Astar upper bidiagonal with diagonal thetastar and superdiagonal
     varphi; generation fails when it does not pass validate_pair, and
-    when phi is not PA4's phi as validate_pair reads it (pairs._split_phi)."""
-    pair, field = _split_pair(params), params.field
-    found = _split_phi(pair.a, pair.astar) if params.d else ((), 1)
-    if found is None:  # Terwilliger's Thm 1.9: a split-form Leonard pair has a parameter array
-        raise InvariantViolation("validated split form has no parameter array")
+    when phi is not PA4's phi as validate_pair reads it (pairs._split_phi);
+    a form it certifies passes validate_pair, so only the others are built."""
+    field = params.field
+    a, astar = _split_matrices(field, params.theta, params.thetastar, params.varphi)
+    if (found := _split_phi(a, astar)) is None:  # d = 0, or no parameter array: the engine decides
+        _split_pair(a, astar)
+        if params.d:  # Terwilliger's Thm 1.9: a split-form Leonard pair has a parameter array
+            raise InvariantViolation("validated split form has no parameter array")
+        return a, astar
     for i, (given, x) in enumerate(zip(params.phi, found[0])):
         if (want := field.scalar(x) / field.scalar(found[1])) != given:
             given, want = scalar_to_str(given), scalar_to_str(want)
             raise InvalidLeonardParameters(f"phi[{i}] is {given}, but PA4 gives {want}")
-    return pair.a, pair.astar
+    return a, astar
 
 
 def aligned_to_params(pair: TriDiagonalPair, params: LeonardParameterSet) -> TriDiagonalPair | None:
@@ -426,7 +440,7 @@ def random_leonard(field: Field, d: int, seed) -> tuple[LeonardParameterSet, Tri
                 varphi=[i * (d - i + 1) * t for i in range(1, d + 1)],
                 phi=[i * (d - i + 1) * s for i in range(1, d + 1)],
             )
-            pair = _split_pair(params)
+            pair = _split_pair(*_split_matrices(field, params.theta, params.thetastar, params.varphi))
         except (InvalidLeonardParameters, GeneratedPairInvalid) as e:
             raise InvariantViolation(f"drawn parameter array rejected: {e}") from e
         aligned = aligned_to_params(pair, params)

@@ -557,9 +557,7 @@ def _split_phi(a: Matrix, astar: Matrix) -> tuple[list, int] | None:
     PA3 times d_A d_S (R_00 - R_dd)^2, PA5 cross-multiplied; every entry off the bands is 0."""
     (r, da), (s, ds), p = a._ints, astar._ints, modulus(a.field)
     n, d = len(r), len(r) - 1
-    if d < 1 or any(r[i][i - 1] != da for i in range(1, n)) or any(
-        any(r[i][: max(i - 1, 0)] + r[i][i + 1 :] + s[i][:i] + s[i][i + 2 :]) for i in range(n)
-    ):
+    if d < 1 or not _unit_lower_bidiagonal(r, da) or any(any(s[i][:i] + s[i][i + 2 :]) for i in range(n)):
         return None
     t, u, f = [r[i][i] for i in range(n)], [s[i][i] for i in range(n)], [s[i - 1][i] for i in range(1, n)]
     if len(set(t)) < n or len(set(u)) < n or not all(f):  # PA1, PA2 on varphi
@@ -580,19 +578,25 @@ def _split_phi(a: Matrix, astar: Matrix) -> tuple[list, int] | None:
     return phis, da * ds * span
 
 
+def _unit_lower_bidiagonal(rows: list, d: int) -> bool:
+    """Whether the square int rows R are lower bidiagonal with R_{i,i-1} = d."""
+    return not any(any(row[i + 1 :]) or i and (row[i - 1] != d or any(row[: i - 1])) for i, row in enumerate(rows))
+
+
 def _split_form_pair(a: Matrix, astar: Matrix) -> TriDiagonalPair | None:
     """The pair as validate_pair returns it when _split_phi finds a
     parameter array, else None: Leonard with standard orderings theta and
     thetastar, each side decomposed on the band _split_phi has read, in the
     lex-least of its diagonal order and the reverse, compared on the
-    diagonal ints; Norton's test fills both spins."""
+    diagonal ints; n lines a side, so its shape is (1, ..., 1), and Norton's
+    test fills both spins."""
     if _split_phi(a, astar) is None:
         return None
     eigs = []
     for m, lower in ((a, True), (astar, False)):
         t = [row[i] for i, row in enumerate(m._ints[0])]
         eigs.append(_band_decomposition(m, lower, range(len(t))[:: 1 if t <= t[::-1] else -1]))
-    return TriDiagonalPair(a, astar, *eigs, _shape_of(*eigs), IrreducibilityReport.irreducible(_SPINS_FILL))
+    return TriDiagonalPair(a, astar, *eigs, ShapeVector((1,) * a.nrows), IrreducibilityReport.irreducible(_SPINS_FILL))
 
 
 def _lex_least(eig: EigenDecomposition, orderings) -> EigenDecomposition:

@@ -597,7 +597,7 @@ def test_generation_certifies_exactly_the_parameter_arrays(field):
         )
         if certified is not None:
             assert certified == want
-            assert tdpairs.leonard._split_pair(params) == want
+            assert tdpairs.leonard._split_pair(a, astar) == want
         else:
             assert isinstance(want, tuple)
             with pytest.raises(GeneratedPairInvalid) as raised:
@@ -695,6 +695,108 @@ def test_split_form_route_declines_near_misses(field):
                 assert got == _verdict(a, astar)
             verdicts.add(got[0] if isinstance(got, tuple) else "valid")
     assert "valid" in verdicts and len(verdicts) > 2
+
+
+# ---- detection in a split basis --------------------------------------------------
+
+
+def _orderings(pair):
+    """The pair in each of its four orderings."""
+    return pair, pair.with_reversed_a(), pair.with_reversed_astar(), pair.with_reversed_a().with_reversed_astar()
+
+
+def _in_diagonal_orders(pair):
+    """Whether each side's eigenvalues are its diagonal in index order."""
+    sides = ((pair.eig_a, pair.a), (pair.eig_astar, pair.astar))
+    return all(eig.eigenvalues == tuple(m[i, i] for i in range(pair.dim)) for eig, m in sides)
+
+
+def _certificates(pair, monkeypatch):
+    """(detect_leonard's, the general route's, the membership oracle's)
+    (alpha, X, solution_dim), and whether detection ran a shifted_chain."""
+    chains = []
+    chain = tdpairs.leonard.shifted_chain
+    with monkeypatch.context() as patch:
+        patch.setattr(tdpairs.leonard, "shifted_chain", lambda *args: chains.append(args) or chain(*args))
+        found, chained = detect_leonard(pair), bool(chains)
+        patch.setattr(tdpairs.leonard, "_split_diagonal", lambda *args: None)
+        general = tdpairs.leonard._detect(pair)
+    return [(c.alpha, c.x, c.solution_dim) for c in (found, general)] + [detect_by_membership(pair)], chained
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 13, 17, 24])
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(65521)], ids=str)
+def test_detection_reads_alpha_off_the_split_basis_on_the_ladder(field, n, monkeypatch):
+    # a split form in its diagonal orderings is detected with no shifted
+    # chain, alpha read off Vstar_d's line; in the three other orderings by
+    # the general route; in all four the certificate is the general route's
+    # and the membership oracle's
+    routes = []
+    for a, astar in _ladder_split_forms(field, n):
+        for pair in _orderings(validate_pair(a, astar)):
+            (found, general, oracle), chained = _certificates(pair, monkeypatch)
+            assert found == general == oracle
+            assert found[2] == 1 and found[0][-1] == field.one
+            routes.append((_in_diagonal_orders(pair), chained))
+    if n == 1:  # one eigenvalue: every ordering is the diagonal one, and no chain has a step
+        assert set(routes) == {(True, False)}
+    else:
+        assert len(routes) == 4 * routes.count((True, False)) == 4 / 3 * routes.count((False, True))
+
+
+def _dense_conjugate(pair, rng):
+    """The pair conjugated by a random invertible matrix with entries in [-2, 2]."""
+    field, n = pair.field, pair.dim
+    while True:
+        p = Matrix(field, [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+        try:
+            p_inv = invert(p)
+        except HypothesisNotMet:
+            continue
+        return validate_pair(p_inv @ pair.a @ p, p_inv @ pair.astar @ p)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
+def test_detection_near_a_split_basis_takes_the_general_route(field, monkeypatch):
+    # one step off the split basis detection runs the general route and
+    # gives its certificate, the oracle's: A's order reversed, Vstar_0 not
+    # span(e_0) (Astar's order reversed), a dense conjugate, and a diagonal
+    # conjugate, whose A has a subdiagonal other than 1 while both orders
+    # are its diagonals' and Vstar_0 = span(e_0)
+    rng = random.Random(41)
+    for d in (1, 2, 4, 6):
+        for seed in (0, 1):
+            _, pair = random_leonard(field, d, seed)
+            n = pair.dim
+            e0 = Subspace.span(field, n, [[int(i == 0) for i in range(n)]])
+            scale = Matrix.diagonal(field, [2**i for i in range(n)])
+            (rescaled,) = (
+                q
+                for q in _orderings(validate_pair(invert(scale) @ pair.a @ scale, invert(scale) @ pair.astar @ scale))
+                if _in_diagonal_orders(q)
+            )
+            assert rescaled.vstar(0) == e0 and rescaled.a[1, 0] != field.one
+            _, chained = _certificates(pair, monkeypatch)
+            assert _in_diagonal_orders(pair) and not chained
+            for near in (pair.with_reversed_a(), pair.with_reversed_astar(), _dense_conjugate(pair, rng), rescaled):
+                (found, general, oracle), chained = _certificates(near, monkeypatch)
+                assert chained and found == general == oracle
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_detection_in_a_split_basis_runs_no_kernel_and_no_chain(field, monkeypatch):
+    # the route reads the certificate off Vstar_d's Echelon row: no kernel
+    # and no shifted chain, and the general route's certificate
+    for a, astar in _ladder_split_forms(field, 7):
+        (pair,) = (q for q in _orderings(validate_pair(a, astar)) if _in_diagonal_orders(q))
+        with monkeypatch.context() as patch:
+            patch.setattr(tdpairs.leonard, "_split_diagonal", lambda *args: None)
+            general = tdpairs.leonard._detect(pair)
+        with monkeypatch.context() as patch:
+            refuse_in(patch, tdpairs.leonard, "kernel", "shifted_chain")
+            refuse_in(patch, tdpairs.subspaces, "kernel")
+            found = detect_leonard(pair)
+        assert (found.alpha, found.x, found.solution_dim) == (general.alpha, general.x, general.solution_dim)
 
 
 def test_pool_recipe_generation_runs_no_general_validation(monkeypatch):
