@@ -11,11 +11,12 @@ subspaces.kernel, whose columns are the images tau_i(A)u of each Echelon
 row u of Vstar_0, one linalg.shifted_chain per u.  The
 certificate is unique up to scalar and, suitably normalized, is the
 switching element that the closed-form idempotent sum also produces from
-the split sequences.  Every element of M is built and read in one form,
-its scalars c_j on A's eigenspaces: X and the closed-form switching
-element are sum c_j E_j, one product C diag(c) C^-1 of A's eigenbasis
-change (eigen._idempotent_sum), and affine reduction reads c_j off X's
-action on each eigenspace.  No tau_i(A) and no Matrix per index is built.
+the split sequences.  Both are polynomials in A: in a split basis in A's
+diagonal order each is built from its first column, alpha or the divided
+differences of S's scalars c_j on theta (_split_polynomial), else as
+sum c_j E_j, one product C diag(c) C^-1 (eigen._idempotent_sum); affine
+reduction reads c_j off X's action on each eigenspace.  No tau_i(A) and
+no Matrix per index is built.
 
 Generation validates the split form of a parameter set with
 validate_pair, which certifies one whose sequences satisfy PA1-PA5
@@ -156,8 +157,8 @@ def _detect(pair: TriDiagonalPair):
     field, d = pair.field, pair.diameter
     vstar0, vstard, p = pair.vstar(0), pair.vstar(d), modulus(field)
     (a_rows, da), thetas = pair.a._ints, pair.eig_a.eigenvalues
-    if (t := _split_diagonal(pair, a_rows, da, vstar0)) is not None:  # X e_0 = alpha: the solutions are Vstar_d
-        solutions, g = vstard, da
+    if (split := _split_diagonal(pair.eig_a, vstar0)) is not None:  # X e_0 = alpha: the solutions are Vstar_d
+        solutions = vstard
     else:  # the chain gives w_i = f_i tau_i(A) u, so tau_i(A) u leaves the residual r_i / (s_i f_i)
         shifts = [pair.a._shift_ints(theta) for theta in thetas[:d]]
         factors = list(accumulate((b * da for _, b in shifts), mul, initial=1))
@@ -168,7 +169,6 @@ def _detect(pair: TriDiagonalPair):
             cols = [[x * (lcd // (s * f)) for x in w] for w, s, f in res]
             rows.extend(row for row in zip(*cols) if any(row))
         solutions = kernel(Matrix._of_ints(field, rows)) if rows else Subspace.full(field, d + 1)
-        ((t,), g) = Matrix(field, [thetas])._ints
     if not (solution_dim := solutions.dim):
         if pair.shape.is_all_ones():
             raise InvariantViolation("no certificate found although every eigenspace is 1-dimensional")
@@ -184,15 +184,16 @@ def _detect(pair: TriDiagonalPair):
         raise InvariantViolation("certificate coefficients violate the cascade")
     if min_nonzero != 0 or pair.dim != d + 1 or not pair.shape.is_all_ones():
         raise InvariantViolation("certificate exists but the pair does not look Leonard")
-    # X = sum_j c_j E_j, c_j = sum_i alpha_i tau_i(theta_j) by Horner's rule in Newton
-    # form; for theta = t / g the ints c are e g^d c_j
-    cs = []
-    for tj in t:
-        c = 0
-        for i in range(d, -1, -1):
-            c = a[i] * g ** (d - i) + (tj - t[i]) * c
-        cs.append(c)
-    x = _idempotent_sum(pair.eig_a, cs, e * g**d)
+    if split is not None:  # alpha is X's first column
+        x = _split_polynomial(pair.a, split, a, e)
+    else:  # X = sum_j c_j E_j, c_j = sum_i alpha_i tau_i(theta_j) by Horner's rule in Newton
+        ((t,), g), cs = Matrix(field, [thetas])._ints, []  # form; for theta = t / g the ints c are e g^d c_j
+        for tj in t:
+            c = 0
+            for i in range(d, -1, -1):
+                c = a[i] * g ** (d - i) + (tj - t[i]) * c
+            cs.append(c)
+        x = _idempotent_sum(pair.eig_a, cs, e * g**d)
     if x.is_zero():
         raise InvariantViolation("certificate matrix is zero")
     if not maps_into(x, vstar0, vstard):
@@ -200,16 +201,35 @@ def _detect(pair: TriDiagonalPair):
     return LeonardCertificate(alpha=row_elements(field, a, e), x=x, solution_dim=solution_dim)
 
 
-def _split_diagonal(pair: TriDiagonalPair, rows: list, da: int, vstar0: Subspace) -> list | None:
-    """R's diagonal t when pair is in a split basis (every eigenspace a line,
-    Vstar_0 = span(e_0), A = R / d_A lower bidiagonal with R_{i,i-1} = d_A and
-    its eigenvalues t_i / d_A in pair's order, read on int rows), else None."""
-    first = vstar0.echelon.rows
-    if not (pair.shape.is_all_ones() and list(first) == [0] and not any(first[0][1:])):
+def _split_diagonal(eig: EigenDecomposition, vstar0: Subspace | None = None) -> list | None:
+    """R's diagonal t when eig's operator A = R / d_A is lower bidiagonal with
+    R_{i,i-1} = d_A (so each eigenspace is a line) and its eigenvalues t_i / d_A
+    in eig's order, on int rows, and Vstar_0 = span(e_0) if given; else None."""
+    (rows, da), m = eig.operator._ints, eig.operator
+    if vstar0 is not None and (list(first := vstar0.echelon.rows) != [0] or any(first[0][1:])):
         return None
-    t = [row[i] for i, row in enumerate(rows)]
-    shifts = map(pair.a._shift_ints, pair.eig_a.eigenvalues)  # theta_i = a / (b d_A)
+    t, shifts = [row[i] for i, row in enumerate(rows)], map(m._shift_ints, eig.eigenvalues)  # theta_i = a / (b d_A)
     return t if _unit_lower_bidiagonal(rows, da) and all(a == x * b for x, (a, b) in zip(t, shifts)) else None
+
+
+def _split_polynomial(a: Matrix, t: list, v: list, e: int) -> Matrix:
+    """f(A) from its first column v / e, for A = a = R / d_A and t as _split_diagonal
+    reads them: A e_k = theta_k e_k + e_{k+1}, so column k is v_k / (e d_A^k) with
+    v_{k+1} = (R - t_k I) v_k, O(n) a column.  The closing step (R - t_d I) v_d = 0 is
+    A f(A) e_d = f(A) A e_d, so f(A) commutes with A (n distinct eigenvalues) and is in
+    the A-subalgebra; a failure is a bug."""
+    (rows, da), p, n = a._ints, modulus(a.field), len(t)
+    r = [row[i] for i, row in enumerate(rows)]
+
+    def step(v, s):  # (R - s I) v, every band entry of R d_A
+        w = [(x - s) * y + da * z for x, y, z in zip(r, v, [0, *v])]
+        return [x % p for x in w] if p else w
+
+    cols = list(accumulate(t[:-1], step, initial=v))
+    if any(step(cols[-1], t[-1])):
+        raise InvariantViolation("polynomial in A does not commute with A")
+    scale = [da ** (n - 1 - k) for k in range(n)]
+    return Matrix._of_ints(a.field, [list(map(mul, row, scale)) for row in zip(*cols)], e * scale[0])
 
 
 # ---- affine relations ---------------------------------------------------------
@@ -316,16 +336,26 @@ def affine_relation(pair_p: TriDiagonalPair, pair_q: TriDiagonalPair):
 def switching_from_sequences(params: LeonardParameterSet, eig_a: EigenDecomposition) -> Matrix:
     """S = sum_r c_r E_r, c_r = (phi_d phi_{d-1} ... phi_{d-r+1}) / (varphi_1 ... varphi_r),
     with empty products equal to one and E_r the primitive idempotents of
-    A taken in the theta-order of params (eigen.primitive_idempotents),
-    as one product C diag(c) C^-1 (eigen._idempotent_sum)."""
+    A taken in the theta-order of params (eigen.primitive_idempotents).
+    In a split basis in theta's order S = f(A), f(theta_r) = c_r, is built
+    from its first column (_split_polynomial), else as one product
+    C diag(c) C^-1 of A's eigenbasis change (eigen._idempotent_sum)."""
     field, d = params.field, params.d
     if tuple(eig_a.eigenvalues) != params.theta:
         raise HypothesisNotMet("eigenvalue ordering does not match the parameter set")
     cs = [field.one]
     for r in range(1, d + 1):
         cs.append(cs[-1] * params.phi[d - r] / params.varphi[r - 1])
-    (cs,), e = Matrix(field, [cs])._ints
-    return _idempotent_sum(eig_a, cs, e)
+    ((cs,), e), (_, da), p = Matrix(field, [cs])._ints, eig_a.operator._ints, modulus(field)
+    if (t := _split_diagonal(eig_a)) is None:
+        return _idempotent_sum(eig_a, cs, e)
+    for j in range(1, d + 1):  # cs / e become f's divided differences f[theta_0, ..., theta_j], theta = t / d_A,
+        gaps = [x - y for x, y in zip(t[j:], t)]  # mod p by inverses, over Q each level over the lcm of its gaps
+        m = 1 if p else lcm(*gaps)
+        q = [pow(g, -1, p) if p else m // g for g in gaps]
+        cs, e = [x * m for x in cs[:j]] + [(x - y) * da * z for x, y, z in zip(cs[j:], cs[j - 1 :], q)], e * m
+        cs = [x % p for x in cs] if p else cs
+    return _split_polynomial(eig_a.operator, t, cs, e)
 
 
 def switching_via_solve(pair: TriDiagonalPair) -> Matrix:

@@ -12,8 +12,9 @@ tau_i(x) = (x - theta_0)...(x - theta_{i-1}) give tau_i(A), which maps
 U_0 into U_i; on a Leonard pair tau_0(A)u, ..., tau_d(A)u is a basis of
 V for any nonzero u in Vstar_0 (tau_images), read off one shifted_chain
 with no tau_i(A) built.  complete_report checks every one of those
-statements per index, on int rows, and reports them as flags so a
-failing candidate pinpoints which identity broke.
+statements per index, on int rows (on coordinate blocks the raising and
+lowering checks read columns of A and Astar), and reports them as flags
+so a failing candidate pinpoints which identity broke.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 from itertools import accumulate, repeat
 from operator import mul
 
-from .errors import InvariantViolation, TauImageVanished
+from .errors import DimensionMismatch, InvariantViolation, TauImageVanished
 from .linalg import Echelon, Matrix, modulus, row_elements, shifted_chain
 from .pairs import TriDiagonalPair, vstar0_vector
 from .subspaces import Subspace, _check_space, _lands_in, subspace_intersect, subspace_sum
@@ -101,22 +102,32 @@ def split_subspaces(pair: TriDiagonalPair) -> SplitDecomposition:
 
 
 def complete_report(sd: SplitDecomposition) -> SplitReport:
-    """All identity flags in one report.  Each U_i is checked once against
-    the pair's field and dimension and each theta_i, thetastar_i shift is
-    read once; then, on int rows with no shifted matrix, (A - theta_i I) U_i
-    against U_{i+1} (eq7), (Astar - thetastar_i I) U_i against U_{i-1}
-    (eq8), zero past both ends, and tau_i(A) U_0 as a shifted_chain
-    against U_i (eq10), which needs no tau_i(A) and so stays meaningful on
-    a corrupted decomposition."""
-    pair, d = sd.pair, sd.pair.diameter
+    """All identity flags in one report.  sd must hold d + 1 subspaces
+    (DimensionMismatch), each checked against the pair's field and dimension;
+    each shift is read once.  On int rows with no shifted matrix: eq7 checks
+    (A - theta_i I) U_i against U_{i+1} and eq8 (Astar - thetastar_i I) U_i
+    against U_{i-1}, zero past both ends, reading column c of b R - a I for
+    each unit vector e_c of U_i when every U_i is spanned by them (as
+    split_subspaces' blocks are), else Echelon images; eq10 checks tau_i(A) U_0
+    by one shifted_chain against U_i, meaningful on a corrupted one too."""
+    pair, d, n = sd.pair, sd.pair.diameter, sd.pair.dim
+    if len(sd.U) != d + 1:
+        raise DimensionMismatch(f"{len(sd.U)} subspaces for diameter {d}")
     for u in sd.U:
-        _check_space(pair.field, pair.dim, u)
-    zero = Subspace.zero(pair.field, pair.dim)
+        _check_space(pair.field, n, u)
+    zero = Subspace.zero(pair.field, n)
     targets, p = (zero, *sd.U, zero), zero.echelon.p
     shifts = [pair.a._shift_ints(t) for t in pair.eig_a.eigenvalues]
+    blocks = all(row.count(0) == n - 1 for u in sd.U for row in u.echelon.rows.values())
 
     def moved(m, by, step):  # (m - theta_i I) U_i <= U_{i+step}
-        return tuple(_lands_in(m._ints[0], *by[i], u, targets[i + 1 + step]) for i, u in enumerate(sd.U))
+        if not blocks:
+            return tuple(_lands_in(m._ints[0], *by[i], u, targets[i + 1 + step]) for i, u in enumerate(sd.U))
+        cols = list(zip(*m._ints[0]))  # on blocks U_i is spanned by e_c for its pivots c
+        return tuple(
+            all(b * x == a * (r == c) for c in u.echelon.rows for r, x in enumerate(cols[c]) if r not in w)
+            for (a, b), u, w in zip(by, sd.U, [t.echelon.rows for t in targets[1 + step :]])
+        )
 
     eq8 = moved(pair.astar, [pair.astar._shift_ints(t) for t in pair.eig_astar.eigenvalues], -1)
     chains = [shifted_chain(pair.a._ints[0], shifts[:d], w, p) for w in sd.U[0].echelon.rows.values()]

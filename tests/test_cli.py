@@ -18,6 +18,7 @@ import pytest
 import tdpairs.cli
 import tdpairs.eigen
 import tdpairs.polynomials
+import tdpairs.leonard
 import tdpairs.pairs
 import tdpairs.search
 from tdpairs import (
@@ -153,9 +154,9 @@ def test_verify_internal_error_exits_4(tmp_path, capsys, monkeypatch):
     assert rep["payload"]["failure"]["kind"] == "InvariantViolation"
 
 
-def _generated_candidate(tmp_path, capsys):
+def _generated_candidate(tmp_path, capsys, seed=5):
     """The report of `generate --random`, which verify reads as a candidate."""
-    rc, out, _ = run(capsys, ["generate", "--random", "gf101", "4", "5"])
+    rc, out, _ = run(capsys, ["generate", "--random", "gf101", "4", str(seed)])
     assert rc == 0
     path = tmp_path / "generated.json"
     path.write_text(out)
@@ -177,6 +178,22 @@ def test_a_bug_on_the_split_form_route_exits_4(tmp_path, capsys, monkeypatch):
     assert rep["payload"]["failure"] == {
         "kind": "InvariantViolation",
         "message": "planted bug",
+    }
+
+
+def test_a_bug_on_the_split_basis_polynomial_route_exits_4(tmp_path, capsys, monkeypatch):
+    # the candidate at seed 2 is read in its split basis in both diagonal
+    # orders, so X is built from its first column, and a recurrence that
+    # shifts by t_{k+1} in place of t_k fails the closing step: a bug
+    candidate = _generated_candidate(tmp_path, capsys, seed=2)
+    band = tdpairs.leonard._split_polynomial
+    monkeypatch.setattr(tdpairs.leonard, "_split_polynomial", lambda a, t, v, e: band(a, t[1:] + t[-1:], v, e))
+    rc, out, _ = run(capsys, ["detect", candidate])
+    assert rc == 4
+    (rep,) = reports_of(out)
+    assert rep["payload"]["failure"] == {
+        "kind": "InvariantViolation",
+        "message": "polynomial in A does not commute with A",
     }
 
 

@@ -12,6 +12,7 @@ import tdpairs.eigen
 import tdpairs.leonard
 import tdpairs.linalg
 import tdpairs.pairs
+import tdpairs.split
 import tdpairs.subspaces
 from tdpairs import (
     GF,
@@ -40,6 +41,7 @@ from tdpairs import (
     complete_report,
     detect_leonard,
     generate_split_form,
+    maps_into,
     primitive_idempotents,
     random_leonard,
     reduce_to_affine,
@@ -51,6 +53,7 @@ from tdpairs import (
 )
 from tdpairs.eigen import invert
 from tdpairs.linalg import Echelon
+from tdpairs.split import SplitDecomposition
 
 from oracles import (
     TENSOR_PARAMS,
@@ -400,7 +403,9 @@ def test_the_leonard_layer_builds_no_matrix_per_index(field, monkeypatch):
     # the identity report, a fresh detection, the switching element and
     # the tau images run on int rows: no shifted matrix, no image by
     # apply, no scaled sum, no matrix product; the tau images equal the
-    # per-index shifted route's
+    # per-index shifted route's.  The pairs are in a split basis in their
+    # diagonal orders, so X and S need no eigenbasis change, inverse or
+    # dense product, and eq7/eq8 read coordinate blocks with no _lands_in
     pairs = pool_recipe_pairs(field)
     want = []
     for _, pair in pairs:
@@ -412,6 +417,8 @@ def test_the_leonard_layer_builds_no_matrix_per_index(field, monkeypatch):
 
     for name in ("scale", "__add__", "apply", "shift", "__matmul__"):
         monkeypatch.setattr(Matrix, name, refuse)
+    refuse_in(monkeypatch, tdpairs.eigen, "eigencoordinate_change", "invert", "residue_product")
+    refuse_in(monkeypatch, tdpairs.split, "_lands_in")
     for (params, pair), (u, images) in zip(pairs, want):
         assert complete_report(split_subspaces(pair)).all_true()
         assert isinstance(detect_leonard(pair), LeonardCertificate)
@@ -728,9 +735,10 @@ def _certificates(pair, monkeypatch):
 @pytest.mark.parametrize("field", [QQ, GF(101), GF(65521)], ids=str)
 def test_detection_reads_alpha_off_the_split_basis_on_the_ladder(field, n, monkeypatch):
     # a split form in its diagonal orderings is detected with no shifted
-    # chain, alpha read off Vstar_d's line; in the three other orderings by
-    # the general route; in all four the certificate is the general route's
-    # and the membership oracle's
+    # chain, alpha read off Vstar_d's line and X built from alpha as its
+    # first column; in the three other orderings by the general route; in
+    # all four alpha and X are the general route's and the membership
+    # oracle's
     routes = []
     for a, astar in _ladder_split_forms(field, n):
         for pair in _orderings(validate_pair(a, astar)):
@@ -756,37 +764,44 @@ def _dense_conjugate(pair, rng):
         return validate_pair(p_inv @ pair.a @ p, p_inv @ pair.astar @ p)
 
 
+def _near_split_bases(pair, rng):
+    """The pair one step off its split basis: A's order reversed, Vstar_0
+    not span(e_0) (Astar's order reversed), a dense conjugate, and a
+    diagonal conjugate, whose A has a subdiagonal other than 1 while both
+    orders are its diagonals' and Vstar_0 = span(e_0)."""
+    field, n = pair.field, pair.dim
+    e0 = Subspace.span(field, n, [[int(i == 0) for i in range(n)]])
+    scale = Matrix.diagonal(field, [2**i for i in range(n)])
+    (rescaled,) = (
+        q
+        for q in _orderings(validate_pair(invert(scale) @ pair.a @ scale, invert(scale) @ pair.astar @ scale))
+        if _in_diagonal_orders(q)
+    )
+    assert rescaled.vstar(0) == e0 and rescaled.a[1, 0] != field.one
+    return pair.with_reversed_a(), pair.with_reversed_astar(), _dense_conjugate(pair, rng), rescaled
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
 def test_detection_near_a_split_basis_takes_the_general_route(field, monkeypatch):
-    # one step off the split basis detection runs the general route and
-    # gives its certificate, the oracle's: A's order reversed, Vstar_0 not
-    # span(e_0) (Astar's order reversed), a dense conjugate, and a diagonal
-    # conjugate, whose A has a subdiagonal other than 1 while both orders
-    # are its diagonals' and Vstar_0 = span(e_0)
+    # one step off the split basis (_near_split_bases) detection runs the
+    # general route and gives its certificate, the oracle's
     rng = random.Random(41)
     for d in (1, 2, 4, 6):
         for seed in (0, 1):
             _, pair = random_leonard(field, d, seed)
-            n = pair.dim
-            e0 = Subspace.span(field, n, [[int(i == 0) for i in range(n)]])
-            scale = Matrix.diagonal(field, [2**i for i in range(n)])
-            (rescaled,) = (
-                q
-                for q in _orderings(validate_pair(invert(scale) @ pair.a @ scale, invert(scale) @ pair.astar @ scale))
-                if _in_diagonal_orders(q)
-            )
-            assert rescaled.vstar(0) == e0 and rescaled.a[1, 0] != field.one
             _, chained = _certificates(pair, monkeypatch)
             assert _in_diagonal_orders(pair) and not chained
-            for near in (pair.with_reversed_a(), pair.with_reversed_astar(), _dense_conjugate(pair, rng), rescaled):
+            for near in _near_split_bases(pair, rng):
                 (found, general, oracle), chained = _certificates(near, monkeypatch)
                 assert chained and found == general == oracle
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
 def test_detection_in_a_split_basis_runs_no_kernel_and_no_chain(field, monkeypatch):
-    # the route reads the certificate off Vstar_d's Echelon row: no kernel
-    # and no shifted chain, and the general route's certificate
+    # the route reads the certificate off Vstar_d's Echelon row and builds X
+    # from it as its first column: no kernel, no shifted chain, no
+    # eigenbasis change, inverse or dense product, and the general route's
+    # certificate
     for a, astar in _ladder_split_forms(field, 7):
         (pair,) = (q for q in _orderings(validate_pair(a, astar)) if _in_diagonal_orders(q))
         with monkeypatch.context() as patch:
@@ -795,8 +810,105 @@ def test_detection_in_a_split_basis_runs_no_kernel_and_no_chain(field, monkeypat
         with monkeypatch.context() as patch:
             refuse_in(patch, tdpairs.leonard, "kernel", "shifted_chain")
             refuse_in(patch, tdpairs.subspaces, "kernel")
+            refuse_in(patch, tdpairs.eigen, "eigencoordinate_change", "invert", "residue_product")
             found = detect_leonard(pair)
         assert (found.alpha, found.x, found.solution_dim) == (general.alpha, general.x, general.solution_dim)
+
+
+def _switchings(pair, rng, monkeypatch):
+    """(switching_from_sequences', the general route's, the idempotent
+    sum's) S for the pair's eigenvalue orders and random nonzero split
+    sequences (S = sum c_r E_r needs no parameter array), and whether S was
+    built from its first column."""
+    field, d = pair.field, pair.diameter
+    draw = [field.scalar(rng.randrange(1, min(getattr(field, "p", 50), 50))) for _ in range(2 * d)]
+    params = LeonardParameterSet(field, pair.eig_a.eigenvalues, pair.eig_astar.eigenvalues, draw[:d], draw[d:])
+    es, c = primitive_idempotents(pair.eig_a), field.one
+    want = es[0]
+    for r in range(1, d + 1):
+        c = c * params.phi[d - r] / params.varphi[r - 1]
+        want = want + es[r].scale(c)
+    built, band = [], tdpairs.leonard._split_polynomial
+    with monkeypatch.context() as patch:
+        patch.setattr(tdpairs.leonard, "_split_polynomial", lambda *args: built.append(args) or band(*args))
+        s = switching_from_sequences(params, pair.eig_a)
+        patch.setattr(tdpairs.leonard, "_split_diagonal", lambda *args: None)
+        general = switching_from_sequences(params, pair.eig_a)
+    return (s, general, want), bool(built)
+
+
+def _reports(sd, monkeypatch):
+    """(complete_report's, maps_into's per index) (eq7, eq8) of sd, and
+    whether the report ran _lands_in."""
+    pair, zero = sd.pair, Subspace.zero(sd.pair.field, sd.pair.dim)
+    targets, landed, lands_in = (zero, *sd.U, zero), [], tdpairs.split._lands_in
+    with monkeypatch.context() as patch:
+        patch.setattr(tdpairs.split, "_lands_in", lambda *args: landed.append(args) or lands_in(*args))
+        report = complete_report(sd)
+    want = tuple(
+        tuple(maps_into(m, u, targets[i + 1 + step], theta) for i, (u, theta) in enumerate(zip(sd.U, eig.eigenvalues)))
+        for m, eig, step in ((pair.a, pair.eig_a, 1), (pair.astar, pair.eig_astar, -1))
+    )
+    return ((report.eq7, report.eq8), want), bool(landed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7, 13, 17, 24])
+@pytest.mark.parametrize("field", [QQ, GF(101), GF(65521)], ids=str)
+def test_switching_and_the_report_read_a_split_basis_on_the_ladder(field, n, monkeypatch):
+    # a split form with A in its diagonal order has S built from its first
+    # column, with A reversed by the general route, and in all four orders
+    # S is the general route's and the idempotent sum; complete_report reads
+    # eq7/eq8 off coordinate blocks exactly when every U_i is one, also on
+    # corrupted ones (U reversed or rotated), with maps_into's flags
+    rng, routes, blocks = random.Random(n), [], []
+    for a, astar in _ladder_split_forms(field, n):
+        for pair in _orderings(validate_pair(a, astar)):
+            (s, general, want), built = _switchings(pair, rng, monkeypatch)
+            assert s == general == want
+            routes.append((pair.eig_a.eigenvalues == tuple(a[i, i] for i in range(n)), built))
+            sd = split_subspaces(pair)
+            for spaces in (sd.U, sd.U[::-1], sd.U[1:] + sd.U[:1]):
+                (got, flags), landed = _reports(SplitDecomposition(spaces, pair, sd.report), monkeypatch)
+                assert got == flags
+                blocks.append((_in_diagonal_orders(pair), not landed, all(map(all, flags))))
+    if n == 1:
+        assert set(routes) == {(True, True)} and set(blocks) == {(True, True, True)}
+    else:
+        assert len(routes) == 2 * routes.count((True, True)) == 2 * routes.count((False, False))
+        assert set(blocks) == {(True, True, True), (True, True, False), (False, False, True), (False, False, False)}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
+def test_switching_near_a_split_basis_takes_the_general_route(field, monkeypatch):
+    # A's order reversed, a dense conjugate, and a diagonal conjugate whose
+    # subdiagonal is not 1: S by the general route, the idempotent sum;
+    # Astar's order reversed keeps A's split basis, and S is built from its
+    # first column.  Every report has maps_into's flags; the dense
+    # conjugate's, whose U_i are no coordinate blocks, runs _lands_in
+    rng = random.Random(43)
+    for d in (1, 2, 4, 6):
+        for seed in (0, 1):
+            _, pair = random_leonard(field, d, seed)
+            for k, near in enumerate(_near_split_bases(pair, rng)):
+                (s, general, want), built = _switchings(near, rng, monkeypatch)
+                assert s == general == want and built == (k == 1)
+                (got, flags), landed = _reports(split_subspaces(near), monkeypatch)
+                assert got == flags and all(map(all, flags)) and landed == (k != 3)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+def test_a_recurrence_on_the_next_shift_fails_the_closing_step(field, monkeypatch):
+    # X and S built with t_{k+1} in place of t_k (t_d kept for the closing
+    # step) miss the factor A - theta_0 I, so (R - t_d I) v_d is not 0
+    band = tdpairs.leonard._split_polynomial
+    for a, astar in _ladder_split_forms(field, 7):
+        (pair,) = (q for q in _orderings(validate_pair(a, astar)) if _in_diagonal_orders(q))
+        with monkeypatch.context() as patch:
+            patch.setattr(tdpairs.leonard, "_split_polynomial", lambda a, t, v, e: band(a, t[1:] + t[-1:], v, e))
+            with pytest.raises(InvariantViolation, match="^polynomial in A does not commute with A$"):
+                detect_leonard(pair)
+            with pytest.raises(InvariantViolation, match="^polynomial in A does not commute with A$"):
+                _switchings(pair, random.Random(7), monkeypatch)
 
 
 def test_pool_recipe_generation_runs_no_general_validation(monkeypatch):

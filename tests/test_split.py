@@ -138,6 +138,21 @@ def test_complete_report_checks_each_subspace_at_the_boundary():
         assert str(err.value) == message
 
 
+def test_complete_report_needs_one_subspace_per_eigenvalue():
+    # d + 2 subspaces, none, or d are rejected before any flag is read,
+    # whether the U_i are coordinate blocks (the split basis) or not (A's
+    # order reversed)
+    _, pair = random_leonard(QQ, 3, 1)
+    for p in (pair, pair.with_reversed_a()):
+        good = split_subspaces(p)
+        coordinate = all(row.count(0) == 3 for u in good.U for row in u.echelon.rows.values())
+        assert coordinate == (p is pair)
+        for spaces in ((*good.U, Subspace.zero(QQ, 4)), (), good.U[:-1]):
+            with pytest.raises(DimensionMismatch) as err:
+                complete_report(SplitDecomposition(U=spaces, pair=p, report=good.report))
+            assert str(err.value) == f"{len(spaces)} subspaces for diameter 3"
+
+
 def test_all_true_requires_every_stage():
     pair = d2_pair()
     sd = split_subspaces(pair)
