@@ -31,7 +31,7 @@ from .errors import (
     InvariantViolation,
     NotDiagonalizableOverField,
 )
-from .linalg import Echelon, Matrix, _primitive, modulus, residue_product, row_elements, shifted_image
+from .linalg import Echelon, Matrix, _common, _primitive, modulus, residue_product, row_elements, shifted_image
 from .polynomials import _char_roots
 from .subspaces import Subspace, _canonical, kernel
 
@@ -86,6 +86,13 @@ class EigenDecomposition:
     @property
     def diameter(self) -> int:
         return len(self.eigenvalues) - 1
+
+    @property
+    def roots(self) -> tuple:
+        """The ints r_i with theta_i = r_i / d on the operator's int rows R = d m:
+        residues over GF(p), integers over Q (roots of det(xI - R), monic in Z[x])."""
+        thetas = self.eigenvalues  # field elements, as coerced or built from the int rows
+        return tuple([x.v for x in thetas] if modulus(self.field) else _common(thetas, self.operator._ints[1])[0])
 
     def dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.eigenspaces)

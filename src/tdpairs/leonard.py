@@ -8,15 +8,15 @@ linear system in the tau-basis coefficients alpha of X.  In a split basis
 (_split_diagonal) tau_i(A) e_0 = e_i, so its solutions are Vstar_d's line
 (Terwilliger, LAA 330, 2001, Thm 1.9); any other pair's are one
 subspaces.kernel, whose columns are the images tau_i(A)u of each Echelon
-row u of Vstar_0, one linalg.shifted_chain per u.  The
-certificate is unique up to scalar and, suitably normalized, is the
-switching element that the closed-form idempotent sum also produces from
-the split sequences.  Both are polynomials in A: in a split basis in A's
-diagonal order each is built from its first column, alpha or the divided
-differences of S's scalars c_j on theta (_split_polynomial), else as
-sum c_j E_j, one product C diag(c) C^-1 (eigen._idempotent_sum); affine
-reduction reads c_j off X's action on each eigenspace.  No tau_i(A) and
-no Matrix per index is built.
+row u of Vstar_0, one linalg.shifted_chain per u, which steps by R - r I
+for A = R / d_A and each integer root r of A (EigenDecomposition.roots).
+The certificate is unique up to scalar and, normalized, is the switching
+element the closed-form idempotent sum gives from the split sequences.
+Both are polynomials in A: in a split basis in A's diagonal order each is
+built from its first column, alpha or the divided differences of S's
+scalars c_j on (roots, d_A) (_split_polynomial), else as sum c_j E_j, one
+product C diag(c) C^-1 (eigen._idempotent_sum); affine reduction reads c_j
+off X's action on each eigenspace.  No tau_i(A), no Matrix per index.
 
 Generation validates the split form of a parameter set with
 validate_pair, which certifies one whose sequences satisfy PA1-PA5
@@ -156,15 +156,14 @@ def detect_leonard(pair: TriDiagonalPair):
 def _detect(pair: TriDiagonalPair):
     field, d = pair.field, pair.diameter
     vstar0, vstard, p = pair.vstar(0), pair.vstar(d), modulus(field)
-    (a_rows, da), thetas = pair.a._ints, pair.eig_a.eigenvalues
-    if (split := _split_diagonal(pair.eig_a, vstar0)) is not None:  # X e_0 = alpha: the solutions are Vstar_d
-        solutions = vstard
-    else:  # the chain gives w_i = f_i tau_i(A) u, so tau_i(A) u leaves the residual r_i / (s_i f_i)
-        shifts = [pair.a._shift_ints(theta) for theta in thetas[:d]]
-        factors = list(accumulate((b * da for _, b in shifts), mul, initial=1))
+    (a_rows, da), roots = pair.a._ints, pair.eig_a.roots
+    first = vstar0.echelon.rows  # Vstar_0 = span(e_0) exactly when its one Echelon row is e_0
+    if split := (list(first) == [0] and not any(first[0][1:]) and _split_diagonal(pair.eig_a)):
+        solutions = vstard  # X e_0 = alpha: the solutions are Vstar_d
+    else:  # the chain gives w_i = d_A^i tau_i(A) u, so tau_i(A) u leaves the residual r_i / (s_i d_A^i)
         rows = []
-        for u in vstar0.echelon.rows.values():
-            res = [(*vstard.echelon._residual(w), f) for w, f in zip(shifted_chain(a_rows, shifts, u, p), factors)]
+        for u in first.values():
+            res = [(*vstard.echelon._residual(w), da**i) for i, w in enumerate(shifted_chain(a_rows, roots[:d], u, p))]
             lcd = lcm(*[s * f for _, s, f in res])
             cols = [[x * (lcd // (s * f)) for x in w] for w, s, f in res]
             rows.extend(row for row in zip(*cols) if any(row))
@@ -184,16 +183,13 @@ def _detect(pair: TriDiagonalPair):
         raise InvariantViolation("certificate coefficients violate the cascade")
     if min_nonzero != 0 or pair.dim != d + 1 or not pair.shape.is_all_ones():
         raise InvariantViolation("certificate exists but the pair does not look Leonard")
-    if split is not None:  # alpha is X's first column
-        x = _split_polynomial(pair.a, split, a, e)
+    if split:  # alpha is X's first column
+        x = _split_polynomial(pair.a, roots, a, e)
     else:  # X = sum_j c_j E_j, c_j = sum_i alpha_i tau_i(theta_j) by Horner's rule in Newton
-        ((t,), g), cs = Matrix(field, [thetas])._ints, []  # form; for theta = t / g the ints c are e g^d c_j
-        for tj in t:
-            c = 0
-            for i in range(d, -1, -1):
-                c = a[i] * g ** (d - i) + (tj - t[i]) * c
-            cs.append(c)
-        x = _idempotent_sum(pair.eig_a, cs, e * g**d)
+        cs = [0] * (d + 1)  # form, every j at once; for theta = r / d_A the ints c are e d_A^d c_j
+        for i in range(d, -1, -1):
+            cs = [a[i] * da ** (d - i) + (rj - roots[i]) * c for rj, c in zip(roots, cs)]
+        x = _idempotent_sum(pair.eig_a, cs, e * da**d)
     if x.is_zero():
         raise InvariantViolation("certificate matrix is zero")
     if not maps_into(x, vstar0, vstard):
@@ -201,20 +197,17 @@ def _detect(pair: TriDiagonalPair):
     return LeonardCertificate(alpha=row_elements(field, a, e), x=x, solution_dim=solution_dim)
 
 
-def _split_diagonal(eig: EigenDecomposition, vstar0: Subspace | None = None) -> list | None:
-    """R's diagonal t when eig's operator A = R / d_A is lower bidiagonal with
-    R_{i,i-1} = d_A (so each eigenspace is a line) and its eigenvalues t_i / d_A
-    in eig's order, on int rows, and Vstar_0 = span(e_0) if given; else None."""
-    (rows, da), m = eig.operator._ints, eig.operator
-    if vstar0 is not None and (list(first := vstar0.echelon.rows) != [0] or any(first[0][1:])):
-        return None
-    t, shifts = [row[i] for i, row in enumerate(rows)], map(m._shift_ints, eig.eigenvalues)  # theta_i = a / (b d_A)
-    return t if _unit_lower_bidiagonal(rows, da) and all(a == x * b for x, (a, b) in zip(t, shifts)) else None
+def _split_diagonal(eig: EigenDecomposition) -> bool:
+    """Whether eig's operator A = R / d_A is lower bidiagonal with R_{i,i-1} = d_A
+    (so each eigenspace is a line) and eig.roots is R's diagonal: A's eigenvalues
+    theta_i = R_ii / d_A in eig's order, on int rows."""
+    rows, da = eig.operator._ints
+    return eig.roots == tuple(row[i] for i, row in enumerate(rows)) and _unit_lower_bidiagonal(rows, da)
 
 
-def _split_polynomial(a: Matrix, t: list, v: list, e: int) -> Matrix:
-    """f(A) from its first column v / e, for A = a = R / d_A and t as _split_diagonal
-    reads them: A e_k = theta_k e_k + e_{k+1}, so column k is v_k / (e d_A^k) with
+def _split_polynomial(a: Matrix, t: tuple, v: list, e: int) -> Matrix:
+    """f(A) from its first column v / e, for A = a = R / d_A with _split_diagonal holding
+    and t = A's roots: A e_k = theta_k e_k + e_{k+1}, so column k is v_k / (e d_A^k) with
     v_{k+1} = (R - t_k I) v_k, O(n) a column.  The closing step (R - t_d I) v_d = 0 is
     A f(A) e_d = f(A) A e_d, so f(A) commutes with A (n distinct eigenvalues) and is in
     the A-subalgebra; a failure is a bug."""
@@ -346,8 +339,8 @@ def switching_from_sequences(params: LeonardParameterSet, eig_a: EigenDecomposit
     cs = [field.one]
     for r in range(1, d + 1):
         cs.append(cs[-1] * params.phi[d - r] / params.varphi[r - 1])
-    ((cs,), e), (_, da), p = Matrix(field, [cs])._ints, eig_a.operator._ints, modulus(field)
-    if (t := _split_diagonal(eig_a)) is None:
+    ((cs,), e), (_, da), p, t = Matrix(field, [cs])._ints, eig_a.operator._ints, modulus(field), eig_a.roots
+    if not _split_diagonal(eig_a):
         return _idempotent_sum(eig_a, cs, e)
     for j in range(1, d + 1):  # cs / e become f's divided differences f[theta_0, ..., theta_j], theta = t / d_A,
         gaps = [x - y for x, y in zip(t[j:], t)]  # mod p by inverses, over Q each level over the lcm of its gaps

@@ -250,14 +250,13 @@ def shifted_image(rows: Sequence, a: int, b: int, u: Sequence, p: int | None) ->
     return [b * sum(map(mul, row, u)) - a * x for row, x in zip(rows, u)]
 
 
-def shifted_chain(rows: Sequence, shifts: Sequence, u: Sequence, p: int | None) -> list[list]:
-    """The int rows w_0 = u and w_i = (b R - a I) w_{i-1} for (a, b) =
-    shifts[i-1], one shifted_image each: for m = R / d and theta_h =
-    a_h / (b_h d) (Matrix._shift_ints), w_i is prod_h (b_h d) times
-    prod_{h < i} (m - theta_h I) u."""
+def shifted_chain(rows: Sequence, roots: Sequence, u: Sequence, p: int | None) -> list[list]:
+    """The int rows w_0 = u and w_i = (R - r_{i-1} I) w_{i-1}, one
+    shifted_image each: for m = R / d and theta_h = r_h / d (the roots of
+    an EigenDecomposition), w_i is d^i prod_{h < i} (m - theta_h I) u."""
     out = [list(u)]
-    for a, b in shifts:
-        out.append(shifted_image(rows, a, b, out[-1], p))
+    for r in roots:
+        out.append(shifted_image(rows, r, 1, out[-1], p))
     return out
 
 

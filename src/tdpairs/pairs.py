@@ -656,8 +656,7 @@ def reducibility_witness_from_tau_kernel(
         raise HypothesisNotMet(f"index {i} outside 1..{eig_a.diameter}")
     u = vstar0_vector(eig_astar.eigenspaces[0], u)
     m = eig_a.operator
-    shifts = [m._shift_ints(t) for t in eig_a.eigenvalues[:i]]
-    if any(shifted_chain(m._ints[0], shifts, Matrix(field, [u])._ints[0][0], modulus(field))[-1]):
+    if any(shifted_chain(m._ints[0], eig_a.roots[:i], Matrix(field, [u])._ints[0][0], modulus(field))[-1]):
         raise HypothesisNotMet(
             "the degree-i product does not annihilate u; construction does not apply"
         )
@@ -665,6 +664,6 @@ def reducibility_witness_from_tau_kernel(
     prefix = list(accumulate(eig_a.eigenspaces, subspace_sum))
     parts = [subspace_intersect(prefix_star[r], prefix[i - r - 1]) for r in range(i)]
     w = sum_of(parts, field=field, ambient_dim=n)
-    if not _witness_ok(eig_a.operator, eig_astar.operator, w):
+    if not _witness_ok(m, eig_astar.operator, w):
         raise InvariantViolation("contradiction witness is degenerate or not invariant")
     return w

@@ -11,17 +11,16 @@ basis), else computed from the definition.  The polynomials
 tau_i(x) = (x - theta_0)...(x - theta_{i-1}) give tau_i(A), which maps
 U_0 into U_i; on a Leonard pair tau_0(A)u, ..., tau_d(A)u is a basis of
 V for any nonzero u in Vstar_0 (tau_images), read off one shifted_chain
-with no tau_i(A) built.  complete_report checks every one of those
-statements per index, on int rows (on coordinate blocks the raising and
-lowering checks read columns of A and Astar), and reports them as flags
-so a failing candidate pinpoints which identity broke.
+by A's integer roots, no tau_i(A) built.  complete_report checks each of
+those statements per index on int rows shifted by the roots (on coordinate
+blocks the raising and lowering checks read columns of A and Astar), and
+reports them as flags so a failing candidate pinpoints which identity broke.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import accumulate, repeat
-from operator import mul
 
 from .errors import DimensionMismatch, InvariantViolation, TauImageVanished
 from .linalg import Echelon, Matrix, modulus, row_elements, shifted_chain
@@ -103,41 +102,39 @@ def split_subspaces(pair: TriDiagonalPair) -> SplitDecomposition:
 
 def complete_report(sd: SplitDecomposition) -> SplitReport:
     """All identity flags in one report.  sd must hold d + 1 subspaces
-    (DimensionMismatch), each checked against the pair's field and dimension;
-    each shift is read once.  On int rows with no shifted matrix: eq7 checks
-    (A - theta_i I) U_i against U_{i+1} and eq8 (Astar - thetastar_i I) U_i
-    against U_{i-1}, zero past both ends, reading column c of b R - a I for
-    each unit vector e_c of U_i when every U_i is spanned by them (as
-    split_subspaces' blocks are), else Echelon images; eq10 checks tau_i(A) U_0
-    by one shifted_chain against U_i, meaningful on a corrupted one too."""
+    (DimensionMismatch), each checked against the pair's field and dimension.
+    On int rows R - r_i I, r_i the roots: eq7 checks (A - theta_i I) U_i against
+    U_{i+1} and eq8 (Astar - thetastar_i I) U_i against U_{i-1}, zero past both
+    ends, reading column c of R - r_i I for each unit vector e_c of U_i when every
+    U_i is spanned by them (as split_subspaces' blocks are), else Echelon images;
+    eq10 checks tau_i(A) U_0 by one shifted_chain against U_i, meaningful on a
+    corrupted one too."""
     pair, d, n = sd.pair, sd.pair.diameter, sd.pair.dim
     if len(sd.U) != d + 1:
         raise DimensionMismatch(f"{len(sd.U)} subspaces for diameter {d}")
     for u in sd.U:
         _check_space(pair.field, n, u)
     zero = Subspace.zero(pair.field, n)
-    targets, p = (zero, *sd.U, zero), zero.echelon.p
-    shifts = [pair.a._shift_ints(t) for t in pair.eig_a.eigenvalues]
+    targets, p, roots = (zero, *sd.U, zero), zero.echelon.p, pair.eig_a.roots
     blocks = all(row.count(0) == n - 1 for u in sd.U for row in u.echelon.rows.values())
 
-    def moved(m, by, step):  # (m - theta_i I) U_i <= U_{i+step}
+    def moved(m, by, step):  # (m - theta_i I) U_i <= U_{i+step}, on the int rows R - r_i I
         if not blocks:
-            return tuple(_lands_in(m._ints[0], *by[i], u, targets[i + 1 + step]) for i, u in enumerate(sd.U))
+            return tuple(_lands_in(m._ints[0], r, 1, u, t) for r, u, t in zip(by, sd.U, targets[1 + step :]))
         cols = list(zip(*m._ints[0]))  # on blocks U_i is spanned by e_c for its pivots c
         return tuple(
-            all(b * x == a * (r == c) for c in u.echelon.rows for r, x in enumerate(cols[c]) if r not in w)
-            for (a, b), u, w in zip(by, sd.U, [t.echelon.rows for t in targets[1 + step :]])
+            all(x == r * (k == c) for c in u.echelon.rows for k, x in enumerate(cols[c]) if k not in t.echelon.rows)
+            for r, u, t in zip(by, sd.U, targets[1 + step :])
         )
 
-    eq8 = moved(pair.astar, [pair.astar._shift_ints(t) for t in pair.eig_astar.eigenvalues], -1)
-    chains = [shifted_chain(pair.a._ints[0], shifts[:d], w, p) for w in sd.U[0].echelon.rows.values()]
+    chains = [shifted_chain(pair.a._ints[0], roots[:d], w, p) for w in sd.U[0].echelon.rows.values()]
     eq10 = tuple(not any(any(targets[i + 1].echelon.reduce(c[i])) for c in chains) for i in range(d + 1))
-    return replace(sd.report, eq7=moved(pair.a, shifts, 1), eq8=eq8, eq10=eq10)
+    return replace(sd.report, eq7=moved(pair.a, roots, 1), eq8=moved(pair.astar, pair.eig_astar.roots, -1), eq10=eq10)
 
 
 def tau_images(pair: TriDiagonalPair, u) -> tuple:
     """The vectors tau_i(A)u for a nonzero u in Vstar_0, from one
-    shifted_chain on the int rows.
+    shifted_chain by A's roots on the int rows, w_i over d_A^i.
 
     Each image is asserted to lie in U_i of split_subspaces(pair) and the
     full sequence to be linearly independent; on a genuine pair both hold
@@ -147,8 +144,7 @@ def tau_images(pair: TriDiagonalPair, u) -> tuple:
     field, d, p = pair.field, pair.diameter, modulus(pair.field)
     u = vstar0_vector(pair.vstar(0), u)
     (w,), scale = Matrix(field, [u])._ints
-    shifts = [pair.a._shift_ints(t) for t in pair.eig_a.eigenvalues[:d]]
-    ws = shifted_chain(pair.a._ints[0], shifts, w, p)
+    ws = shifted_chain(pair.a._ints[0], pair.eig_a.roots[:d], w, p)
     vanished = next((i for i, x in enumerate(ws) if not any(x)), None)
     if vanished is not None:
         raise TauImageVanished(f"tau_{vanished}(A)u = 0 for a nonzero u in Vstar_0", u=u, index=vanished)
@@ -159,6 +155,5 @@ def tau_images(pair: TriDiagonalPair, u) -> tuple:
     eng = Echelon(field)
     if sum(map(eng.insert, ws)) < len(ws):
         raise InvariantViolation("tau images of u are linearly dependent")
-    # tau_i(A) u = w_i / (scale prod_{h < i} b_h d) for A = R / d
-    scales = accumulate((b * pair.a._ints[1] for _, b in shifts), mul, initial=scale)
-    return tuple(map(row_elements, repeat(field), ws, scales))
+    # tau_i(A) u = w_i / (scale d^i) for A = R / d
+    return tuple(row_elements(field, x, scale * pair.a._ints[1] ** i) for i, x in enumerate(ws))

@@ -1048,3 +1048,79 @@ def test_eigenvector_check_guards_the_substitution(field, monkeypatch):
     monkeypatch.setattr(tdpairs.eigen, "_eigenline", unit_line)
     with pytest.raises(InvariantViolation, match="claimed eigenvector is not one"):
         eigen_decompose(a)
+
+
+def _root_cases(path):
+    """Checked decompositions built on one construction path, with their
+    operators' int denominators d > 1 over Q, and eigenvalues integral,
+    fractional and negative: a dense conjugate of a diagonal (the roots of
+    det(xI - R)), a dense GF(7) operator of size 8 (the kernel scan), a
+    triangular operator (its diagonal) and both sides of a certified split
+    form (the band)."""
+    rng = random.Random(53)
+    if path == "dense":
+        q = [Fraction(1, 3), Fraction(-2, 3), Fraction(5, 6), 2, Fraction(-2, 3), -4]
+        yield eigen_decompose(_conjugate_q(_block_diagonal([[[x]] for x in q]), rng))
+        for p in (101, 65521):
+            yield eigen_decompose(gm(p, _conjugate(p, _block_diagonal([[[x]] for x in (3, p - 1, 0, 3, 17)]), rng)))
+    elif path == "scan":
+        yield eigen_decompose(gm(7, _conjugate(7, _block_diagonal([[[x]] for x in (0, 1, 1, 3, 6, 6, 2, 5)]), rng)))
+    elif path == "triangular":
+        q = [Fraction(-3, 2), Fraction(1, 4), 2, -5, Fraction(7, 3)]
+        upper = [
+            [x if i == j else Fraction(rng.randint(-3, 3), 2) * (j > i) for j, x in enumerate(q)]
+            for i in range(5)
+        ]
+        yield eigen_decompose(qm(upper))
+        for p in (7, 101, 65521):
+            lower = [[(i + 1) * (p - 2) if i == j else rng.randrange(p) * (j < i) for j in range(5)] for i in range(5)]
+            yield eigen_decompose(gm(p, lower))
+    else:
+        for field in (QQ, GF(7), GF(101), GF(65521)):
+            params, _ = random_leonard(field, 5, 3)
+            k, m, s = (Fraction(-3, 2), Fraction(5, 4), Fraction(1, 2)) if field == QQ else (field.one,) * 3
+            a, astar = tdpairs.leonard._split_matrices(
+                field, [x / k + s for x in params.theta], [x / m for x in params.thetastar],
+                [x / (k * m) for x in params.varphi],
+            )
+            pair = tdpairs.pairs._split_form_pair(a, astar)
+            assert pair is not None
+            yield from (pair.eig_a, pair.eig_astar)
+
+
+@pytest.mark.parametrize("path", ["dense", "scan", "triangular", "band"])
+def test_roots_and_chains_match_the_eigenvalues_on_every_construction_path(path):
+    # theta_i d = r_i, chi_R(r_i) = 0, and shifted_chain by the roots is
+    # d^i prod_h (m - theta_h I) u by shifted matrices; on the decomposition
+    # and on its reordered and reversed copies
+    rng, fields = random.Random(59), set()
+    for base in _root_cases(path):
+        m, field = base.operator, base.field
+        (rows, d), p = m._ints, modulus(field)
+        assert p or d > 1
+        if path == "scan":
+            assert any(any(row[:i]) and any(row[i + 1 :]) for i, row in enumerate(rows)) and p <= m.nrows
+        fields.add(field)
+        chi = char_poly_by_interpolation(rows)
+        order = list(range(len(base.eigenvalues)))
+        rng.shuffle(order)
+        for eig in (base, base.reversed(), base.reordered(order)):
+            roots = eig.roots
+            assert len(roots) == len(eig.eigenvalues) and all(type(r) is int for r in roots)
+            for theta, r in zip(eig.eigenvalues, roots):
+                assert theta * d == field.scalar(r) and (p is None or 0 <= r < p)
+                value = sum(c * r**k for k, c in enumerate(chi))
+                assert (value if p is None else value % p) == 0
+            u = [rng.randint(-3, 3) for _ in range(m.nrows)]
+            u = [x % p for x in u] if p else u
+            want = [[field.scalar(x) for x in u]]
+            for theta in eig.eigenvalues:
+                want.append(m.shift(theta).apply(want[-1]))
+            got = tdpairs.linalg.shifted_chain(rows, roots, u, p)
+            assert len(got) == len(want)
+            for i, (w, v) in enumerate(zip(got, want)):
+                assert [field.scalar(x) for x in w] == [field.scalar(d**i) * field.scalar(x) for x in v]
+    if path == "dense":
+        assert fields == {QQ, GF(101), GF(65521)}
+    if path in ("triangular", "band"):
+        assert {QQ, GF(7), GF(101), GF(65521)} <= fields

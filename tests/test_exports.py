@@ -1,5 +1,5 @@
-"""The package's public surface: every exported name resolves, once, and
-no module imports a name it does not use."""
+"""The package's public surface: every exported name resolves, once, no
+module imports a name it does not use, and every private name is read."""
 
 from __future__ import annotations
 
@@ -33,3 +33,26 @@ def test_every_imported_name_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
     assert unused == []
+
+
+def test_every_private_name_is_referenced():
+    # a private function or class (at any depth) or module constant that
+    # nothing in the package reads is dead: only a read as a name or an
+    # attribute counts, not an import, a definition, a string or a comment
+    defined, read = [], set()
+    for path in sorted(Path(tdpairs.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((node.name, f"{path.name}:{node.lineno}"))
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(t.id, f"{path.name}:{node.lineno}") for t in targets if isinstance(t, ast.Name)]
+    private = [(name, where) for name, where in defined if name.startswith("_") and not name.startswith("__")]
+    assert len(private) > 90
+    assert [f"{where} {name}" for name, where in private if name not in read] == []

@@ -405,7 +405,8 @@ def test_the_leonard_layer_builds_no_matrix_per_index(field, monkeypatch):
     # apply, no scaled sum, no matrix product; the tau images equal the
     # per-index shifted route's.  The pairs are in a split basis in their
     # diagonal orders, so X and S need no eigenbasis change, inverse or
-    # dense product, and eq7/eq8 read coordinate blocks with no _lands_in
+    # dense product, and eq7/eq8 read coordinate blocks with no _lands_in;
+    # every shift is by a decomposition's root, with no _shift_ints
     pairs = pool_recipe_pairs(field)
     want = []
     for _, pair in pairs:
@@ -419,6 +420,7 @@ def test_the_leonard_layer_builds_no_matrix_per_index(field, monkeypatch):
         monkeypatch.setattr(Matrix, name, refuse)
     refuse_in(monkeypatch, tdpairs.eigen, "eigencoordinate_change", "invert", "residue_product")
     refuse_in(monkeypatch, tdpairs.split, "_lands_in")
+    refuse_in(monkeypatch, Matrix, "_shift_ints")
     for (params, pair), (u, images) in zip(pairs, want):
         assert complete_report(split_subspaces(pair)).all_true()
         assert isinstance(detect_leonard(pair), LeonardCertificate)
@@ -800,8 +802,8 @@ def test_detection_near_a_split_basis_takes_the_general_route(field, monkeypatch
 def test_detection_in_a_split_basis_runs_no_kernel_and_no_chain(field, monkeypatch):
     # the route reads the certificate off Vstar_d's Echelon row and builds X
     # from it as its first column: no kernel, no shifted chain, no
-    # eigenbasis change, inverse or dense product, and the general route's
-    # certificate
+    # eigenbasis change, inverse or dense product, no _shift_ints, and the
+    # general route's certificate
     for a, astar in _ladder_split_forms(field, 7):
         (pair,) = (q for q in _orderings(validate_pair(a, astar)) if _in_diagonal_orders(q))
         with monkeypatch.context() as patch:
@@ -811,8 +813,42 @@ def test_detection_in_a_split_basis_runs_no_kernel_and_no_chain(field, monkeypat
             refuse_in(patch, tdpairs.leonard, "kernel", "shifted_chain")
             refuse_in(patch, tdpairs.subspaces, "kernel")
             refuse_in(patch, tdpairs.eigen, "eigencoordinate_change", "invert", "residue_product")
+            refuse_in(patch, Matrix, "_shift_ints")
             found = detect_leonard(pair)
         assert (found.alpha, found.x, found.solution_dim) == (general.alpha, general.x, general.solution_dim)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
+def test_no_eigenvalue_of_a_validated_pair_goes_through_shift_ints(field, monkeypatch):
+    # every tau-step and raising or lowering check shifts by R - r I for a
+    # decomposition's integer root r, so Matrix._shift_ints, kept for scalars
+    # from outside a decomposition, runs in no detection, switching, identity
+    # report, tau image or witness construction: on validated pairs in all
+    # four orderings and dense conjugates, and on a reducible configuration
+    rng, cases = random.Random(61), []
+    for params, pair in pool_recipe_pairs(field):
+        if pair.diameter in (1, 3, 5):
+            for q in (*_orderings(pair), _dense_conjugate(pair, rng)):
+                d, draw = q.diameter, [field.scalar(rng.randrange(1, 7)) for _ in range(2 * q.diameter)]
+                sequences = LeonardParameterSet(field, q.eig_a.eigenvalues, q.eig_astar.eigenvalues, draw[:d], draw[d:])
+                cases.append((q, sequences, q.vstar(0).basis[0]))
+    a, astar = Matrix(field, [[0, 0, 0], [1, 1, 0], [0, 0, 2]]), Matrix(field, [[0, 1, 0], [0, 1, 0], [0, 0, 2]])
+    eig_a, eig_astar = (
+        eig.reordered(sorted(range(3), key=eig.eigenvalues.__getitem__))
+        for eig in map(tdpairs.eigen.eigen_decompose, (a, astar))
+    )
+    with monkeypatch.context() as patch:
+        refuse_in(patch, Matrix, "_shift_ints")
+        for pair, sequences, u in cases:
+            assert isinstance(tdpairs.leonard._detect(pair), LeonardCertificate)
+            switching_from_sequences(sequences, pair.eig_a)
+            assert complete_report(split_subspaces(pair)).all_true()
+            assert len(tau_images(pair, u)) == pair.dim
+            with pytest.raises(HypothesisNotMet, match="does not annihilate"):
+                tdpairs.pairs.reducibility_witness_from_tau_kernel(pair.eig_a, pair.eig_astar, u, pair.diameter)
+        w = tdpairs.pairs.reducibility_witness_from_tau_kernel(eig_a, eig_astar, eig_astar.eigenspaces[0].basis[0], 2)
+    assert 0 < w.dim < 3 and maps_into(a, w, w) and maps_into(astar, w, w)
+    assert {q.eig_a.eigenvalues == tuple(q.a[i, i] for i in range(q.dim)) for q, _, _ in cases} == {True, False}
 
 
 def _switchings(pair, rng, monkeypatch):
