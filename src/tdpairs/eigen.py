@@ -10,14 +10,14 @@ the roots are the t with ker(m - tI) nonzero, scanned until the kernels
 fill the space, else r / d for the roots r of det(xI - R), R = d m the
 int rows, a monic polynomial in Z[x] (polynomials._char_roots).  Each
 such eigenspace is subspaces.kernel(m, theta), one elimination of m's
-int rows with theta subtracted as they are fed in; the eigenvector check
-reads theta off its element; the basis inverse is computed once per
-decomposition and carried by its reorderings, built with no check.
+int rows with theta subtracted as they are fed in.  A decomposition keeps
+its integer roots and its basis inverse, computed once and carried by its
+reorderings, which EigenDecomposition._unchecked builds with no check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 from functools import lru_cache
 from itertools import accumulate, compress
 from math import gcd, lcm
@@ -31,29 +31,32 @@ from .errors import (
     InvariantViolation,
     NotDiagonalizableOverField,
 )
-from .linalg import Echelon, Matrix, _common, _primitive, modulus, residue_product, row_elements, shifted_image
+from .linalg import Echelon, Matrix, _primitive, modulus, residue_product, row_elements, shifted_image
 from .polynomials import _char_roots
 from .subspaces import Subspace, _canonical, kernel
 
 # ---- decomposition --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class EigenDecomposition:
     """A diagonalizable operator together with its distinct eigenvalues
     and eigenspaces, in a fixed order.
 
     The order of `eigenvalues` is meaningful: reordering produces a new
     decomposition of the same operator.  The eigenvalues are coerced once,
-    by field.scalar, before any check."""
+    by field.scalar, before any check.  `roots` holds the ints r_i with
+    theta_i = r_i / d on the int rows R = d m, each u in V_i checked as
+    (R - r_i I) u = 0; over Q no theta_i d off Z is a root of det(xI - R)."""
 
     operator: Matrix
     eigenvalues: tuple
     eigenspaces: tuple
+    roots: tuple = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m, field = self.operator, self.operator.field
-        n, rows, p = m.nrows, m._ints[0], modulus(field)
+        n, (rows, d), p = m.nrows, m._ints, modulus(field)
         if not m.is_square():
             raise DimensionMismatch("eigen-decomposition of a non-square matrix")
         thetas = tuple(map(field.scalar, self.eigenvalues))
@@ -62,7 +65,7 @@ class EigenDecomposition:
             raise InvariantViolation("eigenvalue/eigenspace count mismatch")
         if len(set(thetas)) != len(thetas):
             raise InvariantViolation("repeated eigenvalue")
-        total = 0
+        total, roots = 0, []
         for theta, space in zip(thetas, self.eigenspaces):
             if (space.field, space.ambient_dim) != (field, n):
                 raise InvariantViolation("eigenspace outside the operator's space")
@@ -70,10 +73,20 @@ class EigenDecomposition:
             if not vectors:
                 raise InvariantViolation("zero eigenspace")
             total += len(vectors)
-            if not _are_eigenvectors(rows, p, *m._shift_ints(theta), vectors):
+            r, rest = (theta.v, 0) if p else divmod(theta.numerator * d, theta.denominator)
+            if rest or not _are_eigenvectors(rows, p, r, vectors):
                 raise InvariantViolation("claimed eigenvector is not one")
+            roots.append(r)
         if total != n:
             raise InvariantViolation("eigenspace dimensions do not fill the space")
+        object.__setattr__(self, "roots", tuple(roots))
+
+    @classmethod
+    def _unchecked(cls, operator: Matrix, eigenvalues: tuple, eigenspaces: tuple, roots: tuple) -> "EigenDecomposition":
+        """The decomposition with these fields (theta_i = r_i / d), built with no check."""
+        eig = object.__new__(cls)
+        vars(eig).update(operator=operator, eigenvalues=eigenvalues, eigenspaces=eigenspaces, roots=roots)
+        return eig
 
     @property
     def field(self):
@@ -86,13 +99,6 @@ class EigenDecomposition:
     @property
     def diameter(self) -> int:
         return len(self.eigenvalues) - 1
-
-    @property
-    def roots(self) -> tuple:
-        """The ints r_i with theta_i = r_i / d on the operator's int rows R = d m:
-        residues over GF(p), integers over Q (roots of det(xI - R), monic in Z[x])."""
-        thetas = self.eigenvalues  # field elements, as coerced or built from the int rows
-        return tuple([x.v for x in thetas] if modulus(self.field) else _common(thetas, self.operator._ints[1])[0])
 
     def dims(self) -> tuple[int, ...]:
         return tuple(s.dim for s in self.eigenspaces)
@@ -109,12 +115,8 @@ class EigenDecomposition:
             return self
         if sorted(order) != list(range(len(self.eigenvalues))):
             raise DimensionMismatch("reordering must be a permutation")
-        copy = object.__new__(EigenDecomposition)
-        vars(copy).update(
-            operator=self.operator,
-            eigenvalues=tuple(self.eigenvalues[i] for i in order),
-            eigenspaces=tuple(self.eigenspaces[i] for i in order),
-        )
+        fields = (self.eigenvalues, self.eigenspaces, self.roots)
+        copy = self._unchecked(self.operator, *(tuple(x[i] for i in order) for x in fields))
         if "_change" in self.__dict__:
             c, c_inv, ranges = self.__dict__["_change"]
             (x, dx), (y, dy) = c._ints, c_inv._ints
@@ -131,11 +133,11 @@ class EigenDecomposition:
         return self.reordered(range(self.diameter, -1, -1))
 
 
-def _are_eigenvectors(rows, p, a: int, b: int, vectors) -> bool:
+def _are_eigenvectors(rows, p, r: int, vectors) -> bool:
     """Whether m u = theta u for every Echelon row u in vectors, on the
-    int rows R = d m of m: whether b R u = a u, for theta = a / (b d) as
-    Matrix._shift_ints gives it, mod p unless p is None."""
-    return not any(any(shifted_image(rows, a, b, u, p)) for u in vectors)
+    int rows R = d m of m: whether (R - r I) u = 0 for the root r of
+    theta = r / d, mod p unless p is None."""
+    return not any(any(shifted_image(rows, r, u, p)) for u in vectors)
 
 
 def eigenspaces(m: Matrix) -> tuple[tuple, tuple, int]:
@@ -179,7 +181,7 @@ def _eigenline(m: Matrix, k: int, lower: bool) -> Subspace:
     the line of u with u_k = 1, u_j = 0 for j < k if m is lower (j > k if
     upper), and the rest solved row by row, over Q fraction-free up to scale,
     then kept as the canonical Echelon row of its pivot (k if m is lower)."""
-    rows, p, n = m._ints[0], modulus(m.field), m.nrows
+    (rows, d), p, n = m._ints, modulus(m.field), m.nrows
     u, theta = [0] * n, rows[k][k]
     u[k] = 1
     for i in range(k + 1, n) if lower else range(k - 1, -1, -1):
@@ -205,8 +207,8 @@ def _band_decomposition(m: Matrix, lower: bool, order) -> EigenDecomposition:
     bidiagonal as pairs._split_phi has read it, decomposed as R_kk / d for
     k in order with _band_line's u, checked nonzero at its pivot and on
     every row of (R - R_kk I) u = 0 from R_ii and its one band entry (every
-    other entry is 0).  By construction the eigenvalues are distinct (PA1)
-    row_elements of the diagonal ints and the n nonzero lines fill K^n."""
+    other entry is 0).  By construction its roots, the diagonal ints, are
+    distinct (PA1) and the n nonzero lines fill K^n."""
     (rows, d), p, n = m._ints, modulus(m.field), m.nrows
     t = [row[i] for i, row in enumerate(rows)]
     band = [rows[j][j - 1] if lower else rows[j - 1][j] for j in range(1, n)]
@@ -219,9 +221,8 @@ def _band_decomposition(m: Matrix, lower: bool, order) -> EigenDecomposition:
         if not u[pivot] or any(residue((x - t[k]) * y + b * z) for x, y, b, z in zip(t, u, by_row, near)):
             raise InvariantViolation("claimed eigenvector is not one")
         spaces.append(Subspace(_canonical(m.field, {pivot: u}), n))
-    eig = object.__new__(EigenDecomposition)
-    vars(eig).update(operator=m, eigenvalues=row_elements(m.field, [t[k] for k in order], d), eigenspaces=(*spaces,))
-    return eig
+    roots = tuple(t[k] for k in order)
+    return EigenDecomposition._unchecked(m, row_elements(m.field, roots, d), (*spaces,), roots)
 
 
 def _band_line(t: list, band: list, k: int, lower: bool, p: int | None) -> list:

@@ -233,9 +233,10 @@ def reduce_to_affine(pair: TriDiagonalPair, x: Matrix) -> AffineRelation:
     recover (r, s) with X = rA + sI.
 
     X lies in the subalgebra, spanned by the primitive idempotents E_j of
-    A, exactly when it acts on each eigenspace V_j as a scalar c_j: c_j is
-    read off one Echelon row of V_j, and every row of V_j is checked to be
-    an eigenvector of X for it, on X's int rows.  X = rA + sI exactly when
+    A, exactly when it acts on each eigenspace V_j as a scalar c_j = q / d_X,
+    q = (R_X u)_k / u_k for R_X = d_X X and one Echelon row u of V_j with
+    pivot k: every row of V_j is checked as (R_X - q I) u = 0, which fails on
+    u itself when the quotient is not exact.  X = rA + sI exactly when
     c_j = c_0 + r (theta_j - theta_0) for every j, which the containment
     hypothesis forces and which is asserted; then s = c_0 - r theta_0.
     """
@@ -245,15 +246,14 @@ def reduce_to_affine(pair: TriDiagonalPair, x: Matrix) -> AffineRelation:
         raise FieldMismatch(f"{x.field!r} vs {pair.field!r}")
     if x.nrows != pair.dim or x.ncols != pair.dim:
         raise DimensionMismatch("X has the wrong size")
-    field, (rows, dx), p = pair.field, x._ints, modulus(pair.field)
-    cs = []
+    (rows, dx), p, qs = x._ints, modulus(pair.field), []
     for space in pair.eig_a.eigenspaces:
-        k, u = next(iter(space.echelon.rows.items()))  # u[k], its pivot entry, is nonzero
+        k, u = next(iter(space.echelon.rows.items()))  # u[k], its pivot entry, is nonzero (1 over GF(p))
         xu = sum(map(mul, rows[k], u))
-        c = field.scalar(xu) / field.scalar(dx * u[k])
-        if not _are_eigenvectors(rows, p, *x._shift_ints(c), space.echelon.rows.values()):
+        qs.append(xu % p if p else xu // u[k])
+        if not _are_eigenvectors(rows, p, qs[-1], space.echelon.rows.values()):
             raise HypothesisNotMet("X is not in the subalgebra generated by A")
-        cs.append(c)
+    cs = row_elements(pair.field, qs, dx)
     target = subspace_sum(pair.vstar(0), pair.vstar(1))
     if not maps_into(x, pair.vstar(0), target):
         raise HypothesisNotMet("X Vstar_0 is not inside Vstar_0 + Vstar_1")

@@ -239,15 +239,14 @@ def shifted_rows(rows: Sequence, a: int, b: int, p: int | None) -> Iterator[list
         yield u
 
 
-def shifted_image(rows: Sequence, a: int, b: int, u: Sequence, p: int | None) -> list:
-    """(b R - a I) u for int rows R and an int row u (a = 0: R u for any
+def shifted_image(rows: Sequence, r: int, u: Sequence, p: int | None) -> list:
+    """(R - r I) u for int rows R and an int row u (r = 0: R u for any
     R), in one pass, reduced mod p unless p is None."""
-    if not a:
-        w = [b * sum(map(mul, row, u)) for row in rows]
-        return [x % p for x in w] if p else w
+    if not r:
+        return [sum(map(mul, row, u)) % p for row in rows] if p else [sum(map(mul, row, u)) for row in rows]
     if p:
-        return [(b * sum(map(mul, row, u)) - a * x) % p for row, x in zip(rows, u)]
-    return [b * sum(map(mul, row, u)) - a * x for row, x in zip(rows, u)]
+        return [(sum(map(mul, row, u)) - r * x) % p for row, x in zip(rows, u)]
+    return [sum(map(mul, row, u)) - r * x for row, x in zip(rows, u)]
 
 
 def shifted_chain(rows: Sequence, roots: Sequence, u: Sequence, p: int | None) -> list[list]:
@@ -256,7 +255,7 @@ def shifted_chain(rows: Sequence, roots: Sequence, u: Sequence, p: int | None) -
     an EigenDecomposition), w_i is d^i prod_{h < i} (m - theta_h I) u."""
     out = [list(u)]
     for r in roots:
-        out.append(shifted_image(rows, r, 1, out[-1], p))
+        out.append(shifted_image(rows, r, out[-1], p))
     return out
 
 

@@ -364,15 +364,14 @@ def _graph_norton(a: Matrix, astar: Matrix, eig, edges, i0: int) -> Irreducibili
     read off its block graph (edge (j, i) read as j -> i).  Each subspace
     that side keeps is a sum of its eigenlines: the spin of u_i0 sums those
     i0 reaches, and the dual spin of w_i0 annihilates those not reaching i0."""
-    n, lines = a.nrows, [space.basis[0] for space in eig.eigenspaces]
+    n, lines = a.nrows, eig.eigenspaces
     for arrows, how in ((edges, _KERNEL_SPIN), ({(i, j) for j, i in edges}, _DUAL_SPIN)):
         seen = {i0}
         while more := {i for j, i in arrows if j in seen} - seen:
             seen |= more
         if len(seen) < n:
             keep = seen if arrows is edges else set(range(n)) - seen
-            witness = Subspace.span(a.field, n, [lines[j] for j in keep])
-            return _checked_reducible(a, astar, witness, how)
+            return _checked_reducible(a, astar, sum_of([lines[j] for j in sorted(keep)]), how)
     return IrreducibilityReport.irreducible(_SPINS_FILL)
 
 

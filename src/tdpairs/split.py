@@ -120,7 +120,7 @@ def complete_report(sd: SplitDecomposition) -> SplitReport:
 
     def moved(m, by, step):  # (m - theta_i I) U_i <= U_{i+step}, on the int rows R - r_i I
         if not blocks:
-            return tuple(_lands_in(m._ints[0], r, 1, u, t) for r, u, t in zip(by, sd.U, targets[1 + step :]))
+            return tuple(_lands_in(m._ints[0], r, u, t) for r, u, t in zip(by, sd.U, targets[1 + step :]))
         cols = list(zip(*m._ints[0]))  # on blocks U_i is spanned by e_c for its pivots c
         return tuple(
             all(x == r * (k == c) for c in u.echelon.rows for k, x in enumerate(cols[c]) if k not in t.echelon.rows)

@@ -171,25 +171,25 @@ def kernel(m: Matrix, theta=None) -> Subspace:
     return Subspace(_canonical(m.field, rows), n)
 
 
-def _lands_in(rows, a: int, b: int, s: Subspace, t: Subspace) -> bool:
-    """Whether (b R - a I) u reduces to 0 against t's Echelon for every
-    row u of s's: the unchecked core of maps_into on int rows R."""
+def _lands_in(rows, r: int, s: Subspace, t: Subspace) -> bool:
+    """Whether (R - r I) u reduces to 0 against t's Echelon for every row
+    u of s's, for int rows R and an int r (0: R u, R of any shape): the
+    unchecked core of maps_into.  For m = R / d and a decomposition's root
+    r_i it tests (m - theta_i I)(s) <= t, as R - r_i I = d (m - theta_i I)."""
     eng = t.echelon
-    return not any(any(eng.reduce(shifted_image(rows, a, b, u, eng.p))) for u in s.echelon.rows.values())
+    return not any(any(eng.reduce(shifted_image(rows, r, u, eng.p))) for u in s.echelon.rows.values())
 
 
-def maps_into(m: Matrix, s: Subspace, t: Subspace, theta=None) -> bool:
-    """Whether m(s) lies in t, or with theta whether (m - theta I)(s)
-    does: m u, or b R u - a u as kernel(m, theta) shifts (no shifted
-    matrix), reduces to 0 against t's Echelon for every row u of s's.
-    m must map s's ambient space into t's, over the same field."""
+def maps_into(m: Matrix, s: Subspace, t: Subspace) -> bool:
+    """Whether m(s) lies in t: m u, on m's int rows, reduces to 0 against
+    t's Echelon for every row u of s's.  m must map s's ambient space into
+    t's, over the same field; for (m - theta I)(s) pass m.shift(theta)."""
     if m.field != s.field:
         raise FieldMismatch(f"{m.field!r} vs {s.field!r}")
     if m.ncols != s.ambient_dim:
         raise DimensionMismatch("operator domain does not match ambient space")
     _check_space(m.field, m.nrows, t)  # where the image would lie
-    a, b = (0, 1) if theta is None else m._shift_ints(theta)
-    return _lands_in(m._ints[0], a, b, s, t)
+    return _lands_in(m._ints[0], 0, s, t)
 
 
 def annihilator(field: Field, ambient_dim: int, vectors: Sequence[Sequence]) -> Subspace:

@@ -183,9 +183,9 @@ def test_reordered_copies_skip_the_eigenvector_check(monkeypatch):
     calls = []
     real_check = tdpairs.eigen._are_eigenvectors
 
-    def check(rows, p, a, b, vectors):
-        calls.append((rows, p, a, b, [list(u) for u in vectors]))
-        return real_check(rows, p, a, b, vectors)
+    def check(rows, p, r, vectors):
+        calls.append((rows, p, r, [list(u) for u in vectors]))
+        return real_check(rows, p, r, vectors)
 
     monkeypatch.setattr(tdpairs.eigen, "_are_eigenvectors", check)
     eig.reordered((2, 0, 1))
@@ -193,9 +193,9 @@ def test_reordered_copies_skip_the_eigenvector_check(monkeypatch):
     assert calls == []
     EigenDecomposition(eig.operator, eig.eigenvalues, eig.eigenspaces)
     m = eig.operator
-    assert calls == [  # one call per eigenspace, with every engine row
-        (m._ints[0], None, *m._shift_ints(theta), [list(u) for u in space.echelon.rows.values()])
-        for theta, space in zip(eig.eigenvalues, eig.eigenspaces)
+    assert calls == [  # one call per eigenspace, by its root, with every engine row
+        (m._ints[0], None, r, [list(u) for u in space.echelon.rows.values()])
+        for r, space in zip((1, 2, 3), eig.eigenspaces)
     ]
     assert sum(len(c[-1]) for c in calls) == 3
     for bad in ((0, 1), (0, 0, 1), (0, 1, 3)):
@@ -317,12 +317,24 @@ def test_a_library_caller_catches_a_singular_inverse_as_tdp_error():
         raise AssertionError("a singular matrix was inverted")
 
 
+def test_a_claimed_eigenvalue_whose_root_is_no_integer_is_no_eigenvalue():
+    # m = diag(1/3, 2/3) has R = diag(1, 2) over d = 3; theta = 1/2 gives
+    # theta d = 3/2, no integer, so e_0 is no eigenvector for it, although
+    # the floor 1 of 3/2 is R's root on e_0
+    m = qm([[Fraction(1, 3), 0], [0, Fraction(2, 3)]])
+    e = (Subspace.span(QQ, 2, [(1, 0)]), Subspace.span(QQ, 2, [(0, 1)]))
+    assert m._ints == (((1, 0), (0, 2)), 3)
+    with pytest.raises(InvariantViolation, match="^claimed eigenvector is not one$"):
+        EigenDecomposition(m, (Fraction(1, 2), Fraction(2, 3)), e)
+    eig = EigenDecomposition(m, (Fraction(1, 3), Fraction(2, 3)), e)
+    assert eig.roots == (1, 2) and eig.reversed().roots == (2, 1)
+
+
 def test_a_singular_eigenbasis_is_a_bug():
     # a decomposition built without its checks, whose two "eigenlines"
     # coincide, has a singular eigenbasis: that can only be a bug
     line = Subspace.span(QQ, 2, [(1, 1)])
-    eig = object.__new__(EigenDecomposition)
-    vars(eig).update(operator=qm([[1, 0], [0, 2]]), eigenvalues=(1, 2), eigenspaces=(line, line))
+    eig = EigenDecomposition._unchecked(qm([[1, 0], [0, 2]]), (QQ.one, QQ.scalar(2)), (line, line), (1, 2))
     with pytest.raises(InvariantViolation, match="singular"):
         eigencoordinate_change(eig)
 
@@ -1090,9 +1102,10 @@ def _root_cases(path):
 
 @pytest.mark.parametrize("path", ["dense", "scan", "triangular", "band"])
 def test_roots_and_chains_match_the_eigenvalues_on_every_construction_path(path):
-    # theta_i d = r_i, chi_R(r_i) = 0, and shifted_chain by the roots is
-    # d^i prod_h (m - theta_h I) u by shifted matrices; on the decomposition
-    # and on its reordered and reversed copies
+    # roots are stored, theta_i d = r_i, chi_R(r_i) = 0, m v = theta_i v on
+    # V_i's basis, and shifted_chain by the roots is d^i prod_h (m - theta_h I) u
+    # by shifted matrices; on the decomposition and its reordered and
+    # reversed copies
     rng, fields = random.Random(59), set()
     for base in _root_cases(path):
         m, field = base.operator, base.field
@@ -1106,11 +1119,13 @@ def test_roots_and_chains_match_the_eigenvalues_on_every_construction_path(path)
         rng.shuffle(order)
         for eig in (base, base.reversed(), base.reordered(order)):
             roots = eig.roots
+            assert vars(eig)["roots"] is roots  # stored, not recomputed
             assert len(roots) == len(eig.eigenvalues) and all(type(r) is int for r in roots)
-            for theta, r in zip(eig.eigenvalues, roots):
+            for theta, r, space in zip(eig.eigenvalues, roots, eig.eigenspaces):
                 assert theta * d == field.scalar(r) and (p is None or 0 <= r < p)
                 value = sum(c * r**k for k, c in enumerate(chi))
                 assert (value if p is None else value % p) == 0
+                assert all(m.apply(v) == tuple(theta * x for x in v) for v in space.basis)
             u = [rng.randint(-3, 3) for _ in range(m.nrows)]
             u = [x % p for x in u] if p else u
             want = [[field.scalar(x) for x in u]]

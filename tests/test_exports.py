@@ -1,5 +1,6 @@
 """The package's public surface: every exported name resolves, once, no
-module imports a name it does not use, and every private name is read."""
+module imports a name it does not use, every private name is read, and
+Matrix._shift_ints is read only where a caller's scalar comes in."""
 
 from __future__ import annotations
 
@@ -56,3 +57,21 @@ def test_every_private_name_is_referenced():
     private = [(name, where) for name, where in defined if name.startswith("_") and not name.startswith("__")]
     assert len(private) > 90
     assert [f"{where} {name}" for name, where in private if name not in read] == []
+
+
+def test_shift_ints_is_read_only_where_a_field_scalar_comes_in():
+    # every eigenvalue of a decomposition is shifted as R - r I by its
+    # stored integer root; Matrix._shift_ints splits a caller's scalar theta
+    # into (a, b) only in Matrix.shift and kernel(m, theta)
+    readers = []
+
+    def visit(node, module, where):
+        if isinstance(node, ast.Attribute) and node.attr == "_shift_ints":
+            readers.append((module, where))
+        for child in ast.iter_child_nodes(node):
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, module, child.name if inner else where)
+
+    for path in sorted(Path(tdpairs.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None)
+    assert sorted(readers) == [("linalg.py", "shift"), ("subspaces.py", "kernel")]

@@ -51,7 +51,7 @@ from tdpairs import (
     tau_images,
     validate_pair,
 )
-from tdpairs.eigen import invert
+from tdpairs.eigen import EigenDecomposition, invert
 from tdpairs.linalg import Echelon
 from tdpairs.split import SplitDecomposition
 
@@ -266,6 +266,20 @@ def test_reduce_to_affine_rejects_higher_degree_and_foreign_x():
         reduce_to_affine(pair, pair.a @ pair.a)  # containment fails
     with pytest.raises(HypothesisNotMet):
         reduce_to_affine(pair, pair.astar)  # not in the A-subalgebra
+
+
+def test_reduce_to_affine_rejects_a_root_quotient_that_is_not_exact():
+    # A = [[-1, 2], [-1, 2]] has V_0 = span(u), u = (2, 1), and V_1 =
+    # span((1, 1)).  X = [[0, 1], [-1, 2]] fixes (1, 1) and maps u to (1, 0),
+    # so (R_X u)_0 / u_0 = 1/2 is no integer root: X is a scalar on V_1
+    # alone, and reading c_0 = 1/2 would report X = A / 2 + I / 2.
+    # X = A / 3 - 2/5 I has the exact roots -6 and -1 over 15
+    pair = validate_pair(qm([[-1, 2], [-1, 2]]), qm([[1, 0], [0, -1]]))
+    assert [space.echelon.rows for space in pair.eig_a.eigenspaces] == [{0: [2, 1]}, {0: [1, 1]}]
+    with pytest.raises(HypothesisNotMet, match="^X is not in the subalgebra generated by A$"):
+        reduce_to_affine(pair, qm([[0, 1], [-1, 2]]))
+    x = pair.a.scale(Fraction(1, 3)) + Matrix.identity(QQ, 2).scale(Fraction(-2, 5))
+    assert x._ints[1] == 15 and reduce_to_affine(pair, x) == AffineRelation(r=Fraction(1, 3), s=Fraction(-2, 5))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5), GF(7)], ids=str)
@@ -820,18 +834,21 @@ def test_detection_in_a_split_basis_runs_no_kernel_and_no_chain(field, monkeypat
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
 def test_no_eigenvalue_of_a_validated_pair_goes_through_shift_ints(field, monkeypatch):
-    # every tau-step and raising or lowering check shifts by R - r I for a
-    # decomposition's integer root r, so Matrix._shift_ints, kept for scalars
-    # from outside a decomposition, runs in no detection, switching, identity
-    # report, tau image or witness construction: on validated pairs in all
-    # four orderings and dense conjugates, and on a reducible configuration
+    # every tau-step, raising or lowering check and eigenvector check shifts
+    # by R - r I for an integer root r, so Matrix._shift_ints, kept for
+    # scalars from outside a decomposition, runs in no checked decomposition,
+    # detection, switching, identity report, tau image, affine reduction or
+    # witness construction: on validated pairs in all four orderings and
+    # dense conjugates, and on a reducible configuration
     rng, cases = random.Random(61), []
+    r, s = field.scalar(2), field.scalar(Fraction(-3, 5) if field == QQ else 3)
     for params, pair in pool_recipe_pairs(field):
         if pair.diameter in (1, 3, 5):
             for q in (*_orderings(pair), _dense_conjugate(pair, rng)):
                 d, draw = q.diameter, [field.scalar(rng.randrange(1, 7)) for _ in range(2 * q.diameter)]
                 sequences = LeonardParameterSet(field, q.eig_a.eigenvalues, q.eig_astar.eigenvalues, draw[:d], draw[d:])
-                cases.append((q, sequences, q.vstar(0).basis[0]))
+                x = q.a.scale(r) + Matrix.identity(field, q.dim).scale(s)
+                cases.append((q, sequences, q.vstar(0).basis[0], x))
     a, astar = Matrix(field, [[0, 0, 0], [1, 1, 0], [0, 0, 2]]), Matrix(field, [[0, 1, 0], [0, 1, 0], [0, 0, 2]])
     eig_a, eig_astar = (
         eig.reordered(sorted(range(3), key=eig.eigenvalues.__getitem__))
@@ -839,7 +856,10 @@ def test_no_eigenvalue_of_a_validated_pair_goes_through_shift_ints(field, monkey
     )
     with monkeypatch.context() as patch:
         refuse_in(patch, Matrix, "_shift_ints")
-        for pair, sequences, u in cases:
+        for pair, sequences, u, x in cases:
+            for eig in (pair.eig_a, pair.eig_astar):
+                assert EigenDecomposition(eig.operator, eig.eigenvalues, eig.eigenspaces).roots == eig.roots
+            assert reduce_to_affine(pair, x) == AffineRelation(r=r, s=s)
             assert isinstance(tdpairs.leonard._detect(pair), LeonardCertificate)
             switching_from_sequences(sequences, pair.eig_a)
             assert complete_report(split_subspaces(pair)).all_true()
@@ -848,7 +868,7 @@ def test_no_eigenvalue_of_a_validated_pair_goes_through_shift_ints(field, monkey
                 tdpairs.pairs.reducibility_witness_from_tau_kernel(pair.eig_a, pair.eig_astar, u, pair.diameter)
         w = tdpairs.pairs.reducibility_witness_from_tau_kernel(eig_a, eig_astar, eig_astar.eigenspaces[0].basis[0], 2)
     assert 0 < w.dim < 3 and maps_into(a, w, w) and maps_into(astar, w, w)
-    assert {q.eig_a.eigenvalues == tuple(q.a[i, i] for i in range(q.dim)) for q, _, _ in cases} == {True, False}
+    assert {q.eig_a.eigenvalues == tuple(q.a[i, i] for i in range(q.dim)) for q, _, _, _ in cases} == {True, False}
 
 
 def _switchings(pair, rng, monkeypatch):
@@ -874,15 +894,15 @@ def _switchings(pair, rng, monkeypatch):
 
 
 def _reports(sd, monkeypatch):
-    """(complete_report's, maps_into's per index) (eq7, eq8) of sd, and
-    whether the report ran _lands_in."""
+    """(complete_report's, maps_into's on m - theta_i I per index) (eq7,
+    eq8) of sd, and whether the report ran _lands_in."""
     pair, zero = sd.pair, Subspace.zero(sd.pair.field, sd.pair.dim)
     targets, landed, lands_in = (zero, *sd.U, zero), [], tdpairs.split._lands_in
     with monkeypatch.context() as patch:
         patch.setattr(tdpairs.split, "_lands_in", lambda *args: landed.append(args) or lands_in(*args))
         report = complete_report(sd)
     want = tuple(
-        tuple(maps_into(m, u, targets[i + 1 + step], theta) for i, (u, theta) in enumerate(zip(sd.U, eig.eigenvalues)))
+        tuple(maps_into(m.shift(theta), u, t) for u, theta, t in zip(sd.U, eig.eigenvalues, targets[1 + step :]))
         for m, eig, step in ((pair.a, pair.eig_a, 1), (pair.astar, pair.eig_astar, -1))
     )
     return ((report.eq7, report.eq8), want), bool(landed)

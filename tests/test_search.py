@@ -226,7 +226,7 @@ def test_search_decomposes_the_fixed_a_once_and_each_survivor_once(monkeypatch):
     assert len({id(m) for m in decomposed}) == len(decomposed)  # each held, so ids are distinct
     assert len({(id(eig), id(b)) for eig, b in graphs}) == len(graphs)
     (eig_a,) = {id(eig): eig for eig, _ in graphs if eig.operator is a}.values()  # one decomposition of A
-    assert set(vars(eig_a)) == {"operator", "eigenvalues", "eigenspaces", "_change", "_edges"}
+    assert set(vars(eig_a)) == {"operator", "eigenvalues", "eigenspaces", "roots", "_change", "_edges"}
 
 
 def test_hits_do_not_alias_the_reused_candidate_buffer():

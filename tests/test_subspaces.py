@@ -23,7 +23,7 @@ from tdpairs import (
     subspace_sum,
 )
 from tdpairs.pairs import _checked_reducible
-from tdpairs.subspaces import sum_of
+from tdpairs.subspaces import _lands_in, sum_of
 
 from oracles import image_of, int_rref, int_span, kernel_by_two_eliminations, subspace_leq, subspace_vector_set
 
@@ -231,10 +231,11 @@ def test_maps_into_matches_the_image_and_containment(field):
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(101)], ids=str)
 def test_shifted_maps_into_matches_the_shifted_matrix(field):
-    # maps_into(m, s, t, theta) shifts m's int rows inside each image; it
-    # must agree with maps_into(m.shift(theta), s, t) for theta on and off
-    # the spectrum (fractional over Q), with s an eigenspace, the whole
-    # space or a random kernel, and t zero, s itself or the shifted image
+    # _lands_in(R, r, s, t), maps_into's core shifted by an int r on m's
+    # int rows R = d m, must agree with maps_into(m.shift(r / d), s, t) for
+    # r on and off the spectrum (theta fractional over Q), with s an
+    # eigenspace, the whole space or a random kernel, and t zero, s itself
+    # or the shifted image
     rng = random.Random(f"shifted maps_into {field}")
     p = getattr(field, "p", None)
 
@@ -245,17 +246,17 @@ def test_shifted_maps_into_matches_the_shifted_matrix(field):
     for _ in range(120):
         n = rng.randint(1, 6)
         m = Matrix(field, [[draw() for _ in range(n)] for _ in range(n)])
-        theta = rng.choice([draw(), m[0, 0]])
+        rows, d = m._ints
+        r = rng.choice([rng.randrange(p) if p else rng.randint(-30, 30), rows[0][0]])
+        theta = field.scalar(r) / field.scalar(d)
         shifted = m.shift(theta)
         s = rng.choice([kernel(m, theta), Subspace.full(field, n), kernel(_random_matrix(rng, field, 2, n))])
         other = kernel(_random_matrix(rng, field, rng.randint(1, n), n))
         t = rng.choice([Subspace.zero(field, n), s, other, subspace_sum(image_of(shifted, s), other)])
-        verdict = maps_into(m, s, t, theta)
+        verdict = _lands_in(rows, r, s, t)
         assert verdict == maps_into(shifted, s, t), (m.rows, theta, s, t)
         verdicts.add(verdict)
     assert verdicts == {True, False}
-    with pytest.raises(DimensionMismatch, match="shift of a non-square matrix"):
-        maps_into(Matrix.zeros(field, 2, 3), Subspace.full(field, 3), Subspace.full(field, 2), 1)
 
 
 def test_maps_into_checks_fields_and_dimensions():
