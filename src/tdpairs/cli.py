@@ -43,11 +43,11 @@ from .errors import (
 from .fields import field_from_spec, field_to_spec
 from .leonard import (
     LeonardCertificate,
+    _random_split_form,
     affine_relation,
     aligned_to_params,
     detect_leonard,
     generate_split_form,
-    random_leonard,
     switching_from_sequences,
     switching_via_solve,
 )
@@ -64,7 +64,6 @@ from .serio import (
     params_to_json,
     scalar_to_str,
     subspace_to_json,
-    vector_to_json,
 )
 from .split import complete_report, split_subspaces
 
@@ -109,9 +108,6 @@ def _failure_json(e: TdpError | InvariantViolation) -> dict:
     witness = getattr(e, "witness", None)
     if witness is not None:
         out["witness"] = subspace_to_json(witness)
-    u = getattr(e, "u", None)
-    if u is not None:
-        out["u"] = vector_to_json(u)
     for attr in ("side", "index", "diagnostic"):
         value = getattr(e, attr, None)
         if value is not None:
@@ -313,8 +309,7 @@ def _random_request(field_name: str, d_str: str, seed_str: str) -> bytes:
 
 def _generated_at_random(request: bytes):
     spec = json.loads(request)["random"]
-    params, pair = random_leonard(field_from_spec(spec["field"]), spec["d"], spec["seed"])
-    return _generated(params, pair.a, pair.astar)
+    return _generated(*_random_split_form(field_from_spec(spec["field"]), spec["d"], spec["seed"]))
 
 
 def cmd_generate(params_path: str | None, random_args: list | None) -> dict:

@@ -202,27 +202,26 @@ def _eigenline(m: Matrix, k: int, lower: bool) -> Subspace:
     return Subspace(_canonical(m.field, {pivot: u}), n)
 
 
-def _band_decomposition(m: Matrix, lower: bool, order) -> EigenDecomposition:
+def _band_decomposition(m: Matrix, lower: bool) -> EigenDecomposition:
     """A split form's side m = R / d, R lower (if lower) or upper
-    bidiagonal as pairs._split_phi has read it, decomposed as R_kk / d for
-    k in order with _band_line's u, checked nonzero at its pivot and on
-    every row of (R - R_kk I) u = 0 from R_ii and its one band entry (every
-    other entry is 0).  By construction its roots, the diagonal ints, are
-    distinct (PA1) and the n nonzero lines fill K^n."""
+    bidiagonal as pairs._split_phi has read it, decomposed in diagonal
+    order as R_kk / d for k = 0 .. n-1 with _band_line's u, checked nonzero
+    at its pivot and on every row of (R - R_kk I) u = 0 from R_ii and its one
+    band entry (every other entry is 0).  Its roots are the diagonal ints,
+    distinct by construction (PA1), and the n nonzero lines fill K^n."""
     (rows, d), p, n = m._ints, modulus(m.field), m.nrows
     t = [row[i] for i, row in enumerate(rows)]
     band = [rows[j][j - 1] if lower else rows[j - 1][j] for j in range(1, n)]
     by_row = [0, *band] if lower else [*band, 0]  # each row's band entry
     residue = (lambda x: x % p) if p else (lambda x: x)
     spaces = []
-    for k in order:
+    for k in range(n):
         u, pivot = _band_line(t, band, k, lower, p), k if lower else 0
         near = [0, *u[:-1]] if lower else [*u[1:], 0]  # the entry of u each row's band entry meets
         if not u[pivot] or any(residue((x - t[k]) * y + b * z) for x, y, b, z in zip(t, u, by_row, near)):
             raise InvariantViolation("claimed eigenvector is not one")
         spaces.append(Subspace(_canonical(m.field, {pivot: u}), n))
-    roots = tuple(t[k] for k in order)
-    return EigenDecomposition._unchecked(m, row_elements(m.field, roots, d), (*spaces,), roots)
+    return EigenDecomposition._unchecked(m, row_elements(m.field, t, d), (*spaces,), (*t,))
 
 
 def _band_line(t: list, band: list, k: int, lower: bool, p: int | None) -> list:

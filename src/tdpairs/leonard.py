@@ -18,18 +18,19 @@ scalars c_j on (roots, d_A) (_split_polynomial), else as sum c_j E_j, one
 product C diag(c) C^-1 (eigen._idempotent_sum); affine reduction reads c_j
 off X's action on each eigenspace.  No tau_i(A), no Matrix per index.
 
-Generation validates the split form of a parameter set with
-validate_pair, which certifies one whose sequences satisfy PA1-PA5
-(Terwilliger, LAA 330, 2001, Thm 1.9) from its triangular decompositions.
-random_leonard draws from an affine family whose phi has a closed form
-in integers, so every draw it keeps is a parameter array and a rejection
-of one is a bug.
+Generation certifies every split form in generate_split_form: one whose
+sequences satisfy PA1-PA5 (Terwilliger, LAA 330, 2001, Thm 1.9) by reading
+them once (pairs._split_phi), phi checked against PA4, any other by
+validate_pair.  random_leonard draws from an affine family whose phi has a
+closed form in integers, so a rejected draw is a bug, and builds its pair
+once, in the orderings drawn (pairs._split_basis_pair).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import accumulate
 from math import lcm
 from operator import mul
@@ -51,7 +52,7 @@ from .errors import (
 from .eigen import EigenDecomposition, _are_eigenvectors, _idempotent_sum
 from .fields import Field, PrimeField
 from .linalg import Matrix, modulus, row_elements, shifted_chain
-from .pairs import TriDiagonalPair, _split_phi, _unit_lower_bidiagonal, validate_pair
+from .pairs import TriDiagonalPair, _split_basis_pair, _split_phi, _unit_lower_bidiagonal, validate_pair
 from .serio import scalar_to_str
 from .subspaces import Subspace, kernel, maps_into, subspace_sum
 
@@ -376,24 +377,20 @@ def _split_matrices(field, theta, thetastar, varphi) -> tuple[Matrix, Matrix]:
     return Matrix._of_ints(field, a, da), Matrix._of_ints(field, astar, ds)
 
 
-def _split_pair(a: Matrix, astar: Matrix) -> TriDiagonalPair:
-    """validate_pair's pair of a generated split form; its rejection is GeneratedPairInvalid."""
-    try:
-        return validate_pair(a, astar)
-    except TdpError as e:
-        raise GeneratedPairInvalid(f"generated split form failed validation: {e}", cause=e) from e
-
-
 def generate_split_form(params: LeonardParameterSet) -> tuple[Matrix, Matrix]:
     """A lower bidiagonal with diagonal theta and unit subdiagonal,
     Astar upper bidiagonal with diagonal thetastar and superdiagonal
-    varphi; generation fails when it does not pass validate_pair, and
-    when phi is not PA4's phi as validate_pair reads it (pairs._split_phi);
-    a form it certifies passes validate_pair, so only the others are built."""
+    varphi.  A form whose sequences form a parameter array (pairs._split_phi)
+    is certified by Terwilliger's classification and builds no pair; phi must
+    be PA4's phi for it, else InvalidLeonardParameters.  Any other form goes
+    through validate_pair, whose rejection is GeneratedPairInvalid."""
     field = params.field
     a, astar = _split_matrices(field, params.theta, params.thetastar, params.varphi)
     if (found := _split_phi(a, astar)) is None:  # d = 0, or no parameter array: the engine decides
-        _split_pair(a, astar)
+        try:
+            validate_pair(a, astar)
+        except TdpError as e:
+            raise GeneratedPairInvalid(f"generated split form failed validation: {e}", cause=e) from e
         if params.d:  # Terwilliger's Thm 1.9: a split-form Leonard pair has a parameter array
             raise InvariantViolation("validated split form has no parameter array")
         return a, astar
@@ -420,16 +417,23 @@ _MAX_RETRIES = 40
 
 
 def random_leonard(field: Field, d: int, seed) -> tuple[LeonardParameterSet, TriDiagonalPair]:
-    """Deterministic pseudo-random Leonard pair of diameter d.
+    """Deterministic pseudo-random Leonard pair of diameter d: the split
+    form _random_split_form draws and certifies, with orderings theta and
+    thetastar in the order drawn (pairs._split_basis_pair)."""
+    params, a, astar = _random_split_form(field, d, seed)
+    return params, _split_basis_pair(a, astar)
+
+
+def _random_split_form(field: Field, d: int, seed) -> tuple[LeonardParameterSet, Matrix, Matrix]:
+    """(params, A, Astar) of a deterministic pseudo-random draw.
 
     Each draw (a, b, astar, bstar, t) gives theta_i = a i + b, thetastar_i
     = astar i + bstar, varphi_i = i (d - i + 1) t and phi_i = i (d - i + 1)
     (t + a astar), an affine family on which PA1-PA5 hold (Terwilliger,
     LAA 330, 2001, Thm 1.9) unless some phi_i is 0, that is (as p > d)
     when d >= 1 and t + a astar = 0: such a draw is skipped.  The split
-    form is validated (see _split_pair), and the pair is returned with its
-    orderings aligned to the parameter sequences; a rejection of a drawn
-    split form is a bug, raised as InvariantViolation.
+    form is built and certified by generate_split_form; a rejection of a
+    drawn parameter array is a bug, raised as InvariantViolation.
     """
     if d < 0:
         raise DimensionMismatch("diameter must be nonnegative")
@@ -438,20 +442,12 @@ def random_leonard(field: Field, d: int, seed) -> tuple[LeonardParameterSet, Tri
             f"GF({field.p}) cannot host {d + 1} distinct eigenvalues"
         )
     rng = random.Random(seed)
+    if isinstance(field, PrimeField):  # a nonzero scale, any shift
+        scale, shift = partial(rng.randrange, 1, field.p), partial(rng.randrange, field.p)
+    else:
+        scale, shift = partial(rng.choice, [x for x in range(-6, 7) if x]), partial(rng.randrange, -9, 10)
     for _ in range(_MAX_RETRIES):
-        if isinstance(field, PrimeField):
-            p = field.p
-            a_scale = rng.randrange(1, p)
-            b_shift = rng.randrange(p)
-            astar_scale = rng.randrange(1, p)
-            bstar_shift = rng.randrange(p)
-            t = rng.randrange(1, p)
-        else:
-            a_scale = rng.choice([x for x in range(-6, 7) if x])
-            b_shift = rng.randrange(-9, 10)
-            astar_scale = rng.choice([x for x in range(-6, 7) if x])
-            bstar_shift = rng.randrange(-9, 10)
-            t = rng.choice([x for x in range(-6, 7) if x])
+        a_scale, b_shift, astar_scale, bstar_shift, t = scale(), shift(), scale(), shift(), scale()
         s = t + a_scale * astar_scale  # phi_i / (i (d - i + 1))
         if d and not field.scalar(s):
             continue
@@ -463,11 +459,7 @@ def random_leonard(field: Field, d: int, seed) -> tuple[LeonardParameterSet, Tri
                 varphi=[i * (d - i + 1) * t for i in range(1, d + 1)],
                 phi=[i * (d - i + 1) * s for i in range(1, d + 1)],
             )
-            pair = _split_pair(*_split_matrices(field, params.theta, params.thetastar, params.varphi))
+            return params, *generate_split_form(params)
         except (InvalidLeonardParameters, GeneratedPairInvalid) as e:
             raise InvariantViolation(f"drawn parameter array rejected: {e}") from e
-        aligned = aligned_to_params(pair, params)
-        if aligned is None:
-            raise InvariantViolation("generated pair misaligned with parameters")
-        return params, aligned
     raise ExhaustedRetries(f"no valid parameter set found after {_MAX_RETRIES} attempts")

@@ -319,6 +319,7 @@ def _submodule(field, b_basis: list[Matrix]):
 _KERNEL_SPIN = "spin-up of a kernel vector of a singular algebra element"
 _DUAL_SPIN = "annihilator of a proper dual spin-up"
 _SPINS_FILL = "kernel spin-ups and the dual spin-up all fill the space"
+_DIM_ONE = "no proper nonzero subspaces in dimension 1"
 
 
 def _norton(a: Matrix, astar: Matrix, m: Matrix, theta, krows, submodule) -> IrreducibilityReport:
@@ -421,7 +422,7 @@ def irreducible(a: Matrix, astar: Matrix) -> IrreducibilityReport:
     if a.nrows == 0:
         raise DimensionMismatch("empty matrices")
     if a.nrows == 1:
-        return IrreducibilityReport.irreducible("no proper nonzero subspaces in dimension 1")
+        return IrreducibilityReport.irreducible(_DIM_ONE)
     field = a.field
     n = a.nrows
     shifts = []
@@ -584,18 +585,26 @@ def _unit_lower_bidiagonal(rows: list, d: int) -> bool:
 
 def _split_form_pair(a: Matrix, astar: Matrix) -> TriDiagonalPair | None:
     """The pair as validate_pair returns it when _split_phi finds a
-    parameter array, else None: Leonard with standard orderings theta and
-    thetastar, each side decomposed on the band _split_phi has read, in the
+    parameter array, else None: the _split_basis_pair, each side in the
     lex-least of its diagonal order and the reverse, compared on the
-    diagonal ints; n lines a side, so its shape is (1, ..., 1), and Norton's
-    test fills both spins."""
+    diagonal ints."""
     if _split_phi(a, astar) is None:
         return None
-    eigs = []
-    for m, lower in ((a, True), (astar, False)):
-        t = [row[i] for i, row in enumerate(m._ints[0])]
-        eigs.append(_band_decomposition(m, lower, range(len(t))[:: 1 if t <= t[::-1] else -1]))
-    return TriDiagonalPair(a, astar, *eigs, ShapeVector((1,) * a.nrows), IrreducibilityReport.irreducible(_SPINS_FILL))
+    pair = _split_basis_pair(a, astar)
+    t, u = ([row[i] for i, row in enumerate(m._ints[0])] for m in (a, astar))
+    pair = pair.with_reversed_a() if t[::-1] < t else pair
+    return pair.with_reversed_astar() if u[::-1] < u else pair
+
+
+def _split_basis_pair(a: Matrix, astar: Matrix) -> TriDiagonalPair:
+    """The Leonard pair of a split form whose sequences form a parameter
+    array (_split_phi, or generation's check of it), with orderings theta
+    and thetastar in diagonal order: each side decomposed on its band, n
+    lines a side, so its shape is (1, ..., 1), and Norton's test fills both
+    spins (trivially at n = 1, where no proper subspace exists)."""
+    eigs = (_band_decomposition(a, True), _band_decomposition(astar, False))
+    report = IrreducibilityReport.irreducible(_SPINS_FILL if a.nrows > 1 else _DIM_ONE)
+    return TriDiagonalPair(a, astar, *eigs, ShapeVector((1,) * a.nrows), report)
 
 
 def _lex_least(eig: EigenDecomposition, orderings) -> EigenDecomposition:

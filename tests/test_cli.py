@@ -28,13 +28,22 @@ from tdpairs import (
     LeonardParameterSet,
     Matrix,
     SearchSpec,
+    Subspace,
     TdpError,
+    random_leonard,
 )
 from tdpairs.cli import cmd_search, main
 from tdpairs.eigen import invert
 from tdpairs.serio import candidate_from_json, candidate_to_json, canonical_dumps, params_to_json
 
-from oracles import TENSOR_PARAMS, kron_sum_fixture, reversed_basis, scalar_restriction_fixture, tensor_fixture
+from oracles import (
+    TENSOR_PARAMS,
+    kron_sum_fixture,
+    reversed_basis,
+    reversed_pair,
+    scalar_restriction_fixture,
+    tensor_fixture,
+)
 from test_eigen import refuse_in, unit_band_line
 from test_pairs import A_D2, ASTAR_D2
 
@@ -454,6 +463,23 @@ def test_detect_not_leonard_still_exit_0(tmp_path, capsys):
     assert payload["shape"] == [1, 2, 1]
 
 
+def test_detect_a_planted_kernel_bug_exits_4(tmp_path, capsys, monkeypatch):
+    # the candidate in the reversed basis is no split form, so detection
+    # solves for its certificate by a kernel; an empty one on a pair whose
+    # eigenspaces are all lines is a bug, not NotLeonard
+    _, pair = random_leonard(GF(101), 3, 2)
+    path = write_candidate(tmp_path, "reversed.json", *reversed_pair(pair))
+    monkeypatch.setattr(tdpairs.leonard, "kernel", lambda m, *args: Subspace.zero(m.field, m.ncols))
+    rc, out, _ = run(capsys, ["detect", path])
+    assert rc == 4
+    (rep,) = reports_of(out)
+    assert rep["exitCode"] == 4
+    assert rep["payload"]["failure"] == {
+        "kind": "InvariantViolation",
+        "message": "no certificate found although every eigenspace is 1-dimensional",
+    }
+
+
 # ---- switch --------------------------------------------------------------------
 
 
@@ -530,6 +556,20 @@ def test_switch_misaligned_eigenvalues_exit_1(tmp_path, capsys):
     assert rc == 1
     (rep,) = reports_of(out)
     assert rep["payload"]["failure"]["kind"] == "HypothesisNotMet"
+
+
+def test_switch_parameters_of_another_diameter_exit_1(tmp_path, capsys):
+    cand = d2_candidate(tmp_path)
+    short = LeonardParameterSet(field=QQ, theta=(0, 1), thetastar=(0, 1), varphi=(1,), phi=(2,))
+    pfile = write_params(tmp_path, "short.json", short)
+    rc, out, _ = run(capsys, ["switch", cand, "--sequences", pfile])
+    assert rc == 1
+    (rep,) = reports_of(out)
+    assert rep["exitCode"] == 1
+    assert rep["payload"]["failure"] == {
+        "kind": "HypothesisNotMet",
+        "message": "parameter set has diameter 1, pair has 2",
+    }
 
 
 def test_switch_non_leonard_exit_1(tmp_path, capsys):
@@ -653,6 +693,63 @@ def test_generate_respects_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TDP_MAX_DIM", "2")
     rc, out, _ = run(capsys, ["generate", "--random", "gf7", "2", "1"])
     assert rc == 3
+
+
+def test_generate_params_respects_cap_with_the_digest_set(tmp_path, capsys, monkeypatch):
+    pfile = write_params(tmp_path, "d2.json", d2_params())
+    monkeypatch.setenv("TDP_MAX_DIM", "2")
+    rc, out, _ = run(capsys, ["generate", "--params", pfile])
+    assert rc == 3
+    (rep,) = reports_of(out)
+    assert rep["exitCode"] == 3
+    assert rep["inputDigest"] == hashlib.sha256(Path(pfile).read_bytes()).hexdigest()
+    assert rep["payload"]["failure"] == {
+        "kind": "ParseError",
+        "message": "diameter 2 implies dimension 3, above the cap of 2",
+    }
+
+
+def test_generate_params_off_the_parameter_arrays_exit_1_with_the_cause(tmp_path, capsys):
+    # PA3 fails (it asks varphi_2 = 1), so the general engine decides the
+    # split form and finds no ordering; its rejection is the nested cause
+    params = LeonardParameterSet(field=QQ, theta=(0, 1, 2), thetastar=(0, 1, 2), varphi=(1, 2), phi=(3, 3))
+    rc, out, _ = run(capsys, ["generate", "--params", write_params(tmp_path, "off.json", params)])
+    assert rc == 1
+    (rep,) = reports_of(out)
+    assert rep["exitCode"] == 1
+    how = "no ordering of A's eigenspaces makes Astar block-tridiagonal"
+    assert rep["payload"]["failure"] == {
+        "kind": "GeneratedPairInvalid",
+        "message": f"generated split form failed validation: {how}",
+        "cause": {"kind": "NoTridiagonalOrdering", "message": how, "side": "A"},
+    }
+
+
+def test_a_nonpositive_dimension_cap_exit_3(tmp_path, capsys, monkeypatch):
+    path = d2_candidate(tmp_path)
+    monkeypatch.setenv("TDP_MAX_DIM", "0")
+    rc, out, _ = run(capsys, ["verify", path])
+    assert rc == 3
+    (rep,) = reports_of(out)
+    assert rep["exitCode"] == 3
+    assert rep["payload"]["failure"] == {"kind": "ParseError", "message": "TDP_MAX_DIM must be positive"}
+
+
+def test_generate_random_builds_no_pair(capsys, monkeypatch):
+    # generate --random prints the split form generate_split_form
+    # certified: with the band decomposition and validate_pair refused it
+    # prints the same report at every diameter from 1 on
+    argvs = [["generate", "--random", field, str(d), "3"] for field in ("Q", "gf13") for d in (1, 4, 9)]
+    want = [run(capsys, argv) for argv in argvs]
+
+    def refused(*args, **kwargs):
+        raise AssertionError("no pair is built")
+
+    monkeypatch.setattr(tdpairs.pairs, "_band_decomposition", refused)
+    monkeypatch.setattr(tdpairs.leonard, "validate_pair", refused)
+    for argv, (rc, out, _) in zip(argvs, want):
+        assert rc == 0
+        assert run(capsys, argv) == (0, out, "")
 
 
 def _generated(tmp_path, capsys, field, d):

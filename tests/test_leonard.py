@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
+import tdpairs.cli
 import tdpairs.eigen
 import tdpairs.leonard
 import tdpairs.linalg
@@ -205,6 +207,54 @@ def test_detect_over_prime_field():
     assert cert.solution_dim == 1
 
 
+def _reversed_leonard_pair():
+    """A fresh Leonard pair of diameter 2 over Q in a reversed A-ordering,
+    which detection decides by its kernel route."""
+    return random_leonard(QQ, 2, 1)[1].with_reversed_a()
+
+
+@pytest.mark.parametrize(
+    "plant, message",
+    [
+        (lambda field: Subspace.zero(field, 3), "no certificate found although every eigenspace is 1-dimensional"),
+        (lambda field: Subspace.span(field, 3, [(1, 0, 0)]), "certificate with vanishing top coefficient"),
+        (lambda field: Subspace.span(field, 3, [(1, 0, 1)]), "certificate coefficients violate the cascade"),
+        (lambda field: Subspace.span(field, 3, [(0, 1, 1)]), "certificate exists but the pair does not look Leonard"),
+    ],
+    ids=["zero", "e0", "cascade", "late-start"],
+)
+def test_detection_raises_a_planted_kernel_as_a_bug(monkeypatch, plant, message):
+    # every InvariantViolation check on the kernel's solutions: a bug in
+    # the solve is never reported as NotLeonard or as a certificate
+    calls = []
+
+    def planted(m, *args):
+        calls.append(m)
+        return plant(m.field)
+
+    monkeypatch.setattr(tdpairs.leonard, "kernel", planted)
+    with pytest.raises(InvariantViolation, match=f"^{message}$"):
+        detect_leonard(_reversed_leonard_pair())
+    assert len(calls) == 1
+
+
+def test_detection_raises_a_zero_or_uncontained_certificate_as_a_bug(monkeypatch):
+    # X from the idempotent sum (kernel route) or from its first column
+    # (split basis) is rechecked to be nonzero and to map Vstar_0 into Vstar_d
+    def zero(*args):
+        return Matrix.zeros(QQ, 3, 3)
+
+    for name, pair in (("_idempotent_sum", _reversed_leonard_pair), ("_split_polynomial", lambda: random_leonard(QQ, 2, 1)[1])):
+        with monkeypatch.context() as patch:
+            patch.setattr(tdpairs.leonard, name, zero)
+            with pytest.raises(InvariantViolation, match="^certificate matrix is zero$"):
+                detect_leonard(pair())
+    monkeypatch.setattr(tdpairs.leonard, "maps_into", lambda *args: False)
+    for pair in (_reversed_leonard_pair(), random_leonard(QQ, 2, 1)[1]):
+        with pytest.raises(InvariantViolation, match="^certificate containment fails on recheck$"):
+            detect_leonard(pair)
+
+
 # ---- the tau-image basis ---------------------------------------------------------
 
 
@@ -346,6 +396,28 @@ def test_affine_relation_rejects_different_eigenspaces():
         affine_relation(pair, conj)
     assert exc.value.side == "A"
     assert isinstance(exc.value.index, int)
+
+
+def test_affine_relation_of_diameter_zero():
+    # one eigenspace a side: r = 1 and s is the difference of the eigenvalues
+    unstarred, starred = affine_relation(validate_pair(qm([[2]]), qm([[3]])), validate_pair(qm([[5]]), qm([[7]])))
+    assert (unstarred.r, unstarred.s) == (QQ.one, QQ.scalar(3))
+    assert (starred.rstar, starred.sstar) == (QQ.one, QQ.scalar(4))
+
+
+def test_affine_relation_argument_checks():
+    pair = d2_pair()
+    with pytest.raises(FieldMismatch):
+        affine_relation(pair, validate_pair(gm(7, A_D2), gm(7, ASTAR_D2)))
+    with pytest.raises(DimensionMismatch, match="^pairs live on different spaces$"):
+        affine_relation(random_leonard(QQ, 1, 0)[1], pair)
+    fat = validate_pair(*kron_sum_fixture(QQ, ((0, 1),) * 2, (1, 2)))
+    for seed in range(3):
+        leonard = random_leonard(QQ, 3, seed)[1]
+        assert (leonard.dim, leonard.diameter, fat.dim, fat.diameter) == (4, 3, 4, 2)
+        with pytest.raises(EigenspaceMismatch, match="^different numbers of eigenspaces$") as exc:
+            affine_relation(leonard, fat)
+        assert (exc.value.side, exc.value.index) == ("A", 0)
 
 
 # ---- switching elements ----------------------------------------------------------
@@ -513,6 +585,20 @@ def test_random_leonard_aligned_and_all_ones():
         assert tuple(pair.eig_astar.eigenvalues) == params.thetastar
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5), GF(7), GF(13), GF(101)], ids=str)
+def test_random_leonard_is_the_validated_pair_aligned_to_its_draw(field):
+    # the pair built once in the drawn orderings is the one validate_pair
+    # certifies and aligned_to_params reorients to the parameters, by its
+    # split-form route and by the general engine
+    for d in range(min(12, getattr(field, "p", 13) - 1) + 1):
+        for seed in (0, 1, 7):
+            params, pair = random_leonard(field, d, seed)
+            assert pair == tdpairs.leonard.aligned_to_params(validate_pair(pair.a, pair.astar), params), (d, seed)
+            with split_form_route_declined():
+                engine = validate_pair(pair.a, pair.astar)
+            assert pair == tdpairs.leonard.aligned_to_params(engine, params), (d, seed)
+
+
 def test_random_leonard_sequences_match_eigenvector_chain_oracle():
     for field, d, seed in ((QQ, 4, 2), (GF(13), 3, 5)):
         params, pair = random_leonard(field, d, seed)
@@ -620,7 +706,8 @@ def test_generation_certifies_exactly_the_parameter_arrays(field):
         )
         if certified is not None:
             assert certified == want
-            assert tdpairs.leonard._split_pair(a, astar) == want
+            assert validate_pair(a, astar) == want
+            assert generate_split_form(params) == (a, astar)
         else:
             assert isinstance(want, tuple)
             with pytest.raises(GeneratedPairInvalid) as raised:
@@ -968,12 +1055,12 @@ def test_a_recurrence_on_the_next_shift_fails_the_closing_step(field, monkeypatc
 
 
 def test_pool_recipe_generation_runs_no_general_validation(monkeypatch):
-    # the acceptance pool's 200 draws: each is validated once, and every
-    # split form of diameter at least 1 is certified by its parameter
-    # array, with no block graph, Norton test or ordering search; diameter
-    # 0 goes through the general engine
+    # the acceptance pool's 200 draws: each is certified once by
+    # generate_split_form, and every split form of diameter at least 1 by
+    # its parameter array, with no validate_pair, block graph, Norton test
+    # or ordering search; diameter 0 goes through the general engine
     engine = ("_block_edges", "irreducible", "path_orderings")
-    counts = dict.fromkeys(("validate_pair", *engine), 0)
+    counts = dict.fromkeys(("generate_split_form", "validate_pair", *engine), 0)
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -982,7 +1069,8 @@ def test_pool_recipe_generation_runs_no_general_validation(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(tdpairs.leonard, "validate_pair", counted("validate_pair", tdpairs.pairs.validate_pair))
+    for name in ("generate_split_form", "validate_pair"):
+        monkeypatch.setattr(tdpairs.leonard, name, counted(name, getattr(tdpairs.leonard, name)))
     for name in engine:
         monkeypatch.setattr(tdpairs.pairs, name, counted(name, getattr(tdpairs.pairs, name)))
     for i in range(200):
@@ -990,7 +1078,8 @@ def test_pool_recipe_generation_runs_no_general_validation(monkeypatch):
         d = i % 7 % (5 if field == GF(5) else 7)
         before = dict(counts)
         random_leonard(field, d, seed=i)
-        assert counts["validate_pair"] == before["validate_pair"] + 1, i
+        assert counts["generate_split_form"] == before["generate_split_form"] + 1, i
+        assert counts["validate_pair"] == before["validate_pair"] + (d == 0), i
         if d:
             assert all(counts[name] == before[name] for name in engine), i
         else:
@@ -1053,17 +1142,34 @@ def test_random_leonard_raises_an_internal_error_instead_of_retrying(monkeypatch
 
 def test_random_leonard_raises_a_rejected_draw_as_a_bug(monkeypatch):
     # every draw the family keeps satisfies PA1-PA5, so a rejection of its
-    # split form is a bug, raised after one validation with no retry
+    # split form by generate_split_form is a bug, raised after one
+    # certification with no retry
     calls = []
 
     def rejecting(*args, **kwargs):
         calls.append(args)
-        raise NotDiagonalizableOverField("planted rejection")
+        raise GeneratedPairInvalid("planted rejection")
 
-    monkeypatch.setattr(tdpairs.leonard, "validate_pair", rejecting)
-    with pytest.raises(InvariantViolation, match="planted rejection"):
+    monkeypatch.setattr(tdpairs.leonard, "generate_split_form", rejecting)
+    with pytest.raises(InvariantViolation, match="^drawn parameter array rejected: planted rejection$"):
         random_leonard(GF(7), 2, seed=1)
     assert len(calls) == 1
+
+
+def test_random_leonard_checks_the_drawn_phi_against_pa4(monkeypatch, capsys):
+    # a drawn phi off PA4 (here doubled) is a bug in the family's closed
+    # form: random_leonard raises it, and generate --random exits 4
+    honest = LeonardParameterSet
+
+    def doubled(**kwargs):
+        return honest(**{**kwargs, "phi": [2 * x for x in kwargs["phi"]]})
+
+    monkeypatch.setattr(tdpairs.leonard, "LeonardParameterSet", doubled)
+    with pytest.raises(InvariantViolation, match=r"^drawn parameter array rejected: phi\[0\] is 5, but PA4 gives 6$"):
+        random_leonard(GF(7), 2, seed=1)
+    assert tdpairs.cli.main(["generate", "--random", "gf7", "2", "1"]) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["payload"]["failure"]["kind"] == "InvariantViolation"
 
 
 def test_generation_outside_the_parameter_arrays_raises_validation_bugs(monkeypatch):
