@@ -213,10 +213,10 @@ class PrimeField:
     kind = "GFp"
 
     def __init__(self, p: int):
+        if isinstance(p, int) and p > MAX_PRIME:  # before Miller-Rabin, which costs a huge order seconds
+            raise ParseError(f"field order {p} exceeds the cap {MAX_PRIME}")
         if not isinstance(p, int) or not _is_prime(p):
             raise ParseError(f"field order {p!r} is not prime")
-        if p > MAX_PRIME:
-            raise ParseError(f"field order {p} exceeds the cap {MAX_PRIME}")
         self.p = p
         if p <= 1024:
             self._cache = tuple(GFElement(self, v) for v in range(p))

@@ -19,11 +19,12 @@ product C diag(c) C^-1 (eigen._idempotent_sum); affine reduction reads c_j
 off X's action on each eigenspace.  No tau_i(A), no Matrix per index.
 
 Generation certifies every split form in generate_split_form: one whose
-sequences satisfy PA1-PA5 (Terwilliger, LAA 330, 2001, Thm 1.9) by reading
-them once (pairs._split_phi), phi checked against PA4, any other by
-validate_pair.  random_leonard draws from an affine family whose phi has a
-closed form in integers, so a rejected draw is a bug, and builds its pair
-once, in the orderings drawn (pairs._split_basis_pair).
+sequences satisfy PA1-PA5 (Terwilliger, LAA 330, 2001, Thm 1.9), as every
+1x1 form's do, by reading them once (pairs._split_phi), phi checked against
+PA4; any other is rejected with validate_pair's reason.  random_leonard
+draws from an affine family whose phi has a closed form in integers, so a
+rejected draw is a bug, and builds its pair once, in the orderings drawn
+(pairs._split_basis_pair).
 """
 
 from __future__ import annotations
@@ -380,23 +381,22 @@ def _split_matrices(field, theta, thetastar, varphi) -> tuple[Matrix, Matrix]:
 def generate_split_form(params: LeonardParameterSet) -> tuple[Matrix, Matrix]:
     """A lower bidiagonal with diagonal theta and unit subdiagonal,
     Astar upper bidiagonal with diagonal thetastar and superdiagonal
-    varphi.  A form whose sequences form a parameter array (pairs._split_phi)
-    is certified by Terwilliger's classification and builds no pair; phi must
-    be PA4's phi for it, else InvalidLeonardParameters.  Any other form goes
-    through validate_pair, whose rejection is GeneratedPairInvalid."""
-    field = params.field
+    varphi.  A form whose sequences form a parameter array (pairs._split_phi,
+    every form at d = 0) is certified by Terwilliger's classification and
+    builds no pair; phi must be PA4's phi, else InvalidLeonardParameters.  Any
+    other form is no Leonard pair: validate_pair's rejection is GeneratedPairInvalid."""
+    field, p = params.field, modulus(params.field)
     a, astar = _split_matrices(field, params.theta, params.thetastar, params.varphi)
-    if (found := _split_phi(a, astar)) is None:  # d = 0, or no parameter array: the engine decides
+    if (found := _split_phi(a, astar)) is None:  # no parameter array: the engine explains the rejection
         try:
             validate_pair(a, astar)
         except TdpError as e:
             raise GeneratedPairInvalid(f"generated split form failed validation: {e}", cause=e) from e
-        if params.d:  # Terwilliger's Thm 1.9: a split-form Leonard pair has a parameter array
-            raise InvariantViolation("validated split form has no parameter array")
-        return a, astar
-    for i, (given, x) in enumerate(zip(params.phi, found[0])):
-        if (want := field.scalar(x) / field.scalar(found[1])) != given:
-            given, want = scalar_to_str(given), scalar_to_str(want)
+        raise InvariantViolation("validated split form has no parameter array")  # Terwilliger's Thm 1.9
+    phis, e = found
+    for i, (given, x) in enumerate(zip(params.phi, phis)):  # given = x / e, cross-multiplied on ints
+        if (given.v * e - x) % p if p else given.numerator * e != x * given.denominator:
+            given, want = scalar_to_str(given), scalar_to_str(field.scalar(x) / field.scalar(e))
             raise InvalidLeonardParameters(f"phi[{i}] is {given}, but PA4 gives {want}")
     return a, astar
 

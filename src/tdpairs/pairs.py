@@ -500,9 +500,9 @@ def validate_pair(a: Matrix, astar: Matrix) -> TriDiagonalPair:
     """Certify the four axioms and assemble the ordered pair data.
 
     Right after the size and field checks, a split form whose sequences form
-    a parameter array is certified by Terwilliger's classification
-    (_split_form_pair); any other input goes through the general engine, so
-    every rejection is the engine's.  There the irreducibility check runs
+    a parameter array (every 1x1 pair) is certified by Terwilliger's
+    classification (_split_form_pair); any other input goes through the
+    general engine, so every rejection is the engine's.  There the irreducibility check runs
     before the ordering search so that a definitive witness is reported even
     when orderings also fail (a disconnected support graph always implies
     reducibility).  Each side is decomposed once: irreducible gets the
@@ -542,7 +542,7 @@ def validate_pair(a: Matrix, astar: Matrix) -> TriDiagonalPair:
 
 def _split_phi(a: Matrix, astar: Matrix) -> tuple[list, int] | None:
     """(phi, e) when A = R / d_A is lower bidiagonal with unit subdiagonal,
-    Astar = S / d_S is upper bidiagonal, n >= 2, and theta_i = R_ii / d_A,
+    Astar = S / d_S is upper bidiagonal, and theta_i = R_ii / d_A,
     thetastar_i = S_ii / d_S and varphi_i = S_{i-1,i} / d_S satisfy PA1-PA5
     of Terwilliger's classification (LAA 330, 2001, Thm 1.9, any field),
     else None; phi_i = phi[i - 1] / e is then PA4's phi_i.  With vartheta_i
@@ -554,24 +554,23 @@ def _split_phi(a: Matrix, astar: Matrix) -> tuple[list, int] | None:
       PA5  (theta_{i-2} - theta_{i+1}) / (theta_{i-1} - theta_i), 2 <= i <= d - 1,
            is one scalar for theta and thetastar.
     Read on the int rows, mod p over GF(p): phi_i times e = d_A d_S (R_00 - R_dd),
-    PA3 times d_A d_S (R_00 - R_dd)^2, PA5 cross-multiplied; every entry off the bands is 0."""
+    PA3 times d_A d_S (R_00 - R_dd)^2, PA5 cross-multiplied; every entry off the bands
+    is 0.  A 1x1 pair holds PA1-PA5 vacuously: phi is empty, and e = 0 goes unread."""
     (r, da), (s, ds), p = a._ints, astar._ints, modulus(a.field)
     n, d = len(r), len(r) - 1
-    if d < 1 or not _unit_lower_bidiagonal(r, da) or any(any(s[i][:i] + s[i][i + 2 :]) for i in range(n)):
+    if not _unit_lower_bidiagonal(r, da) or any(any(s[i][:i] + s[i][i + 2 :]) for i in range(n)):
         return None
     t, u, f = [r[i][i] for i in range(n)], [s[i][i] for i in range(n)], [s[i - 1][i] for i in range(1, n)]
     if len(set(t)) < n or len(set(u)) < n or not all(f):  # PA1, PA2 on varphi
         return None
     residue = (lambda x: x % p) if p else (lambda x: x)
     span, partial, phis = t[0] - t[d], 0, []
-    phi1 = span * (da * f[0] - (u[1] - u[0]) * span)
     for i in range(1, n):
         partial += t[i - 1] - t[d - i + 1]
-        phi = da * f[0] * partial + (u[i] - u[0]) * (t[d - i + 1] - t[0]) * span
-        pa3 = phi1 * partial + (u[i] - u[0]) * (t[i - 1] - t[d]) * span**2
-        if not residue(phi) or residue(da * f[i - 1] * span**2 - pa3):  # PA2 on phi, PA3
+        phis.append(da * f[0] * partial + (u[i] - u[0]) * (t[d - i + 1] - t[0]) * span)
+        pa3 = phis[0] * partial + (u[i] - u[0]) * (t[i - 1] - t[d]) * span**2
+        if not residue(phis[-1]) or residue(da * f[i - 1] * span**2 - pa3):  # PA2 on phi, PA3
             return None
-        phis.append(phi)
     ratios = [(x[i - 2] - x[i + 1], x[i - 1] - x[i]) for x in (t, u) for i in range(2, d)]
     if any(residue(x * ratios[0][1] - ratios[0][0] * y) for x, y in ratios):  # PA5
         return None
@@ -598,10 +597,10 @@ def _split_form_pair(a: Matrix, astar: Matrix) -> TriDiagonalPair | None:
 
 def _split_basis_pair(a: Matrix, astar: Matrix) -> TriDiagonalPair:
     """The Leonard pair of a split form whose sequences form a parameter
-    array (_split_phi, or generation's check of it), with orderings theta
-    and thetastar in diagonal order: each side decomposed on its band, n
-    lines a side, so its shape is (1, ..., 1), and Norton's test fills both
-    spins (trivially at n = 1, where no proper subspace exists)."""
+    array (_split_phi), with orderings theta and thetastar in diagonal
+    order: each side decomposed on its band, n lines a side, so its shape
+    is (1, ..., 1), and Norton's test fills both spins; at n = 1 no proper
+    subspace exists, the _DIM_ONE report irreducible gives."""
     eigs = (_band_decomposition(a, True), _band_decomposition(astar, False))
     report = IrreducibilityReport.irreducible(_SPINS_FILL if a.nrows > 1 else _DIM_ONE)
     return TriDiagonalPair(a, astar, *eigs, ShapeVector((1,) * a.nrows), report)

@@ -162,5 +162,5 @@ def loads_strict(data) -> object:
             raise ParseError(f"input is not UTF-8: {e}") from None
     try:
         return json.loads(data)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # bad JSON, a number past int's digit limit, deep nesting
         raise ParseError(f"input is not valid JSON: {e}") from None

@@ -15,6 +15,7 @@ import contextlib
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -694,6 +695,51 @@ def leonard_parameter_array(field, theta, thetastar, varphi):
     if len(betas) > 1:  # PA5: one beta + 1 for both sequences
         return None
     return tuple(field.scalar(x) for x in phi)
+
+
+def parameter_array(beta_kind, field, d, seed):
+    """(theta, thetastar, varphi, phi), a parameter array of diameter d off
+    the affine family random_leonard draws from.  theta and thetastar are
+    both q-type, x + y q^i + z q^-i for one q of multiplicative order above
+    2d (beta = q + 1/q), or both quadratic, x + y i + z i^2 with z nonzero
+    (beta = 2); varphi comes from PA3 for a random phi_1, as the test
+    suite's parameter_draws makes it, and phi from PA4 by
+    leonard_parameter_array.  A draw that fails PA1 or PA2 is redrawn."""
+    rng, p = random.Random(seed), getattr(field, "p", None)
+    if beta_kind == "q" and p:
+        q = rng.choice([x for x in range(2, p) if _multiplicative_order(x, p) > 2 * d])
+    elif beta_kind == "q":
+        q = rng.choice([2, -2, 3, Fraction(1, 2), Fraction(-3, 2)])
+    elif beta_kind != "quadratic":
+        raise ValueError(f"unknown beta kind {beta_kind!r}")
+
+    def power(i):  # q^i, i of either sign
+        return pow(q, i, p) if p else Fraction(q) ** i
+
+    def sequence():
+        x, y, z = rng.randrange(-9, 10), rng.randrange(-9, 10), rng.choice([-3, -2, -1, 1, 2, 3])
+        if beta_kind == "q":
+            return [field.scalar(x + y * power(i) + z * power(-i)) for i in range(d + 1)]
+        return [field.scalar(x + y * i + z * i * i) for i in range(d + 1)]
+
+    while True:
+        theta, thetastar, phi1 = sequence(), sequence(), field.scalar(rng.choice([-4, -1, 1, 2, 5]))
+        if len(set(theta)) <= d or len(set(thetastar)) <= d:  # PA1
+            continue
+        span, partial, varphi = theta[0] - theta[d], field.zero, []
+        for i in range(1, d + 1):
+            partial += (theta[i - 1] - theta[d - i + 1]) / span
+            varphi.append(phi1 * partial + (thetastar[i] - thetastar[0]) * (theta[i - 1] - theta[d]))
+        if (phi := leonard_parameter_array(field, theta, thetastar, varphi)) is not None:
+            return tuple(theta), tuple(thetastar), tuple(varphi), phi
+
+
+def _multiplicative_order(x, p):
+    """The least k >= 1 with x^k = 1 mod p, for x a unit mod the prime p."""
+    k, y = 1, x % p
+    while y != 1:
+        k, y = k + 1, y * x % p
+    return k
 
 
 # ---- shape-(1,2,1) fixtures from products of diameter-1 pairs ---------------

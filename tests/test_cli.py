@@ -278,6 +278,29 @@ def test_verify_parse_failures_exit_3(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000 + "]" * 100_000, '{"rows": ' + "9" * 5000 + "}"], ids=["nested", "digits"]
+)
+def test_json_past_the_parsers_limits_exits_3_with_a_report(tmp_path, capsys, text):
+    # deep nesting (RecursionError) and a number past int's 4,300-digit
+    # limit (ValueError) are parse failures of the file that holds them
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    cand, pfile = d2_candidate(tmp_path), write_params(tmp_path, "params.json", d2_params())
+    for argv, files in (
+        (["verify", str(bad)], [bad]),
+        (["switch", cand, "--sequences", str(bad)], [Path(cand), bad]),
+        (["switch", str(bad), "--sequences", pfile], [bad, Path(pfile)]),
+        (["generate", "--params", str(bad)], [bad]),
+    ):
+        rc, out, _ = run(capsys, argv)
+        (rep,) = reports_of(out)
+        assert rc == rep["exitCode"] == 3, argv
+        assert rep["inputDigest"] == hashlib.sha256(b"".join(f.read_bytes() for f in files)).hexdigest()
+        failure = rep["payload"]["failure"]
+        assert failure["kind"] == "ParseError" and failure["message"].startswith("input is not valid JSON: ")
+
+
 def test_verify_rejects_json_booleans_as_sizes_exit_3(tmp_path, capsys):
     # JSON true reads as Python True, an int: it is not a size
     for key in ("rows", "cols"):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import tdpairs.fields
 from tdpairs import (
     GF,
     QQ,
@@ -181,8 +182,21 @@ def test_primality_matches_a_sieve_and_decides_huge_orders_at_once():
     # a 19-digit order was trial division up to its square root
     with pytest.raises(ParseError, match="exceeds the cap"):
         field_from_spec({"kind": "GFp", "p": 2**61 - 1})
-    with pytest.raises(ParseError, match="is not prime"):
+    with pytest.raises(ParseError, match="exceeds the cap"):
         field_from_spec({"kind": "GFp", "p": 2**61 + 1})
+
+
+def test_an_order_above_the_cap_is_refused_before_any_primality_test(monkeypatch):
+    # a 4,200-digit order cost seconds of Miller-Rabin before the cap refused it
+    def refuse(n):
+        raise AssertionError("_is_prime called")
+
+    monkeypatch.setattr(tdpairs.fields, "_is_prime", refuse)
+    for order in (MAX_PRIME + 1, 2**61 - 1, 10**4199 + 7):
+        with pytest.raises(ParseError, match="exceeds the cap"):
+            GF(order)
+        with pytest.raises(ParseError, match="exceeds the cap"):
+            field_from_spec({"kind": "GFp", "p": order})
 
 
 def test_field_spec_round_trip():

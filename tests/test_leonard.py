@@ -63,6 +63,7 @@ from oracles import (
     kron_sum_fixture,
     leonard_parameter_array,
     oracle_split_sequences,
+    parameter_array,
     phi_from_split_form,
     split_form_route_declined,
     tau_images_by_shift,
@@ -774,7 +775,7 @@ def test_a_certified_split_form_is_decomposed_with_no_elimination(field, monkeyp
 
 def _near_misses(a, astar):
     """Pairs one step off a split form: a non-unit subdiagonal entry, one
-    extra entry off either band, Astar lower bidiagonal, and n = 1."""
+    extra entry off either band, and Astar lower bidiagonal."""
     n, field = a.nrows, a.field
 
     def changed(m, i, j, x):
@@ -786,7 +787,6 @@ def _near_misses(a, astar):
     yield changed(a, 0, n - 1, 1), astar
     yield a, changed(astar, n - 1, 0, 1)
     yield a, astar.transpose()
-    yield Matrix(field, [[a[0, 0]]]), Matrix(field, [[astar[0, 0]]])
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
@@ -805,6 +805,49 @@ def test_split_form_route_declines_near_misses(field):
                 assert got == _verdict(a, astar)
             verdicts.add(got[0] if isinstance(got, tuple) else "valid")
     assert "valid" in verdicts and len(verdicts) > 2
+
+
+def _one_by_one_pairs(field):
+    """1x1 pairs (x, y) over field, x = y among them, fractions over Q."""
+    values = [0, 1, -3, 50] + ([Fraction(-7, 2), Fraction(5, 9)] if field == QQ else [field.p - 1])
+    for x, y in itertools.product(values, repeat=2):
+        yield Matrix(field, [[field.scalar(x)]]), Matrix(field, [[field.scalar(y)]])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
+def test_every_one_by_one_pair_is_a_certified_split_form(field, monkeypatch):
+    # PA1-PA5 hold vacuously at d = 0, so the split-form route certifies
+    # every 1x1 pair, with no eigen_decompose, Norton test or block graph,
+    # to the pair the general engine returns
+    pairs = list(_one_by_one_pairs(field))
+    with split_form_route_declined():
+        want = [_verdict(a, astar) for a, astar in pairs]
+    refuse_in(monkeypatch, tdpairs.pairs, "eigen_decompose", "irreducible", "_block_edges")
+    refuse_in(monkeypatch, tdpairs.eigen, "eigen_decompose")
+    for (a, astar), engine in zip(pairs, want):
+        assert tdpairs.pairs._split_phi(a, astar) == ([], 0)
+        assert tdpairs.pairs._split_form_pair(a, astar) is not None
+        assert _verdict(a, astar) == engine
+        assert engine.shape == ShapeVector((1,)) and engine.irreducibility.is_irreducible()
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
+def test_generation_at_diameter_zero_runs_no_validation(field, capsys, monkeypatch):
+    # generate_split_form, random_leonard and generate --random certify a
+    # 1x1 form by its (empty) parameter array: no validate_pair, and no
+    # engine stage under it; the pair is the general engine's
+    draws = [random_leonard(field, 0, seed) for seed in range(6)]
+    with split_form_route_declined():
+        want = [validate_pair(pair.a, pair.astar) for _, pair in draws]
+    argv = ["generate", "--random", str(field), "0", "3"]
+    printed = tdpairs.cli.main(argv), capsys.readouterr().out
+    refuse_in(monkeypatch, tdpairs.leonard, "validate_pair")
+    refuse_in(monkeypatch, tdpairs.pairs, "eigen_decompose", "irreducible", "_block_edges")
+    refuse_in(monkeypatch, tdpairs.eigen, "eigen_decompose")
+    for seed, ((params, pair), engine) in enumerate(zip(draws, want)):
+        assert random_leonard(field, 0, seed) == (params, pair) and pair == engine
+        assert generate_split_form(params) == (pair.a, pair.astar)
+    assert (tdpairs.cli.main(argv), capsys.readouterr().out) == printed and printed[0] == 0
 
 
 # ---- detection in a split basis --------------------------------------------------
@@ -882,6 +925,33 @@ def _near_split_bases(pair, rng):
     )
     assert rescaled.vstar(0) == e0 and rescaled.a[1, 0] != field.one
     return pair.with_reversed_a(), pair.with_reversed_astar(), _dense_conjugate(pair, rng), rescaled
+
+
+@pytest.mark.parametrize("d", [3, 6])
+@pytest.mark.parametrize("field", [QQ, GF(101)], ids=str)
+@pytest.mark.parametrize("beta_kind", ["q", "quadratic"])
+def test_non_affine_leonard_worlds_agree_with_their_oracles(beta_kind, field, d):
+    # parameter arrays off random_leonard's affine family (q-type and
+    # quadratic theta, thetastar): generation certifies the split form; a
+    # dense conjugate validates to shape (1, ..., 1) with the drawn orders
+    # up to reversal; detection is the membership oracle's, the sequence
+    # switching element is proportional to the solved one, and the split
+    # report holds
+    rng = random.Random(43 + d)
+    for seed in (0, 1):
+        theta, thetastar, varphi, phi = parameter_array(beta_kind, field, d, seed)
+        params = LeonardParameterSet(field, theta, thetastar, varphi, phi)
+        pair = _dense_conjugate(validate_pair(*generate_split_form(params)), rng)
+        assert pair.shape == ShapeVector((1,) * (d + 1))
+        assert pair.eig_a.eigenvalues in (theta, theta[::-1])
+        assert pair.eig_astar.eigenvalues in (thetastar, thetastar[::-1])
+        cert = detect_leonard(pair)
+        assert (cert.alpha, cert.x, cert.solution_dim) == detect_by_membership(pair)
+        aligned = tdpairs.leonard.aligned_to_params(pair, params)
+        s, x = switching_from_sequences(params, aligned.eig_a), switching_via_solve(aligned)
+        ratio = next(y / z for y, z in zip(itertools.chain(*x.rows), itertools.chain(*s.rows)) if z)
+        assert ratio and x == s.scale(ratio)
+        assert complete_report(split_subspaces(pair)).all_true()
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(101)], ids=str)
@@ -1054,11 +1124,21 @@ def test_a_recurrence_on_the_next_shift_fails_the_closing_step(field, monkeypatc
                 _switchings(pair, random.Random(7), monkeypatch)
 
 
+def test_a_validated_split_form_without_a_parameter_array_is_a_bug(monkeypatch):
+    # Terwilliger's Thm 1.9: a split form validate_pair accepts has a
+    # parameter array, so generation reading none for it, at any diameter,
+    # is an InvariantViolation
+    draws = [random_leonard(field, d, seed=5)[0] for field in (QQ, GF(13)) for d in (0, 1, 3)]
+    monkeypatch.setattr(tdpairs.leonard, "_split_phi", lambda *args: None)
+    for params in draws:
+        with pytest.raises(InvariantViolation, match="^validated split form has no parameter array$"):
+            generate_split_form(params)
+
+
 def test_pool_recipe_generation_runs_no_general_validation(monkeypatch):
     # the acceptance pool's 200 draws: each is certified once by
-    # generate_split_form, and every split form of diameter at least 1 by
-    # its parameter array, with no validate_pair, block graph, Norton test
-    # or ordering search; diameter 0 goes through the general engine
+    # generate_split_form, by its parameter array (empty at diameter 0),
+    # with no validate_pair, block graph, Norton test or ordering search
     engine = ("_block_edges", "irreducible", "path_orderings")
     counts = dict.fromkeys(("generate_split_form", "validate_pair", *engine), 0)
 
@@ -1079,11 +1159,7 @@ def test_pool_recipe_generation_runs_no_general_validation(monkeypatch):
         before = dict(counts)
         random_leonard(field, d, seed=i)
         assert counts["generate_split_form"] == before["generate_split_form"] + 1, i
-        assert counts["validate_pair"] == before["validate_pair"] + (d == 0), i
-        if d:
-            assert all(counts[name] == before[name] for name in engine), i
-        else:
-            assert all(counts[name] > before[name] for name in engine), i
+        assert all(counts[name] == before[name] for name in ("validate_pair", *engine)), i
 
 
 def test_random_leonard_diameter_zero():

@@ -945,10 +945,11 @@ def test_block_graph_verdicts_match_brute_force_over_tiny_fields(p):
 def test_validate_reads_leonard_pairs_off_one_block_graph_per_side(monkeypatch):
     # with n distinct eigenvalues on both sides, validate_pair spins
     # nothing and computes each side's block graph once; the pairs are read
-    # in the reversed basis, so no split-form route certifies them
+    # in the reversed basis, so no split-form route certifies them (a
+    # reversed 1x1 pair is the same split form, so d starts at 1)
     pairs = []
     for field in (QQ, GF(5), GF(13)):
-        for d in range(0, min(6, getattr(field, "p", 7) - 1) + 1):
+        for d in range(1, min(6, getattr(field, "p", 7) - 1) + 1):
             pairs.append(random_leonard(field, d, 300 + d)[1])
 
     def refuse(*args, **kwargs):
